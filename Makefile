@@ -2,7 +2,7 @@
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
 # pull-request performance gate.
 
-.PHONY: build vet test short race bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity
+.PHONY: build vet test short race bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity e2e
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -18,6 +18,8 @@ INTERP_SWEEP ?= 100
 WATCH_REPORT ?=
 # Allowed relative median regression for the performance gate (0.30 = +30%).
 BENCH_THRESHOLD ?= 0.30
+# Extra flags for the end-to-end benchmark (`make e2e E2E_ARGS='-seconds 2'`).
+E2E_ARGS ?=
 # Corpus size for the streaming soak and its asserted peak-heap ceiling.
 # A 1M run measures ~0.6 GiB peak heap; the 2 GiB ceiling leaves headroom
 # for GC pacing noise while still catching per-contract retention leaks.
@@ -53,6 +55,13 @@ bench:
 # regression past BENCH_THRESHOLD.
 bench-gate:
 	go run ./cmd/proxbench -quick -threshold $(BENCH_THRESHOLD) compare
+
+# End-to-end + per-layer ruler (BENCHMARK.json's command): all six
+# workloads, every answer checked against the generators' labels; exits
+# non-zero on a wrong answer. CI runs it at `-seconds 2` as a correctness
+# smoke only — timings belong to the benchmark driver, not to CI.
+e2e:
+	go run ./bench/e2e $(E2E_ARGS)
 
 # Refresh the checked-in quick baseline (run on an otherwise idle machine,
 # then commit bench/baseline.json with an explanation of what moved).
@@ -112,6 +121,7 @@ fuzz:
 	go test ./internal/gen/oracle -run '^$$' -fuzz FuzzGeneratorOracle -fuzztime $(FUZZTIME)
 	go test ./internal/gen/oracle -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	go test ./internal/u256 -run '^$$' -fuzz FuzzU256VsBigInt -fuzztime $(FUZZTIME)
+	go test ./internal/keccak -run '^$$' -fuzz FuzzKeccakParity -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzExecuteArbitraryBytecode -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzProxyProbe -fuzztime $(FUZZTIME)
 	go test ./internal/evm/parity -run '^$$' -fuzz FuzzInterpParity -fuzztime $(FUZZTIME)

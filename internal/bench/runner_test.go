@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/keccak"
 )
 
 // TestSuiteShape: both profiles expose the same stable workload names
@@ -32,6 +34,24 @@ func TestSuiteShape(t *testing.T) {
 	}
 	if !seen[CalibrationName] {
 		t.Fatalf("suite lacks the calibration workload %q", CalibrationName)
+	}
+}
+
+// TestCalibrationRunsTheFrozenReference: the machine-speed yardstick must
+// be the same work at every commit, so its op may not touch the production
+// Keccak kernel at all (whose speed is a thing the suite measures): it
+// hashes with the frozen reference permutation in keccakref.
+func TestCalibrationRunsTheFrozenReference(t *testing.T) {
+	w, ok := FindWorkload(Quick, CalibrationName)
+	if !ok {
+		t.Fatalf("suite lacks %q", CalibrationName)
+	}
+	inst := w.Setup(1, w.Scale)
+	if runs := keccak.CountSponges(func() { inst.Op(); inst.Op() }); runs != 0 {
+		t.Fatalf("calibration op ran the production kernel %d times; it must hash with keccakref", runs)
+	}
+	if got := inst.Counters()["bytes_hashed"]; got != int64(w.Scale) {
+		t.Fatalf("bytes_hashed = %d, want %d", got, w.Scale)
 	}
 }
 

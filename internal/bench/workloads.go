@@ -13,7 +13,7 @@ import (
 	"repro/internal/evm"
 	"repro/internal/faultchain"
 	"repro/internal/gen"
-	"repro/internal/keccak"
+	"repro/internal/keccak/keccakref"
 	"repro/internal/proxion"
 	"repro/internal/solc"
 	"repro/internal/static"
@@ -180,7 +180,11 @@ func FindWorkload(p Profile, name string) (Workload, bool) {
 
 // setupCalibration hashes a seed-filled fixed-size buffer. No corpus, no
 // allocation in the op: the timing is (nearly) pure CPU, which is what the
-// comparator's machine-speed normalization needs.
+// comparator's machine-speed normalization needs. It must also be the same
+// work on both sides of a comparison, so it runs the frozen reference
+// permutation (keccakref), never the production kernel: a faster
+// keccak.Sum256 would otherwise read as a faster machine and turn every
+// other workload red against the checked-in baseline.
 func setupCalibration(seed int64, scale int) Instance {
 	buf := make([]byte, scale)
 	for i := range buf {
@@ -189,7 +193,7 @@ func setupCalibration(seed int64, scale int) Instance {
 	var sink byte
 	return Instance{
 		Op: func() {
-			sum := keccak.Sum256(buf)
+			sum := keccakref.Sum256(buf)
 			sink ^= sum[0]
 		},
 		Counters: func() map[string]int64 {

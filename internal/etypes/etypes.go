@@ -104,12 +104,12 @@ func CreateAddress(sender Address, nonce uint64) Address {
 // keccak(0xff ++ sender ++ salt ++ keccak(initCode))[12:].
 func CreateAddress2(sender Address, salt Hash, initCode []byte) Address {
 	codeHash := keccak.Sum256(initCode)
-	buf := make([]byte, 0, 1+20+32+32)
-	buf = append(buf, 0xff)
-	buf = append(buf, sender[:]...)
-	buf = append(buf, salt[:]...)
-	buf = append(buf, codeHash[:]...)
-	h := keccak.Sum256(buf)
+	var buf [1 + 20 + 32 + 32]byte
+	buf[0] = 0xff
+	copy(buf[1:], sender[:])
+	copy(buf[21:], salt[:])
+	copy(buf[53:], codeHash[:])
+	h := keccak.Sum256(buf[:])
 	return BytesToAddress(h[12:])
 }
 

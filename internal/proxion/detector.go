@@ -13,6 +13,7 @@ package proxion
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/disasm"
@@ -214,27 +215,28 @@ func (d *Detector) emulationContext() evm.BlockContext {
 // The remainder is a recognizable 32-byte probe payload so forwarding can
 // be verified byte-for-byte.
 func CraftCallData(addr etypes.Address, code []byte) []byte {
-	avoid := make(map[[4]byte]struct{})
-	for _, sel := range disasm.Push4Candidates(code) {
-		avoid[sel] = struct{}{}
-	}
-	var sel [4]byte
-	for try := 0; ; try++ {
-		seed := make([]byte, 0, 28)
-		seed = append(seed, addr[:]...)
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(try))
-		seed = append(seed, n[:]...)
-		h := keccak.Sum256(seed)
-		copy(sel[:], h[:4])
-		if _, clash := avoid[sel]; !clash {
+	avoid := disasm.Push4Candidates(code)
+	out := make([]byte, 4+32)
+
+	// Selector: keccak(addr || try)[:4] for the first try that clashes
+	// with no candidate. The list is a handful of entries; scan it.
+	var seed [20 + 8]byte
+	copy(seed[:], addr[:])
+	for try := uint64(0); ; try++ {
+		binary.BigEndian.PutUint64(seed[20:], try)
+		h := keccak.Sum256(seed[:])
+		if sel := [4]byte(h[:4]); !slices.Contains(avoid, sel) {
+			copy(out, sel[:])
 			break
 		}
 	}
-	payload := keccak.Sum256(append([]byte("proxion-probe"), addr[:]...))
-	out := make([]byte, 0, 4+32)
-	out = append(out, sel[:]...)
-	out = append(out, payload[:]...)
+
+	const tag = "proxion-probe"
+	var preimage [len(tag) + 20]byte
+	copy(preimage[:], tag)
+	copy(preimage[len(tag):], addr[:])
+	payload := keccak.Sum256(preimage[:])
+	copy(out[4:], payload[:])
 	return out
 }
 

@@ -18,13 +18,9 @@ func newAccessCache() *accessCache {
 	return &accessCache{m: make(map[etypes.Hash][]StorageAccess)}
 }
 
-func (c *accessCache) get(code []byte) []StorageAccess {
-	return c.getByHash(etypes.Keccak(code), code)
-}
-
-// getByHash is get with the bytecode hash already computed, so callers that
-// key several caches can pay for the keccak once.
-func (c *accessCache) getByHash(h etypes.Hash, code []byte) []StorageAccess {
+// get returns the storage accesses of code, whose bytecode hash h the
+// caller already holds (the chain caches it per account).
+func (c *accessCache) get(h etypes.Hash, code []byte) []StorageAccess {
 	c.mu.Lock()
 	cached, ok := c.m[h]
 	c.mu.Unlock()
@@ -80,16 +76,14 @@ func (d *Detector) AnalyzePair(proxy, logic etypes.Address, sources SourceProvid
 
 	pa.Functions = d.functionCollisions(proxyHash, logicHash, proxyCode, logicCode, proxySrc, logicSrc)
 
-	proxyAcc := d.accessCache.getByHash(proxyHash, proxyCode)
-	logicAcc := d.accessCache.getByHash(logicHash, logicCode)
+	proxyAcc := d.accessCache.get(proxyHash, proxyCode)
+	logicAcc := d.accessCache.get(logicHash, logicCode)
 	pa.Storage = StorageCollisions(proxyAcc, logicAcc)
-	if len(pa.Storage) > 0 {
-		pa.ExploitVerified = d.VerifyStorageExploit(proxy, logic, pa.Storage)
-		if pa.ExploitVerified {
-			for i := range pa.Storage {
-				if pa.Storage[i].Exploitable {
-					pa.Storage[i].Verified = true
-				}
+	if collided := exploitableSlots(pa.Storage); len(collided) > 0 && d.replayGuarded(proxy, logicHash, logicCode, collided) {
+		pa.ExploitVerified = true
+		for i := range pa.Storage {
+			if pa.Storage[i].Exploitable {
+				pa.Storage[i].Verified = true
 			}
 		}
 	}

@@ -161,20 +161,37 @@ var exploitSenders = [2]etypes.Address{
 // broken initializer/ownership guard, as in the Audius incident. All
 // execution happens on an overlay; the chain is untouched.
 func (d *Detector) VerifyStorageExploit(proxy, logic etypes.Address, collisions []StorageCollision) bool {
-	collided := make(map[etypes.Hash]struct{})
-	exploitable := false
-	for _, c := range collisions {
-		if c.Exploitable {
-			collided[c.Slot] = struct{}{}
-			exploitable = true
-		}
-	}
-	if !exploitable {
+	collided := exploitableSlots(collisions)
+	if len(collided) == 0 {
 		return false
 	}
+	// AnalyzePair, the in-package caller, goes to replayGuarded directly;
+	// what reaches this read comes from another package (crush, benches)
+	// and owns its capture there.
+	logicCode := d.chain.Code(logic) // readerpanic:ignore
+	return d.replayGuarded(proxy, etypes.Keccak(logicCode), logicCode, collided)
+}
 
-	logicCode := d.chain.Code(logic)
-	for _, sel := range guardGatedSelectors(logicCode, d.accessCache.get(logicCode), collided) {
+// exploitableSlots returns the slots of the statically exploitable
+// collisions — the only ones worth a replay — or nil when there are none.
+func exploitableSlots(collisions []StorageCollision) map[etypes.Hash]struct{} {
+	var collided map[etypes.Hash]struct{}
+	for _, c := range collisions {
+		if c.Exploitable {
+			if collided == nil {
+				collided = make(map[etypes.Hash]struct{})
+			}
+			collided[c.Slot] = struct{}{}
+		}
+	}
+	return collided
+}
+
+// replayGuarded is the replay half of VerifyStorageExploit, taking the
+// logic contract's code and its hash from the caller: AnalyzePair already
+// holds both, the hash from the chain's per-account cache.
+func (d *Detector) replayGuarded(proxy etypes.Address, logicHash etypes.Hash, logicCode []byte, collided map[etypes.Hash]struct{}) bool {
+	for _, sel := range guardGatedSelectors(logicCode, d.accessCache.get(logicHash, logicCode), collided) {
 		if d.replayDoubleCall(proxy, sel, collided) {
 			return true
 		}

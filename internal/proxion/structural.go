@@ -165,7 +165,10 @@ type probeTrace struct {
 // hash: it decides between plain emulation, family registration (leader)
 // and near-clone promotion (follower), and populates the verdict-cache
 // entry either way so exact duplicates of this hash hit level one.
-func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []byte) (Report, probeTrace) {
+// codeHash is the entry's key, which the caller got from the chain's
+// per-account cache; together with the fingerprint computed here it is
+// handed to the static summary, so a follower hashes its bytecode once.
+func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
 	var tr probeTrace
 	if d.structuralOff || d.structural == nil {
 		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
@@ -183,7 +186,7 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
 		d.recordOutcome(entry, addr, out)
 		if out.rep.IsProxy && out.rep.EmulationErr == nil && len(out.guardSlots) == 0 {
-			sum := static.Analyze(code)
+			sum := static.AnalyzeHashed(code, codeHash, fp)
 			tr.analyzed = true
 			if exemplarConsistent(sum, out.rep, addr) {
 				cls.target = out.rep.Target
@@ -201,7 +204,7 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 		d.recordOutcome(entry, addr, out)
 		return out.rep, tr
 	}
-	sum := static.Analyze(code)
+	sum := static.AnalyzeHashed(code, codeHash, fp)
 	tr.analyzed = true
 	if rep, ok := d.promote(addr, sum, cls.target); ok {
 		d.recordPromoted(entry, addr, rep)

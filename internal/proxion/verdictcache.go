@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/etypes"
+	"repro/internal/keccak"
 )
 
 // The landscape's extreme bytecode duplication (98.7% of contracts are
@@ -216,14 +217,15 @@ type probeVerdict struct {
 // (without Standard, which the classification stage adds) and the trace
 // saying how the verdict was obtained.
 func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probeTrace) {
-	entry := d.verdicts.entry(d.chain.CodeHash(addr))
+	codeHash := d.chain.CodeHash(addr)
+	entry := d.verdicts.entry(codeHash)
 
 	var recorded Report
 	var recordedTrace probeTrace
 	fresh := false
 	entry.once.Do(func() {
 		fresh = true
-		recorded, recordedTrace = d.recordFirst(entry, addr, code)
+		recorded, recordedTrace = d.recordFirst(entry, addr, code, codeHash)
 	})
 	if fresh {
 		return recorded, recordedTrace
@@ -327,11 +329,11 @@ func (d *Detector) guardFingerprint(addr etypes.Address, slots []etypes.Hash) et
 	if len(slots) == 0 {
 		return etypes.Hash{}
 	}
-	buf := make([]byte, 0, 64*len(slots))
+	var h keccak.Hasher
 	for _, s := range slots {
 		v := d.chain.GetState(addr, s)
-		buf = append(buf, s[:]...)
-		buf = append(buf, v[:]...)
+		h.Write(s[:])
+		h.Write(v[:])
 	}
-	return etypes.Keccak(buf)
+	return h.Sum256()
 }

@@ -753,11 +753,12 @@ func udiv(x, y u256.Int) u256.Int {
 	return u256.Zero()
 }
 
-// summary assembles the final Summary from the run's accumulators.
-func (a *analysis) summary() *Summary {
+// summary assembles the final Summary from the run's accumulators and the
+// two hashes of a.code, which the caller owns (see AnalyzeHashed).
+func (a *analysis) summary(codeHash, fingerprint etypes.Hash) *Summary {
 	s := &Summary{
-		CodeHash:        etypes.Keccak(a.code),
-		Fingerprint:     Fingerprint(a.code),
+		CodeHash:        codeHash,
+		Fingerprint:     fingerprint,
 		SlotReads:       sortHashes(a.slotReads),
 		SlotWrites:      sortHashes(a.slotWrites),
 		KeccakReads:     len(a.keccakReadPC),

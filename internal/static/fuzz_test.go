@@ -58,6 +58,12 @@ func FuzzStaticAnalyze(f *testing.F) {
 		if sum.Fingerprint != Fingerprint(code) {
 			t.Fatal("summary fingerprint disagrees with Fingerprint()")
 		}
+		if sum.Fingerprint != fingerprintBuffered(code) {
+			t.Fatal("streamed fingerprint disagrees with the buffered form")
+		}
+		if hashed := AnalyzeHashed(code, sum.CodeHash, sum.Fingerprint); !reflect.DeepEqual(sum, hashed) {
+			t.Fatalf("AnalyzeHashed differs from Analyze:\n%+v\n%+v", sum, hashed)
+		}
 		again := Analyze(code)
 		if !reflect.DeepEqual(sum, again) {
 			t.Fatalf("nondeterministic analysis:\n%+v\n%+v", sum, again)

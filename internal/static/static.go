@@ -22,6 +22,7 @@ import (
 	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/evm"
+	"repro/internal/keccak"
 )
 
 // maskWidth is the minimum PUSH immediate width (in bytes) treated as an
@@ -166,15 +167,27 @@ type CFG struct {
 // any byte string (truncated PUSH data, undefined opcodes, unreachable or
 // missing JUMPDESTs) yields a Summary without panicking.
 func Analyze(code []byte) *Summary {
-	sum, _ := AnalyzeWithCFG(code)
-	return sum
+	return AnalyzeHashed(code, etypes.Keccak(code), Fingerprint(code))
 }
 
 // AnalyzeWithCFG is Analyze, additionally returning the recovered CFG.
 func AnalyzeWithCFG(code []byte) (*Summary, *CFG) {
 	a := newAnalysis(code)
 	a.run()
-	return a.summary(), a.cfg()
+	return a.summary(etypes.Keccak(code), Fingerprint(code)), a.cfg()
+}
+
+// AnalyzeHashed is Analyze for a caller that already holds both hashes of
+// code — the chain caches every account's code hash, and the structural
+// cache tier computes the fingerprint to find the clone family before it
+// asks for a summary — so the bytecode is not hashed again. The hashes are
+// trusted, not checked: codeHash must be keccak256(code) and fingerprint
+// must be Fingerprint(code), and then the result equals Analyze(code)
+// field for field.
+func AnalyzeHashed(code []byte, codeHash, fingerprint etypes.Hash) *Summary {
+	a := newAnalysis(code)
+	a.run()
+	return a.summary(codeHash, fingerprint)
 }
 
 // Fingerprint computes the structural fingerprint of runtime bytecode:
@@ -184,12 +197,13 @@ func AnalyzeWithCFG(code []byte) (*Summary, *CFG) {
 // and code hashes therefore do not distinguish two codes, while small
 // immediates — jump targets, selectors, ad-hoc slot numbers, offsets — do.
 func Fingerprint(code []byte) etypes.Hash {
-	buf := make([]byte, 0, len(code))
+	// The hashed stream is code minus its wide immediates, so feed the
+	// hasher the runs between them instead of assembling a copy.
+	var h keccak.Hasher
+	run := 0
 	for pc := 0; pc < len(code); {
-		op := evm.Op(code[pc])
-		buf = append(buf, code[pc])
+		w := evm.Op(code[pc]).PushSize()
 		pc++
-		w := op.PushSize()
 		if w == 0 {
 			continue
 		}
@@ -197,12 +211,14 @@ func Fingerprint(code []byte) etypes.Hash {
 		if end > len(code) {
 			end = len(code)
 		}
-		if w < maskWidth {
-			buf = append(buf, code[pc:end]...)
+		if w >= maskWidth {
+			h.Write(code[run:pc])
+			run = end
 		}
 		pc = end
 	}
-	return etypes.Keccak(buf)
+	h.Write(code[run:])
+	return h.Sum256()
 }
 
 // sortHashes returns the set's elements in ascending byte order.

@@ -335,7 +335,7 @@ func TestAnalyzeBudgetExhaustionMarksTruncated(t *testing.T) {
 	a := newAnalysis(code)
 	a.steps = 5
 	a.run()
-	if !a.summary().Truncated {
+	if !a.summary(etypes.Hash{}, etypes.Hash{}).Truncated {
 		t.Fatal("step-budget exhaustion must mark the summary Truncated")
 	}
 }
