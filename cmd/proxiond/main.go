@@ -232,8 +232,8 @@ func run() error {
 	}
 	if follower != nil {
 		ws := follower.Stats()
-		fmt.Fprintf(os.Stderr, "follower stopped at block %d: %d deployments, %d upgrades, %d invalidations\n",
-			ws.Cursor, ws.DeploymentsSeen, ws.UpgradesDetected, ws.Invalidations)
+		fmt.Fprintf(os.Stderr, "follower stopped at block %d (%d behind head): %d deployments, %d upgrades, %d invalidations; %d audits found %d missed change(s)\n",
+			ws.Cursor, ws.LagBlocks, ws.DeploymentsSeen, ws.UpgradesDetected, ws.Invalidations, ws.AuditRuns, ws.AuditMismatches)
 	}
 	st := srv.StoreStats()
 	if st.Entries > 0 {

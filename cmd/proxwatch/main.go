@@ -9,8 +9,11 @@
 // The generated timeline interleaves proxy deployments and upgrades
 // (EIP-1967, EIP-1822, ad-hoc slots, and beacon indirection) across
 // consecutive blocks. proxwatch reveals the chain one block at a time,
-// polls the follower after each, and reports what it saw. With -json
-// the final follower stats print as a machine-readable snapshot.
+// polls the follower after each, and reports what it saw; a final audit
+// (the full enumerate-and-read-every-cell scan) must find nothing the
+// block-delta path missed. With -json the final follower stats — cursor,
+// head and lag, delta reads and cells checked, audit results — print as a
+// machine-readable snapshot.
 package main
 
 import (
@@ -85,6 +88,11 @@ func run() error {
 		}
 	}
 
+	missed, err := f.Audit()
+	if err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+
 	scripted := 0
 	for _, ev := range tl.Events {
 		if !ev.Deploy {
@@ -101,6 +109,9 @@ func run() error {
 	} else {
 		fmt.Printf("followed %d blocks: %d deployments, %d/%d scripted upgrades detected, %d cache entries invalidated\n",
 			st.BlocksFollowed, st.DeploymentsSeen, st.UpgradesDetected, scripted, st.Invalidations)
+	}
+	if missed != 0 {
+		return fmt.Errorf("audit found %d change(s) the delta path missed", missed)
 	}
 	// Only a cold run sees every scripted upgrade; a checkpoint resume
 	// starts past the ones already applied.

@@ -7,7 +7,9 @@
 package chain
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,6 +112,11 @@ type Chain struct {
 
 	journal []func()
 
+	// changes is the per-block index behind BlockDelta, ordered by block
+	// (the head only advances, so appending keeps it sorted). Only blocks
+	// that changed something have an entry.
+	changes []blockChanges
+
 	// txCount tracks external+internal transactions touching an address.
 	txCount map[etypes.Address]int
 	// txSelectors records the 4-byte selectors ever sent to an address in
@@ -123,6 +130,17 @@ type Chain struct {
 	logs []Log
 
 	apiCalls atomic.Int64
+}
+
+// blockChanges is one block's entry in the delta index.
+type blockChanges struct {
+	block uint64
+	// coded lists the accounts given code in the block, in order; an
+	// account coded twice appears twice.
+	coded []etypes.Address
+	// written lists the cells given a new history version in the block, in
+	// order. History keeps one version per block, so a cell appears once.
+	written []Cell
 }
 
 // Log is an emitted event record.
@@ -247,6 +265,8 @@ func (c *Chain) InstallContract(addr etypes.Address, code []byte) {
 	acc.codeHash = etypes.Keccak(code)
 	acc.createdAt = c.currentBlock()
 	acc.nonce = 1
+	hc := c.headChanges()
+	hc.coded = append(hc.coded, addr)
 }
 
 // SetStorageDirect writes a slot as if by a committed transaction in the
@@ -254,14 +274,14 @@ func (c *Chain) InstallContract(addr etypes.Address, code []byte) {
 func (c *Chain) SetStorageDirect(addr etypes.Address, slot, value etypes.Hash) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	acc := c.getOrCreate(addr)
-	c.writeStorage(acc, slot, value, false)
+	c.writeStorage(addr, slot, value, false)
 }
 
-// writeStorage updates current state and history; when journaled, the
-// change is registered for rollback. Must be called with the write lock
-// held.
-func (c *Chain) writeStorage(acc *account, slot, value etypes.Hash, journaled bool) {
+// writeStorage updates current state, history and the delta index; when
+// journaled, the change is registered for rollback. Must be called with the
+// write lock held.
+func (c *Chain) writeStorage(addr etypes.Address, slot, value etypes.Hash, journaled bool) {
+	acc := c.getOrCreate(addr)
 	block := c.currentBlock()
 	prev := acc.storage[slot]
 	hist := acc.history[slot]
@@ -274,6 +294,8 @@ func (c *Chain) writeStorage(acc *account, slot, value etypes.Hash, journaled bo
 		hist[n-1].value = value
 	} else {
 		hist = append(hist, storageVersion{block: block, value: value})
+		hc := c.headChanges()
+		hc.written = append(hc.written, Cell{addr, slot})
 	}
 	acc.history[slot] = hist
 	acc.storage[slot] = value
@@ -284,6 +306,7 @@ func (c *Chain) writeStorage(acc *account, slot, value etypes.Hash, journaled bo
 				acc.history[slot][prevHistLen-1] = *replacedLast
 			} else {
 				acc.history[slot] = acc.history[slot][:prevHistLen]
+				c.dropWritten(block, Cell{addr, slot})
 			}
 		})
 	}
@@ -358,15 +381,89 @@ func (c *Chain) Contracts() []etypes.Address {
 			out = append(out, addr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
+	sortAddresses(out)
 	return out
+}
+
+func sortAddresses(addrs []etypes.Address) {
+	slices.SortFunc(addrs, func(a, b etypes.Address) int { return bytes.Compare(a[:], b[:]) })
+}
+
+// headChanges returns the delta-index entry of the head block, creating
+// it on the block's first change. Must be called with the write lock held;
+// the pointer is valid until the next append to c.changes.
+func (c *Chain) headChanges() *blockChanges {
+	if n := len(c.changes); n == 0 || c.changes[n-1].block != c.head {
+		c.changes = append(c.changes, blockChanges{block: c.head})
+	}
+	return &c.changes[len(c.changes)-1]
+}
+
+// changesAt returns the delta-index entry of block b, nil when the block
+// changed nothing (or was trimmed). Callers hold the lock.
+func (c *Chain) changesAt(b uint64) *blockChanges {
+	i := sort.Search(len(c.changes), func(i int) bool { return c.changes[i].block >= b })
+	if i == len(c.changes) || c.changes[i].block != b {
+		return nil
+	}
+	return &c.changes[i]
+}
+
+// dropWritten takes cell out of block's index entry: the undo of a reverted
+// write, and Forget's release. The entry itself stays until TrimEvents,
+// reading as an empty block once nothing is left in it.
+func (c *Chain) dropWritten(block uint64, cell Cell) {
+	if bc := c.changesAt(block); bc != nil {
+		bc.written, _ = removeLast(bc.written, cell)
+	}
+}
+
+// dropCoded takes the latest mention of addr out of block's index entry and
+// reports whether there was one.
+func (c *Chain) dropCoded(block uint64, addr etypes.Address) (found bool) {
+	if bc := c.changesAt(block); bc != nil {
+		bc.coded, found = removeLast(bc.coded, addr)
+	}
+	return found
+}
+
+// removeLast deletes the last occurrence of x from s, keeping order. An
+// emptied list comes back nil, so its array is freed.
+func removeLast[E comparable](s []E, x E) ([]E, bool) {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == x {
+			if s = append(s[:i], s[i+1:]...); len(s) == 0 {
+				s = nil
+			}
+			return s, true
+		}
+	}
+	return s, false
+}
+
+// BlockDelta implements Reader from the per-block index: the cells written
+// in block b, and of the accounts given code in it those that are alive and
+// still count b as their deployment block (a later re-deployment moves an
+// address to the later block's delta; a destroyed one is in none, exactly
+// as Contracts omits it). A block that changed nothing — or does not exist
+// yet — has an empty delta.
+func (c *Chain) BlockDelta(b uint64) BlockDelta {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	bc := c.changesAt(b)
+	if bc == nil {
+		return BlockDelta{}
+	}
+	var d BlockDelta
+	for _, addr := range bc.coded {
+		if acc, ok := c.accounts[addr]; ok && len(acc.code) > 0 && !acc.destroyed && acc.createdAt == b {
+			d.Deployed = append(d.Deployed, addr)
+		}
+	}
+	sortAddresses(d.Deployed)
+	d.Deployed = slices.Compact(d.Deployed) // coded twice in the block is one deployment
+	d.Written = append(d.Written, bc.written...)
+	return d
 }
 
 // GetStorageAt is the archive API: the value of a slot as of the end of the
@@ -465,37 +562,47 @@ func (c *Chain) Logs() []Log {
 // so peak memory tracks the window size instead of the corpus size. A
 // later write to a forgotten address transparently recreates an empty
 // account; code is gone for good, which is exactly the retirement
-// contract — nothing downstream reads a retired contract again.
+// contract — nothing downstream reads a retired contract again. The
+// account's deployment and writes leave the delta index with it.
 func (c *Chain) Forget(addr etypes.Address) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if acc, ok := c.accounts[addr]; ok {
+		for c.dropCoded(acc.createdAt, addr) {
+		}
+		for slot, hist := range acc.history {
+			for _, v := range hist {
+				c.dropWritten(v.block, Cell{addr, slot})
+			}
+		}
+	}
 	delete(c.accounts, addr)
 	delete(c.txCount, addr)
 	delete(c.txSelectors, addr)
 }
 
-// TrimEvents drops delegate events and logs emitted before the given
-// block, bounding the trace buffers that otherwise grow with every
-// generated transaction. Trace-based baselines (CRUSH, Salehi) only read
-// events for contracts still under analysis, which retirement keeps above
-// the trim point.
+// TrimEvents drops delegate events, logs and delta-index entries from
+// before the given block, bounding the buffers that otherwise grow with
+// every generated transaction. Trace-based baselines (CRUSH, Salehi) only
+// read events for contracts still under analysis, which retirement keeps
+// above the trim point.
 func (c *Chain) TrimEvents(before uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.delegateEvents = trimByBlock(c.delegateEvents, before, func(e DelegateEvent) uint64 { return e.Block })
 	c.logs = trimByBlock(c.logs, before, func(l Log) uint64 { return l.Block })
+	c.changes = trimByBlock(c.changes, before, func(bc blockChanges) uint64 { return bc.block })
 }
 
 // trimByBlock drops the (chronological) prefix of events older than
-// `before`, reallocating so the freed prefix is actually collectable.
+// `before`. The dropped elements are zeroed so what they point at is
+// collectable at once; their array slots go when the next append outgrows
+// the remaining capacity. The streaming generator trims once per retired
+// contract, so a trim must cost what it drops, not what it keeps.
 func trimByBlock[E any](events []E, before uint64, blockOf func(E) uint64) []E {
 	idx := sort.Search(len(events), func(i int) bool { return blockOf(events[i]) >= before })
-	if idx == 0 {
-		return events
-	}
-	kept := make([]E, len(events)-idx)
-	copy(kept, events[idx:])
-	return kept
+	clear(events[:idx])
+	return events[idx:]
 }
 
 // LogsInRange returns logs emitted in blocks [from, to], optionally

@@ -10,8 +10,9 @@ import (
 // Reader is the read-only node surface the analyzer consumes — exactly the
 // calls Proxion issues against an archive node in a real deployment:
 // contract enumeration, bytecode and metadata reads for detection, latest-
-// state reads for emulation, and the historical getStorageAt reads
-// Algorithm 1 binary-searches over.
+// state reads for emulation, the historical getStorageAt reads Algorithm 1
+// binary-searches over, and the per-block change set (logs / state diff)
+// the chain follower advances on.
 //
 // *Chain implements Reader directly (the perfect in-memory node). The
 // internal/faultchain package layers two more implementations on top: a
@@ -24,14 +25,24 @@ import (
 // EVM's StateDB surface, whose reads cannot fail — so an implementation
 // that *can* fail terminally (a resilient client whose retries are
 // exhausted) signals it by panicking with a *ReadError. Every analysis
-// entry point recovers that panic and reports the contract as Unresolved;
-// nothing else in the repository may panic with a *ReadError.
+// entry point recovers that panic and reports the contract as Unresolved,
+// and the chain follower recovers it — from BlockDelta like from any other
+// read — into an error that leaves its cursor where it was; nothing else in
+// the repository may panic with a *ReadError.
 //
 // APICalls contract: the counter reports *logical* archive reads — one per
 // GetStorageAt call the analyzer issued — monotonically and race-free.
 // Wrappers that retry a failed read against the node MUST still count the
 // logical read once, never once per attempt, so the Section 6.1 efficiency
 // numbers stay comparable between a perfect node and a faulty one.
+// BlockDelta is a block-level read, not a GetStorageAt: it is never counted.
+//
+// BlockDelta contract: the answer for a block is complete or it is a
+// failure. An implementation that has not seen block b yet (a replica
+// behind the requested height) panics with a *ReadError like any other
+// read it cannot serve; it never returns a partial delta. A follower can
+// therefore advance its cursor past b on the strength of one successful
+// read.
 type Reader interface {
 	// Config identifies the network under analysis.
 	Config() Config
@@ -68,6 +79,28 @@ type Reader interface {
 	GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64) etypes.Hash
 	// APICalls returns the monotonic count of logical GetStorageAt reads.
 	APICalls() int64
+
+	// BlockDelta returns what block b changed: the contracts deployed in
+	// it and the storage cells written in it — what a node's logs or state
+	// diff provide, and what lets a follower's cost track the change
+	// instead of the chain.
+	BlockDelta(b uint64) BlockDelta
+}
+
+// Cell names one storage slot of one account.
+type Cell struct {
+	Addr etypes.Address
+	Slot etypes.Hash
+}
+
+// BlockDelta is the change set of one block.
+type BlockDelta struct {
+	// Deployed lists the alive contracts whose deployment block is this
+	// one (CreatedAt == b), sorted by address — the order Contracts uses.
+	Deployed []etypes.Address
+	// Written lists every cell written in the block, once each however
+	// often the block rewrote it, in first-write order.
+	Written []Cell
 }
 
 // The in-memory chain is the reference Reader implementation.

@@ -107,11 +107,11 @@ func (s execState) GetState(addr etypes.Address, key etypes.Hash) etypes.Hash {
 func (c *Chain) SetState(addr etypes.Address, key, value etypes.Hash) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.writeStorage(c.getOrCreate(addr), key, value, true)
+	c.writeStorage(addr, key, value, true)
 }
 
 func (s execState) SetState(addr etypes.Address, key, value etypes.Hash) {
-	s.c.writeStorage(s.c.getOrCreate(addr), key, value, true)
+	s.c.writeStorage(addr, key, value, true)
 }
 
 // GetNonce implements evm.StateDB.
@@ -167,12 +167,16 @@ func (c *Chain) setCode(addr etypes.Address, code []byte) {
 	prev := acc.code
 	prevHash := acc.codeHash
 	prevBlock := acc.createdAt
+	block := c.currentBlock()
 	c.journal = append(c.journal, func() {
 		acc.code, acc.codeHash, acc.createdAt = prev, prevHash, prevBlock
+		c.dropCoded(block, addr)
 	})
 	acc.code = code
 	acc.codeHash = etypes.Keccak(code)
-	acc.createdAt = c.currentBlock()
+	acc.createdAt = block
+	hc := c.headChanges()
+	hc.coded = append(hc.coded, addr)
 }
 
 func (s execState) SetCode(addr etypes.Address, code []byte) { s.c.setCode(addr, code) }

@@ -170,10 +170,13 @@ type generator struct {
 	// mode). Streaming generation turns it off so the corpus never
 	// accumulates in memory.
 	retain bool
-	// emit, when set, receives each label the moment its contract is on
-	// chain — the streaming tap. It may block; that blocking is the
-	// generator's backpressure.
+	// emit, when set, receives each label once its contract has reached the
+	// chain state the label describes — the streaming tap. It may block;
+	// that blocking is the generator's backpressure.
 	emit func(*Label)
+	// unemitted is the label added last, held back from emit until the
+	// generator moves on to the next contract (see flush).
+	unemitted *Label
 	// keepAlive, when set, marks addresses that must survive streaming
 	// retirement: shared logic targets and proxies with upgrades still
 	// scheduled against them.
@@ -210,9 +213,10 @@ func (p *Population) newAddr() etypes.Address {
 }
 
 // add installs code, records the label, and registers source if published.
-// In streaming mode the label is handed to the emit tap instead of (or in
-// addition to) the retained slices.
+// In streaming mode the label goes to the emit tap instead of (or in
+// addition to) the retained slices — at the next flush, not here.
 func (g *generator) add(l *Label, code []byte, src *solc.Contract) *Label {
+	g.flush()
 	if l.Address.IsZero() {
 		l.Address = g.pop.newAddr()
 	}
@@ -224,10 +228,22 @@ func (g *generator) add(l *Label, code []byte, src *solc.Contract) *Label {
 	if l.HasSource && src != nil {
 		g.pop.Registry.Publish(l.Address, src, l.CompilerKnown)
 	}
-	if g.emit != nil {
+	g.unemitted = l
+	return l
+}
+
+// flush hands the last added label to the emit tap. A recipe installs its
+// contract first and then brings it to its labelled state — initialises
+// the implementation slot, sends the transaction HasTx promises, executes
+// the self-destruct — so emitting from add would let a streaming consumer
+// analyze a contract the label does not describe yet (a "destroyed" one
+// still serving code). Emission therefore waits until the generator moves
+// on: the next add, or the end of the run. Order is unchanged.
+func (g *generator) flush() {
+	if l := g.unemitted; l != nil && g.emit != nil {
+		g.unemitted = nil
 		g.emit(l)
 	}
-	return l
 }
 
 // compileAndAdd compiles src and installs it.
@@ -270,6 +286,7 @@ func (g *generator) run() {
 		}
 		g.generateYear(year, n)
 	}
+	g.flush()
 }
 
 // yearBase maps a year to the first block of its span. Spans are sized so

@@ -1,9 +1,14 @@
 package dataset
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/chain"
+	"repro/internal/etherscan"
+	"repro/internal/etypes"
 )
 
 // TestStreamMatchesBatchLabels is the streaming generator's parity
@@ -166,4 +171,49 @@ func TestStreamBackpressure(t *testing.T) {
 	if limit := take + cap(s.ch) + 1; emitted > limit {
 		t.Fatalf("generator ran %d labels ahead, bound is %d", emitted, limit)
 	}
+}
+
+// TestLabelsEmittedInTheirLabelledState taps the generator synchronously:
+// at the moment a label is emitted, the chain must already be what the
+// label says — a destroyed contract serves no code, a HasTx contract has
+// its transaction (the selectors TxSelectors feeds the detector), a storage
+// proxy's implementation slot is set. A streaming consumer analyzes on
+// receipt, so anything emitted earlier is analyzed in a state no label
+// describes (the no_code/filter_rejected split used to move between runs).
+func TestLabelsEmittedInTheirLabelledState(t *testing.T) {
+	cfg := Config{Seed: 7, Contracts: 1200, Network: chain.MainnetConfig()}
+	p := &Population{
+		Chain:    chain.NewWithConfig(cfg.Network),
+		Registry: etherscan.NewRegistry(),
+		cfg:      cfg,
+		nextAddr: 0x100000,
+	}
+	seen := make(map[Kind]int)
+	g := &generator{pop: p, rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
+	g.emit = func(l *Label) {
+		seen[l.Kind]++
+		if l.Kind == KindDestroyed && len(p.Chain.Code(l.Address)) != 0 {
+			t.Errorf("%s emitted as destroyed while still serving code", l.Address)
+		}
+		if l.HasTx && p.Chain.TxCount(l.Address) == 0 {
+			t.Errorf("%s (%s) emitted with HasTx before its transaction ran", l.Address, l.Kind)
+		}
+		if l.IsProxy && l.ImplSlot != (etypes.Hash{}) && p.Chain.GetState(l.Address, l.ImplSlot) == (etypes.Hash{}) {
+			t.Errorf("%s (%s) emitted before its implementation slot was set", l.Address, l.Kind)
+		}
+	}
+	g.run()
+	if seen[KindDestroyed] == 0 || seen[KindEIP1967Proxy] == 0 || seen[KindLibraryUser] == 0 {
+		t.Fatalf("corpus too small to exercise the ordering: %v", seen)
+	}
+	if want := len(Generate(cfg).Labels); len(seen) == 0 || sum(seen) != want {
+		t.Fatalf("tap saw %d labels, batch generation makes %d", sum(seen), want)
+	}
+}
+
+func sum(m map[Kind]int) (n int) {
+	for _, v := range m {
+		n += v
+	}
+	return n
 }

@@ -37,7 +37,9 @@ import (
 // HeaderByNumber, Contracts) are cheap, cacheable metadata in a real
 // deployment — headers are tiny and contract lists come from an offline
 // index, not per-contract RPC — so the injector leaves them fault-free and
-// only the per-account reads participate in fault schedules.
+// only the per-account reads and BlockDelta participate in fault schedules:
+// a block's logs and state diff are a real RPC against a specific height,
+// and the one read a lagging replica is most often wrong about.
 type Backend interface {
 	Config(ctx context.Context) (chain.Config, error)
 	CurrentBlock(ctx context.Context) (uint64, error)
@@ -55,6 +57,7 @@ type Backend interface {
 	TxSelectors(ctx context.Context, addr etypes.Address) ([][4]byte, error)
 
 	StorageAt(ctx context.Context, addr etypes.Address, slot etypes.Hash, block uint64) (etypes.Hash, error)
+	BlockDelta(ctx context.Context, block uint64) (chain.BlockDelta, error)
 }
 
 // NonBlocker is an optional Backend capability: a backend returning true
@@ -194,6 +197,14 @@ func (b *NodeBackend) StorageAt(ctx context.Context, addr etypes.Address, slot e
 		return etypes.Hash{}, err
 	}
 	return b.r.GetStorageAt(addr, slot, block), nil
+}
+
+// BlockDelta implements Backend.
+func (b *NodeBackend) BlockDelta(ctx context.Context, block uint64) (chain.BlockDelta, error) {
+	if err := ctx.Err(); err != nil {
+		return chain.BlockDelta{}, err
+	}
+	return b.r.BlockDelta(block), nil
 }
 
 var _ Backend = (*NodeBackend)(nil)

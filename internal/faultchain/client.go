@@ -542,6 +542,19 @@ func (c *Client) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint6
 	return out
 }
 
+// BlockDelta implements chain.Reader. A replica behind the block
+// (ErrBehindHead) is retried like any stale read; the delta that comes back
+// is the backend's complete answer.
+func (c *Client) BlockDelta(block uint64) chain.BlockDelta {
+	var out chain.BlockDelta
+	c.do("block-delta", etypes.Address{}, func(ctx context.Context) error {
+		var err error
+		out, err = c.backend.BlockDelta(ctx, block)
+		return err
+	})
+	return out
+}
+
 // APICalls implements chain.Reader: logical GetStorageAt reads, counted
 // once per call regardless of retries.
 func (c *Client) APICalls() int64 { return c.storageReads.Load() }

@@ -73,9 +73,10 @@ type Profile struct {
 	TimeoutRate float64
 	// RateLimitRate is the fraction of reads that fail with ErrRateLimited.
 	RateLimitRate float64
-	// StaleRate is the fraction of *eligible* storage-history reads — those
-	// within StaleLag blocks of the head, the only reads a lagging replica
-	// can be wrong about — that fail with ErrBehindHead.
+	// StaleRate is the fraction of *eligible* height-pinned reads (storage
+	// history and block deltas) — those within StaleLag blocks of the head,
+	// the only reads a lagging replica can be wrong about — that fail with
+	// ErrBehindHead.
 	StaleRate float64
 	// StaleLag is how many blocks behind head the modeled replica runs.
 	StaleLag uint64
@@ -480,16 +481,26 @@ func (i *Injector) TxSelectors(ctx context.Context, addr etypes.Address) ([][4]b
 // k blocks answers any block ≤ head−k identically (history is immutable),
 // so only near-head reads can observe its staleness.
 func (i *Injector) StorageAt(ctx context.Context, addr etypes.Address, slot etypes.Hash, block uint64) (etypes.Hash, error) {
-	staleEligible := false
-	if lag := i.sched.Profile.StaleLag; lag > 0 {
-		if head := i.headBlock(); block+lag > head {
-			staleEligible = true
-		}
-	}
-	if err := i.gate(ctx, faultKey{op: "storage-at", addr: addr, slot: slot, block: block}, staleEligible); err != nil {
+	if err := i.gate(ctx, faultKey{op: "storage-at", addr: addr, slot: slot, block: block}, i.nearHead(block)); err != nil {
 		return etypes.Hash{}, err
 	}
 	return i.backend.StorageAt(ctx, addr, slot, block)
+}
+
+// BlockDelta implements Backend. The fault decision is keyed by the block
+// alone, and near-head blocks are stale-eligible like StorageAt's.
+func (i *Injector) BlockDelta(ctx context.Context, block uint64) (chain.BlockDelta, error) {
+	if err := i.gate(ctx, faultKey{op: "block-delta", block: block}, i.nearHead(block)); err != nil {
+		return chain.BlockDelta{}, err
+	}
+	return i.backend.BlockDelta(ctx, block)
+}
+
+// nearHead reports whether a read pinned at block is within the profile's
+// StaleLag of the head, and so eligible for the stale-replica fault.
+func (i *Injector) nearHead(block uint64) bool {
+	lag := i.sched.Profile.StaleLag
+	return lag > 0 && block+lag > i.headBlock()
 }
 
 var _ Backend = (*Injector)(nil)

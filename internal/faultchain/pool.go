@@ -283,6 +283,13 @@ func (p *Pool) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64)
 	return hedged(p, func(r chain.Reader) etypes.Hash { return r.GetStorageAt(addr, slot, block) })
 }
 
+// BlockDelta returns a block's change set via a hedged read: a replica
+// that has not reached the block fails the read, so the answer comes from
+// one that has — or the failure propagates and the follower's cursor stays.
+func (p *Pool) BlockDelta(b uint64) chain.BlockDelta {
+	return hedged(p, func(r chain.Reader) chain.BlockDelta { return r.BlockDelta(b) })
+}
+
 // APICalls reports the pool's own logical read count; replica counters
 // would double-count hedges.
 func (p *Pool) APICalls() int64 { return p.storageReads.Load() }
@@ -404,6 +411,16 @@ func (s *cappedView) GetStorageAt(addr etypes.Address, slot etypes.Hash, block u
 		panic(&chain.ReadError{Op: "storage-at", Addr: addr, Attempts: 1, Err: errStaleHeight})
 	}
 	return s.R.GetStorageAt(addr, slot, block)
+}
+
+// BlockDelta refuses blocks beyond the capped head for the same reason: an
+// empty delta for a block this replica has not seen would let a follower
+// step over the block's deployments and upgrades.
+func (s *cappedView) BlockDelta(b uint64) chain.BlockDelta {
+	if b > s.head() {
+		panic(&chain.ReadError{Op: "block-delta", Attempts: 1, Err: errStaleHeight})
+	}
+	return s.R.BlockDelta(b)
 }
 
 // APICalls passes through to the underlying replica.

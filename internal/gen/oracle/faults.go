@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/chain"
@@ -33,6 +34,30 @@ func analyzeFaulted(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.O
 	client, inj := faultchain.NewResilientReader(c.Chain, &sched, copts)
 	res := proxion.NewDetector(client).AnalyzeAllWithOptions(c.Registry, opts)
 	return res, client, inj
+}
+
+// diffDeltas reads every block's delta through the faulted client and
+// compares it with the chain's own: the follower's one block-level read
+// must come through the resilience stack whole or not at all. A read that
+// terminally fails is a mismatch only when mustResolve says the schedule
+// stays below the retry budget.
+func diffDeltas(c *gen.Corpus, client *faultchain.Client, mustResolve bool) []Mismatch {
+	var out []Mismatch
+	for b := uint64(0); b <= c.Chain.CurrentBlock(); b++ {
+		var got chain.BlockDelta
+		if re := chain.CaptureReadError(func() { got = client.BlockDelta(b) }); re != nil {
+			if mustResolve {
+				out = append(out, Mismatch{Layer: "faults",
+					Detail: fmt.Sprintf("block-delta read of block %d unresolved below the retry budget: %v", b, re)})
+			}
+			continue
+		}
+		if want := c.Chain.BlockDelta(b); !reflect.DeepEqual(got, want) {
+			out = append(out, Mismatch{Layer: "faults",
+				Detail: fmt.Sprintf("block %d delta differs through the faulted client:\n    a: %+v\n    b: %+v", b, want, got)})
+		}
+	}
+	return out
 }
 
 // formatHistory renders a historical analysis for differential comparison.
@@ -77,7 +102,8 @@ func diffHistories(layer string, a, b []proxion.HistoricalAnalysis) []Mismatch {
 // client, and requires byte-identical reports, pairs and histories plus
 // matching logical API-call counts — the guarantee the resilience layer
 // owes whenever the schedule's fault depth stays below the client's retry
-// budget. Any Unresolved contract in that regime is itself a mismatch.
+// budget. Any Unresolved contract in that regime is itself a mismatch, and
+// so is a block delta that does not come through identical.
 func CheckFaultParity(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.Options, opts proxion.AnalyzeOptions) FaultRun {
 	base := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, opts)
 	res, client, inj := analyzeFaulted(c, sched, copts, opts)
@@ -93,6 +119,7 @@ func CheckFaultParity(c *gen.Corpus, sched faultchain.Schedule, copts faultchain
 		out = append(out, Mismatch{Layer: "faults",
 			Detail: fmt.Sprintf("%d contract(s) unresolved below the retry budget", n)})
 	}
+	out = append(out, diffDeltas(c, client, true)...)
 	return FaultRun{Mismatches: out, Injected: inj.Stats(), Metrics: client.Metrics(), Result: res}
 }
 
@@ -151,6 +178,7 @@ func CheckFaultDegradation(c *gen.Corpus, sched faultchain.Schedule, copts fault
 		out = append(out, Mismatch{Layer: "faults",
 			Detail: fmt.Sprintf("stats count %d unresolved, reports carry %d", res.Stats.Unresolved, unresolved)})
 	}
+	out = append(out, diffDeltas(c, client, false)...)
 	return FaultRun{Mismatches: out, Injected: inj.Stats(), Metrics: client.Metrics(), Result: res}
 }
 

@@ -25,7 +25,7 @@ type WatchRun struct {
 // WatchParity is the follower's differential oracle. It scripts an upgrade
 // timeline (gen.GenerateTimeline), replays it block-by-block through a
 // Follower — optionally behind a below-budget Mixed chaos client — and
-// requires three properties:
+// requires four properties:
 //
 //  1. Every scripted upgrade is detected exactly once, at its block, and
 //     its re-analysis reports the pairing's ground-truth collision state:
@@ -38,6 +38,8 @@ type WatchRun struct {
 //     match the follower's detector re-running warm — and the warm run
 //     must emulate nothing, proving the follower's incremental state is
 //     complete, not merely close.
+//  4. After every block, the follower's own audit — the full enumerate-and-
+//     read-every-cell scan — finds nothing the block-delta path missed.
 func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
 	tl := gen.GenerateTimeline(cfg)
 	replay := faultchain.NewReplayReader(tl.Chain)
@@ -76,6 +78,9 @@ func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
 			bad(etypes.Address{}, "poll at height %d failed: %v", h, err)
 			run.Stats = f.Stats()
 			return run
+		}
+		if n, err := f.Audit(); n != 0 || err != nil {
+			bad(etypes.Address{}, "audit at height %d found %d change(s) the delta path missed (err: %v)", h, n, err)
 		}
 	}
 	run.Stats = f.Stats()

@@ -55,7 +55,7 @@ var readerMethods = map[string]bool{
 	"HeaderByNumber": true, "Contracts": true, "Code": true,
 	"CodeHash": true, "CreatedAt": true, "Exists": true,
 	"GetState": true, "GetBalance": true, "GetNonce": true,
-	"TxSelectors": true, "GetStorageAt": true,
+	"TxSelectors": true, "GetStorageAt": true, "BlockDelta": true,
 }
 
 // exemptPackages either define the contract or implement the panicking

@@ -112,6 +112,25 @@ func head(r chain.Reader) uint64 { return r.CurrentBlock() }
 	}
 }
 
+// TestBlockDeltaIsAReaderRead: the follower's block-level read fails like
+// any other (a replica behind the block panics a *ReadError), so it needs
+// the guard like any other.
+func TestBlockDeltaIsAReaderRead(t *testing.T) {
+	fs := check(t, header+`
+func (th *thing) bad(b uint64) int {
+	return len(th.reader.BlockDelta(b).Written)
+}
+
+func (th *thing) ok(b uint64) (n int) {
+	chain.CaptureReadError(func() { n = len(th.reader.BlockDelta(b).Written) })
+	return n
+}
+`)
+	if len(fs) != 1 || fs[0].Func != "bad" || fs[0].Call != "th.reader.BlockDelta" {
+		t.Fatalf("findings = %v, want exactly the raw BlockDelta read", fs)
+	}
+}
+
 func TestIgnoreComment(t *testing.T) {
 	fs := check(t, header+`
 func (th *thing) blessed(a Addr) []byte {

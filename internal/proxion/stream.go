@@ -100,7 +100,11 @@ func (c *CollectSink) Result() *Result { return &c.res }
 //     in-flight + completed-but-unemitted items never exceed the window.
 //
 // Peak memory of a streaming run is therefore a function of the window
-// size, channel depths and worker counts — never of corpus length.
+// size, channel depths and worker counts — never of corpus length. The
+// semaphore is the bound; the ring behind it starts at minRing slots and
+// becomes the whole window the first time more items than that are in
+// flight, so a stream of one address (the follower's re-analysis of an
+// upgraded proxy) does not pay for a window it never fills.
 type streamTracker struct {
 	sink ReportSink
 
@@ -108,7 +112,7 @@ type streamTracker struct {
 	sem chan struct{}
 
 	mu       sync.Mutex
-	slots    []trackSlot // ring buffer, indexed by item index % len
+	slots    []trackSlot // ring buffer, indexed by item index % len; minRing or cap(sem) long
 	base     int         // lowest index not yet emitted
 	next     int         // next index to assign (feeder only, under mu)
 	emitting bool        // a goroutine is currently draining ready slots
@@ -127,24 +131,47 @@ type trackSlot struct {
 	hasReport   bool
 }
 
+// minRing is the reorder ring's initial size.
+const minRing = 16
+
 func newStreamTracker(window int, sink ReportSink, stats *pipeline.Stats) *streamTracker {
 	return &streamTracker{
 		sink:  sink,
 		sem:   make(chan struct{}, window),
-		slots: make([]trackSlot, window),
+		slots: make([]trackSlot, min(minRing, window)),
 		stats: stats,
 	}
 }
 
 // acquire blocks until a window slot is free and returns the item index
-// assigned to the next fed address. Feeder-only.
+// assigned to the next fed address, growing the ring if the items in
+// flight no longer fit the starting one. Feeder-only.
 func (t *streamTracker) acquire() int {
 	t.sem <- struct{}{}
 	t.mu.Lock()
 	idx := t.next
+	if idx-t.base == len(t.slots) {
+		t.grow()
+	}
 	t.next++
 	t.mu.Unlock()
 	return idx
+}
+
+// grow replaces the starting ring by the whole window and re-seats the
+// in-flight slots [base, next) at their new positions. It happens once, a
+// few items into any stream that outruns minRing, and not by doubling: how
+// many items are in flight at a time is the scheduler's doing, so a ring
+// sized by it ends at 512 slots in one scan of a corpus and 4,096 in the
+// next, and every delivery's cache footprint — the scan's latency tail —
+// goes with it. Callers hold t.mu; nobody keeps a slot pointer across an
+// unlock.
+func (t *streamTracker) grow() {
+	bigger := make([]trackSlot, cap(t.sem))
+	for i := t.base; i < t.next; i++ {
+		bigger[i%len(bigger)] = *t.slot(i)
+	}
+	t.slots = bigger
 }
 
 // slot returns the ring slot for idx. Callers hold t.mu.

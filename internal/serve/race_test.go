@@ -26,14 +26,16 @@ func TestShardConcurrencyMatrix(t *testing.T) {
 			addrs := c.Chain.Contracts()
 
 			var wg sync.WaitGroup
-			// Lookup workers: interleaved orders so shards see contention.
+			// Lookup workers: each walks every address from its own offset,
+			// so shards see contention. (A stride — i*7 — skips addresses
+			// whenever it divides the corpus size, as -short's 49 did.)
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
 						for i := range addrs {
-							a := addrs[(i*7+w)%len(addrs)]
+							a := addrs[(i+w*7)%len(addrs)]
 							if _, err := srv.Lookup(a); err != nil {
 								t.Errorf("Lookup: %v", err)
 								return

@@ -177,12 +177,23 @@ func TestWatchStatsEndpoint(t *testing.T) {
 		t.Fatalf("status %d without a follower, want 404", resp.StatusCode)
 	}
 
-	srv.SetWatchStats(func() any {
-		return watch.StatsSnapshot{Cursor: 9, UpgradesDetected: 2}
-	})
+	want := watch.StatsSnapshot{
+		Cursor: 9, UpgradesDetected: 2, Head: 12, LagBlocks: 3,
+		DeltaReads: 9, CellsChecked: 4, AuditRuns: 1, AuditMismatches: 0,
+	}
+	srv.SetWatchStats(func() any { return want })
 	var snap watch.StatsSnapshot
 	getJSON(t, ts.URL+"/v1/watch/stats", &snap)
-	if snap.Cursor != 9 || snap.UpgradesDetected != 2 {
-		t.Fatalf("endpoint served %+v", snap)
+	if snap != want {
+		t.Fatalf("endpoint served %+v, want %+v", snap, want)
+	}
+	// The wire names are the operator's interface ("how far behind is the
+	// follower"): pin them.
+	var wire map[string]any
+	getJSON(t, ts.URL+"/v1/watch/stats", &wire)
+	for _, key := range []string{"cursor", "head", "lag_blocks", "delta_reads", "cells_checked", "audit_runs", "audit_mismatches"} {
+		if _, ok := wire[key]; !ok {
+			t.Errorf("/v1/watch/stats has no %q field: %v", key, wire)
+		}
 	}
 }

@@ -14,6 +14,11 @@ type stats struct {
 	reanalyses       atomic.Uint64
 	replicaLag       atomic.Uint64
 	watched          atomic.Uint64
+	head             atomic.Uint64
+	deltaReads       atomic.Uint64
+	cellsChecked     atomic.Uint64
+	auditRuns        atomic.Uint64
+	auditMismatches  atomic.Uint64
 }
 
 // StatsSnapshot is the JSON shape of the follower's counters — what
@@ -21,8 +26,8 @@ type stats struct {
 type StatsSnapshot struct {
 	// Cursor is the last fully processed block.
 	Cursor uint64 `json:"cursor"`
-	// BlocksFollowed counts blocks fully processed (upgrade scan +
-	// deployment routing + checkpoint).
+	// BlocksFollowed counts blocks fully processed (delta read, deployment
+	// routing, touched-cell checks, checkpoint).
 	BlocksFollowed uint64 `json:"blocks_followed"`
 	// DeploymentsSeen counts new contracts routed into analysis.
 	DeploymentsSeen uint64 `json:"deployments_seen"`
@@ -38,4 +43,20 @@ type StatsSnapshot struct {
 	ReplicaLag uint64 `json:"replica_lag"`
 	// Watched is the number of live watched cells.
 	Watched uint64 `json:"watched"`
+	// Head is the reader's head as of the last poll, and LagBlocks how far
+	// the cursor is behind it: zero once a poll has caught up, positive
+	// while one is working through a backlog or failing to.
+	Head      uint64 `json:"head"`
+	LagBlocks uint64 `json:"lag_blocks"`
+	// DeltaReads counts successful BlockDelta reads (one per followed
+	// block, more when blocks were retried) and CellsChecked the watched
+	// cells read because a block wrote them or an audit swept them —
+	// together, what following cost the node.
+	DeltaReads   uint64 `json:"delta_reads"`
+	CellsChecked uint64 `json:"cells_checked"`
+	// AuditRuns counts completed audits and AuditMismatches what they
+	// found that the delta path had missed. Anything but zero is a bug in
+	// the node's deltas or in the follower.
+	AuditRuns       uint64 `json:"audit_runs"`
+	AuditMismatches uint64 `json:"audit_mismatches"`
 }

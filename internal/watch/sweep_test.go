@@ -41,7 +41,10 @@ type sweepEntry struct {
 // block-by-block through the watch-parity oracle, fault-free and under
 // the below-budget Mixed chaos profile. When WATCH_REPORT names a file,
 // the per-cell follower stats are written there as JSON — the artifact
-// the CI watch job uploads.
+// the CI watch job uploads. They carry the follower's cost and health
+// (head, lag_blocks, delta_reads, cells_checked, audit_runs,
+// audit_mismatches); the oracle audits after every block, so every cell
+// must show audits and no mismatch.
 func TestWatchSweep(t *testing.T) {
 	var report []sweepEntry
 	for _, seed := range sweepSeeds(t) {
@@ -56,6 +59,10 @@ func TestWatchSweep(t *testing.T) {
 				for _, m := range run.Mismatches {
 					t.Errorf("  %s", m)
 				}
+			}
+			if st := run.Stats; st.AuditRuns == 0 || st.AuditMismatches != 0 ||
+				st.DeltaReads < st.BlocksFollowed || st.LagBlocks != 0 {
+				t.Errorf("seed %d chaos=%v: stats %+v — want audits run, none mismatched, a delta read per block, no lag", seed, chaos, st)
 			}
 		}
 	}

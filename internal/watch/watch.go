@@ -6,17 +6,25 @@
 // collision analysis against the new logic contract.
 //
 // Cursor model: the follower owns a single monotonic cursor, the last
-// fully processed block. A block is processed as one unit (deployments
-// analyzed, watched cells compared, upgrades handled) and the cursor is
-// checkpointed after the unit completes, so a crash mid-block re-processes
-// the whole block on restart. Re-processing is idempotent: analysis is
-// deterministic, store writes skip byte-identical entries, and upgrade
-// detection compares against the cell value as of the checkpointed cursor
-// — the interrupted upgrade is re-detected and delivered exactly once per
-// completed run. The head the cursor chases comes from the Reader; a
-// faultchain.Pool reconciles replica heads into a monotonic watermark, so
-// a stale replica can never roll the cursor backwards — and Poll itself
-// refuses heads at or below the cursor.
+// fully processed block. A block is processed as one unit (its delta read,
+// deployments analyzed and tracked, touched watched cells compared,
+// upgrades handled) and the cursor is checkpointed after the unit
+// completes, so a crash mid-block re-processes the whole block on restart.
+// Re-processing is idempotent: analysis is deterministic, store writes skip
+// byte-identical entries, and upgrade detection compares against the cell
+// value as of the checkpointed cursor — the interrupted upgrade is
+// re-detected and delivered exactly once per completed run. The head the
+// cursor chases comes from the Reader; a faultchain.Pool reconciles replica
+// heads into a monotonic watermark, so a stale replica can never roll the
+// cursor backwards — and Poll itself refuses heads at or below the cursor.
+//
+// Cost model: a block costs one Reader.BlockDelta plus work proportional to
+// what the block deployed and to the watched cells it wrote — never to the
+// chain or to the watched set. Exactly-once delivery is the cursor's job
+// alone: a delta is complete or it is a *chain.ReadError that leaves the
+// cursor where it was, so nothing has to remember what was already seen.
+// The full scan (enumerate every contract, read every watched cell) lives
+// on only as Audit, the slow path that checks the fast one.
 //
 // Invalidation granularity: an upgrade invalidates the proxy's exact
 // bytecode-hash verdict and its structural family, nothing else. Slot
@@ -29,9 +37,11 @@
 package watch
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,22 +97,36 @@ type Config struct {
 
 // watchEntry is one watched storage cell and the proxy it belongs to.
 type watchEntry struct {
-	proxy     etypes.Address
-	watchAddr etypes.Address
-	slot      etypes.Hash
+	proxy etypes.Address
+	cell  chain.Cell
 	// last is the cell value as of the last processed block.
 	last etypes.Hash
+	// seq is the entry's position in tracking order, the order upgrades
+	// within one block are handled and delivered in.
+	seq  uint64
 	dead bool
 }
 
-// Follower tails the chain. Poll and Stop are safe for concurrent use;
-// Stats never blocks on an in-flight poll.
+// Follower tails the chain. Poll, Audit and Stop are safe for concurrent
+// use; Stats never blocks on an in-flight poll.
 type Follower struct {
 	cfg Config
 
-	mu      sync.Mutex // serializes bootstrap and polls
+	mu      sync.Mutex // serializes bootstrap, polls and audits
 	watched []*watchEntry
-	known   map[etypes.Address]struct{}
+	// byCell indexes the live entries by the cell they watch (several
+	// proxies may share one beacon cell), kept by commit/removeEntries.
+	byCell  map[chain.Cell][]*watchEntry
+	nextSeq uint64
+	// deployed is the highest block whose deployments are tracked and
+	// delivered. It runs ahead of the cursor only while a block whose
+	// upgrade half failed awaits its retry, which must not repeat them.
+	deployed uint64
+	// audited is the cursor as of the last audit, and delivered the
+	// deployments delivered since — all Audit remembers, and dropped by
+	// it: a caller driving Poll itself audits too, as Run does.
+	audited   uint64
+	delivered []etypes.Address
 
 	cursor atomic.Uint64
 	stats  stats
@@ -131,7 +155,7 @@ func New(cfg Config) (*Follower, error) {
 	}
 	f := &Follower{
 		cfg:    cfg,
-		known:  make(map[etypes.Address]struct{}),
+		byCell: make(map[chain.Cell][]*watchEntry),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}
@@ -141,6 +165,7 @@ func New(cfg Config) (*Follower, error) {
 			return nil, err
 		}
 		f.cursor.Store(cur)
+		f.deployed, f.audited = cur, cur
 	}
 	if f.cursor.Load() > 0 {
 		if err := f.bootstrap(); err != nil {
@@ -155,8 +180,13 @@ func (f *Follower) Cursor() uint64 { return f.cursor.Load() }
 
 // Stats snapshots the follower's counters.
 func (f *Follower) Stats() StatsSnapshot {
+	cursor, head := f.cursor.Load(), f.stats.head.Load()
+	var lag uint64
+	if head > cursor {
+		lag = head - cursor
+	}
 	return StatsSnapshot{
-		Cursor:           f.cursor.Load(),
+		Cursor:           cursor,
 		BlocksFollowed:   f.stats.blocksFollowed.Load(),
 		DeploymentsSeen:  f.stats.deploymentsSeen.Load(),
 		UpgradesDetected: f.stats.upgradesDetected.Load(),
@@ -164,11 +194,20 @@ func (f *Follower) Stats() StatsSnapshot {
 		Reanalyses:       f.stats.reanalyses.Load(),
 		ReplicaLag:       f.stats.replicaLag.Load(),
 		Watched:          f.stats.watched.Load(),
+		Head:             head,
+		LagBlocks:        lag,
+		DeltaReads:       f.stats.deltaReads.Load(),
+		CellsChecked:     f.stats.cellsChecked.Load(),
+		AuditRuns:        f.stats.auditRuns.Load(),
+		AuditMismatches:  f.stats.auditMismatches.Load(),
 	}
 }
 
-// Run polls until Stop. Poll errors are reported to OnError and retried
-// at the next tick.
+// auditEvery is how many of Run's polls pass between audits.
+const auditEvery = 64
+
+// Run polls until Stop, auditing every auditEvery polls. Poll and Audit
+// errors are reported to OnError and retried at the next tick.
 func (f *Follower) Run() {
 	if !f.running.CompareAndSwap(false, true) {
 		return
@@ -176,13 +215,20 @@ func (f *Follower) Run() {
 	defer close(f.doneCh)
 	t := time.NewTicker(f.cfg.PollInterval)
 	defer t.Stop()
-	for {
+	report := func(err error) {
+		if err != nil && f.cfg.OnError != nil {
+			f.cfg.OnError(err)
+		}
+	}
+	for polls := 1; ; polls++ {
 		select {
 		case <-f.stopCh:
 			return
 		case <-t.C:
-			if err := f.Poll(); err != nil && f.cfg.OnError != nil {
-				f.cfg.OnError(err)
+			report(f.Poll())
+			if polls%auditEvery == 0 {
+				_, err := f.Audit()
+				report(err)
 			}
 		}
 	}
@@ -223,11 +269,7 @@ func (f *Follower) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	for _, it := range items {
-		f.known[it.Report.Address] = struct{}{}
-		f.track(it.Report, cursor)
-	}
-	return nil
+	return f.track(items, cursor)
 }
 
 // Poll advances the cursor to the reader's current head, processing each
@@ -244,42 +286,14 @@ func (f *Follower) Poll() error {
 	if re := chain.CaptureReadError(func() { head = f.cfg.Reader.CurrentBlock() }); re != nil {
 		return re
 	}
-	cur := f.cursor.Load()
-	if head <= cur {
-		return nil
-	}
-
-	// One enumeration per poll: group unseen deployments by block.
-	deploys := make(map[uint64][]etypes.Address)
-	re := chain.CaptureReadError(func() {
-		for _, a := range f.cfg.Reader.Contracts() {
-			if _, ok := f.known[a]; ok {
-				continue
-			}
-			at := f.cfg.Reader.CreatedAt(a)
-			switch {
-			case at > cur && at <= head:
-				deploys[at] = append(deploys[at], a)
-			case at <= cur:
-				// A stale replica hid this deployment from the enumeration
-				// when its block was processed. Route it into the next block
-				// so it is analyzed now rather than silently dropped; the
-				// known set keeps this exactly-once.
-				deploys[cur+1] = append(deploys[cur+1], a)
-			}
-		}
-	})
-	if re != nil {
-		return re
-	}
-
-	for b := cur + 1; b <= head; b++ {
+	f.stats.head.Store(head)
+	for b := f.cursor.Load() + 1; b <= head; b++ {
 		select {
 		case <-f.stopCh:
 			return nil
 		default:
 		}
-		if err := f.processBlock(b, deploys[b]); err != nil {
+		if err := f.processBlock(b); err != nil {
 			return err
 		}
 		f.cursor.Store(b)
@@ -291,52 +305,143 @@ func (f *Follower) Poll() error {
 	return nil
 }
 
-// processBlock handles one block as a unit: new deployments first (so
-// their watched cells anchor at this block), then the upgrade scan over
-// every watched cell.
-func (f *Follower) processBlock(b uint64, deployed []etypes.Address) error {
-	if len(deployed) > 0 {
-		items, err := f.cfg.Analyzer.Analyze(deployed)
-		if err != nil {
+// processBlock handles one block as a unit, from its delta: new
+// deployments first (so their watched cells anchor at this block), then the
+// watched cells the block wrote. Any failed read returns before the cursor
+// moves, and the next poll retries the block.
+func (f *Follower) processBlock(b uint64) error {
+	var delta chain.BlockDelta
+	if re := chain.CaptureReadError(func() { delta = f.cfg.Reader.BlockDelta(b) }); re != nil {
+		return re
+	}
+	f.stats.deltaReads.Add(1)
+
+	// Looked up before this block's deployments are tracked: their entries
+	// anchor at b and cannot differ from it.
+	var touched []*watchEntry
+	for _, c := range delta.Written {
+		touched = append(touched, f.byCell[c]...)
+	}
+	slices.SortFunc(touched, func(a, b *watchEntry) int { return cmp.Compare(a.seq, b.seq) })
+
+	if b > f.deployed {
+		if err := f.deploy(delta.Deployed, b); err != nil {
 			return err
 		}
-		f.stats.deploymentsSeen.Add(uint64(len(items)))
-		for _, it := range items {
-			f.known[it.Report.Address] = struct{}{}
-			f.track(it.Report, b)
-			if f.cfg.OnDeploy != nil {
-				f.cfg.OnDeploy(it)
-			}
+		f.deployed = b
+	}
+	_, err := f.check(touched, b)
+	return err
+}
+
+// deploy analyzes new deployments, tracks them as of block b and only then
+// delivers them: a failed anchoring read returns before any OnDeploy, so
+// the retry delivers the whole block once.
+func (f *Follower) deploy(addrs []etypes.Address, b uint64) error {
+	if len(addrs) == 0 {
+		return nil
+	}
+	items, err := f.cfg.Analyzer.Analyze(addrs)
+	if err != nil {
+		return err
+	}
+	if err := f.track(items, b); err != nil {
+		return err
+	}
+	f.stats.deploymentsSeen.Add(uint64(len(items)))
+	for _, it := range items {
+		f.delivered = append(f.delivered, it.Report.Address)
+		if f.cfg.OnDeploy != nil {
+			f.cfg.OnDeploy(it)
 		}
 	}
-	// Snapshot: handling an upgrade may rebuild a proxy's entries.
-	entries := append([]*watchEntry(nil), f.watched...)
+	return nil
+}
+
+// check compares each live entry's cell as of block b with its last known
+// value and handles the ones that moved, in the order given. It returns how
+// many did.
+func (f *Follower) check(entries []*watchEntry, b uint64) (moved int, err error) {
 	for _, e := range entries {
 		if e.dead {
-			continue
+			continue // an earlier upgrade in this block rebuilt its proxy's plan
 		}
 		var v etypes.Hash
 		re := chain.CaptureReadError(func() {
-			v = f.cfg.Reader.GetStorageAt(e.watchAddr, e.slot, b)
+			v = f.cfg.Reader.GetStorageAt(e.cell.Addr, e.cell.Slot, b)
 		})
 		if re != nil {
-			return re
+			return moved, re
 		}
+		f.stats.cellsChecked.Add(1)
 		if v == e.last {
 			continue // includes upgrade-to-same-logic: a no-op, no invalidation
 		}
 		if err := f.handleUpgrade(e, b, v); err != nil {
-			return err
+			return moved, err
 		}
+		moved++
 	}
-	return nil
+	return moved, nil
+}
+
+// Audit is the slow path that checks the fast one. It re-derives the blocks
+// followed since the last audit the way the follower worked before block
+// deltas — enumerate every contract, read every watched cell as of the
+// cursor — and handles, delivers and counts whatever the delta path did not:
+// a deployment in that interval never delivered, a watched cell whose value
+// is not the one last seen (reported at the cursor; the block it moved in is
+// what was missed). Zero is the only healthy answer. It costs what a poll
+// used to, so Run calls it every auditEvery polls and the differential
+// oracle after every block.
+func (f *Follower) Audit() (mismatches int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	cursor := f.cursor.Load()
+	if cursor == f.audited {
+		return 0, nil
+	}
+	seen := make(map[etypes.Address]struct{}, len(f.delivered))
+	for _, a := range f.delivered {
+		seen[a] = struct{}{}
+	}
+	var missed []etypes.Address
+	re := chain.CaptureReadError(func() {
+		for _, a := range f.cfg.Reader.Contracts() {
+			if _, ok := seen[a]; ok {
+				continue
+			}
+			if at := f.cfg.Reader.CreatedAt(a); at > f.audited && at <= cursor {
+				missed = append(missed, a)
+			}
+		}
+	})
+	if re != nil {
+		return 0, re
+	}
+	// Snapshot: handling a moved cell may rebuild a proxy's entries.
+	moved, err := f.check(append([]*watchEntry(nil), f.watched...), cursor)
+	f.stats.auditMismatches.Add(uint64(moved))
+	if err == nil {
+		err = f.deploy(missed, cursor)
+	}
+	if err != nil {
+		return moved, err
+	}
+	f.stats.auditMismatches.Add(uint64(len(missed)))
+	f.stats.auditRuns.Add(1)
+	f.audited = cursor
+	if f.deployed == cursor {
+		f.delivered = nil
+	} // else a block awaiting its retry has deliveries the next audit must know of
+	return moved + len(missed), nil
 }
 
 // handleUpgrade invalidates exactly the affected proxy's verdicts,
 // re-analyzes it against the new logic, and delivers the event.
 func (f *Follower) handleUpgrade(e *watchEntry, b uint64, v etypes.Hash) error {
 	ev := UpgradeEvent{
-		Block: b, Proxy: e.proxy, WatchAddr: e.watchAddr, Slot: e.slot,
+		Block: b, Proxy: e.proxy, WatchAddr: e.cell.Addr, Slot: e.cell.Slot,
 		OldValue: e.last, NewValue: v,
 	}
 	if f.beforeInvalidate != nil {
@@ -351,17 +456,24 @@ func (f *Follower) handleUpgrade(e *watchEntry, b uint64, v etypes.Hash) error {
 	if err != nil {
 		return err
 	}
+	// The beacon pointer itself moved: the watch topology is stale —
+	// rebuild this proxy's entries around the new beacon.
+	repointed := len(items) == 1 && e.cell == chain.Cell{Addr: e.proxy, Slot: proxion.SlotEIP1967Beacon}
+	var plan []*watchEntry
+	if repointed {
+		if plan, err = f.plan(items[0].Report, b); err != nil {
+			return err
+		}
+	}
 	f.stats.upgradesDetected.Add(1)
 	f.stats.reanalyses.Add(1)
 	e.last = v
 	if len(items) == 1 {
 		ev.Item = &items[0]
-		if e.watchAddr == e.proxy && e.slot == proxion.SlotEIP1967Beacon {
-			// The beacon pointer itself moved: the watch topology is
-			// stale — rebuild this proxy's entries around the new beacon.
-			f.removeEntries(e.proxy)
-			f.track(items[0].Report, b)
-		}
+	}
+	if repointed {
+		f.removeEntries(e.proxy)
+		f.commit(plan)
 	}
 	if f.cfg.OnUpgrade != nil {
 		f.cfg.OnUpgrade(ev)
@@ -369,7 +481,22 @@ func (f *Follower) handleUpgrade(e *watchEntry, b uint64, v etypes.Hash) error {
 	return nil
 }
 
-// track derives the watch plan for a fresh verdict, anchoring cell values
+// track plans and commits the watch entries of freshly analyzed contracts,
+// all or none: a failed anchoring read leaves the watched set as it was.
+func (f *Follower) track(items []proxion.Item, b uint64) error {
+	var all []*watchEntry
+	for _, it := range items {
+		plan, err := f.plan(it.Report, b)
+		if err != nil {
+			return err
+		}
+		all = append(all, plan...)
+	}
+	f.commit(all)
+	return nil
+}
+
+// plan derives the watch entries for a fresh verdict, anchoring cell values
 // as of block b:
 //
 //   - TargetStorage: watch the proxy's own implementation slot.
@@ -379,81 +506,86 @@ func (f *Follower) handleUpgrade(e *watchEntry, b uint64, v etypes.Hash) error {
 //     pointer (re-pointing to a new beacon rebuilds the plan).
 //   - anything else (minimal proxies, plain forwarders, non-proxies): the
 //     delegate is immutable — nothing to watch.
-func (f *Follower) track(rep proxion.Report, b uint64) {
+//
+// A read the node could not serve is returned, never skipped: an entry that
+// silently failed to anchor is a proxy whose upgrades are lost for good.
+func (f *Follower) plan(rep proxion.Report, b uint64) ([]*watchEntry, error) {
 	if !rep.IsProxy {
-		return
+		return nil, nil
 	}
 	var plan []*watchEntry
-	switch rep.Target {
-	case proxion.TargetStorage:
-		plan = append(plan, &watchEntry{
-			proxy: rep.Address, watchAddr: rep.Address, slot: rep.ImplSlot,
-		})
-	case proxion.TargetHardcoded:
-		beacon, slot, ok := f.beaconCell(rep.Address, b)
-		if !ok {
-			return
+	re := chain.CaptureReadError(func() {
+		switch rep.Target {
+		case proxion.TargetStorage:
+			plan = []*watchEntry{{proxy: rep.Address, cell: chain.Cell{Addr: rep.Address, Slot: rep.ImplSlot}}}
+		case proxion.TargetHardcoded:
+			if cell, ok := f.beaconCell(rep.Address, b); ok {
+				plan = []*watchEntry{
+					{proxy: rep.Address, cell: cell},
+					{proxy: rep.Address, cell: chain.Cell{Addr: rep.Address, Slot: proxion.SlotEIP1967Beacon}},
+				}
+			}
 		}
-		plan = append(plan,
-			&watchEntry{proxy: rep.Address, watchAddr: beacon, slot: slot},
-			&watchEntry{proxy: rep.Address, watchAddr: rep.Address, slot: proxion.SlotEIP1967Beacon},
-		)
-	default:
-		return
-	}
-	for _, e := range plan {
-		e := e
-		re := chain.CaptureReadError(func() {
-			e.last = f.cfg.Reader.GetStorageAt(e.watchAddr, e.slot, b)
-		})
-		if re != nil {
-			continue
+		for _, e := range plan {
+			e.last = f.cfg.Reader.GetStorageAt(e.cell.Addr, e.cell.Slot, b)
 		}
-		f.watched = append(f.watched, e)
-		f.stats.watched.Add(1)
+	})
+	if re != nil {
+		return nil, re
 	}
+	return plan, nil
 }
 
 // beaconCell resolves a hard-coded-target proxy's beacon indirection as of
 // block b: the EIP-1967 beacon slot must hold a deployed contract, and
 // that contract's static summary must read exactly one constant storage
-// slot — the implementation cell. Truncated summaries are refused.
-func (f *Follower) beaconCell(proxy etypes.Address, b uint64) (etypes.Address, etypes.Hash, bool) {
-	var beacon etypes.Address
-	var slot etypes.Hash
-	found := false
-	re := chain.CaptureReadError(func() {
-		v := f.cfg.Reader.GetStorageAt(proxy, proxion.SlotEIP1967Beacon, b)
-		if v == (etypes.Hash{}) {
-			return
-		}
-		addr := etypes.BytesToAddress(v[:])
-		code := f.cfg.Reader.Code(addr)
-		if len(code) == 0 {
-			return
-		}
-		sum := static.Analyze(code)
-		if sum.Truncated || len(sum.SlotReads) != 1 {
-			return
-		}
-		beacon, slot, found = addr, sum.SlotReads[0], true
-	})
-	if re != nil || !found {
-		return etypes.Address{}, etypes.Hash{}, false
+// slot — the implementation cell. Truncated summaries are refused. Runs
+// under plan's CaptureReadError.
+func (f *Follower) beaconCell(proxy etypes.Address, b uint64) (chain.Cell, bool) {
+	v := f.cfg.Reader.GetStorageAt(proxy, proxion.SlotEIP1967Beacon, b)
+	if v == (etypes.Hash{}) {
+		return chain.Cell{}, false
 	}
-	return beacon, slot, true
+	beacon := etypes.BytesToAddress(v[:])
+	code := f.cfg.Reader.Code(beacon)
+	if len(code) == 0 {
+		return chain.Cell{}, false
+	}
+	sum := static.Analyze(code)
+	if sum.Truncated || len(sum.SlotReads) != 1 {
+		return chain.Cell{}, false
+	}
+	return chain.Cell{Addr: beacon, Slot: sum.SlotReads[0]}, true
+}
+
+// commit adds planned entries to the watched set and the cell index, in
+// tracking order.
+func (f *Follower) commit(plan []*watchEntry) {
+	for _, e := range plan {
+		e.seq = f.nextSeq
+		f.nextSeq++
+		f.watched = append(f.watched, e)
+		f.byCell[e.cell] = append(f.byCell[e.cell], e)
+	}
+	f.stats.watched.Add(uint64(len(plan)))
 }
 
 // removeEntries kills every watched cell belonging to proxy.
 func (f *Follower) removeEntries(proxy etypes.Address) {
 	kept := f.watched[:0]
 	for _, e := range f.watched {
-		if e.proxy == proxy {
-			e.dead = true
-			f.stats.watched.Add(^uint64(0))
+		if e.proxy != proxy {
+			kept = append(kept, e)
 			continue
 		}
-		kept = append(kept, e)
+		e.dead = true
+		f.stats.watched.Add(^uint64(0))
+		peers := slices.DeleteFunc(f.byCell[e.cell], func(p *watchEntry) bool { return p == e })
+		if len(peers) == 0 {
+			delete(f.byCell, e.cell)
+		} else {
+			f.byCell[e.cell] = peers
+		}
 	}
 	f.watched = kept
 }
