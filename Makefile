@@ -2,7 +2,7 @@
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
 # pull-request performance gate.
 
-.PHONY: build vet test short race bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity e2e
+.PHONY: build vet test short race engine bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity e2e
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -46,6 +46,13 @@ short:
 
 race:
 	go test -race -short ./...
+
+# Streaming-engine gate: the tests whose outcome depends on how the
+# scheduler interleaves the workers (one address per turn, window bound,
+# ordered emission, cancel, goroutine accounting), repeated under the race
+# detector. -race reports neither a hang nor a leak: the timeout does.
+engine:
+	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window' ./internal/proxion ./internal/pipeline
 
 bench:
 	go test -run '^$$' -bench . -benchmem ./...

@@ -84,7 +84,7 @@ func run() error {
 func runStream(contracts int, seed int64, window, cacheCap int, retire bool, csvDir string) error {
 	engineWindow := window
 	if engineWindow <= 0 {
-		engineWindow = 4096
+		engineWindow = proxion.DefaultWindow(0)
 	}
 	s := dataset.GenerateStream(dataset.StreamConfig{
 		Config: dataset.Config{Seed: seed, Contracts: contracts},

@@ -63,7 +63,7 @@ func RunSoak(opts SoakOptions) (WorkloadResult, error) {
 	}
 	engineWindow := opts.Window
 	if engineWindow <= 0 {
-		engineWindow = 4096
+		engineWindow = proxion.DefaultWindow(0)
 	}
 	retire := opts.RetireWindow
 	if retire <= 0 {

@@ -90,21 +90,21 @@ func Suite(p Profile) []Workload {
 		},
 		{
 			Name:  "pipeline/stream-1w",
-			Desc:  "end-to-end streaming pipeline, every stage at 1 worker",
+			Desc:  "end-to-end streaming engine at 1 worker",
 			Scale: d.pipeline,
 			Batch: 1,
-			Setup: setupPipeline(workerPlan{filter: 1, probe: 1, classify: 1, pair: 1}),
+			Setup: setupPipeline(workerPlan{workers: 1}),
 		},
 		{
 			Name:  "pipeline/stream-2w",
-			Desc:  "end-to-end streaming pipeline, every stage at 2 workers",
+			Desc:  "end-to-end streaming engine at 2 workers",
 			Scale: d.pipeline,
 			Batch: 1,
-			Setup: setupPipeline(workerPlan{filter: 2, probe: 2, classify: 2, pair: 2}),
+			Setup: setupPipeline(workerPlan{workers: 2}),
 		},
 		{
 			Name:  "pipeline/stream-maxw",
-			Desc:  "end-to-end streaming pipeline at the production GOMAXPROCS-derived pools",
+			Desc:  "end-to-end streaming engine at the production default, one worker per processor",
 			Scale: d.pipeline,
 			Batch: 1,
 			Setup: setupPipeline(workerPlan{}),
@@ -228,10 +228,10 @@ func setupDetectorCheck(seed int64, scale int) Instance {
 	}
 }
 
-// workerPlan pins the streaming engine's stage pools for one workload.
+// workerPlan pins the streaming engine's configuration for one workload.
 type workerPlan struct {
-	filter, probe, classify, pair int
-	disableDedup                  bool
+	workers      int // 0 = the engine default
+	disableDedup bool
 	// resilient routes every node read through the faultchain client (no
 	// fault injector), measuring the resilience layer's fault-free overhead
 	// against the stream-maxw workload.
@@ -246,11 +246,8 @@ func setupPipeline(plan workerPlan) func(seed int64, scale int) Instance {
 	return func(seed int64, scale int) Instance {
 		pop := dataset.Generate(dataset.Config{Seed: seed, Contracts: scale})
 		opts := proxion.AnalyzeOptions{
-			FilterWorkers:   plan.filter,
-			ProbeWorkers:    plan.probe,
-			ClassifyWorkers: plan.classify,
-			PairWorkers:     plan.pair,
-			DisableDedup:    plan.disableDedup,
+			Workers:      plan.workers,
+			DisableDedup: plan.disableDedup,
 		}
 		var reader chain.Reader = pop.Chain
 		if plan.resilient {

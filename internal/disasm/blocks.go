@@ -31,26 +31,27 @@ func terminatesBlock(op evm.Op) bool {
 }
 
 // BasicBlocks partitions code into basic blocks. Blocks begin at code start,
-// at every JUMPDEST, and after every terminator.
+// at every JUMPDEST, and after every terminator. Each block's Instrs is a
+// capacity-limited window of one shared disassembly, not a copy.
 func BasicBlocks(code []byte) []BasicBlock {
 	instrs := Disassemble(code)
-	var blocks []BasicBlock
-	var cur BasicBlock
-	flush := func(nextStart uint64) {
-		if len(cur.Instrs) > 0 {
-			blocks = append(blocks, cur)
-		}
-		cur = BasicBlock{Start: nextStart}
+	// endsAt reports whether a block boundary follows instrs[i].
+	endsAt := func(i int) bool {
+		return i+1 == len(instrs) || terminatesBlock(instrs[i].Op) || instrs[i+1].Op == evm.JUMPDEST
 	}
-	for _, ins := range instrs {
-		if ins.Op == evm.JUMPDEST && len(cur.Instrs) > 0 {
-			flush(ins.PC)
-		}
-		cur.Instrs = append(cur.Instrs, ins)
-		if terminatesBlock(ins.Op) {
-			flush(ins.PC + 1)
+	n := 0
+	for i := range instrs {
+		if endsAt(i) {
+			n++
 		}
 	}
-	flush(0)
+	blocks := make([]BasicBlock, 0, n)
+	start := 0
+	for i := range instrs {
+		if endsAt(i) {
+			blocks = append(blocks, BasicBlock{Start: instrs[start].PC, Instrs: instrs[start : i+1 : i+1]})
+			start = i + 1
+		}
+	}
 	return blocks
 }

@@ -16,9 +16,12 @@ import (
 
 // Instruction is one decoded opcode with its immediate (for PUSHn).
 type Instruction struct {
-	PC  uint64
-	Op  evm.Op
-	Imm []byte // nil unless Op is PUSH1..PUSH32
+	PC uint64
+	Op evm.Op
+	// Imm is nil unless Op is PUSH1..PUSH32. It is a read-only view: the
+	// bytes are the disassembled code's own (capacity-limited, so an append
+	// copies), not a copy — writing through it would patch the bytecode.
+	Imm []byte
 }
 
 // String formats the instruction like "001F PUSH4 0xdf4a3106".
@@ -34,19 +37,18 @@ func (ins Instruction) String() string {
 // Undefined opcode bytes decode as single-byte instructions so that data
 // trailers (e.g. Solidity metadata) do not derail the stream.
 func Disassemble(code []byte) []Instruction {
-	instrs := make([]Instruction, 0, len(code)/2)
+	instrs := make([]Instruction, 0, evm.InstrCount(code))
 	for pc := 0; pc < len(code); {
 		op := evm.Op(code[pc])
 		ins := Instruction{PC: uint64(pc), Op: op}
 		size := op.PushSize()
 		if size > 0 {
-			imm := make([]byte, size)
-			end := pc + 1 + size
-			if end > len(code) {
-				end = len(code)
+			if end := pc + 1 + size; end <= len(code) {
+				ins.Imm = code[pc+1 : end : end]
+			} else { // cut short by end of code: only the last instruction
+				ins.Imm = make([]byte, size)
+				copy(ins.Imm, code[pc+1:])
 			}
-			copy(imm, code[pc+1:end])
-			ins.Imm = imm
 		}
 		instrs = append(instrs, ins)
 		pc += 1 + size

@@ -106,7 +106,7 @@ func decode(code []byte, fuse bool) *program {
 	// Pass 1: linear scan into raw instructions, materializing immediates.
 	// A PUSH truncated by end-of-code pads with trailing zero bytes, same
 	// as the reference loop's copy-into-fresh-buffer semantics.
-	raws := make([]rawInstr, 0, len(code))
+	raws := make([]rawInstr, 0, InstrCount(code))
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
 		r := rawInstr{op: op, pc: uint32(pc)}

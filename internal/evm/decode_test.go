@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/etypes"
@@ -210,5 +211,53 @@ func TestProgramCacheEviction(t *testing.T) {
 	p := programFor(keccak.Sum256(code), code, true)
 	if p == nil || len(p.instrs) == 0 {
 		t.Fatalf("post-eviction decode failed")
+	}
+}
+
+// TestDecodeScratchSizedByInstructions pins the decoder's allocation shape:
+// four allocations per bytecode (program, jump table, first-pass scratch,
+// instruction stream), and a scratch sized by the instructions counted, not
+// by the code length — PUSH-heavy code has a thirtieth as many instructions
+// as bytes, and the scratch entry is 48 bytes. Empty code and a PUSH cut
+// short by the end of code take the same path.
+func TestDecodeScratchSizedByInstructions(t *testing.T) {
+	// 300 × PUSH32 and a STOP: 9,901 bytes, 301 instructions.
+	var code []byte
+	for i := 0; i < 300; i++ {
+		code = append(code, byte(PUSH32))
+		code = append(code, make([]byte, 32)...)
+	}
+	code = append(code, byte(STOP))
+	if got := InstrCount(code); got != 301 {
+		t.Fatalf("InstrCount = %d, want 301", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { decode(code, true) }); got > 4 {
+		t.Errorf("decode: %v allocs/run, want 4", got)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode(code, true)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	// Jump table 4 B/byte of code plus ~130 B per instruction ≈ 8 B/byte
+	// here; a scratch entry per code byte alone would be 48 B/byte.
+	if limit := uint64(16 * len(code)); perRun > limit {
+		t.Errorf("decode allocated %d bytes for %d bytes of code, want under %d", perRun, len(code), limit)
+	}
+
+	for name, c := range map[string][]byte{
+		"empty":          nil,
+		"truncated-push": {byte(PUSH1), 1, byte(PUSH32), 0xaa},
+	} {
+		p := decode(c, true)
+		if len(p.instrs) != InstrCount(c) {
+			t.Errorf("%s: %d instructions decoded, %d counted", name, len(p.instrs), InstrCount(c))
+		}
+		if got := testing.AllocsPerRun(20, func() { decode(c, true) }); got > 4 {
+			t.Errorf("%s: %v allocs/run, want at most 4", name, got)
+		}
 	}
 }

@@ -119,6 +119,17 @@ func (op Op) PushSize() int {
 	return 0
 }
 
+// InstrCount returns the number of instructions a linear decode of code
+// yields, a PUSH truncated by the end of code counting as one — what a
+// decoder needs to size its output exactly.
+func InstrCount(code []byte) int {
+	n := 0
+	for pc := 0; pc < len(code); n++ {
+		pc += 1 + Op(code[pc]).PushSize()
+	}
+	return n
+}
+
 // IsDup reports whether op is DUP1..DUP16.
 func (op Op) IsDup() bool { return op >= DUP1 && op <= DUP16 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -8,14 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/proxion"
 )
-
-func streamOpts(workers, depth int) proxion.AnalyzeOptions {
-	return proxion.AnalyzeOptions{
-		FilterWorkers: workers, ProbeWorkers: workers,
-		ClassifyWorkers: workers, PairWorkers: workers,
-		ChannelDepth: depth,
-	}
-}
 
 // fixedSeeds is the corpus set every run (including -short) checks; wide
 // randomized sweeps live in TestOracleSweep and the fuzz target.
@@ -57,28 +50,25 @@ func TestOracleSweep(t *testing.T) {
 	}
 }
 
-// TestOracleStreamingConfigs stresses the parity layers under degenerate
-// engine configurations: single worker everywhere and depth-1 channels.
+// TestOracleStreamingConfigs stresses the parity layers across the
+// engine's two knobs: from strictly serial (one worker, one contract in
+// flight) through more workers than window slots to the defaults.
 func TestOracleStreamingConfigs(t *testing.T) {
 	c := gen.Generate(gen.Config{Seed: 5})
 	ref := SequentialReference(c)
-	for _, opt := range []struct {
-		name string
-		w, d int
-	}{
-		{"single-worker", 1, 1},
-		{"two-workers", 2, 2},
-		{"wide", 8, 64},
-	} {
-		opts := streamOpts(opt.w, opt.d)
-		if ms := CheckStreaming(c, ref, opts); len(ms) > 0 {
-			t.Errorf("%s: %s", opt.name, Format(c, ms))
-		}
-		if ms := CheckCacheParity(c, opts); len(ms) > 0 {
-			t.Errorf("%s: %s", opt.name, Format(c, ms))
-		}
-		if ms := CheckStoreParity(c, opts); len(ms) > 0 {
-			t.Errorf("%s: %s", opt.name, Format(c, ms))
+	for _, workers := range []int{1, 2, 8} {
+		for _, window := range []int{1, 4, 0} {
+			name := fmt.Sprintf("workers=%d window=%d", workers, window)
+			opts := proxion.AnalyzeOptions{Workers: workers, Window: window}
+			if ms := CheckStreaming(c, ref, opts); len(ms) > 0 {
+				t.Errorf("%s: %s", name, Format(c, ms))
+			}
+			if ms := CheckCacheParity(c, opts); len(ms) > 0 {
+				t.Errorf("%s: %s", name, Format(c, ms))
+			}
+			if ms := CheckStoreParity(c, opts); len(ms) > 0 {
+				t.Errorf("%s: %s", name, Format(c, ms))
+			}
 		}
 	}
 }

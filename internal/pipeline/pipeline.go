@@ -1,54 +1,47 @@
-// Package pipeline is a small staged-concurrency engine: an ordered stream
-// of work items flows through a chain of named stages, each backed by its
-// own worker pool, connected by bounded channels with no barrier between
-// stages — an item finished by stage N enters stage N+1 while later items
-// are still in stage N. Every stage carries atomic instrumentation
-// (items processed, busy time) so a run can report where the wall-clock
-// went.
-//
-// The engine is deliberately domain-free: it knows nothing about contracts
-// or proxies. The proxion package wires its analysis stages (disassembly
-// filter → emulation probe → classification → logic history → pair
-// collision analysis) onto it.
+// Package pipeline is the instrumentation of an analysis run: a wall clock
+// that freezes when the run's goroutines have finished, named stage
+// counters (items processed, busy time) and the run-wide Stats, frozen
+// together into a serializable Snapshot so a run can report where the
+// wall-clock went. It is domain-free and schedules nothing: the proxion
+// package runs each contract through its analysis steps on one worker
+// goroutine and accounts each step to a Stage here.
 package pipeline
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Stage is one named step of a pipeline with its own worker pool and
-// instrumentation counters. Create stages through Engine.NewStage so they
-// appear in the engine's snapshot.
+// Stage is the instrumentation of one named step of a run. Create stages
+// through Engine.NewStage so they appear in the engine's snapshot.
 type Stage struct {
 	name    string
 	workers int
 
 	processed Counter
-	busy      Counter // nanoseconds spent inside the stage function
+	busy      Counter // nanoseconds spent inside the step
 }
 
-// Name returns the stage's display name.
-func (s *Stage) Name() string { return s.name }
+// Add accounts items completed and the time they took to the stage. Safe
+// from any goroutine; a worker that accumulates locally and calls it once
+// when it exits keeps the per-item path free of shared writes.
+func (s *Stage) Add(items int64, busy time.Duration) {
+	s.processed.Add(items)
+	s.busy.Add(int64(busy))
+}
 
-// Workers returns the stage's worker-pool size.
-func (s *Stage) Workers() int { return s.workers }
-
-// Processed returns the number of items the stage has completed.
-func (s *Stage) Processed() int64 { return s.processed.Load() }
-
-// Engine coordinates the goroutines of one pipeline run: the feeder, every
-// stage's workers, and the per-stage closers that propagate end-of-stream
-// downstream. Wait blocks until the whole pipeline has drained.
+// Engine tracks the goroutines of one run and its wall clock. Wait blocks
+// until every goroutine started with Go has returned.
 type Engine struct {
 	wg     sync.WaitGroup
 	stages []*Stage
 	start  time.Time
-	// wall is the frozen run duration in nanoseconds (0 while running).
-	// Wait writes it and concurrent observers (live progress reporting,
-	// soak samplers) read it through Wall, so it must be atomic.
-	wall atomic.Int64
+	// wall is the frozen run duration (0 while running). Wait writes it
+	// while concurrent observers (live progress reporting, soak samplers)
+	// read the clock through Wall; wallMu also covers their reading of the
+	// live clock, so a live value is never later than the frozen one.
+	wallMu sync.Mutex
+	wall   time.Duration
 }
 
 // New creates an empty engine and starts its wall clock.
@@ -56,8 +49,8 @@ func New() *Engine {
 	return &Engine{start: time.Now()}
 }
 
-// NewStage registers a named stage with the given worker-pool size.
-// Workers below 1 are clamped to 1.
+// NewStage registers a named stage executed by the given number of
+// goroutines. Workers below 1 are clamped to 1.
 func (e *Engine) NewStage(name string, workers int) *Stage {
 	if workers < 1 {
 		workers = 1
@@ -67,8 +60,7 @@ func (e *Engine) NewStage(name string, workers int) *Stage {
 	return s
 }
 
-// Go runs f on a goroutine tracked by Wait. Use it for feeders and any
-// auxiliary plumbing that must finish before the run is considered done.
+// Go runs f on a goroutine tracked by Wait.
 func (e *Engine) Go(f func()) {
 	e.wg.Add(1)
 	go func() {
@@ -77,50 +69,22 @@ func (e *Engine) Go(f func()) {
 	}()
 }
 
-// Wait blocks until every stage and feeder has finished, then freezes the
-// engine's wall clock.
+// Wait blocks until every goroutine started with Go has finished, then
+// freezes the engine's wall clock.
 func (e *Engine) Wait() {
 	e.wg.Wait()
-	e.wall.Store(int64(time.Since(e.start)))
+	e.wallMu.Lock()
+	e.wall = time.Since(e.start)
+	e.wallMu.Unlock()
 }
 
 // Wall returns the run's duration: live while running, frozen after Wait.
-// Safe to call from any goroutine while the pipeline runs.
+// Safe to call from any goroutine while the run is in flight.
 func (e *Engine) Wall() time.Duration {
-	if w := e.wall.Load(); w > 0 {
-		return time.Duration(w)
+	e.wallMu.Lock()
+	defer e.wallMu.Unlock()
+	if e.wall > 0 {
+		return e.wall
 	}
 	return time.Since(e.start)
-}
-
-// Run launches the stage's worker pool over the in channel. Each worker
-// repeatedly pulls an item and applies fn; fn performs the stage's own
-// sends to downstream channels. When every worker has drained (in was
-// closed and emptied), onDone fires exactly once — that is where the stage
-// closes the downstream channels it feeds. A nil onDone is allowed for
-// terminal stages.
-func Run[I any](e *Engine, s *Stage, in <-chan I, fn func(I), onDone func()) {
-	var stageWG sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		stageWG.Add(1)
-		e.wg.Add(1)
-		go func() {
-			defer stageWG.Done()
-			defer e.wg.Done()
-			for item := range in {
-				t0 := time.Now()
-				fn(item)
-				s.busy.Add(int64(time.Since(t0)))
-				s.processed.Add(1)
-			}
-		}()
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		stageWG.Wait()
-		if onDone != nil {
-			onDone()
-		}
-	}()
 }

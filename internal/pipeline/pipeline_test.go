@@ -1,99 +1,38 @@
 package pipeline_test
 
 import (
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pipeline"
 )
 
-type item struct {
-	idx int
-	val int
-}
-
-// TestThreeStageOrderedResults pushes an ordered stream through three
-// concurrent stages and checks that indexed collection restores input
-// order regardless of completion order.
-func TestThreeStageOrderedResults(t *testing.T) {
-	const n = 500
+// TestEngineStageAddFromManyWorkers folds per-worker accumulations into one stage
+// from many goroutines at once — the shape of the analysis engine's worker
+// exit — and checks nothing is lost. Under -race it also pins that Add
+// needs no caller-side locking.
+func TestEngineStageAddFromManyWorkers(t *testing.T) {
+	const workers, perWorker = 16, 250
 	e := pipeline.New()
-	stDouble := e.NewStage("double", 4)
-	stAddOne := e.NewStage("add-one", 3)
-	stSink := e.NewStage("sink", 2)
-
-	doubleCh := make(chan item, 8)
-	addCh := make(chan item, 8)
-	sinkCh := make(chan item, 8)
-	out := make([]int, n)
-
-	e.Go(func() {
-		for i := 0; i < n; i++ {
-			doubleCh <- item{idx: i, val: i}
-		}
-		close(doubleCh)
-	})
-	pipeline.Run(e, stDouble, doubleCh, func(it item) {
-		it.val *= 2
-		addCh <- it
-	}, func() { close(addCh) })
-	pipeline.Run(e, stAddOne, addCh, func(it item) {
-		it.val++
-		sinkCh <- it
-	}, func() { close(sinkCh) })
-	pipeline.Run(e, stSink, sinkCh, func(it item) {
-		out[it.idx] = it.val
-	}, nil)
+	s := e.NewStage("work", workers)
+	for w := 0; w < workers; w++ {
+		e.Go(func() {
+			var items int64
+			var busy time.Duration
+			for i := 0; i < perWorker; i++ {
+				items++
+				busy += time.Microsecond
+			}
+			s.Add(items, busy)
+		})
+	}
 	e.Wait()
-
-	for i := 0; i < n; i++ {
-		if out[i] != 2*i+1 {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], 2*i+1)
-		}
+	snap := e.Snapshot(new(pipeline.Stats))
+	if got := snap.Stages[0].Processed; got != workers*perWorker {
+		t.Fatalf("stage processed %d, want %d", got, workers*perWorker)
 	}
-	for _, s := range []*pipeline.Stage{stDouble, stAddOne, stSink} {
-		if s.Processed() != n {
-			t.Errorf("stage %s processed %d, want %d", s.Name(), s.Processed(), n)
-		}
-	}
-}
-
-// TestFilteringStageDropsItems verifies that a stage may emit fewer items
-// than it receives and downstream closure still propagates.
-func TestFilteringStageDropsItems(t *testing.T) {
-	const n = 100
-	e := pipeline.New()
-	stFilter := e.NewStage("filter", 2)
-	stSink := e.NewStage("sink", 2)
-
-	in := make(chan item, 4)
-	kept := make(chan item, 4)
-	var mu sync.Mutex
-	var got []int
-
-	e.Go(func() {
-		for i := 0; i < n; i++ {
-			in <- item{idx: i, val: i}
-		}
-		close(in)
-	})
-	pipeline.Run(e, stFilter, in, func(it item) {
-		if it.val%2 == 0 {
-			kept <- it
-		}
-	}, func() { close(kept) })
-	pipeline.Run(e, stSink, kept, func(it item) {
-		mu.Lock()
-		got = append(got, it.val)
-		mu.Unlock()
-	}, nil)
-	e.Wait()
-
-	if len(got) != n/2 {
-		t.Fatalf("sink received %d items, want %d", len(got), n/2)
-	}
-	if stSink.Processed() != int64(n/2) {
-		t.Errorf("sink processed %d, want %d", stSink.Processed(), n/2)
+	if want := float64(workers*perWorker) / 1000; snap.Stages[0].BusyMS != want {
+		t.Errorf("busy = %v ms, want %v", snap.Stages[0].BusyMS, want)
 	}
 }
 
@@ -101,23 +40,22 @@ func TestFilteringStageDropsItems(t *testing.T) {
 func TestSnapshotCounters(t *testing.T) {
 	e := pipeline.New()
 	s := e.NewStage("work", 2)
-	in := make(chan item)
 	var st pipeline.Stats
 
-	e.Go(func() {
-		for i := 0; i < 10; i++ {
-			st.Scanned.Add(1)
-			in <- item{idx: i}
-		}
-		close(in)
-	})
-	pipeline.Run(e, s, in, func(it item) {
-		if it.idx%2 == 0 {
-			st.CacheHits.Add(1)
-		} else {
-			st.Emulations.Add(1)
-		}
-	}, nil)
+	for w := 0; w < 2; w++ {
+		w := w
+		e.Go(func() {
+			for i := w; i < 10; i += 2 {
+				st.Scanned.Add(1)
+				if i%2 == 0 {
+					st.CacheHits.Add(1)
+				} else {
+					st.Emulations.Add(1)
+				}
+				s.Add(1, time.Microsecond)
+			}
+		})
+	}
 	e.Wait()
 
 	snap := e.Snapshot(&st)
@@ -141,20 +79,11 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// TestZeroWorkersClamped ensures a degenerate pool size still runs.
+// TestZeroWorkersClamped ensures a degenerate worker count is reported as 1.
 func TestZeroWorkersClamped(t *testing.T) {
 	e := pipeline.New()
-	s := e.NewStage("solo", 0)
-	if s.Workers() != 1 {
-		t.Fatalf("workers = %d, want clamped to 1", s.Workers())
-	}
-	in := make(chan item, 1)
-	in <- item{val: 7}
-	close(in)
-	done := 0
-	pipeline.Run(e, s, in, func(item) { done++ }, nil)
-	e.Wait()
-	if done != 1 {
-		t.Fatalf("processed %d, want 1", done)
+	e.NewStage("solo", 0)
+	if got := e.Snapshot(new(pipeline.Stats)).Stages[0].Workers; got != 1 {
+		t.Fatalf("workers = %d, want clamped to 1", got)
 	}
 }

@@ -6,21 +6,21 @@ import (
 	"time"
 )
 
-// TestWallConcurrentWithWait drives a pipeline to completion while other
+// TestWallConcurrentWithWait drives a run to completion while other
 // goroutines poll Wall() the whole time — the live-progress-reporting
 // shape. Run under -race this fails if Wait's freeze of the wall clock
 // races the readers.
 func TestWallConcurrentWithWait(t *testing.T) {
 	e := New()
 	st := e.NewStage("work", 4)
-	in := make(chan int, 16)
-	e.Go(func() {
-		for i := 0; i < 200; i++ {
-			in <- i
-		}
-		close(in)
-	})
-	Run(e, st, in, func(int) { time.Sleep(50 * time.Microsecond) }, nil)
+	for w := 0; w < 4; w++ {
+		e.Go(func() {
+			for i := 0; i < 50; i++ {
+				time.Sleep(50 * time.Microsecond)
+				st.Add(1, 50*time.Microsecond)
+			}
+		})
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup

@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"runtime"
+	"time"
 
 	"repro/internal/chain"
 	"repro/internal/disasm"
@@ -19,26 +20,20 @@ type resilienceSource interface {
 }
 
 // AnalyzeOptions tunes the streaming analysis engine. The zero value
-// selects production defaults: every stage sized from GOMAXPROCS, the
-// bytecode-dedup cache on, no history stage, a 4096-contract reorder
-// window, unbounded verdict cache.
+// selects production defaults: one worker per processor, the
+// bytecode-dedup cache on, no history step, a reorder window of
+// DefaultWindow contracts, unbounded verdict cache.
 type AnalyzeOptions struct {
-	// FilterWorkers, ProbeWorkers, ClassifyWorkers, HistoryWorkers and
-	// PairWorkers size each stage's pool; zero picks a default derived
-	// from GOMAXPROCS (the probe stage, where emulation time concentrates,
-	// gets the most).
-	FilterWorkers   int
-	ProbeWorkers    int
-	ClassifyWorkers int
-	HistoryWorkers  int
-	PairWorkers     int
-	// ChannelDepth bounds the inter-stage channels (default 4×GOMAXPROCS,
-	// minimum 16).
-	ChannelDepth int
-	// Window bounds the number of contracts in flight at once: fed but not
-	// yet emitted to the sink. Together with ChannelDepth and the worker
-	// counts it is the engine's whole memory bound — peak usage of a
-	// streaming run does not grow with corpus size. Default 4096.
+	// Workers is the number of goroutines analyzing contracts, each taking
+	// one address at a time through every step; zero means GOMAXPROCS. The
+	// work is CPU-bound: a worker without a processor only delays the
+	// verdicts queued behind its contract.
+	Workers int
+	// Window bounds the number of contracts in flight at once: pulled from
+	// the source but not yet emitted to the sink. It is the engine's whole
+	// memory bound — peak usage of a streaming run does not grow with
+	// corpus size — and the bound on how far a worker runs ahead of a peer
+	// holding a slow contract. Zero means DefaultWindow(Workers).
 	Window int
 	// CacheCapacity bounds the bytecode-dedup verdict cache to at most this
 	// many distinct code hashes, evicted least-recently-used. Zero keeps
@@ -55,7 +50,7 @@ type AnalyzeOptions struct {
 	// (EIP-1167 stamps, compiler twins) are each emulated once instead of
 	// being promoted from their family exemplar.
 	DisableStructural bool
-	// WithHistory enables the logic-history stage: each storage proxy's
+	// WithHistory enables the logic-history step: each storage proxy's
 	// full implementation history is recovered with Algorithm 1 and every
 	// historical pair is collision-analyzed into Result.Histories (or the
 	// Item.History field in streaming runs).
@@ -69,39 +64,25 @@ type AnalyzeOptions struct {
 	Stats *pipeline.Stats
 }
 
-// The streaming engine's work-item types; idx is the contract's position
-// in the source stream, which anchors result ordering.
-type (
-	feedItem struct {
-		idx  int
-		addr etypes.Address
+// DefaultWindow is the window AnalyzeStream uses when AnalyzeOptions.Window
+// is zero, for the given AnalyzeOptions.Workers (zero meaning GOMAXPROCS
+// there as here). Every item a worker finishes while a peer is held up
+// waits for that peer, so the window is as small as throughput allows
+// (flat from 32 to 4,096; p90 latency 0.02 ms at 128, 1–4.5 ms at 4,096:
+// EXPERIMENTS.md). Callers that size something of their own from the
+// engine's window (a generator's retirement lag) take it from here.
+func DefaultWindow(workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	probeItem struct {
-		idx  int
-		addr etypes.Address
-		code []byte
-	}
-	classifyItem struct {
-		idx  int
-		code []byte
-		rep  Report
-	}
-	pairItem struct {
-		idx          int
-		proxy, logic etypes.Address
-	}
-	historyItem struct {
-		idx int
-		rep Report
-	}
-)
+	return 64 * workers
+}
 
-// AnalyzeAll runs the full streaming pipeline over every alive contract:
+// AnalyzeAll runs the full streaming analysis over every alive contract:
 // disassembly filter → emulation probe (bytecode-deduplicated) →
-// classification → pair collision analysis, all stages concurrent with no
-// barrier in between — a detected proxy enters pair analysis while later
-// contracts are still being probed. Results keep the chain's deterministic
-// contract order.
+// classification → pair collision analysis, contracts spread over
+// concurrent workers with no barrier between detection and collision
+// analysis. Results keep the chain's deterministic contract order.
 func (d *Detector) AnalyzeAll(sources SourceProvider) *Result {
 	return d.AnalyzeAllWithOptions(sources, AnalyzeOptions{})
 }
@@ -115,7 +96,7 @@ func (d *Detector) AnalyzeAllWithOptions(sources SourceProvider, opts AnalyzeOpt
 	return d.analyze(SliceSource(addrs), sources, opts)
 }
 
-// AnalyzeSince runs the same streaming pipeline restricted to contracts
+// AnalyzeSince runs the same streaming analysis restricted to contracts
 // deployed after the given block height — the incremental mode a
 // production deployment uses to keep pace with the chain instead of
 // re-scanning all 36M contracts. AnalyzeSince(0, …) is equivalent to
@@ -125,7 +106,7 @@ func (d *Detector) AnalyzeSince(height uint64, sources SourceProvider) *Result {
 	var all []etypes.Address
 	chain.CaptureReadError(func() { all = d.chain.Contracts() })
 	// Filter lazily inside the source so the CreatedAt reads overlap the
-	// pipeline instead of forming a serial pre-pass.
+	// analysis instead of forming a serial pre-pass.
 	i := 0
 	src := SourceFunc(func() (etypes.Address, bool) {
 		for i < len(all) {
@@ -153,36 +134,64 @@ func (d *Detector) analyze(src AddressSource, sources SourceProvider, opts Analy
 	return res
 }
 
+// The analysis steps of one contract, in execution order: indices into a
+// worker's stageClock and the names of the run's pipeline.Stages.
+const (
+	stageFilter = iota
+	stageProbe
+	stageClassify
+	stageHistory
+	stagePair
+	numStages
+)
+
+var stageNames = [numStages]string{
+	"disasm-filter", "emulation-probe", "classification", "logic-history", "pair-analysis",
+}
+
+// stageClock is one worker's private per-stage accounting, folded into the
+// run's pipeline.Stages when the worker exits: Snapshot.Stages is read only
+// after the run.
+type stageClock [numStages]struct {
+	items int64
+	busy  time.Duration
+}
+
+// lap closes stage for one item that entered it at since and returns the
+// closing instant: the next stage starts on the same clock reading.
+func (c *stageClock) lap(stage int, since time.Time) time.Time {
+	now := time.Now()
+	c[stage].items++
+	c[stage].busy += now.Sub(since)
+	return now
+}
+
+// streamRun is the state the workers of one AnalyzeStream call share.
+type streamRun struct {
+	d       *Detector
+	opts    AnalyzeOptions
+	sources SourceProvider
+	stats   *pipeline.Stats
+	tracker *streamTracker
+	stages  [numStages]*pipeline.Stage // stageHistory nil without WithHistory
+}
+
 // AnalyzeStream is the one whole-chain analysis code path: every entry
-// point (full scans, incremental scans, experiments, the CLI) funnels
-// here. It pulls addresses from src, runs them through the staged
-// pipeline, and emits one finalized Item per contract to sink, in source
-// order. Memory is bounded end to end: the feeder blocks when
-// opts.Window contracts are in flight, every inter-stage channel is
-// bounded by opts.ChannelDepth, and nothing per-contract survives past
-// its emission — so a run over a million contracts peaks at the same
-// working set as a run over ten thousand.
+// point (scans, experiments, the CLI, the query service, the follower)
+// funnels here. opts.Workers identical goroutines each take one address
+// from src and run it to completion — filter, probe, classification, then
+// history and pair analysis for a detected proxy — and one finalized Item
+// per contract reaches sink, in source order, through a reorder window of
+// opts.Window contracts: the run's whole memory bound, whatever the corpus
+// size. DESIGN.md "Pipeline architecture" has the model and its reasons.
 func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink ReportSink, opts AnalyzeOptions) *pipeline.Snapshot {
-	procs := runtime.GOMAXPROCS(0)
-	size := func(configured, def int) int {
-		if configured > 0 {
-			return configured
-		}
-		if def < 1 {
-			return 1
-		}
-		return def
-	}
-	depth := opts.ChannelDepth
-	if depth <= 0 {
-		depth = 4 * procs
-		if depth < 16 {
-			depth = 16
-		}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	window := opts.Window
 	if window <= 0 {
-		window = 4096
+		window = DefaultWindow(workers)
 	}
 	if !opts.DisableDedup {
 		d.verdicts.setCapacity(opts.CacheCapacity)
@@ -195,7 +204,6 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	if stats == nil {
 		stats = new(pipeline.Stats)
 	}
-	tracker := newStreamTracker(window, sink, stats)
 	apiBefore := d.chain.APICalls()
 	var retriesBefore, tripsBefore int64
 	resil, hasResil := d.chain.(resilienceSource)
@@ -203,159 +211,20 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 		retriesBefore, tripsBefore = resil.ResilienceCounters()
 	}
 
-	// The probe stage gets the full CPU budget — emulation dominates the
-	// per-contract cost — while the cheap bookends share smaller pools.
-	stFilter := eng.NewStage("disasm-filter", size(opts.FilterWorkers, procs/4))
-	stProbe := eng.NewStage("emulation-probe", size(opts.ProbeWorkers, procs))
-	stClassify := eng.NewStage("classification", size(opts.ClassifyWorkers, procs/4))
-	var stHistory *pipeline.Stage
-	if opts.WithHistory {
-		stHistory = eng.NewStage("logic-history", size(opts.HistoryWorkers, procs/2))
+	run := &streamRun{
+		d: d, opts: opts, sources: sources, stats: stats,
+		tracker: newStreamTracker(window, src, sink, stats),
 	}
-	stPair := eng.NewStage("pair-analysis", size(opts.PairWorkers, procs/2))
-
-	feedCh := make(chan feedItem, depth)
-	probeCh := make(chan probeItem, depth)
-	classifyCh := make(chan classifyItem, depth)
-	pairCh := make(chan pairItem, depth)
-	var histCh chan historyItem
-	if opts.WithHistory {
-		histCh = make(chan historyItem, depth)
+	for st, name := range stageNames {
+		if st != stageHistory || opts.WithHistory {
+			run.stages[st] = eng.NewStage(name, workers)
+		}
 	}
-
-	// Feeder: one window slot per address — when the window is full the
-	// pull from src stops until the sink catches up (backpressure against
-	// generation/ingestion upstream).
-	eng.Go(func() {
-		for {
-			addr, ok := src.Next()
-			if !ok {
-				break
-			}
-			idx := tracker.acquire()
-			stats.Scanned.Add(1)
-			feedCh <- feedItem{idx: idx, addr: addr}
-		}
-		close(feedCh)
-	})
-
-	// Stage 1 — disassembly filter (Section 4.1): contracts without a
-	// DELEGATECALL opcode are rejected without an emulation. A terminal
-	// read failure degrades the contract to Unresolved (Reader contract).
-	pipeline.Run(eng, stFilter, feedCh, func(it feedItem) {
-		var code []byte
-		if re := chain.CaptureReadError(func() { code = d.chain.Code(it.addr) }); re != nil {
-			tracker.deliverReport(it.idx, unresolvedReport(it.addr, re), 0)
-			return
-		}
-		switch {
-		case len(code) == 0:
-			stats.NoCode.Add(1)
-			tracker.deliverReport(it.idx, Report{Address: it.addr, Reason: "no code at address"}, 0)
-		case !disasm.ContainsOp(code, evm.DELEGATECALL):
-			stats.FilterRejected.Add(1)
-			tracker.deliverReport(it.idx, Report{Address: it.addr, Reason: "bytecode contains no DELEGATECALL opcode"}, 0)
-		default:
-			probeCh <- probeItem{idx: it.idx, addr: it.addr, code: code}
-		}
-	}, func() { close(probeCh) })
-
-	// Stage 2 — emulation probe (Section 4.2), one emulation per *unique*
-	// runtime bytecode thanks to the verdict cache, and one per *structural
-	// family* of cleanly forwarding near-clones thanks to the second-level
-	// fingerprint index.
-	pipeline.Run(eng, stProbe, probeCh, func(it probeItem) {
-		var rep Report
-		re := chain.CaptureReadError(func() {
-			if opts.DisableDedup {
-				rep = d.emulateProbe(it.addr, it.code, CraftCallData(it.addr, it.code)).rep
-				stats.Emulations.Add(1)
-			} else {
-				var tr probeTrace
-				rep, tr = d.checkDeduped(it.addr, it.code)
-				switch tr.source {
-				case sourceExactHit:
-					stats.CacheHits.Add(1)
-				case sourceStructuralHit:
-					stats.CacheHits.Add(1)
-					stats.StructuralHits.Add(1)
-				default:
-					stats.Emulations.Add(1)
-				}
-				if tr.analyzed {
-					stats.StaticSummaries.Add(1)
-				}
-				if tr.rejected {
-					stats.StructuralRejects.Add(1)
-				}
-			}
-		})
-		if re != nil {
-			rep = unresolvedReport(it.addr, re)
-		} else if rep.EmulationErr != nil {
-			stats.EmulationAborts.Add(1)
-		}
-		classifyCh <- classifyItem{idx: it.idx, code: it.code, rep: rep}
-	}, func() { close(classifyCh) })
-
-	// Stage 3 — classification (Table 4) and fan-out: a detected proxy
-	// flows straight into pair analysis (and optionally history recovery)
-	// with no barrier. The report is handed to the tracker BEFORE the
-	// fan-out sends, declaring how many sub-analyses are outstanding, so
-	// the item cannot be emitted incomplete.
-	pipeline.Run(eng, stClassify, classifyCh, func(it classifyItem) {
-		rep := it.rep
-		if rep.IsProxy {
-			rep.Standard = classify(it.code, rep)
-			stats.ProxiesDetected.Add(1)
-		}
-		fanout := 0
-		if rep.IsProxy && !rep.Logic.IsZero() {
-			fanout = 1
-			if histCh != nil {
-				fanout = 2
-			}
-		}
-		tracker.deliverReport(it.idx, rep, fanout)
-		if fanout > 0 {
-			if histCh != nil {
-				histCh <- historyItem{idx: it.idx, rep: rep}
-			}
-			pairCh <- pairItem{idx: it.idx, proxy: rep.Address, logic: rep.Logic}
-		}
-	}, func() {
-		close(pairCh)
-		if histCh != nil {
-			close(histCh)
-		}
-	})
-
-	// Stage 4 (optional) — logic-history recovery via Algorithm 1. A read
-	// failure degrades the contract's report to Unresolved at emission.
-	if opts.WithHistory {
-		pipeline.Run(eng, stHistory, histCh, func(it historyItem) {
-			var h HistoricalAnalysis
-			if re := chain.CaptureReadError(func() { h = d.AnalyzePairHistory(it.rep, sources) }); re != nil {
-				tracker.deliverHistory(it.idx, nil, re)
-				return
-			}
-			stats.HistoriesRecovered.Add(1)
-			tracker.deliverHistory(it.idx, &h, nil)
-		}, nil)
+	for w := 0; w < workers; w++ {
+		eng.Go(run.work)
 	}
-
-	// Stage 5 — pair collision analysis (Section 5), degrading like stage 4.
-	pipeline.Run(eng, stPair, pairCh, func(it pairItem) {
-		var pa PairAnalysis
-		if re := chain.CaptureReadError(func() { pa = d.AnalyzePair(it.proxy, it.logic, sources) }); re != nil {
-			tracker.deliverPair(it.idx, nil, re)
-			return
-		}
-		stats.PairsAnalyzed.Add(1)
-		tracker.deliverPair(it.idx, &pa, nil)
-	}, nil)
-
 	eng.Wait()
+
 	stats.StorageAPICalls.Add(d.chain.APICalls() - apiBefore)
 	if hasResil {
 		r, t := resil.ResilienceCounters()
@@ -363,4 +232,142 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 		stats.BreakerTrips.Add(t - tripsBefore)
 	}
 	return eng.Snapshot(stats)
+}
+
+// work is one worker: pull an address, analyze it to completion, repeat
+// until the source is exhausted.
+func (r *streamRun) work() {
+	var clock stageClock
+	for {
+		idx, addr, ok := r.tracker.pull()
+		if !ok {
+			break
+		}
+		r.stats.Scanned.Add(1)
+		r.analyze(idx, addr, &clock)
+	}
+	for st, acc := range clock {
+		if r.stages[st] != nil {
+			r.stages[st].Add(acc.items, acc.busy)
+		}
+	}
+}
+
+// analyze runs one contract through every step it needs, landing each
+// outcome in the reorder window as it is known; a terminal read failure in
+// any step degrades the contract to Unresolved (Reader contract).
+func (r *streamRun) analyze(idx int, addr etypes.Address, clock *stageClock) {
+	d, stats, tracker := r.d, r.stats, r.tracker
+	now := time.Now()
+
+	code, rep, probe := r.filter(addr)
+	if !probe {
+		tracker.deliverReport(idx, rep, 0)
+		clock.lap(stageFilter, now)
+		return
+	}
+	now = clock.lap(stageFilter, now)
+
+	rep = r.probe(addr, code)
+	now = clock.lap(stageProbe, now)
+
+	// Classification (Table 4). The report is handed to the tracker BEFORE
+	// the sub-analyses run, declaring how many are outstanding, so the item
+	// cannot be emitted incomplete.
+	if rep.IsProxy {
+		rep.Standard = classify(code, rep)
+		stats.ProxiesDetected.Add(1)
+	}
+	fanout := 0
+	if rep.IsProxy && !rep.Logic.IsZero() {
+		fanout = 1
+		if r.opts.WithHistory {
+			fanout = 2
+		}
+	}
+	tracker.deliverReport(idx, rep, fanout)
+	now = clock.lap(stageClassify, now)
+	if fanout == 0 {
+		return
+	}
+
+	// Logic-history recovery via Algorithm 1 (optional).
+	if r.opts.WithHistory {
+		var h HistoricalAnalysis
+		if re := chain.CaptureReadError(func() { h = d.AnalyzePairHistory(rep, r.sources) }); re != nil {
+			tracker.deliverHistory(idx, nil, re)
+		} else {
+			stats.HistoriesRecovered.Add(1)
+			tracker.deliverHistory(idx, &h, nil)
+		}
+		now = clock.lap(stageHistory, now)
+	}
+
+	// Pair collision analysis (Section 5).
+	var pa PairAnalysis
+	if re := chain.CaptureReadError(func() { pa = d.AnalyzePair(rep.Address, rep.Logic, r.sources) }); re != nil {
+		tracker.deliverPair(idx, nil, re)
+	} else {
+		stats.PairsAnalyzed.Add(1)
+		tracker.deliverPair(idx, &pa, nil)
+	}
+	clock.lap(stagePair, now)
+}
+
+// filter is the disassembly filter (Section 4.1): it returns the runtime
+// code of a contract worth probing, or the final report of one that is not
+// — no code or no DELEGATECALL opcode, rejected without an emulation.
+func (r *streamRun) filter(addr etypes.Address) (code []byte, rep Report, probe bool) {
+	if re := chain.CaptureReadError(func() { code = r.d.chain.Code(addr) }); re != nil {
+		return nil, unresolvedReport(addr, re), false
+	}
+	switch {
+	case len(code) == 0:
+		r.stats.NoCode.Add(1)
+		return nil, Report{Address: addr, Reason: "no code at address"}, false
+	case !disasm.ContainsOp(code, evm.DELEGATECALL):
+		r.stats.FilterRejected.Add(1)
+		return nil, Report{Address: addr, Reason: "bytecode contains no DELEGATECALL opcode"}, false
+	}
+	return code, Report{}, true
+}
+
+// probe is the emulation probe (Section 4.2): one emulation per *unique*
+// runtime bytecode thanks to the verdict cache, and one per *structural
+// family* of cleanly forwarding near-clones thanks to the second-level
+// fingerprint index.
+func (r *streamRun) probe(addr etypes.Address, code []byte) Report {
+	d, stats := r.d, r.stats
+	var rep Report
+	re := chain.CaptureReadError(func() {
+		if r.opts.DisableDedup {
+			rep = d.emulateProbe(addr, code, CraftCallData(addr, code)).rep
+			stats.Emulations.Add(1)
+			return
+		}
+		var tr probeTrace
+		rep, tr = d.checkDeduped(addr, code)
+		switch tr.source {
+		case sourceExactHit:
+			stats.CacheHits.Add(1)
+		case sourceStructuralHit:
+			stats.CacheHits.Add(1)
+			stats.StructuralHits.Add(1)
+		default:
+			stats.Emulations.Add(1)
+		}
+		if tr.analyzed {
+			stats.StaticSummaries.Add(1)
+		}
+		if tr.rejected {
+			stats.StructuralRejects.Add(1)
+		}
+	})
+	if re != nil {
+		return unresolvedReport(addr, re)
+	}
+	if rep.EmulationErr != nil {
+		stats.EmulationAborts.Add(1)
+	}
+	return rep
 }

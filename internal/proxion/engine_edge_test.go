@@ -34,18 +34,16 @@ func TestAnalyzeEmptyChain(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSingleWorkerEverywhere forces every stage pool to one worker
-// with depth-1 channels — the most deadlock-prone configuration — and
-// requires full agreement with the sequential reference.
+// TestAnalyzeSingleWorkerEverywhere runs the engine strictly serially —
+// one worker, one contract in flight, the configuration with the least
+// slack to hide a missed hand-back of the window slot — and requires full
+// agreement with the sequential reference.
 func TestAnalyzeSingleWorkerEverywhere(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 19, Contracts: 120})
-	opts := proxion.AnalyzeOptions{
-		FilterWorkers: 1, ProbeWorkers: 1, ClassifyWorkers: 1,
-		HistoryWorkers: 1, PairWorkers: 1, ChannelDepth: 1,
-	}
+	opts := proxion.AnalyzeOptions{Workers: 1, Window: 1}
 	got := stripStats(proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry, opts))
 	want := stripStats(sequentialReference(pop.Chain, pop.Registry))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("single-worker depth-1 pipeline diverges from sequential reference")
+		t.Fatal("single-worker window-1 engine diverges from sequential reference")
 	}
 }

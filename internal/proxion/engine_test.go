@@ -222,7 +222,7 @@ func TestDedupCachePackedSlotNotTransferred(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheConcurrentDuplicates floods a wide probe pool with
+// TestVerdictCacheConcurrentDuplicates floods a wide worker pool with
 // byte-identical contracts; run under -race this exercises the cache's
 // locking, and the counters prove exactly one emulation happened.
 func TestVerdictCacheConcurrentDuplicates(t *testing.T) {
@@ -243,7 +243,7 @@ func TestVerdictCacheConcurrentDuplicates(t *testing.T) {
 	}
 
 	res := proxion.NewDetector(c).AnalyzeAllWithOptions(nil, proxion.AnalyzeOptions{
-		ProbeWorkers: 8,
+		Workers: 8,
 	})
 	for _, rep := range res.Reports {
 		wantLogic, isProxy := want[rep.Address]

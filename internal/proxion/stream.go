@@ -9,10 +9,15 @@ import (
 )
 
 // AddressSource is the streaming input of an analysis run: the engine's
-// feeder pulls one address at a time, so a run can analyze a corpus that
+// workers pull one address at a time, so a run can analyze a corpus that
 // is generated, paged in, or tailed from a node without ever existing as
-// a slice in memory. Next is called from a single feeder goroutine; it
-// may block (that is the upstream half of the pipeline's backpressure).
+// a slice in memory. Next is never called concurrently, and never again
+// once it has returned ok=false; successive calls may come from different
+// goroutines, ordered by a lock, so an implementation needs no
+// synchronisation of its own for state only Next touches. It may block
+// (that is the upstream half of the engine's backpressure), and it may
+// make address k+1 wait for the emission of item k: the engine never asks
+// for an address while holding one it has not started on.
 type AddressSource interface {
 	// Next returns the next address and true, or ok=false at end of stream.
 	Next() (addr etypes.Address, ok bool)
@@ -51,9 +56,9 @@ type Item struct {
 }
 
 // ReportSink receives finalized items. Emit is called serially, in source
-// order, from pipeline worker goroutines — implementations need no
+// order, from the engine's worker goroutines — implementations need no
 // locking of their own but must not block for long: a slow sink stalls
-// the bounded window and, through it, the whole pipeline (that is the
+// the bounded window and, through it, the whole run (that is the
 // downstream half of backpressure).
 type ReportSink interface {
 	Emit(it Item)
@@ -90,31 +95,38 @@ func (c *CollectSink) Emit(it Item) {
 // Result returns the accumulated result. Call after the run has finished.
 func (c *CollectSink) Result() *Result { return &c.res }
 
-// streamTracker is the bounded reorder window between the pipeline's
-// unordered completions and the sink's ordered emissions. It enforces the
-// run's memory bound end to end:
+// streamTracker is the bounded window between the source and the sink:
+// workers pull addresses through it, complete them in any order, and it
+// emits them in source order. It enforces the run's memory bound end to end:
 //
-//   - the feeder acquires one window slot per fed address (blocking when
-//     the window is full — backpressure against the source), and
+//   - a worker takes one window slot before it pulls an address (blocking
+//     when the window is full — backpressure against the source), and
 //   - a slot is released only when its item has been emitted, so
 //     in-flight + completed-but-unemitted items never exceed the window.
 //
 // Peak memory of a streaming run is therefore a function of the window
-// size, channel depths and worker counts — never of corpus length. The
-// semaphore is the bound; the ring behind it starts at minRing slots and
-// becomes the whole window the first time more items than that are in
-// flight, so a stream of one address (the follower's re-analysis of an
-// upgraded proxy) does not pay for a window it never fills.
+// size — never of corpus length. The semaphore is the bound; the ring
+// behind it starts at minRing slots and becomes the whole window the first
+// time more items than that are in flight, so a stream of one address (the
+// follower's re-analysis of an upgraded proxy) does not pay for a window it
+// never fills.
 type streamTracker struct {
 	sink ReportSink
 
 	// sem holds one token per window slot.
 	sem chan struct{}
 
+	// turn serialises the pulls from src (the AddressSource contract). It
+	// is held across src.Next, which may block: nothing else takes it, and
+	// a worker waiting for it holds a window token but no contract.
+	turn sync.Mutex
+	src  AddressSource
+	done bool // src has reported end of stream; under turn
+
 	mu       sync.Mutex
 	slots    []trackSlot // ring buffer, indexed by item index % len; minRing or cap(sem) long
 	base     int         // lowest index not yet emitted
-	next     int         // next index to assign (feeder only, under mu)
+	next     int         // next index to assign (under turn and mu)
 	emitting bool        // a goroutine is currently draining ready slots
 
 	stats *pipeline.Stats // run counters; Unresolved bumped at emission
@@ -134,8 +146,9 @@ type trackSlot struct {
 // minRing is the reorder ring's initial size.
 const minRing = 16
 
-func newStreamTracker(window int, sink ReportSink, stats *pipeline.Stats) *streamTracker {
+func newStreamTracker(window int, src AddressSource, sink ReportSink, stats *pipeline.Stats) *streamTracker {
 	return &streamTracker{
+		src:   src,
 		sink:  sink,
 		sem:   make(chan struct{}, window),
 		slots: make([]trackSlot, min(minRing, window)),
@@ -143,19 +156,36 @@ func newStreamTracker(window int, sink ReportSink, stats *pipeline.Stats) *strea
 	}
 }
 
-// acquire blocks until a window slot is free and returns the item index
-// assigned to the next fed address, growing the ring if the items in
-// flight no longer fit the starting one. Feeder-only.
-func (t *streamTracker) acquire() int {
+// pull blocks until a window slot is free, then takes the source's turn
+// for ONE address and assigns it the next item index, growing the ring if
+// the items in flight no longer fit the starting one. One, never a batch:
+// a source may withhold address k+1 until item k has been emitted (a query
+// service's closed-loop client), so a worker that kept pulling with k in
+// hand could wait forever. The window token is taken before the turn, and
+// handed back if the source is exhausted, so the turn is never held while
+// waiting for the sink; indices are assigned under the turn, so index
+// order is the order of the Next calls.
+func (t *streamTracker) pull() (idx int, addr etypes.Address, ok bool) {
 	t.sem <- struct{}{}
-	t.mu.Lock()
-	idx := t.next
-	if idx-t.base == len(t.slots) {
-		t.grow()
+	t.turn.Lock()
+	if !t.done {
+		addr, ok = t.src.Next()
+		t.done = !ok
 	}
-	t.next++
-	t.mu.Unlock()
-	return idx
+	if ok {
+		t.mu.Lock()
+		idx = t.next
+		if idx-t.base == len(t.slots) {
+			t.grow()
+		}
+		t.next++
+		t.mu.Unlock()
+	}
+	t.turn.Unlock()
+	if !ok {
+		<-t.sem
+	}
+	return idx, addr, ok
 }
 
 // grow replaces the starting ring by the whole window and re-seats the
@@ -181,7 +211,7 @@ func (t *streamTracker) slot(idx int) *trackSlot {
 
 // deliverReport lands the detection report for idx and declares how many
 // sub-analyses (pair + history) are still outstanding. It must be called
-// BEFORE the fan-out sends so the slot can never look complete early.
+// BEFORE the sub-analyses start so the slot can never look complete early.
 func (t *streamTracker) deliverReport(idx int, rep Report, outstanding int) {
 	t.mu.Lock()
 	s := t.slot(idx)

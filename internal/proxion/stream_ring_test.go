@@ -18,7 +18,8 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 	const window = 256
 	var emitted []int
 	maxRing := 0
-	tr := newStreamTracker(window, SinkFunc(func(it Item) {
+	endless := SourceFunc(func() (etypes.Address, bool) { return etypes.Address{}, true })
+	tr := newStreamTracker(window, endless, SinkFunc(func(it Item) {
 		if it.Report.Address != addrOf(it.Index) {
 			t.Errorf("item %d emitted with another item's report", it.Index)
 		}
@@ -28,9 +29,9 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 		t.Fatalf("ring starts at %d slots, want %d", len(tr.slots), minRing)
 	}
 
-	// The feeder runs ahead as far as the window lets it. One completer takes
+	// The puller runs ahead as far as the window lets it. One completer takes
 	// what it fed in batches (whole batches, so the item the window waits on
-	// is never parked while the feeder is blocked), shuffles each and lands
+	// is never parked while the puller is blocked), shuffles each and lands
 	// it from two goroutines at once.
 	fed := make(chan int, window)
 	var wg sync.WaitGroup
@@ -63,7 +64,7 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 		flush()
 	}()
 	for i := 0; i < 3*window; i++ {
-		idx := tr.acquire()
+		idx, _, _ := tr.pull()
 		tr.mu.Lock()
 		if len(tr.slots) > maxRing {
 			maxRing = len(tr.slots)
@@ -90,9 +91,9 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 	}
 
 	// One item at a time: the window is never approached, the ring stays put.
-	one := newStreamTracker(4096, SinkFunc(func(Item) {}), nil)
+	one := newStreamTracker(4096, endless, SinkFunc(func(Item) {}), nil)
 	for i := 0; i < 100; i++ {
-		idx := one.acquire()
+		idx, _, _ := one.pull()
 		one.deliverReport(idx, Report{}, 0)
 	}
 	if len(one.slots) != minRing {

@@ -20,7 +20,7 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 	want := proxion.NewDetector(pop.Chain).AnalyzeAll(pop.Registry)
 	want.Stats = nil
 
-	for _, window := range []int{1, 3, 64, 4096} {
+	for _, window := range []int{1, 3, 64, 4096, 0} {
 		sink := proxion.NewCollectSink()
 		d := proxion.NewDetector(pop.Chain)
 		d.AnalyzeStream(proxion.SliceSource(pop.Chain.Contracts()), pop.Registry, sink,
@@ -46,7 +46,7 @@ func TestAnalyzeStreamEmitsInSourceOrder(t *testing.T) {
 	})
 	proxion.NewDetector(pop.Chain).AnalyzeStream(
 		proxion.SliceSource(pop.Chain.Contracts()), pop.Registry, sink,
-		proxion.AnalyzeOptions{Window: 4, ProbeWorkers: 8, PairWorkers: 8})
+		proxion.AnalyzeOptions{Window: 4, Workers: 8})
 	if want := len(pop.Chain.Contracts()); next != want {
 		t.Fatalf("emitted %d items, want %d", next, want)
 	}
@@ -54,43 +54,53 @@ func TestAnalyzeStreamEmitsInSourceOrder(t *testing.T) {
 
 // TestAnalyzeStreamWindowBoundsInFlight is the backpressure contract: the
 // number of addresses pulled from the source but not yet emitted to the
-// sink never exceeds the window (+1 for the address the feeder holds
-// while waiting on a slot). A deliberately slow sink forces the pipeline
-// to run window-limited the whole time.
+// sink never exceeds the window — a worker takes its window slot before it
+// asks the source, so there is no "+1 in hand". The sink blocks on item
+// blockAt until the source has been asked as often as the window allows;
+// asking once more fails the test at the pull, at any worker count.
 func TestAnalyzeStreamWindowBoundsInFlight(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 5, Contracts: 300})
 	addrs := pop.Chain.Contracts()
-	const window = 8
+	const window, blockAt = 8, 100
 
-	var pulled, emitted atomic.Int64
-	i := 0
-	src := proxion.SourceFunc(func() (etypes.Address, bool) {
-		if i >= len(addrs) {
-			return etypes.Address{}, false
-		}
-		a := addrs[i]
-		i++
-		pulled.Add(1)
-		return a, true
-	})
-	maxInFlight := int64(0)
-	sink := proxion.SinkFunc(func(proxion.Item) {
-		if f := pulled.Load() - emitted.Load(); f > maxInFlight {
-			maxInFlight = f
-		}
-		if emitted.Load()%50 == 0 {
-			time.Sleep(2 * time.Millisecond) // let upstream run ahead if it can
-		}
-		emitted.Add(1)
-	})
+	for _, workers := range engineMatrix.workers {
+		var pulled, emitted atomic.Int64
+		saturated := make(chan struct{})
+		i := 0
+		src := proxion.SourceFunc(func() (etypes.Address, bool) {
+			if i >= len(addrs) {
+				return etypes.Address{}, false
+			}
+			a := addrs[i]
+			i++
+			p := pulled.Add(1)
+			if f := p - emitted.Load(); f > window {
+				t.Errorf("workers %d: pull %d with %d contracts in flight, window is %d", workers, p, f, window)
+			}
+			if p == blockAt+window {
+				close(saturated)
+			}
+			return a, true
+		})
+		sink := proxion.SinkFunc(func(it proxion.Item) {
+			// One worker cannot pull while it sits in the sink; with more,
+			// the others must run exactly to the window's edge and stop.
+			if it.Index == blockAt && workers > 1 {
+				select {
+				case <-saturated:
+				case <-time.After(30 * time.Second):
+					t.Errorf("workers %d: source asked %d times with item %d blocked in the sink, want %d",
+						workers, pulled.Load(), blockAt, blockAt+window)
+				}
+			}
+			emitted.Add(1)
+		})
 
-	proxion.NewDetector(pop.Chain).AnalyzeStream(src, pop.Registry, sink,
-		proxion.AnalyzeOptions{Window: window})
-	if emitted.Load() != int64(len(addrs)) {
-		t.Fatalf("emitted %d, want %d", emitted.Load(), len(addrs))
-	}
-	if maxInFlight > window+1 {
-		t.Fatalf("in-flight reached %d, window bound is %d", maxInFlight, window+1)
+		proxion.NewDetector(pop.Chain).AnalyzeStream(src, pop.Registry, sink,
+			proxion.AnalyzeOptions{Window: window, Workers: workers})
+		if emitted.Load() != int64(len(addrs)) {
+			t.Fatalf("workers %d: emitted %d, want %d", workers, emitted.Load(), len(addrs))
+		}
 	}
 }
 
@@ -162,15 +172,22 @@ func TestAnalyzeStreamWithHistory(t *testing.T) {
 }
 
 // TestAnalyzeStreamEmptySource: a source that is empty from the first
-// pull completes cleanly with zero emissions.
+// pull completes cleanly with zero emissions, and is asked exactly once
+// however many workers find it exhausted.
 func TestAnalyzeStreamEmptySource(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 1, Contracts: 20})
-	count := 0
+	count, asked := 0, 0
 	snap := proxion.NewDetector(pop.Chain).AnalyzeStream(
-		proxion.SliceSource(nil), pop.Registry,
+		proxion.SourceFunc(func() (etypes.Address, bool) {
+			asked++
+			return etypes.Address{}, false
+		}), pop.Registry,
 		proxion.SinkFunc(func(proxion.Item) { count++ }),
-		proxion.AnalyzeOptions{})
+		proxion.AnalyzeOptions{Workers: 8})
 	if count != 0 || snap.Contracts != 0 {
 		t.Fatalf("empty source: emitted=%d scanned=%d, want 0/0", count, snap.Contracts)
+	}
+	if asked != 1 {
+		t.Fatalf("source asked %d times after reporting end of stream, want 1", asked)
 	}
 }

@@ -150,7 +150,7 @@ func TestBoundedCacheHitAccounting(t *testing.T) {
 		}
 		return c
 	}
-	serial := AnalyzeOptions{FilterWorkers: 1, ProbeWorkers: 1, ClassifyWorkers: 1, PairWorkers: 1}
+	serial := AnalyzeOptions{Workers: 1}
 
 	thrashOpts := serial
 	thrashOpts.CacheCapacity = 1

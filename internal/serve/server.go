@@ -195,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 
 // runShard drives one shard's AnalyzeStream for the server's lifetime.
 // The stream ends when the request channel closes (Close drains it:
-// buffered requests are still analyzed before the feeder sees the close).
+// buffered requests are still analyzed before a worker sees the close).
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
 	src := proxion.SourceFunc(func() (etypes.Address, bool) {
