@@ -49,10 +49,12 @@ race:
 
 # Streaming-engine gate: the tests whose outcome depends on how the
 # scheduler interleaves the workers (one address per turn, window bound,
-# ordered emission, cancel, goroutine accounting), repeated under the race
-# detector. -race reports neither a hang nor a leak: the timeout does.
+# ordered emission, cancel, goroutine accounting) or on goroutines sharing a
+# per-bytecode record (concurrent artifact fill, LRU eviction, the probe's
+# halt), repeated under the race detector. -race reports neither a hang nor
+# a leak: the timeout does.
 engine:
-	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window' ./internal/proxion ./internal/pipeline
+	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt' ./internal/proxion ./internal/pipeline
 
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
@@ -132,4 +134,6 @@ fuzz:
 	go test ./internal/evm -run '^$$' -fuzz FuzzExecuteArbitraryBytecode -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzProxyProbe -fuzztime $(FUZZTIME)
 	go test ./internal/evm/parity -run '^$$' -fuzz FuzzInterpParity -fuzztime $(FUZZTIME)
+	go test ./internal/evm/parity -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
+	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)

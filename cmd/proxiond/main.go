@@ -67,7 +67,7 @@ func run() error {
 	storeDir := flag.String("store", "", "verdict store directory (empty = no persistence)")
 	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
 	window := flag.Int("window", 0, "per-shard in-flight window (0 = engine default)")
-	cacheCap := flag.Int("cache-capacity", 0, "per-shard verdict-cache LRU bound (0 = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "per-shard LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
 	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
 	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")

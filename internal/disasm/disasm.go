@@ -80,25 +80,67 @@ func ContainsOp(code []byte, op evm.Op) bool {
 	return false
 }
 
+// Scan is what one pass over the instruction boundaries of a bytecode
+// learns about it, without materialising an instruction stream: the facts
+// the analyzer asks of every bytecode it probes or pairs.
+type Scan struct {
+	// Push4 is Push4Candidates(code).
+	Push4 [][4]byte
+	// Selectors is DispatcherSelectors(code).
+	Selectors [][4]byte
+	// StorageOps reports that an SLOAD or SSTORE instruction exists.
+	StorageOps bool
+}
+
+// ScanCode makes that one pass. Both lists keep first-seen order.
+func ScanCode(code []byte) Scan {
+	// The lists are short (a contract's functions plus a few constants):
+	// collect on the stack, de-duplicate by looking, copy out once.
+	var push4Buf, selBuf [32][4]byte
+	push4, sels := push4Buf[:0], selBuf[:0]
+	storageOps := false
+	for pc := 0; pc < len(code); {
+		op := evm.Op(code[pc])
+		switch op {
+		case evm.PUSH4:
+			// Cut short by the end of code, the immediate reads zero-padded,
+			// as the interpreter and Disassemble read it.
+			var sel [4]byte
+			copy(sel[:], code[pc+1:])
+			push4 = appendDistinct(push4, sel)
+			if _, _, ok := dispatcherJump(code, pc+5); ok {
+				sels = appendDistinct(sels, sel)
+			}
+		case evm.SLOAD, evm.SSTORE:
+			storageOps = true
+		}
+		pc += 1 + op.PushSize()
+	}
+	return Scan{Push4: copyOut(push4), Selectors: copyOut(sels), StorageOps: storageOps}
+}
+
+func appendDistinct(list [][4]byte, sel [4]byte) [][4]byte {
+	for _, have := range list {
+		if have == sel {
+			return list
+		}
+	}
+	return append(list, sel)
+}
+
+// copyOut moves a scratch list to the heap at its exact size (nil if empty).
+func copyOut(list [][4]byte) [][4]byte {
+	if len(list) == 0 {
+		return nil
+	}
+	return append(make([][4]byte, 0, len(list)), list...)
+}
+
 // Push4Candidates returns every distinct 4-byte immediate following a PUSH4
 // opcode. Not all of these are function selectors (arbitrary constants also
 // use PUSH4) — Proxion uses this over-approximation to pick call data that
 // avoids every candidate (Section 4.2).
-func Push4Candidates(code []byte) [][4]byte {
-	seen := make(map[[4]byte]struct{})
-	var out [][4]byte
-	for _, ins := range Disassemble(code) {
-		if ins.Op == evm.PUSH4 && len(ins.Imm) == 4 {
-			var sel [4]byte
-			copy(sel[:], ins.Imm)
-			if _, dup := seen[sel]; !dup {
-				seen[sel] = struct{}{}
-				out = append(out, sel)
-			}
-		}
-	}
-	return out
-}
+func Push4Candidates(code []byte) [][4]byte { return ScanCode(code).Push4 }
 
 // DispatcherSelectors extracts the 4-byte function signatures that the
 // contract's selector dispatcher compares against. It matches the code
@@ -111,92 +153,61 @@ func Push4Candidates(code []byte) [][4]byte {
 // whose value never feeds an EQ+JUMPI comparison is treated as data, which
 // is what lets this analysis avoid the false positives of the naive
 // any-PUSH4 approach (Section 3.1).
-func DispatcherSelectors(code []byte) [][4]byte {
-	instrs := Disassemble(code)
-	seen := make(map[[4]byte]struct{})
-	var out [][4]byte
-	for i, ins := range instrs {
-		if ins.Op != evm.PUSH4 || len(ins.Imm) != 4 {
-			continue
-		}
-		if !comparisonFeedsJump(instrs, i) {
-			continue
-		}
-		var sel [4]byte
-		copy(sel[:], ins.Imm)
-		if _, dup := seen[sel]; !dup {
-			seen[sel] = struct{}{}
-			out = append(out, sel)
-		}
-	}
-	return out
-}
+func DispatcherSelectors(code []byte) [][4]byte { return ScanCode(code).Selectors }
 
 // DispatcherTargets maps each dispatcher-compared selector to the code
 // offset its JUMPI branches to — the entry point of the function's body.
 // This is how per-function analyses (e.g. attributing storage accesses to
 // the function that performs them) segment bytecode without source.
 func DispatcherTargets(code []byte) map[[4]byte]uint64 {
-	instrs := Disassemble(code)
 	out := make(map[[4]byte]uint64)
-	for i, ins := range instrs {
-		if ins.Op != evm.PUSH4 || len(ins.Imm) != 4 {
-			continue
-		}
-		if !comparisonFeedsJump(instrs, i) {
-			continue
-		}
-		// The jump-target push is the last PUSH before the JUMPI.
-		var target uint64
-		found := false
-		for j := i + 1; j < len(instrs) && j <= i+6; j++ {
-			op := instrs[j].Op
-			if op.IsPush() {
-				target = 0
-				for _, b := range instrs[j].Imm {
-					target = target<<8 | uint64(b)
+	for pc := 0; pc < len(code); {
+		op := evm.Op(code[pc])
+		if op == evm.PUSH4 {
+			if target, pushed, ok := dispatcherJump(code, pc+5); ok && pushed {
+				var sel [4]byte
+				copy(sel[:], code[pc+1:])
+				if _, dup := out[sel]; !dup {
+					out[sel] = target
 				}
-				found = true
-			}
-			if op == evm.JUMPI {
-				break
 			}
 		}
-		if !found {
-			continue
-		}
-		var sel [4]byte
-		copy(sel[:], ins.Imm)
-		if _, dup := out[sel]; !dup {
-			out[sel] = target
-		}
+		pc += 1 + op.PushSize()
 	}
 	return out
 }
 
-// comparisonFeedsJump reports whether the PUSH4 at index i is followed,
-// within a small window, by an EQ (or SUB used as inequality test) whose
-// result reaches a JUMPI. Stack-neutral shuffles (DUPn, SWAPn) are allowed
-// inside the window.
-func comparisonFeedsJump(instrs []Instruction, i int) bool {
+// dispatcherJump reports whether the instructions from pc on — what follows
+// a PUSH4 — compare (EQ, or SUB used as an inequality test) and reach a
+// JUMPI within a small window; stack-neutral shuffles (DUPn, SWAPn),
+// polarity flips (ISZERO) and the jump-target push are allowed in between,
+// anything else is not a dispatcher entry. target is the value of the last
+// PUSH before the JUMPI, if one was pushed.
+func dispatcherJump(code []byte, pc int) (target uint64, pushed, ok bool) {
 	const window = 6
 	sawCompare := false
-	for j := i + 1; j < len(instrs) && j <= i+window; j++ {
-		op := instrs[j].Op
+	for n := 0; n < window && pc < len(code); n++ {
+		op := evm.Op(code[pc])
+		size := op.PushSize()
 		switch {
 		case op == evm.EQ || op == evm.SUB:
 			sawCompare = true
 		case op == evm.JUMPI:
-			return sawCompare
+			return target, pushed, sawCompare
 		case op.IsDup() || op.IsSwap() || op == evm.ISZERO:
-			// Stack shuffles and polarity flips are fine.
-		case op.IsPush():
-			// The jump-target push.
+		case size > 0:
+			// A push cut short by the end of code has no JUMPI after it,
+			// so only whole immediates are ever returned.
+			target, pushed = 0, true
+			for _, b := range code[pc+1 : min(pc+1+size, len(code))] {
+				target = target<<8 | uint64(b)
+			}
 		default:
-			return false
+			return 0, false, false
 		}
+		pc += 1 + size
 	}
-	return false
+	return 0, false, false
 }
 
 // minimalProxyPrefix and minimalProxySuffix frame the EIP-1167 runtime:

@@ -32,10 +32,9 @@ func FuzzDisassemble(f *testing.F) {
 			t.Fatalf("stream covers %d bytes of %d", pos, len(code))
 		}
 
-		// The derived analyses must not panic either.
-		disasm.Push4Candidates(code)
-		disasm.DispatcherSelectors(code)
-		disasm.DispatcherTargets(code)
+		// The byte scans must agree with the scanners over the decoded
+		// stream, and the other derived analyses must not panic either.
+		checkScanners(t, code)
 		disasm.BasicBlocks(code)
 		disasm.MinimalProxyTarget(code)
 		disasm.HardcodedAddresses(code)

@@ -123,3 +123,12 @@ type Tracer interface {
 	// CaptureExit fires when the frame ends, with its output and error.
 	CaptureExit(output []byte, err error)
 }
+
+// Halter is an optional extension of Tracer for an observer that can tell
+// when it has seen enough. The EVM asks right after every CaptureEnter;
+// once Halt reports true, the frame being entered is not run — its code is
+// not even loaded —, it and every enclosing frame end with ErrHalted (each
+// with its CaptureExit), and the outer call returns ErrHalted.
+type Halter interface {
+	Halt() bool
+}

@@ -17,4 +17,7 @@ var (
 	ErrInsufficientFund = errors.New("evm: insufficient balance for transfer")
 	ErrCodeSizeLimit    = errors.New("evm: created code exceeds size limit")
 	ErrStepLimit        = errors.New("evm: step limit exceeded")
+	// ErrHalted ends a run whose tracer asked to stop (Halter): every open
+	// frame unwinds with it, as with any other non-revert failure.
+	ErrHalted = errors.New("evm: halted by tracer")
 )

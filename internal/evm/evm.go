@@ -61,8 +61,10 @@ type Config struct {
 type EVM struct {
 	state StateDB
 	cfg   Config
-	depth int
-	steps uint64
+	// halter is cfg.Tracer's Halter side, nil if it has none.
+	halter Halter
+	depth  int
+	steps  uint64
 }
 
 // New returns an EVM executing against state with the given configuration.
@@ -70,7 +72,23 @@ func New(state StateDB, cfg Config) *EVM {
 	if cfg.StepLimit == 0 {
 		cfg.StepLimit = defaultStepLimit
 	}
-	return &EVM{state: state, cfg: cfg}
+	e := &EVM{state: state, cfg: cfg}
+	e.halter, _ = cfg.Tracer.(Halter)
+	return e
+}
+
+// enter reports a new frame to the tracer and returns whether the tracer
+// halts the run at it, in which case the frame's exit has been reported too.
+func (e *EVM) enter(kind CallKind, from, to etypes.Address, input []byte, value u256.Int) (halted bool) {
+	if e.cfg.Tracer == nil {
+		return false
+	}
+	e.cfg.Tracer.CaptureEnter(kind, from, to, input, value)
+	if e.halter == nil || !e.halter.Halt() {
+		return false
+	}
+	e.cfg.Tracer.CaptureExit(nil, ErrHalted)
+	return true
 }
 
 // StateDB returns the underlying state, for tracers that need extra context.
@@ -184,8 +202,8 @@ func (e *EVM) call(kind CallKind, initiator, caller, self, codeAddr etypes.Addre
 		return CallResult{GasLeft: gas, Err: ErrInsufficientFund}
 	}
 
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.CaptureEnter(kind, initiator, codeAddr, input, value)
+	if e.enter(kind, initiator, codeAddr, input, value) {
+		return CallResult{Err: ErrHalted}
 	}
 
 	// Precompiled contracts execute natively: no frame, no storage.
@@ -280,8 +298,8 @@ func (e *EVM) create(kind CallKind, caller, addr etypes.Address, initCode []byte
 	if !value.IsZero() && !e.cfg.Lenient && e.state.GetBalance(caller).Lt(value) {
 		return CreateResult{GasLeft: gas, Err: ErrInsufficientFund}
 	}
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.CaptureEnter(kind, caller, addr, initCode, value)
+	if e.enter(kind, caller, addr, initCode, value) {
+		return CreateResult{Err: ErrHalted}
 	}
 	snapshot := e.state.Snapshot()
 	e.state.SetNonce(caller, e.state.GetNonce(caller)+1)

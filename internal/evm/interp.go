@@ -522,6 +522,9 @@ func (e *EVM) opCreate(f *Frame, op Op) error {
 	} else {
 		res = e.Create(f.address, initCode, childGas, value)
 	}
+	if res.Err == ErrHalted {
+		return ErrHalted
+	}
 	f.gas += res.GasLeft
 	f.returnData = nil
 	if res.Err != nil {
@@ -595,6 +598,9 @@ func (e *EVM) opCall(f *Frame, op Op) error {
 		res = e.call(CallKindDelegateCall, f.address, f.caller, f.address, addr, input, childGas, f.value, f.static)
 	case STATICCALL:
 		res = e.call(CallKindStaticCall, f.address, f.address, addr, addr, input, childGas, u256.Zero(), true)
+	}
+	if res.Err == ErrHalted {
+		return ErrHalted
 	}
 	f.gas += res.GasLeft
 	f.returnData = res.Output

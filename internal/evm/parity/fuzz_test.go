@@ -61,3 +61,35 @@ func FuzzInterpParity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHaltParity is FuzzInterpParity with a tracer that halts the run at
+// its k-th frame: arbitrary bytecode installed beside a fixed call chain
+// (haltChain) it can DELEGATECALL or CALL into, both interpreters held in
+// lockstep and each against its own full run (CheckHalt). Registered in
+// `make fuzz`.
+func FuzzHaltParity(f *testing.F) {
+	f.Add(forwardingProxy(), []byte{0xab, 0xcd, 0xef, 0x01}, uint64(1_000_000), uint8(2))
+	f.Add(forwardingProxy(), []byte{}, uint64(1_000_000), uint8(4))
+	f.Add(forwardingProxy(), []byte{1}, uint64(40_000), uint8(3)) // runs out of gas near the halt
+	f.Add([]byte{0x00}, []byte{}, uint64(100_000), uint8(1))
+	f.Add([]byte{0x36, 0x3d, 0x3d, 0x37, 0xf4}, []byte{1, 2, 3, 4}, uint64(300_000), uint8(2))
+	c := gen.Generate(gen.Config{Seed: 2, Contracts: 12})
+	for i, l := range c.Labels {
+		f.Add(l.Code, proxion.CraftCallData(l.Address, l.Code), uint64(500_000), uint8(1+i%3))
+	}
+
+	f.Fuzz(func(t *testing.T, code, input []byte, gas uint64, k uint8) {
+		if len(code) > 24576 {
+			code = code[:24576]
+		}
+		spec := haltSpec(input, gas%2_000_000)
+		spec.StepLimit = 8_192
+		if ms := CheckHalt(haltChain(code), spec, 1+int(k%6)); len(ms) > 0 {
+			for _, m := range ms {
+				t.Errorf("%s", m)
+			}
+			t.Fatalf("halted runs diverge on code %x input %x gas %d frame %d",
+				code, input, gas%2_000_000, 1+int(k%6))
+		}
+	})
+}

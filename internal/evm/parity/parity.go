@@ -6,9 +6,10 @@
 // tree, outputs, errors, remaining gas, and the exact sequence of state
 // mutations. A third run exercises the fused (untraced) fast path, whose
 // superinstructions are invisible to tracers by design, against the
-// reference outcome. The oracle layer (gen/oracle.CheckInterpParity) and
-// FuzzInterpParity drive this over the generator taxonomy and arbitrary
-// bytecode respectively.
+// reference outcome. CheckHalt does the same for a run its tracer cuts
+// short (evm.Halter). The oracle layer (gen/oracle.CheckInterpParity) and
+// FuzzInterpParity / FuzzHaltParity drive this over the generator taxonomy
+// and arbitrary bytecode respectively.
 package parity
 
 import (
@@ -32,6 +33,10 @@ type Spec struct {
 	// StepLimit caps each run (0 = 1<<16, small enough for sweeps).
 	StepLimit uint64
 	Lenient   bool
+	// HaltAt, when positive, makes the tracer of a traced run halt it
+	// (evm.Halter) at its HaltAt-th CaptureEnter, the outer call being the
+	// first.
+	HaltAt int
 }
 
 // Outcome is everything observable about one run.
@@ -42,6 +47,9 @@ type Outcome struct {
 	Steps   []evm.StructLog  // populated on traced runs
 	Calls   []evm.CallRecord // populated on traced runs
 	Events  []string         // state mutations, in order
+	// Exits counts the CaptureExit calls of a traced run; every frame in
+	// Calls must have had one.
+	Exits int
 }
 
 // Mismatch is one observable difference between two runs.
@@ -76,10 +84,13 @@ func Run(state evm.StateDB, spec Spec, mode evm.InterpMode, traced bool) Outcome
 		Lenient:   spec.Lenient,
 		Interp:    mode,
 	}
-	var logger *evm.StructLogger
+	var logger *exitCounter
 	if traced {
-		logger = &evm.StructLogger{MaxEntries: int(stepLimit) + 64}
-		cfg.Tracer = logger
+		logger = &exitCounter{StructLogger: &evm.StructLogger{MaxEntries: int(stepLimit) + 64}}
+		cfg.Tracer = logger // no Halter for the EVM to find
+		if spec.HaltAt > 0 {
+			cfg.Tracer = &haltingLogger{logger, spec.HaltAt}
+		}
 	}
 	e := evm.New(rec, cfg)
 	res := e.Call(spec.Caller, spec.To, spec.Input, spec.Gas, spec.Value)
@@ -93,9 +104,30 @@ func Run(state evm.StateDB, spec Spec, mode evm.InterpMode, traced bool) Outcome
 	if logger != nil {
 		out.Steps = logger.Logs()
 		out.Calls = logger.Calls()
+		out.Exits = logger.exits
 	}
 	return out
 }
+
+// exitCounter is a StructLogger that counts the exits reported to it.
+type exitCounter struct {
+	*evm.StructLogger
+	exits int
+}
+
+func (c *exitCounter) CaptureExit(output []byte, err error) {
+	c.exits++
+	c.StructLogger.CaptureExit(output, err)
+}
+
+// haltingLogger asks the EVM to stop at the haltAt-th CaptureEnter.
+type haltingLogger struct {
+	*exitCounter
+	haltAt int
+}
+
+// Halt implements evm.Halter.
+func (h *haltingLogger) Halt() bool { return len(h.Calls()) >= h.haltAt }
 
 // Check runs spec under both interpreters and returns every divergence.
 // Three runs: reference traced, fast traced (compared step-by-step against
@@ -108,6 +140,66 @@ func Check(state evm.StateDB, spec Spec) []Mismatch {
 
 	fused := Run(state, spec, evm.InterpFast, false)
 	ms = append(ms, DiffOutcome("fast-fused", ref, fused)...)
+	return ms
+}
+
+// CheckHalt runs spec under both interpreters with a tracer that halts the
+// run at its k-th CaptureEnter (k >= 1) and returns every divergence: the
+// two halted runs are held in lockstep like any traced pair, and each is
+// held against the same interpreter's full run, of which it must be the
+// beginning — the same steps up to the halt, the same first k frames, an
+// exit for every frame entered, ErrHalted on the frame halted at and as the
+// outer result. A run that enters fewer than k frames must not notice.
+func CheckHalt(state evm.StateDB, spec Spec, k int) []Mismatch {
+	spec.HaltAt = k
+	ref := Run(state, spec, evm.InterpReference, true)
+	fast := Run(state, spec, evm.InterpFast, true)
+	ms := DiffLockstep("halt-fast-traced", ref, fast)
+
+	spec.HaltAt = 0
+	ms = append(ms, diffHalted("halt-reference", Run(state, spec, evm.InterpReference, true), ref, k)...)
+	ms = append(ms, diffHalted("halt-fast", Run(state, spec, evm.InterpFast, true), fast, k)...)
+	return ms
+}
+
+// diffHalted compares a run halted at its k-th frame with the full run.
+func diffHalted(layer string, full, halted Outcome, k int) []Mismatch {
+	if len(full.Calls) < k {
+		return DiffLockstep(layer, full, halted)
+	}
+	var ms []Mismatch
+	if halted.Err != evm.ErrHalted {
+		ms = append(ms, Mismatch{layer, "error", fmt.Sprintf("halted run ended with %v", halted.Err)})
+	}
+	if len(halted.Calls) != k || halted.Exits != k {
+		ms = append(ms, Mismatch{layer, "calls",
+			fmt.Sprintf("halted at frame %d: %d entered, %d exited", k, len(halted.Calls), halted.Exits)})
+		return ms
+	}
+	for i, c := range halted.Calls {
+		want := full.Calls[i]
+		want.Err = c.Err // the frames open at the halt end differently
+		if !callEqual(want, c) {
+			ms = append(ms, Mismatch{layer, fmt.Sprintf("call %d", i),
+				fmt.Sprintf("full run %+v, halted run %+v", full.Calls[i], c)})
+		}
+	}
+	if last := halted.Calls[k-1]; last.Err != evm.ErrHalted {
+		ms = append(ms, Mismatch{layer, fmt.Sprintf("call %d", k-1),
+			fmt.Sprintf("the frame halted at exited with %v", last.Err)})
+	}
+	if len(halted.Steps) > len(full.Steps) {
+		ms = append(ms, Mismatch{layer, "steps",
+			fmt.Sprintf("halted run executed %d, full run %d", len(halted.Steps), len(full.Steps))})
+		return ms
+	}
+	for i, st := range halted.Steps {
+		if !stepEqual(full.Steps[i], st) {
+			ms = append(ms, Mismatch{layer, fmt.Sprintf("step %d", i),
+				fmt.Sprintf("full run %v, halted run %v", full.Steps[i], st)})
+			break
+		}
+	}
 	return ms
 }
 
@@ -148,6 +240,10 @@ func DiffLockstep(layer string, ref, got Outcome) []Mismatch {
 	if len(ref.Steps) != len(got.Steps) {
 		ms = append(ms, Mismatch{layer, "steps",
 			fmt.Sprintf("reference executed %d, got %d", len(ref.Steps), len(got.Steps))})
+	}
+	if ref.Exits != got.Exits {
+		ms = append(ms, Mismatch{layer, "exits",
+			fmt.Sprintf("reference exited %d frames, got %d", ref.Exits, got.Exits)})
 	}
 	if len(ref.Calls) != len(got.Calls) {
 		ms = append(ms, Mismatch{layer, "calls",

@@ -22,8 +22,10 @@ const interpStepLimit = 1 << 18
 // observables (see evm/parity). Each contract runs twice: once with the
 // detector's crafted unknown-selector probe — the exact call the
 // emulation layer issues — and once with empty calldata, which takes the
-// fallback path through dispatcher shapes. parity.Run snapshots and
-// reverts around each execution, so the corpus chain is unchanged.
+// fallback path through dispatcher shapes. The probe run is repeated with
+// a tracer that halts it where the detector's does (parity.CheckHalt).
+// parity.Run snapshots and reverts around each execution, so the corpus
+// chain is unchanged.
 func CheckInterpParity(c *gen.Corpus) []Mismatch {
 	var out []Mismatch
 	for _, l := range c.Labels {
@@ -43,7 +45,13 @@ func CheckInterpParity(c *gen.Corpus) []Mismatch {
 				StepLimit: interpStepLimit,
 				Lenient:   true,
 			}
-			for _, m := range parity.Check(c.Chain, spec) {
+			ms := parity.Check(c.Chain, spec)
+			if len(input) > 0 {
+				// The detector's tracer halts a proxy's probe at the first
+				// nested frame; both loops must unwind from there alike.
+				ms = append(ms, parity.CheckHalt(c.Chain, spec, 2)...)
+			}
+			for _, m := range ms {
 				out = append(out, Mismatch{Addr: l.Address, Layer: "interp",
 					Detail: l.Shape.String() + " input=" + inputKind(input) + ": " + m.String()})
 			}

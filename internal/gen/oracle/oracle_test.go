@@ -73,6 +73,23 @@ func TestOracleStreamingConfigs(t *testing.T) {
 	}
 }
 
+// TestOracleCacheParityBounded holds the cached engine against the uncached
+// one while CacheCapacity squeezes everything keyed by bytecode — verdicts,
+// clone families and per-bytecode artifacts — down to one entry, to four,
+// and not at all: an evicted artifact is rebuilt, never served stale.
+func TestOracleCacheParityBounded(t *testing.T) {
+	c := gen.Generate(gen.Config{Seed: 9, Contracts: 48})
+	for _, capacity := range []int{1, 4, 0} {
+		opts := proxion.AnalyzeOptions{CacheCapacity: capacity}
+		if ms := CheckCacheParity(c, opts); len(ms) > 0 {
+			t.Errorf("capacity=%d: %s", capacity, Format(c, ms))
+		}
+		if ms := CheckStreaming(c, SequentialReference(c), opts); len(ms) > 0 {
+			t.Errorf("capacity=%d: %s", capacity, Format(c, ms))
+		}
+	}
+}
+
 // TestMetamorphic applies every perturbation to every eligible label of a
 // few corpora and requires the invariants to hold — and the preconditions
 // to be met often enough that the layer is actually exercising something.

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/chain"
 	"repro/internal/disasm"
@@ -153,13 +154,12 @@ type Detector struct {
 	chain chain.Reader
 	// emulationGas bounds each emulation run.
 	emulationGas uint64
-	// selCache memoizes dispatcher-selector extraction by bytecode hash,
-	// exploiting the heavy duplication of deployed contracts (Figure 5).
-	selCache *selectorCache
-	// accessCache memoizes storage-access extraction by bytecode hash.
-	accessCache *accessCache
-	// viewCache memoizes per-bytecode selector views for pair analysis.
-	viewCache *viewCache
+	// artifacts holds, per bytecode hash, everything derived from the bytes
+	// without emulation (artifact.go), exploiting the heavy duplication of
+	// deployed contracts (Figure 5).
+	artifacts *artifactCache
+	// walks counts the disassemblies (disasm.BasicBlocks) artifacts cost.
+	walks atomic.Int64
 	// verdicts memoizes the emulation verdict per unique runtime bytecode
 	// — the streaming engine's biggest throughput lever, since 98.7% of
 	// deployed contracts are duplicates (Table 3 / Figure 5).
@@ -176,9 +176,7 @@ func NewDetector(c chain.Reader) *Detector {
 	return &Detector{
 		chain:        c,
 		emulationGas: 5_000_000,
-		selCache:     newSelectorCache(),
-		accessCache:  newAccessCache(),
-		viewCache:    newViewCache(),
+		artifacts:    newArtifactCache(),
 		verdicts:     newVerdictCache(),
 		structural:   newStructuralIndex(),
 	}
@@ -215,7 +213,11 @@ func (d *Detector) emulationContext() evm.BlockContext {
 // The remainder is a recognizable 32-byte probe payload so forwarding can
 // be verified byte-for-byte.
 func CraftCallData(addr etypes.Address, code []byte) []byte {
-	avoid := disasm.Push4Candidates(code)
+	return craftCallData(addr, disasm.Push4Candidates(code))
+}
+
+// craftCallData is CraftCallData given the code's PUSH4 immediates.
+func craftCallData(addr etypes.Address, avoid [][4]byte) []byte {
 	out := make([]byte, 4+32)
 
 	// Selector: keccak(addr || try)[:4] for the first try that clashes
@@ -265,7 +267,10 @@ type emulationTracer struct {
 	slotKnown bool
 }
 
-var _ evm.Tracer = (*emulationTracer)(nil)
+var (
+	_ evm.Tracer = (*emulationTracer)(nil)
+	_ evm.Halter = (*emulationTracer)(nil)
+)
 
 func (t *emulationTracer) CaptureStep(f *evm.Frame, pc uint64, op evm.Op) {
 	if op != evm.SLOAD || f.Address() != t.under {
@@ -305,6 +310,12 @@ func (t *emulationTracer) CaptureEnter(kind evm.CallKind, from, to etypes.Addres
 }
 
 func (t *emulationTracer) CaptureExit([]byte, error) {}
+
+// Halt stops the emulation at the forwarding DELEGATECALL: that is the
+// instant Section 4.2 defines the verdict by, and nothing the probe reports
+// (logic address, slot, guard slots) is read after it, so the logic
+// contract's code is neither loaded nor run.
+func (t *emulationTracer) Halt() bool { return t.forwarded }
 
 // probeSender is the synthetic externally owned account emulation calls from.
 var probeSender = etypes.MustAddress("0x00000000000000000000000000000000c0ffee00")
@@ -374,17 +385,26 @@ type probeOutcome struct {
 // code already passed the disassembly filter. The returned report carries
 // no Standard; classification is a separate (cached) pipeline stage.
 func (d *Detector) emulateProbe(addr etypes.Address, code, probe []byte) probeOutcome {
-	rep := Report{Address: addr, HasDelegateCall: true}
 	overlay := newOverlay(d.chain)
 	tracer := &emulationTracer{under: addr, probe: probe, state: overlay}
-	e := evm.New(overlay, evm.Config{
+	return d.probeThrough(overlay, tracer, tracer)
+}
+
+// probeThrough runs tracer's probe against state with observer as the EVM's
+// tracer and reads the outcome off tracer. observer is tracer itself, which
+// halts the run at its verdict — or, in tests, a wrapper hiding its Halter
+// side, which must change nothing but the work done.
+func (d *Detector) probeThrough(state evm.StateDB, observer evm.Tracer, tracer *emulationTracer) probeOutcome {
+	addr := tracer.under
+	rep := Report{Address: addr, HasDelegateCall: true}
+	e := evm.New(state, evm.Config{
 		Block:     d.emulationContext(),
 		Tx:        evm.TxContext{Origin: probeSender},
-		Tracer:    tracer,
+		Tracer:    observer,
 		Lenient:   true,
 		StepLimit: 1 << 18,
 	})
-	res := e.Call(probeSender, addr, probe, d.emulationGas, u256.Zero())
+	res := e.Call(probeSender, addr, tracer.probe, d.emulationGas, u256.Zero())
 
 	if !tracer.forwarded {
 		// A revert bubbled from a logic contract is normal; any terminal

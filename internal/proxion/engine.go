@@ -22,7 +22,7 @@ type resilienceSource interface {
 // AnalyzeOptions tunes the streaming analysis engine. The zero value
 // selects production defaults: one worker per processor, the
 // bytecode-dedup cache on, no history step, a reorder window of
-// DefaultWindow contracts, unbounded verdict cache.
+// DefaultWindow contracts, unbounded per-bytecode caches.
 type AnalyzeOptions struct {
 	// Workers is the number of goroutines analyzing contracts, each taking
 	// one address at a time through every step; zero means GOMAXPROCS. The
@@ -35,10 +35,12 @@ type AnalyzeOptions struct {
 	// corpus size — and the bound on how far a worker runs ahead of a peer
 	// holding a slow contract. Zero means DefaultWindow(Workers).
 	Window int
-	// CacheCapacity bounds the bytecode-dedup verdict cache to at most this
-	// many distinct code hashes, evicted least-recently-used. Zero keeps
-	// the cache unbounded (every unique bytecode is remembered for the
-	// whole run — fine for batch runs, not for million-contract streams).
+	// CacheCapacity bounds everything the detector keeps per bytecode —
+	// the dedup verdict cache, the structural clone families and the
+	// per-bytecode artifacts — to at most this many entries each, evicted
+	// least-recently-used. Zero keeps them unbounded (every unique bytecode
+	// is remembered for the whole run — fine for batch runs, not for
+	// million-contract streams).
 	CacheCapacity int
 	// DisableDedup turns off the bytecode-dedup verdict cache, probing
 	// every address with a fresh emulation — the ablation mode. It implies
@@ -197,6 +199,7 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 		d.verdicts.setCapacity(opts.CacheCapacity)
 		d.structural.setCapacity(opts.CacheCapacity)
 	}
+	d.artifacts.setCapacity(opts.CacheCapacity)
 	d.structuralOff = opts.DisableStructural
 
 	eng := pipeline.New()

@@ -1,6 +1,8 @@
 package proxion
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,43 +47,58 @@ func FunctionCollisionsSource(proxy, logic *solc.Contract) []FunctionCollision {
 // had (Table 1). Dispatcher-pattern extraction avoids the false positives
 // of treating every PUSH4 immediate as a signature.
 func FunctionCollisionsBytecode(proxyCode, logicCode []byte) []FunctionCollision {
-	return intersectSelectors(
-		disasm.DispatcherSelectors(proxyCode),
-		disasm.DispatcherSelectors(logicCode))
+	return FunctionCollisions(proxyCode, logicCode, nil, nil)
 }
 
-// selectorSets combines the available views: source prototypes when
-// present, dispatcher extraction otherwise.
+// selectorView is the function table of one contract as collision detection
+// sees it: source prototypes when present, dispatcher extraction otherwise.
 type selectorView struct {
+	// selectors is ascending; a source declaring two prototypes with one
+	// selector lists it twice.
 	selectors [][4]byte
-	protoOf   map[[4]byte]string
+	// protoOf names the selectors of a source view; nil for bytecode.
+	protoOf map[[4]byte]string
+}
+
+func compareSelectors(a, b [4]byte) int { return bytes.Compare(a[:], b[:]) }
+
+// sourceView is the selector view of a contract with verified source.
+func sourceView(src *solc.Contract) selectorView {
+	v := selectorView{protoOf: make(map[[4]byte]string)}
+	for _, proto := range src.Prototypes() {
+		sel := selectorOf(proto)
+		v.selectors = append(v.selectors, sel)
+		v.protoOf[sel] = proto
+	}
+	sortSelectors(v.selectors)
+	return v
+}
+
+// sortSelectors sorts sels in place and returns it.
+func sortSelectors(sels [][4]byte) [][4]byte {
+	slices.SortFunc(sels, compareSelectors)
+	return sels
 }
 
 func viewOf(code []byte, src *solc.Contract) selectorView {
 	if src != nil {
-		v := selectorView{protoOf: make(map[[4]byte]string)}
-		for _, proto := range src.Prototypes() {
-			sel := selectorOf(proto)
-			v.selectors = append(v.selectors, sel)
-			v.protoOf[sel] = proto
-		}
-		return v
+		return sourceView(src)
 	}
-	return selectorView{selectors: disasm.DispatcherSelectors(code)}
+	return selectorView{selectors: sortSelectors(disasm.DispatcherSelectors(code))}
 }
 
 // FunctionCollisions detects selector collisions for a proxy/logic pair
 // with any combination of source availability.
 func FunctionCollisions(proxyCode, logicCode []byte, proxySrc, logicSrc *solc.Contract) []FunctionCollision {
-	pv := viewOf(proxyCode, proxySrc)
-	lv := viewOf(logicCode, logicSrc)
-	logicSet := make(map[[4]byte]struct{}, len(lv.selectors))
-	for _, s := range lv.selectors {
-		logicSet[s] = struct{}{}
-	}
+	return collideViews(viewOf(proxyCode, proxySrc), viewOf(logicCode, logicSrc))
+}
+
+// collideViews returns the selectors of the proxy's view that the logic's
+// view holds too, in ascending order.
+func collideViews(pv, lv selectorView) []FunctionCollision {
 	var out []FunctionCollision
 	for _, s := range pv.selectors {
-		if _, ok := logicSet[s]; ok {
+		if _, ok := slices.BinarySearchFunc(lv.selectors, s, compareSelectors); ok {
 			out = append(out, FunctionCollision{
 				Selector:   s,
 				ProxyProto: pv.protoOf[s],
@@ -89,22 +106,6 @@ func FunctionCollisions(proxyCode, logicCode []byte, proxySrc, logicSrc *solc.Co
 			})
 		}
 	}
-	sortCollisions(out)
-	return out
-}
-
-func intersectSelectors(a, b [][4]byte) []FunctionCollision {
-	set := make(map[[4]byte]struct{}, len(b))
-	for _, s := range b {
-		set[s] = struct{}{}
-	}
-	var out []FunctionCollision
-	for _, s := range a {
-		if _, ok := set[s]; ok {
-			out = append(out, FunctionCollision{Selector: s})
-		}
-	}
-	sortCollisions(out)
 	return out
 }
 
@@ -131,90 +132,4 @@ func selectorOf(proto string) [4]byte {
 	sel := etypes.Keccak([]byte(proto)).SelectorBytes()
 	selectorMemo.Store(proto, sel)
 	return sel
-}
-
-// viewKey identifies one memoized selector view: the bytecode hash plus the
-// resolved source contract (distinct sources over identical bytecode get
-// distinct entries; the pointer is a stable identity within one registry).
-type viewKey struct {
-	hash etypes.Hash
-	src  *solc.Contract
-}
-
-// viewCache memoizes viewOf per (bytecode, source) — the duplicate-heavy
-// landscape reuses the same logic contract across hundreds of pairs.
-type viewCache struct {
-	mu sync.Mutex
-	m  map[viewKey]selectorView
-}
-
-func newViewCache() *viewCache {
-	return &viewCache{m: make(map[viewKey]selectorView)}
-}
-
-func (c *viewCache) get(hash etypes.Hash, code []byte, src *solc.Contract) selectorView {
-	k := viewKey{hash: hash, src: src}
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = viewOf(code, src)
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
-	return v
-}
-
-// functionCollisions is FunctionCollisions with the per-bytecode views
-// served from the detector's memo.
-func (d *Detector) functionCollisions(proxyHash, logicHash etypes.Hash, proxyCode, logicCode []byte, proxySrc, logicSrc *solc.Contract) []FunctionCollision {
-	pv := d.viewCache.get(proxyHash, proxyCode, proxySrc)
-	lv := d.viewCache.get(logicHash, logicCode, logicSrc)
-	logicSet := make(map[[4]byte]struct{}, len(lv.selectors))
-	for _, s := range lv.selectors {
-		logicSet[s] = struct{}{}
-	}
-	var out []FunctionCollision
-	for _, s := range pv.selectors {
-		if _, ok := logicSet[s]; ok {
-			out = append(out, FunctionCollision{
-				Selector:   s,
-				ProxyProto: pv.protoOf[s],
-				LogicProto: lv.protoOf[s],
-			})
-		}
-	}
-	sortCollisions(out)
-	return out
-}
-
-// selectorCache memoizes dispatcher extraction by code hash. The paper
-// exploits the extreme duplication of deployed bytecode (Figure 5) the same
-// way: identical contracts are analyzed once.
-type selectorCache struct {
-	mu sync.Mutex
-	m  map[etypes.Hash][][4]byte
-}
-
-func newSelectorCache() *selectorCache {
-	return &selectorCache{m: make(map[etypes.Hash][][4]byte)}
-}
-
-// get returns the dispatcher selectors for code, computing them at most
-// once per distinct bytecode.
-func (c *selectorCache) get(code []byte) [][4]byte {
-	h := etypes.Keccak(code)
-	c.mu.Lock()
-	cached, ok := c.m[h]
-	c.mu.Unlock()
-	if ok {
-		return cached
-	}
-	sels := disasm.DispatcherSelectors(code)
-	c.mu.Lock()
-	c.m[h] = sels
-	c.mu.Unlock()
-	return sels
 }

@@ -229,9 +229,7 @@ func (e *CacheEntry) UnmarshalBinary(data []byte) error {
 // observing the finished item satisfies this); the call synchronizes with
 // the recording goroutine through the entry's once.
 func (d *Detector) ExportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
-	d.verdicts.mu.Lock()
-	e, ok := d.verdicts.m[codeHash]
-	d.verdicts.mu.Unlock()
+	e, ok := d.verdicts.peek(codeHash)
 	if !ok {
 		return CacheEntry{}, false
 	}
@@ -242,12 +240,7 @@ func (d *Detector) ExportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
 // hash for deterministic output. Intended for quiescent detectors (after a
 // run has drained); see ExportVerdict for the synchronization contract.
 func (d *Detector) ExportVerdicts() []CacheEntry {
-	d.verdicts.mu.Lock()
-	hashes := make([]etypes.Hash, 0, len(d.verdicts.m))
-	for h := range d.verdicts.m {
-		hashes = append(hashes, h)
-	}
-	d.verdicts.mu.Unlock()
+	hashes := d.verdicts.keys()
 	sort.Slice(hashes, func(i, j int) bool {
 		return bytes.Compare(hashes[i][:], hashes[j][:]) < 0
 	})
@@ -325,7 +318,9 @@ func (d *Detector) ImportVerdicts(entries []CacheEntry) int {
 		}
 		// Mark the entry recorded: lookups must go straight to byFP.
 		cv.once.Do(func() {})
-		if d.verdicts.install(ent.CodeHash, cv) {
+		// An existing record wins: live state is never clobbered by a
+		// (possibly stale) persisted one.
+		if d.verdicts.add(ent.CodeHash, cv) {
 			installed++
 		}
 	}

@@ -1,0 +1,387 @@
+package proxion
+
+import (
+	"sort"
+
+	"repro/internal/disasm"
+	"repro/internal/etypes"
+	"repro/internal/evm"
+	"repro/internal/u256"
+)
+
+// This file freezes the storage slicer and the collision grouping as they
+// stood before the per-bytecode artifact (PR 19). They are the oracles the
+// differential tests in artifact_test.go and collision_join_test.go hold
+// the shipped code against; nothing outside tests calls them.
+
+// Symbolic value kinds of the reference evaluator.
+type refSymKind int
+
+const (
+	refUnknown refSymKind = iota
+	refConst
+	refCaller
+	refCalldata
+	refSload        // (possibly shifted/masked) SLOAD result
+	refWriteCombine // AND(old, keepMask) — the read-modify-write skeleton
+)
+
+// refSym is an abstract stack value.
+type refSym struct {
+	kind refSymKind
+	val  u256.Int // for refConst
+	// acc points at the StorageAccess a refSload descends from, so later
+	// mask/branch/compare instructions can refine or tag it.
+	acc *StorageAccess
+	// keep is the retained-bits mask for refWriteCombine.
+	keep u256.Int
+	// shift tracks SHR offset applied to a refSload before masking.
+	shift int
+	// masked records that a field-extraction AND was applied.
+	masked bool
+	// taint propagates msg.sender / call-data influence.
+	taint bool
+}
+
+// refExtractStorageAccesses is ExtractStorageAccesses as it was before the
+// per-bytecode artifact: every block evaluated, a fresh stack and a pointer
+// per access for each, sort.Slice and a map to de-duplicate.
+func refExtractStorageAccesses(code []byte) []StorageAccess {
+	var out []StorageAccess
+	for _, block := range disasm.BasicBlocks(code) {
+		out = append(out, refEvalBlock(block)...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Slot != out[j].Slot {
+			return refLessHash(out[i].Slot, out[j].Slot)
+		}
+		if out[i].Offset != out[j].Offset {
+			return out[i].Offset < out[j].Offset
+		}
+		return out[i].Kind < out[j].Kind
+	})
+	return refDedupAccesses(out)
+}
+
+func refLessHash(a, b etypes.Hash) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+func refDedupAccesses(in []StorageAccess) []StorageAccess {
+	var out []StorageAccess
+	seen := make(map[StorageAccess]struct{})
+	for _, a := range in {
+		if _, dup := seen[a]; !dup {
+			seen[a] = struct{}{}
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// refEvalBlock symbolically executes one basic block with an empty entry stack
+// (cross-block stack contents appear as unknowns) and returns the accesses
+// it performs.
+func refEvalBlock(block disasm.BasicBlock) []StorageAccess {
+	var accesses []*StorageAccess
+	var stack []refSym
+
+	push := func(s refSym) { stack = append(stack, s) }
+	pop := func() refSym {
+		if len(stack) == 0 {
+			return refSym{kind: refUnknown}
+		}
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		return s
+	}
+
+	for _, ins := range block.Instrs {
+		op := ins.Op
+		switch {
+		case op.IsPush():
+			push(refSym{kind: refConst, val: u256.FromBytes(ins.Imm)})
+			continue
+		case op == evm.PUSH0:
+			push(refSym{kind: refConst})
+			continue
+		case op.IsDup():
+			n := int(op-evm.DUP1) + 1
+			if n <= len(stack) {
+				push(stack[len(stack)-n])
+			} else {
+				push(refSym{kind: refUnknown})
+			}
+			continue
+		case op.IsSwap():
+			n := int(op-evm.SWAP1) + 1
+			if n < len(stack) {
+				top := len(stack) - 1
+				stack[top], stack[top-n] = stack[top-n], stack[top]
+			}
+			continue
+		}
+
+		switch op {
+		case evm.CALLER:
+			push(refSym{kind: refCaller, taint: true})
+		case evm.CALLDATALOAD:
+			pop()
+			push(refSym{kind: refCalldata, taint: true})
+		case evm.SLOAD:
+			key := pop()
+			if key.kind == refConst {
+				acc := &StorageAccess{
+					Slot:   etypes.HashFromWord(key.val),
+					Offset: 0,
+					Size:   32,
+					Kind:   AccessRead,
+					PC:     ins.PC,
+				}
+				accesses = append(accesses, acc)
+				push(refSym{kind: refSload, acc: acc})
+			} else {
+				push(refSym{kind: refUnknown})
+			}
+		case evm.SHR:
+			shift, x := pop(), pop()
+			if x.kind == refSload && shift.kind == refConst && shift.val.IsUint64() {
+				x.shift += int(shift.val.Uint64())
+				push(x)
+			} else {
+				push(refSym{kind: refUnknown, taint: x.taint})
+			}
+		case evm.SHL:
+			shift, x := pop(), pop()
+			_ = shift
+			push(refSym{kind: refUnknown, taint: x.taint, acc: x.acc})
+		case evm.AND:
+			a, b := pop(), pop()
+			// Normalize: s = the sload/derived side, m = the mask side.
+			s, m := a, b
+			if s.kind != refSload {
+				s, m = b, a
+			}
+			if s.kind == refSload && m.kind == refConst {
+				// Field-extraction masks start at bit 0 (they follow the
+				// SHR); a mask whose ones start higher is a read-modify-
+				// write keep mask, whose complement is the written field.
+				if off, size, ok := lowRunMask(m.val); ok && off == 0 {
+					// Field read: refine the recorded access. (If this value
+					// is later OR-combined, the OR rule reinterprets it as a
+					// read-modify-write keep mask — the two shapes coincide
+					// for top-aligned fields.)
+					s.acc.Offset = s.shift / 8
+					s.acc.Size = size
+					push(refSym{kind: refSload, acc: s.acc, shift: s.shift, masked: true, taint: s.taint})
+				} else if _, _, ok := complementRunMask(m.val); ok {
+					// Read-modify-write skeleton: the SLOAD is not a
+					// semantic field read; drop it from the access list.
+					refRemoveAccess(&accesses, s.acc)
+					push(refSym{kind: refWriteCombine, keep: m.val, taint: s.taint})
+				} else {
+					push(refSym{kind: refUnknown, taint: s.taint})
+				}
+			} else {
+				push(refSym{kind: refUnknown, taint: a.taint || b.taint, acc: refFirstAcc(a, b)})
+			}
+		case evm.OR:
+			a, b := pop(), pop()
+			w := a
+			if w.kind != refWriteCombine {
+				w = b
+			}
+			if w.kind == refWriteCombine {
+				w.taint = a.taint || b.taint
+				push(w)
+				continue
+			}
+			// A masked, unshifted SLOAD being OR-combined is the other face
+			// of the read-modify-write skeleton: AND(old, lowMask) kept the
+			// low field, and the OR merges in a top-aligned value. The
+			// SLOAD was not a semantic read after all.
+			rmw := a
+			if !(rmw.kind == refSload && rmw.masked && rmw.shift == 0) {
+				rmw = b
+			}
+			if rmw.kind == refSload && rmw.masked && rmw.shift == 0 && rmw.acc != nil && rmw.acc.Offset == 0 {
+				keep := u256.One().Shl(uint(rmw.acc.Size * 8)).Sub(u256.One())
+				refRemoveAccess(&accesses, rmw.acc)
+				push(refSym{kind: refWriteCombine, keep: keep, taint: a.taint || b.taint})
+				continue
+			}
+			push(refSym{kind: refUnknown, taint: a.taint || b.taint})
+		case evm.SSTORE:
+			key, val := pop(), pop()
+			if key.kind != refConst {
+				continue
+			}
+			acc := StorageAccess{
+				Slot:    etypes.HashFromWord(key.val),
+				Offset:  0,
+				Size:    32,
+				Kind:    AccessWrite,
+				Tainted: val.taint,
+				PC:      ins.PC,
+			}
+			if val.kind == refWriteCombine {
+				if off, size, ok := complementRunMask(val.keep); ok {
+					acc.Offset, acc.Size = off, size
+				}
+			}
+			a := acc
+			accesses = append(accesses, &a)
+		case evm.EQ:
+			a, b := pop(), pop()
+			// CALLER == <storage read>: ownership check.
+			if (a.kind == refCaller && b.acc != nil) || (b.kind == refCaller && a.acc != nil) {
+				acc := refFirstAcc(a, b)
+				acc.CallerCheck = true
+				acc.Guard = true
+				push(refSym{kind: refUnknown, acc: acc})
+			} else {
+				push(refSym{kind: refUnknown, acc: refFirstAcc(a, b), taint: a.taint || b.taint})
+			}
+		case evm.ISZERO:
+			a := pop()
+			push(refSym{kind: refUnknown, acc: a.acc, taint: a.taint})
+		case evm.JUMPI:
+			_, cond := pop(), pop()
+			if cond.acc != nil {
+				cond.acc.Guard = true
+			}
+		default:
+			pops, pushes := stackEffect(op)
+			var anyTaint bool
+			var acc *StorageAccess
+			for i := 0; i < pops; i++ {
+				v := pop()
+				anyTaint = anyTaint || v.taint
+				if acc == nil {
+					acc = v.acc
+				}
+			}
+			for i := 0; i < pushes; i++ {
+				push(refSym{kind: refUnknown, taint: anyTaint, acc: acc})
+			}
+		}
+	}
+
+	out := make([]StorageAccess, 0, len(accesses))
+	for _, a := range accesses {
+		if a != nil {
+			out = append(out, *a)
+		}
+	}
+	return out
+}
+
+// refFirstAcc returns the first non-nil access provenance among values.
+func refFirstAcc(vals ...refSym) *StorageAccess {
+	for _, v := range vals {
+		if v.acc != nil {
+			return v.acc
+		}
+	}
+	return nil
+}
+
+// refRemoveAccess nils out the slot in the access list pointing at target.
+func refRemoveAccess(accesses *[]*StorageAccess, target *StorageAccess) {
+	if target == nil {
+		return
+	}
+	for i, a := range *accesses {
+		if a == target {
+			(*accesses)[i] = nil
+			return
+		}
+	}
+}
+
+// refStorageCollisions is StorageCollisions as it was: both lists grouped by
+// slot in maps, collisions sorted afterwards.
+func refStorageCollisions(proxyAcc, logicAcc []StorageAccess) []StorageCollision {
+	proxyBySlot := refGroupBySlot(proxyAcc)
+	logicBySlot := refGroupBySlot(logicAcc)
+
+	var out []StorageCollision
+	for slot, pAccs := range proxyBySlot {
+		lAccs, shared := logicBySlot[slot]
+		if !shared {
+			continue
+		}
+		col, found := refCollideSlot(slot, pAccs, lAccs)
+		if found {
+			out = append(out, col)
+		}
+	}
+	refSortStorageCollisions(out)
+	return out
+}
+
+// refCollideSlot is collideSlot with the union of accesses copied out.
+func refCollideSlot(slot etypes.Hash, pAccs, lAccs []StorageAccess) (StorageCollision, bool) {
+	col := StorageCollision{Slot: slot}
+	found := false
+	for _, p := range pAccs {
+		for _, l := range lAccs {
+			if !fieldsOverlap(p.Offset, p.Size, l.Offset, l.Size) {
+				continue
+			}
+			if sameField(p.Offset, p.Size, l.Offset, l.Size) {
+				continue
+			}
+			if !found {
+				col.ProxyOffset, col.ProxySize = p.Offset, p.Size
+				col.LogicOffset, col.LogicSize = l.Offset, l.Size
+				found = true
+			}
+			if p.Guard || l.Guard {
+				col.GuardInvolved = true
+			}
+		}
+	}
+	if !found {
+		return col, false
+	}
+	combined := make([]StorageAccess, 0, len(pAccs)+len(lAccs))
+	combined = append(combined, pAccs...)
+	combined = append(combined, lAccs...)
+	for _, r := range combined {
+		if r.Kind != AccessRead || !(r.Guard || r.CallerCheck) {
+			continue
+		}
+		for _, w := range combined {
+			if w.Kind != AccessWrite || !w.Tainted {
+				continue
+			}
+			if fieldsOverlap(r.Offset, r.Size, w.Offset, w.Size) &&
+				!sameField(r.Offset, r.Size, w.Offset, w.Size) {
+				col.Exploitable = true
+			}
+		}
+	}
+	return col, found
+}
+
+func refGroupBySlot(accs []StorageAccess) map[etypes.Hash][]StorageAccess {
+	out := make(map[etypes.Hash][]StorageAccess)
+	for _, a := range accs {
+		out[a.Slot] = append(out[a.Slot], a)
+	}
+	return out
+}
+
+func refSortStorageCollisions(cs []StorageCollision) {
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && refLessHash(cs[j].Slot, cs[j-1].Slot); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
+	}
+}

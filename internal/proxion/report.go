@@ -1,38 +1,10 @@
 package proxion
 
 import (
-	"sync"
-
 	"repro/internal/etypes"
 	"repro/internal/pipeline"
 	"repro/internal/solc"
 )
-
-// accessCache memoizes ExtractStorageAccesses by bytecode hash.
-type accessCache struct {
-	mu sync.Mutex
-	m  map[etypes.Hash][]StorageAccess
-}
-
-func newAccessCache() *accessCache {
-	return &accessCache{m: make(map[etypes.Hash][]StorageAccess)}
-}
-
-// get returns the storage accesses of code, whose bytecode hash h the
-// caller already holds (the chain caches it per account).
-func (c *accessCache) get(h etypes.Hash, code []byte) []StorageAccess {
-	c.mu.Lock()
-	cached, ok := c.m[h]
-	c.mu.Unlock()
-	if ok {
-		return cached
-	}
-	accs := ExtractStorageAccesses(code)
-	c.mu.Lock()
-	c.m[h] = accs
-	c.mu.Unlock()
-	return accs
-}
 
 // SourceProvider resolves a contract's verified source, if published. The
 // etherscan package implements it; nil results mean bytecode-only analysis.
@@ -70,16 +42,13 @@ func (d *Detector) AnalyzePair(proxy, logic etypes.Address, sources SourceProvid
 	pa.ProxyHasSource = proxySrc != nil
 	pa.LogicHasSource = logicSrc != nil
 
-	// The chain's cached code hashes key every per-code memo below.
-	proxyHash := d.chain.CodeHash(proxy)
-	logicHash := d.chain.CodeHash(logic)
+	// The chain's cached code hashes key the per-bytecode artifacts.
+	proxyArt := d.artifacts.of(d.chain.CodeHash(proxy))
+	logicArt := d.artifacts.of(d.chain.CodeHash(logic))
 
-	pa.Functions = d.functionCollisions(proxyHash, logicHash, proxyCode, logicCode, proxySrc, logicSrc)
-
-	proxyAcc := d.accessCache.get(proxyHash, proxyCode)
-	logicAcc := d.accessCache.get(logicHash, logicCode)
-	pa.Storage = StorageCollisions(proxyAcc, logicAcc)
-	if collided := exploitableSlots(pa.Storage); len(collided) > 0 && d.replayGuarded(proxy, logicHash, logicCode, collided) {
+	pa.Functions = collideViews(proxyArt.view(proxyCode, proxySrc), logicArt.view(logicCode, logicSrc))
+	pa.Storage = StorageCollisions(d.storageAccesses(proxyArt, proxyCode), d.storageAccesses(logicArt, logicCode))
+	if collided := exploitableSlots(pa.Storage); len(collided) > 0 && d.replayGuarded(proxy, logicArt, logicCode, collided) {
 		pa.ExploitVerified = true
 		for i := range pa.Storage {
 			if pa.Storage[i].Exploitable {

@@ -1,7 +1,7 @@
 package proxion
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
@@ -45,7 +45,7 @@ type StorageAccess struct {
 type field struct{ offset, size int }
 
 // symbolic value kinds for the lightweight evaluator.
-type symKind int
+type symKind uint8
 
 const (
 	symUnknown symKind = iota
@@ -59,147 +59,174 @@ const (
 // sym is an abstract stack value.
 type sym struct {
 	kind symKind
-	val  u256.Int // for symConst
-	// acc points at the StorageAccess a symSload descends from, so later
-	// mask/branch/compare instructions can refine or tag it.
-	acc *StorageAccess
-	// keep is the retained-bits mask for symWriteCombine.
-	keep u256.Int
-	// shift tracks SHR offset applied to a symSload before masking.
-	shift int
 	// masked records that a field-extraction AND was applied.
 	masked bool
 	// taint propagates msg.sender / call-data influence.
 	taint bool
+	// acc refers to the access of the current block a symSload descends
+	// from (its index in slicer.block plus one; zero is none), so later
+	// mask/branch/compare instructions can refine or tag it.
+	acc int32
+	// shift tracks SHR offset applied to a symSload before masking.
+	shift int
+	// val is the constant of a symConst and the retained-bits mask of a
+	// symWriteCombine.
+	val u256.Int
 }
 
 // ExtractStorageAccesses recovers the storage field accesses of a
 // contract's bytecode. It evaluates each basic block symbolically: constant
 // slot arithmetic, the SHR/AND field extraction Solidity emits for packed
 // reads, the AND/OR read-modify-write skeleton of packed writes, and the
-// comparisons/branches that mark guard slots.
+// comparisons/branches that mark guard slots. The result is sorted by slot,
+// then offset, then kind.
 func ExtractStorageAccesses(code []byte) []StorageAccess {
-	var out []StorageAccess
-	for _, block := range disasm.BasicBlocks(code) {
-		out = append(out, evalBlock(block)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Slot != out[j].Slot {
-			return lessHash(out[i].Slot, out[j].Slot)
-		}
-		if out[i].Offset != out[j].Offset {
-			return out[i].Offset < out[j].Offset
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return dedupAccesses(out)
+	return sliceBlocks(disasm.BasicBlocks(code))
 }
 
-func lessHash(a, b etypes.Hash) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// sliceBlocks is ExtractStorageAccesses over an existing disassembly, which
+// the per-bytecode artifact shares with the static summary. Only a block
+// holding an SLOAD or SSTORE is evaluated: a block starts from an empty
+// stack, an access enters the result at its own SLOAD/SSTORE, and a
+// Guard/CallerCheck tag only ever lands on an access of the same block, so
+// the other blocks cannot contribute. Code without storage instructions
+// allocates nothing here.
+func sliceBlocks(blocks []disasm.BasicBlock) []StorageAccess {
+	var s slicer
+	for _, block := range blocks {
+		if touchesStorage(block) {
+			s.evalBlock(block)
+		}
+	}
+	// Every access carries the PC of its own instruction, so no two are
+	// equal and there is nothing to de-duplicate.
+	slices.SortFunc(s.out, func(a, b StorageAccess) int {
+		if c := compareSlots(a, b); c != 0 {
+			return c
+		}
+		if a.Offset != b.Offset {
+			return a.Offset - b.Offset
+		}
+		return int(a.Kind) - int(b.Kind)
+	})
+	return s.out
+}
+
+func touchesStorage(block disasm.BasicBlock) bool {
+	for _, ins := range block.Instrs {
+		if ins.Op == evm.SLOAD || ins.Op == evm.SSTORE {
+			return true
 		}
 	}
 	return false
 }
 
-func dedupAccesses(in []StorageAccess) []StorageAccess {
-	var out []StorageAccess
-	seen := make(map[StorageAccess]struct{})
-	for _, a := range in {
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
-			out = append(out, a)
-		}
+// slicer is the symbolic evaluator's state across the blocks of one
+// bytecode: one stack and one per-block access list, reused from block to
+// block, and the accesses found so far.
+type slicer struct {
+	stack []sym
+	// block holds the accesses of the block under evaluation in program
+	// order; one that turns out to be the load half of a read-modify-write
+	// is dropped by zeroing its Kind.
+	block []StorageAccess
+	out   []StorageAccess
+}
+
+func (s *slicer) push(v sym) { s.stack = append(s.stack, v) }
+
+func (s *slicer) pop() sym {
+	if len(s.stack) == 0 {
+		return sym{kind: symUnknown}
 	}
-	return out
+	v := s.stack[len(s.stack)-1]
+	s.stack = s.stack[:len(s.stack)-1]
+	return v
+}
+
+// access appends a to the current block's list and returns its reference.
+func (s *slicer) access(a StorageAccess) int32 {
+	s.block = append(s.block, a)
+	return int32(len(s.block))
+}
+
+// drop removes the referenced access from the block's result.
+func (s *slicer) drop(acc int32) {
+	if acc != 0 {
+		s.block[acc-1].Kind = 0
+	}
 }
 
 // evalBlock symbolically executes one basic block with an empty entry stack
-// (cross-block stack contents appear as unknowns) and returns the accesses
-// it performs.
-func evalBlock(block disasm.BasicBlock) []StorageAccess {
-	var accesses []*StorageAccess
-	var stack []sym
-
-	push := func(s sym) { stack = append(stack, s) }
-	pop := func() sym {
-		if len(stack) == 0 {
-			return sym{kind: symUnknown}
-		}
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return s
-	}
-
+// (cross-block stack contents appear as unknowns) and appends the accesses
+// it performs to s.out.
+func (s *slicer) evalBlock(block disasm.BasicBlock) {
+	s.stack, s.block = s.stack[:0], s.block[:0]
 	for _, ins := range block.Instrs {
 		op := ins.Op
 		switch {
 		case op.IsPush():
-			push(sym{kind: symConst, val: u256.FromBytes(ins.Imm)})
+			s.push(sym{kind: symConst, val: u256.FromBytes(ins.Imm)})
 			continue
 		case op == evm.PUSH0:
-			push(sym{kind: symConst})
+			s.push(sym{kind: symConst})
 			continue
 		case op.IsDup():
 			n := int(op-evm.DUP1) + 1
-			if n <= len(stack) {
-				push(stack[len(stack)-n])
+			if n <= len(s.stack) {
+				s.push(s.stack[len(s.stack)-n])
 			} else {
-				push(sym{kind: symUnknown})
+				s.push(sym{kind: symUnknown})
 			}
 			continue
 		case op.IsSwap():
 			n := int(op-evm.SWAP1) + 1
-			if n < len(stack) {
-				top := len(stack) - 1
-				stack[top], stack[top-n] = stack[top-n], stack[top]
+			if n < len(s.stack) {
+				top := len(s.stack) - 1
+				s.stack[top], s.stack[top-n] = s.stack[top-n], s.stack[top]
 			}
 			continue
 		}
 
 		switch op {
 		case evm.CALLER:
-			push(sym{kind: symCaller, taint: true})
+			s.push(sym{kind: symCaller, taint: true})
 		case evm.CALLDATALOAD:
-			pop()
-			push(sym{kind: symCalldata, taint: true})
+			s.pop()
+			s.push(sym{kind: symCalldata, taint: true})
 		case evm.SLOAD:
-			key := pop()
+			key := s.pop()
 			if key.kind == symConst {
-				acc := &StorageAccess{
+				acc := s.access(StorageAccess{
 					Slot:   etypes.HashFromWord(key.val),
 					Offset: 0,
 					Size:   32,
 					Kind:   AccessRead,
 					PC:     ins.PC,
-				}
-				accesses = append(accesses, acc)
-				push(sym{kind: symSload, acc: acc})
+				})
+				s.push(sym{kind: symSload, acc: acc})
 			} else {
-				push(sym{kind: symUnknown})
+				s.push(sym{kind: symUnknown})
 			}
 		case evm.SHR:
-			shift, x := pop(), pop()
+			shift, x := s.pop(), s.pop()
 			if x.kind == symSload && shift.kind == symConst && shift.val.IsUint64() {
 				x.shift += int(shift.val.Uint64())
-				push(x)
+				s.push(x)
 			} else {
-				push(sym{kind: symUnknown, taint: x.taint})
+				s.push(sym{kind: symUnknown, taint: x.taint})
 			}
 		case evm.SHL:
-			shift, x := pop(), pop()
-			_ = shift
-			push(sym{kind: symUnknown, taint: x.taint, acc: x.acc})
+			_, x := s.pop(), s.pop()
+			s.push(sym{kind: symUnknown, taint: x.taint, acc: x.acc})
 		case evm.AND:
-			a, b := pop(), pop()
-			// Normalize: s = the sload/derived side, m = the mask side.
-			s, m := a, b
-			if s.kind != symSload {
-				s, m = b, a
+			a, b := s.pop(), s.pop()
+			// Normalize: v = the sload/derived side, m = the mask side.
+			v, m := a, b
+			if v.kind != symSload {
+				v, m = b, a
 			}
-			if s.kind == symSload && m.kind == symConst {
+			if v.kind == symSload && m.kind == symConst {
 				// Field-extraction masks start at bit 0 (they follow the
 				// SHR); a mask whose ones start higher is a read-modify-
 				// write keep mask, whose complement is the written field.
@@ -208,29 +235,29 @@ func evalBlock(block disasm.BasicBlock) []StorageAccess {
 					// is later OR-combined, the OR rule reinterprets it as a
 					// read-modify-write keep mask — the two shapes coincide
 					// for top-aligned fields.)
-					s.acc.Offset = s.shift / 8
-					s.acc.Size = size
-					push(sym{kind: symSload, acc: s.acc, shift: s.shift, masked: true, taint: s.taint})
+					s.block[v.acc-1].Offset = v.shift / 8
+					s.block[v.acc-1].Size = size
+					s.push(sym{kind: symSload, acc: v.acc, shift: v.shift, masked: true, taint: v.taint})
 				} else if _, _, ok := complementRunMask(m.val); ok {
 					// Read-modify-write skeleton: the SLOAD is not a
 					// semantic field read; drop it from the access list.
-					removeAccess(&accesses, s.acc)
-					push(sym{kind: symWriteCombine, keep: m.val, taint: s.taint})
+					s.drop(v.acc)
+					s.push(sym{kind: symWriteCombine, val: m.val, taint: v.taint})
 				} else {
-					push(sym{kind: symUnknown, taint: s.taint})
+					s.push(sym{kind: symUnknown, taint: v.taint})
 				}
 			} else {
-				push(sym{kind: symUnknown, taint: a.taint || b.taint, acc: firstAcc(a, b)})
+				s.push(sym{kind: symUnknown, taint: a.taint || b.taint, acc: firstAcc(a, b)})
 			}
 		case evm.OR:
-			a, b := pop(), pop()
+			a, b := s.pop(), s.pop()
 			w := a
 			if w.kind != symWriteCombine {
 				w = b
 			}
 			if w.kind == symWriteCombine {
 				w.taint = a.taint || b.taint
-				push(w)
+				s.push(w)
 				continue
 			}
 			// A masked, unshifted SLOAD being OR-combined is the other face
@@ -241,15 +268,15 @@ func evalBlock(block disasm.BasicBlock) []StorageAccess {
 			if !(rmw.kind == symSload && rmw.masked && rmw.shift == 0) {
 				rmw = b
 			}
-			if rmw.kind == symSload && rmw.masked && rmw.shift == 0 && rmw.acc != nil && rmw.acc.Offset == 0 {
-				keep := u256.One().Shl(uint(rmw.acc.Size * 8)).Sub(u256.One())
-				removeAccess(&accesses, rmw.acc)
-				push(sym{kind: symWriteCombine, keep: keep, taint: a.taint || b.taint})
+			if rmw.kind == symSload && rmw.masked && rmw.shift == 0 && s.block[rmw.acc-1].Offset == 0 {
+				keep := u256.One().Shl(uint(s.block[rmw.acc-1].Size * 8)).Sub(u256.One())
+				s.drop(rmw.acc)
+				s.push(sym{kind: symWriteCombine, val: keep, taint: a.taint || b.taint})
 				continue
 			}
-			push(sym{kind: symUnknown, taint: a.taint || b.taint})
+			s.push(sym{kind: symUnknown, taint: a.taint || b.taint})
 		case evm.SSTORE:
-			key, val := pop(), pop()
+			key, val := s.pop(), s.pop()
 			if key.kind != symConst {
 				continue
 			}
@@ -262,78 +289,60 @@ func evalBlock(block disasm.BasicBlock) []StorageAccess {
 				PC:      ins.PC,
 			}
 			if val.kind == symWriteCombine {
-				if off, size, ok := complementRunMask(val.keep); ok {
+				if off, size, ok := complementRunMask(val.val); ok {
 					acc.Offset, acc.Size = off, size
 				}
 			}
-			a := acc
-			accesses = append(accesses, &a)
+			s.access(acc)
 		case evm.EQ:
-			a, b := pop(), pop()
+			a, b := s.pop(), s.pop()
 			// CALLER == <storage read>: ownership check.
-			if (a.kind == symCaller && b.acc != nil) || (b.kind == symCaller && a.acc != nil) {
+			if (a.kind == symCaller && b.acc != 0) || (b.kind == symCaller && a.acc != 0) {
 				acc := firstAcc(a, b)
-				acc.CallerCheck = true
-				acc.Guard = true
-				push(sym{kind: symUnknown, acc: acc})
+				s.block[acc-1].CallerCheck = true
+				s.block[acc-1].Guard = true
+				s.push(sym{kind: symUnknown, acc: acc})
 			} else {
-				push(sym{kind: symUnknown, acc: firstAcc(a, b), taint: a.taint || b.taint})
+				s.push(sym{kind: symUnknown, acc: firstAcc(a, b), taint: a.taint || b.taint})
 			}
 		case evm.ISZERO:
-			a := pop()
-			push(sym{kind: symUnknown, acc: a.acc, taint: a.taint})
+			a := s.pop()
+			s.push(sym{kind: symUnknown, acc: a.acc, taint: a.taint})
 		case evm.JUMPI:
-			_, cond := pop(), pop()
-			if cond.acc != nil {
-				cond.acc.Guard = true
+			_, cond := s.pop(), s.pop()
+			if cond.acc != 0 {
+				s.block[cond.acc-1].Guard = true
 			}
 		default:
 			pops, pushes := stackEffect(op)
 			var anyTaint bool
-			var acc *StorageAccess
+			var acc int32
 			for i := 0; i < pops; i++ {
-				v := pop()
+				v := s.pop()
 				anyTaint = anyTaint || v.taint
-				if acc == nil {
+				if acc == 0 {
 					acc = v.acc
 				}
 			}
 			for i := 0; i < pushes; i++ {
-				push(sym{kind: symUnknown, taint: anyTaint, acc: acc})
+				s.push(sym{kind: symUnknown, taint: anyTaint, acc: acc})
 			}
 		}
 	}
 
-	out := make([]StorageAccess, 0, len(accesses))
-	for _, a := range accesses {
-		if a != nil {
-			out = append(out, *a)
+	for _, a := range s.block {
+		if a.Kind != 0 {
+			s.out = append(s.out, a)
 		}
 	}
-	return out
 }
 
-// firstAcc returns the first non-nil access provenance among values.
-func firstAcc(vals ...sym) *StorageAccess {
-	for _, v := range vals {
-		if v.acc != nil {
-			return v.acc
-		}
+// firstAcc returns the first access provenance among two values.
+func firstAcc(a, b sym) int32 {
+	if a.acc != 0 {
+		return a.acc
 	}
-	return nil
-}
-
-// removeAccess nils out the slot in the access list pointing at target.
-func removeAccess(accesses *[]*StorageAccess, target *StorageAccess) {
-	if target == nil {
-		return
-	}
-	for i, a := range *accesses {
-		if a == target {
-			(*accesses)[i] = nil
-			return
-		}
-	}
+	return b.acc
 }
 
 // lowRunMask reports whether m is a contiguous run of ones starting at some

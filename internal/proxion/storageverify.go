@@ -1,10 +1,11 @@
 package proxion
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"repro/internal/abi"
-	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/evm"
 	"repro/internal/u256"
@@ -41,24 +42,51 @@ func fieldsOverlap(ao, as, bo, bs int) bool {
 func sameField(ao, as, bo, bs int) bool { return ao == bo && as == bs }
 
 // StorageCollisions compares the storage access profiles of a proxy and a
-// logic contract and returns one record per colliding slot.
+// logic contract and returns one record per colliding slot, in slot order.
+// Both lists are walked side by side, one slot's run at a time: the order
+// ExtractStorageAccesses returns. A list in any other order is first
+// copied and stably sorted by slot, which keeps each slot's accesses in the
+// order given.
 func StorageCollisions(proxyAcc, logicAcc []StorageAccess) []StorageCollision {
-	proxyBySlot := groupBySlot(proxyAcc)
-	logicBySlot := groupBySlot(logicAcc)
-
+	proxyAcc, logicAcc = slotSorted(proxyAcc), slotSorted(logicAcc)
 	var out []StorageCollision
-	for slot, pAccs := range proxyBySlot {
-		lAccs, shared := logicBySlot[slot]
-		if !shared {
-			continue
-		}
-		col, found := collideSlot(slot, pAccs, lAccs)
-		if found {
-			out = append(out, col)
+	for i, j := 0, 0; i < len(proxyAcc) && j < len(logicAcc); {
+		slot := proxyAcc[i].Slot
+		switch c := bytes.Compare(slot[:], logicAcc[j].Slot[:]); {
+		case c < 0:
+			i = slotRunEnd(proxyAcc, i)
+		case c > 0:
+			j = slotRunEnd(logicAcc, j)
+		default:
+			iEnd, jEnd := slotRunEnd(proxyAcc, i), slotRunEnd(logicAcc, j)
+			if col, found := collideSlot(slot, proxyAcc[i:iEnd], logicAcc[j:jEnd]); found {
+				out = append(out, col)
+			}
+			i, j = iEnd, jEnd
 		}
 	}
-	sortStorageCollisions(out)
 	return out
+}
+
+func compareSlots(a, b StorageAccess) int { return bytes.Compare(a.Slot[:], b.Slot[:]) }
+
+// slotSorted returns accs ordered by slot: accs itself when it already is.
+func slotSorted(accs []StorageAccess) []StorageAccess {
+	if slices.IsSortedFunc(accs, compareSlots) {
+		return accs
+	}
+	accs = slices.Clone(accs)
+	slices.SortStableFunc(accs, compareSlots)
+	return accs
+}
+
+// slotRunEnd returns the index just past the run of accs[i]'s slot.
+func slotRunEnd(accs []StorageAccess, i int) int {
+	end := i + 1
+	for end < len(accs) && accs[end].Slot == accs[i].Slot {
+		end++
+	}
+	return end
 }
 
 // collideSlot looks for mismatched overlapping fields within one slot and
@@ -93,40 +121,24 @@ func collideSlot(slot etypes.Hash, pAccs, lAccs []StorageAccess) (StorageCollisi
 	if !found {
 		return col, false
 	}
-	combined := make([]StorageAccess, 0, len(pAccs)+len(lAccs))
-	combined = append(combined, pAccs...)
-	combined = append(combined, lAccs...)
-	for _, r := range combined {
-		if r.Kind != AccessRead || !(r.Guard || r.CallerCheck) {
-			continue
-		}
-		for _, w := range combined {
-			if w.Kind != AccessWrite || !w.Tainted {
+	union := [2][]StorageAccess{pAccs, lAccs}
+	for _, reads := range union {
+		for _, r := range reads {
+			if r.Kind != AccessRead || !(r.Guard || r.CallerCheck) {
 				continue
 			}
-			if fieldsOverlap(r.Offset, r.Size, w.Offset, w.Size) &&
-				!sameField(r.Offset, r.Size, w.Offset, w.Size) {
-				col.Exploitable = true
+			for _, writes := range union {
+				for _, w := range writes {
+					if w.Kind == AccessWrite && w.Tainted &&
+						fieldsOverlap(r.Offset, r.Size, w.Offset, w.Size) &&
+						!sameField(r.Offset, r.Size, w.Offset, w.Size) {
+						col.Exploitable = true
+					}
+				}
 			}
 		}
 	}
-	return col, found
-}
-
-func groupBySlot(accs []StorageAccess) map[etypes.Hash][]StorageAccess {
-	out := make(map[etypes.Hash][]StorageAccess)
-	for _, a := range accs {
-		out[a.Slot] = append(out[a.Slot], a)
-	}
-	return out
-}
-
-func sortStorageCollisions(cs []StorageCollision) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && lessHash(cs[j].Slot, cs[j-1].Slot); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
+	return col, true
 }
 
 // sstoreTracer records SSTORE slots executed in the proxy's storage context.
@@ -169,7 +181,7 @@ func (d *Detector) VerifyStorageExploit(proxy, logic etypes.Address, collisions 
 	// what reaches this read comes from another package (crush, benches)
 	// and owns its capture there.
 	logicCode := d.chain.Code(logic) // readerpanic:ignore
-	return d.replayGuarded(proxy, etypes.Keccak(logicCode), logicCode, collided)
+	return d.replayGuarded(proxy, d.artifacts.of(etypes.Keccak(logicCode)), logicCode, collided)
 }
 
 // exploitableSlots returns the slots of the statically exploitable
@@ -188,10 +200,10 @@ func exploitableSlots(collisions []StorageCollision) map[etypes.Hash]struct{} {
 }
 
 // replayGuarded is the replay half of VerifyStorageExploit, taking the
-// logic contract's code and its hash from the caller: AnalyzePair already
-// holds both, the hash from the chain's per-account cache.
-func (d *Detector) replayGuarded(proxy etypes.Address, logicHash etypes.Hash, logicCode []byte, collided map[etypes.Hash]struct{}) bool {
-	for _, sel := range guardGatedSelectors(logicCode, d.accessCache.get(logicHash, logicCode), collided) {
+// logic contract's code and its artifact from the caller: AnalyzePair
+// already holds both.
+func (d *Detector) replayGuarded(proxy etypes.Address, logic *artifact, logicCode []byte, collided map[etypes.Hash]struct{}) bool {
+	for _, sel := range guardGatedSelectors(len(logicCode), logic.dispatcherTargets(logicCode), d.storageAccesses(logic, logicCode), collided) {
 		if d.replayDoubleCall(proxy, sel, collided) {
 			return true
 		}
@@ -204,9 +216,8 @@ func (d *Detector) replayGuarded(proxy etypes.Address, logicHash etypes.Hash, lo
 // slot*. A plain setter (write without guard) or a pure getter cannot
 // evidence a broken guard, so replaying them would only produce false
 // verifications. Accesses are attributed to functions by PC using the
-// dispatcher's jump targets.
-func guardGatedSelectors(code []byte, accs []StorageAccess, collided map[etypes.Hash]struct{}) [][4]byte {
-	targets := disasm.DispatcherTargets(code)
+// dispatcher's jump targets (disasm.DispatcherTargets of the codeLen bytes).
+func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []StorageAccess, collided map[etypes.Hash]struct{}) [][4]byte {
 	if len(targets) == 0 {
 		return nil
 	}
@@ -219,7 +230,7 @@ func guardGatedSelectors(code []byte, accs []StorageAccess, collided map[etypes.
 	}
 	fns := make([]fn, 0, len(targets))
 	for sel, start := range targets {
-		fns = append(fns, fn{sel: sel, start: start, end: uint64(len(code))})
+		fns = append(fns, fn{sel: sel, start: start, end: uint64(codeLen)})
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].start < fns[j].start })
 	for i := 0; i+1 < len(fns); i++ {

@@ -1,9 +1,6 @@
 package proxion
 
 import (
-	"container/list"
-	"sync"
-
 	"repro/internal/etypes"
 	"repro/internal/static"
 )
@@ -38,13 +35,7 @@ import (
 // guard-slot-reading fallbacks never register (a twin's guard state is not
 // comparable across different code hashes).
 type structuralIndex struct {
-	mu       sync.Mutex
-	m        map[etypes.Hash]*fpClass
-	capacity int
-	// order tracks recency front-to-back (front = most recent); each
-	// element's Value is the fingerprint key. elems indexes into it.
-	order *list.List
-	elems map[etypes.Hash]*list.Element
+	lru[etypes.Hash, *fpClass]
 }
 
 // fpClass is the state of one structural clone family. registered and
@@ -57,84 +48,23 @@ type fpClass struct {
 	target     TargetSource
 }
 
+// newStructuralIndex returns an unbounded index; setCapacity bounds it like
+// the verdict cache. An evicted or invalidated family's in-flight leader
+// finishes harmlessly into the orphan, and the next arrival of that
+// fingerprint becomes a fresh leader that re-reads live chain state.
 func newStructuralIndex() *structuralIndex {
-	return &structuralIndex{
-		m:     make(map[etypes.Hash]*fpClass),
-		order: list.New(),
-		elems: make(map[etypes.Hash]*list.Element),
-	}
-}
-
-// setCapacity bounds the index like the verdict cache: n <= 0 is
-// unbounded, n > 0 keeps at most n families, evicting least recently
-// used. An evicted family's in-flight leader finishes harmlessly into the
-// orphan; the next arrival of that fingerprint becomes a fresh leader.
-func (s *structuralIndex) setCapacity(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	s.capacity = n
-	s.evictLocked()
+	return &structuralIndex{newLRU[etypes.Hash, *fpClass]()}
 }
 
 // class returns the family for fp and whether the caller claimed
 // leadership of a brand-new family. A leader MUST close(cls.done) on every
 // exit path, or followers block forever.
 func (s *structuralIndex) class(fp etypes.Hash) (cls *fpClass, leader bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.m[fp]; ok {
-		s.order.MoveToFront(s.elems[fp])
-		return c, false
-	}
-	c := &fpClass{done: make(chan struct{})}
-	s.m[fp] = c
-	s.elems[fp] = s.order.PushFront(fp)
-	s.evictLocked()
-	return c, true
+	return s.getOrAdd(fp, func() *fpClass { return &fpClass{done: make(chan struct{})} })
 }
 
-func (s *structuralIndex) evictLocked() {
-	if s.capacity <= 0 {
-		return
-	}
-	for len(s.m) > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(etypes.Hash)
-		s.order.Remove(back)
-		delete(s.elems, key)
-		delete(s.m, key)
-	}
-}
-
-func (s *structuralIndex) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// invalidate drops one family, reporting whether it existed. Exactly like
-// eviction, an in-flight leader finishes harmlessly into the orphan and
-// the next arrival of the fingerprint becomes a fresh leader that
-// re-reads live chain state.
-func (s *structuralIndex) invalidate(fp etypes.Hash) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[fp]; !ok {
-		return false
-	}
-	if el, ok := s.elems[fp]; ok {
-		s.order.Remove(el)
-		delete(s.elems, fp)
-	}
-	delete(s.m, fp)
-	return true
-}
+// invalidate drops one family, reporting whether it existed.
+func (s *structuralIndex) invalidate(fp etypes.Hash) bool { return s.remove(fp) }
 
 // probeSource says how a deduped check obtained its verdict.
 type probeSource uint8
@@ -170,10 +100,14 @@ type probeTrace struct {
 // handed to the static summary, so a follower hashes its bytecode once.
 func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
 	var tr probeTrace
-	if d.structuralOff || d.structural == nil {
-		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
+	art := d.artifacts.of(codeHash)
+	emulate := func() Report {
+		out := d.emulateProbe(addr, code, art.probeCallData(addr, code))
 		d.recordOutcome(entry, addr, out)
-		return out.rep, tr
+		return out.rep
+	}
+	if d.structuralOff || d.structural == nil {
+		return emulate(), tr
 	}
 
 	fp := static.Fingerprint(code)
@@ -183,28 +117,25 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 		// through here — so followers never block on a dead leader. A
 		// panicked leader leaves registered=false and followers emulate.
 		defer close(cls.done)
-		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
-		d.recordOutcome(entry, addr, out)
-		if out.rep.IsProxy && out.rep.EmulationErr == nil && len(out.guardSlots) == 0 {
-			sum := static.AnalyzeHashed(code, codeHash, fp)
+		rep := emulate()
+		if rep.IsProxy && rep.EmulationErr == nil && len(entry.guardSlots) == 0 {
+			sum := d.summarize(art, code, codeHash, fp)
 			tr.analyzed = true
-			if exemplarConsistent(sum, out.rep, addr) {
-				cls.target = out.rep.Target
+			if exemplarConsistent(sum, rep, addr) {
+				cls.target = rep.Target
 				cls.registered = true
 			} else {
 				tr.rejected = true
 			}
 		}
-		return out.rep, tr
+		return rep, tr
 	}
 
 	<-cls.done
 	if !cls.registered {
-		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
-		d.recordOutcome(entry, addr, out)
-		return out.rep, tr
+		return emulate(), tr
 	}
-	sum := static.AnalyzeHashed(code, codeHash, fp)
+	sum := d.summarize(art, code, codeHash, fp)
 	tr.analyzed = true
 	if rep, ok := d.promote(addr, sum, cls.target); ok {
 		d.recordPromoted(entry, addr, rep)
@@ -212,9 +143,7 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 		return rep, tr
 	}
 	tr.rejected = true
-	out := d.emulateProbe(addr, code, CraftCallData(addr, code))
-	d.recordOutcome(entry, addr, out)
-	return out.rep, tr
+	return emulate(), tr
 }
 
 // recordOutcome populates a fresh verdict-cache entry from an emulation.

@@ -1,7 +1,6 @@
 package proxion
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/etypes"
@@ -37,71 +36,20 @@ import (
 // evicted bytecode is re-emulated (a miss the unbounded cache would have
 // served), so hit counts under eviction depend on scheduling.
 type verdictCache struct {
-	mu       sync.Mutex
-	m        map[etypes.Hash]*codeVerdict
-	capacity int
-	// order tracks recency front-to-back (front = most recent); each
-	// element's Value is the etypes.Hash key. elems indexes into it.
-	order     *list.List
-	elems     map[etypes.Hash]*list.Element
-	evictions int64
+	lru[etypes.Hash, *codeVerdict]
 }
 
 func newVerdictCache() *verdictCache {
-	return &verdictCache{
-		m:     make(map[etypes.Hash]*codeVerdict),
-		order: list.New(),
-		elems: make(map[etypes.Hash]*list.Element),
-	}
-}
-
-// setCapacity switches the cache between unbounded (n <= 0) and bounded
-// modes, evicting immediately if the cache already exceeds the new bound.
-func (c *verdictCache) setCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.capacity = n
-	c.evictLocked()
+	return &verdictCache{newLRU[etypes.Hash, *codeVerdict]()}
 }
 
 // entry returns the (possibly fresh) record for one bytecode hash,
-// marking it most recently used.
+// marking it most recently used. A goroutine mid-recording on an evicted
+// entry still holds its *codeVerdict and finishes harmlessly into the
+// orphan; the next duplicate simply re-emulates under a fresh entry.
 func (c *verdictCache) entry(codeHash etypes.Hash) *codeVerdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[codeHash]
-	if !ok {
-		e = &codeVerdict{}
-		c.m[codeHash] = e
-		c.elems[codeHash] = c.order.PushFront(codeHash)
-		c.evictLocked()
-	} else {
-		c.order.MoveToFront(c.elems[codeHash])
-	}
+	e, _ := c.getOrAdd(codeHash, func() *codeVerdict { return new(codeVerdict) })
 	return e
-}
-
-// install inserts a fully-formed record for one bytecode hash — the
-// import path for persisted entries. An existing record wins: live state
-// is never clobbered by a (possibly stale) persisted one. Returns whether
-// the record was installed.
-func (c *verdictCache) install(codeHash etypes.Hash, e *codeVerdict) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.m[codeHash]; exists {
-		return false
-	}
-	c.m[codeHash] = e
-	c.elems[codeHash] = c.order.PushFront(codeHash)
-	c.evictLocked()
-	// Eviction may have dropped the just-installed entry itself when the
-	// cache is bounded below the import size; report installed only if it
-	// survived.
-	_, ok := c.m[codeHash]
-	return ok
 }
 
 // invalidate drops the record for one bytecode hash, if present. The next
@@ -109,50 +57,7 @@ func (c *verdictCache) install(codeHash etypes.Hash, e *codeVerdict) bool {
 // verdict known to be stale (e.g. after out-of-band storage surgery on
 // the recording address) or poisoned.
 func (c *verdictCache) invalidate(codeHash etypes.Hash) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.elems[codeHash]; ok {
-		c.order.Remove(el)
-		delete(c.elems, codeHash)
-	}
-	_, ok := c.m[codeHash]
-	delete(c.m, codeHash)
-	return ok
-}
-
-// evictLocked drops least-recently-used entries until the cache fits its
-// capacity. Callers hold c.mu. A goroutine mid-recording on an evicted
-// entry still holds its *codeVerdict and finishes harmlessly into the
-// orphan; the next duplicate simply re-emulates under a fresh entry.
-func (c *verdictCache) evictLocked() {
-	if c.capacity <= 0 {
-		return
-	}
-	for len(c.m) > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(etypes.Hash)
-		c.order.Remove(back)
-		delete(c.elems, key)
-		delete(c.m, key)
-		c.evictions++
-	}
-}
-
-// len returns the number of cached bytecodes.
-func (c *verdictCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// evictionCount returns the total evictions so far.
-func (c *verdictCache) evictionCount() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
+	return c.remove(codeHash)
 }
 
 // CacheEvictions returns how many verdict-cache entries a bounded run has
@@ -239,7 +144,7 @@ func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probe
 	poisoned := entry.byFP == nil
 	entry.mu.Unlock()
 	if poisoned {
-		return d.emulateProbe(addr, code, CraftCallData(addr, code)).rep, probeTrace{}
+		return d.emulateProbe(addr, code, d.artifacts.of(codeHash).probeCallData(addr, code)).rep, probeTrace{}
 	}
 
 	fp := d.guardFingerprint(addr, entry.guardSlots)
@@ -250,7 +155,7 @@ func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probe
 		return d.anchorVerdict(addr, v), probeTrace{source: sourceExactHit}
 	}
 
-	out := d.emulateProbe(addr, code, CraftCallData(addr, code))
+	out := d.emulateProbe(addr, code, d.artifacts.of(codeHash).probeCallData(addr, code))
 	if !ok {
 		nv := verdictOf(out.rep)
 		entry.mu.Lock()

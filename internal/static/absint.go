@@ -97,9 +97,11 @@ type absState struct {
 	deepTaint  bool
 }
 
-func (st *absState) clone() absState {
+// clone copies the state into a stack with room for depth slots (at least
+// the slots it holds), so a block that peaks at depth never regrows it.
+func (st *absState) clone(depth int) absState {
 	cp := *st
-	cp.stack = append([]absValue(nil), st.stack...)
+	cp.stack = append(make([]absValue, 0, max(depth, len(st.stack))), st.stack...)
 	return cp
 }
 
@@ -178,25 +180,38 @@ func joinState(a, b *absState) bool {
 	return changed
 }
 
-// succ is a control-flow edge out of a block: the successor's start PC and
-// the state flowing along the edge.
+// succ is a control-flow edge out of a block: the successor's index — one
+// past the last block for a fall off the end of the code — and the state
+// flowing along the edge. Each successor owns its stack.
 type succ struct {
-	pc    uint64
+	block int
 	state absState
+}
+
+// blockFlow is the dataflow's per-block state: the joined entry state, once
+// some edge has reached the block, and the visits spent on it.
+type blockFlow struct {
+	entry    absState
+	hasEntry bool
+	visits   int
 }
 
 // analysis carries all working state for one Analyze run.
 type analysis struct {
-	code    []byte
-	blocks  []disasm.BasicBlock
-	byStart map[uint64]int
+	code []byte
+	// blocks partition the code in order: they are sorted by Start, and
+	// block i falls through into block i+1.
+	blocks []disasm.BasicBlock
 
-	entry     []absState
-	hasEntry  []bool
-	visits    []int
+	flow      []blockFlow
 	reachable []bool
-	edges     []map[int]struct{}
-	steps     int
+	// edges collects the CFG's successor sets; nil unless the caller asked
+	// for the CFG.
+	edges []map[int]struct{}
+	// succs backs the slice runBlock returns: a block has at most two ways
+	// out, and the caller is done with them before the next block runs.
+	succs [2]succ
+	steps int
 
 	selectors     map[[4]byte]struct{}
 	slotReads     map[etypes.Hash]struct{}
@@ -209,17 +224,14 @@ type analysis struct {
 	truncated  bool
 }
 
-func newAnalysis(code []byte) *analysis {
-	blocks := disasm.BasicBlocks(code)
-	a := &analysis{
+// newAnalysis prepares a run over code, whose basic blocks the caller
+// supplies: blocks must be disasm.BasicBlocks(code).
+func newAnalysis(code []byte, blocks []disasm.BasicBlock) *analysis {
+	return &analysis{
 		code:          code,
 		blocks:        blocks,
-		byStart:       make(map[uint64]int, len(blocks)),
-		entry:         make([]absState, len(blocks)),
-		hasEntry:      make([]bool, len(blocks)),
-		visits:        make([]int, len(blocks)),
+		flow:          make([]blockFlow, len(blocks)),
 		reachable:     make([]bool, len(blocks)),
-		edges:         make([]map[int]struct{}, len(blocks)),
 		steps:         maxSteps,
 		selectors:     make(map[[4]byte]struct{}),
 		slotReads:     make(map[etypes.Hash]struct{}),
@@ -228,10 +240,35 @@ func newAnalysis(code []byte) *analysis {
 		keccakWritePC: make(map[uint64]struct{}),
 		delegates:     make(map[uint64]DelegateCall),
 	}
-	for i, b := range blocks {
-		a.byStart[b.Start] = i
+}
+
+// blockAt returns the index of the block starting at pc.
+func (a *analysis) blockAt(pc uint64) (int, bool) {
+	i := sort.Search(len(a.blocks), func(i int) bool { return a.blocks[i].Start >= pc })
+	return i, i < len(a.blocks) && a.blocks[i].Start == pc
+}
+
+// peakDepth returns the deepest the modeled stack gets while block b runs
+// from an entry state of depth entry — one pass over the block's stack
+// arities, mirroring push and pop: a pop of an empty stack removes nothing.
+func peakDepth(b disasm.BasicBlock, entry int) int {
+	// grow is the peak over entry while no pop has found the stack empty;
+	// alone is the peak of the same block entered empty.
+	net, grow, depth, alone := 0, 0, 0, 0
+	for _, ins := range b.Instrs {
+		pops, pushes := evm.StackArity(ins.Op)
+		switch {
+		case ins.Op.IsDup(): // copies without popping
+			pops, pushes = 0, 1
+		case ins.Op.IsSwap():
+			pops, pushes = 0, 0
+		}
+		net += pushes - pops
+		grow = max(grow, net)
+		depth = max(depth-pops, 0) + pushes
+		alone = max(alone, depth)
 	}
-	return a
+	return min(max(entry+grow, alone), maxStackDepth)
 }
 
 // jumpTarget resolves a constant jump destination to a block index; a valid
@@ -240,7 +277,7 @@ func (a *analysis) jumpTarget(v absValue) (int, bool) {
 	if v.kind != kindConst || !v.val.IsUint64() {
 		return 0, false
 	}
-	idx, ok := a.byStart[v.val.Uint64()]
+	idx, ok := a.blockAt(v.val.Uint64())
 	if !ok {
 		return 0, false
 	}
@@ -256,34 +293,37 @@ func (a *analysis) run() {
 		return
 	}
 	work := []int{0}
-	a.hasEntry[0] = true
+	a.flow[0].hasEntry = true
 	for len(work) > 0 {
 		idx := work[len(work)-1]
 		work = work[:len(work)-1]
-		if a.visits[idx] >= maxBlockVisits {
+		cur := &a.flow[idx]
+		if cur.visits >= maxBlockVisits {
 			// The entry state changed but the revisit budget is gone:
 			// the dataflow did not stabilize, so the summary must not
 			// be trusted for verdict promotion.
 			a.truncated = true
 			continue
 		}
-		a.visits[idx]++
+		cur.visits++
 		a.reachable[idx] = true
-		st := a.entry[idx].clone()
+		st := cur.entry.clone(peakDepth(a.blocks[idx], len(cur.entry.stack)))
 		for _, s := range a.runBlock(idx, &st) {
-			j, ok := a.byStart[s.pc]
-			if !ok {
+			j := s.block
+			if j == len(a.blocks) {
 				continue // fell off the end of the code
 			}
-			if a.edges[idx] == nil {
-				a.edges[idx] = make(map[int]struct{})
+			if a.edges != nil {
+				if a.edges[idx] == nil {
+					a.edges[idx] = make(map[int]struct{})
+				}
+				a.edges[idx][j] = struct{}{}
 			}
-			a.edges[idx][j] = struct{}{}
-			if !a.hasEntry[j] {
-				a.entry[j] = s.state.clone()
-				a.hasEntry[j] = true
+			if next := &a.flow[j]; !next.hasEntry {
+				next.entry = s.state // the successor's own stack: keep it
+				next.hasEntry = true
 				work = append(work, j)
-			} else if joinState(&a.entry[j], &s.state) {
+			} else if joinState(&next.entry, &s.state) {
 				work = append(work, j)
 			}
 		}
@@ -428,7 +468,8 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 				a.maskedFlow = true
 			}
 			if j, ok := a.jumpTarget(target); ok {
-				return []succ{{pc: a.blocks[j].Start, state: *st}}
+				a.succs[0] = succ{block: j, state: *st}
+				return a.succs[:1]
 			}
 			return nil
 		case evm.JUMPI:
@@ -437,11 +478,13 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 			if target.tainted || cond.tainted {
 				a.maskedFlow = true
 			}
-			out := []succ{{pc: b.End(), state: st.clone()}}
 			if j, ok := a.jumpTarget(target); ok {
-				out = append(out, succ{pc: a.blocks[j].Start, state: *st})
+				a.succs[0] = succ{block: idx + 1, state: st.clone(0)}
+				a.succs[1] = succ{block: j, state: *st}
+				return a.succs[:2]
 			}
-			return out
+			a.succs[0] = succ{block: idx + 1, state: *st}
+			return a.succs[:1]
 		case evm.STOP, evm.RETURN, evm.REVERT, evm.INVALID, evm.SELFDESTRUCT:
 			if op == evm.SELFDESTRUCT {
 				st.pop()
@@ -460,7 +503,8 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 			}
 		}
 	}
-	return []succ{{pc: b.End(), state: *st}}
+	a.succs[0] = succ{block: idx + 1, state: *st}
+	return a.succs[:1]
 }
 
 // binop handles commutative-ish arithmetic: constants fold, anything else

@@ -172,7 +172,8 @@ func Analyze(code []byte) *Summary {
 
 // AnalyzeWithCFG is Analyze, additionally returning the recovered CFG.
 func AnalyzeWithCFG(code []byte) (*Summary, *CFG) {
-	a := newAnalysis(code)
+	a := newAnalysis(code, disasm.BasicBlocks(code))
+	a.edges = make([]map[int]struct{}, len(a.blocks))
 	a.run()
 	return a.summary(etypes.Keccak(code), Fingerprint(code)), a.cfg()
 }
@@ -185,7 +186,14 @@ func AnalyzeWithCFG(code []byte) (*Summary, *CFG) {
 // must be Fingerprint(code), and then the result equals Analyze(code)
 // field for field.
 func AnalyzeHashed(code []byte, codeHash, fingerprint etypes.Hash) *Summary {
-	a := newAnalysis(code)
+	return AnalyzeBlocks(code, disasm.BasicBlocks(code), codeHash, fingerprint)
+}
+
+// AnalyzeBlocks is AnalyzeHashed for a caller that has also disassembled
+// code already and shares the walk with its own analysis: blocks must be
+// disasm.BasicBlocks(code), and is only read.
+func AnalyzeBlocks(code []byte, blocks []disasm.BasicBlock, codeHash, fingerprint etypes.Hash) *Summary {
+	a := newAnalysis(code, blocks)
 	a.run()
 	return a.summary(codeHash, fingerprint)
 }

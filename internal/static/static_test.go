@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/abi"
 	"repro/internal/asm"
@@ -332,7 +333,7 @@ func TestAnalyzeBudgetExhaustionMarksTruncated(t *testing.T) {
 	// be flagged Truncated so the promotion protocol refuses it.
 	code := storageProxy(t, slot1967,
 		solc.Func{ABI: fn("owner()"), Body: []solc.Stmt{solc.ReturnCaller{}}})
-	a := newAnalysis(code)
+	a := newAnalysis(code, disasm.BasicBlocks(code))
 	a.steps = 5
 	a.run()
 	if !a.summary(etypes.Hash{}, etypes.Hash{}).Truncated {
@@ -368,5 +369,38 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	a, b := Analyze(code), Analyze(code)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Analyze is not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestPeakDepthCoversEveryBlock: a block's state copy is sized once, by
+// peakDepth, and interpreting the block must never outgrow it — from an
+// empty entry stack, a typical one, and one at the modeled ceiling.
+func TestPeakDepthCoversEveryBlock(t *testing.T) {
+	blocksSeen := 0
+	for _, l := range taxonomy(t).Labels {
+		blocks := disasm.BasicBlocks(l.Code)
+		for idx, b := range blocks {
+			for _, entry := range []int{0, 1, 5, 40, maxStackDepth - 1, maxStackDepth} {
+				a := newAnalysis(l.Code, blocks)
+				peak := peakDepth(b, entry)
+				if peak > maxStackDepth || peak < entry {
+					t.Fatalf("%v block %d entry %d: peakDepth %d out of range", l.Shape, idx, entry, peak)
+				}
+				from := absState{stack: make([]absValue, entry)}
+				st := from.clone(peak)
+				if cap(st.stack) != peak {
+					t.Fatalf("clone(%d) of %d slots has capacity %d", peak, entry, cap(st.stack))
+				}
+				backing := unsafe.SliceData(st.stack)
+				a.runBlock(idx, &st)
+				if unsafe.SliceData(st.stack) != backing {
+					t.Fatalf("%v block %d (pc %d) entry %d: the stack outgrew peakDepth %d", l.Shape, idx, b.Start, entry, peak)
+				}
+			}
+			blocksSeen++
+		}
+	}
+	if blocksSeen < 500 {
+		t.Fatalf("only %d blocks checked", blocksSeen)
 	}
 }
