@@ -49,10 +49,12 @@ race:
 
 # Streaming-engine gate: the tests whose outcome depends on how the
 # scheduler interleaves the workers (one address per turn, window bound,
-# ordered emission, cancel, goroutine accounting) or on goroutines sharing a
+# ordered emission, cancel, goroutine accounting), on goroutines sharing a
 # per-bytecode record (concurrent artifact fill, LRU eviction, the probe's
-# halt), repeated under the race detector. -race reports neither a hang nor
-# a leak: the timeout does.
+# halt) or on callers sharing a detector (single calls against the stream,
+# eight goroutines of single calls, two streams at once), repeated under
+# the race detector. -race reports neither a hang nor a leak: the timeout
+# does.
 engine:
 	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt' ./internal/proxion ./internal/pipeline
 
@@ -77,9 +79,11 @@ e2e:
 bench-baseline:
 	go run ./cmd/proxbench -quick -repeats 3 -out bench/baseline.json
 
-# Service gate: the proxiond stack (verdict store + sharded serve layer)
-# under the race detector — crash/restart recovery, K-concurrent
-# coalescing, the shard-concurrency matrix, and the in-process loadtest.
+# Service gate: the proxiond stack (verdict store + serve layer) under the
+# race detector — crash/restart recovery, K-concurrent coalescing, the
+# matrix over the concurrency bound, a stuck analysis stalling nobody, a
+# panicking one releasing its waiters, Close draining what is in flight,
+# and the in-process loadtest.
 # LOADTEST_REPORT (a path) makes the loadtest write its p50/p99 JSON
 # artifact; the nightly job raises LOADTEST_REQUESTS/LOADTEST_CONCURRENCY.
 serve:

@@ -1,12 +1,13 @@
-// Command proxiond runs the analysis pipeline as a long-lived service:
-// a sharded scan server over a generated chain snapshot, answering
-// verdict and collision queries over HTTP and persisting every verdict
-// to a disk store so restarts are warm.
+// Command proxiond runs the analysis as a long-lived service: a scan
+// server over a generated chain snapshot — one detector, each query analyzed
+// on the goroutine that asked, at most -shards analyses at once — answering
+// verdict and collision queries over HTTP and persisting every verdict to a
+// disk store so restarts are warm.
 //
 // Usage:
 //
 //	proxiond [-addr :8547] [-contracts N] [-seed S] [-shards N]
-//	         [-store DIR] [-window N] [-cache-capacity N] [-static=false]
+//	         [-store DIR] [-cache-capacity N] [-static=false]
 //	         [-follow] [-follow-interval D]
 //	         [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
 //	         [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
@@ -63,11 +64,10 @@ func run() error {
 	addr := flag.String("addr", ":8547", "HTTP listen address")
 	contracts := flag.Int("contracts", 4000, "population size to generate and serve")
 	seed := flag.Int64("seed", 1, "generation seed")
-	shards := flag.Int("shards", 4, "number of parallel analysis shards")
+	shards := flag.Int("shards", 0, "analyses run at once, over one shared detector and cache (0 = GOMAXPROCS; more only helps when node reads wait)")
 	storeDir := flag.String("store", "", "verdict store directory (empty = no persistence)")
 	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
-	window := flag.Int("window", 0, "per-shard in-flight window (0 = engine default)")
-	cacheCap := flag.Int("cache-capacity", 0, "per-shard LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
 	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
 	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")
@@ -91,17 +91,10 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "chain height %d, %d contracts alive\n",
 		pop.Chain.CurrentBlock(), len(pop.Chain.Contracts()))
 
-	// Per-shard readers: each shard gets its own resilient client so one
-	// shard's circuit breaker never gates another's reads.
-	cfg := serve.Config{
-		Sources:           pop.Registry,
-		Shards:            *shards,
-		StoreDir:          *storeDir,
-		StoreOptions:      store.Options{SegmentBytes: *segBytes},
-		Window:            *window,
-		CacheCapacity:     *cacheCap,
-		DisableStructural: !*staticOn,
-	}
+	// The server and the follower each read through newReader(n): the chain
+	// itself, or their own resilient client, so the follower's circuit
+	// breaker never gates a query's reads.
+	newReader := func(int64) chain.Reader { return pop.Chain }
 	if *faults != "off" || *resilient {
 		copts := faultchain.Options{
 			MaxRetries:  *retries,
@@ -122,21 +115,27 @@ func run() error {
 			prof, injecting = p, true
 			fmt.Fprintf(os.Stderr, "injecting faults: profile %s, seed %d, depth %d\n", p.Name, *faultSeed, p.Depth)
 		}
-		cfg.ReaderFor = func(shard int) chain.Reader {
+		newReader = func(n int64) chain.Reader {
 			var sched *faultchain.Schedule
 			if injecting {
-				// Distinct per-shard schedules from the one seed.
-				s := faultchain.NewSchedule(prof, *faultSeed+int64(shard))
+				// Distinct schedules from the one seed.
+				s := faultchain.NewSchedule(prof, *faultSeed+n)
 				sched = &s
 			}
 			client, _ := faultchain.NewResilientReader(pop.Chain, sched, copts)
 			return client
 		}
-	} else {
-		cfg.Reader = pop.Chain
 	}
 
-	srv, err := serve.New(cfg)
+	srv, err := serve.New(serve.Config{
+		Reader:            newReader(0),
+		Sources:           pop.Registry,
+		Shards:            *shards,
+		StoreDir:          *storeDir,
+		StoreOptions:      store.Options{SegmentBytes: *segBytes},
+		CacheCapacity:     *cacheCap,
+		DisableStructural: !*staticOn,
+	})
 	if err != nil {
 		return err
 	}
@@ -148,14 +147,8 @@ func run() error {
 
 	var follower *watch.Follower
 	if *follow {
-		fr := chain.Reader(pop.Chain)
-		if cfg.ReaderFor != nil {
-			// The follower gets its own resilient client with a fault
-			// schedule distinct from every shard's.
-			fr = cfg.ReaderFor(*shards)
-		}
 		wcfg := watch.Config{
-			Reader:       fr,
+			Reader:       newReader(1),
 			Analyzer:     srv,
 			PollInterval: *followInterval,
 			OnUpgrade: func(ev watch.UpgradeEvent) {
@@ -183,7 +176,7 @@ func run() error {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "proxiond listening on %s (%d shards)\n", *addr, *shards)
+		fmt.Fprintf(os.Stderr, "proxiond listening on %s\n", *addr)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
@@ -201,7 +194,7 @@ func run() error {
 	// Serve until SIGINT/SIGTERM, then drain in dependency order: stop
 	// the follower first (its cursor checkpoints past the last fully
 	// applied block, so no invalidation is left half-done), then stop
-	// accepting HTTP, then finish enqueued analyses and close the store.
+	// accepting HTTP, then finish the analyses in flight and close the store.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {

@@ -12,6 +12,7 @@ package oracle
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -26,7 +27,7 @@ type Mismatch struct {
 	// Addr is the contract the disagreement is about.
 	Addr etypes.Address
 	// Layer names the comparison that failed: "detector", "pair",
-	// "streaming", "cache", "metamorphic".
+	// "streaming", "cache", "single-call", "metamorphic".
 	Layer string
 	// Detail is the human-readable difference.
 	Detail string
@@ -339,9 +340,46 @@ func CheckStoreParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
 	return out
 }
 
+// CheckSingleCallParity holds the one analysis entry point to its two
+// kinds of caller: a loop of Detector.AnalyzeAddress calls on a fresh
+// detector (the query service, the follower) against AnalyzeStream at
+// Workers: 1 on another (the scans). Reports, pairs and — when opts asks
+// for them — histories must be equal, and so must the deterministic
+// counters, stage rows aside: only a stream has stages.
+func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
+	opts.Workers, opts.Stats = 1, nil
+	want := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, opts)
+
+	var stats pipeline.Stats
+	opts.Stats = &stats
+	d := proxion.NewDetector(c.Chain)
+	base := d.ReaderCounters()
+	sink := proxion.NewCollectSink()
+	for _, addr := range c.Chain.Contracts() {
+		sink.Emit(d.AnalyzeAddress(addr, c.Registry, opts))
+	}
+	got := sink.Result()
+	out := diffReports("single-call", want.Reports, got.Reports)
+	out = append(out, diffPairs("single-call", want.Pairs, got.Pairs)...)
+	if !reflect.DeepEqual(want.Histories, got.Histories) {
+		out = append(out, Mismatch{Layer: "single-call", Detail: "recovered histories differ"})
+	}
+	snap := stats.Snapshot()
+	d.CountReads(snap, base)
+	wantCounters := want.Stats.Counters()
+	for k, v := range snap.Counters() {
+		if wantCounters[k] != v {
+			out = append(out, Mismatch{Layer: "single-call",
+				Detail: fmt.Sprintf("counter %s: stream %d, single calls %d", k, wantCounters[k], v)})
+		}
+	}
+	return out
+}
+
 // Run executes every differential layer on one corpus: labels vs the
 // sequential reference, streaming vs sequential, cache-on vs cache-off,
-// warm-store vs cold analysis, the static analyzer vs the labels,
+// warm-store vs cold analysis, single calls vs the stream (with and without
+// the history step), the static analyzer vs the labels,
 // block-by-block following vs cold end-state analysis, and the fast
 // interpreter vs the reference loop (seeded from the corpus config).
 func Run(c *gen.Corpus) []Mismatch {
@@ -351,6 +389,8 @@ func Run(c *gen.Corpus) []Mismatch {
 	out = append(out, CheckStreaming(c, ref, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckCacheParity(c, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckStoreParity(c, proxion.AnalyzeOptions{})...)
+	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{})...)
+	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{WithHistory: true})...)
 	out = append(out, CheckStaticParity(c)...)
 	out = append(out, CheckWatchParity(c)...)
 	out = append(out, CheckInterpParity(c)...)

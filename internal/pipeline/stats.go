@@ -52,21 +52,10 @@ type Stats struct {
 	// HistoriesRecovered counts proxies whose full logic history was
 	// recovered (only when the history stage is enabled).
 	HistoriesRecovered Counter
-	// StorageAPICalls is the number of archive getStorageAt calls the run
-	// issued; set once at the end from the chain's counter delta.
-	StorageAPICalls Counter
 	// Unresolved counts contracts whose chain reads terminally failed and
 	// that were degraded to an explicit Unresolved report instead of being
 	// dropped; always zero over a fault-free node.
 	Unresolved Counter
-	// Retries counts read re-attempts by the resilient chain client; set
-	// once at the end from the client's counter delta. Deterministic for a
-	// fixed fault schedule below the retry budget: every faulted read fails
-	// exactly its scheduled number of attempts, whatever the interleaving.
-	Retries Counter
-	// BreakerTrips counts closed→open circuit breaker transitions during
-	// the run; like Retries, a client counter delta.
-	BreakerTrips Counter
 }
 
 // StageSnapshot is the frozen instrumentation of one stage.
@@ -99,7 +88,14 @@ type Snapshot struct {
 	ProxiesDetected    int64 `json:"proxies_detected"`
 	PairsAnalyzed      int64 `json:"pairs_analyzed"`
 	HistoriesRecovered int64 `json:"histories_recovered,omitempty"`
-	StorageAPICalls    int64 `json:"get_storage_at_calls"`
+	// StorageAPICalls, Retries and BreakerTrips are the node's own counts,
+	// not Stats counters: whoever takes the snapshot sets them from the
+	// chain reader's counter deltas over the run — archive getStorageAt
+	// calls, and the resilient client's read re-attempts and closed→open
+	// breaker transitions. Retries is deterministic for a fixed fault
+	// schedule below the retry budget: every faulted read fails exactly its
+	// scheduled number of attempts, whatever the interleaving.
+	StorageAPICalls int64 `json:"get_storage_at_calls"`
 
 	Unresolved   int64 `json:"unresolved"`
 	Retries      int64 `json:"read_retries"`
@@ -143,13 +139,12 @@ func (s *Snapshot) Counters() map[string]int64 {
 	return m
 }
 
-// Snapshot freezes the engine's stage instrumentation together with the
-// run-wide stats into a serializable record. Call it after Wait.
-func (e *Engine) Snapshot(st *Stats) *Snapshot {
-	wall := e.Wall()
+// Snapshot freezes the counters as they read now: exact at the instant of
+// the read, safe while a run is in flight; wall clock, stages and the node's
+// own counts left zero.
+func (st *Stats) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		Contracts:          st.Scanned.Load(),
-		WallMS:             float64(wall.Microseconds()) / 1000,
 		NoCode:             st.NoCode.Load(),
 		FilterRejected:     st.FilterRejected.Load(),
 		Emulations:         st.Emulations.Load(),
@@ -161,16 +156,22 @@ func (e *Engine) Snapshot(st *Stats) *Snapshot {
 		ProxiesDetected:    st.ProxiesDetected.Load(),
 		PairsAnalyzed:      st.PairsAnalyzed.Load(),
 		HistoriesRecovered: st.HistoriesRecovered.Load(),
-		StorageAPICalls:    st.StorageAPICalls.Load(),
 		Unresolved:         st.Unresolved.Load(),
-		Retries:            st.Retries.Load(),
-		BreakerTrips:       st.BreakerTrips.Load(),
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		snap.ContractsPerSec = float64(snap.Contracts) / secs
 	}
 	if lookups := snap.CacheHits + snap.Emulations; lookups > 0 {
 		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)
+	}
+	return snap
+}
+
+// Snapshot freezes the engine's stage instrumentation together with the
+// run-wide stats into a serializable record. Call it after Wait.
+func (e *Engine) Snapshot(st *Stats) *Snapshot {
+	wall := e.Wall()
+	snap := st.Snapshot()
+	snap.WallMS = float64(wall.Microseconds()) / 1000
+	if secs := wall.Seconds(); secs > 0 {
+		snap.ContractsPerSec = float64(snap.Contracts) / secs
 	}
 	for _, s := range e.stages {
 		snap.Stages = append(snap.Stages, StageSnapshot{

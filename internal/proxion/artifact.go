@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/lru"
 	"repro/internal/solc"
 	"repro/internal/static"
 )
@@ -64,16 +65,16 @@ func sameFunctions(a, b *solc.Contract) bool {
 // capacity (AnalyzeOptions.CacheCapacity). An evicted artifact is rebuilt,
 // to equal values, the next time its bytecode is analyzed.
 type artifactCache struct {
-	lru[etypes.Hash, *artifact]
+	*lru.Cache[etypes.Hash, *artifact]
 }
 
 func newArtifactCache() *artifactCache {
-	return &artifactCache{newLRU[etypes.Hash, *artifact]()}
+	return &artifactCache{lru.New[etypes.Hash, *artifact](0)}
 }
 
 // of returns the artifact of the bytecode hashing to codeHash.
 func (c *artifactCache) of(codeHash etypes.Hash) *artifact {
-	a, _ := c.getOrAdd(codeHash, func() *artifact { return new(artifact) })
+	a, _ := c.GetOrAdd(codeHash, func() *artifact { return new(artifact) })
 	return a
 }
 

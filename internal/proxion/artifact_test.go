@@ -282,14 +282,14 @@ func TestArtifactCacheObeysCapacity(t *testing.T) {
 		return items
 	}
 	first := run()
-	if n := d.artifacts.len(); n > 4 {
+	if n := d.artifacts.Len(); n > 4 {
 		t.Fatalf("%d artifacts held under CacheCapacity 4", n)
 	}
-	if d.verdicts.len() > 4 || d.StructuralFamilies() > 4 {
-		t.Fatalf("verdicts %d, families %d under CacheCapacity 4", d.verdicts.len(), d.StructuralFamilies())
+	if d.verdicts.Len() > 4 || d.StructuralFamilies() > 4 {
+		t.Fatalf("verdicts %d, families %d under CacheCapacity 4", d.verdicts.Len(), d.StructuralFamilies())
 	}
-	if d.artifacts.evictionCount() < 60 {
-		t.Fatalf("artifact evictions = %d, want at least 60", d.artifacts.evictionCount())
+	if d.artifacts.Evictions() < 60 {
+		t.Fatalf("artifact evictions = %d, want at least 60", d.artifacts.Evictions())
 	}
 	second := run()
 	if !reflect.DeepEqual(first, second) {
@@ -305,7 +305,7 @@ func TestArtifactCacheObeysCapacity(t *testing.T) {
 
 	// Capacity 0 lifts the bound again.
 	d.AnalyzeStream(SliceSource(addrs), nil, SinkFunc(func(Item) {}), AnalyzeOptions{})
-	if n := d.artifacts.len(); n < 64 {
+	if n := d.artifacts.Len(); n < 64 {
 		t.Fatalf("unbounded run holds %d artifacts, want one per bytecode seen", n)
 	}
 }

@@ -167,8 +167,34 @@ type Detector struct {
 	// structural is the second-level verdict key: near-clone families by
 	// static fingerprint, promoted without emulation (structural.go).
 	structural *structuralIndex
-	// structuralOff disables structural promotion (exact-hash dedup only).
-	structuralOff bool
+	// applied is what configure last set the caches to; nil before the
+	// first call, when everything is on and unbounded.
+	applied atomic.Pointer[cacheSettings]
+}
+
+// cacheSettings is what AnalyzeOptions says about the detector's caches;
+// structuralOff disables structural promotion (exact-hash dedup only).
+type cacheSettings struct {
+	capacity               int
+	noDedup, structuralOff bool
+}
+
+// configure applies opts' cache settings unless they are the ones in force:
+// a load and a compare per call, so that calls sharing a detector — a query
+// service's concurrent requests — neither take the three cache locks per
+// contract nor write what a peer is reading. Concurrent calls are expected
+// to agree on the settings; if they do not, the last one wins.
+func (d *Detector) configure(opts AnalyzeOptions) {
+	want := cacheSettings{opts.CacheCapacity, opts.DisableDedup, opts.DisableStructural}
+	if cur := d.applied.Load(); cur != nil && *cur == want {
+		return
+	}
+	if !want.noDedup {
+		d.verdicts.SetCapacity(want.capacity)
+		d.structural.SetCapacity(want.capacity)
+	}
+	d.artifacts.SetCapacity(want.capacity)
+	d.applied.Store(&want)
 }
 
 // NewDetector creates a detector over the given node surface.
@@ -181,9 +207,6 @@ func NewDetector(c chain.Reader) *Detector {
 		structural:   newStructuralIndex(),
 	}
 }
-
-// Chain returns the node surface under analysis.
-func (d *Detector) Chain() chain.Reader { return d.chain }
 
 // emulationContext builds the block environment for emulation runs: the
 // latest block's values, per Section 4.2 ("all alive contracts are supposed

@@ -19,10 +19,11 @@ type resilienceSource interface {
 	ResilienceCounters() (retries, breakerTrips int64)
 }
 
-// AnalyzeOptions tunes the streaming analysis engine. The zero value
-// selects production defaults: one worker per processor, the
-// bytecode-dedup cache on, no history step, a reorder window of
-// DefaultWindow contracts, unbounded per-bytecode caches.
+// AnalyzeOptions tunes an analysis: a stream, or a single AnalyzeAddress
+// call, which ignores Workers and Window. The zero value selects production
+// defaults: one worker per processor, the bytecode-dedup cache on, no
+// history step, a reorder window of DefaultWindow contracts, unbounded
+// per-bytecode caches.
 type AnalyzeOptions struct {
 	// Workers is the number of goroutines analyzing contracts, each taking
 	// one address at a time through every step; zero means GOMAXPROCS. The
@@ -59,10 +60,10 @@ type AnalyzeOptions struct {
 	WithHistory bool
 	// Stats, when non-nil, is the externally-owned counter set the run
 	// updates instead of a private one. All Stats fields are atomic, so a
-	// caller may read them live while the run is in flight — how a
-	// long-running query service exposes per-shard progress without
-	// waiting for the end-of-run snapshot. The final Snapshot is taken
-	// from the same counters.
+	// caller may read them live while analyses are in flight, and any number
+	// of calls may share one set — how a long-running query service counts
+	// its single-address analyses. A stream's final Snapshot is taken from
+	// the same counters.
 	Stats *pipeline.Stats
 }
 
@@ -168,24 +169,68 @@ func (c *stageClock) lap(stage int, since time.Time) time.Time {
 	return now
 }
 
-// streamRun is the state the workers of one AnalyzeStream call share.
-type streamRun struct {
+// analysis is what one call fixes for every contract it analyzes.
+type analysis struct {
 	d       *Detector
-	opts    AnalyzeOptions
+	opts    AnalyzeOptions // Stats never nil
 	sources SourceProvider
-	stats   *pipeline.Stats
-	tracker *streamTracker
-	stages  [numStages]*pipeline.Stage // stageHistory nil without WithHistory
 }
 
-// AnalyzeStream is the one whole-chain analysis code path: every entry
-// point (scans, experiments, the CLI, the query service, the follower)
-// funnels here. opts.Workers identical goroutines each take one address
-// from src and run it to completion — filter, probe, classification, then
-// history and pair analysis for a detected proxy — and one finalized Item
-// per contract reaches sink, in source order, through a reorder window of
-// opts.Window contracts: the run's whole memory bound, whatever the corpus
-// size. DESIGN.md "Pipeline architecture" has the model and its reasons.
+func (d *Detector) newAnalysis(sources SourceProvider, opts AnalyzeOptions) analysis {
+	d.configure(opts)
+	if opts.Stats == nil {
+		opts.Stats = new(pipeline.Stats)
+	}
+	return analysis{d: d, opts: opts, sources: sources}
+}
+
+// AnalyzeAddress is the one way a contract is analyzed: it runs addr to
+// completion on the caller's goroutine — filter, probe, classification, then
+// history and pair analysis for a detected proxy — and returns the finished
+// item (Index 0). AnalyzeStream's workers call the same code, so a stream
+// and a loop of single calls produce the same items and count alike in
+// opts.Stats, except for what only a stream has: Workers and Window are not
+// used, no per-stage rows exist, and the reader's own counters are the
+// caller's to take (ReaderCounters, CountReads). Safe for concurrent use on
+// one detector.
+func (d *Detector) AnalyzeAddress(addr etypes.Address, sources SourceProvider, opts AnalyzeOptions) Item {
+	r := d.newAnalysis(sources, opts)
+	var clock stageClock
+	return r.analyze(addr, &clock)
+}
+
+// ReaderCounters is one reading of the node surface's own monotonic
+// counters: logical getStorageAt calls and, when the reader is a resilient
+// client, its read re-attempts and closed→open breaker transitions.
+type ReaderCounters struct {
+	storageCalls, retries, breakerTrips int64
+}
+
+// ReaderCounters reads the detector's node surface's counters.
+func (d *Detector) ReaderCounters() ReaderCounters {
+	c := ReaderCounters{storageCalls: d.chain.APICalls()}
+	if resil, ok := d.chain.(resilienceSource); ok {
+		c.retries, c.breakerTrips = resil.ResilienceCounters()
+	}
+	return c
+}
+
+// CountReads sets snap's reader-side counters to what the node surface has
+// counted since base was read: a stream's whole run, a server's lifetime.
+func (d *Detector) CountReads(snap *pipeline.Snapshot, base ReaderCounters) {
+	now := d.ReaderCounters()
+	snap.StorageAPICalls = now.storageCalls - base.storageCalls
+	snap.Retries = now.retries - base.retries
+	snap.BreakerTrips = now.breakerTrips - base.breakerTrips
+}
+
+// AnalyzeStream is the whole-chain analysis path of the scans, experiments
+// and the CLI: opts.Workers identical goroutines each take one address from
+// src, analyze it as AnalyzeAddress does, and hand the finished Item to a
+// reorder window of opts.Window contracts — the run's whole memory bound,
+// whatever the corpus size — from which sink receives one item per
+// contract, in source order. DESIGN.md "Pipeline architecture" has the model
+// and its reasons.
 func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink ReportSink, opts AnalyzeOptions) *pipeline.Snapshot {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -195,113 +240,83 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	if window <= 0 {
 		window = DefaultWindow(workers)
 	}
-	if !opts.DisableDedup {
-		d.verdicts.setCapacity(opts.CacheCapacity)
-		d.structural.setCapacity(opts.CacheCapacity)
-	}
-	d.artifacts.setCapacity(opts.CacheCapacity)
-	d.structuralOff = opts.DisableStructural
+	run := d.newAnalysis(sources, opts)
+	tracker := newStreamTracker(window, src, sink)
+	before := d.ReaderCounters()
 
 	eng := pipeline.New()
-	stats := opts.Stats
-	if stats == nil {
-		stats = new(pipeline.Stats)
-	}
-	apiBefore := d.chain.APICalls()
-	var retriesBefore, tripsBefore int64
-	resil, hasResil := d.chain.(resilienceSource)
-	if hasResil {
-		retriesBefore, tripsBefore = resil.ResilienceCounters()
-	}
-
-	run := &streamRun{
-		d: d, opts: opts, sources: sources, stats: stats,
-		tracker: newStreamTracker(window, src, sink, stats),
-	}
+	var stages [numStages]*pipeline.Stage // stageHistory nil without WithHistory
 	for st, name := range stageNames {
 		if st != stageHistory || opts.WithHistory {
-			run.stages[st] = eng.NewStage(name, workers)
+			stages[st] = eng.NewStage(name, workers)
 		}
 	}
 	for w := 0; w < workers; w++ {
-		eng.Go(run.work)
+		// One worker: pull an address, analyze it to completion, repeat until
+		// the source is exhausted.
+		eng.Go(func() {
+			var clock stageClock
+			for idx, addr, ok := tracker.pull(); ok; idx, addr, ok = tracker.pull() {
+				it := run.analyze(addr, &clock)
+				it.Index = idx
+				tracker.deliver(it)
+			}
+			for st, acc := range clock {
+				if stages[st] != nil {
+					stages[st].Add(acc.items, acc.busy)
+				}
+			}
+		})
 	}
 	eng.Wait()
 
-	stats.StorageAPICalls.Add(d.chain.APICalls() - apiBefore)
-	if hasResil {
-		r, t := resil.ResilienceCounters()
-		stats.Retries.Add(r - retriesBefore)
-		stats.BreakerTrips.Add(t - tripsBefore)
-	}
-	return eng.Snapshot(stats)
+	snap := eng.Snapshot(run.opts.Stats)
+	d.CountReads(snap, before)
+	return snap
 }
 
-// work is one worker: pull an address, analyze it to completion, repeat
-// until the source is exhausted.
-func (r *streamRun) work() {
-	var clock stageClock
-	for {
-		idx, addr, ok := r.tracker.pull()
-		if !ok {
-			break
+// analyze runs one contract through every step it needs; a terminal read
+// failure in any step degrades the contract to Unresolved (Reader contract),
+// the first failure kept.
+func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
+	d, stats := r.d, r.opts.Stats
+	stats.Scanned.Add(1)
+	defer func() {
+		if it.Report.Unresolved {
+			stats.Unresolved.Add(1)
 		}
-		r.stats.Scanned.Add(1)
-		r.analyze(idx, addr, &clock)
-	}
-	for st, acc := range clock {
-		if r.stages[st] != nil {
-			r.stages[st].Add(acc.items, acc.busy)
-		}
-	}
-}
-
-// analyze runs one contract through every step it needs, landing each
-// outcome in the reorder window as it is known; a terminal read failure in
-// any step degrades the contract to Unresolved (Reader contract).
-func (r *streamRun) analyze(idx int, addr etypes.Address, clock *stageClock) {
-	d, stats, tracker := r.d, r.stats, r.tracker
+	}()
 	now := time.Now()
 
-	code, rep, probe := r.filter(addr)
+	code, verdict, probe := r.filter(addr)
 	if !probe {
-		tracker.deliverReport(idx, rep, 0)
 		clock.lap(stageFilter, now)
-		return
+		return Item{Report: verdict}
 	}
 	now = clock.lap(stageFilter, now)
 
-	rep = r.probe(addr, code)
+	rep := &it.Report
+	*rep = r.probe(addr, code)
 	now = clock.lap(stageProbe, now)
 
-	// Classification (Table 4). The report is handed to the tracker BEFORE
-	// the sub-analyses run, declaring how many are outstanding, so the item
-	// cannot be emitted incomplete.
+	// Classification (Table 4).
 	if rep.IsProxy {
-		rep.Standard = classify(code, rep)
+		rep.Standard = classify(code, *rep)
 		stats.ProxiesDetected.Add(1)
 	}
-	fanout := 0
-	if rep.IsProxy && !rep.Logic.IsZero() {
-		fanout = 1
-		if r.opts.WithHistory {
-			fanout = 2
-		}
-	}
-	tracker.deliverReport(idx, rep, fanout)
 	now = clock.lap(stageClassify, now)
-	if fanout == 0 {
-		return
+	if !rep.IsProxy || rep.Logic.IsZero() {
+		return it
 	}
 
 	// Logic-history recovery via Algorithm 1 (optional).
 	if r.opts.WithHistory {
 		var h HistoricalAnalysis
-		if re := chain.CaptureReadError(func() { h = d.AnalyzePairHistory(rep, r.sources) }); re != nil {
-			tracker.deliverHistory(idx, nil, re)
+		if re := chain.CaptureReadError(func() { h = d.AnalyzePairHistory(*rep, r.sources) }); re != nil {
+			markUnresolved(rep, re)
 		} else {
 			stats.HistoriesRecovered.Add(1)
-			tracker.deliverHistory(idx, &h, nil)
+			it.History = &h
 		}
 		now = clock.lap(stageHistory, now)
 	}
@@ -309,27 +324,28 @@ func (r *streamRun) analyze(idx int, addr etypes.Address, clock *stageClock) {
 	// Pair collision analysis (Section 5).
 	var pa PairAnalysis
 	if re := chain.CaptureReadError(func() { pa = d.AnalyzePair(rep.Address, rep.Logic, r.sources) }); re != nil {
-		tracker.deliverPair(idx, nil, re)
+		markUnresolved(rep, re)
 	} else {
 		stats.PairsAnalyzed.Add(1)
-		tracker.deliverPair(idx, &pa, nil)
+		it.Pair = &pa
 	}
 	clock.lap(stagePair, now)
+	return it
 }
 
 // filter is the disassembly filter (Section 4.1): it returns the runtime
 // code of a contract worth probing, or the final report of one that is not
 // — no code or no DELEGATECALL opcode, rejected without an emulation.
-func (r *streamRun) filter(addr etypes.Address) (code []byte, rep Report, probe bool) {
+func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe bool) {
 	if re := chain.CaptureReadError(func() { code = r.d.chain.Code(addr) }); re != nil {
 		return nil, unresolvedReport(addr, re), false
 	}
 	switch {
 	case len(code) == 0:
-		r.stats.NoCode.Add(1)
+		r.opts.Stats.NoCode.Add(1)
 		return nil, Report{Address: addr, Reason: "no code at address"}, false
 	case !disasm.ContainsOp(code, evm.DELEGATECALL):
-		r.stats.FilterRejected.Add(1)
+		r.opts.Stats.FilterRejected.Add(1)
 		return nil, Report{Address: addr, Reason: "bytecode contains no DELEGATECALL opcode"}, false
 	}
 	return code, Report{}, true
@@ -339,8 +355,8 @@ func (r *streamRun) filter(addr etypes.Address) (code []byte, rep Report, probe 
 // runtime bytecode thanks to the verdict cache, and one per *structural
 // family* of cleanly forwarding near-clones thanks to the second-level
 // fingerprint index.
-func (r *streamRun) probe(addr etypes.Address, code []byte) Report {
-	d, stats := r.d, r.stats
+func (r *analysis) probe(addr etypes.Address, code []byte) Report {
+	d, stats := r.d, r.opts.Stats
 	var rep Report
 	re := chain.CaptureReadError(func() {
 		if r.opts.DisableDedup {

@@ -43,9 +43,10 @@ func streamWithin(t *testing.T, limit time.Duration, name string, run func() *pi
 	}
 }
 
-// TestAnalyzeStreamClosedLoopSource drives the engine the way a proxiond
-// shard's client does: the source hands out address k+1 only after item k
-// has reached the sink. An engine that asks the source for a second address
+// TestAnalyzeStreamClosedLoopSource drives the engine the way a request
+// channel with a closed-loop client behind it does (proxiond's shards, when
+// it had them): the source hands out address k+1 only after item k has
+// reached the sink. An engine that asks the source for a second address
 // while it still holds the first — a chunked pull, a prefetching feeder —
 // waits for an emission that cannot happen; one address per turn completes.
 func TestAnalyzeStreamClosedLoopSource(t *testing.T) {

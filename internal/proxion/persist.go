@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/chain"
 	"repro/internal/etypes"
 )
 
@@ -221,15 +222,20 @@ func (e *CacheEntry) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// ExportVerdict snapshots the cache entry for one runtime bytecode hash.
-// It returns ok=false when the hash is unknown, still recording, or
-// poisoned (a recording run that died in a read failure — such entries
-// transfer no verdicts and are not worth persisting). Call only after the
-// analysis that touched the bytecode has delivered its result (a sink
-// observing the finished item satisfies this); the call synchronizes with
-// the recording goroutine through the entry's once.
-func (d *Detector) ExportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
-	e, ok := d.verdicts.peek(codeHash)
+// ExportVerdict snapshots the cache entry of the runtime bytecode now at
+// addr. It returns ok=false when the code hash cannot be read or is unknown,
+// still recording, or poisoned (a recording run that died in a read failure
+// — such entries transfer no verdicts and are not worth persisting). Call
+// only after the analysis that touched the bytecode has returned its item;
+// the call synchronizes with the recording goroutine through the entry's
+// once.
+func (d *Detector) ExportVerdict(addr etypes.Address) (ent CacheEntry, ok bool) {
+	chain.CaptureReadError(func() { ent, ok = d.exportVerdict(d.chain.CodeHash(addr)) })
+	return ent, ok
+}
+
+func (d *Detector) exportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
+	e, ok := d.verdicts.Peek(codeHash)
 	if !ok {
 		return CacheEntry{}, false
 	}
@@ -240,13 +246,13 @@ func (d *Detector) ExportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
 // hash for deterministic output. Intended for quiescent detectors (after a
 // run has drained); see ExportVerdict for the synchronization contract.
 func (d *Detector) ExportVerdicts() []CacheEntry {
-	hashes := d.verdicts.keys()
+	hashes := d.verdicts.Keys()
 	sort.Slice(hashes, func(i, j int) bool {
 		return bytes.Compare(hashes[i][:], hashes[j][:]) < 0
 	})
 	var out []CacheEntry
 	for _, h := range hashes {
-		if e, ok := d.ExportVerdict(h); ok {
+		if e, ok := d.exportVerdict(h); ok {
 			out = append(out, e)
 		}
 	}
@@ -320,7 +326,7 @@ func (d *Detector) ImportVerdicts(entries []CacheEntry) int {
 		cv.once.Do(func() {})
 		// An existing record wins: live state is never clobbered by a
 		// (possibly stale) persisted one.
-		if d.verdicts.add(ent.CodeHash, cv) {
+		if d.verdicts.Add(ent.CodeHash, cv) {
 			installed++
 		}
 	}

@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"sort"
+	"testing"
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
@@ -382,6 +383,76 @@ func refSortStorageCollisions(cs []StorageCollision) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && refLessHash(cs[j].Slot, cs[j-1].Slot); j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
+	}
+}
+
+// stackEffect is the arity table the slicer carried before it took
+// evm.StackArity: the interpreter's pop/push counts for the opcodes the
+// symbolic evaluator does not model specially. The reference keeps it.
+func stackEffect(op evm.Op) (pops, pushes int) {
+	switch {
+	case op.IsLog():
+		return int(op-evm.LOG0) + 2, 0
+	}
+	switch op {
+	case evm.STOP, evm.JUMPDEST, evm.INVALID:
+		return 0, 0
+	case evm.ADD, evm.MUL, evm.SUB, evm.DIV, evm.SDIV, evm.MOD, evm.SMOD,
+		evm.SIGNEXTEND, evm.LT, evm.GT, evm.SLT, evm.SGT, evm.EXP,
+		evm.BYTE, evm.SAR, evm.KECCAK256, evm.XOR:
+		return 2, 1
+	case evm.ADDMOD, evm.MULMOD:
+		return 3, 1
+	case evm.NOT, evm.BALANCE, evm.EXTCODESIZE, evm.EXTCODEHASH,
+		evm.BLOCKHASH, evm.MLOAD:
+		return 1, 1
+	case evm.ADDRESS, evm.ORIGIN, evm.CALLVALUE, evm.CALLDATASIZE,
+		evm.CODESIZE, evm.GASPRICE, evm.RETURNDATASIZE, evm.COINBASE,
+		evm.TIMESTAMP, evm.NUMBER, evm.DIFFICULTY, evm.GASLIMIT,
+		evm.CHAINID, evm.SELFBALANCE, evm.BASEFEE, evm.PC, evm.MSIZE,
+		evm.GAS:
+		return 0, 1
+	case evm.POP, evm.JUMP, evm.SELFDESTRUCT:
+		return 1, 0
+	case evm.MSTORE, evm.MSTORE8, evm.RETURN, evm.REVERT:
+		return 2, 0
+	case evm.CALLDATACOPY, evm.CODECOPY, evm.RETURNDATACOPY:
+		return 3, 0
+	case evm.EXTCODECOPY:
+		return 4, 0
+	case evm.CREATE:
+		return 3, 1
+	case evm.CREATE2:
+		return 4, 1
+	case evm.CALL, evm.CALLCODE:
+		return 7, 1
+	case evm.DELEGATECALL, evm.STATICCALL:
+		return 6, 1
+	default:
+		return 0, 0
+	}
+}
+
+// TestSlicerArityIsTheInterpreters pins the equivalence that let evalBlock
+// call evm.StackArity: over all 256 opcodes the two tables differ only on
+// opcodes evalBlock handles before its default branch, so none of the
+// differences can reach the call.
+func TestSlicerArityIsTheInterpreters(t *testing.T) {
+	special := map[evm.Op]bool{
+		evm.PUSH0: true,
+		evm.EQ:    true, evm.ISZERO: true, evm.AND: true, evm.OR: true, evm.SHL: true, evm.SHR: true,
+		evm.CALLER: true, evm.CALLDATALOAD: true, evm.SLOAD: true, evm.SSTORE: true, evm.JUMPI: true,
+	}
+	for b := 0; b < 256; b++ {
+		op := evm.Op(b)
+		if op.IsPush() || op.IsDup() || op.IsSwap() || special[op] {
+			continue
+		}
+		wantPops, wantPushes := stackEffect(op)
+		if pops, pushes := evm.StackArity(op); pops != wantPops || pushes != wantPushes {
+			t.Errorf("opcode %#02x: evm.StackArity = (%d, %d), the slicer's table had (%d, %d)",
+				b, pops, pushes, wantPops, wantPushes)
 		}
 	}
 }

@@ -314,7 +314,7 @@ func (s *slicer) evalBlock(block disasm.BasicBlock) {
 				s.block[cond.acc-1].Guard = true
 			}
 		default:
-			pops, pushes := stackEffect(op)
+			pops, pushes := evm.StackArity(op)
 			var anyTaint bool
 			var acc int32
 			for i := 0; i < pops; i++ {
@@ -375,50 +375,4 @@ func lowRunMask(m u256.Int) (offsetBytes, sizeBytes int, ok bool) {
 // byte offset and length (the field being overwritten).
 func complementRunMask(m u256.Int) (offsetBytes, sizeBytes int, ok bool) {
 	return lowRunMask(m.Not())
-}
-
-// stackEffect mirrors the interpreter's pop/push counts for opcodes the
-// symbolic evaluator does not model specially.
-func stackEffect(op evm.Op) (pops, pushes int) {
-	switch {
-	case op.IsLog():
-		return int(op-evm.LOG0) + 2, 0
-	}
-	switch op {
-	case evm.STOP, evm.JUMPDEST, evm.INVALID:
-		return 0, 0
-	case evm.ADD, evm.MUL, evm.SUB, evm.DIV, evm.SDIV, evm.MOD, evm.SMOD,
-		evm.SIGNEXTEND, evm.LT, evm.GT, evm.SLT, evm.SGT, evm.EXP,
-		evm.BYTE, evm.SAR, evm.KECCAK256, evm.XOR:
-		return 2, 1
-	case evm.ADDMOD, evm.MULMOD:
-		return 3, 1
-	case evm.NOT, evm.BALANCE, evm.EXTCODESIZE, evm.EXTCODEHASH,
-		evm.BLOCKHASH, evm.MLOAD:
-		return 1, 1
-	case evm.ADDRESS, evm.ORIGIN, evm.CALLVALUE, evm.CALLDATASIZE,
-		evm.CODESIZE, evm.GASPRICE, evm.RETURNDATASIZE, evm.COINBASE,
-		evm.TIMESTAMP, evm.NUMBER, evm.DIFFICULTY, evm.GASLIMIT,
-		evm.CHAINID, evm.SELFBALANCE, evm.BASEFEE, evm.PC, evm.MSIZE,
-		evm.GAS:
-		return 0, 1
-	case evm.POP, evm.JUMP, evm.SELFDESTRUCT:
-		return 1, 0
-	case evm.MSTORE, evm.MSTORE8, evm.RETURN, evm.REVERT:
-		return 2, 0
-	case evm.CALLDATACOPY, evm.CODECOPY, evm.RETURNDATACOPY:
-		return 3, 0
-	case evm.EXTCODECOPY:
-		return 4, 0
-	case evm.CREATE:
-		return 3, 1
-	case evm.CREATE2:
-		return 4, 1
-	case evm.CALL, evm.CALLCODE:
-		return 7, 1
-	case evm.DELEGATECALL, evm.STATICCALL:
-		return 6, 1
-	default:
-		return 0, 0
-	}
 }

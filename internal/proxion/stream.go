@@ -3,9 +3,7 @@ package proxion
 import (
 	"sync"
 
-	"repro/internal/chain"
 	"repro/internal/etypes"
-	"repro/internal/pipeline"
 )
 
 // AddressSource is the streaming input of an analysis run: the engine's
@@ -44,10 +42,9 @@ func SliceSource(addrs []etypes.Address) AddressSource {
 }
 
 // Item is one contract's finalized analysis: the detection report plus
-// the collision/history analyses that hang off it, delivered to a
-// ReportSink only when every stage that touches the contract is done.
-// Index is the contract's position in the source stream — items arrive
-// at the sink strictly in index order.
+// the collision/history analyses that hang off it. Index is the contract's
+// position in the source stream — items arrive at a ReportSink strictly in
+// index order; a single AnalyzeAddress call leaves it 0.
 type Item struct {
 	Index   int
 	Report  Report
@@ -96,7 +93,7 @@ func (c *CollectSink) Emit(it Item) {
 func (c *CollectSink) Result() *Result { return &c.res }
 
 // streamTracker is the bounded window between the source and the sink:
-// workers pull addresses through it, complete them in any order, and it
+// workers pull addresses through it, finish them in any order, and it
 // emits them in source order. It enforces the run's memory bound end to end:
 //
 //   - a worker takes one window slot before it pulls an address (blocking
@@ -105,11 +102,9 @@ func (c *CollectSink) Result() *Result { return &c.res }
 //     in-flight + completed-but-unemitted items never exceed the window.
 //
 // Peak memory of a streaming run is therefore a function of the window
-// size — never of corpus length. The semaphore is the bound; the ring
-// behind it starts at minRing slots and becomes the whole window the first
-// time more items than that are in flight, so a stream of one address (the
-// follower's re-analysis of an upgraded proxy) does not pay for a window it
-// never fills.
+// size — never of corpus length. The semaphore is the bound and the ring
+// behind it is the whole window from the start: whoever wants one address
+// analyzed calls AnalyzeAddress and has no window to pay for.
 type streamTracker struct {
 	sink ReportSink
 
@@ -124,41 +119,30 @@ type streamTracker struct {
 	done bool // src has reported end of stream; under turn
 
 	mu       sync.Mutex
-	slots    []trackSlot // ring buffer, indexed by item index % len; minRing or cap(sem) long
+	slots    []trackSlot // ring buffer, indexed by item index % len; cap(sem) long
 	base     int         // lowest index not yet emitted
 	next     int         // next index to assign (under turn and mu)
 	emitting bool        // a goroutine is currently draining ready slots
-
-	stats *pipeline.Stats // run counters; Unresolved bumped at emission
 }
 
-// trackSlot is one in-flight contract.
+// trackSlot is one in-flight contract: empty until its worker delivers the
+// finished item.
 type trackSlot struct {
-	rep  Report
-	pair *PairAnalysis
-	hist *HistoricalAnalysis
-	// outstanding counts fanned-out sub-analyses (pair, history) still
-	// running; the slot is complete when the report landed and this is 0.
-	outstanding int
-	hasReport   bool
+	it    Item
+	ready bool
 }
 
-// minRing is the reorder ring's initial size.
-const minRing = 16
-
-func newStreamTracker(window int, src AddressSource, sink ReportSink, stats *pipeline.Stats) *streamTracker {
+func newStreamTracker(window int, src AddressSource, sink ReportSink) *streamTracker {
 	return &streamTracker{
 		src:   src,
 		sink:  sink,
 		sem:   make(chan struct{}, window),
-		slots: make([]trackSlot, min(minRing, window)),
-		stats: stats,
+		slots: make([]trackSlot, window),
 	}
 }
 
 // pull blocks until a window slot is free, then takes the source's turn
-// for ONE address and assigns it the next item index, growing the ring if
-// the items in flight no longer fit the starting one. One, never a batch:
+// for ONE address and assigns it the next item index. One, never a batch:
 // a source may withhold address k+1 until item k has been emitted (a query
 // service's closed-loop client), so a worker that kept pulling with k in
 // hand could wait forever. The window token is taken before the turn, and
@@ -175,9 +159,6 @@ func (t *streamTracker) pull() (idx int, addr etypes.Address, ok bool) {
 	if ok {
 		t.mu.Lock()
 		idx = t.next
-		if idx-t.base == len(t.slots) {
-			t.grow()
-		}
 		t.next++
 		t.mu.Unlock()
 	}
@@ -188,62 +169,15 @@ func (t *streamTracker) pull() (idx int, addr etypes.Address, ok bool) {
 	return idx, addr, ok
 }
 
-// grow replaces the starting ring by the whole window and re-seats the
-// in-flight slots [base, next) at their new positions. It happens once, a
-// few items into any stream that outruns minRing, and not by doubling: how
-// many items are in flight at a time is the scheduler's doing, so a ring
-// sized by it ends at 512 slots in one scan of a corpus and 4,096 in the
-// next, and every delivery's cache footprint — the scan's latency tail —
-// goes with it. Callers hold t.mu; nobody keeps a slot pointer across an
-// unlock.
-func (t *streamTracker) grow() {
-	bigger := make([]trackSlot, cap(t.sem))
-	for i := t.base; i < t.next; i++ {
-		bigger[i%len(bigger)] = *t.slot(i)
-	}
-	t.slots = bigger
-}
-
 // slot returns the ring slot for idx. Callers hold t.mu.
 func (t *streamTracker) slot(idx int) *trackSlot {
 	return &t.slots[idx%len(t.slots)]
 }
 
-// deliverReport lands the detection report for idx and declares how many
-// sub-analyses (pair + history) are still outstanding. It must be called
-// BEFORE the sub-analyses start so the slot can never look complete early.
-func (t *streamTracker) deliverReport(idx int, rep Report, outstanding int) {
+// deliver lands the finished item in the slot its Index names.
+func (t *streamTracker) deliver(it Item) {
 	t.mu.Lock()
-	s := t.slot(idx)
-	s.rep = rep
-	s.hasReport = true
-	s.outstanding += outstanding
-	t.drainLocked()
-}
-
-// deliverPair lands one pair analysis (or its terminal read failure).
-func (t *streamTracker) deliverPair(idx int, pa *PairAnalysis, re *chain.ReadError) {
-	t.mu.Lock()
-	s := t.slot(idx)
-	if re != nil {
-		markUnresolved(&s.rep, re)
-	} else {
-		s.pair = pa
-	}
-	s.outstanding--
-	t.drainLocked()
-}
-
-// deliverHistory lands one history analysis (or its terminal failure).
-func (t *streamTracker) deliverHistory(idx int, h *HistoricalAnalysis, re *chain.ReadError) {
-	t.mu.Lock()
-	s := t.slot(idx)
-	if re != nil {
-		markUnresolved(&s.rep, re)
-	} else {
-		s.hist = h
-	}
-	s.outstanding--
+	*t.slot(it.Index) = trackSlot{it: it, ready: true}
 	t.drainLocked()
 }
 
@@ -261,17 +195,14 @@ func (t *streamTracker) drainLocked() {
 	t.emitting = true
 	for {
 		s := t.slot(t.base)
-		if !s.hasReport || s.outstanding != 0 {
+		if !s.ready {
 			break
 		}
-		it := Item{Index: t.base, Report: s.rep, Pair: s.pair, History: s.hist}
+		it := s.it
 		*s = trackSlot{} // reset for reuse before the slot index recycles
 		t.base++
 		t.mu.Unlock()
 
-		if it.Report.Unresolved && t.stats != nil {
-			t.stats.Unresolved.Add(1)
-		}
 		t.sink.Emit(it)
 		<-t.sem // release the window slot only after emission
 

@@ -8,26 +8,21 @@ import (
 	"repro/internal/etypes"
 )
 
-// TestStreamTrackerRingGrowsOnDemand streams 3×window items through a
-// tracker whose ring starts at minRing, completing them out of order from
-// two goroutines. Emission must stay in index order with nothing lost
-// across the re-seating, the ring must become the window and no larger
-// (whatever the scheduler made of the run), and a stream that keeps few
-// items in flight must leave it at its minimum.
-func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
+// TestStreamTrackerOutOfOrderDelivery streams 3×window items through a
+// tracker, so that every ring slot is reused, completing them out of order
+// from two goroutines with the window as full as the puller can make it.
+// Emission must stay in index order, each item with its own report, nothing
+// lost, and every window token handed back.
+func TestStreamTrackerOutOfOrderDelivery(t *testing.T) {
 	const window = 256
 	var emitted []int
-	maxRing := 0
 	endless := SourceFunc(func() (etypes.Address, bool) { return etypes.Address{}, true })
 	tr := newStreamTracker(window, endless, SinkFunc(func(it Item) {
 		if it.Report.Address != addrOf(it.Index) {
 			t.Errorf("item %d emitted with another item's report", it.Index)
 		}
 		emitted = append(emitted, it.Index)
-	}), nil)
-	if len(tr.slots) != minRing {
-		t.Fatalf("ring starts at %d slots, want %d", len(tr.slots), minRing)
-	}
+	}))
 
 	// The puller runs ahead as far as the window lets it. One completer takes
 	// what it fed in batches (whole batches, so the item the window waits on
@@ -48,8 +43,7 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 				go func(half []int) {
 					defer landing.Done()
 					for _, idx := range half {
-						tr.deliverReport(idx, Report{Address: addrOf(idx)}, 1)
-						tr.deliverPair(idx, &PairAnalysis{}, nil)
+						tr.deliver(Item{Index: idx, Report: Report{Address: addrOf(idx)}})
 					}
 				}(half)
 			}
@@ -65,11 +59,6 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 	}()
 	for i := 0; i < 3*window; i++ {
 		idx, _, _ := tr.pull()
-		tr.mu.Lock()
-		if len(tr.slots) > maxRing {
-			maxRing = len(tr.slots)
-		}
-		tr.mu.Unlock()
 		fed <- idx
 	}
 	close(fed)
@@ -83,21 +72,8 @@ func TestStreamTrackerRingGrowsOnDemand(t *testing.T) {
 			t.Fatalf("emission %d carried item %d", i, idx)
 		}
 	}
-	if maxRing != window {
-		t.Fatalf("ring ended at %d slots with %d items in flight, want the %d-item window", maxRing, window/2, window)
-	}
 	if len(tr.sem) != 0 {
 		t.Fatalf("%d window tokens still held after the stream drained", len(tr.sem))
-	}
-
-	// One item at a time: the window is never approached, the ring stays put.
-	one := newStreamTracker(4096, endless, SinkFunc(func(Item) {}), nil)
-	for i := 0; i < 100; i++ {
-		idx, _, _ := one.pull()
-		one.deliverReport(idx, Report{}, 0)
-	}
-	if len(one.slots) != minRing {
-		t.Fatalf("sequential stream grew the ring to %d slots", len(one.slots))
 	}
 }
 

@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"repro/internal/etypes"
+	"repro/internal/lru"
 	"repro/internal/static"
 )
 
@@ -35,7 +36,7 @@ import (
 // guard-slot-reading fallbacks never register (a twin's guard state is not
 // comparable across different code hashes).
 type structuralIndex struct {
-	lru[etypes.Hash, *fpClass]
+	*lru.Cache[etypes.Hash, *fpClass]
 }
 
 // fpClass is the state of one structural clone family. registered and
@@ -48,23 +49,20 @@ type fpClass struct {
 	target     TargetSource
 }
 
-// newStructuralIndex returns an unbounded index; setCapacity bounds it like
+// newStructuralIndex returns an unbounded index; SetCapacity bounds it like
 // the verdict cache. An evicted or invalidated family's in-flight leader
 // finishes harmlessly into the orphan, and the next arrival of that
 // fingerprint becomes a fresh leader that re-reads live chain state.
 func newStructuralIndex() *structuralIndex {
-	return &structuralIndex{newLRU[etypes.Hash, *fpClass]()}
+	return &structuralIndex{lru.New[etypes.Hash, *fpClass](0)}
 }
 
 // class returns the family for fp and whether the caller claimed
 // leadership of a brand-new family. A leader MUST close(cls.done) on every
 // exit path, or followers block forever.
 func (s *structuralIndex) class(fp etypes.Hash) (cls *fpClass, leader bool) {
-	return s.getOrAdd(fp, func() *fpClass { return &fpClass{done: make(chan struct{})} })
+	return s.GetOrAdd(fp, func() *fpClass { return &fpClass{done: make(chan struct{})} })
 }
-
-// invalidate drops one family, reporting whether it existed.
-func (s *structuralIndex) invalidate(fp etypes.Hash) bool { return s.remove(fp) }
 
 // probeSource says how a deduped check obtained its verdict.
 type probeSource uint8
@@ -106,7 +104,7 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 		d.recordOutcome(entry, addr, out)
 		return out.rep
 	}
-	if d.structuralOff || d.structural == nil {
+	if s := d.applied.Load(); s != nil && s.structuralOff {
 		return emulate(), tr
 	}
 
@@ -250,4 +248,4 @@ func (d *Detector) promote(addr etypes.Address, sum *static.Summary, target Targ
 // StructuralFamilies returns how many structural clone families the index
 // currently tracks. Like CacheEvictions this is a diagnostic, not a
 // deterministic pipeline counter.
-func (d *Detector) StructuralFamilies() int { return d.structural.len() }
+func (d *Detector) StructuralFamilies() int { return d.structural.Len() }

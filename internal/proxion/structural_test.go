@@ -109,7 +109,7 @@ func TestStructuralStorageTwinsReanchor(t *testing.T) {
 	// Promotion parity: the promoted report must equal the report an
 	// emulation-only detector produces for the same address.
 	plain := NewDetector(c)
-	plain.structuralOff = true
+	plain.configure(AnalyzeOptions{DisableStructural: true})
 	want, _ := plain.checkDeduped(pB, c.Code(pB))
 	if !reflect.DeepEqual(repB, want) {
 		t.Fatalf("promoted report diverges from emulated report:\n got %+v\nwant %+v", repB, want)
@@ -225,7 +225,7 @@ func TestStructuralRefusesPackedSlotTwin(t *testing.T) {
 	}
 
 	plain := NewDetector(c)
-	plain.structuralOff = true
+	plain.configure(AnalyzeOptions{DisableStructural: true})
 	want, _ := plain.checkDeduped(pB, c.Code(pB))
 	if !reflect.DeepEqual(repB, want) {
 		t.Fatalf("packed twin diverges from uncached analysis:\n got %+v\nwant %+v", repB, want)
@@ -251,7 +251,7 @@ func TestStructuralRefusesSelfTargetTwin(t *testing.T) {
 	}
 
 	plain := NewDetector(c)
-	plain.structuralOff = true
+	plain.configure(AnalyzeOptions{DisableStructural: true})
 	want, _ := plain.checkDeduped(p2, c.Code(p2))
 	if !reflect.DeepEqual(rep2, want) {
 		t.Fatalf("self-target twin diverges from uncached analysis:\n got %+v\nwant %+v", rep2, want)
@@ -263,7 +263,7 @@ func TestStructuralRefusesSelfTargetTwin(t *testing.T) {
 // emulated again — promotion can only skip work for remembered families.
 func TestStructuralIndexEviction(t *testing.T) {
 	s := newStructuralIndex()
-	s.setCapacity(2)
+	s.SetCapacity(2)
 	fps := []etypes.Hash{
 		etypes.Keccak([]byte("f1")), etypes.Keccak([]byte("f2")), etypes.Keccak([]byte("f3")),
 	}
@@ -275,8 +275,8 @@ func TestStructuralIndexEviction(t *testing.T) {
 		cls.registered = true
 		close(cls.done)
 	}
-	if s.len() != 2 {
-		t.Fatalf("index len = %d, want 2 after eviction", s.len())
+	if s.Len() != 2 {
+		t.Fatalf("index len = %d, want 2 after eviction", s.Len())
 	}
 	// f1 was evicted: its next arrival leads again.
 	if _, leader := s.class(fps[0]); !leader {

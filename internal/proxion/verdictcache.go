@@ -3,8 +3,11 @@ package proxion
 import (
 	"sync"
 
+	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/keccak"
+	"repro/internal/lru"
+	"repro/internal/static"
 )
 
 // The landscape's extreme bytecode duplication (98.7% of contracts are
@@ -36,11 +39,11 @@ import (
 // evicted bytecode is re-emulated (a miss the unbounded cache would have
 // served), so hit counts under eviction depend on scheduling.
 type verdictCache struct {
-	lru[etypes.Hash, *codeVerdict]
+	*lru.Cache[etypes.Hash, *codeVerdict]
 }
 
 func newVerdictCache() *verdictCache {
-	return &verdictCache{newLRU[etypes.Hash, *codeVerdict]()}
+	return &verdictCache{lru.New[etypes.Hash, *codeVerdict](0)}
 }
 
 // entry returns the (possibly fresh) record for one bytecode hash,
@@ -48,16 +51,8 @@ func newVerdictCache() *verdictCache {
 // entry still holds its *codeVerdict and finishes harmlessly into the
 // orphan; the next duplicate simply re-emulates under a fresh entry.
 func (c *verdictCache) entry(codeHash etypes.Hash) *codeVerdict {
-	e, _ := c.getOrAdd(codeHash, func() *codeVerdict { return new(codeVerdict) })
+	e, _ := c.GetOrAdd(codeHash, func() *codeVerdict { return new(codeVerdict) })
 	return e
-}
-
-// invalidate drops the record for one bytecode hash, if present. The next
-// duplicate of that code re-emulates and records fresh — the remedy for a
-// verdict known to be stale (e.g. after out-of-band storage surgery on
-// the recording address) or poisoned.
-func (c *verdictCache) invalidate(codeHash etypes.Hash) bool {
-	return c.remove(codeHash)
 }
 
 // CacheEvictions returns how many verdict-cache entries a bounded run has
@@ -65,23 +60,29 @@ func (c *verdictCache) invalidate(codeHash etypes.Hash) bool {
 // outside the pipeline counter set: eviction totals depend on worker
 // scheduling, and the deterministic counters are compared byte-for-byte
 // by the bench regression gate.
-func (d *Detector) CacheEvictions() int64 { return d.verdicts.evictionCount() }
+func (d *Detector) CacheEvictions() int64 { return d.verdicts.Evictions() }
 
-// InvalidateVerdict drops the cached verdict for one runtime bytecode
-// hash, reporting whether an entry existed; subsequent duplicates
-// re-emulate fresh.
-func (d *Detector) InvalidateVerdict(codeHash etypes.Hash) bool {
-	return d.verdicts.invalidate(codeHash)
-}
-
-// InvalidateStructural drops the structural near-clone family for one
-// static fingerprint, reporting whether a family existed. The next code
-// hash carrying the fingerprint becomes a fresh leader, so re-registration
-// reads live chain state. Used by the follower after an upgrade event:
-// promotion re-reads the candidate's own storage, but the family's
-// registered target shape was proven against pre-upgrade state.
-func (d *Detector) InvalidateStructural(fp etypes.Hash) bool {
-	return d.structural.invalidate(fp)
+// Invalidate drops every verdict cached for addr's current bytecode and
+// returns how many tiers held one: the exact-hash entry, so the next
+// duplicate of that code re-emulates and records fresh — the remedy for a
+// verdict known to be stale, as after an upgrade — and the structural
+// family of the code's fingerprint, whose registered target shape was proven
+// against pre-upgrade state; the next code hash carrying the fingerprint
+// becomes a fresh leader that reads the live chain.
+func (d *Detector) Invalidate(addr etypes.Address) (int, error) {
+	n := 0
+	re := chain.CaptureReadError(func() {
+		if d.verdicts.Remove(d.chain.CodeHash(addr)) {
+			n++
+		}
+		if code := d.chain.Code(addr); len(code) > 0 && d.structural.Remove(static.Fingerprint(code)) {
+			n++
+		}
+	})
+	if re != nil {
+		return n, re
+	}
+	return n, nil
 }
 
 // codeVerdict is the memoized detection state of one distinct runtime

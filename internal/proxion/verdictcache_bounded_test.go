@@ -22,7 +22,7 @@ func hashOfByte(b byte) etypes.Hash {
 // with capacity 2, touching A before inserting C must evict B, not A.
 func TestVerdictCacheEvictionOrder(t *testing.T) {
 	c := newVerdictCache()
-	c.setCapacity(2)
+	c.SetCapacity(2)
 
 	hA, hB, hC := hashOfByte(1), hashOfByte(2), hashOfByte(3)
 	c.entry(hA)
@@ -30,18 +30,16 @@ func TestVerdictCacheEvictionOrder(t *testing.T) {
 	c.entry(hA) // refresh A: B is now least recently used
 	c.entry(hC) // over capacity: evict B
 
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	c.mu.Lock()
-	_, hasA := c.m[hA]
-	_, hasB := c.m[hB]
-	_, hasC := c.m[hC]
-	c.mu.Unlock()
+	_, hasA := c.Peek(hA)
+	_, hasB := c.Peek(hB)
+	_, hasC := c.Peek(hC)
 	if !hasA || hasB || !hasC {
 		t.Fatalf("after insert A,B, touch A, insert C: hasA=%v hasB=%v hasC=%v, want true,false,true", hasA, hasB, hasC)
 	}
-	if got := c.evictionCount(); got != 1 {
+	if got := c.Evictions(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 }
@@ -54,31 +52,29 @@ func TestVerdictCacheShrinkOnSetCapacity(t *testing.T) {
 	for i := byte(1); i <= 5; i++ {
 		c.entry(hashOfByte(i))
 	}
-	c.setCapacity(2)
-	if c.len() != 2 {
-		t.Fatalf("after shrink to 2: len = %d", c.len())
+	c.SetCapacity(2)
+	if c.Len() != 2 {
+		t.Fatalf("after shrink to 2: len = %d", c.Len())
 	}
-	c.mu.Lock()
-	_, has4 := c.m[hashOfByte(4)]
-	_, has5 := c.m[hashOfByte(5)]
-	c.mu.Unlock()
+	_, has4 := c.Peek(hashOfByte(4))
+	_, has5 := c.Peek(hashOfByte(5))
 	if !has4 || !has5 {
 		t.Fatal("shrink evicted the most recent entries instead of the oldest")
 	}
-	if got := c.evictionCount(); got != 3 {
+	if got := c.Evictions(); got != 3 {
 		t.Fatalf("evictions = %d, want 3", got)
 	}
 
-	c.setCapacity(0)
+	c.SetCapacity(0)
 	for i := byte(6); i <= 20; i++ {
 		c.entry(hashOfByte(i))
 	}
-	if c.len() != 17 {
-		t.Fatalf("unbounded mode evicted: len = %d, want 17", c.len())
+	if c.Len() != 17 {
+		t.Fatalf("unbounded mode evicted: len = %d, want 17", c.Len())
 	}
 }
 
-// TestVerdictCacheInvalidate covers the staleness remedy: after invalidate,
+// TestVerdictCacheInvalidate covers the staleness remedy: after Remove,
 // the old record (including a poisoned one, whose recording run panicked
 // and consumed its sync.Once) is gone and the next entry() starts fresh.
 func TestVerdictCacheInvalidate(t *testing.T) {
@@ -94,13 +90,13 @@ func TestVerdictCacheInvalidate(t *testing.T) {
 		t.Fatal("test setup: entry should be poisoned (byFP nil, once consumed)")
 	}
 
-	c.invalidate(h)
-	if c.len() != 0 {
-		t.Fatalf("after invalidate: len = %d, want 0", c.len())
+	c.Remove(h)
+	if c.Len() != 0 {
+		t.Fatalf("after Remove: len = %d, want 0", c.Len())
 	}
 	e2 := c.entry(h)
 	if e2 == e {
-		t.Fatal("entry after invalidate is the poisoned record, not a fresh one")
+		t.Fatal("entry after Remove is the poisoned record, not a fresh one")
 	}
 	ran := false
 	e2.once.Do(func() { ran = true })
@@ -108,8 +104,8 @@ func TestVerdictCacheInvalidate(t *testing.T) {
 		t.Fatal("fresh entry's once was already consumed")
 	}
 
-	// Invalidating an absent hash is a no-op.
-	c.invalidate(hashOfByte(200))
+	// Removing an absent hash is a no-op.
+	c.Remove(hashOfByte(200))
 }
 
 func boundedTestLogic() *solc.Contract {
@@ -187,9 +183,9 @@ func TestBoundedCacheHitAccounting(t *testing.T) {
 
 // TestBoundedCacheNoStaleVerdictAfterInvalidate drives the detector path:
 // a verdict is recorded for a bytecode, the recording address's guard
-// state is then changed out from under the cache, and InvalidateVerdict
-// must force the next duplicate to re-emulate rather than transfer the
-// stale record. (The guard-fingerprint mechanism already isolates *keyed*
+// state is then changed out from under the cache, and Invalidate must
+// force the next duplicate to re-emulate rather than transfer the stale
+// record. (The guard-fingerprint mechanism already isolates *keyed*
 // state; invalidation is the remedy when the recorded baseline itself is
 // no longer trustworthy.)
 func TestBoundedCacheNoStaleVerdictAfterInvalidate(t *testing.T) {
@@ -216,15 +212,15 @@ func TestBoundedCacheNoStaleVerdictAfterInvalidate(t *testing.T) {
 		t.Fatal("duplicate with identical guard state should hit")
 	}
 
-	// Invalidation drops the exact-hash verdict. The structural family
-	// survives (its registration depends only on the code shape, which
-	// invalidation does not dispute) and re-anchors the re-probe from p2's
-	// own storage — fresh state, so nothing stale is served; what must not
-	// happen is a hit on the dropped exact entry.
-	d.InvalidateVerdict(c.CodeHash(p1))
+	// Invalidation drops the exact-hash verdict and the structural family
+	// the code registered, so the re-probe reads p2's own storage — fresh
+	// state, nothing stale served — through a fresh emulation.
+	if n, err := d.Invalidate(p1); err != nil || n != 2 {
+		t.Fatalf("Invalidate = %d, %v; want both tiers dropped", n, err)
+	}
 	rep, tr := d.checkDeduped(p2, code)
-	if tr.source == sourceExactHit {
-		t.Fatal("verdict served from the exact cache after invalidation")
+	if tr.source != sourceEmulated {
+		t.Fatalf("verdict served from a cache after invalidation (source %d)", tr.source)
 	}
 	if !rep.IsProxy || rep.Logic != logic {
 		t.Fatalf("re-recorded verdict wrong: proxy=%v logic=%s", rep.IsProxy, rep.Logic)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/etypes"
-	"repro/internal/pipeline"
 	"repro/internal/proxion"
 	"repro/internal/static"
 	"repro/internal/store"
@@ -199,9 +198,9 @@ func staticReportOf(addr etypes.Address, sum *static.Summary) StaticReport {
 	return out
 }
 
-// ShardStats is one shard's live statistics: the same proxion.Summary
-// shape the CLI's -json flag emits, fed from the shard's fold-as-you-go
-// builder and live pipeline counters.
+// ShardStats is the detector's live statistics: the same proxion.Summary
+// shape the CLI's -json flag emits, fed from the server's fold-as-you-go
+// builder and live engine counters.
 type ShardStats struct {
 	Shard   int             `json:"shard"`
 	Summary proxion.Summary `json:"summary"`
@@ -210,66 +209,37 @@ type ShardStats struct {
 // StatsResponse is the /v1/stats payload.
 type StatsResponse struct {
 	Counters Counters `json:"counters"`
-	// Total is the shard summaries merged — the whole service's landscape
-	// view in the -json summary shape.
-	Total  proxion.Summary `json:"total"`
-	Shards []ShardStats    `json:"shards"`
-	Store  *store.Stats    `json:"store,omitempty"`
+	// Total is the whole service's landscape view in the -json summary
+	// shape.
+	Total proxion.Summary `json:"total"`
+	// Shards holds one entry, Total with the engine counters attached: the
+	// server has had one detector since it stopped sharding, and the field
+	// keeps its name and shape for the clients compiled against it.
+	Shards []ShardStats `json:"shards"`
+	Store  *store.Stats `json:"store,omitempty"`
 }
 
-// liveSnapshot freezes a running shard's atomic counters into the
-// pipeline.Snapshot shape without waiting for the engine to finish —
-// stage instrumentation and wall-clock fields stay zero, the run counters
-// are exact at the instant of the read.
-func liveSnapshot(st *pipeline.Stats) *pipeline.Snapshot {
-	snap := &pipeline.Snapshot{
-		Contracts:          st.Scanned.Load(),
-		NoCode:             st.NoCode.Load(),
-		FilterRejected:     st.FilterRejected.Load(),
-		Emulations:         st.Emulations.Load(),
-		CacheHits:          st.CacheHits.Load(),
-		StructuralHits:     st.StructuralHits.Load(),
-		StaticSummaries:    st.StaticSummaries.Load(),
-		StructuralRejects:  st.StructuralRejects.Load(),
-		EmulationAborts:    st.EmulationAborts.Load(),
-		ProxiesDetected:    st.ProxiesDetected.Load(),
-		PairsAnalyzed:      st.PairsAnalyzed.Load(),
-		HistoriesRecovered: st.HistoriesRecovered.Load(),
-		StorageAPICalls:    st.StorageAPICalls.Load(),
-		Unresolved:         st.Unresolved.Load(),
-		Retries:            st.Retries.Load(),
-		BreakerTrips:       st.BreakerTrips.Load(),
-	}
-	if lookups := snap.CacheHits + snap.Emulations; lookups > 0 {
-		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)
-	}
-	return snap
-}
-
-// Stats assembles the service-wide statistics: per-shard summaries in the
-// -json shape (with live pipeline counters), their merge, the store's
-// counters and the request counters.
+// Stats assembles the service-wide statistics: the summary in the -json
+// shape, the engine counters as they read now — the reader's own
+// (getStorageAt calls, retries, breaker trips) as the difference since New,
+// there being no end of stream to fold them at; no per-stage rows, there
+// being no engine — the store's counters and the request counters.
 func (s *Server) Stats() StatsResponse {
-	resp := StatsResponse{Counters: s.Counters()}
-	total := proxion.NewSummaryBuilder()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		// Clone the builder under the shard lock by merging it into a
-		// fresh one; the shard keeps folding undisturbed.
-		clone := proxion.NewSummaryBuilder()
-		clone.Merge(sh.summary)
-		snap := sh.snap
-		sh.mu.Unlock()
-		if snap == nil {
-			snap = liveSnapshot(&sh.stats)
-		}
-		total.Merge(clone)
-		resp.Shards = append(resp.Shards, ShardStats{
-			Shard:   sh.id,
-			Summary: clone.Summary(snap),
-		})
+	snap := s.stats.Snapshot()
+	s.detector.CountReads(snap, s.base)
+
+	// Clone the builder under its lock by merging it into a fresh one; the
+	// server keeps folding undisturbed.
+	sum := proxion.NewSummaryBuilder()
+	s.summaryMu.Lock()
+	sum.Merge(s.summary)
+	s.summaryMu.Unlock()
+
+	resp := StatsResponse{
+		Counters: s.Counters(),
+		Total:    sum.Summary(nil),
+		Shards:   []ShardStats{{Summary: sum.Summary(snap)}},
 	}
-	resp.Total = total.Summary(nil)
 	if s.st != nil {
 		st := s.st.Stats()
 		resp.Store = &st
@@ -285,7 +255,7 @@ func (s *Server) Stats() StatsResponse {
 //	POST /v1/scan                 — {"addresses": [...]} → NDJSON verdict stream
 //	GET  /v1/collisions?addr=0x…  — one proxy's collision report
 //	GET  /v1/static?addr=0x…      — one contract's static bytecode profile
-//	GET  /v1/stats                — per-shard + total summaries, store stats
+//	GET  /v1/stats                — summary, engine and request counters, store stats
 //	GET  /v1/watch/stats          — chain-follower counters (404 unless -follow)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -322,7 +292,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "shards": len(s.shards)})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "shards": s.cfg.Shards})
 }
 
 // addrParam parses the addr query parameter.
@@ -379,8 +349,8 @@ func parseBatch(r *http.Request) ([]etypes.Address, error) {
 	return out, nil
 }
 
-// lookupAll fans a batch across the shards concurrently and returns the
-// items in request order (nil error entries where lookups failed).
+// lookupAll looks a batch up concurrently and returns the items in request
+// order (nil error entries where lookups succeeded).
 func (s *Server) lookupAll(addrs []etypes.Address) ([]proxion.Item, []error) {
 	items := make([]proxion.Item, len(addrs))
 	errs := make([]error, len(addrs))
@@ -436,8 +406,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// Dispatch everything up front (the engines coalesce and pipeline),
-	// then emit in request order as results land.
+	// Dispatch everything up front (the server coalesces and bounds the
+	// analyses), then emit in request order as results land.
 	type slot struct {
 		it  proxion.Item
 		err error
@@ -478,18 +448,17 @@ func (s *Server) handleCollisions(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatic serves the static analysis of one contract's bytecode. It
-// never enters the engine: the code is read through the owning shard's
-// node surface and analyzed without emulation, so it also works for
-// contracts the dynamic probe cannot resolve.
+// never enters the engine: the code is read through the server's node
+// surface and analyzed without emulation, so it also works for contracts
+// the dynamic probe cannot resolve.
 func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 	addr, err := addrParam(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad address: %v", err)
 		return
 	}
-	sh := s.shardFor(addr)
 	var code []byte
-	if re := chain.CaptureReadError(func() { code = sh.reader.Code(addr) }); re != nil {
+	if re := chain.CaptureReadError(func() { code = s.cfg.Reader.Code(addr) }); re != nil {
 		writeError(w, http.StatusServiceUnavailable, "code read failed: %v", re)
 		return
 	}

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestShardConcurrencyMatrix drives every shard count the service ships
-// with under mixed concurrent load — lookups, repeat lookups, stats reads
-// — and checks the invariants that must hold at any interleaving:
+// TestShardConcurrencyMatrix is the matrix over Config.Shards, the bound on
+// analyses at once — serial, the benchmark's two, more than this host has
+// processors — under mixed concurrent load — lookups, repeat lookups, stats
+// reads — and checks the invariants that must hold at any interleaving:
 // exactly one analysis per distinct address, every caller gets an answer,
 // stats totals reconcile. Run under -race in CI (the `serve` job), where
 // the interleavings themselves are the test.
@@ -27,7 +28,7 @@ func TestShardConcurrencyMatrix(t *testing.T) {
 
 			var wg sync.WaitGroup
 			// Lookup workers: each walks every address from its own offset,
-			// so shards see contention. (A stride — i*7 — skips addresses
+			// so the single-flight table and the bound see contention. (A stride — i*7 — skips addresses
 			// whenever it divides the corpus size, as -short's 49 did.)
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -44,7 +45,7 @@ func TestShardConcurrencyMatrix(t *testing.T) {
 					}
 				}(w)
 			}
-			// Stats readers race the live pipeline counters.
+			// Stats readers race the live engine counters.
 			stop := make(chan struct{})
 			var statsWG sync.WaitGroup
 			statsWG.Add(1)

@@ -1,68 +1,67 @@
-// Package serve turns the streaming analysis engine into a long-running
-// query service: proxiond's core. A Server owns N shard pipelines — each
-// a persistent AnalyzeStream whose address source is a request channel
-// instead of a corpus — routes verdict queries to shards by address,
-// coalesces concurrent identical queries into one engine analysis, and
-// persists every verdict-cache entry to a disk store so a restarted
-// server answers from its accumulated knowledge without re-emulating.
+// Package serve turns the analysis engine into a long-running query
+// service: proxiond's core. A Server owns one Detector, analyzes each queried
+// address on the goroutine that asked (at most Config.Shards analyses at
+// once), coalesces concurrent identical queries into one analysis, and
+// persists every verdict-cache entry to a disk store so a restarted server
+// answers from its accumulated knowledge without re-emulating.
 //
 // The request path, front to back:
 //
-//	HTTP handler → result cache (hit: no engine work at all)
-//	            → single-flight table (duplicate in flight: wait, don't re-enter)
-//	            → shard request channel → AnalyzeStream → sink
-//	            → result cache + verdict store + waiter wake-up
+//	HTTP handler → result cache (hit: no analysis at all)
+//	            → single-flight table (duplicate in flight: wait, don't analyze)
+//	            → Detector.AnalyzeAddress, on this goroutine
+//	            → verdict store + result cache + waiter wake-up
 //
 // Both caches make the coalescing guarantee deterministic: K concurrent
-// queries for one address cost exactly one engine analysis, and any later
-// query for it costs zero.
+// queries for one address cost exactly one analysis, and any later query
+// for it costs zero. DESIGN.md "Service architecture" has the orderings
+// this rests on.
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/chain"
 	"repro/internal/etypes"
+	"repro/internal/lru"
 	"repro/internal/pipeline"
 	"repro/internal/proxion"
-	"repro/internal/static"
 	"repro/internal/store"
 )
 
-// Config assembles a Server. Reader (or ReaderFor) is required; everything
-// else has serviceable defaults.
+// Config assembles a Server. Reader is required; everything else has
+// serviceable defaults.
 type Config struct {
-	// Reader is the node surface every shard analyzes, shared. Ignored
-	// when ReaderFor is set.
+	// Reader is the node surface the server's detector analyzes.
 	Reader chain.Reader
-	// ReaderFor, when set, supplies each shard its own reader — how a
-	// deployment gives every shard an independent resilient client so one
-	// shard's circuit breaker does not gate the others.
-	ReaderFor func(shard int) chain.Reader
 	// Sources optionally provides contract source for collision analysis.
 	Sources proxion.SourceProvider
-	// Shards is the number of parallel analysis pipelines (default 4).
+	// Shards is how many analyses the server runs at once; zero means
+	// GOMAXPROCS, as proxion.AnalyzeOptions.Workers. It is a safety bound —
+	// a 65,536-address batch is 65,536 goroutines, and only this keeps them
+	// from emulating all at once — not a partition: every analysis shares
+	// the one detector and its per-bytecode caches. (The name is the
+	// benchmark's, from when the server was sharded.)
 	Shards int
 	// StoreDir, when non-empty, persists verdicts to a disk store and
-	// re-seeds every shard's verdict cache from it on startup.
+	// re-seeds the detector's verdict cache from it on startup.
 	StoreDir string
 	// StoreOptions tunes the verdict store.
 	StoreOptions store.Options
-	// Window and CacheCapacity tune each shard's engine (see
-	// proxion.AnalyzeOptions). The window also bounds how many requests a
-	// shard holds in flight.
-	Window        int
+	// CacheCapacity bounds the detector's per-bytecode caches (see
+	// proxion.AnalyzeOptions).
 	CacheCapacity int
-	// ResultCacheSize bounds the per-server analyzed-item LRU (default
-	// 4096 addresses).
+	// ResultCacheSize bounds the analyzed-item LRU (default 4096
+	// addresses).
 	ResultCacheSize int
-	// WithHistory enables the logic-history stage in every shard.
+	// WithHistory enables the logic-history step of every analysis.
 	WithHistory bool
-	// DisableStructural turns off structural near-clone promotion in every
-	// shard's engine (see proxion.AnalyzeOptions.DisableStructural).
+	// DisableStructural turns off structural near-clone promotion (see
+	// proxion.AnalyzeOptions.DisableStructural).
 	DisableStructural bool
 }
 
@@ -74,23 +73,40 @@ type Counters struct {
 	ResultCacheHits int64 `json:"result_cache_hits"`
 	// Coalesced counts lookups that joined an identical in-flight analysis.
 	Coalesced int64 `json:"coalesced"`
-	// Analyses counts items actually analyzed by shard engines.
+	// Analyses counts items actually analyzed.
 	Analyses int64 `json:"analyses"`
 }
 
-// Server is the sharded scan service. Create with New, serve its
-// Handler(), Close when done.
+// Server is the scan service. Create with New, serve its Handler(), Close
+// when done.
 type Server struct {
-	cfg    Config
-	st     *store.Store // nil when persistence is off
-	shards []*shard
+	cfg      Config
+	st       *store.Store // nil when persistence is off
+	detector *proxion.Detector
+	opts     proxion.AnalyzeOptions
+	// stats is the engine counter set every analysis updates, readable live;
+	// base is the reader's own counters at New.
+	stats pipeline.Stats
+	base  proxion.ReaderCounters
+	// slots holds one token per analysis allowed to run at once.
+	slots chan struct{}
 
-	// flight is the single-flight table: at most one engine analysis per
-	// address is in flight at a time; later arrivals wait on the first.
-	flightMu sync.Mutex
-	flight   map[etypes.Address]*call
+	// flight is the single-flight table: at most one analysis per address
+	// is in flight at a time; later arrivals wait on the first. closed and
+	// every analyzing.Add are under flightMu too, which is what lets Close
+	// wait for exactly the analyses that began before it.
+	flightMu  sync.Mutex
+	flight    map[etypes.Address]*call
+	closed    bool
+	analyzing sync.WaitGroup
 
-	results *resultCache
+	// results is the LRU of finalized items by address — the reason a
+	// repeat query (or the K-1 losers of a coalesced burst arriving late)
+	// never analyzes again.
+	results *lru.Cache[etypes.Address, proxion.Item]
+
+	summaryMu sync.Mutex
+	summary   *proxion.SummaryBuilder
 
 	requests  atomic.Int64
 	cacheHits atomic.Int64
@@ -100,13 +116,6 @@ type Server struct {
 	// watchStats holds the follower stats callback (func() any) served by
 	// /v1/watch/stats; nil until SetWatchStats.
 	watchStats atomic.Value
-
-	// closeMu orders lookups against Close: lookups hold it shared while
-	// enqueueing (never while waiting), Close holds it exclusively while
-	// closing the request channels, so no enqueue can race a closed shard.
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
 }
 
 // call is one in-flight analysis and everyone waiting on it.
@@ -116,225 +125,141 @@ type call struct {
 	err  error
 }
 
-// shard is one persistent analysis pipeline: a request channel feeding a
-// long-lived AnalyzeStream whose sink routes finished items back to their
-// calls, folds the shard summary, and persists verdict-cache entries.
-type shard struct {
-	id       int
-	reader   chain.Reader
-	detector *proxion.Detector
-	reqCh    chan etypes.Address
+var errShutDown = errors.New("serve: server is shut down")
 
-	// pending maps an enqueued address to its call. Guarded by mu, as is
-	// the summary builder (Emit is serial per shard, but /v1/stats reads
-	// concurrently).
-	mu      sync.Mutex
-	pending map[etypes.Address]*call
-	summary *proxion.SummaryBuilder
-
-	// stats is the externally-owned engine counter set, readable live.
-	stats pipeline.Stats
-	// snap is the final engine snapshot, set when the shard drains.
-	snap *pipeline.Snapshot
-}
-
-// New builds the server, opens (and replays) the verdict store, seeds
-// every shard's cache from it, and starts the shard pipelines.
+// New builds the server, opens (and replays) the verdict store and seeds
+// the detector's verdict cache from it, so the first post-restart query for
+// a known bytecode is a cache hit, not an emulation.
 func New(cfg Config) (*Server, error) {
-	if cfg.Reader == nil && cfg.ReaderFor == nil {
-		return nil, fmt.Errorf("serve: Config.Reader or ReaderFor required")
+	if cfg.Reader == nil {
+		return nil, fmt.Errorf("serve: Config.Reader required")
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 4
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.ResultCacheSize <= 0 {
 		cfg.ResultCacheSize = 4096
 	}
 	s := &Server{
-		cfg:     cfg,
-		flight:  make(map[etypes.Address]*call),
-		results: newResultCache(cfg.ResultCacheSize),
+		cfg:      cfg,
+		detector: proxion.NewDetector(cfg.Reader),
+		slots:    make(chan struct{}, cfg.Shards),
+		flight:   make(map[etypes.Address]*call),
+		results:  lru.New[etypes.Address, proxion.Item](cfg.ResultCacheSize),
+		summary:  proxion.NewSummaryBuilder(),
 	}
-
-	var seed []proxion.CacheEntry
+	s.opts = proxion.AnalyzeOptions{
+		CacheCapacity:     cfg.CacheCapacity,
+		WithHistory:       cfg.WithHistory,
+		DisableStructural: cfg.DisableStructural,
+		Stats:             &s.stats,
+	}
+	s.base = s.detector.ReaderCounters()
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreOptions)
 		if err != nil {
 			return nil, err
 		}
-		s.st = st
-		if seed, err = st.Entries(); err != nil {
+		seed, err := st.Entries()
+		if err != nil {
 			st.Close()
 			return nil, err
 		}
-	}
-
-	for i := 0; i < cfg.Shards; i++ {
-		rd := cfg.Reader
-		if cfg.ReaderFor != nil {
-			rd = cfg.ReaderFor(i)
-		}
-		sh := &shard{
-			id:       i,
-			reader:   rd,
-			detector: proxion.NewDetector(rd),
-			reqCh:    make(chan etypes.Address, 64),
-			pending:  make(map[etypes.Address]*call),
-			summary:  proxion.NewSummaryBuilder(),
-		}
-		// Warm start: every shard re-learns all persisted verdicts, so the
-		// first post-restart query for a known bytecode is a cache hit, not
-		// an emulation.
-		sh.detector.ImportVerdicts(seed)
-		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.runShard(sh)
+		s.st = st
+		s.detector.ImportVerdicts(seed)
 	}
 	return s, nil
-}
-
-// runShard drives one shard's AnalyzeStream for the server's lifetime.
-// The stream ends when the request channel closes (Close drains it:
-// buffered requests are still analyzed before a worker sees the close).
-func (s *Server) runShard(sh *shard) {
-	defer s.wg.Done()
-	src := proxion.SourceFunc(func() (etypes.Address, bool) {
-		addr, ok := <-sh.reqCh
-		return addr, ok
-	})
-	sink := proxion.SinkFunc(func(it proxion.Item) { s.finish(sh, it) })
-	snap := sh.detector.AnalyzeStream(src, s.cfg.Sources, sink, proxion.AnalyzeOptions{
-		Window:            s.cfg.Window,
-		CacheCapacity:     s.cfg.CacheCapacity,
-		WithHistory:       s.cfg.WithHistory,
-		DisableStructural: s.cfg.DisableStructural,
-		Stats:             &sh.stats,
-	})
-	sh.mu.Lock()
-	sh.snap = snap
-	sh.mu.Unlock()
-}
-
-// finish lands one analyzed item: persist its verdict-cache entry, fold
-// the shard summary, publish to the result cache, wake the waiters.
-func (s *Server) finish(sh *shard, it proxion.Item) {
-	s.analyses.Add(1)
-	s.persist(sh, it.Report.Address)
-
-	sh.mu.Lock()
-	sh.summary.Emit(it)
-	c := sh.pending[it.Report.Address]
-	delete(sh.pending, it.Report.Address)
-	sh.mu.Unlock()
-
-	s.results.add(it.Report.Address, it)
-
-	s.flightMu.Lock()
-	delete(s.flight, it.Report.Address)
-	s.flightMu.Unlock()
-
-	if c != nil {
-		c.item = it
-		close(c.done)
-	}
-}
-
-// persist appends the address's (now recorded) verdict-cache entry to the
-// store. Emission happens-after recording, so the export here observes the
-// complete entry; a store write failure is counted, not fatal — the
-// verdict is still served from memory, it just won't survive a restart.
-func (s *Server) persist(sh *shard, addr etypes.Address) {
-	if s.st == nil {
-		return
-	}
-	var codeHash etypes.Hash
-	if re := chain.CaptureReadError(func() { codeHash = sh.reader.CodeHash(addr) }); re != nil {
-		return
-	}
-	ent, ok := sh.detector.ExportVerdict(codeHash)
-	if !ok {
-		return
-	}
-	_ = s.st.Put(ent) // byte-identical re-puts are skipped inside the store
-}
-
-// shardFor routes an address to its owning shard (stable FNV-1a hash).
-func (s *Server) shardFor(addr etypes.Address) *shard {
-	h := fnv.New32a()
-	h.Write(addr[:])
-	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
 // Lookup analyzes one address (or serves it from cache / an in-flight
 // twin) and returns its finalized item. Safe for arbitrary concurrency.
 func (s *Server) Lookup(addr etypes.Address) (proxion.Item, error) {
 	s.requests.Add(1)
-
-	if it, ok := s.results.get(addr); ok {
+	if it, ok := s.results.Get(addr); ok {
 		s.cacheHits.Add(1)
 		return it, nil
 	}
 
-	c, leader, err := s.join(addr)
-	if err != nil {
-		return proxion.Item{}, err
+	s.flightMu.Lock()
+	c, waiting := s.flight[addr]
+	if !waiting {
+		// Re-check the result cache under flightMu: lead publishes to the
+		// cache before it clears the flight entry, so a caller that lost a
+		// whole analysis between its first cache miss and here finds the
+		// result now instead of starting a duplicate analysis — the ordering
+		// that makes "K concurrent queries, exactly one analysis" exact.
+		if it, ok := s.results.Get(addr); ok {
+			s.flightMu.Unlock()
+			s.coalesced.Add(1)
+			return it, nil
+		}
+		if s.closed {
+			s.flightMu.Unlock()
+			return proxion.Item{}, errShutDown
+		}
+		c = &call{done: make(chan struct{})}
+		s.flight[addr] = c
+		s.analyzing.Add(1)
 	}
-	if !leader {
+	s.flightMu.Unlock()
+
+	if waiting {
 		s.coalesced.Add(1)
+		<-c.done // a waiter holds no slot
+	} else {
+		s.lead(addr, c)
 	}
-	<-c.done
 	return c.item, c.err
 }
 
-// join returns the in-flight call for addr, creating (and dispatching) it
-// if absent. leader reports whether this caller started the analysis.
-func (s *Server) join(addr etypes.Address) (c *call, leader bool, err error) {
-	s.flightMu.Lock()
-	if existing, ok := s.flight[addr]; ok {
-		s.flightMu.Unlock()
-		return existing, false, nil
-	}
-	// Re-check the result cache under flightMu: finish publishes to the
-	// cache before it clears the flight entry, so a caller that lost a
-	// whole analysis between its first cache miss and here finds the
-	// result now instead of starting a duplicate analysis — the ordering
-	// that makes "K concurrent queries, exactly one analysis" exact.
-	if it, ok := s.results.get(addr); ok {
-		s.flightMu.Unlock()
-		done := &call{done: make(chan struct{}), item: it}
-		close(done.done)
-		return done, false, nil
-	}
-	c = &call{done: make(chan struct{})}
-	s.flight[addr] = c
-	s.flightMu.Unlock()
-
-	// Between the flight insert above and the enqueue below the result
-	// cache cannot satisfy addr, so every concurrent caller lands on c.
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
+// lead runs the analysis its caller holds the flight entry for, on the
+// caller's goroutine: persist the verdict-cache entry, fold the summary,
+// publish to the result cache — and then, on every exit path, clear the
+// flight entry and wake the waiters. A panic that is not a read failure
+// (those degrade the item to Unresolved inside the detector) is a bug; it
+// becomes this call's error instead of stranding the waiters or taking the
+// process down.
+func (s *Server) lead(addr etypes.Address, c *call) {
+	defer s.analyzing.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			c.err = fmt.Errorf("serve: analysis of %s panicked: %v", addr.Hex(), p)
+		}
 		s.flightMu.Lock()
 		delete(s.flight, addr)
 		s.flightMu.Unlock()
-		c.err = fmt.Errorf("serve: server is shut down")
 		close(c.done)
-		return c, true, c.err
-	}
-	sh := s.shardFor(addr)
-	sh.mu.Lock()
-	sh.pending[addr] = c
-	sh.mu.Unlock()
-	sh.reqCh <- addr
-	s.closeMu.RUnlock()
-	return c, true, nil
+	}()
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+
+	it := s.detector.AnalyzeAddress(addr, s.cfg.Sources, s.opts)
+	s.analyses.Add(1)
+	s.persist(addr)
+	s.summaryMu.Lock()
+	s.summary.Emit(it)
+	s.summaryMu.Unlock()
+	s.results.Put(addr, it)
+	c.item = it
 }
 
-// Analyze runs a batch of addresses through the shard pipelines and
-// returns one finalized item per address, in input order. It is Lookup in
-// a loop — every entry gets the full result-cache / single-flight /
-// persistence treatment — and together with Invalidate it makes the
-// server a drop-in analysis backend for a watch.Follower.
+// persist appends the address's (now recorded) verdict-cache entry to the
+// store. A store write failure is not fatal — the verdict is still served
+// from memory, it just won't survive a restart.
+func (s *Server) persist(addr etypes.Address) {
+	if s.st == nil {
+		return
+	}
+	if ent, ok := s.detector.ExportVerdict(addr); ok {
+		_ = s.st.Put(ent) // byte-identical re-puts are skipped inside the store
+	}
+}
+
+// Analyze runs a batch of addresses and returns one finalized item per
+// address, in input order. It is Lookup in a loop — every entry gets the
+// full result-cache / single-flight / persistence treatment — and together
+// with Invalidate it makes the server a drop-in analysis backend for a
+// watch.Follower.
 func (s *Server) Analyze(addrs []etypes.Address) ([]proxion.Item, error) {
 	if len(addrs) == 0 {
 		return nil, nil
@@ -351,14 +276,14 @@ func (s *Server) Analyze(addrs []etypes.Address) ([]proxion.Item, error) {
 }
 
 // Invalidate drops every cached verdict derived from addr's current
-// bytecode — the server result-cache entry, the owning shard's exact-hash
-// verdict, and its structural family — and returns how many tiers held
-// one. An analysis of addr already in flight is waited out first: finish
-// publishes to the result cache before clearing the flight table, so the
-// removal below also covers that publication and an upgrade racing a
-// mid-analysis lookup can never leave a pre-upgrade verdict behind. The
-// persistent store is left alone; the re-analysis that follows supersedes
-// its entry (append-only, last record wins).
+// bytecode — the result-cache entry and the detector's two tiers
+// (proxion.Detector.Invalidate) — and returns how many held one. An
+// analysis of addr already in flight is waited out first: it publishes to
+// the result cache before clearing the flight table, so the removal below
+// also covers that publication and an upgrade racing a mid-analysis lookup
+// can never leave a pre-upgrade verdict behind. The persistent store is left
+// alone; the re-analysis that follows supersedes its entry (append-only,
+// last record wins).
 func (s *Server) Invalidate(addr etypes.Address) (int, error) {
 	s.flightMu.Lock()
 	c := s.flight[addr]
@@ -366,25 +291,11 @@ func (s *Server) Invalidate(addr etypes.Address) (int, error) {
 	if c != nil {
 		<-c.done
 	}
-	n := 0
-	if s.results.remove(addr) {
+	n, err := s.detector.Invalidate(addr)
+	if s.results.Remove(addr) {
 		n++
 	}
-	sh := s.shardFor(addr)
-	re := chain.CaptureReadError(func() {
-		if sh.detector.InvalidateVerdict(sh.reader.CodeHash(addr)) {
-			n++
-		}
-		if code := sh.reader.Code(addr); len(code) > 0 {
-			if sh.detector.InvalidateStructural(static.Fingerprint(code)) {
-				n++
-			}
-		}
-	})
-	if re != nil {
-		return n, re
-	}
-	return n, nil
+	return n, err
 }
 
 // SetWatchStats wires a follower's stats snapshot into the HTTP surface:
@@ -420,125 +331,20 @@ func (s *Server) StoreStats() store.Stats {
 	return s.st.Stats()
 }
 
-// Close drains the shards — requests already enqueued are analyzed and
-// persisted — then closes the verdict store. Lookups arriving after Close
-// fail fast.
+// Close refuses new analyses — lookups that would start one fail fast from
+// here on — waits for those in flight, which persist as usual, and then
+// closes the verdict store.
 func (s *Server) Close() error {
-	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
+	s.flightMu.Lock()
+	already := s.closed
+	s.closed = true
+	s.flightMu.Unlock()
+	if already {
 		return nil
 	}
-	s.closed = true
-	for _, sh := range s.shards {
-		close(sh.reqCh)
-	}
-	s.closeMu.Unlock()
-
-	s.wg.Wait()
+	s.analyzing.Wait()
 	if s.st != nil {
 		return s.st.Close()
 	}
 	return nil
-}
-
-// resultCache is a small LRU of finalized items keyed by address — the
-// reason a repeat query (or the K-1 losers of a coalesced burst arriving
-// late) never re-enters the engine.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[etypes.Address]*resultNode
-	head  *resultNode // most recent
-	tail  *resultNode // least recent
-	count int
-}
-
-type resultNode struct {
-	addr       etypes.Address
-	item       proxion.Item
-	prev, next *resultNode
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, m: make(map[etypes.Address]*resultNode)}
-}
-
-func (rc *resultCache) get(addr etypes.Address) (proxion.Item, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	n, ok := rc.m[addr]
-	if !ok {
-		return proxion.Item{}, false
-	}
-	rc.moveToFront(n)
-	return n.item, true
-}
-
-func (rc *resultCache) add(addr etypes.Address, it proxion.Item) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if n, ok := rc.m[addr]; ok {
-		n.item = it
-		rc.moveToFront(n)
-		return
-	}
-	n := &resultNode{addr: addr, item: it}
-	rc.m[addr] = n
-	rc.pushFront(n)
-	rc.count++
-	if rc.count > rc.cap {
-		evict := rc.tail
-		rc.unlink(evict)
-		delete(rc.m, evict.addr)
-		rc.count--
-	}
-}
-
-// remove drops addr's cached item, reporting whether one was present —
-// the invalidation path for upgrade events.
-func (rc *resultCache) remove(addr etypes.Address) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	n, ok := rc.m[addr]
-	if !ok {
-		return false
-	}
-	rc.unlink(n)
-	delete(rc.m, addr)
-	rc.count--
-	return true
-}
-
-func (rc *resultCache) pushFront(n *resultNode) {
-	n.next = rc.head
-	if rc.head != nil {
-		rc.head.prev = n
-	}
-	rc.head = n
-	if rc.tail == nil {
-		rc.tail = n
-	}
-}
-
-func (rc *resultCache) unlink(n *resultNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		rc.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		rc.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (rc *resultCache) moveToFront(n *resultNode) {
-	if rc.head == n {
-		return
-	}
-	rc.unlink(n)
-	rc.pushFront(n)
 }

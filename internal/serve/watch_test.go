@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,14 +14,22 @@ import (
 )
 
 // gatedReader blocks Code reads for one address while armed, signalling
-// entry — how the tests below pin an analysis mid-flight.
+// entry — how the tests here and in onedetector_test.go pin an analysis
+// mid-flight. With boom set, a read it held panics on release, and not with
+// a *chain.ReadError: a bug, as far as the server can tell.
 type gatedReader struct {
 	chain.Reader
 	addr    etypes.Address
 	armed   atomic.Bool
+	boom    atomic.Bool
 	entered chan struct{}
 	gate    chan struct{}
+	once    sync.Once
 }
+
+// release opens the gate, once: tests defer it ahead of Server.Close, which
+// waits for the analysis the gate holds.
+func (g *gatedReader) release() { g.once.Do(func() { close(g.gate) }) }
 
 func (g *gatedReader) Code(a etypes.Address) []byte {
 	if a == g.addr && g.armed.Load() {
@@ -29,8 +38,26 @@ func (g *gatedReader) Code(a etypes.Address) []byte {
 		default:
 		}
 		<-g.gate
+		if g.boom.Load() {
+			panic("gatedReader: boom")
+		}
 	}
 	return g.Reader.Code(a)
+}
+
+// newGatedReader gates c's first detectable proxy — an address nothing else
+// delegates to, so only its own analysis reads its code — and arms it.
+func newGatedReader(t *testing.T, c *gen.Corpus) *gatedReader {
+	t.Helper()
+	for _, l := range c.Labels {
+		if l.Detectable {
+			g := &gatedReader{Reader: c.Chain, addr: l.Address, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+			g.armed.Store(true)
+			return g
+		}
+	}
+	t.Fatal("corpus has no detectable proxy")
+	return nil
 }
 
 // TestInvalidateWaitsOutInFlight pins the upgrade-while-mid-analysis

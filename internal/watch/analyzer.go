@@ -1,17 +1,15 @@
 package watch
 
 import (
-	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/proxion"
-	"repro/internal/static"
 	"repro/internal/store"
 )
 
 // Analyzer is the analysis backend a Follower drives: it analyzes (and
 // re-analyzes) contracts and drops cached verdicts ahead of a re-analysis.
 // *DetectorAnalyzer implements it for standalone use; serve.Server
-// implements it structurally so proxiond's follower feeds the same shards
+// implements it structurally so proxiond's follower feeds the same caches
 // the HTTP API reads from.
 type Analyzer interface {
 	// Analyze runs the full analysis path over the addresses and records
@@ -28,16 +26,16 @@ type Analyzer interface {
 }
 
 // DetectorAnalyzer adapts a bare Detector (plus optional verdict store) to
-// the Analyzer interface. Analyses run through the streaming engine so a
-// follower's incremental results take exactly the code path batch analysis
-// takes — the watch-parity oracle depends on that.
+// the Analyzer interface. Analyses are Detector.AnalyzeAddress calls, the
+// code a batch scan's workers run, so a follower's incremental results are
+// a cold analysis's — the watch-parity oracle depends on that.
 type DetectorAnalyzer struct {
 	Detector *proxion.Detector
 	Sources  proxion.SourceProvider
 	// Store, when set, receives the exported verdict of every analyzed
 	// bytecode; byte-identical re-puts are skipped inside the store.
 	Store *store.Store
-	// Options configures the analysis runs. WithHistory is forced on by
+	// Options configures the analyses. WithHistory is forced on by
 	// NewDetectorAnalyzer so upgrade re-analyses carry the full logic
 	// timeline (Algorithm 1).
 	Options proxion.AnalyzeOptions
@@ -52,52 +50,27 @@ func NewDetectorAnalyzer(d *proxion.Detector, sources proxion.SourceProvider, st
 	}
 }
 
-// Analyze streams the addresses through the engine and persists each
-// verdict.
+// Analyze analyzes the addresses in order, then persists each verdict.
 func (a *DetectorAnalyzer) Analyze(addrs []etypes.Address) ([]proxion.Item, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	items := make([]proxion.Item, 0, len(addrs))
-	a.Detector.AnalyzeStream(proxion.SliceSource(addrs), a.Sources,
-		proxion.SinkFunc(func(it proxion.Item) { items = append(items, it) }), a.Options)
+	items := make([]proxion.Item, len(addrs))
+	for i, addr := range addrs {
+		items[i] = a.Detector.AnalyzeAddress(addr, a.Sources, a.Options)
+	}
 	if a.Store != nil {
-		for _, it := range items {
-			a.persist(it.Report.Address)
+		for _, addr := range addrs {
+			if ent, ok := a.Detector.ExportVerdict(addr); ok {
+				_ = a.Store.Put(ent) // as the serve layer does; a failed put is not fatal
+			}
 		}
 	}
 	return items, nil
 }
 
-// persist mirrors the serve layer's store write: export the bytecode's
-// verdict entry and append it (byte-identical re-puts are skipped).
-func (a *DetectorAnalyzer) persist(addr etypes.Address) {
-	var codeHash etypes.Hash
-	if re := chain.CaptureReadError(func() { codeHash = a.Detector.Chain().CodeHash(addr) }); re != nil {
-		return
-	}
-	if ent, ok := a.Detector.ExportVerdict(codeHash); ok {
-		_ = a.Store.Put(ent)
-	}
-}
-
 // Invalidate drops the exact-hash verdict and the structural family for
 // addr's current bytecode.
 func (a *DetectorAnalyzer) Invalidate(addr etypes.Address) (int, error) {
-	n := 0
-	re := chain.CaptureReadError(func() {
-		r := a.Detector.Chain()
-		if a.Detector.InvalidateVerdict(r.CodeHash(addr)) {
-			n++
-		}
-		if code := r.Code(addr); len(code) > 0 {
-			if a.Detector.InvalidateStructural(static.Fingerprint(code)) {
-				n++
-			}
-		}
-	})
-	if re != nil {
-		return n, re
-	}
-	return n, nil
+	return a.Detector.Invalidate(addr)
 }
