@@ -137,6 +137,7 @@ fuzz:
 	go test ./internal/keccak -run '^$$' -fuzz FuzzKeccakParity -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzExecuteArbitraryBytecode -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzProxyProbe -fuzztime $(FUZZTIME)
+	go test ./internal/evm -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	go test ./internal/evm/parity -run '^$$' -fuzz FuzzInterpParity -fuzztime $(FUZZTIME)
 	go test ./internal/evm/parity -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)

@@ -3,6 +3,7 @@ package disasm_test
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/disasm"
 	"repro/internal/evm"
@@ -19,45 +20,91 @@ func sampleCode() []byte {
 	})
 }
 
-// TestDisassembleAllocations pins the decoder's allocation shape: one slice
-// sized by a counting pre-pass, immediates as views of the code — plus one
-// copy for a PUSH cut short by the end of code, which must stay
-// zero-padded — and nothing at all for empty code.
+// TestDisassembleAllocations pins the decoder's memory shape: one slice
+// sized by a counting pre-pass, of 16-byte records holding no pointer —
+// nothing for the collector to scan, and no copy even for a PUSH cut short
+// by the end of code — and nothing at all for empty code.
 func TestDisassembleAllocations(t *testing.T) {
-	code := sampleCode()
-	if got := testing.AllocsPerRun(50, func() { disasm.Disassemble(code) }); got > 1 {
-		t.Errorf("Disassemble of %d bytes: %v allocs/run, want 1", len(code), got)
+	if typ := reflect.TypeOf(disasm.Instruction{}); holdsPointer(typ) {
+		t.Errorf("%v holds a pointer", typ)
 	}
-	for _, ins := range disasm.Disassemble(code) {
-		if n := ins.Op.PushSize(); n > 0 {
-			if len(ins.Imm) != n || cap(ins.Imm) != n || &ins.Imm[0] != &code[ins.PC+1] {
-				t.Fatalf("%s: immediate is not a capacity-limited view of the code", ins)
-			}
-		} else if ins.Imm != nil {
-			t.Fatalf("%s: non-PUSH carries an immediate", ins)
+	if size := unsafe.Sizeof(disasm.Instruction{}); size > 16 {
+		t.Errorf("Instruction is %d bytes, want at most 16", size)
+	}
+	truncated := []byte{byte(evm.PUSH1), 0x01, byte(evm.PUSH32), 0xaa, 0xbb}
+	for name, code := range map[string][]byte{"compiled": sampleCode(), "truncated": truncated} {
+		if got := testing.AllocsPerRun(50, func() { disasm.Disassemble(code) }); got > 1 {
+			t.Errorf("Disassemble %s (%d bytes): %v allocs/run, want 1", name, len(code), got)
 		}
 	}
-
-	truncated := []byte{byte(evm.PUSH1), 0x01, byte(evm.PUSH32), 0xaa, 0xbb}
-	if got := testing.AllocsPerRun(50, func() { disasm.Disassemble(truncated) }); got > 2 {
-		t.Errorf("Disassemble with a truncated PUSH: %v allocs/run, want 2", got)
-	}
-	last := disasm.Disassemble(truncated)[1]
-	want := make([]byte, 32)
-	want[0], want[1] = 0xaa, 0xbb
-	if !reflect.DeepEqual(last.Imm, want) {
-		t.Errorf("truncated PUSH32 immediate = %x, want zero-padded %x", last.Imm, want)
-	}
-	// A PUSH that is the very last byte has nothing to view at all.
-	if ins := disasm.Disassemble([]byte{byte(evm.PUSH2)}); len(ins) != 1 || !reflect.DeepEqual(ins[0].Imm, []byte{0, 0}) {
-		t.Errorf("bare trailing PUSH2 decoded as %v", ins)
-	}
-
 	if got := testing.AllocsPerRun(50, func() { disasm.Disassemble(nil) }); got != 0 {
 		t.Errorf("Disassemble(nil): %v allocs/run, want 0", got)
 	}
 	if ins := disasm.Disassemble(nil); len(ins) != 0 {
 		t.Errorf("Disassemble(nil) = %v", ins)
+	}
+}
+
+// holdsPointer reports whether a value of type t contains anything the
+// garbage collector must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestImmAccessors: Imm of a whole immediate is a capacity-limited view of
+// the code, of one cut short by the end of code a zero-padded copy, of any
+// other op nil; Value is the same word, read without allocating.
+func TestImmAccessors(t *testing.T) {
+	code := sampleCode()
+	instrs := disasm.Disassemble(code)
+	for _, ins := range instrs {
+		imm := ins.Imm(code)
+		if n := ins.Op.PushSize(); n > 0 {
+			if len(imm) != n || cap(imm) != n || &imm[0] != &code[ins.PC+1] {
+				t.Fatalf("%s: immediate is not a capacity-limited view of the code", ins)
+			}
+		} else if imm != nil {
+			t.Fatalf("%s: non-PUSH carries an immediate", ins)
+		}
+		if got, want := ins.Value(code), u256.FromBytes(imm); !got.Eq(want) {
+			t.Fatalf("%s: Value = %s, want %s", ins, got.Hex(), want.Hex())
+		}
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		for _, ins := range instrs {
+			ins.Value(code)
+		}
+	}); got != 0 {
+		t.Errorf("Value: %v allocs/run, want 0", got)
+	}
+
+	truncated := []byte{byte(evm.PUSH1), 0x01, byte(evm.PUSH32), 0xaa, 0xbb}
+	last := disasm.Disassemble(truncated)[1]
+	want := make([]byte, 32)
+	want[0], want[1] = 0xaa, 0xbb
+	if got := last.Imm(truncated); !reflect.DeepEqual(got, want) {
+		t.Errorf("truncated PUSH32 immediate = %x, want zero-padded %x", got, want)
+	}
+	if got := last.Value(truncated); !got.Eq(u256.FromBytes(want)) {
+		t.Errorf("truncated PUSH32 value = %s, want zero-padded %x", got.Hex(), want)
+	}
+	// A PUSH that is the very last byte has nothing to view at all.
+	bare := []byte{byte(evm.PUSH2)}
+	if ins := disasm.Disassemble(bare); len(ins) != 1 || !reflect.DeepEqual(ins[0].Imm(bare), []byte{0, 0}) || !ins[0].Value(bare).IsZero() {
+		t.Errorf("bare trailing PUSH2 decoded as %v", ins)
 	}
 }
 

@@ -12,46 +12,65 @@ import (
 
 	"repro/internal/etypes"
 	"repro/internal/evm"
+	"repro/internal/u256"
 )
 
-// Instruction is one decoded opcode with its immediate (for PUSHn).
+// Instruction is one decoded opcode. It holds no pointer: the immediate of
+// a PUSHn (Op.PushSize() bytes) is read from the disassembled code through
+// Imm or Value.
 type Instruction struct {
 	PC uint64
 	Op evm.Op
-	// Imm is nil unless Op is PUSH1..PUSH32. It is a read-only view: the
-	// bytes are the disassembled code's own (capacity-limited, so an append
-	// copies), not a copy — writing through it would patch the bytecode.
-	Imm []byte
 }
 
-// String formats the instruction like "001F PUSH4 0xdf4a3106".
-func (ins Instruction) String() string {
-	if len(ins.Imm) > 0 {
-		return fmt.Sprintf("%04X %s 0x%x", ins.PC, ins.Op, ins.Imm)
+// Imm returns the immediate of a PUSH1..PUSH32 in code, nil for any other
+// op. A whole immediate is a read-only view of code (capacity-limited, so
+// an append copies) — writing through it would patch the bytecode; one cut
+// short by the end of code is a zero-padded copy.
+func (ins Instruction) Imm(code []byte) []byte {
+	n := ins.Op.PushSize()
+	if n == 0 {
+		return nil
 	}
+	start, end := int(ins.PC)+1, int(ins.PC)+1+n
+	if end <= len(code) {
+		return code[start:end:end]
+	}
+	imm := make([]byte, n)
+	copy(imm, code[min(start, len(code)):])
+	return imm
+}
+
+// Value returns the immediate of a PUSH1..PUSH32 in code as a word, zero for
+// any other op; a PUSH cut short by the end of code reads zero-padded, as
+// the interpreter reads it.
+func (ins Instruction) Value(code []byte) u256.Int {
+	n := ins.Op.PushSize()
+	if n == 0 {
+		return u256.Zero()
+	}
+	start := int(ins.PC) + 1
+	var buf [32]byte
+	copy(buf[32-n:], code[min(start, len(code)):min(start+n, len(code))])
+	return u256.FromBytes32(buf)
+}
+
+// String formats the instruction like "001F PUSH4"; Format adds the
+// immediates.
+func (ins Instruction) String() string {
 	return fmt.Sprintf("%04X %s", ins.PC, ins.Op)
 }
 
 // Disassemble decodes code into a linear instruction stream. Truncated
-// trailing PUSH immediates are zero-padded, matching interpreter behaviour.
+// trailing PUSH immediates read zero-padded, matching interpreter behaviour.
 // Undefined opcode bytes decode as single-byte instructions so that data
 // trailers (e.g. Solidity metadata) do not derail the stream.
 func Disassemble(code []byte) []Instruction {
 	instrs := make([]Instruction, 0, evm.InstrCount(code))
 	for pc := 0; pc < len(code); {
 		op := evm.Op(code[pc])
-		ins := Instruction{PC: uint64(pc), Op: op}
-		size := op.PushSize()
-		if size > 0 {
-			if end := pc + 1 + size; end <= len(code) {
-				ins.Imm = code[pc+1 : end : end]
-			} else { // cut short by end of code: only the last instruction
-				ins.Imm = make([]byte, size)
-				copy(ins.Imm, code[pc+1:])
-			}
-		}
-		instrs = append(instrs, ins)
-		pc += 1 + size
+		instrs = append(instrs, Instruction{PC: uint64(pc), Op: op})
+		pc += 1 + op.PushSize()
 	}
 	return instrs
 }
@@ -61,6 +80,9 @@ func Format(code []byte) string {
 	var b strings.Builder
 	for _, ins := range Disassemble(code) {
 		b.WriteString(ins.String())
+		if imm := ins.Imm(code); len(imm) > 0 {
+			fmt.Fprintf(&b, " 0x%x", imm)
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -258,8 +280,8 @@ func MinimalProxyTarget(code []byte) (etypes.Address, bool) {
 func HardcodedAddresses(code []byte) []etypes.Address {
 	var out []etypes.Address
 	for _, ins := range Disassemble(code) {
-		if ins.Op == evm.PUSH20 && len(ins.Imm) == 20 {
-			out = append(out, etypes.BytesToAddress(ins.Imm))
+		if ins.Op == evm.PUSH20 {
+			out = append(out, etypes.BytesToAddress(ins.Imm(code)))
 		}
 	}
 	return out

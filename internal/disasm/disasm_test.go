@@ -21,7 +21,7 @@ func TestDisassembleBasic(t *testing.T) {
 	if len(instrs) != 4 {
 		t.Fatalf("instrs = %d, want 4", len(instrs))
 	}
-	if instrs[0].Op != evm.PUSH1 || instrs[0].Imm[0] != 0x80 {
+	if instrs[0].Op != evm.PUSH1 || instrs[0].Imm(code)[0] != 0x80 {
 		t.Errorf("first = %s", instrs[0])
 	}
 	if instrs[2].Op != evm.MSTORE || instrs[2].PC != 4 {
@@ -35,8 +35,8 @@ func TestDisassembleTruncatedPush(t *testing.T) {
 	if len(instrs) != 1 {
 		t.Fatalf("instrs = %d", len(instrs))
 	}
-	if len(instrs[0].Imm) != 32 || instrs[0].Imm[0] != 0xaa || instrs[0].Imm[1] != 0 {
-		t.Errorf("truncated push imm = %x", instrs[0].Imm)
+	if imm := instrs[0].Imm(code); len(imm) != 32 || imm[0] != 0xaa || imm[1] != 0 {
+		t.Errorf("truncated push imm = %x", imm)
 	}
 }
 

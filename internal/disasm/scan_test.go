@@ -18,9 +18,9 @@ func refPush4Candidates(code []byte) [][4]byte {
 	seen := make(map[[4]byte]struct{})
 	var out [][4]byte
 	for _, ins := range disasm.Disassemble(code) {
-		if ins.Op == evm.PUSH4 && len(ins.Imm) == 4 {
+		if ins.Op == evm.PUSH4 {
 			var sel [4]byte
-			copy(sel[:], ins.Imm)
+			copy(sel[:], ins.Imm(code))
 			if _, dup := seen[sel]; !dup {
 				seen[sel] = struct{}{}
 				out = append(out, sel)
@@ -35,11 +35,11 @@ func refDispatcherSelectors(code []byte) [][4]byte {
 	seen := make(map[[4]byte]struct{})
 	var out [][4]byte
 	for i, ins := range instrs {
-		if ins.Op != evm.PUSH4 || len(ins.Imm) != 4 || !refComparisonFeedsJump(instrs, i) {
+		if ins.Op != evm.PUSH4 || !refComparisonFeedsJump(instrs, i) {
 			continue
 		}
 		var sel [4]byte
-		copy(sel[:], ins.Imm)
+		copy(sel[:], ins.Imm(code))
 		if _, dup := seen[sel]; !dup {
 			seen[sel] = struct{}{}
 			out = append(out, sel)
@@ -52,7 +52,7 @@ func refDispatcherTargets(code []byte) map[[4]byte]uint64 {
 	instrs := disasm.Disassemble(code)
 	out := make(map[[4]byte]uint64)
 	for i, ins := range instrs {
-		if ins.Op != evm.PUSH4 || len(ins.Imm) != 4 || !refComparisonFeedsJump(instrs, i) {
+		if ins.Op != evm.PUSH4 || !refComparisonFeedsJump(instrs, i) {
 			continue
 		}
 		// The jump-target push is the last PUSH before the JUMPI.
@@ -62,7 +62,7 @@ func refDispatcherTargets(code []byte) map[[4]byte]uint64 {
 			op := instrs[j].Op
 			if op.IsPush() {
 				target = 0
-				for _, b := range instrs[j].Imm {
+				for _, b := range instrs[j].Imm(code) {
 					target = target<<8 | uint64(b)
 				}
 				found = true
@@ -75,7 +75,7 @@ func refDispatcherTargets(code []byte) map[[4]byte]uint64 {
 			continue
 		}
 		var sel [4]byte
-		copy(sel[:], ins.Imm)
+		copy(sel[:], ins.Imm(code))
 		if _, dup := out[sel]; !dup {
 			out[sel] = target
 		}

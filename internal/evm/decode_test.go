@@ -3,6 +3,7 @@ package evm
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/etypes"
 	"repro/internal/keccak"
@@ -143,13 +144,13 @@ func TestDecodeTruncatedPush(t *testing.T) {
 	}
 	var want [32]byte
 	want[0] = 0x01
-	if got := p.instrs[0].imm; !got.Eq(u256.FromBytes32(want)) {
+	if got := p.word(p.instrs[0].imm); !got.Eq(u256.FromBytes32(want)) {
 		t.Fatalf("truncated push32 imm=%s, want 0x01 zero-padded", got.Hex())
 	}
 
 	// PUSH1 with no data at all: immediate is zero.
 	p = decode([]byte{0x60}, false)
-	if got := p.instrs[0].imm; !got.Eq(u256.Zero()) {
+	if got := p.word(p.instrs[0].imm); !got.Eq(u256.Zero()) {
 		t.Fatalf("dataless push1 imm=%s, want 0", got.Hex())
 	}
 }
@@ -165,10 +166,10 @@ func TestProgramCache(t *testing.T) {
 
 	p1 := programFor(hash, code, true)
 	p2 := programFor(hash, code, true)
-	if p1 != p2 {
+	if !sameProgram(p1, p2) {
 		t.Fatalf("same (hash, fused) key returned distinct programs")
 	}
-	if pu := programFor(hash, code, false); pu == p1 || !p1.fused || pu.fused {
+	if pu := programFor(hash, code, false); sameProgram(pu, p1) || !p1.fused || pu.fused {
 		t.Fatalf("fused and unfused programs must be cached separately")
 	}
 	if hits, misses, entries := DecodeCacheStats(); hits != 1 || misses != 2 || entries != 2 {
@@ -178,7 +179,7 @@ func TestProgramCache(t *testing.T) {
 	// Zero hash bypasses the cache: fresh program, no counter movement.
 	z1 := programFor(etypes.Hash{}, code, true)
 	z2 := programFor(etypes.Hash{}, code, true)
-	if z1 == z2 {
+	if sameProgram(z1, z2) {
 		t.Fatalf("zero-hash decodes must not be cached")
 	}
 	if hits, misses, _ := DecodeCacheStats(); hits != 1 || misses != 2 {
@@ -186,9 +187,15 @@ func TestProgramCache(t *testing.T) {
 	}
 
 	// Empty code has no program at all.
-	if p := programFor(hash, nil, true); p != nil {
+	if p := programFor(hash, nil, true); len(p.instrs) != 0 {
 		t.Fatalf("empty code produced a program")
 	}
+}
+
+// sameProgram reports whether two programs are copies of one decode: a
+// cache hit hands out the instruction array it holds.
+func sameProgram(a, b program) bool {
+	return len(a.instrs) > 0 && len(b.instrs) > 0 && &a.instrs[0] == &b.instrs[0]
 }
 
 // TestProgramCacheEviction fills the cache past capacity and checks it both
@@ -209,55 +216,102 @@ func TestProgramCacheEviction(t *testing.T) {
 	// A re-request after eviction still returns a working program.
 	code[0], code[1], code[2], code[3] = 0x60, 0x00, 0x00, 0x00
 	p := programFor(keccak.Sum256(code), code, true)
-	if p == nil || len(p.instrs) == 0 {
+	if len(p.instrs) == 0 {
 		t.Fatalf("post-eviction decode failed")
 	}
 }
 
-// TestDecodeScratchSizedByInstructions pins the decoder's allocation shape:
-// four allocations per bytecode (program, jump table, first-pass scratch,
-// instruction stream), and a scratch sized by the instructions counted, not
-// by the code length — PUSH-heavy code has a thirtieth as many instructions
-// as bytes, and the scratch entry is 48 bytes. Empty code and a PUSH cut
-// short by the end of code take the same path.
-func TestDecodeScratchSizedByInstructions(t *testing.T) {
-	// 300 × PUSH32 and a STOP: 9,901 bytes, 301 instructions.
-	var code []byte
-	for i := 0; i < 300; i++ {
-		code = append(code, byte(PUSH32))
-		code = append(code, make([]byte, 32)...)
+// TestProgramCacheKeepsHotProgram: a program in use survives a stream of
+// twice the cache's capacity in one-off bytecodes without being decoded
+// again — the eviction is by recency, not arbitrary.
+func TestProgramCacheKeepsHotProgram(t *testing.T) {
+	ResetDecodeCache()
+	defer ResetDecodeCache()
+
+	hot := []byte{byte(PUSH1), 1, byte(STOP)}
+	hotHash := keccak.Sum256(hot)
+	want := programFor(hotHash, hot, true)
+	code := []byte{byte(PUSH2), 0, 0, byte(STOP)}
+	for i := 0; i < 2*progCacheCap; i++ {
+		code[1], code[2] = byte(i>>8), byte(i)
+		programFor(keccak.Sum256(code), code, true)
+		if i%(progCacheCap/4) == 0 && !sameProgram(programFor(hotHash, hot, true), want) {
+			t.Fatalf("hot program decoded again after %d one-off codes", i+1)
+		}
 	}
-	code = append(code, byte(STOP))
-	if got := InstrCount(code); got != 301 {
-		t.Fatalf("InstrCount = %d, want 301", got)
+	hits, misses, entries := DecodeCacheStats()
+	if misses != 1+2*progCacheCap || hits != 8 || entries != progCacheCap {
+		t.Fatalf("stats hits=%d misses=%d entries=%d, want 8/%d/%d", hits, misses, entries, 1+2*progCacheCap, progCacheCap)
 	}
-	if got := testing.AllocsPerRun(20, func() { decode(code, true) }); got > 4 {
-		t.Errorf("decode: %v allocs/run, want 4", got)
-	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		decode(code, true)
-	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	// Jump table 4 B/byte of code plus ~130 B per instruction ≈ 8 B/byte
-	// here; a scratch entry per code byte alone would be 48 B/byte.
-	if limit := uint64(16 * len(code)); perRun > limit {
-		t.Errorf("decode allocated %d bytes for %d bytes of code, want under %d", perRun, len(code), limit)
+}
+
+// TestDecodeLayoutCeilings pins the decoder's memory shape: a 32-byte instr,
+// at most two allocations per bytecode (jump table, instruction stream;
+// the program itself is a value) plus one side table when some pushed word
+// is not a small word,
+// and the bytes under the jump table's 4 per code byte, 32 per instruction
+// and 32 per side-table word. The two-pass decoder this replaced spent about
+// 130 bytes per instruction beyond the jump table.
+func TestDecodeLayoutCeilings(t *testing.T) {
+	if size := unsafe.Sizeof(instr{}); size > 32 {
+		t.Errorf("instr is %d bytes, want at most 32", size)
 	}
 
-	for name, c := range map[string][]byte{
-		"empty":          nil,
-		"truncated-push": {byte(PUSH1), 1, byte(PUSH32), 0xaa},
+	// 300 × PUSH32 and a STOP: 9,901 bytes, 301 instructions.
+	var push32 []byte
+	for i := 0; i < 300; i++ {
+		push32 = append(push32, byte(PUSH32))
+		push32 = append(push32, make([]byte, 32)...)
+	}
+	push32 = append(push32, byte(STOP))
+	// A dispatcher and function bodies: narrow pushes, fused and plain.
+	var typical []byte
+	for i := 0; i < 60; i++ {
+		typical = append(typical, byte(DUP1), byte(PUSH4), 0xde, 0xad, byte(i), 0xef,
+			byte(EQ), byte(PUSH2), 0x01, byte(i), byte(JUMPI))
+	}
+	for i := 0; i < 60; i++ {
+		typical = append(typical, byte(JUMPDEST), byte(PUSH1), 0, byte(SLOAD), byte(PUSH1), 1,
+			byte(ADD), byte(PUSH1), 0, byte(SSTORE), byte(CALLER), 0x90, byte(POP), byte(STOP))
+	}
+
+	for _, tc := range []struct {
+		name  string
+		code  []byte
+		fuse  bool
+		words int
+	}{
+		{"push32-heavy", push32, true, 300},
+		{"typical", typical, true, 0},
+		{"typical-unfused", typical, false, 120},
+		{"empty", nil, true, 0},
+		{"truncated-push", []byte{byte(PUSH1), 1, byte(PUSH32), 0xaa}, true, 1},
 	} {
-		p := decode(c, true)
-		if len(p.instrs) != InstrCount(c) {
-			t.Errorf("%s: %d instructions decoded, %d counted", name, len(p.instrs), InstrCount(c))
+		code, fuse := tc.code, tc.fuse
+		if got := len(decode(code, fuse).words); got != tc.words {
+			t.Errorf("%s: %d side-table words, want %d", tc.name, got, tc.words)
 		}
-		if got := testing.AllocsPerRun(20, func() { decode(c, true) }); got > 4 {
-			t.Errorf("%s: %v allocs/run, want at most 4", name, got)
+		allocs := 2.0
+		if tc.words > 0 {
+			allocs++
+		}
+		if got := testing.AllocsPerRun(20, func() { decode(code, fuse) }); got > allocs {
+			t.Errorf("%s: %v allocs/run, want at most %v", tc.name, got, allocs)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			decode(code, fuse)
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		// Size classes round an allocation up by at most an eighth, and
+		// empty code is allowed a few bytes of nothing.
+		n := InstrCount(code)
+		if limit := uint64(4*len(code)+32*n+32*tc.words)*9/8 + 128; perRun > limit {
+			t.Errorf("%s: %d bytes for %d code bytes, %d instructions and %d words, want at most %d",
+				tc.name, perRun, len(code), n, tc.words, limit)
 		}
 	}
 }

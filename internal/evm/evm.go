@@ -111,7 +111,7 @@ type Frame struct {
 	gas        uint64
 	returnData []byte
 	jumpdests  map[uint64]struct{} // reference loop's lazy JUMPDEST set
-	prog       *program            // fast loop's pre-decoded program
+	prog       program             // fast loop's pre-decoded program
 }
 
 // Address returns the frame's storage/self address.

@@ -10,16 +10,13 @@ import (
 // runReference exactly — same error ordering (step limit, step count,
 // defined check, stack depth, constant gas, tracer capture, body), same
 // gas model, same state effects — but dispatches on the dense pre-decoded
-// kind, reads PUSH immediates already materialized as u256.Int, resolves
+// kind, reads PUSH immediates already decoded into the program, resolves
 // jumps through the program's index table, and (untraced) executes fused
 // superinstructions. The parity harness in internal/evm/parity holds the
 // two loops in lockstep to prove the equivalence rather than assume it.
 func (e *EVM) runFast(f *Frame) ([]byte, error) {
-	prog := f.prog
-	if prog == nil {
-		return nil, nil // calls to code-less accounts succeed with no output
-	}
-	ins := prog.instrs
+	prog := &f.prog
+	ins := prog.instrs // empty for code-less accounts: the call succeeds with no output
 	tracer := e.cfg.Tracer
 	limit := e.cfg.StepLimit
 	st := &f.stack
@@ -59,7 +56,10 @@ func (e *EVM) runFast(f *Frame) ([]byte, error) {
 
 		switch in.kind {
 		case kindPush:
-			st.Push(in.imm)
+			// Copied from where the program holds it straight into the
+			// slot: through Push it would pass two temporaries.
+			st.data[st.n] = *prog.word(in.imm)
+			st.n++
 		case kindDup:
 			st.dup(int(in.n))
 		case kindSwap:
@@ -401,8 +401,10 @@ func (e *EVM) stepFused(f *Frame, prog *program, in *instr, ip int) (int, error)
 		return int(in.dest), nil
 
 	case kindDispatch:
-		x := st.Pop()
-		if !x.Eq(in.imm) {
+		// Popped in place: a u256 popped by value is copied again for each
+		// limb test.
+		st.n--
+		if x := &st.data[st.n]; !x.IsUint64() || x.Uint64() != uint64(in.sel) {
 			return ip + 1, nil
 		}
 		if in.dest < 0 {
@@ -441,7 +443,7 @@ func (e *EVM) stepFused(f *Frame, prog *program, in *instr, ip int) (int, error)
 func (e *EVM) fusedSlow(f *Frame, prog *program, in *instr, ip int) (int, error) {
 	var ops [4]Op
 	var imms [4]u256.Int
-	n := fusedComponents(in, &ops, &imms)
+	n := fusedComponents(prog, in, &ops, &imms)
 
 	st := &f.stack
 	for i := 0; i < n; i++ {
@@ -495,25 +497,25 @@ func (e *EVM) fusedSlow(f *Frame, prog *program, in *instr, ip int) (int, error)
 
 // fusedComponents expands a fused instr back into its source opcodes and
 // push immediates for exact replay.
-func fusedComponents(in *instr, ops *[4]Op, imms *[4]u256.Int) int {
+func fusedComponents(prog *program, in *instr, ops *[4]Op, imms *[4]u256.Int) int {
 	switch in.kind {
 	case kindPushJump:
-		ops[0], imms[0] = in.op, in.imm
+		ops[0], imms[0] = in.op, *prog.word(in.imm)
 		ops[1] = JUMP
 		return 2
 	case kindPushJumpI:
-		ops[0], imms[0] = in.op, in.imm
+		ops[0], imms[0] = in.op, *prog.word(in.imm)
 		ops[1] = JUMPI
 		return 2
 	case kindDispatch:
-		ops[0], imms[0] = in.op, in.imm
+		ops[0], imms[0] = in.op, u256.FromUint64(uint64(in.sel))
 		ops[1] = EQ
-		ops[2], imms[2] = in.destOp, u256.FromUint64(in.destPc)
+		ops[2], imms[2] = in.destOp, u256.FromUint64(in.imm)
 		ops[3] = JUMPI
 		return 4
 	case kindDupPushJumpI:
 		ops[0] = in.op
-		ops[1], imms[1] = in.destOp, u256.FromUint64(in.destPc)
+		ops[1], imms[1] = in.destOp, u256.FromUint64(in.imm)
 		ops[2] = JUMPI
 		return 3
 	case kindSwapPop:

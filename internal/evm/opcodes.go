@@ -83,6 +83,7 @@ const (
 	PUSH3  Op = 0x62
 	PUSH4  Op = 0x63
 	PUSH5  Op = 0x64
+	PUSH8  Op = 0x67
 	PUSH20 Op = 0x73
 	PUSH32 Op = 0x7f
 

@@ -33,6 +33,6 @@ func releaseFrame(f *Frame) {
 	f.gas = 0
 	f.returnData = nil
 	f.jumpdests = nil
-	f.prog = nil
+	f.prog = program{}
 	framePool.Put(f)
 }

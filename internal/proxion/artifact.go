@@ -132,7 +132,7 @@ func (a *artifact) sliceLocked(code []byte, walk func() []disasm.BasicBlock) {
 	}
 	a.scanLocked(code)
 	if a.storageOps {
-		a.accesses = sliceBlocks(walk())
+		a.accesses = sliceBlocks(code, walk())
 	}
 	a.walked = true
 }

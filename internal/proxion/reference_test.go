@@ -50,7 +50,7 @@ type refSym struct {
 func refExtractStorageAccesses(code []byte) []StorageAccess {
 	var out []StorageAccess
 	for _, block := range disasm.BasicBlocks(code) {
-		out = append(out, refEvalBlock(block)...)
+		out = append(out, refEvalBlock(code, block)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Slot != out[j].Slot {
@@ -85,10 +85,10 @@ func refDedupAccesses(in []StorageAccess) []StorageAccess {
 	return out
 }
 
-// refEvalBlock symbolically executes one basic block with an empty entry stack
-// (cross-block stack contents appear as unknowns) and returns the accesses
-// it performs.
-func refEvalBlock(block disasm.BasicBlock) []StorageAccess {
+// refEvalBlock symbolically executes one basic block of code with an empty
+// entry stack (cross-block stack contents appear as unknowns) and returns
+// the accesses it performs.
+func refEvalBlock(code []byte, block disasm.BasicBlock) []StorageAccess {
 	var accesses []*StorageAccess
 	var stack []refSym
 
@@ -106,7 +106,7 @@ func refEvalBlock(block disasm.BasicBlock) []StorageAccess {
 		op := ins.Op
 		switch {
 		case op.IsPush():
-			push(refSym{kind: refConst, val: u256.FromBytes(ins.Imm)})
+			push(refSym{kind: refConst, val: u256.FromBytes(ins.Imm(code))})
 			continue
 		case op == evm.PUSH0:
 			push(refSym{kind: refConst})

@@ -81,21 +81,21 @@ type sym struct {
 // comparisons/branches that mark guard slots. The result is sorted by slot,
 // then offset, then kind.
 func ExtractStorageAccesses(code []byte) []StorageAccess {
-	return sliceBlocks(disasm.BasicBlocks(code))
+	return sliceBlocks(code, disasm.BasicBlocks(code))
 }
 
-// sliceBlocks is ExtractStorageAccesses over an existing disassembly, which
-// the per-bytecode artifact shares with the static summary. Only a block
-// holding an SLOAD or SSTORE is evaluated: a block starts from an empty
-// stack, an access enters the result at its own SLOAD/SSTORE, and a
-// Guard/CallerCheck tag only ever lands on an access of the same block, so
-// the other blocks cannot contribute. Code without storage instructions
+// sliceBlocks is ExtractStorageAccesses over an existing disassembly of
+// code, which the per-bytecode artifact shares with the static summary.
+// Only a block holding an SLOAD or SSTORE is evaluated: a block starts from
+// an empty stack, an access enters the result at its own SLOAD/SSTORE, and
+// a Guard/CallerCheck tag only ever lands on an access of the same block,
+// so the other blocks cannot contribute. Code without storage instructions
 // allocates nothing here.
-func sliceBlocks(blocks []disasm.BasicBlock) []StorageAccess {
+func sliceBlocks(code []byte, blocks []disasm.BasicBlock) []StorageAccess {
 	var s slicer
 	for _, block := range blocks {
 		if touchesStorage(block) {
-			s.evalBlock(block)
+			s.evalBlock(code, block)
 		}
 	}
 	// Every access carries the PC of its own instruction, so no two are
@@ -157,16 +157,16 @@ func (s *slicer) drop(acc int32) {
 	}
 }
 
-// evalBlock symbolically executes one basic block with an empty entry stack
-// (cross-block stack contents appear as unknowns) and appends the accesses
-// it performs to s.out.
-func (s *slicer) evalBlock(block disasm.BasicBlock) {
+// evalBlock symbolically executes one basic block of code with an empty
+// entry stack (cross-block stack contents appear as unknowns) and appends
+// the accesses it performs to s.out.
+func (s *slicer) evalBlock(code []byte, block disasm.BasicBlock) {
 	s.stack, s.block = s.stack[:0], s.block[:0]
 	for _, ins := range block.Instrs {
 		op := ins.Op
 		switch {
 		case op.IsPush():
-			s.push(sym{kind: symConst, val: u256.FromBytes(ins.Imm)})
+			s.push(sym{kind: symConst, val: ins.Value(code)})
 			continue
 		case op == evm.PUSH0:
 			s.push(sym{kind: symConst})

@@ -343,7 +343,7 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 		op := ins.Op
 		switch {
 		case op.IsPush():
-			st.push(constVal(u256.FromBytes(ins.Imm), len(ins.Imm)))
+			st.push(constVal(ins.Value(a.code), op.PushSize()))
 			continue
 		case op == evm.PUSH0:
 			st.push(constVal(u256.Zero(), 0))
