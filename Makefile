@@ -1,8 +1,8 @@
 # Standard entry points; `make ci` is what the workflow runs on every
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
-# pull-request performance gate.
+# pull-request performance gate (the change against its merge-base).
 
-.PHONY: build vet test short race engine bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity e2e
+.PHONY: build vet test short race engine bench bench-gate chaos ci fuzz soak serve lint watch parity e2e
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -16,8 +16,6 @@ WATCH_SWEEP ?= 0
 INTERP_SWEEP ?= 100
 # Path for the watch sweep's per-cell follower stats JSON (empty = none).
 WATCH_REPORT ?=
-# Allowed relative median regression for the performance gate (0.30 = +30%).
-BENCH_THRESHOLD ?= 0.30
 # Extra flags for the end-to-end benchmark (`make e2e E2E_ARGS='-seconds 2'`).
 E2E_ARGS ?=
 # Corpus size for the streaming soak and its asserted peak-heap ceiling.
@@ -61,11 +59,14 @@ engine:
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
 
-# Performance gate: run the quick deterministic suite (twice, best median
-# kept) and diff it against the checked-in baseline; non-zero exit on a
-# regression past BENCH_THRESHOLD.
+# Performance gate: the working tree against its merge-base with
+# origin/main in three alternated bench/e2e pairs of two seconds a
+# workload (proxbench ab); non-zero exit on a metric worse than its
+# BENCHMARK.json bound, a wrong answer or a failed operation. The table
+# is written to BENCH_ab.json.
 bench-gate:
-	go run ./cmd/proxbench -quick -threshold $(BENCH_THRESHOLD) compare
+	base=$$(git merge-base HEAD origin/main) && \
+		go run ./cmd/proxbench ab -pairs 3 -out BENCH_ab.json $$base -- -seconds 2
 
 # End-to-end + per-layer ruler (BENCHMARK.json's command): all six
 # workloads, every answer checked against the generators' labels; exits
@@ -73,11 +74,6 @@ bench-gate:
 # smoke only — timings belong to the benchmark driver, not to CI.
 e2e:
 	go run ./bench/e2e $(E2E_ARGS)
-
-# Refresh the checked-in quick baseline (run on an otherwise idle machine,
-# then commit bench/baseline.json with an explanation of what moved).
-bench-baseline:
-	go run ./cmd/proxbench -quick -repeats 3 -out bench/baseline.json
 
 # Service gate: the proxiond stack (verdict store + serve layer) under the
 # race detector — crash/restart recovery, K-concurrent coalescing, the
@@ -119,7 +115,7 @@ parity:
 # Bounded-memory streaming soak: one long stream-landscape run (default
 # 1M contracts, ~6 minutes) with per-item latency percentiles and peak
 # heap/RSS in the report; exits non-zero if peak heap crosses the
-# ceiling. The nightly job runs this; PRs stay on the quick bench-gate.
+# ceiling. The nightly job runs this; pull requests run bench-gate.
 soak:
 	go run ./cmd/proxbench soak -contracts $(SOAK_CONTRACTS) \
 		-max-heap-mb $(SOAK_MAX_HEAP_MB) -out BENCH_soak.json

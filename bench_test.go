@@ -6,10 +6,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// The throughput-critical benchmarks (streaming pipeline, dedup ablation,
-// storage slicing) are rebased onto the shared workload catalogue in
-// internal/bench, so `go test -bench` and the `proxbench` regression gate
-// measure the identical op; BenchmarkWorkloads runs the whole catalogue.
+// BenchmarkWorkloads runs internal/bench's suite (the workloads bench/e2e
+// does not measure) under the go-test harness.
 package repro_test
 
 import (
@@ -285,12 +283,6 @@ func BenchmarkStorageCollision(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageSlicingCorpus measures the same slicing engine across
-// every generated proxy/logic pair via the shared collision workload.
-func BenchmarkStorageSlicingCorpus(b *testing.B) {
-	runSharedWorkload(b, "collision/storage-slicing")
-}
-
 // BenchmarkSigminerThroughput measures selector-collision search speed —
 // the Section 2.3 "600M attempts in 1.5h on a laptop" experiment, scaled to
 // a 2-byte prefix.
@@ -395,22 +387,6 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 	b.ReportMetric(float64(len(pop.Chain.Contracts())), "contracts/op")
 }
 
-// BenchmarkPipelineAnalyzeAll measures the streaming engine end to end —
-// staged concurrency plus bytecode-dedup memoization — via the shared
-// pipeline/stream-maxw workload (fresh detector per op, cold cache), so
-// this number and the proxbench gate track the same code path.
-func BenchmarkPipelineAnalyzeAll(b *testing.B) {
-	runSharedWorkload(b, "pipeline/stream-maxw")
-}
-
-// BenchmarkAblationNoDedupCache is the same engine with the dedup cache
-// disabled: every duplicate pays a full emulation. The gap to
-// BenchmarkPipelineAnalyzeAll is the throughput the cache buys on a
-// duplicate-dominated landscape (Figure 5's 98.7% skew, scaled).
-func BenchmarkAblationNoDedupCache(b *testing.B) {
-	runSharedWorkload(b, "pipeline/stream-maxw-nocache")
-}
-
 // BenchmarkAnalyzeAllBarrier reproduces the pre-pipeline shape — a
 // detection worker pool, a full barrier, then a sequential pair loop — as
 // the baseline the streaming engine is measured against.
@@ -502,25 +478,6 @@ func BenchmarkMultiChain(b *testing.B) {
 	report(b, t)
 }
 
-// runSharedWorkload times one catalogue workload from internal/bench under
-// the go-test harness at the full-profile scale, then re-reports its
-// deterministic counters as benchmark metrics. Setup (corpus generation)
-// happens before the timer starts, exactly as in the proxbench runner.
-func runSharedWorkload(b *testing.B, name string) {
-	b.Helper()
-	w, ok := bench.FindWorkload(bench.Full, name)
-	if !ok {
-		b.Fatalf("workload %s not in the internal/bench catalogue", name)
-	}
-	inst := w.Setup(1, w.Scale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst.Op()
-	}
-	b.StopTimer()
-	reportWorkloadCounters(b, w, inst)
-}
-
 // reportWorkloadCounters surfaces the workload's headline counters the way
 // the hand-written benchmarks used to (throughput, cache hit rate).
 func reportWorkloadCounters(b *testing.B, w bench.Workload, inst bench.Instance) {
@@ -540,12 +497,10 @@ func reportWorkloadCounters(b *testing.B, w bench.Workload, inst bench.Instance)
 	}
 }
 
-// BenchmarkWorkloads runs the entire shared catalogue at the quick-profile
-// scale — the same ops proxbench gates on — so a plain `go test -bench
-// Workloads .` reproduces the PR gate's measurements.
+// BenchmarkWorkloads runs internal/bench's suite, the ops `proxbench`
+// measures, so a plain `go test -bench Workloads .` reproduces them.
 func BenchmarkWorkloads(b *testing.B) {
-	for _, w := range bench.Suite(bench.Quick) {
-		w := w
+	for _, w := range bench.Suite() {
 		b.Run(w.Name, func(b *testing.B) {
 			inst := w.Setup(1, w.Scale)
 			b.ResetTimer()

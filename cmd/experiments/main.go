@@ -129,11 +129,12 @@ substitution is documented in DESIGN.md). Regenerate this file with:
   contracts in-process with no RPC; the *relative* economics (filter >>
   emulation, binary search >> scan, dedup >> cold analysis) are what the
   ablations reproduce.
-- **Performance over time** is tracked separately from this file by the
-  deterministic benchmark suite (internal/bench via cmd/proxbench): the
-  checked-in quick baseline lives in bench/baseline.json, CI gates pull
-  requests against it (make bench-gate), and make bench-baseline
-  refreshes it. See README.md's "Benchmarking" section.
+- **Performance over time** is measured by bench/e2e, the benchmark
+  BENCHMARK.json declares, not by this file: proxbench ab runs a change
+  against a parent revision in alternated pairs and judges every workload
+  and end-to-end metric against the benchmark's bounds, and CI runs it
+  against the merge-base of every pull request (make bench-gate). See
+  README.md's "Benchmarking" section.
 
 ## Headline comparison
 
@@ -156,8 +157,8 @@ The production deployment reads an archive node that can fail, so every
 node read in `+"`pipeline/stream-resilient`"+` goes through the full
 `+"`internal/faultchain`"+` client — retry loop, circuit breaker, in-flight
 gate, logical-read accounting — with no fault injector attached. The cost
-when nothing goes wrong, measured on the quick suite (1200-contract
-landscape, `+"`proxbench -quick -repeats 3`"+`):
+when nothing goes wrong, measured by the `+"`proxbench`"+` suite
+(1200-contract landscape):
 
 - Per read, the client adds ~40ns over a bare `+"`chain.Reader`"+` call
   (≈92ns vs ≈49ns for a cached `+"`GetState`"+`), all of it atomics and
@@ -166,12 +167,12 @@ landscape, `+"`proxbench -quick -repeats 3`"+`):
   and per-attempt deadline contexts are elided when the backend declares
   itself non-blocking, since a deadline on a call that cannot block is
   unobservable.
-- Per run, the quick pipeline issues ~5.5k base reads, bounding the added
+- Per run, the suite's pipeline issues ~5.5k base reads, bounding the added
   work at ~0.25ms on a ~6ms run (<5%%); measured medians
   (`+"`pipeline/stream-resilient`"+` vs `+"`pipeline/stream-maxw`"+`) agree within
-  run-to-run noise on the CI container. The workload is in
-  `+"`bench/baseline.json`"+`, so the bench gate catches any future regression
-  of this overhead like any other slowdown.
+  run-to-run noise on the CI container. No gate defends this pair:
+  bench/e2e reads its chains directly, so re-measure with
+  `+"`go run ./cmd/proxbench`"+` when `+"`internal/faultchain`"+` changes.
 
 ## Streaming at scale (1M-contract soak)
 

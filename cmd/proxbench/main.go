@@ -1,189 +1,156 @@
-// Command proxbench runs the deterministic benchmark suite (internal/bench)
-// and gates performance regressions against a checked-in baseline.
+// Command proxbench measures a change against its parent revision, and
+// runs the workloads bench/e2e does not cover (internal/bench).
 //
 // Usage:
 //
-//	proxbench [flags]                 run the suite, write BENCH_<timestamp>.json
-//	proxbench [flags] compare         run the suite, then diff it against -baseline
-//	                                  and exit 1 on regression
-//	proxbench compare -current F      diff an existing run file against -baseline
-//	                                  without re-measuring
-//	proxbench soak [soak flags]       run the bounded-memory streaming soak
-//	                                  (one long run, per-item latency + peak
-//	                                  memory; see -max-heap-mb)
-//	proxbench -list                   print the workload catalogue and exit
+//	proxbench ab [-pairs N] [-out FILE] <parent-rev> [-- bench/e2e flags]
+//	                           build ./bench/e2e at <parent-rev> (in a
+//	                           temporary git worktree) and in the working
+//	                           tree, run N alternated pairs (default 10; odd
+//	                           pairs run the parent first, both sides of a
+//	                           pair get one seed derived from the parent's
+//	                           hash), print the table of every workload ×
+//	                           end-to-end metric with its verdict under
+//	                           BENCHMARK.json's bounds (gain, worse,
+//	                           unresolved, flat), and write it as JSON to
+//	                           FILE (default BENCH_AB_<timestamp>.json).
+//	                           The flags after -- go to every bench/e2e run
+//	                           (-seconds, -workload); ab sets -seed and -out.
+//	proxbench [flags]          run the suite, write BENCH_<timestamp>.json
+//	proxbench -list            print the suite's workloads and exit
+//	proxbench soak [flags]     run the bounded-memory streaming soak (one
+//	                           long run, per-item latency + peak memory;
+//	                           see -max-heap-mb)
 //
-// Flags:
+// Suite flags:
 //
-//	-quick / -full      suite profile (default quick; the PR gate uses quick,
-//	                    the nightly job uses full)
-//	-seed N             corpus seed (default 1; the baseline's seed)
-//	-repeats M          run the suite M times and keep each workload's best
-//	                    median (default 2 in compare mode, 1 otherwise) —
-//	                    the noise-aware "fail only across M repeats" knob
-//	-samples / -warmup  override the profile's sampling depth
+//	-seed N             corpus seed (default 1)
 //	-out FILE           report path (default BENCH_<timestamp>.json)
-//	-baseline FILE      baseline to gate against (default bench/baseline.json)
-//	-threshold X        allowed relative median regression (default 0.30)
-//	-alloc-threshold X  allowed relative allocs/op growth (default 0.50;
-//	                    negative disables the allocation gate)
-//	-strict-counters    fail the gate on deterministic-counter drift too
 //	-cpuprofile FILE    write a pprof CPU profile of the measured suite
 //	-memprofile FILE    write a pprof heap profile after the suite
 //
-// Exit codes: 0 ok, 1 regression (or counter drift under -strict-counters),
-// 2 usage or I/O error.
+// Exit codes: 0 ok; 1 a worse row, a wrong answer or a failed operation in
+// ab (or a build or run it could not complete), or a soak over its heap
+// ceiling; 2 usage or I/O error.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	os.Exit(run())
+	args := os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
+		case "ab":
+			os.Exit(runAB(args[1:]))
+		case "soak":
+			os.Exit(runSoak(args[1:]))
+		}
+	}
+	os.Exit(runSuite(args))
 }
 
-func run() int {
-	quick := flag.Bool("quick", false, "run the quick profile (default)")
-	full := flag.Bool("full", false, "run the full (nightly) profile")
-	seed := flag.Int64("seed", 1, "corpus generation seed")
-	repeats := flag.Int("repeats", 0, "suite repetitions, best median kept (default: 2 when comparing, else 1)")
-	samples := flag.Int("samples", 0, "timing samples per workload (0 = profile default)")
-	warmup := flag.Int("warmup", 0, "warmup batches per workload (0 = profile default)")
-	out := flag.String("out", "", "report output path (default BENCH_<timestamp>.json)")
-	baselinePath := flag.String("baseline", "bench/baseline.json", "baseline report for compare mode")
-	current := flag.String("current", "", "compare an existing run file instead of measuring")
-	threshold := flag.Float64("threshold", 0.30, "allowed relative median regression (0.30 = +30%)")
-	allocThreshold := flag.Float64("alloc-threshold", 0.50, "allowed relative allocs/op growth (negative disables the alloc gate)")
-	strictCounters := flag.Bool("strict-counters", false, "fail on deterministic-counter drift")
-	list := flag.Bool("list", false, "list the workload catalogue and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured suite")
-	memprofile := flag.String("memprofile", "", "write a heap profile after the suite")
-
-	// "compare" works both as a leading subcommand (proxbench compare
-	// -current F) and as a trailing word (proxbench -quick compare); the
-	// flag package stops at the first positional argument, so the leading
-	// form must be peeled off before parsing. "soak" has its own flag set
-	// entirely.
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "soak" {
-		return runSoak(args[1:])
-	}
-	compareCmd := false
-	if len(args) > 0 && args[0] == "compare" {
-		compareCmd = true
-		args = args[1:]
-	}
-	if err := flag.CommandLine.Parse(args); err != nil {
+// runSuite runs the suite once and writes its report.
+func runSuite(args []string) int {
+	fs := flag.NewFlagSet("proxbench", flag.ContinueOnError)
+	seed := fs.Int64("seed", 1, "corpus generation seed")
+	out := fs.String("out", "", "report output path (default BENCH_<timestamp>.json)")
+	list := fs.Bool("list", false, "list the workloads and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured suite")
+	memprofile := fs.String("memprofile", "", "write a heap profile after the suite")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	profile := bench.Quick
-	if *full {
-		profile = bench.Full
-	}
-	if *quick && *full {
-		fmt.Fprintln(os.Stderr, "proxbench: -quick and -full are mutually exclusive")
-		return 2
-	}
-
-	compareMode := compareCmd || *current != ""
-	switch flag.NArg() {
-	case 0:
-	case 1:
-		if flag.Arg(0) != "compare" {
-			fmt.Fprintf(os.Stderr, "proxbench: unknown command %q (only \"compare\")\n", flag.Arg(0))
-			return 2
-		}
-		compareMode = true
-	default:
-		fmt.Fprintln(os.Stderr, "proxbench: too many arguments")
+	if fs.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "proxbench: unknown command %q (want ab or soak)\n", fs.Arg(0))
 		return 2
 	}
 
 	if *list {
-		for _, w := range bench.Suite(profile) {
+		for _, w := range bench.Suite() {
 			fmt.Printf("%-34s scale=%-6d batch=%-4d %s\n", w.Name, w.Scale, w.Batch, w.Desc)
 		}
 		return 0
 	}
 
-	var rep *bench.Report
-	if *current != "" {
-		var err error
-		rep, err = bench.LoadReport(*current)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "proxbench:", err)
-			return 2
-		}
-	} else {
-		n := *repeats
-		if n <= 0 {
-			n = 1
-			if compareMode {
-				n = 2
-			}
-		}
-		var err error
-		rep, err = measureSuite(profile, *seed, *samples, *warmup, n, *cpuprofile, *memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "proxbench:", err)
-			return 2
-		}
-		rep.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-
-		path := *out
-		if path == "" {
-			path = bench.Filename(time.Now())
-		}
-		if err := rep.WriteFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "proxbench:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%s profile, seed %d, %d workloads)\n",
-			path, rep.Profile, rep.Seed, len(rep.Workloads))
-	}
-
-	if !compareMode {
-		return 0
-	}
-
-	baseline, err := bench.LoadReport(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proxbench: baseline %s: %v\n", *baselinePath, err)
-		fmt.Fprintf(os.Stderr, "proxbench: %v (refresh with: go run ./cmd/proxbench -%s -out %s)\n",
-			bench.ErrMissingBaseline, rep.Profile, *baselinePath)
-		return 2
-	}
-	cmp, err := bench.Compare(baseline, rep, bench.CompareOptions{
-		Threshold:      *threshold,
-		AllocThreshold: *allocThreshold,
-		StrictCounters: *strictCounters,
-	})
+	rep, err := measureSuite(*seed, *cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proxbench:", err)
 		return 2
 	}
-	fmt.Print(cmp.Render())
-	if !cmp.OK() {
-		fmt.Fprintf(os.Stderr, "proxbench: performance gate FAILED against %s\n", *baselinePath)
+	rep.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	path := *out
+	if path == "" {
+		path = bench.Filename(time.Now())
+	}
+	if err := rep.WriteFile(path); err != nil {
+		fmt.Fprintln(os.Stderr, "proxbench:", err)
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (seed %d, %d workloads)\n", path, rep.Seed, len(rep.Workloads))
+	return 0
+}
+
+// runAB is the "ab" subcommand: the working tree against a parent
+// revision in alternated bench/e2e pairs.
+func runAB(args []string) int {
+	fs := flag.NewFlagSet("proxbench ab", flag.ContinueOnError)
+	pairs := fs.Int("pairs", 10, "alternated parent/change pairs (a gain needs at least 10)")
+	out := fs.String("out", "", "JSON table path (default BENCH_AB_<timestamp>.json)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	rest := fs.Args()
+	if len(rest) == 0 || (len(rest) > 1 && rest[1] != "--") || *pairs < 1 {
+		fmt.Fprintln(os.Stderr, "usage: proxbench ab [-pairs N] [-out FILE] <parent-rev> [-- bench/e2e flags]")
+		return 2
+	}
+	var e2eArgs []string
+	if len(rest) > 1 {
+		e2eArgs = rest[2:]
+	}
+
+	// Ctrl-C or SIGTERM cancels the running build or bench/e2e; AB still
+	// removes its worktree before returning.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := bench.AB(ctx, bench.ABOptions{Parent: rest[0], Pairs: *pairs, Args: e2eArgs, Progress: os.Stderr})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "proxbench ab:", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "proxbench: performance gate passed against %s\n", *baselinePath)
+	fmt.Print(res.Render())
+	path := *out
+	if path == "" {
+		path = "BENCH_AB_" + time.Now().UTC().Format("20060102T150405Z") + ".json"
+	}
+	if err := res.WriteFile(path); err != nil {
+		fmt.Fprintln(os.Stderr, "proxbench ab:", err)
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	if !res.OK() {
+		fmt.Fprintln(os.Stderr, "proxbench ab: FAILED: a row is worse than its bound, or a run answered wrongly")
+		return 1
+	}
 	return 0
 }
 
 // runSoak is the "soak" subcommand: one long bounded-memory streaming run
 // over a generated landscape, reported in the same versioned JSON schema
-// as suite runs (profile "soak") and optionally gated on a peak-heap
-// ceiling for the nightly job.
+// as suite runs and optionally gated on a peak-heap ceiling for the
+// nightly job.
 func runSoak(args []string) int {
 	fs := flag.NewFlagSet("proxbench soak", flag.ContinueOnError)
 	contracts := fs.Int("contracts", 1_000_000, "corpus size to stream")
@@ -216,7 +183,6 @@ func runSoak(args []string) int {
 
 	rep := &bench.Report{
 		SchemaVersion: bench.SchemaVersion,
-		Profile:       "soak",
 		Seed:          *seed,
 		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
 		Host:          bench.HostInfo(),
@@ -246,9 +212,8 @@ func runSoak(args []string) int {
 	return 0
 }
 
-// measureSuite runs the suite n times (profiling the whole measured
-// region) and folds the repeats into a best-median report.
-func measureSuite(profile bench.Profile, seed int64, samples, warmup, n int, cpuprofile, memprofile string) (*bench.Report, error) {
+// measureSuite runs the suite once, profiling the whole measured region.
+func measureSuite(seed int64, cpuprofile, memprofile string) (*bench.Report, error) {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -261,23 +226,8 @@ func measureSuite(profile bench.Profile, seed int64, samples, warmup, n int, cpu
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := bench.Options{
-		Profile:  profile,
-		Seed:     seed,
-		Samples:  samples,
-		Warmup:   warmup,
-		Progress: os.Stderr,
-	}
-	runs := make([]*bench.Report, 0, n)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(os.Stderr, "run %d/%d (%s profile, seed %d):\n", i+1, n, profile, seed)
-		r, err := bench.Run(opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	rep, err := bench.MergeBest(runs...)
+	fmt.Fprintf(os.Stderr, "suite (seed %d):\n", seed)
+	rep, err := bench.Run(bench.Options{Seed: seed, Progress: os.Stderr})
 	if err != nil {
 		return nil, err
 	}

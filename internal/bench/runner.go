@@ -10,17 +10,12 @@ import (
 
 // Options configures one suite run.
 type Options struct {
-	// Profile selects scales and sampling depth; default Quick.
-	Profile Profile
-	// Seed drives every workload's corpus generation; the deterministic
-	// counters in the resulting report are a pure function of (code, seed,
-	// profile scales).
+	// Seed drives every workload's set-up; the deterministic counters in
+	// the resulting report are a pure function of (code, seed, scales).
 	Seed int64
-	// Samples overrides the profile's per-workload sample count (0 keeps
-	// the default: 5 quick, 15 full).
+	// Samples is the number of timed batches per workload (0 = 5).
 	Samples int
-	// Warmup overrides the profile's warmup batches (0 keeps the default:
-	// 1 quick, 2 full).
+	// Warmup is the number of untimed batches before them (0 = 1).
 	Warmup int
 	// Progress, when non-nil, receives one line per workload as it
 	// completes — the CLI points it at stderr.
@@ -28,32 +23,20 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Profile == "" {
-		o.Profile = Quick
-	}
 	if o.Samples == 0 {
-		if o.Profile == Full {
-			o.Samples = 15
-		} else {
-			o.Samples = 5
-		}
+		o.Samples = 5
 	}
 	if o.Warmup == 0 {
-		if o.Profile == Full {
-			o.Warmup = 2
-		} else {
-			o.Warmup = 1
-		}
+		o.Warmup = 1
 	}
 	return o
 }
 
-// Run executes the profile's full workload suite and assembles the report.
+// Run executes the whole workload suite and assembles the report.
 // CreatedAt is left empty; the caller stamps it (the runner itself touches
 // the clock only to measure durations, keeping reports reproducible).
 func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	return RunSuite(Suite(opts.Profile), opts)
+	return RunSuite(Suite(), opts)
 }
 
 // RunSuite measures an explicit workload list under the given options.
@@ -61,7 +44,6 @@ func RunSuite(ws []Workload, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
-		Profile:       string(opts.Profile),
 		Seed:          opts.Seed,
 		Host:          HostInfo(),
 	}
@@ -117,8 +99,8 @@ func measure(w Workload, opts Options) (WorkloadResult, error) {
 		Scale:         w.Scale,
 		Batch:         w.Batch,
 		Samples:       opts.Samples,
-		MedianNsPerOp: percentile(samples, 0.50),
-		P95NsPerOp:    percentile(samples, 0.95),
+		MedianNsPerOp: nearestRank(samples, 500),
+		P95NsPerOp:    nearestRank(samples, 950),
 		MinNsPerOp:    samples[0],
 		AllocsPerOp:   float64(mallocs) / ops,
 		BytesPerOp:    float64(bytes) / ops,
@@ -132,70 +114,16 @@ func measure(w Workload, opts Options) (WorkloadResult, error) {
 	return res, nil
 }
 
-// percentile reads a quantile from an ascending sample slice using the
-// nearest-rank method (the conventional choice for small benchmark sample
-// counts: no interpolation, every reported value was actually observed).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank reads a per-mille percentile from a non-empty ascending
+// sample: the smallest value with at least that share of the sample at or
+// below it (no interpolation, so every reported value was observed).
+// Per-mille keeps the rank arithmetic in integers.
+func nearestRank(sorted []float64, permille int) float64 {
+	r := (len(sorted)*permille + 999) / 1000
+	if r < 1 {
+		r = 1
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// MergeBest folds repeated runs of the same suite into one report, keeping
-// for every workload the run with the lowest median (the standard
-// noise-reduction move: interference only ever makes code look slower) and
-// the minimum min across all repeats. Counters must agree across repeats —
-// they are deterministic — and a disagreement is returned as an error
-// rather than papered over.
-func MergeBest(runs ...*Report) (*Report, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("bench: MergeBest of zero runs")
-	}
-	base := *runs[0]
-	base.Workloads = append([]WorkloadResult(nil), runs[0].Workloads...)
-	for _, r := range runs[1:] {
-		if r.Profile != base.Profile || r.Seed != base.Seed {
-			return nil, fmt.Errorf("bench: MergeBest across different suites (%s/seed %d vs %s/seed %d)",
-				base.Profile, base.Seed, r.Profile, r.Seed)
-		}
-		for _, wr := range r.Workloads {
-			cur := findResult(base.Workloads, wr.Name)
-			if cur == nil {
-				base.Workloads = append(base.Workloads, wr)
-				continue
-			}
-			if diffs := diffCounters(cur.Counters, wr.Counters); len(diffs) > 0 {
-				return nil, fmt.Errorf("bench: workload %s counters changed between repeats (%s): nondeterminism bug",
-					wr.Name, diffs[0])
-			}
-			if wr.MinNsPerOp < cur.MinNsPerOp {
-				cur.MinNsPerOp = wr.MinNsPerOp
-			}
-			if wr.MedianNsPerOp < cur.MedianNsPerOp {
-				min := cur.MinNsPerOp
-				*cur = wr
-				cur.MinNsPerOp = min
-			}
-		}
-	}
-	return &base, nil
-}
-
-func findResult(ws []WorkloadResult, name string) *WorkloadResult {
-	for i := range ws {
-		if ws[i].Name == name {
-			return &ws[i]
-		}
-	}
-	return nil
+	return sorted[r-1]
 }
 
 // fmtNs renders nanoseconds human-readably.

@@ -1,29 +1,21 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/keccak"
 )
 
-// TestSuiteShape: both profiles expose the same stable workload names
-// (quick baselines must gate quick runs), calibration is present, and
-// names are unique.
+// TestSuiteShape: workload names are unique and every workload is fully
+// specified.
 func TestSuiteShape(t *testing.T) {
-	quick, full := Suite(Quick), Suite(Full)
-	if len(quick) != len(full) {
-		t.Fatalf("quick has %d workloads, full %d", len(quick), len(full))
-	}
 	seen := make(map[string]bool)
-	for i, w := range quick {
-		if w.Name != full[i].Name {
-			t.Errorf("workload %d name differs across profiles: %q vs %q", i, w.Name, full[i].Name)
-		}
+	for _, w := range Suite() {
 		if seen[w.Name] {
 			t.Errorf("duplicate workload name %q", w.Name)
 		}
@@ -31,27 +23,6 @@ func TestSuiteShape(t *testing.T) {
 		if w.Setup == nil || w.Scale <= 0 || w.Batch <= 0 {
 			t.Errorf("workload %q underspecified: %+v", w.Name, w)
 		}
-	}
-	if !seen[CalibrationName] {
-		t.Fatalf("suite lacks the calibration workload %q", CalibrationName)
-	}
-}
-
-// TestCalibrationRunsTheFrozenReference: the machine-speed yardstick must
-// be the same work at every commit, so its op may not touch the production
-// Keccak kernel at all (whose speed is a thing the suite measures): it
-// hashes with the frozen reference permutation in keccakref.
-func TestCalibrationRunsTheFrozenReference(t *testing.T) {
-	w, ok := FindWorkload(Quick, CalibrationName)
-	if !ok {
-		t.Fatalf("suite lacks %q", CalibrationName)
-	}
-	inst := w.Setup(1, w.Scale)
-	if runs := keccak.CountSponges(func() { inst.Op(); inst.Op() }); runs != 0 {
-		t.Fatalf("calibration op ran the production kernel %d times; it must hash with keccakref", runs)
-	}
-	if got := inst.Counters()["bytes_hashed"]; got != int64(w.Scale) {
-		t.Fatalf("bytes_hashed = %d, want %d", got, w.Scale)
 	}
 }
 
@@ -73,18 +44,18 @@ func TestRunnerSampling(t *testing.T) {
 			}
 		},
 	}
-	rep, err := RunSuite([]Workload{w}, Options{Profile: Quick, Samples: 4, Warmup: 2, Seed: 1})
+	rep, err := RunSuite([]Workload{w}, Options{Samples: 4, Warmup: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantOps := (2 + 4) * 3; ops != wantOps {
 		t.Errorf("op ran %d times, want %d (2 warmup + 4 sample batches of 3)", ops, wantOps)
 	}
-	res := rep.Workload("synthetic/count")
-	if res == nil {
-		t.Fatal("result missing")
+	if len(rep.Workloads) != 1 {
+		t.Fatalf("report holds %d workloads, want 1", len(rep.Workloads))
 	}
-	if res.Samples != 4 || res.Batch != 3 || res.Scale != 7 {
+	res := rep.Workloads[0]
+	if res.Name != "synthetic/count" || res.Samples != 4 || res.Batch != 3 || res.Scale != 7 {
 		t.Errorf("result meta = %+v", res)
 	}
 	if !(res.MinNsPerOp > 0 && res.MinNsPerOp <= res.MedianNsPerOp && res.MedianNsPerOp <= res.P95NsPerOp) {
@@ -97,7 +68,7 @@ func TestRunnerSampling(t *testing.T) {
 	if res.Counters["ops_seen"] == 0 {
 		t.Errorf("counters not captured: %v", res.Counters)
 	}
-	if rep.SchemaVersion != SchemaVersion || rep.Profile != string(Quick) || rep.Host.GoVersion == "" {
+	if rep.SchemaVersion != SchemaVersion || rep.Host.GoVersion == "" {
 		t.Errorf("report header incomplete: %+v", rep)
 	}
 	if rep.CreatedAt != "" {
@@ -111,8 +82,6 @@ func testScale(name string, scale int) int {
 	switch {
 	case strings.HasPrefix(name, "pipeline/"):
 		return 150
-	case strings.HasPrefix(name, "detector/"), strings.HasPrefix(name, "collision/"):
-		return 12
 	case strings.HasPrefix(name, "evm/"):
 		return 500
 	}
@@ -120,14 +89,12 @@ func testScale(name string, scale int) int {
 }
 
 // TestWorkloadCounterDeterminism is the acceptance property behind the
-// whole subsystem: for every catalogue workload, two completely
-// independent setups with the same seed must report identical
-// deterministic counters — on a concurrent pipeline, under any
-// scheduling. A failure here means BENCH_*.json counter trajectories
-// would be noise.
+// suite: for every catalogue workload, two completely independent setups
+// with the same seed must report identical deterministic counters — on a
+// concurrent pipeline, under any scheduling. A failure here means
+// BENCH_*.json counter trajectories would be noise.
 func TestWorkloadCounterDeterminism(t *testing.T) {
-	for _, w := range Suite(Quick) {
-		w := w
+	for _, w := range Suite() {
 		t.Run(strings.ReplaceAll(w.Name, "/", "_"), func(t *testing.T) {
 			scale := testScale(w.Name, w.Scale)
 			runOnce := func() map[string]int64 {
@@ -149,51 +116,20 @@ func TestWorkloadCounterDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkloadsAgreeAcrossWorkerCounts: the 1-worker, 2-worker and
-// GOMAXPROCS pipeline variants analyze the same corpus, so every
-// deterministic counter must agree across them — worker count may only
-// change timings. (The no-cache ablation legitimately differs: its
-// emulation/cache split is the ablation.)
-func TestPipelineWorkloadsAgreeAcrossWorkerCounts(t *testing.T) {
-	counters := func(name string) map[string]int64 {
-		w, ok := FindWorkload(Quick, name)
-		if !ok {
-			t.Fatalf("workload %s missing", name)
-		}
-		inst := w.Setup(3, 150)
-		inst.Op()
-		return inst.Counters()
-	}
-	oneW := counters("pipeline/stream-1w")
-	twoW := counters("pipeline/stream-2w")
-	maxW := counters("pipeline/stream-maxw")
-	if !reflect.DeepEqual(oneW, twoW) || !reflect.DeepEqual(oneW, maxW) {
-		t.Errorf("worker count changed deterministic counters:\n  1w: %v\n  2w: %v\n  maxw: %v",
-			oneW, twoW, maxW)
-	}
-	if oneW["cache_hits"] == 0 {
-		t.Errorf("cached pipeline saw no cache hits on the clone-heavy landscape: %v", oneW)
-	}
-
-	noCache := counters("pipeline/stream-maxw-nocache")
-	if noCache["cache_hits"] != 0 {
-		t.Errorf("no-cache ablation recorded cache hits: %v", noCache)
-	}
-	if noCache["emulations"] <= oneW["emulations"] {
-		t.Errorf("ablation did not pay extra emulations: nocache %d vs cached %d",
-			noCache["emulations"], oneW["emulations"])
-	}
-}
-
 // TestEVMLoopStepAccounting pins the interp workload's derived step count
 // against the loop structure and checks the emulation actually completes
 // (the error sentinel is -1).
 func TestEVMLoopStepAccounting(t *testing.T) {
-	w, ok := FindWorkload(Quick, "evm/interp-loop")
-	if !ok {
+	var loop *Workload
+	for _, w := range Suite() {
+		if w.Name == "evm/interp-loop" {
+			loop = &w
+		}
+	}
+	if loop == nil {
 		t.Fatal("evm/interp-loop missing")
 	}
-	inst := w.Setup(1, 100)
+	inst := loop.Setup(1, 100)
 	inst.Op()
 	c := inst.Counters()
 	if c["evm_steps"] == -1 {
@@ -207,10 +143,13 @@ func TestEVMLoopStepAccounting(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip: WriteFile/LoadReport preserve the report, and
-// Filename renders the canonical timestamped name.
+// TestReportRoundTrip: WriteFile writes the report as JSON that decodes
+// back to it, and Filename renders the canonical timestamped name.
 func TestReportRoundTrip(t *testing.T) {
-	rep, err := RunSuite([]Workload{Suite(Quick)[0]}, Options{Samples: 2, Warmup: 1, Seed: 5})
+	w := Workload{Name: "synthetic/noop", Scale: 1, Batch: 2, Setup: func(int64, int) Instance {
+		return Instance{Op: func() {}, Counters: func() map[string]int64 { return map[string]int64{"n": 1} }}
+	}}
+	rep, err := RunSuite([]Workload{w}, Options{Samples: 2, Warmup: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +158,15 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadReport(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep, back) {
+	var back Report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, &back) {
 		t.Errorf("round trip changed the report:\n  out: %+v\n  in:  %+v", rep, back)
 	}
 

@@ -1,25 +1,19 @@
-// Package bench is the deterministic performance-tracking subsystem: a
-// fixed catalogue of seeded workloads over the repository's own generators
-// (detector throughput on a mixed proxy corpus, the streaming pipeline at
-// several worker counts, the cache-on/cache-off ablation, storage-collision
-// slicing, raw EVM interpretation), a runner that measures each with warmup
-// and repeated samples, a versioned JSON report schema, and a noise-aware
-// comparator that gates regressions against a checked-in baseline.
+// Package bench holds the repository's two performance instruments.
 //
-// The design splits every measurement into two halves with different
-// contracts:
+//   - The paired comparison (ab.go, `proxbench ab`): a change measured
+//     against its parent revision in alternated pairs of bench/e2e runs,
+//     each row judged against the bounds BENCHMARK.json fixes. It is the
+//     pull-request gate and the protocol every performance claim rests on.
+//   - A small suite of seeded workloads that bench/e2e does not measure —
+//     the resilient client's fault-free overhead and the raw interpreter
+//     loops — and the bounded-memory streaming soak, each run with warmup
+//     and repeated samples into a versioned JSON report.
 //
-//   - Timings (median/p95/min ns per op, allocations) are hardware- and
-//     load-dependent. They are compared with generous relative thresholds
-//     after normalizing by a pure-CPU calibration workload included in every
-//     run, which cancels most machine-speed differences between the machine
-//     that produced the baseline and the machine running the gate.
-//   - Counters (contracts scanned, emulations, cache hits, pairs analyzed,
-//     collisions found, EVM steps) are *deterministic*: for a fixed seed and
-//     scale two runs must produce identical values, on any machine. Counter
-//     drift against the baseline therefore means the analyzed behavior
-//     changed — e.g. a PR silently lost dedup-cache hits — and is reported
-//     even when the timings still pass.
+// A suite report carries two kinds of numbers. Timings (median/p95/min ns
+// per op, allocations) depend on the host. Counters (contracts scanned,
+// emulations, cache hits, EVM steps) are deterministic: for a fixed seed
+// and scale two runs must produce identical values on any machine, and the
+// package's tests hold every workload to that.
 package bench
 
 import (
@@ -29,18 +23,14 @@ import (
 	"time"
 )
 
-// SchemaVersion identifies the report layout. Compare refuses to diff
-// reports with mismatched versions; bump it on any incompatible change to
-// Report or WorkloadResult.
-const SchemaVersion = 1
+// SchemaVersion identifies the report layout; bump it on any incompatible
+// change to Report or WorkloadResult.
+const SchemaVersion = 2
 
-// Report is one full suite run, the unit written to BENCH_*.json files and
-// compared against bench/baseline.json.
+// Report is one suite or soak run, the unit written to BENCH_*.json files.
 type Report struct {
 	SchemaVersion int `json:"schema_version"`
 
-	// Profile is the suite profile that produced the run ("quick"/"full").
-	Profile string `json:"profile"`
 	// Seed drove every workload's corpus generation.
 	Seed int64 `json:"seed"`
 
@@ -74,8 +64,7 @@ type WorkloadResult struct {
 	Samples int `json:"samples"`
 
 	// MedianNsPerOp/P95NsPerOp/MinNsPerOp summarize the per-op nanosecond
-	// samples. The comparator keys off the median (with the min as a noise
-	// cross-check); p95 is recorded for trajectory plots.
+	// samples.
 	MedianNsPerOp float64 `json:"median_ns_per_op"`
 	P95NsPerOp    float64 `json:"p95_ns_per_op"`
 	MinNsPerOp    float64 `json:"min_ns_per_op"`
@@ -90,8 +79,7 @@ type WorkloadResult struct {
 
 	// The fields below are soak-only (RunSoak): a single long streaming run
 	// measured for per-item latency and peak memory rather than repeated
-	// timing samples. They are additive and omitempty, so suite reports are
-	// byte-identical to schema version 1 reports from before soak existed.
+	// timing samples. They are omitempty, so suite reports leave them out.
 
 	// WallNs is the soak run's total wall time.
 	WallNs int64 `json:"wall_ns,omitempty"`
@@ -108,45 +96,18 @@ type WorkloadResult struct {
 	PeakRSSBytes  int64 `json:"peak_rss_bytes,omitempty"`
 }
 
-// Workload returns the named result, or nil.
-func (r *Report) Workload(name string) *WorkloadResult {
-	for i := range r.Workloads {
-		if r.Workloads[i].Name == name {
-			return &r.Workloads[i]
-		}
-	}
-	return nil
-}
-
 // Filename renders the canonical BENCH_<timestamp>.json name for a run.
 func Filename(t time.Time) string {
 	return "BENCH_" + t.UTC().Format("20060102T150405Z") + ".json"
 }
 
 // WriteFile writes the report as indented JSON with a trailing newline.
-func (r *Report) WriteFile(path string) error {
-	out, err := json.MarshalIndent(r, "", "  ")
+func (r *Report) WriteFile(path string) error { return writeJSON(path, r) }
+
+func writeJSON(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("bench: encode report: %w", err)
+		return fmt.Errorf("bench: encode %s: %w", path, err)
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// LoadReport reads and validates a report file. A file whose schema version
-// differs from SchemaVersion still loads (Compare produces the dedicated
-// mismatch error), but a file with no version at all is rejected as not a
-// benchmark report.
-func LoadReport(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	if r.SchemaVersion == 0 {
-		return nil, fmt.Errorf("bench: %s is not a benchmark report (no schema_version)", path)
-	}
-	return &r, nil
 }

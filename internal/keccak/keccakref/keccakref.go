@@ -1,17 +1,12 @@
 // Package keccakref is the frozen reference Keccak-256: the textbook loop
 // permutation (5x5 lanes, modular index arithmetic, table-driven rotations)
 // that internal/keccak shipped before its unrolled kernel, kept byte for
-// byte. It has two jobs and no production caller:
+// byte. It is an oracle with no production caller: keccak's parity tests
+// and FuzzKeccakParity check the fast kernel and the streaming Hasher
+// against it on arbitrary input.
 //
-//   - oracle: keccak's parity tests and FuzzKeccakParity check the fast
-//     kernel and the streaming Hasher against it on arbitrary input;
-//   - yardstick: proxbench's calibration/keccak256 workload times it to
-//     normalise machine speed against bench/baseline.json, so the number
-//     must not move when the production kernel gets faster.
-//
-// Do not optimise this package. Only tests and internal/bench (proxbench)
-// may import it; TestOneKernelShips in internal/keccak enforces that no
-// shipped command links it.
+// Do not optimise this package. Only tests may import it;
+// TestOneKernelShips enforces that no command links it.
 package keccakref
 
 import (

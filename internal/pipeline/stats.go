@@ -112,8 +112,8 @@ type Snapshot struct {
 // contracts_per_sec, cache_hit_rate, per-stage busy time) are deliberately
 // excluded. Per-stage item counts are exported as stage_<name>_processed.
 //
-// This is the export hook the benchmark subsystem (internal/bench) records
-// into BENCH_*.json reports and its regression gate compares across runs.
+// bench/e2e requires the map to be identical in every repetition of a run,
+// and internal/bench records it into BENCH_*.json reports.
 func (s *Snapshot) Counters() map[string]int64 {
 	m := map[string]int64{
 		"contracts":            s.Contracts,

@@ -49,14 +49,21 @@ func TestPipelineMatchesSequentialReference(t *testing.T) {
 			pop := dataset.Generate(dataset.Config{Seed: seed, Contracts: 300})
 			want := stripStats(sequentialReference(pop.Chain, pop.Registry))
 
-			got := stripStats(proxion.NewDetector(pop.Chain).AnalyzeAll(pop.Registry))
-			if !reflect.DeepEqual(got, want) {
+			got := proxion.NewDetector(pop.Chain).AnalyzeAll(pop.Registry)
+			deduped := *got.Stats
+			if !reflect.DeepEqual(stripStats(got), want) {
 				t.Fatal("pipeline AnalyzeAll diverges from sequential reference")
 			}
 
-			ablated := stripStats(proxion.NewDetector(pop.Chain).
-				AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{DisableDedup: true}))
-			if !reflect.DeepEqual(ablated, want) {
+			// The ablation pays an emulation for every duplicate the caches
+			// served, and the answers stay the same.
+			ablated := proxion.NewDetector(pop.Chain).
+				AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{DisableDedup: true})
+			if deduped.CacheHits == 0 || ablated.Stats.CacheHits != 0 || ablated.Stats.Emulations <= deduped.Emulations {
+				t.Errorf("dedup hits %d, emulations %d; no-dedup hits %d, emulations %d",
+					deduped.CacheHits, deduped.Emulations, ablated.Stats.CacheHits, ablated.Stats.Emulations)
+			}
+			if !reflect.DeepEqual(stripStats(ablated), want) {
 				t.Fatal("no-dedup pipeline diverges from sequential reference")
 			}
 		})

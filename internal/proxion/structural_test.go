@@ -25,39 +25,65 @@ func structAddr(n byte) etypes.Address {
 // EIP-1167 stamps of N *different* logic contracts are N distinct
 // bytecodes — the exact-hash cache cannot help — yet one emulation of the
 // family exemplar serves every stamp, each re-anchored to its own
-// embedded implementation address.
+// embedded implementation address. The same holds for M compiler twins
+// differing only in their implementation-slot constant, each re-anchored
+// to its own slot, while byte-identical duplicates stay on the exact-hash
+// tier: two emulations for the whole landscape.
 func TestStructuralCloneFamilyOneEmulation(t *testing.T) {
 	c := chain.New()
-	const n = 6
-	logics := make([]etypes.Address, n)
-	stamps := make([]etypes.Address, n)
+	const n, m, dupes = 6, 4, 3
+	want := make(map[etypes.Address]etypes.Address) // proxy -> its own logic
+	stamps := make(map[etypes.Address]bool)
 	for i := 0; i < n; i++ {
-		logics[i] = structAddr(byte(0x10 + i))
-		stamps[i] = structAddr(byte(0x40 + i))
-		c.InstallContract(stamps[i], disasm.MinimalProxyRuntime(logics[i]))
+		logic, stamp := structAddr(byte(0x10+i)), structAddr(byte(0x40+i))
+		c.InstallContract(stamp, disasm.MinimalProxyRuntime(logic))
+		want[stamp], stamps[stamp] = logic, true
+	}
+	for i := 0; i < m; i++ {
+		twin, logic := structAddr(byte(0x80+i)), structAddr(byte(0x20+i))
+		slot := etypes.Keccak(twin[:])
+		c.InstallContract(twin, solc.MustCompile(&solc.Contract{
+			Name:     "Twin",
+			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
+		}))
+		c.SetStorageDirect(twin, slot, etypes.HashFromWord(logic.Word()))
+		want[twin] = logic
+	}
+	for i := 0; i < dupes; i++ {
+		dupe := structAddr(byte(0xc0 + i))
+		c.InstallContract(dupe, disasm.MinimalProxyRuntime(structAddr(0x10)))
+		want[dupe], stamps[dupe] = structAddr(0x10), true
 	}
 
 	d := NewDetector(c)
 	res := d.AnalyzeAll(nil)
-	for i, rep := range res.Reports {
-		if !rep.IsProxy || rep.Logic != logics[i] || rep.Target != TargetHardcoded {
-			t.Errorf("stamp %d: proxy=%v logic=%s target=%s, want its own logic %s",
-				i, rep.IsProxy, rep.Logic, rep.Target, logics[i])
+	if len(res.Reports) != len(want) {
+		t.Fatalf("%d reports, want %d", len(res.Reports), len(want))
+	}
+	for _, rep := range res.Reports {
+		target := TargetStorage
+		if stamps[rep.Address] {
+			target = TargetHardcoded
+			if rep.Standard != StandardEIP1167 {
+				t.Errorf("stamp %s classified %s, want EIP-1167", rep.Address, rep.Standard)
+			}
 		}
-		if rep.Standard != StandardEIP1167 {
-			t.Errorf("stamp %d classified %s, want EIP-1167", i, rep.Standard)
+		if !rep.IsProxy || rep.Logic != want[rep.Address] || rep.Target != target {
+			t.Errorf("%s: proxy=%v logic=%s target=%s, want its own logic %s, target %s",
+				rep.Address, rep.IsProxy, rep.Logic, rep.Target, want[rep.Address], target)
 		}
 	}
-	if res.Stats.Emulations != 1 {
-		t.Errorf("emulations = %d, want 1 for the whole clone family", res.Stats.Emulations)
+	promoted := int64(n - 1 + m - 1)
+	if res.Stats.Emulations != 2 {
+		t.Errorf("emulations = %d, want 2: one per clone family", res.Stats.Emulations)
 	}
-	if res.Stats.StructuralHits != n-1 || res.Stats.CacheHits != n-1 {
-		t.Errorf("structural hits = %d, cache hits = %d, want %d structural promotions",
-			res.Stats.StructuralHits, res.Stats.CacheHits, n-1)
+	if res.Stats.StructuralHits != promoted || res.Stats.CacheHits != promoted+dupes {
+		t.Errorf("structural hits = %d, cache hits = %d, want %d promotions and %d hits",
+			res.Stats.StructuralHits, res.Stats.CacheHits, promoted, promoted+dupes)
 	}
-	// One static summary for the exemplar cross-check, one per promotion.
-	if res.Stats.StaticSummaries != n {
-		t.Errorf("static summaries = %d, want %d", res.Stats.StaticSummaries, n)
+	// One static summary for each exemplar cross-check, one per promotion.
+	if res.Stats.StaticSummaries != n+m {
+		t.Errorf("static summaries = %d, want %d", res.Stats.StaticSummaries, n+m)
 	}
 	if res.Stats.StructuralRejects != 0 {
 		t.Errorf("structural rejects = %d, want 0", res.Stats.StructuralRejects)
@@ -65,9 +91,9 @@ func TestStructuralCloneFamilyOneEmulation(t *testing.T) {
 
 	// The ablation switch restores one emulation per distinct bytecode.
 	off := NewDetector(c).AnalyzeAllWithOptions(nil, AnalyzeOptions{DisableStructural: true})
-	if off.Stats.Emulations != n || off.Stats.StructuralHits != 0 {
+	if off.Stats.Emulations != n+m || off.Stats.StructuralHits != 0 {
 		t.Errorf("structural off: emulations = %d structural hits = %d, want %d and 0",
-			off.Stats.Emulations, off.Stats.StructuralHits, n)
+			off.Stats.Emulations, off.Stats.StructuralHits, n+m)
 	}
 }
 

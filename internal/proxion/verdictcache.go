@@ -58,8 +58,8 @@ func (c *verdictCache) entry(codeHash etypes.Hash) *codeVerdict {
 // CacheEvictions returns how many verdict-cache entries a bounded run has
 // evicted so far. Always zero in unbounded mode. Deliberately surfaced
 // outside the pipeline counter set: eviction totals depend on worker
-// scheduling, and the deterministic counters are compared byte-for-byte
-// by the bench regression gate.
+// scheduling, and the deterministic counters must repeat exactly
+// (Snapshot.Counters).
 func (d *Detector) CacheEvictions() int64 { return d.verdicts.Evictions() }
 
 // Invalidate drops every verdict cached for addr's current bytecode and
