@@ -29,9 +29,9 @@
 //	-cpuprofile FILE    write a pprof CPU profile of the measured suite
 //	-memprofile FILE    write a pprof heap profile after the suite
 //
-// Exit codes: 0 ok; 1 a worse row, a wrong answer or a failed operation in
-// ab (or a build or run it could not complete), or a soak over its heap
-// ceiling; 2 usage or I/O error.
+// Exit codes: 0 ok; 1 a worse row in ab, a build or bench/e2e run it could
+// not complete (bench/e2e exits non-zero on a wrong answer or a failed
+// operation), or a soak over its heap ceiling; 2 usage or I/O error.
 package main
 
 import (
@@ -141,7 +141,7 @@ func runAB(args []string) int {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	if !res.OK() {
-		fmt.Fprintln(os.Stderr, "proxbench ab: FAILED: a row is worse than its bound, or a run answered wrongly")
+		fmt.Fprintln(os.Stderr, "proxbench ab: FAILED: a row is worse than its bound")
 		return 1
 	}
 	return 0

@@ -73,11 +73,13 @@ const (
 	// quartiles.
 	Gain Verdict = "gain"
 	// Worse: the change's median worse than the parent's by more than the
-	// metric's bound, with the runs' spread inside the bound.
+	// metric's bound, with each side's spread inside the bound or every run
+	// of the parent better than every run of the change. A side's spread is
+	// its quartile distance as a share of its own median.
 	Worse Verdict = "worse"
-	// Unresolved: the runs spread wider than the bound, so a move inside
-	// the spread cannot be told from the host, unless every run of the
-	// change reads better than every run of the parent.
+	// Unresolved: a side's runs spread wider than the bound, so a move
+	// inside the spread cannot be told from the host, unless every run of
+	// the change reads better than every run of the parent.
 	Unresolved Verdict = "unresolved"
 	// Flat: none of the above.
 	Flat Verdict = "flat"
@@ -115,20 +117,15 @@ type ABResult struct {
 	// Seeds holds the seed both sides of each pair ran with.
 	Seeds []int64 `json:"seeds"`
 	Rows  []ABRow `json:"rows"`
-	// Failures lists every run of a workload that answered wrongly or
-	// failed operations.
-	Failures []string `json:"failures"`
 	// Unmeasured lists the workload/metric pairs some run did not report
 	// (a workload or metric one side's benchmark lacks); they get no row.
 	Unmeasured []string `json:"unmeasured,omitempty"`
 }
 
-// OK reports whether the comparison passes: no row is worse and every run
-// answered correctly.
+// OK reports whether the comparison passes: no row is worse. A run that
+// answered wrongly or failed an operation never reaches a row: bench/e2e
+// exits non-zero for it, and that error ends the comparison.
 func (r *ABResult) OK() bool {
-	if len(r.Failures) > 0 {
-		return false
-	}
 	for _, row := range r.Rows {
 		if row.Verdict == Worse {
 			return false
@@ -151,7 +148,6 @@ func (r *ABResult) Render() string {
 			row.Workload, row.Metric, row.ParentMedian, row.ParentQ1, row.ParentQ3,
 			row.ChangeMedian, row.ChangeQ1, row.ChangeQ3, row.Wins, len(row.Parent), row.ChangePct, row.Verdict)
 	}
-	fmt.Fprintf(&b, "failures: %q\n", r.Failures)
 	for _, u := range r.Unmeasured {
 		fmt.Fprintf(&b, "unmeasured: %s\n", u)
 	}
@@ -161,10 +157,7 @@ func (r *ABResult) Render() string {
 // e2eReport is the JSON object bench/e2e prints after each workload's
 // metric lines.
 type e2eReport struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Metrics   map[string]struct {
+	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
@@ -248,10 +241,6 @@ func runPairs(ctx context.Context, run runner, parent string, pairs int, metrics
 				if !slices.Contains(workloads, w) {
 					workloads = append(workloads, w)
 				}
-				if rep := reps[w]; !rep.Correct || rep.Failed > 0 {
-					res.Failures = append(res.Failures, fmt.Sprintf("pair %d, %s, %s: correct=%v, %d of %d operations failed",
-						i+1, side, w, rep.Correct, rep.Failed, rep.Attempted))
-				}
 			}
 			runs[side] = append(runs[side], reps)
 		}
@@ -310,24 +299,29 @@ func compareRow(workload string, m metric, parent, change []float64) ABRow {
 	}
 	// gain is how far the change's median is better than the parent's.
 	gain := row.ChangeMedian - row.ParentMedian
-	// Every run of the change beats every run of the parent when the
-	// change's worst run beats the parent's best.
-	worstChange, bestParent := cs[0], ps[len(ps)-1]
+	// Every run of one side beats every run of the other when its worst run
+	// beats the other's best.
+	bestChange, worstChange := cs[len(cs)-1], cs[0]
+	bestParent, worstParent := ps[len(ps)-1], ps[0]
 	if !higher {
 		gain = -gain
-		worstChange, bestParent = cs[len(cs)-1], ps[0]
+		bestChange, worstChange = worstChange, bestChange
+		bestParent, worstParent = worstParent, bestParent
 	}
 	row.ChangePct = 100 * relative(gain, row.ParentMedian)
 	parentIQR := row.ParentQ3 - row.ParentQ1
-	spread := relative(math.Max(parentIQR, row.ChangeQ3-row.ChangeQ1), row.ParentMedian)
+	// Each side's spread is its quartile distance as a share of its own
+	// median, so a change that multiplies a metric does not widen its
+	// spread by the same factor and read unresolved.
+	spread := math.Max(relative(parentIQR, row.ParentMedian), relative(row.ChangeQ3-row.ChangeQ1, row.ChangeMedian))
 	n := len(parent)
 	switch {
 	case n >= minClaimPairs && 10*row.Wins >= 9*n && gain > parentIQR:
 		row.Verdict = Gain
+	case -relative(gain, row.ParentMedian) > m.Bound && (spread <= m.Bound || better(worstParent, bestChange)):
+		row.Verdict = Worse
 	case spread > m.Bound && !better(worstChange, bestParent):
 		row.Verdict = Unresolved
-	case -relative(gain, row.ParentMedian) > m.Bound:
-		row.Verdict = Worse
 	default:
 		row.Verdict = Flat
 	}
