@@ -35,13 +35,13 @@ type Stats struct {
 	// re-anchored from its near-clone family exemplar without emulating.
 	StructuralHits Counter
 	// StaticSummaries counts static bytecode analyses performed by the
-	// structural layer (family exemplar cross-checks and follower
-	// promotion attempts).
+	// structural layer (a family exemplar's cross-check, deferred to its
+	// first follower, and follower promotion attempts).
 	StaticSummaries Counter
 	// StructuralRejects counts contracts the structural layer examined and
-	// refused — an exemplar whose static summary disagreed with its
-	// dynamic verdict, or a follower whose summary did not fit its family
-	// — falling back to a fresh emulation.
+	// refused — the first follower of a family whose exemplar's static
+	// summary disagreed with its dynamic verdict, or a follower whose
+	// summary did not fit its family — falling back to a fresh emulation.
 	StructuralRejects Counter
 	// EmulationAborts counts probes that ended in a terminal EVM error.
 	EmulationAborts Counter

@@ -26,8 +26,12 @@ import (
 // Neither the instruction stream nor the summary is kept: a stream costs
 // more than everything else the detector retains, and no caller reads a
 // summary twice. The rule that keeps a bytecode at one walk is "whoever
-// disassembles, slices": a contract runs probe, summary and pair analysis
-// on one goroutine, so the pair stage finds the accesses its summary left.
+// disassembles, slices": whichever of a summary and the pair stage walks a
+// bytecode first fills its accesses for the other. A follower runs its
+// summary and pair analysis on one goroutine, so its pair stage finds the
+// accesses filled. A family leader's summary runs later, on the goroutine of
+// the family's first follower, if one ever comes: the leader's pair stage
+// slices on its own, and the deferred summary walks the code again.
 // The code itself is not held either; every accessor takes it, and the code
 // hash the artifact is filed under vouches that it is the same bytes.
 type artifact struct {

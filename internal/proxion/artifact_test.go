@@ -137,9 +137,11 @@ func walksOf(d *Detector, fn func()) int64 {
 }
 
 // TestArtifactWalkBudget pins what a bytecode costs in disassemblies: two
-// for a first-seen bytecode-only pair (the proxy's summary walk slices it
-// too; the logic is walked by the pair stage), one for a stamp whose target
-// has no code, none for further addresses carrying bytecodes already seen.
+// for a first-seen bytecode-only pair (the pair stage walks each side; a
+// lone leader runs no summary), none for a stamp whose target has no code
+// (a stamp has no storage instruction to slice), none for further
+// addresses carrying bytecodes already seen, and one for the deferred
+// summary of a leader whose family gets a follower.
 func TestArtifactWalkBudget(t *testing.T) {
 	c := chain.New()
 	slot := etypes.Keccak([]byte("walk.budget.slot"))
@@ -183,8 +185,18 @@ func TestArtifactWalkBudget(t *testing.T) {
 	if n := walksOf(d, func() { scan(proxy2) }); n != 0 {
 		t.Errorf("a second pair with the same two bytecodes cost %d walks, want 0", n)
 	}
-	if n := walksOf(d, func() { scan(stamp) }); n != 1 {
-		t.Errorf("a stamp pointing at a code-less target cost %d walks, want 1 (its summary)", n)
+	if n := walksOf(d, func() { scan(stamp) }); n != 0 {
+		t.Errorf("a stamp pointing at a code-less target cost %d walks, want 0", n)
+	}
+	// A slot twin of the proxy is the family's first follower: its own
+	// summary slices it, and the leader's deferred summary walks the
+	// proxy's code once more (its accesses were already sliced).
+	twinSlot := etypes.Keccak([]byte("walk.budget.twin"))
+	twin := install(0x13, solc.MustCompile(&solc.Contract{
+		Name: "P", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: twinSlot}}))
+	c.SetStorageDirect(twin, twinSlot, etypes.HashFromWord(logic1.Word()))
+	if n := walksOf(d, func() { scan(twin) }); n != 2 {
+		t.Errorf("the first follower of a family cost %d walks, want 2 (its summary, the leader's)", n)
 	}
 	// Without the summary to ride on, the pair stage walks each side once.
 	fresh := NewDetector(c)

@@ -375,9 +375,7 @@ func (r *analysis) probe(addr etypes.Address, code []byte) Report {
 		default:
 			stats.Emulations.Add(1)
 		}
-		if tr.analyzed {
-			stats.StaticSummaries.Add(1)
-		}
+		stats.StaticSummaries.Add(int64(tr.summaries))
 		if tr.rejected {
 			stats.StructuralRejects.Add(1)
 		}

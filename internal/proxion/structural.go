@@ -1,6 +1,9 @@
 package proxion
 
 import (
+	"sync"
+
+	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/lru"
 	"repro/internal/static"
@@ -19,16 +22,21 @@ import (
 //
 //   - The first code hash of a family is the leader. It is emulated
 //     normally; if the dynamic verdict is a cleanly forwarding proxy with
-//     no guard slots, the leader's own static summary is cross-checked
-//     against the dynamic verdict (exemplarConsistent). Only if statics
-//     and dynamics agree is the family registered.
+//     no guard slots, the family becomes provisional: the leader pins its
+//     address, code hash and target (an exemplar) and nothing more. Most
+//     families never see a follower, so the leader runs no static analysis.
 //   - Every later first-visit code hash with the same fingerprint is a
-//     follower. It runs the static analysis on its *own* bytes and, when
-//     the summary has the same uniform shape, re-anchors the verdict to
-//     its own embedded address or its own storage slot value (promote) —
-//     no emulation. A follower whose summary does not fit is rejected and
-//     emulated normally, so promotion can only skip work, never change a
-//     verdict that disagrees with emulation.
+//     follower. The first follower of a provisional family runs the
+//     leader's deferred cross-check, once for the family: the leader's code
+//     is re-read, must still hash to the pinned code hash, and its static
+//     summary must agree with the pinned verdict (exemplarConsistent).
+//     Only then does any follower promote: it runs the static analysis on
+//     its *own* bytes and, when the summary has the same uniform shape,
+//     re-anchors the verdict to its own embedded address or its own storage
+//     slot value (promote) — no emulation. A follower of a refused family,
+//     or one whose summary does not fit, is emulated normally, so promotion
+//     can only skip work, never change a verdict that disagrees with
+//     emulation.
 //
 // Registration is deliberately conservative: negative verdicts never
 // register (their EmulationErr/Reason can differ per twin), truncated or
@@ -39,14 +47,28 @@ type structuralIndex struct {
 	*lru.Cache[etypes.Hash, *fpClass]
 }
 
-// fpClass is the state of one structural clone family. registered and
-// target are written by the leader before close(done) and read by
-// followers only after <-done, which is what makes them safe without a
-// lock of their own.
+// fpClass is the state of one structural clone family. lead is written by
+// the leader before close(done) and read by followers only after <-done,
+// which is what makes it safe without a lock of its own.
 type fpClass struct {
-	done       chan struct{}
-	registered bool
-	target     TargetSource
+	done chan struct{}
+	// lead is the leader's clean forwarding verdict; nil when the leader
+	// did not forward cleanly and the family never promotes.
+	lead *exemplar
+}
+
+// exemplar is a provisional family's leader: what the deferred cross-check
+// reads, and its outcome. consistent is written inside check.Do and read
+// after it returns.
+type exemplar struct {
+	target   TargetSource
+	addr     etypes.Address
+	codeHash etypes.Hash
+	logic    etypes.Address
+	implSlot etypes.Hash
+
+	check      sync.Once
+	consistent bool
 }
 
 // newStructuralIndex returns an unbounded index; SetCapacity bounds it like
@@ -77,20 +99,21 @@ const (
 	sourceStructuralHit
 )
 
-// probeTrace is the accounting record of one checkDeduped call, consumed
-// by the pipeline's counter stage.
+// probeTrace is the accounting record of one checkDeduped call, added to
+// the run's counters by analysis.probe.
 type probeTrace struct {
 	source probeSource
-	// analyzed reports that a static summary was computed for this
-	// contract (leader cross-check or follower promotion attempt).
-	analyzed bool
-	// rejected reports that the structural layer looked at this contract
-	// and refused to register or promote it.
+	// summaries counts the static summaries computed for this contract:
+	// its leader's deferred cross-check, its own promotion attempt, or both.
+	summaries int
+	// rejected reports that the structural layer refused this contract:
+	// the first follower of a family whose exemplar failed its cross-check,
+	// or a follower whose own summary did not fit.
 	rejected bool
 }
 
 // recordFirst handles the once-protected first visit of a distinct code
-// hash: it decides between plain emulation, family registration (leader)
+// hash: it decides between plain emulation, a provisional family (leader)
 // and near-clone promotion (follower), and populates the verdict-cache
 // entry either way so exact duplicates of this hash hit level one.
 // codeHash is the entry's key, which the caller got from the chain's
@@ -113,29 +136,27 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 	if leader {
 		// Close on every exit path — including a ReadError panic unwinding
 		// through here — so followers never block on a dead leader. A
-		// panicked leader leaves registered=false and followers emulate.
+		// panicked leader leaves lead nil and followers emulate.
 		defer close(cls.done)
 		rep := emulate()
 		if rep.IsProxy && rep.EmulationErr == nil && len(entry.guardSlots) == 0 {
-			sum := d.summarize(art, code, codeHash, fp)
-			tr.analyzed = true
-			if exemplarConsistent(sum, rep, addr) {
-				cls.target = rep.Target
-				cls.registered = true
-			} else {
-				tr.rejected = true
-			}
+			cls.lead = &exemplar{addr: addr, codeHash: codeHash, target: rep.Target, logic: rep.Logic, implSlot: rep.ImplSlot}
 		}
 		return rep, tr
 	}
 
 	<-cls.done
-	if !cls.registered {
+	lead := cls.lead
+	if lead == nil {
+		return emulate(), tr
+	}
+	lead.check.Do(func() { lead.consistent = d.checkExemplar(lead, fp, &tr) })
+	if !lead.consistent {
 		return emulate(), tr
 	}
 	sum := d.summarize(art, code, codeHash, fp)
-	tr.analyzed = true
-	if rep, ok := d.promote(addr, sum, cls.target); ok {
+	tr.summaries++
+	if rep, ok := d.promote(addr, sum, lead.target); ok {
 		d.recordPromoted(entry, addr, rep)
 		tr.source = sourceStructuralHit
 		return rep, tr
@@ -165,6 +186,29 @@ func (d *Detector) recordPromoted(entry *codeVerdict, addr etypes.Address, rep R
 	}
 }
 
+// checkExemplar is a provisional family's deferred cross-check, run by its
+// first follower: the leader's code is re-read and must still hash to the
+// code the leader emulated, and its static summary must agree with the
+// pinned verdict. Code that is gone or changed, or a terminal read failure,
+// refuses the family like any disagreement; the refusal is counted on the
+// follower that asked.
+func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace) bool {
+	ok := false
+	chain.CaptureReadError(func() {
+		// Code before hash: code replaced between the two reads fails the
+		// comparison instead of being summarized under the old verdict.
+		code := d.chain.Code(lead.addr)
+		if d.chain.CodeHash(lead.addr) != lead.codeHash {
+			return
+		}
+		sum := d.summarize(d.artifacts.of(lead.codeHash), code, lead.codeHash, fp)
+		tr.summaries++
+		ok = exemplarConsistent(sum, lead)
+	})
+	tr.rejected = !ok
+	return ok
+}
+
 // exemplarConsistent cross-checks the family exemplar's static summary
 // against its dynamic verdict. Registration requires the two analyses to
 // tell the same story: every reachable DELEGATECALL forwards the full call
@@ -174,7 +218,7 @@ func (d *Detector) recordPromoted(entry *codeVerdict, addr etypes.Address, rep R
 // static layer could not stabilize (Truncated), any masked immediate
 // influencing control flow, and any self-targeting delegate refuses the
 // whole family.
-func exemplarConsistent(sum *static.Summary, rep Report, addr etypes.Address) bool {
+func exemplarConsistent(sum *static.Summary, lead *exemplar) bool {
 	if sum.Truncated || sum.MaskedImmFlow || len(sum.Delegates) == 0 {
 		return false
 	}
@@ -182,13 +226,13 @@ func exemplarConsistent(sum *static.Summary, rep Report, addr etypes.Address) bo
 		if !del.ForwardsCalldata || del.TargetTainted {
 			return false
 		}
-		switch rep.Target {
+		switch lead.target {
 		case TargetHardcoded:
-			if del.Provenance != static.ProvHardcoded || del.Target != rep.Logic || rep.Logic == addr {
+			if del.Provenance != static.ProvHardcoded || del.Target != lead.logic || lead.logic == lead.addr {
 				return false
 			}
 		case TargetStorage:
-			if del.Provenance != static.ProvSlotConst || del.Slot != rep.ImplSlot {
+			if del.Provenance != static.ProvSlotConst || del.Slot != lead.implSlot {
 				return false
 			}
 		default:

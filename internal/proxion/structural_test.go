@@ -81,7 +81,8 @@ func TestStructuralCloneFamilyOneEmulation(t *testing.T) {
 		t.Errorf("structural hits = %d, cache hits = %d, want %d promotions and %d hits",
 			res.Stats.StructuralHits, res.Stats.CacheHits, promoted, promoted+dupes)
 	}
-	// One static summary for each exemplar cross-check, one per promotion.
+	// One static summary for each exemplar cross-check (run by the first
+	// follower), one per promotion.
 	if res.Stats.StaticSummaries != n+m {
 		t.Errorf("static summaries = %d, want %d", res.Stats.StaticSummaries, n+m)
 	}
@@ -117,16 +118,17 @@ func TestStructuralStorageTwinsReanchor(t *testing.T) {
 
 	d := NewDetector(c)
 	repA, trA := d.checkDeduped(pA, c.Code(pA))
-	if trA.source != sourceEmulated || !trA.analyzed || trA.rejected {
-		t.Fatalf("exemplar trace = %+v, want analyzed emulation", trA)
+	if trA != (probeTrace{source: sourceEmulated}) {
+		t.Fatalf("exemplar trace = %+v, want a plain emulation with no summary", trA)
 	}
 	if !repA.IsProxy || repA.ImplSlot != slotA || repA.Logic != logicA {
 		t.Fatalf("exemplar report wrong: %+v", repA)
 	}
 
+	// The twin pays the exemplar's deferred cross-check and its own summary.
 	repB, trB := d.checkDeduped(pB, c.Code(pB))
-	if trB.source != sourceStructuralHit {
-		t.Fatalf("twin trace = %+v, want structural hit", trB)
+	if trB != (probeTrace{source: sourceStructuralHit, summaries: 2}) {
+		t.Fatalf("twin trace = %+v, want a structural hit after two summaries", trB)
 	}
 	if repB.ImplSlot != slotB || repB.Logic != logicB || repB.Target != TargetStorage {
 		t.Fatalf("twin not re-anchored to its own slot: %+v", repB)
@@ -172,18 +174,26 @@ func TestStructuralRefusesMaskedImmFlow(t *testing.T) {
 	if !rep1.IsProxy || rep1.Logic != t1 {
 		t.Fatalf("exemplar verdict wrong: %+v", rep1)
 	}
-	if !tr1.analyzed || !tr1.rejected {
-		t.Fatalf("exemplar trace = %+v, want analyzed and rejected (MaskedImmFlow)", tr1)
+	if tr1 != (probeTrace{source: sourceEmulated}) {
+		t.Fatalf("exemplar trace = %+v, want a plain emulation with no summary", tr1)
 	}
 
-	// The family is unregistered: the twin is emulated, not promoted, and
-	// its static summary is never even attempted.
+	// The first twin runs the exemplar's cross-check, which refuses the
+	// family (MaskedImmFlow): the twin is emulated, not promoted, and its
+	// own static summary is never even attempted.
 	rep2, tr2 := d.checkDeduped(p2, c.Code(p2))
-	if tr2.source != sourceEmulated || tr2.analyzed {
-		t.Fatalf("twin trace = %+v, want plain emulation of unregistered family", tr2)
+	if tr2 != (probeTrace{source: sourceEmulated, summaries: 1, rejected: true}) {
+		t.Fatalf("twin trace = %+v, want the exemplar's summary, a refusal and an emulation", tr2)
 	}
 	if !rep2.IsProxy || rep2.Logic != t2 {
 		t.Fatalf("twin verdict wrong: %+v", rep2)
+	}
+
+	// The refusal is counted once: a later twin emulates without a summary.
+	p3 := structAddr(0x63)
+	c.InstallContract(p3, maskedJumpForwarder(structAddr(0x0a)))
+	if _, tr3 := d.checkDeduped(p3, c.Code(p3)); tr3 != (probeTrace{source: sourceEmulated}) {
+		t.Fatalf("second twin trace = %+v, want a plain emulation", tr3)
 	}
 }
 
@@ -212,12 +222,12 @@ func TestStructuralRefusesGuardReadingFallback(t *testing.T) {
 	if !rep1.IsProxy {
 		t.Fatalf("exemplar verdict wrong: %+v", rep1)
 	}
-	// Guard slots present: the exemplar is not even statically analyzed
-	// and the family never registers.
-	if tr1.analyzed || tr1.rejected {
+	// Guard slots present: the family is not provisional, so no follower
+	// ever asks for the exemplar's summary.
+	if tr1 != (probeTrace{source: sourceEmulated}) {
 		t.Fatalf("exemplar trace = %+v, want no structural attempt", tr1)
 	}
-	if _, tr2 := d.checkDeduped(p2, c.Code(p2)); tr2.source != sourceEmulated {
+	if _, tr2 := d.checkDeduped(p2, c.Code(p2)); tr2 != (probeTrace{source: sourceEmulated}) {
 		t.Fatalf("twin trace = %+v, want plain emulation", tr2)
 	}
 }
@@ -242,12 +252,14 @@ func TestStructuralRefusesPackedSlotTwin(t *testing.T) {
 	c.SetStorageDirect(pB, slotB, etypes.HashFromWord(packed))
 
 	d := NewDetector(c)
-	if _, tr := d.checkDeduped(pA, c.Code(pA)); tr.rejected || !tr.analyzed {
-		t.Fatalf("clean exemplar trace = %+v, want registration", tr)
+	if _, tr := d.checkDeduped(pA, c.Code(pA)); tr != (probeTrace{source: sourceEmulated}) {
+		t.Fatalf("clean exemplar trace = %+v, want a plain emulation with no summary", tr)
 	}
+	// The exemplar's deferred cross-check passes; the twin's own summary
+	// fits, but its packed slot refuses the promotion.
 	repB, trB := d.checkDeduped(pB, c.Code(pB))
-	if trB.source != sourceEmulated || !trB.rejected {
-		t.Fatalf("packed twin trace = %+v, want rejected promotion and re-emulation", trB)
+	if trB != (probeTrace{source: sourceEmulated, summaries: 2, rejected: true}) {
+		t.Fatalf("packed twin trace = %+v, want two summaries, a rejected promotion and re-emulation", trB)
 	}
 
 	plain := NewDetector(c)
@@ -298,7 +310,7 @@ func TestStructuralIndexEviction(t *testing.T) {
 		if !leader {
 			t.Fatalf("fingerprint %s: want fresh leadership", fp)
 		}
-		cls.registered = true
+		cls.lead = &exemplar{target: TargetHardcoded}
 		close(cls.done)
 	}
 	if s.Len() != 2 {
@@ -309,7 +321,7 @@ func TestStructuralIndexEviction(t *testing.T) {
 		t.Fatal("evicted family must restart with a fresh leader")
 	}
 	// f3 is still resident.
-	if cls, leader := s.class(fps[2]); leader || !cls.registered {
+	if cls, leader := s.class(fps[2]); leader || cls.lead == nil {
 		t.Fatal("resident family lost its registration")
 	}
 }
