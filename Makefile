@@ -49,12 +49,13 @@ race:
 # scheduler interleaves the workers (one address per turn, window bound,
 # ordered emission, cancel, goroutine accounting), on goroutines sharing a
 # per-bytecode record (concurrent artifact fill, LRU eviction, the probe's
-# halt), on followers racing to run a clone family's leader check, or on
-# callers sharing a detector (single calls against the stream, eight
-# goroutines of single calls, two streams at once), repeated under the race
-# detector. -race reports neither a hang nor a leak: the timeout does.
+# halt, the verdict swapped out by Invalidate under concurrent duplicates),
+# on followers racing to run a clone family's leader check, or on callers
+# sharing a detector (single calls against the stream, eight goroutines of
+# single calls, two streams at once), repeated under the race detector.
+# -race reports neither a hang nor a leak: the timeout does.
 engine:
-	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt|Structural' ./internal/proxion ./internal/pipeline
+	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt|Structural|Verdict|Invalidate|Record' ./internal/proxion ./internal/pipeline
 
 bench:
 	go test -run '^$$' -bench . -benchmem ./...

@@ -44,7 +44,7 @@ func run() error {
 	stream := flag.Bool("stream", false, "stream generation into analysis instead of materializing the population")
 	retire := flag.Bool("retire", false, "with -stream: drop fully analyzed contracts for bounded memory")
 	window := flag.Int("window", 0, "with -stream: max in-flight contracts in the pipeline (0 = engine default)")
-	cacheCap := flag.Int("cache-capacity", 0, "with -stream: LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "with -stream: LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
 	flag.Parse()
 
 	if *stream {

@@ -156,7 +156,7 @@ func runSoak(args []string) int {
 	contracts := fs.Int("contracts", 1_000_000, "corpus size to stream")
 	seed := fs.Int64("seed", 1, "corpus generation seed")
 	window := fs.Int("window", 0, "engine in-flight window (0 = engine default)")
-	cacheCap := fs.Int("cache-capacity", 1<<16, "LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
+	cacheCap := fs.Int("cache-capacity", 1<<16, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
 	retire := fs.Int("retire-window", 0, "generator retirement lag in labels (0 = 2x engine window)")
 	out := fs.String("out", "", "report output path (default BENCH_SOAK_<timestamp>.json)")
 	maxHeapMB := fs.Int64("max-heap-mb", 0, "fail (exit 1) if peak heap exceeds this many MiB (0 = no ceiling)")

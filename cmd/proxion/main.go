@@ -47,7 +47,7 @@ func run() error {
 	collisionsOnly := flag.Bool("collisions-only", false, "print only pairs with collisions")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable summary instead of text")
 	window := flag.Int("window", 0, "max in-flight contracts in the analysis pipeline (0 = engine default)")
-	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
 	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	resilient := flag.Bool("resilient", false, "route node reads through the resilient client even with faults off")
 	faults := flag.String("faults", "off", "fault-injection profile: off, "+profileNames())

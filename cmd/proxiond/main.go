@@ -67,7 +67,7 @@ func run() error {
 	shards := flag.Int("shards", 0, "analyses run at once, over one shared detector and cache (0 = GOMAXPROCS; more only helps when node reads wait)")
 	storeDir := flag.String("store", "", "verdict store directory (empty = no persistence)")
 	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
-	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on each of verdicts, clone families and per-bytecode artifacts (0 = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
 	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
 	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")

@@ -3,6 +3,7 @@ package proxion
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
@@ -11,10 +12,11 @@ import (
 	"repro/internal/static"
 )
 
-// artifact is the detector's one record per runtime bytecode: every fact
-// the engine derives from the bytes without emulating them. Facets are
-// filled on first demand by at most two passes over the code and never
-// change afterwards:
+// artifact is the detector's one record per runtime bytecode: the
+// memoized emulation verdict (verdictcache.go), which Invalidate swaps out,
+// and every fact the engine derives from the bytes without emulating them.
+// Facets are filled on first demand by at most two passes over the code
+// and never change afterwards:
 //
 //   - a byte scan (disasm.ScanCode, no instruction stream) yields the PUSH4
 //     avoid-list of the probe call data, the dispatcher selectors, and
@@ -50,6 +52,9 @@ type artifact struct {
 	// this bytecode: one entry, because the addresses sharing a bytecode
 	// publish the same functions, each in a source object of its own.
 	source *sourceFacet
+	// verdict is nil until the bytecode is first probed (a logic contract's
+	// record never is) and again after Invalidate.
+	verdict atomic.Pointer[codeVerdict]
 }
 
 type sourceFacet struct {
@@ -65,9 +70,10 @@ func sameFunctions(a, b *solc.Contract) bool {
 	})
 }
 
-// artifactCache files artifacts by code hash under the detector's one
-// capacity (AnalyzeOptions.CacheCapacity). An evicted artifact is rebuilt,
-// to equal values, the next time its bytecode is analyzed.
+// artifactCache files artifacts by code hash under the detector's capacity
+// (AnalyzeOptions.CacheCapacity). Eviction drops a record whole: the next
+// analysis of its bytecode rebuilds the facets, to equal values, and
+// re-emulates the verdict.
 type artifactCache struct {
 	*lru.Cache[etypes.Hash, *artifact]
 }
@@ -80,6 +86,17 @@ func newArtifactCache() *artifactCache {
 func (c *artifactCache) of(codeHash etypes.Hash) *artifact {
 	a, _ := c.GetOrAdd(codeHash, func() *artifact { return new(artifact) })
 	return a
+}
+
+// verdicts returns the record's verdict state, installing an empty one if
+// it has none.
+func (a *artifact) verdicts() *codeVerdict {
+	for {
+		if v := a.verdict.Load(); v != nil {
+			return v
+		}
+		a.verdict.CompareAndSwap(nil, new(codeVerdict))
+	}
 }
 
 // scanLocked runs the byte scan once. Callers hold a.mu.

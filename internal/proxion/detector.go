@@ -154,16 +154,14 @@ type Detector struct {
 	chain chain.Reader
 	// emulationGas bounds each emulation run.
 	emulationGas uint64
-	// artifacts holds, per bytecode hash, everything derived from the bytes
-	// without emulation (artifact.go), exploiting the heavy duplication of
-	// deployed contracts (Figure 5).
+	// artifacts holds one record per bytecode hash: the memoized emulation
+	// verdict (verdictcache.go) — the streaming engine's biggest throughput
+	// lever, since 98.7% of deployed contracts are duplicates (Table 3 /
+	// Figure 5) — and everything derived from the bytes without emulation
+	// (artifact.go).
 	artifacts *artifactCache
 	// walks counts the disassemblies (disasm.BasicBlocks) artifacts cost.
 	walks atomic.Int64
-	// verdicts memoizes the emulation verdict per unique runtime bytecode
-	// — the streaming engine's biggest throughput lever, since 98.7% of
-	// deployed contracts are duplicates (Table 3 / Figure 5).
-	verdicts *verdictCache
 	// structural is the second-level verdict key: near-clone families by
 	// static fingerprint, promoted without emulation (structural.go).
 	structural *structuralIndex
@@ -181,7 +179,7 @@ type cacheSettings struct {
 
 // configure applies opts' cache settings unless they are the ones in force:
 // a load and a compare per call, so that calls sharing a detector — a query
-// service's concurrent requests — neither take the three cache locks per
+// service's concurrent requests — neither take the two cache locks per
 // contract nor write what a peer is reading. Concurrent calls are expected
 // to agree on the settings; if they do not, the last one wins.
 func (d *Detector) configure(opts AnalyzeOptions) {
@@ -190,7 +188,6 @@ func (d *Detector) configure(opts AnalyzeOptions) {
 		return
 	}
 	if !want.noDedup {
-		d.verdicts.SetCapacity(want.capacity)
 		d.structural.SetCapacity(want.capacity)
 	}
 	d.artifacts.SetCapacity(want.capacity)
@@ -203,7 +200,6 @@ func NewDetector(c chain.Reader) *Detector {
 		chain:        c,
 		emulationGas: 5_000_000,
 		artifacts:    newArtifactCache(),
-		verdicts:     newVerdictCache(),
 		structural:   newStructuralIndex(),
 	}
 }
@@ -444,7 +440,7 @@ func (d *Detector) probeThrough(state evm.StateDB, observer evm.Tracer, tracer *
 
 	rep.IsProxy = true
 	rep.Logic = tracer.logic
-	rep.Reason = "fallback forwarded the probe call data via DELEGATECALL to " + tracer.logic.Hex()
+	rep.Reason = forwardedReason(tracer.logic)
 
 	// Locate the logic address (Section 4.3): storage slot if we saw it
 	// come from an SLOAD, otherwise hard-coded in the bytecode.

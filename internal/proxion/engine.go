@@ -37,11 +37,11 @@ type AnalyzeOptions struct {
 	// holding a slow contract. Zero means DefaultWindow(Workers).
 	Window int
 	// CacheCapacity bounds everything the detector keeps per bytecode —
-	// the dedup verdict cache, the structural clone families and the
-	// per-bytecode artifacts — to at most this many entries each, evicted
-	// least-recently-used. Zero keeps them unbounded (every unique bytecode
-	// is remembered for the whole run — fine for batch runs, not for
-	// million-contract streams).
+	// the per-bytecode records (verdict and facets; logic contracts too)
+	// and the structural clone families — to at most this many entries
+	// each, evicted least-recently-used. Zero keeps them unbounded (every
+	// unique bytecode is remembered for the whole run — fine for batch
+	// runs, not for million-contract streams).
 	CacheCapacity int
 	// DisableDedup turns off the bytecode-dedup verdict cache, probing
 	// every address with a fresh emulation — the ablation mode. It implies
@@ -296,7 +296,8 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 	now = clock.lap(stageFilter, now)
 
 	rep := &it.Report
-	*rep = r.probe(addr, code)
+	var art *artifact
+	*rep, art = r.probe(addr, code)
 	now = clock.lap(stageProbe, now)
 
 	// Classification (Table 4).
@@ -321,9 +322,10 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 		now = clock.lap(stageHistory, now)
 	}
 
-	// Pair collision analysis (Section 5).
+	// Pair collision analysis (Section 5), over the code and the record the
+	// filter and the probe already fetched.
 	var pa PairAnalysis
-	if re := chain.CaptureReadError(func() { pa = d.AnalyzePair(rep.Address, rep.Logic, r.sources) }); re != nil {
+	if re := chain.CaptureReadError(func() { pa = d.analyzePair(addr, code, art, rep.Logic, r.sources) }); re != nil {
 		markUnresolved(rep, re)
 	} else {
 		stats.PairsAnalyzed.Add(1)
@@ -354,18 +356,20 @@ func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe b
 // probe is the emulation probe (Section 4.2): one emulation per *unique*
 // runtime bytecode thanks to the verdict cache, and one per *structural
 // family* of cleanly forwarding near-clones thanks to the second-level
-// fingerprint index.
-func (r *analysis) probe(addr etypes.Address, code []byte) Report {
+// fingerprint index. It also returns the bytecode's record, which the pair
+// stage reuses; nil when the dedup cache is off or a read failed.
+func (r *analysis) probe(addr etypes.Address, code []byte) (rep Report, art *artifact) {
 	d, stats := r.d, r.opts.Stats
-	var rep Report
 	re := chain.CaptureReadError(func() {
 		if r.opts.DisableDedup {
 			rep = d.emulateProbe(addr, code, CraftCallData(addr, code)).rep
 			stats.Emulations.Add(1)
 			return
 		}
+		codeHash := d.chain.CodeHash(addr)
+		art = d.artifacts.of(codeHash)
 		var tr probeTrace
-		rep, tr = d.checkDeduped(addr, code)
+		rep, tr = d.checkRecord(art, addr, code, codeHash)
 		switch tr.source {
 		case sourceExactHit:
 			stats.CacheHits.Add(1)
@@ -381,10 +385,10 @@ func (r *analysis) probe(addr etypes.Address, code []byte) Report {
 		}
 	})
 	if re != nil {
-		return unresolvedReport(addr, re)
+		return unresolvedReport(addr, re), nil
 	}
 	if rep.EmulationErr != nil {
 		stats.EmulationAborts.Add(1)
 	}
-	return rep
+	return rep, art
 }

@@ -119,108 +119,82 @@ func (e CacheEntry) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes an entry encoded by MarshalBinary, validating
 // the version tag and every length before use.
 func (e *CacheEntry) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	readByte := func() (byte, error) { return r.ReadByte() }
-
-	v, err := readByte()
-	if err != nil {
-		return fmt.Errorf("proxion: cache entry truncated")
-	}
-	if v != cacheEntryVersion {
+	d := entryDecoder{rest: data}
+	if v := d.byte(); d.err == nil && v != cacheEntryVersion {
 		return fmt.Errorf("proxion: cache entry version %d, want %d", v, cacheEntryVersion)
 	}
-	need := func(p []byte) error {
-		n, err := r.Read(p)
-		if err != nil || n != len(p) {
-			return fmt.Errorf("proxion: cache entry truncated")
-		}
-		return nil
-	}
-	readU32 := func() (int, error) {
-		var u [4]byte
-		if err := need(u[:]); err != nil {
-			return 0, err
-		}
-		n := int(binary.BigEndian.Uint32(u[:]))
-		if n < 0 || n > maxCacheEntrySlices {
-			return 0, fmt.Errorf("proxion: cache entry length %d out of range", n)
-		}
-		return n, nil
-	}
-	readStr := func() (string, error) {
-		n, err := readU32()
-		if err != nil {
-			return "", err
-		}
-		if n > r.Len() {
-			return "", fmt.Errorf("proxion: cache entry truncated")
-		}
-		p := make([]byte, n)
-		if n > 0 {
-			if err := need(p); err != nil {
-				return "", err
-			}
-		}
-		return string(p), nil
-	}
-
 	var out CacheEntry
-	if err := need(out.CodeHash[:]); err != nil {
-		return err
-	}
-	if err := need(out.FirstAddr[:]); err != nil {
-		return err
-	}
-	nSlots, err := readU32()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nSlots; i++ {
+	d.read(out.CodeHash[:])
+	d.read(out.FirstAddr[:])
+	for i, n := 0, d.len(); i < n && d.err == nil; i++ {
 		var s etypes.Hash
-		if err := need(s[:]); err != nil {
-			return err
-		}
+		d.read(s[:])
 		out.GuardSlots = append(out.GuardSlots, s)
 	}
-	nVerd, err := readU32()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nVerd; i++ {
+	for i, n := 0, d.len(); i < n && d.err == nil; i++ {
 		var cv CachedVerdict
-		if err := need(cv.Fingerprint[:]); err != nil {
-			return err
-		}
-		fwd, err := readByte()
-		if err != nil {
-			return fmt.Errorf("proxion: cache entry truncated")
-		}
-		cv.Forwarded = fwd == 1
-		tgt, err := readByte()
-		if err != nil {
-			return fmt.Errorf("proxion: cache entry truncated")
-		}
-		cv.Target = TargetSource(tgt)
-		if err := need(cv.ImplSlot[:]); err != nil {
-			return err
-		}
-		if err := need(cv.Logic[:]); err != nil {
-			return err
-		}
-		if cv.EmulationErr, err = readStr(); err != nil {
-			return err
-		}
-		if cv.Reason, err = readStr(); err != nil {
-			return err
-		}
+		d.read(cv.Fingerprint[:])
+		cv.Forwarded = d.byte() == 1
+		cv.Target = TargetSource(d.byte())
+		d.read(cv.ImplSlot[:])
+		d.read(cv.Logic[:])
+		cv.EmulationErr = d.str()
+		cv.Reason = d.str()
 		out.Verdicts = append(out.Verdicts, cv)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("proxion: %d trailing bytes after cache entry", r.Len())
+	if d.err == nil && len(d.rest) != 0 {
+		d.err = fmt.Errorf("proxion: %d trailing bytes after cache entry", len(d.rest))
+	}
+	if d.err != nil {
+		return d.err
 	}
 	*e = out
 	return nil
 }
+
+// entryDecoder reads MarshalBinary's layout off rest; its first failure
+// sticks, and every later read returns zero values.
+type entryDecoder struct {
+	rest []byte
+	err  error
+}
+
+// next consumes n bytes, or fails the decode when fewer are left.
+func (d *entryDecoder) next(n int) []byte {
+	if d.err == nil && n > len(d.rest) {
+		d.err = fmt.Errorf("proxion: cache entry truncated")
+	}
+	if d.err != nil {
+		return nil
+	}
+	p := d.rest[:n]
+	d.rest = d.rest[n:]
+	return p
+}
+
+func (d *entryDecoder) read(p []byte) { copy(p, d.next(len(p))) }
+
+func (d *entryDecoder) byte() byte {
+	var b [1]byte
+	d.read(b[:])
+	return b[0]
+}
+
+// len reads a big-endian u32 length, refusing one past maxCacheEntrySlices.
+func (d *entryDecoder) len() int {
+	var u [4]byte
+	d.read(u[:])
+	n := int(binary.BigEndian.Uint32(u[:]))
+	if d.err == nil && n > maxCacheEntrySlices {
+		d.err = fmt.Errorf("proxion: cache entry length %d out of range", n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (d *entryDecoder) str() string { return string(d.next(d.len())) }
 
 // ExportVerdict snapshots the cache entry of the runtime bytecode now at
 // addr. It returns ok=false when the code hash cannot be read or is unknown,
@@ -235,18 +209,19 @@ func (d *Detector) ExportVerdict(addr etypes.Address) (ent CacheEntry, ok bool) 
 }
 
 func (d *Detector) exportVerdict(codeHash etypes.Hash) (CacheEntry, bool) {
-	e, ok := d.verdicts.Peek(codeHash)
-	if !ok {
-		return CacheEntry{}, false
+	if art, ok := d.artifacts.Peek(codeHash); ok {
+		if e := art.verdict.Load(); e != nil {
+			return exportEntry(codeHash, e)
+		}
 	}
-	return exportEntry(codeHash, e)
+	return CacheEntry{}, false
 }
 
 // ExportVerdicts snapshots every exportable cache entry, sorted by code
 // hash for deterministic output. Intended for quiescent detectors (after a
 // run has drained); see ExportVerdict for the synchronization contract.
 func (d *Detector) ExportVerdicts() []CacheEntry {
-	hashes := d.verdicts.Keys()
+	hashes := d.artifacts.Keys()
 	sort.Slice(hashes, func(i, j int) bool {
 		return bytes.Compare(hashes[i][:], hashes[j][:]) < 0
 	})
@@ -259,7 +234,8 @@ func (d *Detector) ExportVerdicts() []CacheEntry {
 	return out
 }
 
-// exportEntry renders one recorded codeVerdict as its exported form.
+// exportEntry renders one recorded codeVerdict as its exported form, with
+// a forwarding verdict's Reason rebuilt from its logic, as it was recorded.
 func exportEntry(codeHash etypes.Hash, e *codeVerdict) (CacheEntry, bool) {
 	// Synchronize with the recording run. If the entry was created but
 	// never recorded, this consumes the once and the entry reads as
@@ -267,7 +243,7 @@ func exportEntry(codeHash etypes.Hash, e *codeVerdict) (CacheEntry, bool) {
 	e.once.Do(func() {})
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.byFP == nil {
+	if !e.recorded {
 		return CacheEntry{}, false
 	}
 	out := CacheEntry{
@@ -275,7 +251,7 @@ func exportEntry(codeHash etypes.Hash, e *codeVerdict) (CacheEntry, bool) {
 		FirstAddr:  e.firstAddr,
 		GuardSlots: append([]etypes.Hash(nil), e.guardSlots...),
 	}
-	for fp, v := range e.byFP {
+	emit := func(fp etypes.Hash, v probeVerdict) {
 		cv := CachedVerdict{
 			Fingerprint: fp,
 			Forwarded:   v.forwarded,
@@ -284,10 +260,17 @@ func exportEntry(codeHash etypes.Hash, e *codeVerdict) (CacheEntry, bool) {
 			Logic:       v.logic,
 			Reason:      v.reason,
 		}
+		if v.forwarded {
+			cv.Reason = forwardedReason(v.logic)
+		}
 		if v.emulationErr != nil {
 			cv.EmulationErr = v.emulationErr.Error()
 		}
 		out.Verdicts = append(out.Verdicts, cv)
+	}
+	emit(e.fp, e.first)
+	for fp, v := range e.more {
+		emit(fp, v)
 	}
 	sort.Slice(out.Verdicts, func(i, j int) bool {
 		return bytes.Compare(out.Verdicts[i].Fingerprint[:], out.Verdicts[j].Fingerprint[:]) < 0
@@ -296,37 +279,29 @@ func exportEntry(codeHash etypes.Hash, e *codeVerdict) (CacheEntry, bool) {
 }
 
 // ImportVerdicts pre-seeds the verdict cache with previously exported
-// entries, returning how many were installed. An entry whose code hash is
-// already cached is skipped — live state wins over persisted state — so
-// importing is safe at any point, though it is normally done once, before
-// the first analysis. Imported entries participate in the LRU exactly like
-// recorded ones.
+// entries, returning how many were installed. An entry whose code hash
+// already holds a verdict is skipped — live state wins over persisted state
+// — so importing is safe at any point, though it is normally done once,
+// before the first analysis. Imported entries participate in the LRU
+// exactly like recorded ones.
 func (d *Detector) ImportVerdicts(entries []CacheEntry) int {
 	installed := 0
 	for _, ent := range entries {
-		cv := &codeVerdict{
-			firstAddr:  ent.FirstAddr,
-			guardSlots: append([]etypes.Hash(nil), ent.GuardSlots...),
-			byFP:       make(map[etypes.Hash]*probeVerdict, len(ent.Verdicts)),
+		if len(ent.Verdicts) == 0 {
+			continue // nothing to serve: as good as absent
 		}
+		cv := new(codeVerdict)
+		cv.once.Do(func() { cv.firstAddr, cv.guardSlots = ent.FirstAddr, append([]etypes.Hash(nil), ent.GuardSlots...) })
 		for _, v := range ent.Verdicts {
-			pv := &probeVerdict{
-				forwarded: v.Forwarded,
-				target:    v.Target,
-				implSlot:  v.ImplSlot,
-				logic:     v.Logic,
-				reason:    v.Reason,
-			}
+			pv := verdictOf(Report{IsProxy: v.Forwarded, Target: v.Target, ImplSlot: v.ImplSlot, Logic: v.Logic, Reason: v.Reason})
 			if v.EmulationErr != "" {
 				pv.emulationErr = persistedError(v.EmulationErr)
 			}
-			cv.byFP[v.Fingerprint] = pv
+			cv.add(v.Fingerprint, pv)
 		}
-		// Mark the entry recorded: lookups must go straight to byFP.
-		cv.once.Do(func() {})
-		// An existing record wins: live state is never clobbered by a
+		// An existing verdict wins: live state is never clobbered by a
 		// (possibly stale) persisted one.
-		if d.verdicts.Add(ent.CodeHash, cv) {
+		if d.artifacts.of(ent.CodeHash).verdict.CompareAndSwap(nil, cv) {
 			installed++
 		}
 	}

@@ -2,12 +2,19 @@ package proxion
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/pipeline"
+	"repro/internal/solc"
 )
 
 // goldenEntry is a fixed cache entry exercising every field: two guard
@@ -117,6 +124,8 @@ func TestCacheEntryGoldenRoundTrip(t *testing.T) {
 	if dec.Verdicts[1].EmulationErr != "evm: out of gas" {
 		t.Fatalf("emulation error did not round-trip: %+v", dec.Verdicts[1])
 	}
+
+	t.Run("recorded by emulation and by promotion", checkRecordedEntriesGolden)
 }
 
 // TestCacheEntryUnmarshalRejectsCorruption exercises the decoder's error
@@ -199,6 +208,157 @@ func TestExportImportParity(t *testing.T) {
 			t.Fatalf("verdict for %v differs cold vs warm:\n cold: %s\n warm: %s", a, cold, warm)
 		}
 	}
+
+	t.Run("store entries re-export identically", checkImportedEntriesReexport)
+}
+
+// recordedEntryAddrs are the four bytecodes recordedEntries analyzes, in
+// order: a storage proxy and an EIP-1167 stamp recorded by emulation (each
+// its family's leader), then a slot twin and a stamp recorded by promotion.
+var recordedEntryAddrs = []struct {
+	name string
+	addr etypes.Address
+}{
+	{"emulated storage proxy", structAddr(0x11)},
+	{"emulated stamp", structAddr(0x21)},
+	{"promoted slot twin", structAddr(0x12)},
+	{"promoted stamp", structAddr(0x22)},
+}
+
+// recordedEntries installs recordedEntryAddrs' contracts, analyzes them in
+// order on a fresh detector and returns the chain, the detector and each
+// exported entry, encoded.
+func recordedEntries(t *testing.T) (*chain.Chain, *Detector, [][]byte) {
+	t.Helper()
+	c := chain.New()
+	logic := structAddr(0x01)
+	c.InstallContract(logic, solc.MustCompile(boundedTestLogic()))
+	for i, slot := range []etypes.Hash{etypes.Keccak([]byte("golden.slot")), etypes.Keccak([]byte("golden.twin"))} {
+		a := recordedEntryAddrs[2*i].addr
+		c.InstallContract(a, solc.MustCompile(&solc.Contract{
+			Name: "P", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot}}))
+		c.SetStorageDirect(a, slot, etypes.HashFromWord(logic.Word()))
+		c.InstallContract(recordedEntryAddrs[2*i+1].addr, disasm.MinimalProxyRuntime(structAddr(byte(0x02+i))))
+	}
+	d := NewDetector(c)
+	var stats pipeline.Stats
+	var out [][]byte
+	for _, e := range recordedEntryAddrs {
+		d.AnalyzeAddress(e.addr, nil, AnalyzeOptions{Stats: &stats})
+		ent, ok := d.ExportVerdict(e.addr)
+		if !ok {
+			t.Fatalf("%s: nothing exported", e.name)
+		}
+		b, err := ent.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	if stats.Emulations.Load() != 2 || stats.StructuralHits.Load() != 2 {
+		t.Fatalf("test setup: %d emulations and %d promotions, want 2 and 2", stats.Emulations.Load(), stats.StructuralHits.Load())
+	}
+	return c, d, out
+}
+
+// recordedGolden are recordedEntries' encodings. A forwarding verdict
+// stores no Reason, so these pin that export rebuilds it to the bytes
+// stores already hold; otherwise every restart would re-append every entry.
+var recordedGolden = []string{
+	// emulated storage proxy
+	"015d5e4de9916145d3fa20da7a387d274877d5a0268e9df5a3bc2548b608fb82" +
+		"bb0000000000000000000000000000000000007a110000000000000001000000" +
+		"00000000000000000000000000000000000000000000000000000000000102e1" +
+		"0739edd5c9fabb3ae51fe2ddeb4a9f71662cd3dcf84847898578aa5b1029e000" +
+		"00000000000000000000000000000000007a01000000000000006566616c6c62" +
+		"61636b20666f72776172646564207468652070726f62652063616c6c20646174" +
+		"61207669612044454c454741544543414c4c20746f2030783030303030303030" +
+		"3030303030303030303030303030303030303030303030303030303037613031",
+	// emulated stamp
+	"016061fa72ae28905d0c738dc76abe33d5384f31ea11dcacb8cb80a1a73aff4d" +
+		"fa0000000000000000000000000000000000007a210000000000000001000000" +
+		"0000000000000000000000000000000000000000000000000000000000010100" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"00000000000000000000000000000000007a02000000000000006566616c6c62" +
+		"61636b20666f72776172646564207468652070726f62652063616c6c20646174" +
+		"61207669612044454c454741544543414c4c20746f2030783030303030303030" +
+		"3030303030303030303030303030303030303030303030303030303037613032",
+	// promoted slot twin
+	"013eab7666f6835c4a99aea88885667e280d15404acbcf751d9b32ffb186993b" +
+		"4d0000000000000000000000000000000000007a120000000000000001000000" +
+		"0000000000000000000000000000000000000000000000000000000000010215" +
+		"21817202fab1b80bbff12ec7299105472e8e1cdc976b8991d5f2af4267c6e700" +
+		"00000000000000000000000000000000007a01000000000000006566616c6c62" +
+		"61636b20666f72776172646564207468652070726f62652063616c6c20646174" +
+		"61207669612044454c454741544543414c4c20746f2030783030303030303030" +
+		"3030303030303030303030303030303030303030303030303030303037613031",
+	// promoted stamp
+	"0184ac058309f9a4c7b383a401ce6e1592d2dc50cfecba19021318bb3b9cacc8" +
+		"8e0000000000000000000000000000000000007a220000000000000001000000" +
+		"0000000000000000000000000000000000000000000000000000000000010100" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"00000000000000000000000000000000007a03000000000000006566616c6c62" +
+		"61636b20666f72776172646564207468652070726f62652063616c6c20646174" +
+		"61207669612044454c454741544543414c4c20746f2030783030303030303030" +
+		"3030303030303030303030303030303030303030303030303030303037613033",
+}
+
+// checkRecordedEntriesGolden: the entries the detector records, by emulation
+// and by promotion, export to the bytes pinned above.
+func checkRecordedEntriesGolden(t *testing.T) {
+	_, _, enc := recordedEntries(t)
+	for i, b := range enc {
+		if got := hex.EncodeToString(b); got != recordedGolden[i] {
+			t.Errorf("%s: exported\n got:  %s\n want: %s", recordedEntryAddrs[i].name, got, recordedGolden[i])
+		}
+	}
+}
+
+// checkImportedEntriesReexport: entries read back from a store re-export the
+// bytes they were read from, so a restarted service's store.Put skips every
+// one of them, and serve the same reports.
+func checkImportedEntriesReexport(t *testing.T) {
+	c, cold, _ := recordedEntries(t)
+	var entries []CacheEntry
+	for i, h := range recordedGolden {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e CacheEntry
+		if err := e.UnmarshalBinary(b); err != nil {
+			t.Fatalf("%s: %v", recordedEntryAddrs[i].name, err)
+		}
+		entries = append(entries, e)
+	}
+	warm := NewDetector(c)
+	if n := warm.ImportVerdicts(entries); n != len(entries) {
+		t.Fatalf("imported %d of %d entries", n, len(entries))
+	}
+	for i, e := range recordedEntryAddrs {
+		ent, ok := warm.ExportVerdict(e.addr)
+		if !ok {
+			t.Fatalf("%s: imported entry not exported", e.name)
+		}
+		b, err := ent.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != recordedGolden[i] {
+			t.Errorf("%s: re-exported\n got:  %s\n want: %s", e.name, got, recordedGolden[i])
+		}
+	}
+	var stats pipeline.Stats
+	for _, e := range recordedEntryAddrs {
+		got := warm.AnalyzeAddress(e.addr, nil, AnalyzeOptions{Stats: &stats})
+		want := cold.AnalyzeAddress(e.addr, nil, AnalyzeOptions{})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: warm item %+v, cold %+v", e.name, got, want)
+		}
+	}
+	if n := stats.Emulations.Load() + stats.StructuralHits.Load(); n != 0 {
+		t.Errorf("the warm detector emulated or promoted %d times, want every answer an exact hit", n)
+	}
 }
 
 // withStream analyzes one address through the streaming engine (the code
@@ -256,5 +416,157 @@ func TestImportedErrorRehydration(t *testing.T) {
 	var target persistedError
 	if !errors.As(e, &target) {
 		t.Fatalf("errors.As failed on persistedError")
+	}
+}
+
+// refUnmarshalEntry is UnmarshalBinary as first written, one closure per
+// field kind and an error check per read, kept as the oracle of the
+// sticky-error decoder.
+func refUnmarshalEntry(e *CacheEntry, data []byte) error {
+	r := bytes.NewReader(data)
+	readByte := func() (byte, error) { return r.ReadByte() }
+
+	v, err := readByte()
+	if err != nil {
+		return fmt.Errorf("proxion: cache entry truncated")
+	}
+	if v != cacheEntryVersion {
+		return fmt.Errorf("proxion: cache entry version %d, want %d", v, cacheEntryVersion)
+	}
+	need := func(p []byte) error {
+		n, err := r.Read(p)
+		if err != nil || n != len(p) {
+			return fmt.Errorf("proxion: cache entry truncated")
+		}
+		return nil
+	}
+	readU32 := func() (int, error) {
+		var u [4]byte
+		if err := need(u[:]); err != nil {
+			return 0, err
+		}
+		n := int(binary.BigEndian.Uint32(u[:]))
+		if n < 0 || n > maxCacheEntrySlices {
+			return 0, fmt.Errorf("proxion: cache entry length %d out of range", n)
+		}
+		return n, nil
+	}
+	readStr := func() (string, error) {
+		n, err := readU32()
+		if err != nil {
+			return "", err
+		}
+		if n > r.Len() {
+			return "", fmt.Errorf("proxion: cache entry truncated")
+		}
+		p := make([]byte, n)
+		if n > 0 {
+			if err := need(p); err != nil {
+				return "", err
+			}
+		}
+		return string(p), nil
+	}
+
+	var out CacheEntry
+	if err := need(out.CodeHash[:]); err != nil {
+		return err
+	}
+	if err := need(out.FirstAddr[:]); err != nil {
+		return err
+	}
+	nSlots, err := readU32()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < nSlots; i++ {
+		var s etypes.Hash
+		if err := need(s[:]); err != nil {
+			return err
+		}
+		out.GuardSlots = append(out.GuardSlots, s)
+	}
+	nVerd, err := readU32()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < nVerd; i++ {
+		var cv CachedVerdict
+		if err := need(cv.Fingerprint[:]); err != nil {
+			return err
+		}
+		fwd, err := readByte()
+		if err != nil {
+			return fmt.Errorf("proxion: cache entry truncated")
+		}
+		cv.Forwarded = fwd == 1
+		tgt, err := readByte()
+		if err != nil {
+			return fmt.Errorf("proxion: cache entry truncated")
+		}
+		cv.Target = TargetSource(tgt)
+		if err := need(cv.ImplSlot[:]); err != nil {
+			return err
+		}
+		if err := need(cv.Logic[:]); err != nil {
+			return err
+		}
+		if cv.EmulationErr, err = readStr(); err != nil {
+			return err
+		}
+		if cv.Reason, err = readStr(); err != nil {
+			return err
+		}
+		out.Verdicts = append(out.Verdicts, cv)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("proxion: %d trailing bytes after cache entry", r.Len())
+	}
+	*e = out
+	return nil
+}
+
+// TestCacheEntryDecoderMatchesReference feeds both decoders every prefix of
+// the golden and recorded encodings and seeded mutations of them (flipped
+// bytes, inflated lengths, appended garbage): they must agree on failure
+// and on every decoded entry.
+func TestCacheEntryDecoderMatchesReference(t *testing.T) {
+	golden, err := goldenEntry().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := [][]byte{golden}
+	for _, h := range recordedGolden {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, b)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var cases [][]byte
+	for _, in := range inputs {
+		for n := 0; n <= len(in); n++ {
+			cases = append(cases, in[:n])
+		}
+		for i := 0; i < 2000; i++ {
+			m := append([]byte(nil), in...)
+			switch i % 3 {
+			case 0:
+				m[rng.Intn(len(m))] ^= byte(1 + rng.Intn(255))
+			case 1: // a length field's high byte: past the bound or past the data
+				m[1+32+20+rng.Intn(4)] = byte(rng.Intn(256))
+			case 2:
+				m = append(m, byte(rng.Intn(256)))
+			}
+			cases = append(cases, m)
+		}
+	}
+	for _, in := range cases {
+		var got, want CacheEntry
+		gotErr, wantErr := got.UnmarshalBinary(in), refUnmarshalEntry(&want, in)
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %x: decoded %+v (err %v), reference %+v (err %v)", in, got, gotErr, want, wantErr)
+		}
 	}
 }

@@ -30,8 +30,13 @@ type PairAnalysis struct {
 // AnalyzePair detects function and storage collisions for one proxy/logic
 // pair, choosing source- or bytecode-level techniques per availability.
 func (d *Detector) AnalyzePair(proxy, logic etypes.Address, sources SourceProvider) PairAnalysis {
+	return d.analyzePair(proxy, d.chain.Code(proxy), nil, logic, sources)
+}
+
+// analyzePair is AnalyzePair given the proxy's code and, when the caller
+// already holds it, the proxy bytecode's record (nil: looked up here).
+func (d *Detector) analyzePair(proxy etypes.Address, proxyCode []byte, proxyArt *artifact, logic etypes.Address, sources SourceProvider) PairAnalysis {
 	pa := PairAnalysis{Proxy: proxy, Logic: logic}
-	proxyCode := d.chain.Code(proxy)
 	logicCode := d.chain.Code(logic)
 
 	var proxySrc, logicSrc *solc.Contract
@@ -43,7 +48,9 @@ func (d *Detector) AnalyzePair(proxy, logic etypes.Address, sources SourceProvid
 	pa.LogicHasSource = logicSrc != nil
 
 	// The chain's cached code hashes key the per-bytecode artifacts.
-	proxyArt := d.artifacts.of(d.chain.CodeHash(proxy))
+	if proxyArt == nil {
+		proxyArt = d.artifacts.of(d.chain.CodeHash(proxy))
+	}
 	logicArt := d.artifacts.of(d.chain.CodeHash(logic))
 
 	pa.Functions = collideViews(proxyArt.view(proxyCode, proxySrc), logicArt.view(logicCode, logicSrc))

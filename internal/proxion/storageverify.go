@@ -178,10 +178,12 @@ func (d *Detector) VerifyStorageExploit(proxy, logic etypes.Address, collisions 
 		return false
 	}
 	// AnalyzePair, the in-package caller, goes to replayGuarded directly;
-	// what reaches this read comes from another package (crush, benches)
-	// and owns its capture there.
-	logicCode := d.chain.Code(logic) // readerpanic:ignore
-	return d.replayGuarded(proxy, d.artifacts.of(etypes.Keccak(logicCode)), logicCode, collided)
+	// what reaches these reads comes from another package (crush, benches)
+	// and owns its capture there. The record is found by the chain's cached
+	// code hash, not by hashing the code again.
+	logicCode := d.chain.Code(logic)                    // readerpanic:ignore
+	logicArt := d.artifacts.of(d.chain.CodeHash(logic)) // readerpanic:ignore
+	return d.replayGuarded(proxy, logicArt, logicCode, collided)
 }
 
 // exploitableSlots returns the slots of the statically exploitable

@@ -99,7 +99,7 @@ const (
 	sourceStructuralHit
 )
 
-// probeTrace is the accounting record of one checkDeduped call, added to
+// probeTrace is the accounting record of one checkRecord call, added to
 // the run's counters by analysis.probe.
 type probeTrace struct {
 	source probeSource
@@ -114,17 +114,16 @@ type probeTrace struct {
 
 // recordFirst handles the once-protected first visit of a distinct code
 // hash: it decides between plain emulation, a provisional family (leader)
-// and near-clone promotion (follower), and populates the verdict-cache
-// entry either way so exact duplicates of this hash hit level one.
-// codeHash is the entry's key, which the caller got from the chain's
-// per-account cache; together with the fingerprint computed here it is
-// handed to the static summary, so a follower hashes its bytecode once.
-func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
+// and near-clone promotion (follower), and records the verdict in entry,
+// art's, either way so exact duplicates of this hash hit level one.
+// codeHash is art's key, which the caller got from the chain's per-account
+// cache; together with the fingerprint computed here it is handed to the
+// static summary, so a follower hashes its bytecode once.
+func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
 	var tr probeTrace
-	art := d.artifacts.of(codeHash)
 	emulate := func() Report {
 		out := d.emulateProbe(addr, code, art.probeCallData(addr, code))
-		d.recordOutcome(entry, addr, out)
+		entry.record(addr, out.guardSlots, d.guardFingerprint(addr, out.guardSlots), verdictOf(out.rep))
 		return out.rep
 	}
 	if s := d.applied.Load(); s != nil && s.structuralOff {
@@ -157,33 +156,15 @@ func (d *Detector) recordFirst(entry *codeVerdict, addr etypes.Address, code []b
 	sum := d.summarize(art, code, codeHash, fp)
 	tr.summaries++
 	if rep, ok := d.promote(addr, sum, lead.target); ok {
-		d.recordPromoted(entry, addr, rep)
+		// Promotion only fires for families whose exemplar read no guard
+		// slots, so the entry's guard set is empty by construction and exact
+		// duplicates of this hash transfer under the zero fingerprint.
+		entry.record(addr, nil, etypes.Hash{}, verdictOf(rep))
 		tr.source = sourceStructuralHit
 		return rep, tr
 	}
 	tr.rejected = true
 	return emulate(), tr
-}
-
-// recordOutcome populates a fresh verdict-cache entry from an emulation.
-func (d *Detector) recordOutcome(entry *codeVerdict, addr etypes.Address, out probeOutcome) {
-	entry.firstAddr = addr
-	entry.guardSlots = out.guardSlots
-	entry.byFP = map[etypes.Hash]*probeVerdict{
-		d.guardFingerprint(addr, entry.guardSlots): verdictOf(out.rep),
-	}
-}
-
-// recordPromoted populates a fresh verdict-cache entry from a structural
-// promotion. Promotion only fires for families whose exemplar read no
-// guard slots, so the entry's guard set is empty by construction and exact
-// duplicates of this hash transfer under the zero fingerprint.
-func (d *Detector) recordPromoted(entry *codeVerdict, addr etypes.Address, rep Report) {
-	entry.firstAddr = addr
-	entry.guardSlots = nil
-	entry.byFP = map[etypes.Hash]*probeVerdict{
-		{}: verdictOf(rep),
-	}
 }
 
 // checkExemplar is a provisional family's deferred cross-check, run by its
@@ -246,9 +227,9 @@ func exemplarConsistent(sum *static.Summary, lead *exemplar) bool {
 // follower's own static summary: the embedded address for hard-coded
 // families, the follower's own slot value for storage families. It applies
 // the same uniformity checks as registration and the same refusals as the
-// exact cache's transferable (self-targeting delegates, packed storage
-// slots), so a promoted report is byte-for-byte what emulation plus
-// anchorVerdict would have produced.
+// exact cache's anchor (self-targeting delegates, packed storage slots), so
+// a promoted report is byte-for-byte what emulation plus anchor would have
+// produced.
 func (d *Detector) promote(addr etypes.Address, sum *static.Summary, target TargetSource) (Report, bool) {
 	if sum.Truncated || sum.MaskedImmFlow || len(sum.Delegates) == 0 {
 		return Report{}, false
@@ -275,17 +256,15 @@ func (d *Detector) promote(addr etypes.Address, sum *static.Summary, target Targ
 			return Report{}, false
 		}
 		slotVal := d.chain.GetState(addr, lead.Slot)
-		for _, b := range slotVal[:12] {
-			if b != 0 {
-				return Report{}, false
-			}
+		if !holdsAddress(slotVal) {
+			return Report{}, false
 		}
 		rep.ImplSlot = lead.Slot
 		rep.Logic = etypes.BytesToAddress(slotVal[:])
 	default:
 		return Report{}, false
 	}
-	rep.Reason = "fallback forwarded the probe call data via DELEGATECALL to " + rep.Logic.Hex()
+	rep.Reason = forwardedReason(rep.Logic)
 	return rep, true
 }
 

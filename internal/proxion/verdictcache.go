@@ -1,12 +1,12 @@
 package proxion
 
 import (
+	"encoding/hex"
 	"sync"
 
 	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/keccak"
-	"repro/internal/lru"
 	"repro/internal/static"
 )
 
@@ -29,50 +29,33 @@ import (
 // "guard slots": pause flags, initializer bits, owner checks) match the
 // values the verdict was recorded under — duplicates in a different guard
 // state are re-emulated and cached under their own fingerprint.
-// The cache runs in one of two modes. Unbounded (capacity 0, the default)
-// remembers every distinct bytecode for the whole run — right for batch
-// scans, where uniques number in the thousands. Bounded (capacity > 0)
-// keeps at most capacity entries, evicting the least recently used; a
-// streaming landscape run uses it so the cache's footprint, like every
-// other layer, is a configured constant rather than a function of corpus
-// size. Eviction trades determinism for the bound: a re-encountered
+//
+// The verdict lives on the bytecode's artifact (artifact.go), in the one
+// LRU that bounds both (AnalyzeOptions.CacheCapacity; 0, the default, is
+// unbounded — right for batch scans, where uniques number in the
+// thousands). Eviction trades determinism for the bound: a re-encountered
 // evicted bytecode is re-emulated (a miss the unbounded cache would have
 // served), so hit counts under eviction depend on scheduling.
-type verdictCache struct {
-	*lru.Cache[etypes.Hash, *codeVerdict]
-}
 
-func newVerdictCache() *verdictCache {
-	return &verdictCache{lru.New[etypes.Hash, *codeVerdict](0)}
-}
-
-// entry returns the (possibly fresh) record for one bytecode hash,
-// marking it most recently used. A goroutine mid-recording on an evicted
-// entry still holds its *codeVerdict and finishes harmlessly into the
-// orphan; the next duplicate simply re-emulates under a fresh entry.
-func (c *verdictCache) entry(codeHash etypes.Hash) *codeVerdict {
-	e, _ := c.GetOrAdd(codeHash, func() *codeVerdict { return new(codeVerdict) })
-	return e
-}
-
-// CacheEvictions returns how many verdict-cache entries a bounded run has
-// evicted so far. Always zero in unbounded mode. Deliberately surfaced
-// outside the pipeline counter set: eviction totals depend on worker
-// scheduling, and the deterministic counters must repeat exactly
-// (Snapshot.Counters).
-func (d *Detector) CacheEvictions() int64 { return d.verdicts.Evictions() }
+// CacheEvictions returns how many per-bytecode records (verdict and facets
+// together) a bounded run has evicted so far. Always zero in unbounded
+// mode. Deliberately surfaced outside the pipeline counter set: eviction
+// totals depend on worker scheduling, and the deterministic counters must
+// repeat exactly (Snapshot.Counters).
+func (d *Detector) CacheEvictions() int64 { return d.artifacts.Evictions() }
 
 // Invalidate drops every verdict cached for addr's current bytecode and
-// returns how many tiers held one: the exact-hash entry, so the next
+// returns how many tiers held one: the exact-hash verdict, so the next
 // duplicate of that code re-emulates and records fresh — the remedy for a
 // verdict known to be stale, as after an upgrade — and the structural
 // family of the code's fingerprint, whose registered target shape was proven
 // against pre-upgrade state; the next code hash carrying the fingerprint
-// becomes a fresh leader that reads the live chain.
+// becomes a fresh leader that reads the live chain. The bytecode's facets
+// stay: they depend on the bytes alone, so the re-analysis does not re-slice.
 func (d *Detector) Invalidate(addr etypes.Address) (int, error) {
 	n := 0
 	re := chain.CaptureReadError(func() {
-		if d.verdicts.Remove(d.chain.CodeHash(addr)) {
+		if art, ok := d.artifacts.Peek(d.chain.CodeHash(addr)); ok && art.verdict.Swap(nil) != nil {
 			n++
 		}
 		if code := d.chain.Code(addr); len(code) > 0 && d.structural.Remove(static.Fingerprint(code)) {
@@ -88,7 +71,9 @@ func (d *Detector) Invalidate(addr etypes.Address) (int, error) {
 // codeVerdict is the memoized detection state of one distinct runtime
 // bytecode. The first emulation (under once) records which guard slots the
 // fallback reads; afterwards verdicts are stored and looked up by the
-// fingerprint of those slots' per-address values.
+// fingerprint of those slots' per-address values. Nearly every bytecode is
+// only ever seen in one guard state, so the first verdict is held inline
+// and a map is made only when a second guard state appears.
 type codeVerdict struct {
 	once sync.Once
 	// firstAddr is the address the recording run probed; used to refuse
@@ -97,135 +82,167 @@ type codeVerdict struct {
 	firstAddr  etypes.Address
 	guardSlots []etypes.Hash
 
-	mu   sync.Mutex
-	byFP map[etypes.Hash]*probeVerdict
+	mu sync.Mutex
+	// recorded stays false when the recording run died in a read failure:
+	// the entry is poisoned.
+	recorded bool
+	fp       etypes.Hash
+	first    probeVerdict
+	more     map[etypes.Hash]probeVerdict
 }
 
 // probeVerdict is one cached emulation outcome.
 type probeVerdict struct {
-	forwarded bool
 	// target/implSlot/logic describe where the fallback finds its delegate;
 	// logic is the recording run's observed target, authoritative only for
 	// hard-coded proxies.
-	target   TargetSource
-	implSlot etypes.Hash
-	logic    etypes.Address
+	implSlot  etypes.Hash
+	logic     etypes.Address
+	forwarded bool
+	target    TargetSource
 	// emulationErr/reason reproduce the negative outcomes; both are
-	// address-independent by construction.
+	// address-independent by construction. A forwarded verdict keeps no
+	// reason: it is forwardedReason of the logic address it is anchored to.
 	emulationErr error
 	reason       string
 }
 
-// checkDeduped runs the detection step for a contract that already passed
-// the disassembly filter, serving the verdict from the two-level dedup
-// cache when possible: level one is the exact bytecode hash, level two the
-// structural fingerprint (see structural.go). It returns the report
-// (without Standard, which the classification stage adds) and the trace
-// saying how the verdict was obtained.
-func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probeTrace) {
-	codeHash := d.chain.CodeHash(addr)
-	entry := d.verdicts.entry(codeHash)
+// record fills a fresh entry with its first verdict, inside its once and
+// after every read of the recording run: an entry poisoned by a read
+// failure has no guard slots.
+func (e *codeVerdict) record(addr etypes.Address, guardSlots []etypes.Hash, fp etypes.Hash, v probeVerdict) {
+	e.firstAddr, e.guardSlots = addr, guardSlots
+	e.add(fp, v)
+}
 
-	var recorded Report
-	var recordedTrace probeTrace
+// add files v under the guard-state fingerprint fp, inline for the first
+// one; a verdict already filed under fp wins.
+func (e *codeVerdict) add(fp etypes.Hash, v probeVerdict) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, raced := e.more[fp]; !e.recorded {
+		e.recorded, e.fp, e.first = true, fp, v
+	} else if !raced && e.fp != fp {
+		if e.more == nil {
+			e.more = make(map[etypes.Hash]probeVerdict, 1)
+		}
+		e.more[fp] = v
+	}
+}
+
+// lookup returns the verdict filed under fp, or poisoned for an entry whose
+// recording run died.
+func (e *codeVerdict) lookup(fp etypes.Hash) (v probeVerdict, ok, poisoned bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.recorded && e.fp == fp {
+		return e.first, true, false
+	}
+	v, ok = e.more[fp]
+	return v, ok, !e.recorded
+}
+
+// checkRecord runs the detection step for a contract that already passed
+// the disassembly filter, serving the verdict from the two-level dedup
+// cache when possible: level one is the exact bytecode hash, whose record
+// art is, level two the structural fingerprint (see structural.go). It
+// returns the report (without Standard, which the classification stage
+// adds) and the trace saying how the verdict was obtained.
+func (d *Detector) checkRecord(art *artifact, addr etypes.Address, code []byte, codeHash etypes.Hash) (rep Report, tr probeTrace) {
+	entry := art.verdicts()
 	fresh := false
 	entry.once.Do(func() {
 		fresh = true
-		recorded, recordedTrace = d.recordFirst(entry, addr, code, codeHash)
+		rep, tr = d.recordFirst(art, entry, addr, code, codeHash)
 	})
 	if fresh {
-		return recorded, recordedTrace
+		return rep, tr
 	}
 
 	// A recording run that panicked with a read failure consumes the Once
-	// but leaves the entry empty. Its guard slots are unknown, so verdicts
-	// for this bytecode can never transfer safely: probe every duplicate
-	// fresh and cache nothing.
-	entry.mu.Lock()
-	poisoned := entry.byFP == nil
-	entry.mu.Unlock()
-	if poisoned {
-		return d.emulateProbe(addr, code, d.artifacts.of(codeHash).probeCallData(addr, code)).rep, probeTrace{}
-	}
-
+	// but leaves the entry empty. Its guard slots are unknown (nil), so
+	// verdicts for this bytecode can never transfer safely: probe every
+	// duplicate fresh and cache nothing.
 	fp := d.guardFingerprint(addr, entry.guardSlots)
-	entry.mu.Lock()
-	v, ok := entry.byFP[fp]
-	entry.mu.Unlock()
-	if ok && d.transferable(v, addr, entry.firstAddr) {
-		return d.anchorVerdict(addr, v), probeTrace{source: sourceExactHit}
+	v, ok, poisoned := entry.lookup(fp)
+	if poisoned {
+		return d.emulateProbe(addr, code, art.probeCallData(addr, code)).rep, probeTrace{}
+	}
+	if ok {
+		if rep, transferable := d.anchor(addr, entry.firstAddr, v); transferable {
+			return rep, probeTrace{source: sourceExactHit}
+		}
 	}
 
-	out := d.emulateProbe(addr, code, d.artifacts.of(codeHash).probeCallData(addr, code))
+	out := d.emulateProbe(addr, code, art.probeCallData(addr, code))
 	if !ok {
-		nv := verdictOf(out.rep)
-		entry.mu.Lock()
-		if _, raced := entry.byFP[fp]; !raced {
-			entry.byFP[fp] = nv
-		}
-		entry.mu.Unlock()
+		entry.add(fp, verdictOf(out.rep))
 	}
 	return out.rep, probeTrace{}
 }
 
 // verdictOf compresses a probe report into its cacheable core.
-func verdictOf(rep Report) *probeVerdict {
-	return &probeVerdict{
+func verdictOf(rep Report) probeVerdict {
+	v := probeVerdict{
 		forwarded:    rep.IsProxy,
 		target:       rep.Target,
 		implSlot:     rep.ImplSlot,
 		logic:        rep.Logic,
 		emulationErr: rep.EmulationErr,
-		reason:       rep.Reason,
 	}
+	if !rep.IsProxy {
+		v.reason = rep.Reason
+	}
+	return v
 }
 
-// transferable rejects the shapes the cache cannot re-anchor exactly: a
-// hard-coded delegate equal to the recording address itself (which would
-// be a different address for every duplicate), and a storage target whose
-// slot value carries nonzero upper bytes at this address — the uncached
-// path would classify a packed slot as hard-coded, so such duplicates are
-// re-emulated instead of transferred.
-func (d *Detector) transferable(v *probeVerdict, addr, firstAddr etypes.Address) bool {
-	if !v.forwarded {
-		return true
-	}
-	if v.target == TargetHardcoded && v.logic == firstAddr && addr != firstAddr {
-		return false
-	}
-	if v.target == TargetStorage {
-		slotVal := d.chain.GetState(addr, v.implSlot)
-		for _, b := range slotVal[:12] {
-			if b != 0 {
-				return false
-			}
-		}
-	}
-	return true
+// forwardedReason is the Reason of every forwarding verdict, built in one
+// allocation: every exact hit and every export of one builds it.
+func forwardedReason(logic etypes.Address) string {
+	const prefix = "fallback forwarded the probe call data via DELEGATECALL to 0x"
+	var b [len(prefix) + 2*len(logic)]byte
+	copy(b[:], prefix)
+	hex.Encode(b[len(prefix):], logic[:])
+	return string(b[:])
 }
 
-// anchorVerdict rebuilds a per-address report from a cached verdict,
-// re-resolving the logic address from the duplicate's own storage for
-// storage-based proxies.
-func (d *Detector) anchorVerdict(addr etypes.Address, v *probeVerdict) Report {
-	rep := Report{Address: addr, HasDelegateCall: true}
+// anchor rebuilds a per-address report from a cached verdict, re-resolving
+// the logic address from the duplicate's own storage for storage-based
+// proxies. It refuses (ok false) the shapes the cache cannot re-anchor
+// exactly: a hard-coded delegate equal to the recording address itself
+// (which would be a different address for every duplicate), and a storage
+// target whose slot value carries nonzero upper bytes at this address — the
+// uncached path would classify a packed slot as hard-coded, so such
+// duplicates are re-emulated instead of transferred.
+func (d *Detector) anchor(addr, firstAddr etypes.Address, v probeVerdict) (rep Report, ok bool) {
+	rep = Report{Address: addr, HasDelegateCall: true}
 	if !v.forwarded {
 		rep.EmulationErr = v.emulationErr
 		rep.Reason = v.reason
-		return rep
+		return rep, true
 	}
 	rep.IsProxy = true
 	rep.Target = v.target
 	if v.target == TargetStorage {
-		rep.ImplSlot = v.implSlot
 		slotVal := d.chain.GetState(addr, v.implSlot)
+		if !holdsAddress(slotVal) {
+			return Report{}, false
+		}
+		rep.ImplSlot = v.implSlot
 		rep.Logic = etypes.BytesToAddress(slotVal[:])
 	} else {
+		if v.target == TargetHardcoded && v.logic == firstAddr && addr != firstAddr {
+			return Report{}, false
+		}
 		rep.Logic = v.logic
 	}
-	rep.Reason = "fallback forwarded the probe call data via DELEGATECALL to " + rep.Logic.Hex()
-	return rep
+	rep.Reason = forwardedReason(rep.Logic)
+	return rep, true
 }
+
+// holdsAddress reports whether a slot value is an address with zero upper
+// bytes, the only storage target the caches re-anchor.
+func holdsAddress(slotVal etypes.Hash) bool { return [12]byte(slotVal[:12]) == [12]byte{} }
 
 // guardFingerprint hashes the address's current values of the given guard
 // slots. Two addresses with the same fingerprint present identical storage

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/chain"
+	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/pipeline"
 	"repro/internal/solc"
 	"repro/internal/u256"
 )
@@ -18,17 +20,24 @@ func hashOfByte(b byte) etypes.Hash {
 	return h
 }
 
-// TestVerdictCacheEvictionOrder pins the LRU policy at the cache level:
-// with capacity 2, touching A before inserting C must evict B, not A.
+// checkDeduped is the probe's dedup step as analysis.probe runs it: the
+// record found by the chain's cached code hash, then checkRecord.
+func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probeTrace) {
+	h := d.chain.CodeHash(addr)
+	return d.checkRecord(d.artifacts.of(h), addr, code, h)
+}
+
+// TestVerdictCacheEvictionOrder pins the LRU policy of the one record
+// cache: with capacity 2, touching A before inserting C must evict B, not A.
 func TestVerdictCacheEvictionOrder(t *testing.T) {
-	c := newVerdictCache()
+	c := newArtifactCache()
 	c.SetCapacity(2)
 
 	hA, hB, hC := hashOfByte(1), hashOfByte(2), hashOfByte(3)
-	c.entry(hA)
-	c.entry(hB)
-	c.entry(hA) // refresh A: B is now least recently used
-	c.entry(hC) // over capacity: evict B
+	c.of(hA)
+	c.of(hB)
+	c.of(hA) // refresh A: B is now least recently used
+	c.of(hC) // over capacity: evict B
 
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
@@ -48,9 +57,9 @@ func TestVerdictCacheEvictionOrder(t *testing.T) {
 // a populated cache evicts immediately, oldest first, and that capacity 0
 // returns the cache to unbounded mode.
 func TestVerdictCacheShrinkOnSetCapacity(t *testing.T) {
-	c := newVerdictCache()
+	c := newArtifactCache()
 	for i := byte(1); i <= 5; i++ {
-		c.entry(hashOfByte(i))
+		c.of(hashOfByte(i))
 	}
 	c.SetCapacity(2)
 	if c.Len() != 2 {
@@ -67,45 +76,138 @@ func TestVerdictCacheShrinkOnSetCapacity(t *testing.T) {
 
 	c.SetCapacity(0)
 	for i := byte(6); i <= 20; i++ {
-		c.entry(hashOfByte(i))
+		c.of(hashOfByte(i))
 	}
 	if c.Len() != 17 {
 		t.Fatalf("unbounded mode evicted: len = %d, want 17", c.Len())
 	}
 }
 
-// TestVerdictCacheInvalidate covers the staleness remedy: after Remove,
-// the old record (including a poisoned one, whose recording run panicked
-// and consumed its sync.Once) is gone and the next entry() starts fresh.
+// TestVerdictCacheInvalidate covers the staleness remedy: after
+// Invalidate, the old verdict (here a poisoned one, whose recording run
+// panicked and consumed its sync.Once) is gone and the record's next
+// verdict starts fresh, while the record itself — its facets — stays.
 func TestVerdictCacheInvalidate(t *testing.T) {
-	c := newVerdictCache()
-	h := hashOfByte(9)
+	c := chain.New()
+	addr := structAddr(0x09)
+	c.InstallContract(addr, disasm.MinimalProxyRuntime(structAddr(0x10)))
+	d := NewDetector(c)
+	art := d.artifacts.of(c.CodeHash(addr))
 
-	e := c.entry(h)
+	e := art.verdicts()
 	func() {
 		defer func() { _ = recover() }()
 		e.once.Do(func() { panic("recording run died mid-probe") })
 	}()
-	if e.byFP != nil {
-		t.Fatal("test setup: entry should be poisoned (byFP nil, once consumed)")
+	if _, _, poisoned := e.lookup(etypes.Hash{}); !poisoned {
+		t.Fatal("test setup: entry should be poisoned (once consumed, nothing recorded)")
+	}
+	if _, ok := d.ExportVerdict(addr); ok {
+		t.Fatal("a poisoned entry was exported")
 	}
 
-	c.Remove(h)
-	if c.Len() != 0 {
-		t.Fatalf("after Remove: len = %d, want 0", c.Len())
+	if n, err := d.Invalidate(addr); err != nil || n != 1 {
+		t.Fatalf("Invalidate = %d, %v; want the verdict dropped", n, err)
 	}
-	e2 := c.entry(h)
+	if got, ok := d.artifacts.Peek(c.CodeHash(addr)); !ok || got != art {
+		t.Fatal("Invalidate dropped the record, not just its verdict")
+	}
+	e2 := art.verdicts()
 	if e2 == e {
-		t.Fatal("entry after Remove is the poisoned record, not a fresh one")
+		t.Fatal("verdict after Invalidate is the poisoned one, not a fresh one")
 	}
 	ran := false
 	e2.once.Do(func() { ran = true })
 	if !ran {
-		t.Fatal("fresh entry's once was already consumed")
+		t.Fatal("fresh verdict's once was already consumed")
 	}
 
-	// Removing an absent hash is a no-op.
-	c.Remove(hashOfByte(200))
+	// Invalidating an address whose bytecode holds no verdict is a no-op.
+	other := structAddr(0x0a)
+	c.InstallContract(other, []byte{0x00})
+	if n, err := d.Invalidate(other); err != nil || n != 0 {
+		t.Fatalf("Invalidate of an unseen bytecode = %d, %v; want 0", n, err)
+	}
+}
+
+// boundedPair installs a storage proxy, a byte-identical duplicate of it and
+// the logic both point at.
+func boundedPair(t *testing.T) (c *chain.Chain, p1, p2, logic etypes.Address) {
+	t.Helper()
+	c = chain.New()
+	slot := etypes.HashFromWord(u256.FromUint64(3))
+	code := solc.MustCompile(&solc.Contract{
+		Name:     "P",
+		Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
+	})
+	logic = etypes.MustAddress("0x0000000000000000000000000000000000000900")
+	c.InstallContract(logic, solc.MustCompile(boundedTestLogic()))
+	p1 = etypes.MustAddress("0x0000000000000000000000000000000000001001")
+	p2 = etypes.MustAddress("0x0000000000000000000000000000000000001002")
+	for _, p := range []etypes.Address{p1, p2} {
+		c.InstallContract(p, code)
+		c.SetStorageDirect(p, slot, etypes.HashFromWord(logic.Word()))
+	}
+	return c, p1, p2, logic
+}
+
+// TestRecordEvictionDropsFacetsAndVerdict: a record pushed out of the one
+// LRU takes the verdict and the facets with it, so the next duplicate is
+// re-emulated and its bytecode re-sliced; with room for both records the
+// duplicate is an exact hit that walks nothing. The structural tier is off:
+// it would promote the duplicate from the family the first analysis left.
+func TestRecordEvictionDropsFacetsAndVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		capacity   int
+		emulations int64
+		walks      int64
+	}{
+		{capacity: 1, emulations: 1, walks: 2}, // the logic's record evicts the proxy's
+		{capacity: 2, emulations: 0, walks: 0},
+	} {
+		c, p1, p2, _ := boundedPair(t)
+		d := NewDetector(c)
+		opts := AnalyzeOptions{CacheCapacity: tc.capacity, DisableStructural: true}
+		if it := d.AnalyzeAddress(p1, nil, opts); !it.Report.IsProxy || it.Pair == nil {
+			t.Fatalf("capacity %d: first analysis %+v, want a proxy with its pair", tc.capacity, it)
+		}
+		var stats pipeline.Stats
+		opts.Stats = &stats
+		var it Item
+		walks := walksOf(d, func() { it = d.AnalyzeAddress(p2, nil, opts) })
+		if got := stats.Emulations.Load(); got != tc.emulations || walks != tc.walks {
+			t.Errorf("capacity %d: duplicate cost %d emulations and %d walks, want %d and %d",
+				tc.capacity, got, walks, tc.emulations, tc.walks)
+		}
+		if want := d.Check(p2); reportString(it.Report) != reportString(want) {
+			t.Errorf("capacity %d: duplicate's report %s, want %s", tc.capacity, reportString(it.Report), reportString(want))
+		}
+	}
+}
+
+// TestRecordInvalidateKeepsFacets: Invalidate swaps out the verdict alone.
+// The next duplicate is re-emulated, but its bytecode's accesses are still
+// on the record, so the re-analysis walks nothing.
+func TestRecordInvalidateKeepsFacets(t *testing.T) {
+	c, p1, p2, _ := boundedPair(t)
+	d := NewDetector(c)
+	if n := walksOf(d, func() { d.AnalyzeAddress(p1, nil, AnalyzeOptions{}) }); n != 2 {
+		t.Fatalf("first pair cost %d walks, want 2", n)
+	}
+	if n, err := d.Invalidate(p1); err != nil || n != 2 {
+		t.Fatalf("Invalidate = %d, %v; want the verdict and the family dropped", n, err)
+	}
+	var stats pipeline.Stats
+	var it Item
+	if n := walksOf(d, func() { it = d.AnalyzeAddress(p2, nil, AnalyzeOptions{Stats: &stats}) }); n != 0 {
+		t.Errorf("re-analysis after Invalidate cost %d walks, want 0 (facets kept)", n)
+	}
+	if got := stats.Emulations.Load(); got != 1 {
+		t.Errorf("re-analysis after Invalidate ran %d emulations, want 1", got)
+	}
+	if want := d.Check(p2); reportString(it.Report) != reportString(want) {
+		t.Errorf("re-analysis report %s, want %s", reportString(it.Report), reportString(want))
+	}
 }
 
 func boundedTestLogic() *solc.Contract {
@@ -123,10 +225,11 @@ func boundedTestLogic() *solc.Contract {
 
 // TestBoundedCacheHitAccounting interleaves two duplicate bytecode
 // families (A B A B) through a single-worker pipeline, so probe order is
-// the contract order and the accounting is exact. Capacity 1 thrashes:
-// every probe is a miss and an eviction chain; capacity 2 holds both
-// families and serves the re-encounters from cache. Both must produce the
-// identical analysis.
+// the contract order and the accounting is exact. Each proxy's pair stage
+// also files the shared logic's record in the same LRU. Capacity 1 thrashes:
+// every probe is a miss and an eviction chain; capacity 3 holds both
+// families and the logic and serves the re-encounters from cache. Both must
+// produce the identical analysis.
 func TestBoundedCacheHitAccounting(t *testing.T) {
 	build := func() *chain.Chain {
 		c := chain.New()
@@ -154,25 +257,26 @@ func TestBoundedCacheHitAccounting(t *testing.T) {
 	thrash := dThrash.AnalyzeAllWithOptions(nil, thrashOpts)
 
 	roomyOpts := serial
-	roomyOpts.CacheCapacity = 2
+	roomyOpts.CacheCapacity = 3
 	dRoomy := NewDetector(build())
 	roomy := dRoomy.AnalyzeAllWithOptions(nil, roomyOpts)
 
-	// Probe order is A B A B. Capacity 1: every arrival misses and evicts
-	// the other family — 4 emulations, 0 hits, 3 evictions. Capacity 2:
-	// 2 emulations, 2 hits, 0 evictions. Hits+emulations must account for
-	// every probed contract in both modes.
+	// Probe order is A B A B, each followed by the logic. Capacity 1: every
+	// arrival misses and evicts the record before it, the other family's or
+	// the logic's — 4 emulations, 0 hits, 7 evictions. Capacity 3: 2
+	// emulations, 2 hits, 0 evictions.
+	// Hits+emulations must account for every probed contract in both modes.
 	if thrash.Stats.Emulations != 4 || thrash.Stats.CacheHits != 0 {
 		t.Errorf("capacity 1: emulations=%d hits=%d, want 4/0", thrash.Stats.Emulations, thrash.Stats.CacheHits)
 	}
-	if got := dThrash.CacheEvictions(); got != 3 {
-		t.Errorf("capacity 1: evictions=%d, want 3", got)
+	if got := dThrash.CacheEvictions(); got != 7 {
+		t.Errorf("capacity 1: evictions=%d, want 7", got)
 	}
 	if roomy.Stats.Emulations != 2 || roomy.Stats.CacheHits != 2 {
-		t.Errorf("capacity 2: emulations=%d hits=%d, want 2/2", roomy.Stats.Emulations, roomy.Stats.CacheHits)
+		t.Errorf("capacity 3: emulations=%d hits=%d, want 2/2", roomy.Stats.Emulations, roomy.Stats.CacheHits)
 	}
 	if got := dRoomy.CacheEvictions(); got != 0 {
-		t.Errorf("capacity 2: evictions=%d, want 0", got)
+		t.Errorf("capacity 3: evictions=%d, want 0", got)
 	}
 
 	thrash.Stats, roomy.Stats = nil, nil
@@ -189,20 +293,8 @@ func TestBoundedCacheHitAccounting(t *testing.T) {
 // state; invalidation is the remedy when the recorded baseline itself is
 // no longer trustworthy.)
 func TestBoundedCacheNoStaleVerdictAfterInvalidate(t *testing.T) {
-	c := chain.New()
-	slot := etypes.HashFromWord(u256.FromUint64(3))
-	code := solc.MustCompile(&solc.Contract{
-		Name:     "P",
-		Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
-	})
-	logic := etypes.MustAddress("0x0000000000000000000000000000000000000900")
-	c.InstallContract(logic, solc.MustCompile(boundedTestLogic()))
-	p1 := etypes.MustAddress("0x0000000000000000000000000000000000001001")
-	p2 := etypes.MustAddress("0x0000000000000000000000000000000000001002")
-	for _, p := range []etypes.Address{p1, p2} {
-		c.InstallContract(p, code)
-		c.SetStorageDirect(p, slot, etypes.HashFromWord(logic.Word()))
-	}
+	c, p1, p2, logic := boundedPair(t)
+	code := c.Code(p1)
 
 	d := NewDetector(c)
 	if _, tr := d.checkDeduped(p1, code); tr.source != sourceEmulated {
