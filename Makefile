@@ -55,7 +55,7 @@ race:
 # single calls, two streams at once), repeated under the race detector.
 # -race reports neither a hang nor a leak: the timeout does.
 engine:
-	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt|Structural|Verdict|Invalidate|Record' ./internal/proxion ./internal/pipeline
+	go test -race -count=10 -timeout 10m -run 'Stream|Engine|Tracker|Window|Artifact|LRU|Halt|Structural|Verdict|Invalidate|Record' ./internal/proxion
 
 bench:
 	go test -run '^$$' -bench . -benchmem ./...

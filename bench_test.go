@@ -5,9 +5,6 @@
 // values. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// BenchmarkWorkloads runs internal/bench's suite (the workloads bench/e2e
-// does not measure) under the go-test harness.
 package repro_test
 
 import (
@@ -17,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/etypes"
 	"repro/internal/experiments"
@@ -476,39 +472,4 @@ func BenchmarkMultiChain(b *testing.B) {
 	}
 	b.StopTimer()
 	report(b, t)
-}
-
-// reportWorkloadCounters surfaces the workload's headline counters the way
-// the hand-written benchmarks used to (throughput, cache hit rate).
-func reportWorkloadCounters(b *testing.B, w bench.Workload, inst bench.Instance) {
-	b.Helper()
-	if inst.Counters == nil {
-		return
-	}
-	c := inst.Counters()
-	if contracts := c["contracts"]; contracts > 0 {
-		b.ReportMetric(float64(contracts)*float64(b.N)/b.Elapsed().Seconds(), "contracts/s")
-	}
-	if lookups := c["cache_hits"] + c["emulations"]; lookups > 0 {
-		b.ReportMetric(100*float64(c["cache_hits"])/float64(lookups), "%hit")
-	}
-	if steps := c["evm_steps"]; steps > 0 {
-		b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-	}
-}
-
-// BenchmarkWorkloads runs internal/bench's suite, the ops `proxbench`
-// measures, so a plain `go test -bench Workloads .` reproduces them.
-func BenchmarkWorkloads(b *testing.B) {
-	for _, w := range bench.Suite() {
-		b.Run(w.Name, func(b *testing.B) {
-			inst := w.Setup(1, w.Scale)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inst.Op()
-			}
-			b.StopTimer()
-			reportWorkloadCounters(b, w, inst)
-		})
-	}
 }

@@ -1,5 +1,5 @@
 // Command proxbench measures a change against its parent revision, and
-// runs the workloads bench/e2e does not cover (internal/bench).
+// runs the bounded-memory streaming soak (internal/bench).
 //
 // Usage:
 //
@@ -16,18 +16,12 @@
 //	                           FILE (default BENCH_AB_<timestamp>.json).
 //	                           The flags after -- go to every bench/e2e run
 //	                           (-seconds, -workload); ab sets -seed and -out.
-//	proxbench [flags]          run the suite, write BENCH_<timestamp>.json
-//	proxbench -list            print the suite's workloads and exit
 //	proxbench soak [flags]     run the bounded-memory streaming soak (one
 //	                           long run, per-item latency + peak memory;
 //	                           see -max-heap-mb)
 //
-// Suite flags:
-//
-//	-seed N             corpus seed (default 1)
-//	-out FILE           report path (default BENCH_<timestamp>.json)
-//	-cpuprofile FILE    write a pprof CPU profile of the measured suite
-//	-memprofile FILE    write a pprof heap profile after the suite
+// The interpreter loops and the resilient client's overhead are Go
+// benchmarks: go test -bench . ./internal/bench.
 //
 // Exit codes: 0 ok; 1 a worse row in ab, a build or bench/e2e run it could
 // not complete (bench/e2e exits non-zero on a wrong answer or a failed
@@ -40,66 +34,27 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"repro/internal/bench"
 )
 
+const usage = `usage: proxbench ab [-pairs N] [-out FILE] <parent-rev> [-- bench/e2e flags]
+       proxbench soak [-contracts N] [-seed S] [-window N] [-cache-capacity N]
+                      [-retire-window N] [-out FILE] [-max-heap-mb N]`
+
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
 		case "ab":
-			os.Exit(runAB(args[1:]))
+			os.Exit(runAB(os.Args[2:]))
 		case "soak":
-			os.Exit(runSoak(args[1:]))
+			os.Exit(runSoak(os.Args[2:]))
 		}
 	}
-	os.Exit(runSuite(args))
-}
-
-// runSuite runs the suite once and writes its report.
-func runSuite(args []string) int {
-	fs := flag.NewFlagSet("proxbench", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "corpus generation seed")
-	out := fs.String("out", "", "report output path (default BENCH_<timestamp>.json)")
-	list := fs.Bool("list", false, "list the workloads and exit")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured suite")
-	memprofile := fs.String("memprofile", "", "write a heap profile after the suite")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "proxbench: unknown command %q (want ab or soak)\n", fs.Arg(0))
-		return 2
-	}
-
-	if *list {
-		for _, w := range bench.Suite() {
-			fmt.Printf("%-34s scale=%-6d batch=%-4d %s\n", w.Name, w.Scale, w.Batch, w.Desc)
-		}
-		return 0
-	}
-
-	rep, err := measureSuite(*seed, *cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "proxbench:", err)
-		return 2
-	}
-	rep.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	path := *out
-	if path == "" {
-		path = bench.Filename(time.Now())
-	}
-	if err := rep.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, "proxbench:", err)
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (seed %d, %d workloads)\n", path, rep.Seed, len(rep.Workloads))
-	return 0
+	fmt.Fprintln(os.Stderr, usage)
+	os.Exit(2)
 }
 
 // runAB is the "ab" subcommand: the working tree against a parent
@@ -148,9 +103,8 @@ func runAB(args []string) int {
 }
 
 // runSoak is the "soak" subcommand: one long bounded-memory streaming run
-// over a generated landscape, reported in the same versioned JSON schema
-// as suite runs and optionally gated on a peak-heap ceiling for the
-// nightly job.
+// over a generated landscape, written as a versioned JSON report and
+// optionally gated on a peak-heap ceiling for the nightly job.
 func runSoak(args []string) int {
 	fs := flag.NewFlagSet("proxbench soak", flag.ContinueOnError)
 	contracts := fs.Int("contracts", 1_000_000, "corpus size to stream")
@@ -181,18 +135,12 @@ func runSoak(args []string) int {
 		return 2
 	}
 
-	rep := &bench.Report{
-		SchemaVersion: bench.SchemaVersion,
-		Seed:          *seed,
-		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
-		Host:          bench.HostInfo(),
-		Workloads:     []bench.WorkloadResult{res},
-	}
+	res.CreatedAt = time.Now().UTC().Format(time.RFC3339)
 	path := *out
 	if path == "" {
 		path = "BENCH_SOAK_" + time.Now().UTC().Format("20060102T150405Z") + ".json"
 	}
-	if err := rep.WriteFile(path); err != nil {
+	if err := res.WriteFile(path); err != nil {
 		fmt.Fprintln(os.Stderr, "proxbench:", err)
 		return 2
 	}
@@ -210,38 +158,4 @@ func runSoak(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// measureSuite runs the suite once, profiling the whole measured region.
-func measureSuite(seed int64, cpuprofile, memprofile string) (*bench.Report, error) {
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return nil, err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	fmt.Fprintf(os.Stderr, "suite (seed %d):\n", seed)
-	rep, err := bench.Run(bench.Options{Seed: seed, Progress: os.Stderr})
-	if err != nil {
-		return nil, err
-	}
-
-	if memprofile != "" {
-		f, err := os.Create(memprofile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
 }

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	proxion [-contracts N] [-seed S] [-v] [-collisions-only]
-//	        [-window N] [-cache-capacity N] [-static=false]
+//	proxion [-contracts N] [-seed S] [-v] [-collisions-only] [-json]
+//	        [-window N] [-cache-capacity N]
 //	        [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
 //	        [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
 package main
@@ -15,23 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/dataset"
 	"repro/internal/faultchain"
 	"repro/internal/proxion"
 )
-
-// profileNames lists the -faults values the CLI accepts.
-func profileNames() string {
-	var names []string
-	for _, p := range faultchain.Profiles() {
-		names = append(names, p.Name)
-	}
-	return strings.Join(append(names, faultchain.Outage().Name), ", ")
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -48,15 +37,7 @@ func run() error {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable summary instead of text")
 	window := flag.Int("window", 0, "max in-flight contracts in the analysis pipeline (0 = engine default)")
 	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
-	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
-	resilient := flag.Bool("resilient", false, "route node reads through the resilient client even with faults off")
-	faults := flag.String("faults", "off", "fault-injection profile: off, "+profileNames())
-	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	faultDepth := flag.Int("fault-depth", 0, "override the profile's fault depth (0 keeps the profile default)")
-	retries := flag.Int("retries", 0, "max retries per node read (0 = client default)")
-	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-read timeout (0 = client default)")
-	backoff := flag.Duration("backoff", 0, "base retry backoff (0 = client default)")
-	inflight := flag.Int("inflight", 0, "max concurrent node reads (0 = client default)")
+	readerFlags := faultchain.RegisterReaderFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Progress goes to stderr so -json output stays machine-consumable.
@@ -66,36 +47,15 @@ func run() error {
 
 	// Pick the chain view: the raw snapshot, or the resilient client —
 	// optionally over a fault-injecting backend for chaos runs.
-	var reader chain.Reader = pop.Chain
-	if *faults != "off" || *resilient {
-		copts := faultchain.Options{
-			MaxRetries:  *retries,
-			Timeout:     *rpcTimeout,
-			BackoffBase: *backoff,
-			MaxInFlight: *inflight,
-		}
-		var sched *faultchain.Schedule
-		if *faults != "off" {
-			p, ok := faultchain.ProfileByName(*faults)
-			if !ok {
-				return fmt.Errorf("unknown fault profile %q (have: off, %s)", *faults, profileNames())
-			}
-			if *faultDepth > 0 {
-				p.Depth = *faultDepth
-			}
-			s := faultchain.NewSchedule(p, *faultSeed)
-			sched = &s
-			fmt.Fprintf(os.Stderr, "injecting faults: profile %s, seed %d, depth %d\n", p.Name, *faultSeed, p.Depth)
-		}
-		client, _ := faultchain.NewResilientReader(pop.Chain, sched, copts)
-		reader = client
+	newReader, err := readerFlags.Readers(os.Stderr)
+	if err != nil {
+		return err
 	}
 
-	det := proxion.NewDetector(reader)
+	det := proxion.NewDetector(newReader(pop.Chain, 0))
 	res := det.AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{
-		Window:            *window,
-		CacheCapacity:     *cacheCap,
-		DisableStructural: !*staticOn,
+		Window:        *window,
+		CacheCapacity: *cacheCap,
 	})
 
 	if *jsonOut {

@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	proxiond [-addr :8547] [-contracts N] [-seed S] [-shards N]
-//	         [-store DIR] [-cache-capacity N] [-static=false]
+//	proxiond [-addr :8547] [-contracts N] [-seed S] [-shards N] [-v]
+//	         [-store DIR] [-segment-bytes N] [-cache-capacity N]
 //	         [-follow] [-follow-interval D]
 //	         [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
 //	         [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
 //	         [-loadtest] [-loadtest-requests N] [-loadtest-concurrency N]
+//	         [-loadtest-report FILE]
 //
 // With -loadtest the daemon self-drives: it starts the server, runs the
 // built-in load harness against it, prints the JSON report, and exits —
@@ -36,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/dataset"
 	"repro/internal/faultchain"
 	"repro/internal/serve"
@@ -44,14 +44,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/watch"
 )
-
-func profileNames() string {
-	var names []string
-	for _, p := range faultchain.Profiles() {
-		names = append(names, p.Name)
-	}
-	return strings.Join(append(names, faultchain.Outage().Name), ", ")
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -68,17 +60,9 @@ func run() error {
 	storeDir := flag.String("store", "", "verdict store directory (empty = no persistence)")
 	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
 	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
-	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
 	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")
-	resilient := flag.Bool("resilient", false, "route node reads through the resilient client even with faults off")
-	faults := flag.String("faults", "off", "fault-injection profile: off, "+profileNames())
-	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	faultDepth := flag.Int("fault-depth", 0, "override the profile's fault depth (0 keeps the profile default)")
-	retries := flag.Int("retries", 0, "max retries per node read (0 = client default)")
-	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-read timeout (0 = client default)")
-	backoff := flag.Duration("backoff", 0, "base retry backoff (0 = client default)")
-	inflight := flag.Int("inflight", 0, "max concurrent node reads (0 = client default)")
+	readerFlags := faultchain.RegisterReaderFlags(flag.CommandLine)
 	verbose := flag.Bool("v", false, "log every request outcome summary on shutdown")
 	selfLoad := flag.Bool("loadtest", false, "start, self-drive the load harness, print the report, exit")
 	loadReqs := flag.Int("loadtest-requests", 2048, "loadtest: total requests")
@@ -91,50 +75,21 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "chain height %d, %d contracts alive\n",
 		pop.Chain.CurrentBlock(), len(pop.Chain.Contracts()))
 
-	// The server and the follower each read through newReader(n): the chain
-	// itself, or their own resilient client, so the follower's circuit
+	// The server and the follower each read through newReader(…, n): the
+	// chain itself, or their own resilient client, so the follower's circuit
 	// breaker never gates a query's reads.
-	newReader := func(int64) chain.Reader { return pop.Chain }
-	if *faults != "off" || *resilient {
-		copts := faultchain.Options{
-			MaxRetries:  *retries,
-			Timeout:     *rpcTimeout,
-			BackoffBase: *backoff,
-			MaxInFlight: *inflight,
-		}
-		var prof faultchain.Profile
-		injecting := false
-		if *faults != "off" {
-			p, ok := faultchain.ProfileByName(*faults)
-			if !ok {
-				return fmt.Errorf("unknown fault profile %q (have: off, %s)", *faults, profileNames())
-			}
-			if *faultDepth > 0 {
-				p.Depth = *faultDepth
-			}
-			prof, injecting = p, true
-			fmt.Fprintf(os.Stderr, "injecting faults: profile %s, seed %d, depth %d\n", p.Name, *faultSeed, p.Depth)
-		}
-		newReader = func(n int64) chain.Reader {
-			var sched *faultchain.Schedule
-			if injecting {
-				// Distinct schedules from the one seed.
-				s := faultchain.NewSchedule(prof, *faultSeed+n)
-				sched = &s
-			}
-			client, _ := faultchain.NewResilientReader(pop.Chain, sched, copts)
-			return client
-		}
+	newReader, err := readerFlags.Readers(os.Stderr)
+	if err != nil {
+		return err
 	}
 
 	srv, err := serve.New(serve.Config{
-		Reader:            newReader(0),
-		Sources:           pop.Registry,
-		Shards:            *shards,
-		StoreDir:          *storeDir,
-		StoreOptions:      store.Options{SegmentBytes: *segBytes},
-		CacheCapacity:     *cacheCap,
-		DisableStructural: !*staticOn,
+		Reader:        newReader(pop.Chain, 0),
+		Sources:       pop.Registry,
+		Shards:        *shards,
+		StoreDir:      *storeDir,
+		StoreOptions:  store.Options{SegmentBytes: *segBytes},
+		CacheCapacity: *cacheCap,
 	})
 	if err != nil {
 		return err
@@ -148,7 +103,7 @@ func run() error {
 	var follower *watch.Follower
 	if *follow {
 		wcfg := watch.Config{
-			Reader:       newReader(1),
+			Reader:       newReader(pop.Chain, 1),
 			Analyzer:     srv,
 			PollInterval: *followInterval,
 			OnUpgrade: func(ev watch.UpgradeEvent) {

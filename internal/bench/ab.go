@@ -342,6 +342,18 @@ func sorted(xs []float64) []float64 {
 	return s
 }
 
+// nearestRank reads a per-mille percentile from a non-empty ascending
+// sample: the smallest value with at least that share of the sample at or
+// below it (no interpolation, so every reported value was observed).
+// Per-mille keeps the rank arithmetic in integers.
+func nearestRank(sorted []float64, permille int) float64 {
+	r := (len(sorted)*permille + 999) / 1000
+	if r < 1 {
+		r = 1
+	}
+	return sorted[r-1]
+}
+
 // median of an ascending sample, the mean of the middle two when even.
 func median(s []float64) float64 {
 	n := len(s)

@@ -18,9 +18,6 @@ import (
 	"repro/internal/proxion"
 )
 
-// SoakName is the workload name RunSoak reports under.
-const SoakName = "soak/stream-landscape"
-
 // SoakOptions configures one streaming soak run: the generator streams a
 // landscape of Contracts contracts into the analysis engine while retiring
 // consumed contracts behind the analysis window, so the whole run — source,
@@ -48,16 +45,15 @@ type SoakOptions struct {
 }
 
 // RunSoak executes one bounded-memory streaming landscape analysis and
-// returns its measurement. Unlike the suite workloads — repeated short
-// batches — a soak is a single long run instrumented in flight: a
-// log-bucketed histogram of per-contract latency (source hand-off to
-// ordered sink emission) and a background sampler tracking peak heap
-// occupancy, with the kernel's process high-water mark (VmHWM) read at the
-// end. The returned Counters carry only the scheduling-independent subset
-// of the pipeline snapshot, so two soaks of the same (seed, scale) agree
-// on them exactly even though cache hits and upgrade-relative timings vary
-// with thread interleaving.
-func RunSoak(opts SoakOptions) (WorkloadResult, error) {
+// returns its report, CreatedAt left for the caller to stamp. A soak is a
+// single long run instrumented in flight: a log-bucketed histogram of
+// per-contract latency (source hand-off to ordered sink emission) and a
+// background sampler tracking peak heap occupancy, with the kernel's
+// process high-water mark (VmHWM) read at the end. The returned Counters
+// carry only the scheduling-independent subset of the pipeline snapshot, so
+// two soaks of the same (seed, scale) agree on them exactly even though
+// cache hits and upgrade-relative timings vary with thread interleaving.
+func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	if opts.Contracts <= 0 {
 		opts.Contracts = 1_000_000
 	}
@@ -70,7 +66,7 @@ func RunSoak(opts SoakOptions) (WorkloadResult, error) {
 		retire = 2 * engineWindow
 	}
 	if retire < engineWindow {
-		return WorkloadResult{}, fmt.Errorf("bench: soak retire window %d < engine window %d would retire in-flight contracts", retire, engineWindow)
+		return nil, fmt.Errorf("bench: soak retire window %d < engine window %d would retire in-flight contracts", retire, engineWindow)
 	}
 	every := opts.ProgressEvery
 	if every <= 0 {
@@ -140,7 +136,7 @@ func RunSoak(opts SoakOptions) (WorkloadResult, error) {
 	totalFed := fed
 	mu.Unlock()
 	if snap.Contracts != int64(totalFed) {
-		return WorkloadResult{}, fmt.Errorf("bench: soak analyzed %d contracts, source fed %d", snap.Contracts, totalFed)
+		return nil, fmt.Errorf("bench: soak analyzed %d contracts, source fed %d", snap.Contracts, totalFed)
 	}
 
 	all := snap.Counters()
@@ -155,24 +151,19 @@ func RunSoak(opts SoakOptions) (WorkloadResult, error) {
 	sum := sb.Summary(nil)
 	counters["proxies_summarized"] = int64(sum.Proxies)
 
-	perOp := float64(wall.Nanoseconds()) / float64(totalFed)
-	res := WorkloadResult{
-		Name:           SoakName,
+	return &SoakReport{
+		SchemaVersion:  SchemaVersion,
+		Seed:           opts.Seed,
+		Host:           hostInfo(),
 		Scale:          opts.Contracts,
-		Batch:          1,
-		Samples:        1,
-		MedianNsPerOp:  perOp,
-		P95NsPerOp:     perOp,
-		MinNsPerOp:     perOp,
-		OpsPerSec:      1e9 / perOp,
-		Counters:       counters,
 		WallNs:         wall.Nanoseconds(),
+		OpsPerSec:      float64(totalFed) / wall.Seconds(),
 		ItemP50NsPerOp: hist.percentile(0.50),
 		ItemP99NsPerOp: hist.percentile(0.99),
 		PeakHeapBytes:  heap.peak(),
 		PeakRSSBytes:   readPeakRSS(),
-	}
-	return res, nil
+		Counters:       counters,
+	}, nil
 }
 
 // latHist is a log2-bucketed latency histogram: bucket i holds samples

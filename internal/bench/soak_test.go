@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -19,8 +22,11 @@ func TestSoakSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Name != SoakName || res.Scale != 2000 {
-		t.Fatalf("result identity: %+v", res)
+	if res.Scale != 2000 || res.Seed != 1 || res.SchemaVersion != SchemaVersion || res.Host.GoVersion == "" {
+		t.Fatalf("report header: %+v", res)
+	}
+	if res.CreatedAt != "" {
+		t.Errorf("RunSoak stamped CreatedAt (%q); that is the CLI's job", res.CreatedAt)
 	}
 	// The generator adds support contracts (shared logics, libraries) on
 	// top of the configured population.
@@ -46,8 +52,55 @@ func TestSoakSmoke(t *testing.T) {
 	if res.PeakHeapBytes <= 0 {
 		t.Fatal("heap sampler recorded nothing")
 	}
-	if res.WallNs <= 0 {
-		t.Fatal("wall time missing")
+	if res.WallNs <= 0 || res.OpsPerSec <= 0 {
+		t.Fatalf("wall time %d ns, %v contracts/s", res.WallNs, res.OpsPerSec)
+	}
+}
+
+// TestReportRoundTrip: WriteFile writes the soak report as JSON that decodes
+// back to it, under the key names the nightly artifacts have always used.
+func TestReportRoundTrip(t *testing.T) {
+	rep := &SoakReport{
+		SchemaVersion:  SchemaVersion,
+		Seed:           5,
+		CreatedAt:      "2026-08-06T00:00:00Z",
+		Host:           hostInfo(),
+		Scale:          1000,
+		WallNs:         2_500_000_000,
+		OpsPerSec:      400,
+		ItemP50NsPerOp: 90_000,
+		ItemP99NsPerOp: 1_400_000,
+		PeakHeapBytes:  64 << 20,
+		PeakRSSBytes:   96 << 20,
+		Counters:       map[string]int64{"contracts": 1000, "retired": 744},
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_soak.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back SoakReport
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, &back) {
+		t.Errorf("round trip changed the report:\n  out: %+v\n  in:  %+v", rep, back)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"schema_version", "seed", "created_at", "host", "scale", "wall_ns", "ops_per_sec",
+		"item_p50_ns_per_op", "item_p99_ns_per_op", "peak_heap_bytes", "peak_rss_bytes", "counters"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("report lacks key %q: %s", k, raw)
+		}
+	}
+	if len(keys) != 12 {
+		t.Errorf("report has %d keys, want 12: %s", len(keys), raw)
 	}
 }
 

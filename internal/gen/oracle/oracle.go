@@ -1,9 +1,9 @@
 // Package oracle is the differential harness over generated corpora: every
 // gen.Corpus carries ground truth by construction, so the package can
-// compare (1) detector verdicts against labels, (2) the streaming pipeline
-// engine against a sequential reference, (3) dedup-cache-on against
-// cache-off runs, and report each disagreement as a Mismatch pinpointing
-// the address, the layer, and the difference.
+// compare (1) detector verdicts against labels, (2) the cached streaming
+// engine against an uncached sequential reference, (3) a warm restart and
+// single calls against the stream, and report each disagreement as a
+// Mismatch pinpointing the address, the layer, and the difference.
 //
 // Every mismatch message embeds the corpus' Config.Repro() string, so a
 // failing randomized sweep is reproducible (and minimizable with
@@ -27,7 +27,7 @@ type Mismatch struct {
 	// Addr is the contract the disagreement is about.
 	Addr etypes.Address
 	// Layer names the comparison that failed: "detector", "pair",
-	// "streaming", "cache", "single-call", "metamorphic".
+	// "streaming", "store", "single-call", "metamorphic".
 	Layer string
 	// Detail is the human-readable difference.
 	Detail string
@@ -273,20 +273,6 @@ func CheckStreaming(c *gen.Corpus, ref *Reference, opts proxion.AnalyzeOptions) 
 	return out
 }
 
-// CheckCacheParity runs the streaming engine twice on fresh detectors —
-// verdict-dedup cache enabled and disabled — and requires identical output.
-func CheckCacheParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
-	on := opts
-	on.DisableDedup = false
-	off := opts
-	off.DisableDedup = true
-	ron := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, on)
-	roff := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, off)
-	out := diffReports("cache", ron.Reports, roff.Reports)
-	out = append(out, diffPairs("cache", ron.Pairs, roff.Pairs)...)
-	return out
-}
-
 // CheckStoreParity proves warm-start equivalence — the property the
 // proxiond verdict store leans on. It runs the engine cold, exports the
 // verdict cache, round-trips every entry through its binary wire encoding
@@ -332,7 +318,7 @@ func CheckStoreParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
 
 	out = diffReports("store", rcold.Reports, rwarm.Reports)
 	out = append(out, diffPairs("store", rcold.Pairs, rwarm.Pairs)...)
-	if w := warmStats.Emulations.Load(); !opts.DisableDedup && w != 0 {
+	if w := warmStats.Emulations.Load(); w != 0 {
 		out = append(out, Mismatch{Layer: "store",
 			Detail: fmt.Sprintf("warm run re-emulated %d contracts (cold ran %d); restored cache did not cover the corpus",
 				w, coldStats.Emulations.Load())})
@@ -377,8 +363,7 @@ func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatc
 }
 
 // Run executes every differential layer on one corpus: labels vs the
-// sequential reference, streaming vs sequential, cache-on vs cache-off,
-// warm-store vs cold analysis, single calls vs the stream (with and without
+// sequential reference, streaming vs sequential, warm-store vs cold analysis, single calls vs the stream (with and without
 // the history step), the static analyzer vs the labels,
 // block-by-block following vs cold end-state analysis, and the fast
 // interpreter vs the reference loop (seeded from the corpus config).
@@ -387,7 +372,6 @@ func Run(c *gen.Corpus) []Mismatch {
 	out := CheckDetector(c, ref.Reports)
 	out = append(out, CheckPairs(c, ref.Pairs)...)
 	out = append(out, CheckStreaming(c, ref, proxion.AnalyzeOptions{})...)
-	out = append(out, CheckCacheParity(c, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckStoreParity(c, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{WithHistory: true})...)

@@ -1,3 +1,9 @@
+// Package pipeline holds the counters of an analysis run and their frozen,
+// serializable Snapshot: the run-wide Stats every analysis updates, and the
+// per-stage rows (items processed, busy time) and wall clock a stream fills
+// in when it has finished, so a run can report where the wall-clock went.
+// It is domain-free and runs nothing: the proxion package analyzes each
+// contract on one worker goroutine and accounts each step to a stage row.
 package pipeline
 
 import "sync/atomic"
@@ -13,8 +19,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Stats holds the run-wide counters of one analysis pipeline execution.
-// Stage-local counts (items processed, busy time) live on the stages;
-// these are the cross-cutting totals the paper's Section 6.1 reports on.
+// Stage-local counts (items processed, busy time) live on the stage rows a
+// stream adds to its Snapshot; these are the cross-cutting totals the paper's Section 6.1 reports on.
 // All fields are safe for concurrent update while the pipeline runs.
 type Stats struct {
 	// Scanned counts items fed into the pipeline.
@@ -112,8 +118,7 @@ type Snapshot struct {
 // contracts_per_sec, cache_hit_rate, per-stage busy time) are deliberately
 // excluded. Per-stage item counts are exported as stage_<name>_processed.
 //
-// bench/e2e requires the map to be identical in every repetition of a run,
-// and internal/bench records it into BENCH_*.json reports.
+// bench/e2e requires the map to be identical in every repetition of a run.
 func (s *Snapshot) Counters() map[string]int64 {
 	m := map[string]int64{
 		"contracts":            s.Contracts,
@@ -160,26 +165,6 @@ func (st *Stats) Snapshot() *Snapshot {
 	}
 	if lookups := snap.CacheHits + snap.Emulations; lookups > 0 {
 		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)
-	}
-	return snap
-}
-
-// Snapshot freezes the engine's stage instrumentation together with the
-// run-wide stats into a serializable record. Call it after Wait.
-func (e *Engine) Snapshot(st *Stats) *Snapshot {
-	wall := e.Wall()
-	snap := st.Snapshot()
-	snap.WallMS = float64(wall.Microseconds()) / 1000
-	if secs := wall.Seconds(); secs > 0 {
-		snap.ContractsPerSec = float64(snap.Contracts) / secs
-	}
-	for _, s := range e.stages {
-		snap.Stages = append(snap.Stages, StageSnapshot{
-			Name:      s.name,
-			Workers:   s.workers,
-			Processed: s.processed.Load(),
-			BusyMS:    float64(s.busy.Load()) / 1e6,
-		})
 	}
 	return snap
 }

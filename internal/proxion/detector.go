@@ -173,8 +173,8 @@ type Detector struct {
 // cacheSettings is what AnalyzeOptions says about the detector's caches;
 // structuralOff disables structural promotion (exact-hash dedup only).
 type cacheSettings struct {
-	capacity               int
-	noDedup, structuralOff bool
+	capacity      int
+	structuralOff bool
 }
 
 // configure applies opts' cache settings unless they are the ones in force:
@@ -183,13 +183,11 @@ type cacheSettings struct {
 // contract nor write what a peer is reading. Concurrent calls are expected
 // to agree on the settings; if they do not, the last one wins.
 func (d *Detector) configure(opts AnalyzeOptions) {
-	want := cacheSettings{opts.CacheCapacity, opts.DisableDedup, opts.DisableStructural}
+	want := cacheSettings{opts.CacheCapacity, opts.DisableStructural}
 	if cur := d.applied.Load(); cur != nil && *cur == want {
 		return
 	}
-	if !want.noDedup {
-		d.structural.SetCapacity(want.capacity)
-	}
+	d.structural.SetCapacity(want.capacity)
 	d.artifacts.SetCapacity(want.capacity)
 	d.applied.Store(&want)
 }

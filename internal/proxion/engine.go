@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/chain"
@@ -43,11 +44,6 @@ type AnalyzeOptions struct {
 	// unique bytecode is remembered for the whole run — fine for batch
 	// runs, not for million-contract streams).
 	CacheCapacity int
-	// DisableDedup turns off the bytecode-dedup verdict cache, probing
-	// every address with a fresh emulation — the ablation mode. It implies
-	// DisableStructural (the structural index is a second-level key of the
-	// verdict cache).
-	DisableDedup bool
 	// DisableStructural turns off the second-level structural-fingerprint
 	// promotion, keeping only the exact bytecode-hash dedup: near-clones
 	// (EIP-1167 stamps, compiler twins) are each emulated once instead of
@@ -96,49 +92,15 @@ func (d *Detector) AnalyzeAll(sources SourceProvider) *Result {
 func (d *Detector) AnalyzeAllWithOptions(sources SourceProvider, opts AnalyzeOptions) *Result {
 	var addrs []etypes.Address
 	chain.CaptureReadError(func() { addrs = d.chain.Contracts() })
-	return d.analyze(SliceSource(addrs), sources, opts)
-}
-
-// AnalyzeSince runs the same streaming analysis restricted to contracts
-// deployed after the given block height — the incremental mode a
-// production deployment uses to keep pace with the chain instead of
-// re-scanning all 36M contracts. AnalyzeSince(0, …) is equivalent to
-// AnalyzeAll. A contract whose deployment block cannot be read is included
-// conservatively rather than silently dropped.
-func (d *Detector) AnalyzeSince(height uint64, sources SourceProvider) *Result {
-	var all []etypes.Address
-	chain.CaptureReadError(func() { all = d.chain.Contracts() })
-	// Filter lazily inside the source so the CreatedAt reads overlap the
-	// analysis instead of forming a serial pre-pass.
-	i := 0
-	src := SourceFunc(func() (etypes.Address, bool) {
-		for i < len(all) {
-			addr := all[i]
-			i++
-			created := uint64(0)
-			unknown := chain.CaptureReadError(func() { created = d.chain.CreatedAt(addr) }) != nil
-			if unknown || created > height {
-				return addr, true
-			}
-		}
-		return etypes.Address{}, false
-	})
-	return d.analyze(src, sources, AnalyzeOptions{})
-}
-
-// analyze is the collecting wrapper over AnalyzeStream that the
-// slice-returning entry points share: it runs the stream into a
-// CollectSink and packages the accumulated reports with the run snapshot.
-func (d *Detector) analyze(src AddressSource, sources SourceProvider, opts AnalyzeOptions) *Result {
 	sink := NewCollectSink()
-	snap := d.AnalyzeStream(src, sources, sink, opts)
+	snap := d.AnalyzeStream(SliceSource(addrs), sources, sink, opts)
 	res := sink.Result()
 	res.Stats = snap
 	return res
 }
 
 // The analysis steps of one contract, in execution order: indices into a
-// worker's stageClock and the names of the run's pipeline.Stages.
+// worker's stageClock and the names of the run's stage rows.
 const (
 	stageFilter = iota
 	stageProbe
@@ -152,9 +114,8 @@ var stageNames = [numStages]string{
 	"disasm-filter", "emulation-probe", "classification", "logic-history", "pair-analysis",
 }
 
-// stageClock is one worker's private per-stage accounting, folded into the
-// run's pipeline.Stages when the worker exits: Snapshot.Stages is read only
-// after the run.
+// stageClock is one worker's private per-stage accounting, summed into the
+// run's Snapshot.Stages once every worker has exited.
 type stageClock [numStages]struct {
 	items int64
 	busy  time.Duration
@@ -244,33 +205,46 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	tracker := newStreamTracker(window, src, sink)
 	before := d.ReaderCounters()
 
-	eng := pipeline.New()
-	var stages [numStages]*pipeline.Stage // stageHistory nil without WithHistory
-	for st, name := range stageNames {
-		if st != stageHistory || opts.WithHistory {
-			stages[st] = eng.NewStage(name, workers)
-		}
-	}
-	for w := 0; w < workers; w++ {
+	start := time.Now()
+	clocks := make([]stageClock, workers)
+	var wg sync.WaitGroup
+	for w := range clocks {
 		// One worker: pull an address, analyze it to completion, repeat until
-		// the source is exhausted.
-		eng.Go(func() {
+		// the source is exhausted. The clock is the worker's own until it
+		// exits, so the per-item path writes nothing another worker reads.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			var clock stageClock
 			for idx, addr, ok := tracker.pull(); ok; idx, addr, ok = tracker.pull() {
 				it := run.analyze(addr, &clock)
 				it.Index = idx
 				tracker.deliver(it)
 			}
-			for st, acc := range clock {
-				if stages[st] != nil {
-					stages[st].Add(acc.items, acc.busy)
-				}
-			}
-		})
+			clocks[w] = clock
+		}()
 	}
-	eng.Wait()
+	wg.Wait()
+	wall := time.Since(start)
 
-	snap := eng.Snapshot(run.opts.Stats)
+	snap := run.opts.Stats.Snapshot()
+	snap.WallMS = float64(wall.Microseconds()) / 1000
+	if secs := wall.Seconds(); secs > 0 {
+		snap.ContractsPerSec = float64(snap.Contracts) / secs
+	}
+	for st, name := range stageNames {
+		if st == stageHistory && !opts.WithHistory {
+			continue
+		}
+		row := pipeline.StageSnapshot{Name: name, Workers: workers}
+		var busy time.Duration
+		for _, c := range clocks {
+			row.Processed += c[st].items
+			busy += c[st].busy
+		}
+		row.BusyMS = float64(busy) / 1e6
+		snap.Stages = append(snap.Stages, row)
+	}
 	d.CountReads(snap, before)
 	return snap
 }
@@ -357,15 +331,10 @@ func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe b
 // runtime bytecode thanks to the verdict cache, and one per *structural
 // family* of cleanly forwarding near-clones thanks to the second-level
 // fingerprint index. It also returns the bytecode's record, which the pair
-// stage reuses; nil when the dedup cache is off or a read failed.
+// stage reuses; nil when a read failed.
 func (r *analysis) probe(addr etypes.Address, code []byte) (rep Report, art *artifact) {
 	d, stats := r.d, r.opts.Stats
 	re := chain.CaptureReadError(func() {
-		if r.opts.DisableDedup {
-			rep = d.emulateProbe(addr, code, CraftCallData(addr, code)).rep
-			stats.Emulations.Add(1)
-			return
-		}
 		codeHash := d.chain.CodeHash(addr)
 		art = d.artifacts.of(codeHash)
 		var tr probeTrace

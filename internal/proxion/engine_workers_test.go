@@ -3,6 +3,7 @@ package proxion_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -322,13 +323,36 @@ func TestAnalyzeStreamReadFailureInEachStage(t *testing.T) {
 // that no queue separates the stages: every contract passes the filter,
 // what the filter lets through is probed and classified, every proxy with a
 // logic address is pair-analyzed — and none of it depends on how many
-// workers shared the stream.
+// workers shared the stream. It also pins the run's timing fields and row
+// layout: the wall clock is positive, no longer than the call, and frozen
+// once the call returns; the rows come in execution order, the history row
+// only under WithHistory; an empty stream gives zero, finite rates.
 func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 41, Contracts: 600})
+	rowNames := func(snap *pipeline.Snapshot) []string {
+		var names []string
+		for _, st := range snap.Stages {
+			names = append(names, st.Name)
+		}
+		return names
+	}
 	var want map[string]int64
 	for _, workers := range []int{1, 8} {
+		t0 := time.Now()
 		res := proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry,
 			proxion.AnalyzeOptions{Workers: workers, WithHistory: true})
+		callMS := float64(time.Since(t0).Microseconds()) / 1000
+		wallMS := res.Stats.WallMS
+		if wallMS <= 0 || wallMS > callMS || res.Stats.ContractsPerSec <= 0 {
+			t.Errorf("workers %d: wall %v ms (call took %v ms), %v contracts/s", workers, wallMS, callMS, res.Stats.ContractsPerSec)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if res.Stats.WallMS != wallMS {
+			t.Errorf("workers %d: wall moved after the call returned: %v then %v ms", workers, wallMS, res.Stats.WallMS)
+		}
+		if got, want := rowNames(res.Stats), []string{"disasm-filter", "emulation-probe", "classification", "logic-history", "pair-analysis"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("workers %d: stage rows %v, want %v", workers, got, want)
+		}
 		k := res.Stats.Counters()
 		probed := k["contracts"] - k["no_code"] - k["filter_rejected"]
 		for key, v := range map[string]int64{
@@ -355,6 +379,30 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 		} else if !reflect.DeepEqual(k, want) {
 			t.Errorf("counters at %d workers differ from 1 worker:\n got %v\nwant %v", workers, k, want)
 		}
+	}
+
+	plain := proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{Workers: 2})
+	if got, want := rowNames(plain.Stats), []string{"disasm-filter", "emulation-probe", "classification", "pair-analysis"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("without history: stage rows %v, want %v", got, want)
+	}
+
+	empty := proxion.NewDetector(pop.Chain).AnalyzeStream(proxion.SliceSource(nil), pop.Registry,
+		proxion.SinkFunc(func(proxion.Item) {}), proxion.AnalyzeOptions{Workers: 3})
+	for name, v := range map[string]float64{
+		"contracts_per_sec": empty.ContractsPerSec,
+		"cache_hit_rate":    empty.CacheHitRate,
+	} {
+		if v != 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("empty stream: %s = %v, want 0", name, v)
+		}
+	}
+	for _, st := range empty.Stages {
+		if st.Processed != 0 || st.Workers != 3 {
+			t.Errorf("empty stream: stage %s processed %d at %d workers", st.Name, st.Processed, st.Workers)
+		}
+	}
+	if len(empty.Stages) != 4 {
+		t.Errorf("empty stream: %d stage rows, want 4", len(empty.Stages))
 	}
 }
 

@@ -28,7 +28,7 @@ type SourceFunc func() (etypes.Address, bool)
 func (f SourceFunc) Next() (etypes.Address, bool) { return f() }
 
 // SliceSource streams a materialized address slice — the compatibility
-// path that keeps AnalyzeAll/AnalyzeSince working over Chain.Contracts().
+// path that keeps AnalyzeAll working over Chain.Contracts().
 func SliceSource(addrs []etypes.Address) AddressSource {
 	i := 0
 	return SourceFunc(func() (etypes.Address, bool) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/etypes"
 	"repro/internal/proxion"
 )
 
@@ -55,34 +54,5 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 	if _, err := s.MarshalIndentJSON(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAnalyzeSinceIncremental(t *testing.T) {
-	pop := dataset.Generate(dataset.Config{Seed: 33, Contracts: 600})
-	det := proxion.NewDetector(pop.Chain)
-	full := det.AnalyzeAll(pop.Registry)
-
-	// Mid-chain cut: the incremental run must cover exactly the contracts
-	// deployed after the cut.
-	cut := pop.Chain.CurrentBlock() / 2
-	inc := det.AnalyzeSince(cut, pop.Registry)
-	if len(inc.Reports) == 0 || len(inc.Reports) >= len(full.Reports) {
-		t.Fatalf("incremental reports = %d of %d", len(inc.Reports), len(full.Reports))
-	}
-	for _, rep := range inc.Reports {
-		if pop.Chain.CreatedAt(rep.Address) <= cut {
-			t.Errorf("%s deployed at %d, before cut %d", rep.Address, pop.Chain.CreatedAt(rep.Address), cut)
-		}
-	}
-	// Verdicts agree with the full run.
-	fullBy := make(map[etypes.Address]bool)
-	for _, rep := range full.Reports {
-		fullBy[rep.Address] = rep.IsProxy
-	}
-	for _, rep := range inc.Reports {
-		if fullBy[rep.Address] != rep.IsProxy {
-			t.Errorf("%s: incremental %v != full %v", rep.Address, rep.IsProxy, fullBy[rep.Address])
-		}
 	}
 }

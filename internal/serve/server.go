@@ -60,9 +60,6 @@ type Config struct {
 	ResultCacheSize int
 	// WithHistory enables the logic-history step of every analysis.
 	WithHistory bool
-	// DisableStructural turns off structural near-clone promotion (see
-	// proxion.AnalyzeOptions.DisableStructural).
-	DisableStructural bool
 }
 
 // Counters are the server-level request statistics.
@@ -149,10 +146,9 @@ func New(cfg Config) (*Server, error) {
 		summary:  proxion.NewSummaryBuilder(),
 	}
 	s.opts = proxion.AnalyzeOptions{
-		CacheCapacity:     cfg.CacheCapacity,
-		WithHistory:       cfg.WithHistory,
-		DisableStructural: cfg.DisableStructural,
-		Stats:             &s.stats,
+		CacheCapacity: cfg.CacheCapacity,
+		WithHistory:   cfg.WithHistory,
+		Stats:         &s.stats,
 	}
 	s.base = s.detector.ReaderCounters()
 	if cfg.StoreDir != "" {
