@@ -9,7 +9,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -202,28 +201,6 @@ func BenchmarkProxyCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkProxyCheckHidden isolates detection of a hidden storage proxy
-// (delegating fallback, full emulation path).
-func BenchmarkProxyCheckHidden(b *testing.B) {
-	pop, det, _ := population(b)
-	var target etypes.Address
-	for _, l := range pop.Labels {
-		if l.Kind == dataset.KindAudiusProxy {
-			target = l.Address
-			break
-		}
-	}
-	if target.IsZero() {
-		b.Skip("no audius proxy in this population")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !det.Check(target).IsProxy {
-			b.Fatal("detection regressed")
-		}
-	}
-}
-
 // BenchmarkLogicHistory measures Algorithm 1's archive-call efficiency
 // (Section 6.1: ~26 getStorageAt calls per proxy).
 func BenchmarkLogicHistory(b *testing.B) {
@@ -381,48 +358,6 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(pop.Chain.Contracts())), "contracts/op")
-}
-
-// BenchmarkAnalyzeAllBarrier reproduces the pre-pipeline shape — a
-// detection worker pool, a full barrier, then a sequential pair loop — as
-// the baseline the streaming engine is measured against.
-func BenchmarkAnalyzeAllBarrier(b *testing.B) {
-	pop, _, _ := population(b)
-	addrs := pop.Chain.Contracts()
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det := proxion.NewDetector(pop.Chain)
-		reports := make([]proxion.Report, len(addrs))
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					reports[j] = det.Check(addrs[j])
-				}
-			}()
-		}
-		for j := range addrs {
-			next <- j
-		}
-		close(next)
-		wg.Wait()
-		proxies := 0
-		for _, rep := range reports {
-			if rep.IsProxy && !rep.Logic.IsZero() {
-				det.AnalyzePair(rep.Address, rep.Logic, pop.Registry)
-				proxies++
-			}
-		}
-		if proxies == 0 {
-			b.Fatal("no proxies found")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(addrs))*float64(b.N)/b.Elapsed().Seconds(), "contracts/s")
 }
 
 // audiusFixture rebuilds the Listing 2 pair for microbenchmarks.

@@ -127,8 +127,6 @@ type Chain struct {
 	// delegateEvents are all observed DELEGATECALLs across transactions.
 	delegateEvents []DelegateEvent
 
-	logs []Log
-
 	apiCalls atomic.Int64
 }
 
@@ -141,14 +139,6 @@ type blockChanges struct {
 	// written lists the cells given a new history version in the block, in
 	// order. History keeps one version per block, so a cell appears once.
 	written []Cell
-}
-
-// Log is an emitted event record.
-type Log struct {
-	Address etypes.Address
-	Topics  []etypes.Hash
-	Data    []byte
-	Block   uint64
 }
 
 // New creates a mainnet-configured chain with only the genesis block.
@@ -547,15 +537,6 @@ func (c *Chain) DelegateEvents() []DelegateEvent {
 	return out
 }
 
-// Logs returns a copy of all emitted logs.
-func (c *Chain) Logs() []Log {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Log, len(c.logs))
-	copy(out, c.logs)
-	return out
-}
-
 // Forget removes an account and its per-address bookkeeping (storage
 // history, transaction counts, observed selectors) from the archive. The
 // streaming landscape generator retires fully-analyzed windows through it
@@ -581,7 +562,7 @@ func (c *Chain) Forget(addr etypes.Address) {
 	delete(c.txSelectors, addr)
 }
 
-// TrimEvents drops delegate events, logs and delta-index entries from
+// TrimEvents drops delegate events and delta-index entries from
 // before the given block, bounding the buffers that otherwise grow with
 // every generated transaction. Trace-based baselines (CRUSH, Salehi) only
 // read events for contracts still under analysis, which retirement keeps
@@ -590,7 +571,6 @@ func (c *Chain) TrimEvents(before uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.delegateEvents = trimByBlock(c.delegateEvents, before, func(e DelegateEvent) uint64 { return e.Block })
-	c.logs = trimByBlock(c.logs, before, func(l Log) uint64 { return l.Block })
 	c.changes = trimByBlock(c.changes, before, func(bc blockChanges) uint64 { return bc.block })
 }
 
@@ -603,22 +583,4 @@ func trimByBlock[E any](events []E, before uint64, blockOf func(E) uint64) []E {
 	idx := sort.Search(len(events), func(i int) bool { return blockOf(events[i]) >= before })
 	clear(events[:idx])
 	return events[idx:]
-}
-
-// LogsInRange returns logs emitted in blocks [from, to], optionally
-// filtered by emitting address (the eth_getLogs shape).
-func (c *Chain) LogsInRange(from, to uint64, addr *etypes.Address) []Log {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Log
-	for _, l := range c.logs {
-		if l.Block < from || l.Block > to {
-			continue
-		}
-		if addr != nil && l.Address != *addr {
-			continue
-		}
-		out = append(out, l)
-	}
-	return out
 }

@@ -256,37 +256,3 @@ func TestValueTransferViaExecute(t *testing.T) {
 		t.Fatalf("tx failed: %v", rc.Err)
 	}
 }
-
-func TestLogsInRange(t *testing.T) {
-	// A contract that LOG1s its calldata word as a topic.
-	var p asm.Program
-	p.PushUint(0).Op(evm.CALLDATALOAD). // topic
-						PushUint(0). // size
-						PushUint(0). // offset
-						Op(evm.LOG0 + 1).Op(evm.STOP)
-	c := chain.New()
-	addr := etypes.MustAddress("0x00000000000000000000000000000000000000c7")
-	other := etypes.MustAddress("0x00000000000000000000000000000000000000c8")
-	c.InstallContract(addr, p.MustAssemble())
-	c.InstallContract(other, p.MustAssemble())
-
-	b1 := c.Execute(alice, addr, word(1), 0, u256.Zero()).Block
-	c.Execute(alice, other, word(2), 0, u256.Zero())
-	b3 := c.Execute(alice, addr, word(3), 0, u256.Zero()).Block
-
-	all := c.LogsInRange(0, c.CurrentBlock(), nil)
-	if len(all) != 3 {
-		t.Fatalf("logs = %d, want 3", len(all))
-	}
-	mine := c.LogsInRange(0, c.CurrentBlock(), &addr)
-	if len(mine) != 2 {
-		t.Fatalf("filtered logs = %d, want 2", len(mine))
-	}
-	early := c.LogsInRange(b1, b1, nil)
-	if len(early) != 1 || early[0].Topics[0].Word().Uint64() != 1 {
-		t.Errorf("range query wrong: %+v", early)
-	}
-	if got := c.LogsInRange(b3+1, b3+10, nil); len(got) != 0 {
-		t.Errorf("future range returned %d logs", len(got))
-	}
-}

@@ -63,7 +63,6 @@ func TestConcurrentReadsDuringExecution(t *testing.T) {
 					return
 				}
 				c.DelegateEvents()
-				c.Logs()
 				c.TxCount(target)
 				c.LatestHeader()
 			}

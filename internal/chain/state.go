@@ -225,17 +225,8 @@ func (c *Chain) revertToSnapshot(rev int) {
 
 func (s execState) RevertToSnapshot(rev int) { s.c.revertToSnapshot(rev) }
 
-// AddLog implements evm.StateDB.
-func (c *Chain) AddLog(addr etypes.Address, topics []etypes.Hash, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLog(addr, topics, data)
-}
+// AddLog implements evm.StateDB. Emitted events are not archived: nothing
+// reads them back.
+func (c *Chain) AddLog(etypes.Address, []etypes.Hash, []byte) {}
 
-func (c *Chain) addLog(addr etypes.Address, topics []etypes.Hash, data []byte) {
-	c.logs = append(c.logs, Log{Address: addr, Topics: topics, Data: data, Block: c.currentBlock()})
-}
-
-func (s execState) AddLog(addr etypes.Address, topics []etypes.Hash, data []byte) {
-	s.c.addLog(addr, topics, data)
-}
+func (s execState) AddLog(etypes.Address, []etypes.Hash, []byte) {}

@@ -22,7 +22,6 @@ import (
 // The batch table functions are thin wrappers that replay a completed
 // Population/Result through Observe; a streaming run feeds Observe as
 // items leave the analysis sink, then renders once the stream drains.
-// Aggregates built over disjoint partitions combine with Merge.
 type Landscape struct {
 	registry *etherscan.Registry
 	ch       *chain.Chain
@@ -165,62 +164,6 @@ func (a *Landscape) observeStandard(rep proxion.Report) {
 	}
 	a.proxies++
 	a.standards[rep.Standard]++
-}
-
-// Merge folds another aggregate (built over a disjoint partition of the
-// corpus) into this one. Note logicSeen dedup is per-partition: a logic
-// contract proxied from two partitions counts once per partition.
-//
-// Overlapping inputs are NOT deduplicated: every counter except logicSeen
-// is additive, so a contract Observed by both aggregates counts twice in
-// the merged tables. logicSeen itself merges by set union — a logic
-// address seen in both partitions occupies one slot afterwards, and
-// further Observe calls on the merged aggregate dedup against the union.
-// Callers that shard a corpus must therefore partition it disjointly;
-// Merge has no way to detect or repair double-counting after the fact.
-func (a *Landscape) Merge(o *Landscape) {
-	for y, c := range o.f2 {
-		if dst := a.f2[y]; dst != nil {
-			dst.both += c.both
-			dst.sourceOnly += c.sourceOnly
-			dst.txOnly += c.txOnly
-			dst.neither += c.neither
-		}
-	}
-	for y, c := range o.f4 {
-		if dst := a.f4[y]; dst != nil {
-			dst.both += c.both
-			dst.logicOnly += c.logicOnly
-			dst.proxyOnly += c.proxyOnly
-			dst.neither += c.neither
-		}
-	}
-	for y, n := range o.funcByYear {
-		a.funcByYear[y] += n
-	}
-	for y, n := range o.storByYear {
-		a.storByYear[y] += n
-	}
-	for tid, n := range o.templateOfFunc {
-		a.templateOfFunc[tid] += n
-	}
-	for h, n := range o.proxyDupes {
-		a.proxyDupes[h] += n
-	}
-	for addr := range o.logicSeen {
-		a.logicSeen[addr] = struct{}{}
-	}
-	for h, n := range o.logicDupes {
-		a.logicDupes[h] += n
-	}
-	for s, n := range o.standards {
-		a.standards[s] += n
-	}
-	a.proxies += o.proxies
-	a.hidden += o.hidden
-	for k, n := range o.upHist {
-		a.upHist[k] += n
-	}
 }
 
 // Figure2 renders the availability breakdown from the folded per-year

@@ -9,160 +9,6 @@ import (
 	"repro/internal/proxion"
 )
 
-// TestLandscapeMergePartitions: two aggregates built over interleaved
-// halves of a corpus merge into the same tables a single pass produces.
-// Figure 5's unique-logic row is the documented exception — logicSeen
-// dedups per partition — so the comparison covers everything else.
-func TestLandscapeMergePartitions(t *testing.T) {
-	pop := dataset.Generate(dataset.Config{Seed: 11, Contracts: 900})
-	det := proxion.NewDetector(pop.Chain)
-	res := det.AnalyzeAll(pop.Registry)
-
-	full := NewLandscape(pop.Chain, pop.Registry, det)
-	full.replay(pop, res)
-
-	repBy := make(map[etypes.Address]proxion.Report, len(res.Reports))
-	for _, rep := range res.Reports {
-		repBy[rep.Address] = rep
-	}
-	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
-	for i := range res.Pairs {
-		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
-	}
-
-	parts := [2]*Landscape{
-		NewLandscape(pop.Chain, pop.Registry, det),
-		NewLandscape(pop.Chain, pop.Registry, det),
-	}
-	for i, l := range pop.Labels {
-		it := proxion.Item{Report: repBy[l.Address]}
-		if pa, ok := pairBy[l.Address]; ok {
-			it.Pair = pa
-		}
-		parts[i%2].Observe(l, it)
-	}
-	parts[0].Merge(parts[1])
-
-	for name, pair := range map[string][2]*Table{
-		"Figure 2":      {parts[0].Figure2(), full.Figure2()},
-		"Figure 4":      {parts[0].Figure4(), full.Figure4()},
-		"Table 3":       {parts[0].Table3(), full.Table3()},
-		"Table 4":       {parts[0].Table4(), full.Table4()},
-		"Figure 6":      {parts[0].Figure6(), full.Figure6()},
-		"HiddenProxies": {parts[0].HiddenProxies(), full.HiddenProxies()},
-	} {
-		if !reflect.DeepEqual(pair[0], pair[1]) {
-			t.Errorf("%s: merged partitions diverge from single pass:\nmerged: %+v\nfull:   %+v", name, pair[0], pair[1])
-		}
-	}
-
-	// Figure 5's proxy rows still add up exactly across partitions.
-	got, want := parts[0].Figure5(), full.Figure5()
-	for _, i := range []int{0, 1, 3} {
-		if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
-			t.Errorf("Figure 5 row %d: merged %v, full %v", i, got.Rows[i], want.Rows[i])
-		}
-	}
-}
-
-// TestLandscapeMergeOverlappingInputs pins Merge's documented contract
-// for NON-disjoint partitions: additive counters double-count every
-// overlapped contract, while logicSeen merges by set union. The test
-// feeds the identical corpus to both aggregates — total overlap, the
-// worst case — so any accidental dedup (or accidental union-doubling)
-// shows up as an exact-count mismatch.
-func TestLandscapeMergeOverlappingInputs(t *testing.T) {
-	pop := dataset.Generate(dataset.Config{Seed: 11, Contracts: 900})
-	det := proxion.NewDetector(pop.Chain)
-	res := det.AnalyzeAll(pop.Registry)
-
-	repBy := make(map[etypes.Address]proxion.Report, len(res.Reports))
-	for _, rep := range res.Reports {
-		repBy[rep.Address] = rep
-	}
-	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
-	for i := range res.Pairs {
-		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
-	}
-	feed := func(a *Landscape) {
-		for _, l := range pop.Labels {
-			it := proxion.Item{Report: repBy[l.Address]}
-			if pa, ok := pairBy[l.Address]; ok {
-				it.Pair = pa
-			}
-			a.Observe(l, it)
-		}
-	}
-
-	single := NewLandscape(pop.Chain, pop.Registry, det)
-	feed(single)
-	if single.proxies == 0 {
-		t.Fatalf("corpus produced no proxies; overlap assertions would be vacuous")
-	}
-
-	left := NewLandscape(pop.Chain, pop.Registry, det)
-	right := NewLandscape(pop.Chain, pop.Registry, det)
-	feed(left)
-	feed(right)
-	left.Merge(right)
-
-	// Additive counters: exactly doubled, nothing deduplicated.
-	if left.proxies != 2*single.proxies {
-		t.Errorf("proxies after total-overlap merge: %d, want exactly 2×%d", left.proxies, single.proxies)
-	}
-	if left.hidden != 2*single.hidden {
-		t.Errorf("hidden after total-overlap merge: %d, want exactly 2×%d", left.hidden, single.hidden)
-	}
-	for s, n := range single.standards {
-		if got := left.standards[s]; got != 2*n {
-			t.Errorf("standard %v: merged %d, want 2×%d", s, got, n)
-		}
-	}
-	for y, n := range single.funcByYear {
-		if got := left.funcByYear[y]; got != 2*n {
-			t.Errorf("funcByYear[%d]: merged %d, want 2×%d", y, got, n)
-		}
-	}
-	for h, n := range single.proxyDupes {
-		if got := left.proxyDupes[h]; got != 2*n {
-			t.Errorf("proxyDupes[%x]: merged %d, want 2×%d", h[:4], got, n)
-		}
-	}
-	// Per-partition dedup means logicDupes also double: each aggregate
-	// counted its own first sighting of every logic contract.
-	for h, n := range single.logicDupes {
-		if got := left.logicDupes[h]; got != 2*n {
-			t.Errorf("logicDupes[%x]: merged %d, want 2×%d", h[:4], got, n)
-		}
-	}
-
-	// logicSeen is the one set-union field: total overlap leaves it the
-	// same size as a single pass, not doubled.
-	if len(left.logicSeen) != len(single.logicSeen) {
-		t.Errorf("logicSeen after total-overlap merge: %d addresses, want union size %d",
-			len(left.logicSeen), len(single.logicSeen))
-	}
-
-	// And the union keeps deduping: re-Observing a proxy whose logic is
-	// already in the merged set must not grow logicDupes further.
-	before := len(left.logicSeen)
-	dupes := make(map[etypes.Hash]int, len(left.logicDupes))
-	for h, n := range left.logicDupes {
-		dupes[h] = n
-	}
-	for _, rep := range res.Reports {
-		if rep.IsProxy {
-			left.Observe(nil, proxion.Item{Report: rep})
-		}
-	}
-	if len(left.logicSeen) != before {
-		t.Errorf("re-observation grew logicSeen from %d to %d; union lost dedup state", before, len(left.logicSeen))
-	}
-	if !reflect.DeepEqual(left.logicDupes, dupes) {
-		t.Errorf("re-observation changed logicDupes; merged set no longer dedups")
-	}
-}
-
 // TestSummaryBuilderMerge: builders fed disjoint interleaved item streams
 // merge into the batch summary.
 func TestSummaryBuilderMerge(t *testing.T) {

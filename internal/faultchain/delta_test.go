@@ -64,8 +64,8 @@ func TestBlockDeltaThroughTheStack(t *testing.T) {
 	}
 }
 
-// TestBlockDeltaBeyondHeadIsAnError: a replica asked for a block it has not
-// reached must refuse, exactly as it refuses a GetStorageAt there — an
+// TestBlockDeltaBeyondHeadIsAnError: a replay view asked for a block it has
+// not reached must refuse, exactly as it refuses a GetStorageAt there — an
 // empty delta would let a follower step over the block.
 func TestBlockDeltaBeyondHeadIsAnError(t *testing.T) {
 	base, addrs := testChain(4)
@@ -73,30 +73,12 @@ func TestBlockDeltaBeyondHeadIsAnError(t *testing.T) {
 	base.SetStorageDirect(addrs[0], etypes.Hash{31: 9}, etypes.Hash{31: 9}) // the head block changes something
 	replay := faultchain.NewReplayReader(base)
 	replay.SetHead(head - 2)
-	stale := faultchain.NewStaleReader(base, 2)
 
-	for name, r := range map[string]chain.Reader{"replay": replay, "stale": stale} {
-		if got, want := r.BlockDelta(head-2), base.BlockDelta(head-2); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: delta at its head = %+v, want %+v", name, got, want)
-		}
-		re := chain.CaptureReadError(func() { r.BlockDelta(head - 1) })
-		if re == nil || re.Op != "block-delta" {
-			t.Errorf("%s: delta beyond its head returned %v, want a block-delta ReadError", name, re)
-		}
+	if got, want := replay.BlockDelta(head-2), base.BlockDelta(head-2); !reflect.DeepEqual(got, want) {
+		t.Errorf("delta at its head = %+v, want %+v", got, want)
 	}
-
-	// A pool over both replicas: a block only the fresh one has comes from
-	// it; a block neither has fails.
-	fresh := faultchain.NewReplayReader(base)
-	fresh.SetHead(head)
-	pool := faultchain.NewPool([]chain.Reader{stale, fresh}, faultchain.PoolOptions{})
-	for i := 0; i < 4; i++ { // both round-robin primaries
-		if got, want := pool.BlockDelta(head), base.BlockDelta(head); !reflect.DeepEqual(got, want) {
-			t.Fatalf("pool delta at head = %+v, want %+v", got, want)
-		}
-	}
-	fresh.SetHead(head - 2)
-	if re := chain.CaptureReadError(func() { pool.BlockDelta(head) }); re == nil {
-		t.Fatalf("pool served a delta for a block no replica has")
+	re := chain.CaptureReadError(func() { replay.BlockDelta(head - 1) })
+	if re == nil || re.Op != "block-delta" {
+		t.Errorf("delta beyond its head returned %v, want a block-delta ReadError", re)
 	}
 }

@@ -169,8 +169,8 @@ func (d *Detector) storageAccesses(a *artifact, code []byte) []StorageAccess {
 	return a.accesses
 }
 
-// summarize returns static.AnalyzeHashed(code, codeHash, fp) and leaves the
-// storage accesses behind, sliced from the same disassembly.
+// summarize returns static.Analyze(code), built on the caller's hashes, and
+// leaves the storage accesses behind, sliced from the same disassembly.
 func (d *Detector) summarize(a *artifact, code []byte, codeHash, fp etypes.Hash) *static.Summary {
 	d.walks.Add(1)
 	blocks := disasm.BasicBlocks(code)

@@ -11,6 +11,9 @@ import (
 	"repro/internal/u256"
 )
 
+// TestFunctionCollisionsSource: with both sources verified, collision
+// detection intersects the declared prototypes — the Slither-style path
+// (Section 5.1) — and names both sides of each collision.
 func TestFunctionCollisionsSource(t *testing.T) {
 	proxy := &solc.Contract{
 		Name: "P",
@@ -26,7 +29,7 @@ func TestFunctionCollisionsSource(t *testing.T) {
 			{ABI: abi.Function{Name: "doWork"}, Body: []solc.Stmt{solc.Stop{}}},
 		},
 	}
-	cols := proxion.FunctionCollisionsSource(proxy, logic)
+	cols := proxion.FunctionCollisions(nil, nil, proxy, logic)
 	if len(cols) != 1 {
 		t.Fatalf("collisions = %d, want 1", len(cols))
 	}

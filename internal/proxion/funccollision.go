@@ -3,7 +3,6 @@ package proxion
 import (
 	"bytes"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/disasm"
@@ -21,25 +20,6 @@ type FunctionCollision struct {
 	// 4-byte selector is recoverable.
 	ProxyProto string
 	LogicProto string
-}
-
-// FunctionCollisionsSource intersects the declared function signatures of
-// two contracts with available source code — the Slither-style path
-// (Section 5.1).
-func FunctionCollisionsSource(proxy, logic *solc.Contract) []FunctionCollision {
-	logicBySel := make(map[[4]byte]string)
-	for _, proto := range logic.Prototypes() {
-		logicBySel[selectorOf(proto)] = proto
-	}
-	var out []FunctionCollision
-	for _, proto := range proxy.Prototypes() {
-		sel := selectorOf(proto)
-		if lp, ok := logicBySel[sel]; ok {
-			out = append(out, FunctionCollision{Selector: sel, ProxyProto: proto, LogicProto: lp})
-		}
-	}
-	sortCollisions(out)
-	return out
 }
 
 // FunctionCollisionsBytecode cross-checks the dispatcher-extracted
@@ -107,17 +87,6 @@ func collideViews(pv, lv selectorView) []FunctionCollision {
 		}
 	}
 	return out
-}
-
-func sortCollisions(cs []FunctionCollision) {
-	sort.Slice(cs, func(i, j int) bool {
-		for k := 0; k < 4; k++ {
-			if cs[i].Selector[k] != cs[j].Selector[k] {
-				return cs[i].Selector[k] < cs[j].Selector[k]
-			}
-		}
-		return false
-	})
 }
 
 // selectorMemo caches the keccak of function prototypes process-wide:

@@ -13,16 +13,6 @@ type HistoricalAnalysis struct {
 	Pairs []PairAnalysis
 }
 
-// AnyCollision reports whether any historical pair collides.
-func (h HistoricalAnalysis) AnyCollision() bool {
-	for _, pa := range h.Pairs {
-		if len(pa.Functions) > 0 || len(pa.Storage) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AnalyzePairHistory recovers the proxy's full logic history with Algorithm
 // 1 and runs the collision analysis against each version. For hard-coded
 // (minimal) proxies the single fixed logic is analyzed.

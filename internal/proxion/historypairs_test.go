@@ -65,14 +65,14 @@ func TestAnalyzePairHistoryFindsRetiredCollision(t *testing.T) {
 	if len(hist.Pairs) != 2 {
 		t.Fatalf("historical pairs = %d, want 2", len(hist.Pairs))
 	}
-	if !hist.AnyCollision() {
-		t.Fatal("historical collision missed")
-	}
 	var collidedWith etypes.Address
 	for _, pa := range hist.Pairs {
 		if len(pa.Functions) > 0 {
 			collidedWith = pa.Logic
 		}
+	}
+	if collidedWith.IsZero() {
+		t.Fatal("historical collision missed")
 	}
 	if collidedWith != v1Addr {
 		t.Errorf("collision attributed to %s, want V1 %s", collidedWith, v1Addr)
@@ -90,7 +90,7 @@ func TestAnalyzePairHistoryMinimalProxy(t *testing.T) {
 	}
 	// Non-proxy reports yield empty histories.
 	empty := d.AnalyzePairHistory(proxion.Report{}, nil)
-	if len(empty.Pairs) != 0 || empty.AnyCollision() {
+	if len(empty.Pairs) != 0 {
 		t.Error("non-proxy produced pairs")
 	}
 }

@@ -798,7 +798,7 @@ func udiv(x, y u256.Int) u256.Int {
 }
 
 // summary assembles the final Summary from the run's accumulators and the
-// two hashes of a.code, which the caller owns (see AnalyzeHashed).
+// two hashes of a.code, which the caller owns (see AnalyzeBlocks).
 func (a *analysis) summary(codeHash, fingerprint etypes.Hash) *Summary {
 	s := &Summary{
 		CodeHash:        codeHash,

@@ -61,8 +61,8 @@ func FuzzStaticAnalyze(f *testing.F) {
 		if sum.Fingerprint != fingerprintBuffered(code) {
 			t.Fatal("streamed fingerprint disagrees with the buffered form")
 		}
-		if hashed := AnalyzeHashed(code, sum.CodeHash, sum.Fingerprint); !reflect.DeepEqual(sum, hashed) {
-			t.Fatalf("AnalyzeHashed differs from Analyze:\n%+v\n%+v", sum, hashed)
+		if blocks := AnalyzeBlocks(code, disasm.BasicBlocks(code), sum.CodeHash, sum.Fingerprint); !reflect.DeepEqual(sum, blocks) {
+			t.Fatalf("AnalyzeBlocks differs from Analyze:\n%+v\n%+v", sum, blocks)
 		}
 		again := Analyze(code)
 		if !reflect.DeepEqual(sum, again) {

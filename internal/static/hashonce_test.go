@@ -47,30 +47,32 @@ func taxonomy(t testing.TB) *gen.Corpus {
 	return c
 }
 
-// TestAnalyzeHashedEqualsAnalyze is the hash-once contract: handed the two
-// true hashes, AnalyzeHashed returns Analyze's summary field for field —
-// and it hashes nothing itself, neither to recompute them (sentinels come
-// back untouched) nor for any other reason (no sponge runs).
-func TestAnalyzeHashedEqualsAnalyze(t *testing.T) {
+// TestAnalyzeBlocksEqualsAnalyze is the hash-once contract: handed the
+// basic blocks and the two true hashes, AnalyzeBlocks returns Analyze's
+// summary field for field — and it hashes nothing itself, neither to
+// recompute them (sentinels come back untouched) nor for any other reason
+// (no sponge runs).
+func TestAnalyzeBlocksEqualsAnalyze(t *testing.T) {
 	sentinelHash, sentinelFP := etypes.Hash{0: 0xaa}, etypes.Hash{0: 0xbb}
 	for _, l := range taxonomy(t).Labels {
 		want := Analyze(l.Code)
 		if want.CodeHash != etypes.Keccak(l.Code) || want.Fingerprint != fingerprintBuffered(l.Code) {
 			t.Fatalf("%v: Analyze hashes wrong: %+v", l.Shape, want)
 		}
+		blocks := disasm.BasicBlocks(l.Code)
 		var got *Summary
 		runs := keccak.CountSponges(func() {
-			got = AnalyzeHashed(l.Code, want.CodeHash, want.Fingerprint)
+			got = AnalyzeBlocks(l.Code, blocks, want.CodeHash, want.Fingerprint)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: AnalyzeHashed differs from Analyze:\n got %+v\nwant %+v", l.Shape, got, want)
+			t.Errorf("%v: AnalyzeBlocks differs from Analyze:\n got %+v\nwant %+v", l.Shape, got, want)
 		}
 		if runs != 0 {
-			t.Errorf("%v: AnalyzeHashed ran %d sponges, want 0", l.Shape, runs)
+			t.Errorf("%v: AnalyzeBlocks ran %d sponges, want 0", l.Shape, runs)
 		}
-		marked := AnalyzeHashed(l.Code, sentinelHash, sentinelFP)
+		marked := AnalyzeBlocks(l.Code, blocks, sentinelHash, sentinelFP)
 		if marked.CodeHash != sentinelHash || marked.Fingerprint != sentinelFP {
-			t.Errorf("%v: AnalyzeHashed replaced the caller's hashes", l.Shape)
+			t.Errorf("%v: AnalyzeBlocks replaced the caller's hashes", l.Shape)
 		}
 	}
 }

@@ -167,7 +167,7 @@ type CFG struct {
 // any byte string (truncated PUSH data, undefined opcodes, unreachable or
 // missing JUMPDESTs) yields a Summary without panicking.
 func Analyze(code []byte) *Summary {
-	return AnalyzeHashed(code, etypes.Keccak(code), Fingerprint(code))
+	return AnalyzeBlocks(code, disasm.BasicBlocks(code), etypes.Keccak(code), Fingerprint(code))
 }
 
 // AnalyzeWithCFG is Analyze, additionally returning the recovered CFG.
@@ -178,20 +178,14 @@ func AnalyzeWithCFG(code []byte) (*Summary, *CFG) {
 	return a.summary(etypes.Keccak(code), Fingerprint(code)), a.cfg()
 }
 
-// AnalyzeHashed is Analyze for a caller that already holds both hashes of
-// code — the chain caches every account's code hash, and the structural
-// cache tier computes the fingerprint to find the clone family before it
-// asks for a summary — so the bytecode is not hashed again. The hashes are
-// trusted, not checked: codeHash must be keccak256(code) and fingerprint
-// must be Fingerprint(code), and then the result equals Analyze(code)
-// field for field.
-func AnalyzeHashed(code []byte, codeHash, fingerprint etypes.Hash) *Summary {
-	return AnalyzeBlocks(code, disasm.BasicBlocks(code), codeHash, fingerprint)
-}
-
-// AnalyzeBlocks is AnalyzeHashed for a caller that has also disassembled
-// code already and shares the walk with its own analysis: blocks must be
-// disasm.BasicBlocks(code), and is only read.
+// AnalyzeBlocks is Analyze for a caller that already holds both hashes of
+// code and its basic blocks — the chain caches every account's code hash,
+// and the structural cache tier computes the fingerprint to find the clone
+// family before it asks for a summary — so the bytecode is neither hashed
+// nor disassembled again. The inputs are trusted, not checked: blocks must
+// be disasm.BasicBlocks(code) (and is only read), codeHash keccak256(code)
+// and fingerprint Fingerprint(code), and then the result equals
+// Analyze(code) field for field.
 func AnalyzeBlocks(code []byte, blocks []disasm.BasicBlock, codeHash, fingerprint etypes.Hash) *Summary {
 	a := newAnalysis(code, blocks)
 	a.run()

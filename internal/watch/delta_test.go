@@ -406,54 +406,61 @@ func TestAuditCatchesWhatTheDeltaMissed(t *testing.T) {
 	}
 }
 
-// TestOnlyStaleReplicasHoldTheCursor: the pool's head watermark says block
-// N exists, but every replica currently answers from before it. The delta
-// read must fail — not come back empty — so Poll errors with the cursor
-// unmoved, and once a replica catches up the same blocks are followed with
-// nothing lost.
+// headAhead reports a head its replay view has not reached yet: a node
+// whose head announcement runs ahead of the state it can serve.
+type headAhead struct {
+	*faultchain.ReplayReader
+	head atomic.Uint64 // the reported head; zero reports the view's own
+}
+
+func (r *headAhead) CurrentBlock() uint64 {
+	if h := r.head.Load(); h != 0 {
+		return h
+	}
+	return r.ReplayReader.CurrentBlock()
+}
+
+// TestOnlyStaleReplicasHoldTheCursor: the node's head says block N exists,
+// but its delta for the blocks past the cursor cannot be served yet. The
+// delta read must fail — not come back empty — so Poll errors with the
+// cursor unmoved, and once the node catches up the same blocks are followed
+// with nothing lost.
 func TestOnlyStaleReplicasHoldTheCursor(t *testing.T) {
 	tl := gen.GenerateTimeline(gen.TimelineConfig{Seed: 8})
-	a, b := faultchain.NewReplayReader(tl.Chain), faultchain.NewReplayReader(tl.Chain)
-	pool := faultchain.NewPool([]chain.Reader{a, b}, faultchain.PoolOptions{})
+	replay := faultchain.NewReplayReader(tl.Chain)
+	node := &headAhead{ReplayReader: replay}
 	var events []UpgradeEvent
 	f, err := New(Config{
-		Reader:    pool,
-		Analyzer:  NewDetectorAnalyzer(proxion.NewDetector(pool), tl.Registry, nil),
+		Reader:    node,
+		Analyzer:  NewDetectorAnalyzer(proxion.NewDetector(replay), tl.Registry, nil),
 		OnUpgrade: func(ev UpgradeEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	mid := tl.End() / 2
-	a.SetHead(mid)
-	b.SetHead(mid)
+	replay.SetHead(mid)
 	if err := f.Poll(); err != nil {
 		t.Fatalf("poll to %d: %v", mid, err)
 	}
 
-	// Replica a reports the full head once, then falls back (a restart from
-	// an older snapshot): the watermark keeps the head, no replica has it.
-	a.SetHead(tl.End())
-	if got := pool.CurrentBlock(); got != tl.End() {
-		t.Fatalf("pool head %d, want %d", got, tl.End())
-	}
-	a.SetHead(mid)
+	node.head.Store(tl.End())
 	seen := len(events)
 	err = f.Poll()
 	var re *chain.ReadError
 	if !errors.As(err, &re) || re.Op != "block-delta" {
-		t.Fatalf("poll over only-stale replicas returned %v, want the block-delta *chain.ReadError", err)
+		t.Fatalf("poll past the servable blocks returned %v, want the block-delta *chain.ReadError", err)
 	}
 	if f.Cursor() != mid || len(events) != seen {
-		t.Fatalf("cursor %d (was %d), %d event(s) delivered from blocks no replica has", f.Cursor(), mid, len(events)-seen)
+		t.Fatalf("cursor %d (was %d), %d event(s) delivered from blocks the node cannot serve", f.Cursor(), mid, len(events)-seen)
 	}
 	if st := f.Stats(); st.Head != tl.End() || st.LagBlocks != tl.End()-mid {
 		t.Fatalf("stats say head %d, lag %d; want %d, %d", st.Head, st.LagBlocks, tl.End(), tl.End()-mid)
 	}
 
-	b.SetHead(tl.End())
+	replay.SetHead(tl.End())
 	if err := f.Poll(); err != nil {
-		t.Fatalf("poll after a replica caught up: %v", err)
+		t.Fatalf("poll after the node caught up: %v", err)
 	}
 	if f.Cursor() != tl.End() || f.Stats().LagBlocks != 0 {
 		t.Fatalf("cursor %d, lag %d after catching up to %d", f.Cursor(), f.Stats().LagBlocks, tl.End())

@@ -12,7 +12,6 @@ type stats struct {
 	upgradesDetected atomic.Uint64
 	invalidations    atomic.Uint64
 	reanalyses       atomic.Uint64
-	replicaLag       atomic.Uint64
 	watched          atomic.Uint64
 	head             atomic.Uint64
 	deltaReads       atomic.Uint64
@@ -38,9 +37,6 @@ type StatsSnapshot struct {
 	Invalidations uint64 `json:"invalidations"`
 	// Reanalyses counts post-upgrade re-analysis runs.
 	Reanalyses uint64 `json:"reanalyses"`
-	// ReplicaLag is the widest head spread the replica pool has observed
-	// (zero without a pool).
-	ReplicaLag uint64 `json:"replica_lag"`
 	// Watched is the number of live watched cells.
 	Watched uint64 `json:"watched"`
 	// Head is the reader's head as of the last poll, and LagBlocks how far

@@ -14,9 +14,9 @@
 // byte-identical entries, and upgrade detection compares against the cell
 // value as of the checkpointed cursor — the interrupted upgrade is
 // re-detected and delivered exactly once per completed run. The head the
-// cursor chases comes from the Reader; a faultchain.Pool reconciles replica
-// heads into a monotonic watermark, so a stale replica can never roll the
-// cursor backwards — and Poll itself refuses heads at or below the cursor.
+// cursor chases comes from the Reader, and Poll refuses heads at or below
+// the cursor, so a node that answers from an older head can never roll the
+// cursor backwards.
 //
 // Cost model: a block costs one Reader.BlockDelta plus work proportional to
 // what the block deployed and to the watched cells it wrote — never to the
@@ -72,8 +72,8 @@ type UpgradeEvent struct {
 
 // Config wires a Follower.
 type Config struct {
-	// Reader is the node surface to follow — typically a faultchain.Pool
-	// or a resilient client, but any chain.Reader works.
+	// Reader is the node surface to follow — typically a resilient
+	// client, but any chain.Reader works.
 	Reader chain.Reader
 	// Analyzer runs and records the analyses.
 	Analyzer Analyzer
@@ -90,9 +90,6 @@ type Config struct {
 	// OnError, when set, receives Poll errors from Run's loop (the poll
 	// is retried at the next tick either way).
 	OnError func(error)
-	// LagProbe, when set, is sampled once per poll into the replica-lag
-	// stat — wire it to a faultchain.Pool's MaxLag.
-	LagProbe func() uint64
 }
 
 // watchEntry is one watched storage cell and the proxy it belongs to.
@@ -192,7 +189,6 @@ func (f *Follower) Stats() StatsSnapshot {
 		UpgradesDetected: f.stats.upgradesDetected.Load(),
 		Invalidations:    f.stats.invalidations.Load(),
 		Reanalyses:       f.stats.reanalyses.Load(),
-		ReplicaLag:       f.stats.replicaLag.Load(),
 		Watched:          f.stats.watched.Load(),
 		Head:             head,
 		LagBlocks:        lag,
@@ -279,9 +275,6 @@ func (f *Follower) Poll() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	if f.cfg.LagProbe != nil {
-		f.stats.replicaLag.Store(f.cfg.LagProbe())
-	}
 	var head uint64
 	if re := chain.CaptureReadError(func() { head = f.cfg.Reader.CurrentBlock() }); re != nil {
 		return re

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/faultchain"
 	"repro/internal/gen"
@@ -406,70 +405,5 @@ func TestStopDrainsCleanly(t *testing.T) {
 	}
 	if len(events) != len(upgrades) {
 		t.Fatalf("%d events for %d scripted upgrades", len(events), len(upgrades))
-	}
-}
-
-// TestFollowerThroughStalePool follows through a two-replica pool where
-// one replica permanently lags a block behind. The pool's watermark and
-// strict beyond-head reads must keep upgrade detection exact: every
-// scripted upgrade at its exact block with the exact new value, every
-// deployment seen exactly once, and the observed replica lag surfaced in
-// the stats.
-func TestFollowerThroughStalePool(t *testing.T) {
-	tl := gen.GenerateTimeline(gen.TimelineConfig{Seed: 8})
-	fresh := faultchain.NewReplayReader(tl.Chain)
-	stale := faultchain.NewStaleReader(fresh, 1)
-	pool := faultchain.NewPool([]chain.Reader{fresh, stale}, faultchain.PoolOptions{})
-
-	det := proxion.NewDetector(pool)
-	var events []UpgradeEvent
-	f, err := New(Config{
-		Reader:    pool,
-		Analyzer:  NewDetectorAnalyzer(det, tl.Registry, nil),
-		LagProbe:  func() uint64 { return pool.Stats().MaxLag },
-		OnUpgrade: func(ev UpgradeEvent) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for h := uint64(1); h <= tl.End(); h++ {
-		fresh.SetHead(h)
-		if err := f.Poll(); err != nil {
-			t.Fatalf("poll at %d: %v", h, err)
-		}
-		if c := f.Cursor(); c != h {
-			t.Fatalf("cursor %d at height %d", c, h)
-		}
-	}
-
-	upgrades := scriptedUpgrades(tl)
-	if len(events) != len(upgrades) {
-		t.Fatalf("%d events for %d scripted upgrades", len(events), len(upgrades))
-	}
-	byKey := make(map[uint64]map[etypes.Address]UpgradeEvent)
-	for _, ev := range events {
-		if byKey[ev.Block] == nil {
-			byKey[ev.Block] = make(map[etypes.Address]UpgradeEvent)
-		}
-		byKey[ev.Block][ev.Proxy] = ev
-	}
-	for _, ge := range upgrades {
-		ev, ok := byKey[ge.Block][ge.Proxy]
-		if !ok {
-			t.Fatalf("upgrade at block %d for %v missed", ge.Block, ge.Proxy.Hex())
-		}
-		if want := etypes.HashFromWord(ge.Logic.Word()); ev.NewValue != want {
-			t.Fatalf("upgrade at block %d read value %x through the pool, scripted %x",
-				ge.Block, ev.NewValue, want)
-		}
-	}
-	if got, want := f.Stats().DeploymentsSeen, uint64(len(tl.Chain.Contracts())); got != want {
-		t.Fatalf("deployments seen %d, chain holds %d contracts", got, want)
-	}
-	if lag := f.Stats().ReplicaLag; lag != 1 {
-		t.Fatalf("replica lag %d surfaced, pool lags by 1", lag)
-	}
-	if pool.Stats().Hedges == 0 {
-		t.Fatalf("no hedges launched — the stale replica was never exercised")
 	}
 }
