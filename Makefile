@@ -2,7 +2,7 @@
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
 # pull-request performance gate (the change against its merge-base).
 
-.PHONY: build vet test short race engine bench bench-gate chaos ci fuzz soak serve lint watch parity e2e
+.PHONY: build vet test short race engine bench bench-gate chaos ci fuzz soak serve lint watch parity e2e trace-counters
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -76,6 +76,16 @@ bench-gate:
 e2e:
 	go run ./bench/e2e $(E2E_ARGS)
 
+# Traced counters: the count-unit lines of one traced bench/e2e walk,
+# sorted, as "workload metric value". Diff two builds' outputs to show a
+# change moved no counter. The per-operation allocation averages
+# (*_allocs*) are left out: proxion.check_cold_allocs, evm.call_allocs and
+# static.analyze_allocs differ between two runs of the same build.
+trace-counters:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		go run ./bench/e2e -trace 1 -seed 3 -out "$$dir" > "$$dir/trace.txt" && \
+		awk '$$4 == "count" && $$2 !~ /allocs/ { print $$1, $$2, $$3 }' "$$dir/trace.txt" | sort
+
 # Service gate: the proxiond stack (verdict store + serve layer) under the
 # race detector — crash/restart recovery, K-concurrent coalescing, the
 # matrix over the concurrency bound, a stuck analysis stalling nobody, a
@@ -105,8 +115,8 @@ watch:
 # Interpreter lockstep gate under the race detector: the two EVM loops
 # (pre-decoded fast path vs the retained reference) executed against
 # identical state and diffed on every observable — structlog traces, call
-# trees, outputs, gas, and state-mutation order — over hand-written fused
-# idioms, boundary sweeps, and the full generator taxonomy.
+# trees, outputs, gas, and state-mutation order — over hand-written
+# control-flow idioms, boundary sweeps, and the full generator taxonomy.
 # INTERP_SWEEP=N widens the nightly run with N fresh corpus seeds.
 parity:
 	go test -race ./internal/evm/parity -count=1 -timeout 20m

@@ -22,7 +22,7 @@ import (
 // BenchmarkAnalyzeAllResilient is the streaming scan with every node read
 // through the fault-free resilient client; its overhead is read against the
 // root package's BenchmarkAnalyzeAll, the same scan over the chain itself.
-// BenchmarkInterpLoop and BenchmarkInterpFused time the raw interpreter.
+// BenchmarkInterpLoop times the raw interpreter.
 
 // resilientScale and loopIterations are the benchmarks' input sizes.
 const (
@@ -77,10 +77,9 @@ func countdownLoop(iterations int) (code []byte, steps uint64) {
 
 // dispatcherLoop assembles a dispatcher-shaped loop: each iteration walks a
 // chain of 16 Solidity-style selector comparisons (DUP1; PUSH4 sel; EQ;
-// PUSH2 dest; JUMPI — the fast path fuses the latter four into one
-// dispatch superinstruction) that all miss, then branches back through a
-// fused DUP1; PUSH2; JUMPI. This is the superinstruction-dense profile real
-// proxy fallbacks present to the detector's probes.
+// PUSH2 dest; JUMPI) that all miss, then branches back through DUP1;
+// PUSH2; JUMPI. This is the branch-dense profile real proxy fallbacks
+// present to the detector's probes.
 func dispatcherLoop(iterations int) (code []byte, steps uint64) {
 	const arms = 16
 	p := &asm.Program{}
@@ -98,7 +97,7 @@ func dispatcherLoop(iterations int) (code []byte, steps uint64) {
 	p.Op(evm.SWAP1) //                               [1, n]
 	p.Op(evm.SUB)   //                               [n-1]
 	p.Op(evm.DUP1)  //                               [n-1, n-1]
-	p.JumpI("loop") // fused DUP1+PUSH2+JUMPI        [n-1]
+	p.JumpI("loop") // PUSH2+JUMPI                   [n-1]
 	p.Op(evm.STOP)
 	p.Label("dead")
 	p.Op(evm.INVALID)
@@ -143,18 +142,14 @@ func benchLoop(b *testing.B, mode evm.InterpMode, code []byte, steps uint64) {
 }
 
 // BenchmarkInterpLoop times the countdown loop under the pre-decoded fast
-// path and the retained reference loop; their ratio is the fast path's
-// uplift.
+// path and the retained reference loop, whose ratio is the fast path's
+// uplift, and the dispatcher loop under the fast path.
 func BenchmarkInterpLoop(b *testing.B) {
 	code, steps := countdownLoop(loopIterations)
 	b.Run("fast", func(b *testing.B) { benchLoop(b, evm.InterpFast, code, steps) })
 	b.Run("reference", func(b *testing.B) { benchLoop(b, evm.InterpReference, code, steps) })
-}
-
-// BenchmarkInterpFused times the dispatcher loop under the fast path.
-func BenchmarkInterpFused(b *testing.B) {
-	code, steps := dispatcherLoop(loopIterations / 4)
-	benchLoop(b, evm.InterpFast, code, steps)
+	dispatch, dispatchSteps := dispatcherLoop(loopIterations / 4)
+	b.Run("dispatcher", func(b *testing.B) { benchLoop(b, evm.InterpFast, dispatch, dispatchSteps) })
 }
 
 // TestEVMLoopStepAccounting pins each loop's derived step count against the
@@ -166,9 +161,9 @@ func TestEVMLoopStepAccounting(t *testing.T) {
 	if loopSteps != 1+10*100+1 {
 		t.Errorf("countdown steps = %d, want %d", loopSteps, 1+10*100+1)
 	}
-	fused, fusedSteps := dispatcherLoop(100)
-	if want := uint64(1 + (2+5*16+7)*100 + 1); fusedSteps != want {
-		t.Errorf("dispatcher steps = %d, want %d", fusedSteps, want)
+	dispatch, dispatchSteps := dispatcherLoop(100)
+	if want := uint64(1 + (2+5*16+7)*100 + 1); dispatchSteps != want {
+		t.Errorf("dispatcher steps = %d, want %d", dispatchSteps, want)
 	}
 	for _, c := range []struct {
 		name  string
@@ -178,8 +173,8 @@ func TestEVMLoopStepAccounting(t *testing.T) {
 	}{
 		{"countdown/fast", evm.InterpFast, loop, loopSteps},
 		{"countdown/reference", evm.InterpReference, loop, loopSteps},
-		{"dispatcher/fast", evm.InterpFast, fused, fusedSteps},
-		{"dispatcher/reference", evm.InterpReference, fused, fusedSteps},
+		{"dispatcher/fast", evm.InterpFast, dispatch, dispatchSteps},
+		{"dispatcher/reference", evm.InterpReference, dispatch, dispatchSteps},
 	} {
 		if err := loopCall(c.mode, c.code, c.steps)(); err != nil {
 			t.Errorf("%s: call within %d steps failed: %v", c.name, c.steps, err)
@@ -194,8 +189,7 @@ func TestEVMLoopStepAccounting(t *testing.T) {
 // operation with the same seed report identical deterministic outputs — a
 // scan's counters on a concurrent engine under any scheduling, over the
 // chain itself and through the resilient client, and each loop's step
-// count and code size once it has run to its end. The subtests keep the
-// workload names earlier benchmark reports used.
+// count and code size once it has run to its end.
 func TestWorkloadCounterDeterminism(t *testing.T) {
 	scan := func(resilient bool) func() map[string]int64 {
 		return func() map[string]int64 {
@@ -224,7 +218,7 @@ func TestWorkloadCounterDeterminism(t *testing.T) {
 		{"pipeline_stream-resilient", scan(true)},
 		{"evm_interp-loop", loop(countdownLoop, evm.InterpFast)},
 		{"evm_interp-reference", loop(countdownLoop, evm.InterpReference)},
-		{"evm_interp-fused", loop(dispatcherLoop, evm.InterpFast)},
+		{"evm_interp-dispatcher", loop(dispatcherLoop, evm.InterpFast)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			a, b := c.run(), c.run()

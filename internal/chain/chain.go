@@ -93,7 +93,7 @@ func MainnetConfig() Config {
 // on the analysis hot path.
 type Chain struct {
 	// mu guards every field below except apiCalls. Transaction execution
-	// (Execute/Deploy/StaticCall) holds the write lock for the whole EVM run
+	// (Execute/Deploy) holds the write lock for the whole EVM run
 	// and hands the EVM an unlocked execState view to keep the lock
 	// non-reentrant code deadlock-free.
 	mu sync.RWMutex

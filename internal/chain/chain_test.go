@@ -192,23 +192,6 @@ func TestDeployViaInitCode(t *testing.T) {
 	}
 }
 
-func TestStaticCallDoesNotCommit(t *testing.T) {
-	c := chain.New()
-	addr := etypes.MustAddress("0x00000000000000000000000000000000000000c4")
-	c.InstallContract(addr, storeArgContract())
-	before := c.CurrentBlock()
-	rc := c.StaticCall(alice, addr, word(5), 0)
-	if rc.Status {
-		t.Error("static write should fail")
-	}
-	if c.CurrentBlock() != before {
-		t.Error("static call sealed a block")
-	}
-	if c.TxCount(addr) != 0 {
-		t.Error("static call counted as transaction")
-	}
-}
-
 func TestSelfDestructRemovesFromAliveSet(t *testing.T) {
 	var p asm.Program
 	p.PushBytes(bob[:]).Op(evm.SELFDESTRUCT)

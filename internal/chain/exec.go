@@ -126,28 +126,3 @@ func (c *Chain) Deploy(from etypes.Address, initCode []byte, gas uint64, value u
 		Block:           c.currentBlock(),
 	}
 }
-
-// StaticCall executes a read-only call at the chain head without sealing a
-// block, recording a transaction, or mutating state. It still takes the
-// write lock: a lenient EVM may journal transient effects that are reverted
-// before the call returns.
-func (c *Chain) StaticCall(from, to etypes.Address, input []byte, gas uint64) Receipt {
-	if gas == 0 {
-		gas = defaultTxGas
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := evm.New(execState{c}, evm.Config{
-		Block:   c.blockContext(),
-		Tx:      evm.TxContext{Origin: from},
-		Lenient: true,
-	})
-	res := e.StaticCall(from, to, input, gas)
-	return Receipt{
-		Status:  res.Err == nil,
-		Output:  res.Output,
-		GasUsed: gas - res.GasLeft,
-		Err:     res.Err,
-		Block:   c.currentBlock(),
-	}
-}

@@ -17,7 +17,7 @@ var (
 )
 
 // execState is the unlocked view of a Chain handed to the EVM by
-// Execute/Deploy/StaticCall, which hold the write lock for the whole run.
+// Execute/Deploy, which hold the write lock for the whole run.
 type execState struct{ c *Chain }
 
 // Exists reports whether an account record exists.

@@ -273,16 +273,3 @@ func MinimalProxyTarget(code []byte) (etypes.Address, bool) {
 	}
 	return etypes.BytesToAddress(code[len(minimalProxyPrefix) : len(minimalProxyPrefix)+20]), true
 }
-
-// HardcodedAddresses returns all 20-byte PUSH20 immediates in the code:
-// candidate hard-coded contract addresses (used to decide whether a
-// DELEGATECALL target came from code or from storage).
-func HardcodedAddresses(code []byte) []etypes.Address {
-	var out []etypes.Address
-	for _, ins := range Disassemble(code) {
-		if ins.Op == evm.PUSH20 {
-			out = append(out, etypes.BytesToAddress(ins.Imm(code)))
-		}
-	}
-	return out
-}

@@ -133,16 +133,6 @@ func TestMinimalProxyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHardcodedAddresses(t *testing.T) {
-	a := etypes.MustAddress("0x1111111111111111111111111111111111111111")
-	var p asm.Program
-	p.PushBytes(a[:]).Op(evm.POP).Op(evm.STOP)
-	got := disasm.HardcodedAddresses(p.MustAssemble())
-	if len(got) != 1 || got[0] != a {
-		t.Errorf("hardcoded = %v", got)
-	}
-}
-
 func TestBasicBlocks(t *testing.T) {
 	var p asm.Program
 	p.PushUint(1).JumpI("a"). // block 0: ends at JUMPI

@@ -37,7 +37,6 @@ func FuzzDisassemble(f *testing.F) {
 		checkScanners(t, code)
 		disasm.BasicBlocks(code)
 		disasm.MinimalProxyTarget(code)
-		disasm.HardcodedAddresses(code)
 		disasm.ContainsOp(code, evm.DELEGATECALL)
 	})
 }

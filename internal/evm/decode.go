@@ -13,59 +13,35 @@ import (
 // interpreter executes. One pass over the code bytes writes a []instr with
 // per-op stack requirements and constant gas copied from a per-opcode
 // template, PUSH immediates held in the instruction as a small word or an
-// index into a per-program side table of words, a pc → instruction-index
-// jump table replacing the lazy JUMPDEST map, and — for untraced runs —
-// fused superinstructions for the Solidity dispatcher idiom. Programs are
-// cached per code hash so landscape-scale probing decodes each distinct
-// bytecode once.
+// index into a per-program side table of words, and a pc → instruction-index
+// jump table replacing the lazy JUMPDEST map. Programs are cached per code
+// hash so landscape-scale probing decodes each distinct bytecode once.
 
 // Instruction kinds. Plain opcodes use uint16(op) directly (0x00–0xff);
-// pre-decoded and fused forms live above the opcode space so the run loop
-// switches on one dense integer.
+// pre-decoded forms live above the opcode space so the run loop switches
+// on one dense integer.
 const (
-	kindInvalid      uint16 = 0x100 + iota // undefined opcode or INVALID
-	kindPush                               // PUSH0..PUSH32, immediate materialized
-	kindDup                                // DUP1..DUP16
-	kindSwap                               // SWAP1..SWAP16
-	kindLog                                // LOG0..LOG4
-	kindPushJump                           // PUSHn dest; JUMP
-	kindPushJumpI                          // PUSHn dest; JUMPI
-	kindDispatch                           // PUSH4 sel; EQ; PUSHn dest; JUMPI
-	kindDupPushJumpI                       // DUPn; PUSHn dest; JUMPI
-	kindSwapPop                            // SWAPn; POP
+	kindInvalid uint16 = 0x100 + iota // undefined opcode or INVALID
+	kindPush                          // PUSH0..PUSH32, immediate materialized
+	kindDup                           // DUP1..DUP16
+	kindSwap                          // SWAP1..SWAP16
+	kindLog                           // LOG0..LOG4
 )
 
-// fusedKindBase is the first fused-superinstruction kind; every kind at or
-// above it folds multiple source instructions into one dispatch.
-const fusedKindBase = kindPushJump
-
-// instr is one pre-decoded instruction, 32 bytes. For fused kinds the stack
-// and gas fields hold the folded requirements of the whole component
-// sequence: need is the minimum entry depth at which no component
-// underflows, and peak is the worst-case depth delta such that entry depth
-// + peak never exceeds stackLimit mid-sequence. Both are exact (derived per
-// component against the running net stack delta), so the fast
-// preconditions accept iff every component would pass the reference loop's
-// per-op checks.
+// instr is one pre-decoded instruction, 24 bytes: one source instruction,
+// so a tracer sees every step at its original pc.
 type instr struct {
-	// imm is, for kindPush, kindPushJump and kindPushJumpI, the pushed word
-	// in the form program.word reads: the word itself when it is a small
-	// word, else len(smallWords) + its index in program.words. For
-	// kindDispatch and kindDupPushJumpI it is the dest PUSH's value, which
-	// fits a uint64 by construction: the jump-target pc the fallback replay
-	// re-pushes.
-	imm    uint64
-	sel    uint32 // the PUSH4 selector of kindDispatch
-	dest   int32  // resolved jump-target instruction index; -1 = invalid
-	pc     uint32 // source pc of the first component opcode
-	kind   uint16
-	gas    uint16 // folded constant gas (dynamic parts charged in the body)
-	need   uint16 // minimum stack depth required on entry
-	peak   int16  // overflow check: fail if depth+peak > stackLimit
-	op     Op     // first component opcode (tracing, fallback replay)
-	destOp Op     // dest PUSH opcode of a fused sequence (fallback replay)
-	n      uint8  // dup/swap distance, log topic count, or push width
-	steps  uint8  // source instructions folded into this instr
+	// imm is, for kindPush, the pushed word in the form program.word
+	// reads: the word itself when it is a small word, else
+	// len(smallWords) + its index in program.words.
+	imm  uint64
+	pc   uint32 // source pc
+	kind uint16
+	gas  uint16 // constant gas (dynamic parts charged in the body)
+	need uint16 // minimum stack depth required on entry
+	peak int16  // overflow check: fail if depth+peak > stackLimit
+	op   Op     // source opcode
+	n    uint8  // dup/swap distance, log topic count, or push width
 }
 
 // program is a decoded bytecode ready for the fast loop. It is held by
@@ -82,7 +58,6 @@ type program struct {
 	// and anything else to 0, so the table needs no fill.
 	jumpIdx []int32
 	codeLen uint64
-	fused   bool
 }
 
 // jumpTo resolves a dynamic jump destination to an instruction index,
@@ -109,8 +84,8 @@ var smallWords = func() (t [256]u256.Int) {
 	return t
 }()
 
-// word returns where the word instr.imm of kindPush, kindPushJump or
-// kindPushJumpI stands for is held, for the caller to copy.
+// word returns where the word instr.imm of kindPush stands for is held,
+// for the caller to copy.
 func (p *program) word(imm uint64) *u256.Int {
 	if imm < uint64(len(smallWords)) {
 		return &smallWords[imm]
@@ -126,7 +101,7 @@ func isPushLike(op Op) bool { return op == PUSH0 || op.IsPush() }
 var opTemplate = func() (t [256]instr) {
 	for i := range t {
 		op := Op(i)
-		in := instr{op: op, steps: 1, dest: -1}
+		in := instr{op: op}
 		switch {
 		case !op.Defined() || op == INVALID:
 			in.kind = kindInvalid
@@ -156,31 +131,17 @@ var opTemplate = func() (t [256]instr) {
 	return t
 }()
 
-// decode pre-decodes code into a program. When fuse is set, superinstructions
-// are matched as the pass goes; traced executions use unfused programs so
-// tracers observe every source instruction at its original pc.
-func decode(code []byte, fuse bool) program {
+// decode pre-decodes code into a program.
+func decode(code []byte) program {
 	p := program{
-		// Exact unfused; fusion only shortens the stream.
 		instrs:  make([]instr, 0, InstrCount(code)),
 		jumpIdx: make([]int32, len(code)),
 		codeLen: uint64(len(code)),
-		fused:   fuse,
 	}
 
-	// One pass over the code. Fused components other than the first are
-	// never JUMPDESTs (JUMPDEST is never a component), so no jump can land
-	// mid-sequence.
 	words := 0
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
-		if fuse {
-			if in, next, ok := fuseAt(code, pc, &words); ok {
-				p.instrs = append(p.instrs, in)
-				pc = next
-				continue
-			}
-		}
 		in := opTemplate[op]
 		in.pc = uint32(pc)
 		if op.IsPush() {
@@ -193,24 +154,13 @@ func decode(code []byte, fuse bool) program {
 	}
 
 	// One pass over the instructions: store the words counted, at their
-	// final size, and resolve the constant jump targets of fused
-	// instructions now that the JUMPDEST index is complete.
+	// final size.
 	if words > 0 {
 		p.words = make([]u256.Int, 0, words)
-	}
-	for i := range p.instrs {
-		in := &p.instrs[i]
-		switch in.kind {
-		case kindPush, kindPushJump, kindPushJumpI:
-			// The first component is the PUSH whose word imm stands for.
-			if in.imm >= uint64(len(smallWords)) {
+		for i := range p.instrs {
+			if in := &p.instrs[i]; in.kind == kindPush && in.imm >= uint64(len(smallWords)) {
 				p.words = append(p.words, pushWord(code, int(in.pc), in.op))
 			}
-			if in.kind != kindPush {
-				in.dest = p.jumpTo(*p.word(in.imm))
-			}
-		case kindDispatch, kindDupPushJumpI:
-			in.dest = p.jumpTo(u256.FromUint64(in.imm))
 		}
 	}
 	return p
@@ -255,126 +205,6 @@ func pushWord(code []byte, pc int, op Op) u256.Int {
 	return u256.FromBytes32(buf)
 }
 
-// destImm returns the value of the PUSH-like op at pc when it fits a
-// uint64 — the condition for a dispatch or dup dest the fallback replay
-// re-pushes from instr.imm.
-func destImm(code []byte, pc int, op Op) (uint64, bool) {
-	w := pushWord(code, pc, op)
-	return w.Uint64(), w.IsUint64()
-}
-
-// fuseAt matches a superinstruction starting at pc and returns it with the
-// pc after its last component. Longer patterns are matched first. The dest
-// PUSH of dispatch/dup patterns must fit uint64 so the fallback replay can
-// re-push it; wider immediates (never valid jump targets anyway) simply
-// decline fusion. Reading ops past a PUSH cut short by the end of code
-// finds none, as that PUSH is the last instruction. words counts as in
-// pushImm.
-func fuseAt(code []byte, pc int, words *int) (instr, int, bool) {
-	op0 := Op(code[pc])
-	if !isPushLike(op0) && !op0.IsDup() && !op0.IsSwap() {
-		return instr{}, 0, false
-	}
-	pc1 := pc + 1 + op0.PushSize()
-	if pc1 >= len(code) {
-		return instr{}, 0, false
-	}
-	op1 := Op(code[pc1])
-	pc2 := pc1 + 1 + op1.PushSize()
-	opAt := func(pc int) Op {
-		if pc < len(code) {
-			return Op(code[pc])
-		}
-		return STOP // never a component a pattern asks for
-	}
-
-	switch {
-	case op0.IsSwap():
-		// SWAPn; POP — the discard-below-top idiom stack schedulers emit.
-		if op1 != POP {
-			return instr{}, 0, false
-		}
-		in := fold(kindSwapPop, pc, op0, POP)
-		in.n = uint8(op0-SWAP1) + 1
-		return in, pc2, true
-
-	case op0.IsDup():
-		// DUPn; PUSHn dest; JUMPI — the duplicated-condition branch.
-		if !isPushLike(op1) || opAt(pc2) != JUMPI {
-			return instr{}, 0, false
-		}
-		dest, ok := destImm(code, pc1, op1)
-		if !ok {
-			return instr{}, 0, false
-		}
-		in := fold(kindDupPushJumpI, pc, op0, op1, JUMPI)
-		in.n = uint8(op0-DUP1) + 1
-		in.destOp, in.imm = op1, dest
-		return in, pc2 + 1, true
-	}
-
-	// PUSH4 sel; EQ; PUSHn dest; JUMPI — the Solidity selector dispatcher.
-	if op0 == PUSH4 && op1 == EQ && pc2 < len(code) {
-		op2 := Op(code[pc2])
-		pc3 := pc2 + 1 + op2.PushSize()
-		if isPushLike(op2) && opAt(pc3) == JUMPI {
-			if dest, ok := destImm(code, pc2, op2); ok {
-				in := fold(kindDispatch, pc, PUSH4, EQ, op2, JUMPI)
-				in.sel = uint32(narrowImm(code, pc, 4))
-				in.destOp, in.imm = op2, dest
-				return in, pc3 + 1, true
-			}
-		}
-	}
-	// PUSHn dest; JUMP / JUMPI — the static branch.
-	var kind uint16
-	switch op1 {
-	case JUMP:
-		kind = kindPushJump
-	case JUMPI:
-		kind = kindPushJumpI
-	default:
-		return instr{}, 0, false
-	}
-	in := fold(kind, pc, op0, op1)
-	in.imm = pushImm(code, pc, op0, words)
-	return in, pc2, true
-}
-
-// fold builds the fused instr of the given kind from its component opcodes.
-// need/peak are computed exactly from the components' templates: tracking
-// the net stack delta before each component, need = max(pops_i - net_i)
-// and peak = max(net_i + pushes_i - pops_i), which reproduces the reference
-// loop's underflow and overflow checks at every component for every entry
-// depth.
-func fold(kind uint16, pc int, ops ...Op) instr {
-	net, need, peak, gas := 0, 0, -len(ops), 0
-	for _, op := range ops {
-		t := &opTemplate[op]
-		need = max(need, int(t.need)-net)
-		peak = max(peak, net+int(t.peak))
-		net += int(t.peak)
-		gas += int(t.gas)
-	}
-	return instr{
-		kind:  kind,
-		pc:    uint32(pc),
-		op:    ops[0],
-		steps: uint8(len(ops)),
-		dest:  -1,
-		need:  uint16(need),
-		peak:  int16(peak),
-		gas:   uint16(gas),
-	}
-}
-
-// progKey identifies a cached program: the code hash plus whether the
-// fusion pass ran (traced executions need unfused programs).
-type progKey struct {
-	hash  etypes.Hash
-	fused bool
-}
-
 // progCacheCap bounds the global decode cache. At ~2k distinct bytecodes
 // per generated landscape shard this comfortably holds a working set; past
 // it the least recently used program goes (the cache is a pure
@@ -384,7 +214,7 @@ const progCacheCap = 4096
 // progCacheState is one generation of the decode cache; ResetDecodeCache
 // swaps in a fresh one, counters included.
 type progCacheState struct {
-	programs     *lru.Cache[progKey, program]
+	programs     *lru.Cache[etypes.Hash, program]
 	hits, misses atomic.Uint64
 }
 
@@ -396,24 +226,23 @@ func init() { ResetDecodeCache() }
 // empty code has the empty program. A zero hash (a StateDB that does not
 // track code hashes, or init code that has no account yet) skips the cache
 // entirely.
-func programFor(hash etypes.Hash, code []byte, fused bool) program {
+func programFor(hash etypes.Hash, code []byte) program {
 	if len(code) == 0 {
 		return program{}
 	}
 	if hash == (etypes.Hash{}) {
-		return decode(code, fused)
+		return decode(code)
 	}
 	c := progCache.Load()
-	key := progKey{hash: hash, fused: fused}
-	if p, ok := c.programs.Get(key); ok && p.codeLen == uint64(len(code)) {
+	if p, ok := c.programs.Get(hash); ok && p.codeLen == uint64(len(code)) {
 		c.hits.Add(1)
 		return p
 	}
 	c.misses.Add(1)
 	// Decode outside the cache's lock; a concurrent decode of the same
 	// code that was added first stays, and either program serves.
-	p := decode(code, fused)
-	c.programs.Add(key, p)
+	p := decode(code)
+	c.programs.Add(hash, p)
 	return p
 }
 
@@ -425,5 +254,5 @@ func DecodeCacheStats() (hits, misses uint64, entries int) {
 
 // ResetDecodeCache empties the global program cache (tests, ablations).
 func ResetDecodeCache() {
-	progCache.Store(&progCacheState{programs: lru.New[progKey, program](progCacheCap)})
+	progCache.Store(&progCacheState{programs: lru.New[etypes.Hash, program](progCacheCap)})
 }

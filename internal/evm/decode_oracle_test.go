@@ -9,10 +9,11 @@ import (
 )
 
 // decodeEdgeShapes are the byte shapes where the compact decoder's
-// immediate encoding and single-pass fusion could part from the two-pass
-// reference: pushes cut short by the end of code on either side of the
-// 8-byte inline read, values either side of the small words, PUSH0, JUMPDEST bytes inside push data, dispatcher
-// and dup dests at and past 2^32 and past 2^64, and PUSH9+ static jumps.
+// immediate encoding could part from the two-pass reference: pushes cut
+// short by the end of code on either side of the 8-byte inline read,
+// values either side of the small words, PUSH0, JUMPDEST bytes inside push
+// data, dispatcher and dup dests at and past 2^32 and past 2^64, and PUSH9+
+// static jumps.
 func decodeEdgeShapes() map[string][]byte {
 	const (
 		push0, push1, push2, push4, push5 = 0x5f, 0x60, 0x61, 0x63, 0x64
@@ -58,9 +59,8 @@ func decodeEdgeShapes() map[string][]byte {
 }
 
 // TestDecodeMatchesReference holds the single-pass decoder to the frozen
-// two-pass one, instruction for instruction, fused and unfused, over the
-// gen taxonomy, a dataset landscape and the edge shapes. The compact form
-// declines no fusion the reference makes.
+// two-pass one, instruction for instruction, over the gen taxonomy, a
+// dataset landscape and the edge shapes.
 func TestDecodeMatchesReference(t *testing.T) {
 	check := func(name string, code []byte) {
 		t.Helper()

@@ -29,8 +29,7 @@ type InterpMode uint8
 
 const (
 	// InterpFast is the default: pre-decoded instruction streams cached
-	// per code hash, fused superinstructions on untraced runs, and pooled
-	// frames (see decode.go / interp_fast.go).
+	// per code hash and pooled frames (see decode.go / interp_fast.go).
 	InterpFast InterpMode = iota
 	// InterpReference selects the original byte-at-a-time loop — the
 	// ablation baseline the parity harness (internal/evm/parity) holds
@@ -252,9 +251,7 @@ func (e *EVM) call(kind CallKind, initiator, caller, self, codeAddr etypes.Addre
 
 // runFrame dispatches a frame to the configured interpreter. The fast loop
 // executes a pre-decoded program, fetched from the per-code-hash cache for
-// deployed code (codeAddr set) and decoded fresh for init code; traced runs
-// use unfused programs so tracers observe every source instruction at its
-// original pc.
+// deployed code (codeAddr set) and decoded fresh for init code.
 func (e *EVM) runFrame(f *Frame, codeAddr etypes.Address) ([]byte, error) {
 	if e.cfg.Interp == InterpReference {
 		return e.runReference(f)
@@ -264,7 +261,7 @@ func (e *EVM) runFrame(f *Frame, codeAddr etypes.Address) ([]byte, error) {
 		if codeAddr != (etypes.Address{}) {
 			hash = e.state.GetCodeHash(codeAddr)
 		}
-		f.prog = programFor(hash, f.code, e.cfg.Tracer == nil)
+		f.prog = programFor(hash, f.code)
 	}
 	return e.runFast(f)
 }

@@ -10,10 +10,10 @@ import (
 // runReference exactly — same error ordering (step limit, step count,
 // defined check, stack depth, constant gas, tracer capture, body), same
 // gas model, same state effects — but dispatches on the dense pre-decoded
-// kind, reads PUSH immediates already decoded into the program, resolves
-// jumps through the program's index table, and (untraced) executes fused
-// superinstructions. The parity harness in internal/evm/parity holds the
-// two loops in lockstep to prove the equivalence rather than assume it.
+// kind, reads PUSH immediates already decoded into the program, and
+// resolves jumps through the program's index table. The parity harness in
+// internal/evm/parity holds the two loops in lockstep to prove the
+// equivalence rather than assume it.
 func (e *EVM) runFast(f *Frame) ([]byte, error) {
 	prog := &f.prog
 	ins := prog.instrs // empty for code-less accounts: the call succeeds with no output
@@ -23,15 +23,6 @@ func (e *EVM) runFast(f *Frame) ([]byte, error) {
 
 	for ip := 0; ip < len(ins); {
 		in := &ins[ip]
-
-		if in.kind >= fusedKindBase {
-			nip, err := e.stepFused(f, prog, in, ip)
-			if err != nil {
-				return nil, err
-			}
-			ip = nip
-			continue
-		}
 
 		if e.steps >= limit {
 			return nil, ErrStepLimit
@@ -364,164 +355,4 @@ func (e *EVM) runFast(f *Frame) ([]byte, error) {
 	}
 	// Running off the end of code halts like STOP.
 	return nil, nil
-}
-
-// stepFused executes one fused superinstruction and returns the next
-// instruction index. The fast precondition checks the folded step, stack,
-// and gas requirements in one shot; exactness of need/peak (see fuseInstr)
-// means the precondition fails only when some component would fail its
-// reference-loop check — in which case fusedSlow replays the components
-// one by one, reproducing the exact error at the exact step with the exact
-// partial charges applied.
-func (e *EVM) stepFused(f *Frame, prog *program, in *instr, ip int) (int, error) {
-	st := &f.stack
-	k := uint64(in.steps)
-	if e.steps+k > e.cfg.StepLimit || st.n < int(in.need) ||
-		st.n+int(in.peak) > stackLimit || f.gas < uint64(in.gas) {
-		return e.fusedSlow(f, prog, in, ip)
-	}
-	e.steps += k
-	f.gas -= uint64(in.gas)
-
-	switch in.kind {
-	case kindPushJump:
-		if in.dest < 0 {
-			return 0, ErrInvalidJump
-		}
-		return int(in.dest), nil
-
-	case kindPushJumpI:
-		cond := st.Pop()
-		if cond.IsZero() {
-			return ip + 1, nil
-		}
-		if in.dest < 0 {
-			return 0, ErrInvalidJump
-		}
-		return int(in.dest), nil
-
-	case kindDispatch:
-		// Popped in place: a u256 popped by value is copied again for each
-		// limb test.
-		st.n--
-		if x := &st.data[st.n]; !x.IsUint64() || x.Uint64() != uint64(in.sel) {
-			return ip + 1, nil
-		}
-		if in.dest < 0 {
-			return 0, ErrInvalidJump
-		}
-		return int(in.dest), nil
-
-	case kindDupPushJumpI:
-		// DUPn; PUSH dest; JUMPI nets to zero: the duplicated condition
-		// and the pushed dest are both consumed by JUMPI.
-		cond := st.Peek(int(in.n) - 1)
-		if cond.IsZero() {
-			return ip + 1, nil
-		}
-		if in.dest < 0 {
-			return 0, ErrInvalidJump
-		}
-		return int(in.dest), nil
-
-	case kindSwapPop:
-		// SWAPn; POP: the word n below the top is replaced by the old top.
-		top := st.n - 1
-		st.data[top-int(in.n)] = st.data[top]
-		st.n--
-		return ip + 1, nil
-	}
-	return 0, ErrInvalidOpcode // unreachable: all fused kinds handled
-}
-
-// fusedSlow replays a fused superinstruction component by component with
-// the reference loop's full per-op discipline. It runs only when the fast
-// precondition fails, so some component is about to fail — but which one,
-// and with how much state consumed first, must match the reference loop
-// exactly; executing the components for real (not just re-checking) keeps
-// this correct even for sequences that partially succeed.
-func (e *EVM) fusedSlow(f *Frame, prog *program, in *instr, ip int) (int, error) {
-	var ops [4]Op
-	var imms [4]u256.Int
-	n := fusedComponents(prog, in, &ops, &imms)
-
-	st := &f.stack
-	for i := 0; i < n; i++ {
-		op := ops[i]
-		if e.steps >= e.cfg.StepLimit {
-			return 0, ErrStepLimit
-		}
-		e.steps++
-		pops, pushes := stackReq(op)
-		if st.n < pops {
-			return 0, ErrStackUnderflow
-		}
-		if st.n-pops+pushes > stackLimit {
-			return 0, ErrStackOverflow
-		}
-		if err := f.chargeGas(constGas(op)); err != nil {
-			return 0, err
-		}
-		switch {
-		case isPushLike(op):
-			st.Push(imms[i])
-		case op.IsDup():
-			st.dup(int(op-DUP1) + 1)
-		case op.IsSwap():
-			st.swap(int(op-SWAP1) + 1)
-		case op == POP:
-			st.Pop()
-		case op == EQ:
-			a, b := st.Pop(), st.Pop()
-			st.Push(boolWord(a.Eq(b)))
-		case op == JUMP:
-			dest := st.Pop()
-			nip := prog.jumpTo(dest)
-			if nip < 0 {
-				return 0, ErrInvalidJump
-			}
-			return int(nip), nil
-		case op == JUMPI:
-			dest, cond := st.Pop(), st.Pop()
-			if !cond.IsZero() {
-				nip := prog.jumpTo(dest)
-				if nip < 0 {
-					return 0, ErrInvalidJump
-				}
-				return int(nip), nil
-			}
-		}
-	}
-	return ip + 1, nil
-}
-
-// fusedComponents expands a fused instr back into its source opcodes and
-// push immediates for exact replay.
-func fusedComponents(prog *program, in *instr, ops *[4]Op, imms *[4]u256.Int) int {
-	switch in.kind {
-	case kindPushJump:
-		ops[0], imms[0] = in.op, *prog.word(in.imm)
-		ops[1] = JUMP
-		return 2
-	case kindPushJumpI:
-		ops[0], imms[0] = in.op, *prog.word(in.imm)
-		ops[1] = JUMPI
-		return 2
-	case kindDispatch:
-		ops[0], imms[0] = in.op, u256.FromUint64(uint64(in.sel))
-		ops[1] = EQ
-		ops[2], imms[2] = in.destOp, u256.FromUint64(in.imm)
-		ops[3] = JUMPI
-		return 4
-	case kindDupPushJumpI:
-		ops[0] = in.op
-		ops[1], imms[1] = in.destOp, u256.FromUint64(in.imm)
-		ops[2] = JUMPI
-		return 3
-	case kindSwapPop:
-		ops[0] = in.op
-		ops[1] = POP
-		return 2
-	}
-	return 0
 }

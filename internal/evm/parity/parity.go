@@ -4,8 +4,7 @@
 // It executes the same call against the same state under each interpreter
 // and compares every observable — per-step structlog traces, the call
 // tree, outputs, errors, remaining gas, and the exact sequence of state
-// mutations. A third run exercises the fused (untraced) fast path, whose
-// superinstructions are invisible to tracers by design, against the
+// mutations. A third run holds the fast path without a tracer to the
 // reference outcome. CheckHalt does the same for a run its tracer cuts
 // short (evm.Halter). The oracle layer (gen/oracle.CheckInterpParity) and
 // FuzzInterpParity / FuzzHaltParity drive this over the generator taxonomy
@@ -131,15 +130,15 @@ func (h *haltingLogger) Halt() bool { return len(h.Calls()) >= h.haltAt }
 
 // Check runs spec under both interpreters and returns every divergence.
 // Three runs: reference traced, fast traced (compared step-by-step against
-// the reference trace), and fast untraced — the production configuration,
-// where fusion is active — compared on outcome and state mutations.
+// the reference trace), and fast untraced, compared on outcome and state
+// mutations.
 func Check(state evm.StateDB, spec Spec) []Mismatch {
 	ref := Run(state, spec, evm.InterpReference, true)
 	fast := Run(state, spec, evm.InterpFast, true)
 	ms := DiffLockstep("fast-traced", ref, fast)
 
-	fused := Run(state, spec, evm.InterpFast, false)
-	ms = append(ms, DiffOutcome("fast-fused", ref, fused)...)
+	untraced := Run(state, spec, evm.InterpFast, false)
+	ms = append(ms, DiffOutcome("fast-untraced", ref, untraced)...)
 	return ms
 }
 

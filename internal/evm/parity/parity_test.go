@@ -38,8 +38,7 @@ func checkCode(t *testing.T, code, input []byte, gas uint64) {
 }
 
 // dispatcherCode assembles a Solidity-style selector dispatcher: N
-// PUSH4/EQ/JUMPI arms, each arm returning its index. This is exactly the
-// idiom the kindDispatch superinstruction fuses.
+// PUSH4/EQ/JUMPI arms, each arm returning its index.
 func dispatcherCode(arms int) []byte {
 	p := (&asm.Program{})
 	p.PushUint(0).Op(evm.CALLDATALOAD).PushUint(224).Op(evm.SHR)
@@ -73,8 +72,10 @@ func TestParityDispatcher(t *testing.T) {
 	checkCode(t, code, nil, 1_000_000)                // empty calldata
 }
 
-// TestParityFusedIdioms covers each superinstruction shape individually.
-func TestParityFusedIdioms(t *testing.T) {
+// TestParityIdioms covers the control-flow idioms compilers emit —
+// static jumps, dispatcher and duplicated-condition branches, discard
+// below the top — one at a time, plus the degenerate codes.
+func TestParityIdioms(t *testing.T) {
 	cases := map[string][]byte{
 		// PUSH dest; JUMP
 		"push-jump": (&asm.Program{}).
@@ -106,7 +107,7 @@ func TestParityFusedIdioms(t *testing.T) {
 			PushUint(10).PushUint(20).Op(evm.SWAP1, evm.POP).
 			PushUint(0).Op(evm.MSTORE).PushUint(32).PushUint(0).Op(evm.RETURN).
 			MustAssemble(),
-		// Jump to a non-JUMPDEST: fused PUSH/JUMP with invalid dest
+		// Jump to a non-JUMPDEST: PUSH/JUMP with an invalid dest
 		"push-jump-invalid": (&asm.Program{}).
 			PushUint(1).Op(evm.JUMP).Op(evm.STOP).
 			MustAssemble(),
@@ -134,12 +135,12 @@ func TestParityFusedIdioms(t *testing.T) {
 	}
 }
 
-// TestParityFusedFallback forces the fused fast-precondition to fail so
-// fusedSlow replays components: exhausted gas mid-sequence, the step limit
-// landing inside a fused pair, and stack underflow at the JUMPI component.
-func TestParityFusedFallback(t *testing.T) {
+// TestParityIdiomBoundaries fails an idiom part-way through: exhausted gas
+// at every instruction of a dispatcher arm, the step limit landing on
+// every instruction of a loop body, and stack underflow at a JUMPI.
+func TestParityIdiomBoundaries(t *testing.T) {
 	// Gas runs out inside the dispatcher sequence for low budgets; sweep
-	// budgets so every component boundary is hit.
+	// budgets so every instruction boundary is hit.
 	code := dispatcherCode(4)
 	for gas := uint64(0); gas < 120; gas++ {
 		checkCode(t, code, selector(2), gas)
@@ -151,7 +152,7 @@ func TestParityFusedFallback(t *testing.T) {
 		MustAssemble()
 	checkCode(t, underflow, nil, 100_000)
 
-	// Step limits landing on every component of a fused loop body.
+	// Step limits landing on every instruction of a loop body.
 	loop := (&asm.Program{}).
 		Label("top").PushUint(1).Op(evm.POP).Jump("top").
 		MustAssemble()
@@ -171,7 +172,7 @@ func TestParityFusedFallback(t *testing.T) {
 }
 
 // TestParityStackDepthBoundary drives the stack to exactly the 1024 limit
-// so the folded overflow checks are exercised at the boundary.
+// so the overflow check is exercised at the boundary.
 func TestParityStackDepthBoundary(t *testing.T) {
 	deep := (&asm.Program{})
 	for i := 0; i < 1023; i++ {

@@ -110,13 +110,6 @@ func (s Shape) IsProxy() bool {
 	return false
 }
 
-// EmulationDetectable is the verdict the Section 4 emulation pipeline is
-// *expected* to reach: every proxy shape except diamonds, whose facet
-// lookup rejects the crafted selector before any DELEGATECALL runs.
-func (s Shape) EmulationDetectable() bool {
-	return s.IsProxy() && s != ShapeDiamond
-}
-
 // Label is the ground truth for one generated contract, fixed by
 // construction at generation time.
 type Label struct {

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/gen"
 	"repro/internal/static"
@@ -32,11 +31,8 @@ import (
 //   - dispatcher-only and plain logic: no delegates at all.
 //
 // For compiled contracts the recovered selector table must equal the
-// source-level function list — the abstract dispatcher walk may not
-// invent selectors (decoy constants) or lose any. For every contract it
-// must also equal the dispatcher byte pattern's table
-// (disasm.DispatcherSelectors), the one collision detection reads: the
-// two extractors serve one selector table between them.
+// source-level function list — the dispatcher pattern may not invent
+// selectors (decoy constants) or lose any.
 func CheckStaticParity(c *gen.Corpus) []Mismatch {
 	var out []Mismatch
 	for _, l := range c.Labels {
@@ -133,17 +129,13 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 		}
 	}
 
-	// Selector-table parity for every compiled contract: the abstract
-	// dispatcher walk must recover exactly the source-level function set —
-	// no decoy constants, no lost functions.
-	got := selectorKey(sum.Selectors)
+	// Selector-table parity for every compiled contract: the dispatcher
+	// pattern must recover exactly the source-level function set — no
+	// decoy constants, no lost functions.
 	if l.Source != nil {
-		if want := selectorKey(l.Source.Selectors()); got != want {
+		if got, want := selectorKey(sum.Selectors), selectorKey(l.Source.Selectors()); got != want {
 			bad("selector table [%s], source declares [%s]", got, want)
 		}
-	}
-	if pattern := selectorKey(disasm.DispatcherSelectors(l.Code)); got != pattern {
-		bad("selector table [%s], dispatcher pattern reads [%s]", got, pattern)
 	}
 	return out
 }

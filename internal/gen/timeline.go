@@ -101,17 +101,6 @@ func (p *TimelineProxy) LogicAt(b uint64) etypes.Address {
 	return out
 }
 
-// CollidesAt reports the ground-truth collision state as of block b.
-func (p *TimelineProxy) CollidesAt(b uint64) bool {
-	out := false
-	for _, s := range p.Steps {
-		if s.Block <= b {
-			out = s.Collides
-		}
-	}
-	return out
-}
-
 // TimelineEvent is one block's happening, across all proxies in order.
 type TimelineEvent struct {
 	Block uint64

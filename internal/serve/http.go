@@ -137,7 +137,8 @@ type StaticDelegateJSON struct {
 }
 
 // StaticReport is the /v1/static payload: the emulation-free static
-// profile of one contract's runtime bytecode.
+// profile of one contract's runtime bytecode. Selectors is the
+// dispatcher's table, the one collision detection reads.
 type StaticReport struct {
 	Address         string               `json:"address"`
 	CodeHash        string               `json:"code_hash"`

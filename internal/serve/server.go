@@ -33,6 +33,9 @@ import (
 	"repro/internal/store"
 )
 
+// resultCacheSize bounds the analyzed-item LRU, in addresses.
+const resultCacheSize = 4096
+
 // Config assembles a Server. Reader is required; everything else has
 // serviceable defaults.
 type Config struct {
@@ -55,9 +58,6 @@ type Config struct {
 	// CacheCapacity bounds the detector's per-bytecode caches (see
 	// proxion.AnalyzeOptions).
 	CacheCapacity int
-	// ResultCacheSize bounds the analyzed-item LRU (default 4096
-	// addresses).
-	ResultCacheSize int
 	// WithHistory enables the logic-history step of every analysis.
 	WithHistory bool
 }
@@ -134,15 +134,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ResultCacheSize <= 0 {
-		cfg.ResultCacheSize = 4096
-	}
 	s := &Server{
 		cfg:      cfg,
 		detector: proxion.NewDetector(cfg.Reader),
 		slots:    make(chan struct{}, cfg.Shards),
 		flight:   make(map[etypes.Address]*call),
-		results:  lru.New[etypes.Address, proxion.Item](cfg.ResultCacheSize),
+		results:  lru.New[etypes.Address, proxion.Item](resultCacheSize),
 		summary:  proxion.NewSummaryBuilder(),
 	}
 	s.opts = proxion.AnalyzeOptions{

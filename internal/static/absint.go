@@ -50,10 +50,6 @@ type absValue struct {
 	slot       etypes.Hash
 	slotKnown  bool
 	slotKeccak bool
-	// sel is the 4-byte selector when a kindCmp value came from an
-	// EQ(PUSH4-const, calldata) dispatcher comparison.
-	sel   [4]byte
-	selOK bool
 }
 
 func unknownVal(tainted bool) absValue {
@@ -213,7 +209,6 @@ type analysis struct {
 	succs [2]succ
 	steps int
 
-	selectors     map[[4]byte]struct{}
 	slotReads     map[etypes.Hash]struct{}
 	slotWrites    map[etypes.Hash]struct{}
 	keccakReadPC  map[uint64]struct{}
@@ -233,7 +228,6 @@ func newAnalysis(code []byte, blocks []disasm.BasicBlock) *analysis {
 		flow:          make([]blockFlow, len(blocks)),
 		reachable:     make([]bool, len(blocks)),
 		steps:         maxSteps,
-		selectors:     make(map[[4]byte]struct{}),
 		slotReads:     make(map[etypes.Hash]struct{}),
 		slotWrites:    make(map[etypes.Hash]struct{}),
 		keccakReadPC:  make(map[uint64]struct{}),
@@ -560,9 +554,10 @@ func (a *analysis) andOp(st *absState) {
 	st.push(unknownVal(taint))
 }
 
-// shiftOp handles SHR/SHL/DIV: constant folding plus the dispatcher idiom
-// `CALLDATALOAD ... SHR` (and the legacy `DIV 2^224` form) which keeps the
-// calldata classification so selector comparisons are recognized.
+// shiftOp handles SHR/SHL/DIV: constant folding, and a shifted call-data
+// value (the dispatcher's `CALLDATALOAD ... SHR`, or the legacy
+// `DIV 2^224`) keeps its calldata classification for the DELEGATECALL
+// provenance.
 func (a *analysis) shiftOp(st *absState, op evm.Op) {
 	x, y := st.pop(), st.pop()
 	taint := x.tainted || y.tainted
@@ -595,29 +590,7 @@ func (a *analysis) cmpOp(st *absState, op evm.Op) {
 		st.push(out)
 		return
 	}
-	out := absValue{kind: kindCmp, tainted: taint}
-	if op == evm.EQ {
-		// The dispatcher idiom: a 4-byte immediate compared against a
-		// calldata-derived value is a function-selector table entry.
-		if sel, ok := selectorOperand(x, y); ok {
-			out.sel = sel
-			out.selOK = true
-			a.selectors[sel] = struct{}{}
-		}
-	}
-	st.push(out)
-}
-
-func selectorOperand(x, y absValue) ([4]byte, bool) {
-	c, d := x, y
-	if d.kind == kindConst {
-		c, d = d, c
-	}
-	if c.kind != kindConst || c.width != 4 || d.kind != kindCalldata {
-		return [4]byte{}, false
-	}
-	b := c.val.Bytes32()
-	return [4]byte{b[28], b[29], b[30], b[31]}, true
+	st.push(absValue{kind: kindCmp, tainted: taint})
 }
 
 func (a *analysis) sloadOp(st *absState, pc uint64) {
@@ -817,15 +790,10 @@ func (a *analysis) summary(codeHash, fingerprint etypes.Hash) *Summary {
 			s.ReachableBlocks++
 		}
 	}
-	if len(a.selectors) > 0 {
-		s.Selectors = make([][4]byte, 0, len(a.selectors))
-		for sel := range a.selectors {
-			s.Selectors = append(s.Selectors, sel)
-		}
-		sort.Slice(s.Selectors, func(i, j int) bool {
-			return compareBytes(s.Selectors[i][:], s.Selectors[j][:]) < 0
-		})
-	}
+	s.Selectors = disasm.DispatcherSelectors(a.code)
+	sort.Slice(s.Selectors, func(i, j int) bool {
+		return compareBytes(s.Selectors[i][:], s.Selectors[j][:]) < 0
+	})
 	if len(a.delegates) > 0 {
 		s.Delegates = make([]DelegateCall, 0, len(a.delegates))
 		for _, dc := range a.delegates {

@@ -1,9 +1,10 @@
 // Package static implements a purely static analysis layer over EVM runtime
 // bytecode: a control-flow graph recovered from `internal/disasm` basic
-// blocks, a bounded abstract-stack dataflow that extracts the function
-// selector table, the storage slots read and written (constant-slot and
-// keccak-derived classes), and the provenance of every DELEGATECALL target
-// (slot-loaded vs hardcoded vs calldata-derived), and a structural
+// blocks, a bounded abstract-stack dataflow that extracts the storage slots
+// read and written (constant-slot and keccak-derived classes) and the
+// provenance of every DELEGATECALL target (slot-loaded vs hardcoded vs
+// calldata-derived), the function selector table as the dispatcher
+// pattern reads it (disasm.DispatcherSelectors), and a structural
 // fingerprint that masks wide PUSH immediates (embedded addresses, salts,
 // code hashes) so that near-clones — EIP-1167 stamps differing only in the
 // implementation address, or compiler twins differing only in an embedded
@@ -98,8 +99,9 @@ type Summary struct {
 	// Fingerprint is the structural fingerprint (see Fingerprint).
 	Fingerprint etypes.Hash
 	// Selectors is the sorted set of 4-byte function selectors the
-	// dispatcher compares call data against. Unlike a raw PUSH4 scan
-	// this excludes decoy constants that are never compared.
+	// dispatcher compares call data against: disasm.DispatcherSelectors,
+	// the table collision detection reads. Unlike a raw PUSH4 scan this
+	// excludes decoy constants that are never compared.
 	Selectors [][4]byte
 	// SlotReads / SlotWrites are the sorted sets of constant storage
 	// slots the code loads from / stores to on some reachable path.
@@ -130,16 +132,6 @@ type Summary struct {
 	// summary is still a sound partial profile for reporting, but must
 	// not be used to promote verdicts.
 	Truncated bool
-}
-
-// HasSelector reports whether sel is in the summary's selector table.
-func (s *Summary) HasSelector(sel [4]byte) bool {
-	for _, have := range s.Selectors {
-		if have == sel {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadsSlot reports whether the constant slot appears in SlotReads.
