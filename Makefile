@@ -112,16 +112,16 @@ chaos:
 watch:
 	WATCH_SWEEP=$(WATCH_SWEEP) WATCH_REPORT=$(WATCH_REPORT) go test -race ./internal/watch -count=1 -timeout 30m
 
-# Interpreter lockstep gate under the race detector: the two EVM loops
-# (pre-decoded fast path vs the retained reference) executed against
-# identical state and diffed on every observable — structlog traces, call
-# trees, outputs, gas, and state-mutation order — over hand-written
-# control-flow idioms, boundary sweeps, and the full generator taxonomy.
-# INTERP_SWEEP=N widens the nightly run with N fresh corpus seeds.
+# Interpreter lockstep gate under the race detector: the shipped
+# pre-decoded EVM loop and the reference loop kept in internal/evm's tests,
+# executed against identical state and diffed on every observable —
+# structlog traces, call trees, outputs, gas, and state-mutation order —
+# over hand-written control-flow idioms, boundary sweeps, halted runs and
+# the full generator taxonomy. INTERP_SWEEP=N widens the corpus sweep with
+# N fresh seeds.
 parity:
-	go test -race ./internal/evm/parity -count=1 -timeout 20m
-	INTERP_SWEEP=$(INTERP_SWEEP) go test -race ./internal/gen/oracle \
-		-run 'TestInterpParity' -count=1 -timeout 30m
+	INTERP_SWEEP=$(INTERP_SWEEP) go test -race ./internal/evm \
+		-run 'Parity|Halt' -count=1 -timeout 30m
 
 # Bounded-memory streaming soak: one long stream-landscape run (default
 # 1M contracts, ~6 minutes) with per-item latency percentiles and peak
@@ -134,18 +134,21 @@ soak:
 ci: build vet race
 
 # Deep verification: the wide differential-oracle sweep over freshly
-# generated chains, then every native fuzz target (each seeded from the
-# generator's corpus) for FUZZTIME apiece.
+# generated chains, and the interpreter lockstep over the same chains, then
+# every native fuzz target (each seeded from the generator's corpus) for
+# FUZZTIME apiece.
 fuzz:
 	ORACLE_SWEEP=$(ORACLE_SWEEP) go test ./internal/gen/oracle -run TestOracleSweep -count=1 -timeout 30m
+	ORACLE_SWEEP=$(ORACLE_SWEEP) INTERP_SWEEP=0 go test ./internal/evm -run TestInterpParitySweep -count=1 -timeout 30m
 	go test ./internal/gen/oracle -run '^$$' -fuzz FuzzGeneratorOracle -fuzztime $(FUZZTIME)
+	go test ./internal/evm -run '^$$' -fuzz FuzzGeneratorInterpParity -fuzztime $(FUZZTIME)
 	go test ./internal/gen/oracle -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	go test ./internal/u256 -run '^$$' -fuzz FuzzU256VsBigInt -fuzztime $(FUZZTIME)
 	go test ./internal/keccak -run '^$$' -fuzz FuzzKeccakParity -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzExecuteArbitraryBytecode -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzProxyProbe -fuzztime $(FUZZTIME)
 	go test ./internal/evm -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
-	go test ./internal/evm/parity -run '^$$' -fuzz FuzzInterpParity -fuzztime $(FUZZTIME)
-	go test ./internal/evm/parity -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
+	go test ./internal/evm -run '^$$' -fuzz FuzzInterpParity -fuzztime $(FUZZTIME)
+	go test ./internal/evm -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)

@@ -8,9 +8,10 @@
 //     long landscape stream measured for per-contract latency and peak
 //     memory into a versioned JSON report.
 //
-// The measurements bench/e2e does not take — the resilient client's
-// fault-free overhead and the raw interpreter loops — are plain Go
-// benchmarks in this package's test files: go test -bench . ./internal/bench.
+// The resilient client's fault-free overhead, which bench/e2e does not
+// take, is a plain Go benchmark in this package's test files: go test
+// -bench . ./internal/bench. The raw interpreter loops are timed in
+// internal/evm's: go test -bench Interp ./internal/evm.
 package bench
 
 import (

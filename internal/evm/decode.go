@@ -61,7 +61,7 @@ type program struct {
 }
 
 // jumpTo resolves a dynamic jump destination to an instruction index,
-// returning -1 for anything the reference loop's validJumpdest rejects.
+// returning -1 for anything but a JUMPDEST outside push data.
 func (p *program) jumpTo(dest u256.Int) int32 {
 	if !dest.IsUint64() {
 		return -1
@@ -180,8 +180,8 @@ func pushImm(code []byte, pc int, op Op, words *int) uint64 {
 }
 
 // narrowImm reads the 0..8 immediate bytes after the PUSH at pc. A PUSH cut
-// short by the end of code pads with trailing zero bytes, same as the
-// reference loop's copy-into-fresh-buffer semantics.
+// short by the end of code pads with trailing zero bytes, as if the code
+// went on in zeros.
 func narrowImm(code []byte, pc, n int) uint64 {
 	if pc+9 <= len(code) {
 		return binary.BigEndian.Uint64(code[pc+1:pc+9]) >> (64 - 8*n)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/etypes"
 	"repro/internal/evm"
 	"repro/internal/u256"
 )
@@ -72,6 +71,8 @@ func TestCreateCodeSizeLimit(t *testing.T) {
 }
 
 func TestStaticBlocksCreateAndLog(t *testing.T) {
+	// A caller at A STATICCALLs B, whose body writes; the callee frame must
+	// end in ErrWriteProtection and the caller see a 0 success flag.
 	for name, body := range map[string][]byte{
 		"create": {byte(evm.PUSH0), byte(evm.PUSH0), byte(evm.PUSH0), byte(evm.CREATE)},
 		"log0":   {byte(evm.PUSH0), byte(evm.PUSH0), byte(evm.LOG0)},
@@ -79,30 +80,30 @@ func TestStaticBlocksCreateAndLog(t *testing.T) {
 			byte(evm.PUSH0), byte(evm.SELFDESTRUCT),
 		},
 	} {
+		var caller asm.Program
+		caller.PushUint(0).PushUint(0).
+			PushUint(0).PushUint(0).
+			PushBytes(addrB[:]).
+			PushUint(1_000_000).
+			Op(evm.STATICCALL)
 		st := newMemState()
-		st.code[addrA] = body
-		e := evm.New(st, evm.Config{Lenient: true})
-		res := e.StaticCall(user, addrA, nil, testGas)
-		if !errors.Is(res.Err, evm.ErrWriteProtection) {
-			t.Errorf("%s in static context: err = %v", name, res.Err)
+		st.code[addrA] = returnTop(&caller)
+		st.code[addrB] = body
+		logger := &evm.StructLogger{}
+		res := evm.New(st, evm.Config{Tracer: logger, Lenient: true}).Call(user, addrA, nil, testGas, u256.Zero())
+		if res.Err != nil {
+			t.Fatalf("%s: caller failed: %v", name, res.Err)
 		}
-	}
-}
-
-func TestDelegateCallPublicEntry(t *testing.T) {
-	// The top-level DelegateCall API: B's code runs in A's storage context.
-	var logic asm.Program
-	logic.PushUint(9).PushUint(0).Op(evm.SSTORE).Op(evm.STOP)
-	st := newMemState()
-	st.code[addrB] = logic.MustAssemble()
-	st.code[addrA] = []byte{byte(evm.STOP)}
-	e := evm.New(st, evm.Config{Lenient: true})
-	res := e.DelegateCall(user, addrA, addrB, nil, testGas, u256.Zero())
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if got := st.storage[addrA][etypes.Hash{}].Word(); got.Uint64() != 9 {
-		t.Errorf("write landed at %s", got)
+		if got := u256.FromBytes(res.Output); !got.IsZero() {
+			t.Errorf("%s in static context: success flag = %s, want 0", name, got)
+		}
+		calls := logger.Calls()
+		if len(calls) != 2 || calls[1].Kind != evm.CallKindStaticCall {
+			t.Fatalf("%s: call tree %+v, want the outer call and one STATICCALL", name, calls)
+		}
+		if !errors.Is(calls[1].Err, evm.ErrWriteProtection) {
+			t.Errorf("%s in static context: err = %v", name, calls[1].Err)
+		}
 	}
 }
 

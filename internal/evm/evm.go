@@ -4,6 +4,11 @@
 // CREATE2). It exposes tracing hooks that let callers observe every executed
 // instruction, which is what the Proxion detector uses to watch call data
 // flow through DELEGATECALL in a candidate proxy's fallback function.
+//
+// One loop executes every frame: runFast (interp_fast.go), over a program
+// decoded once per code hash (decode.go). The byte-at-a-time reference loop
+// it is held to lives in the package's tests, beside the lockstep harness
+// that diffs the two.
 package evm
 
 import (
@@ -24,19 +29,6 @@ const (
 	memoryCap = 1 << 32
 )
 
-// InterpMode selects which interpreter loop executes frames.
-type InterpMode uint8
-
-const (
-	// InterpFast is the default: pre-decoded instruction streams cached
-	// per code hash and pooled frames (see decode.go / interp_fast.go).
-	InterpFast InterpMode = iota
-	// InterpReference selects the original byte-at-a-time loop — the
-	// ablation baseline the parity harness (internal/evm/parity) holds
-	// the fast path against.
-	InterpReference
-)
-
 // Config carries the execution environment and analyzer knobs.
 type Config struct {
 	Block  BlockContext
@@ -49,10 +41,6 @@ type Config struct {
 	// Lenient disables balance checks on value transfers. The Proxion
 	// emulator runs contracts without funding synthetic senders.
 	Lenient bool
-	// Interp selects the interpreter loop (default InterpFast). The
-	// reference loop remains selectable for ablations and differential
-	// testing.
-	Interp InterpMode
 }
 
 // EVM executes bytecode against a StateDB. An EVM value is single-use per
@@ -64,6 +52,9 @@ type EVM struct {
 	halter Halter
 	depth  int
 	steps  uint64
+	// interp, when set, runs every frame, nested ones included, in place
+	// of runFast. Only the package's tests set it, to the reference loop.
+	interp func(*Frame) ([]byte, error)
 }
 
 // New returns an EVM executing against state with the given configuration.
@@ -95,6 +86,7 @@ func (e *EVM) StateDB() StateDB { return e.state }
 
 // Frame is a single execution context: one call or creation. Exported
 // accessors allow tracers to observe — but not mutate — interpreter state.
+// Frames are pooled (pool.go): releaseFrame must scrub every field.
 type Frame struct {
 	evm         *EVM
 	address     etypes.Address // storage and self context
@@ -109,8 +101,7 @@ type Frame struct {
 	memory     Memory
 	gas        uint64
 	returnData []byte
-	jumpdests  map[uint64]struct{} // reference loop's lazy JUMPDEST set
-	prog       program             // fast loop's pre-decoded program
+	prog       program // the pre-decoded program runFast executes
 }
 
 // Address returns the frame's storage/self address.
@@ -144,26 +135,6 @@ func (f *Frame) Gas() uint64 { return f.gas }
 // Static reports whether the frame runs under STATICCALL restrictions.
 func (f *Frame) Static() bool { return f.static }
 
-// validJumpdest reports whether dest is a JUMPDEST not inside push data.
-// The set is computed lazily on first jump.
-func (f *Frame) validJumpdest(dest u256.Int) bool {
-	if !dest.IsUint64() || dest.Uint64() >= uint64(len(f.code)) {
-		return false
-	}
-	if f.jumpdests == nil {
-		f.jumpdests = make(map[uint64]struct{})
-		for pc := 0; pc < len(f.code); {
-			op := Op(f.code[pc])
-			if op == JUMPDEST {
-				f.jumpdests[uint64(pc)] = struct{}{}
-			}
-			pc += 1 + op.PushSize()
-		}
-	}
-	_, ok := f.jumpdests[dest.Uint64()]
-	return ok
-}
-
 // CallResult carries the outcome of an outer call.
 type CallResult struct {
 	Output  []byte
@@ -174,18 +145,6 @@ type CallResult struct {
 // Call executes the code at 'to' with the given input, transferring value.
 func (e *EVM) Call(caller, to etypes.Address, input []byte, gas uint64, value u256.Int) CallResult {
 	return e.call(CallKindCall, caller, caller, to, to, input, gas, value, false)
-}
-
-// StaticCall executes the code at 'to' with state-modification disabled.
-func (e *EVM) StaticCall(caller, to etypes.Address, input []byte, gas uint64) CallResult {
-	return e.call(CallKindStaticCall, caller, caller, to, to, input, gas, u256.Zero(), true)
-}
-
-// DelegateCall executes the code at codeAddr in the storage context of
-// 'self', preserving the original caller and value — the proxy-pattern
-// primitive. The initiator reported to tracers is 'self'.
-func (e *EVM) DelegateCall(caller, self, codeAddr etypes.Address, input []byte, gas uint64, value u256.Int) CallResult {
-	return e.call(CallKindDelegateCall, self, caller, self, codeAddr, input, gas, value, false)
 }
 
 // call is the shared frame driver for all call kinds. initiator is the
@@ -249,12 +208,12 @@ func (e *EVM) call(kind CallKind, initiator, caller, self, codeAddr etypes.Addre
 	return CallResult{Output: output, GasLeft: gasLeft, Err: err}
 }
 
-// runFrame dispatches a frame to the configured interpreter. The fast loop
-// executes a pre-decoded program, fetched from the per-code-hash cache for
-// deployed code (codeAddr set) and decoded fresh for init code.
+// runFrame executes a frame's code on its pre-decoded program, fetched
+// from the per-code-hash cache for deployed code (codeAddr set) and decoded
+// fresh for init code.
 func (e *EVM) runFrame(f *Frame, codeAddr etypes.Address) ([]byte, error) {
-	if e.cfg.Interp == InterpReference {
-		return e.runReference(f)
+	if e.interp != nil {
+		return e.interp(f)
 	}
 	if len(f.code) > 0 {
 		var hash etypes.Hash

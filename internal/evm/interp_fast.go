@@ -6,13 +6,14 @@ import (
 	"repro/internal/u256"
 )
 
-// runFast executes the frame's pre-decoded program. It mirrors
-// runReference exactly — same error ordering (step limit, step count,
-// defined check, stack depth, constant gas, tracer capture, body), same
-// gas model, same state effects — but dispatches on the dense pre-decoded
-// kind, reads PUSH immediates already decoded into the program, and
-// resolves jumps through the program's index table. The parity harness in
-// internal/evm/parity holds the two loops in lockstep to prove the
+// runFast executes the frame's pre-decoded program; it is the only loop
+// the package ships. It mirrors the byte-at-a-time reference loop kept in
+// the package's tests (interp_ref_test.go) exactly — same error ordering
+// (step limit, step count, defined check, stack depth, constant gas, tracer
+// capture, body), same gas model, same state effects — but dispatches on
+// the dense pre-decoded kind, reads PUSH immediates already decoded into
+// the program, and resolves jumps through the program's index table. The
+// lockstep parity tests hold the two loops together to prove the
 // equivalence rather than assume it.
 func (e *EVM) runFast(f *Frame) ([]byte, error) {
 	prog := &f.prog

@@ -259,39 +259,6 @@ func TestCallToEmptyAccountSucceeds(t *testing.T) {
 	}
 }
 
-func TestOpcodeStringAndParsing(t *testing.T) {
-	cases := []struct {
-		op   evm.Op
-		name string
-	}{
-		{evm.DELEGATECALL, "DELEGATECALL"},
-		{evm.PUSH4, "PUSH4"},
-		{evm.PUSH0, "PUSH0"},
-		{evm.DUP1 + 6, "DUP7"},
-		{evm.SWAP1 + 15, "SWAP16"},
-		{evm.LOG0 + 2, "LOG2"},
-		{evm.KECCAK256, "KECCAK256"},
-	}
-	for _, c := range cases {
-		if got := c.op.String(); got != c.name {
-			t.Errorf("String(%02x) = %q, want %q", byte(c.op), got, c.name)
-		}
-		back, ok := evm.OpByName(c.name)
-		if !ok || back != c.op {
-			t.Errorf("OpByName(%q) = %v %v", c.name, back, ok)
-		}
-	}
-	if evm.Op(0xef).Defined() {
-		t.Error("0xef should be undefined")
-	}
-	if got := evm.Op(0xef).String(); got != "UNDEFINED(0xef)" {
-		t.Errorf("undefined opcode string = %q", got)
-	}
-	if _, ok := evm.OpByName("NOPE"); ok {
-		t.Error("bogus mnemonic resolved")
-	}
-}
-
 func TestStackSnapshotAndPeek(t *testing.T) {
 	var s evm.Stack
 	s.Push(u256.FromUint64(1))

@@ -193,29 +193,3 @@ func (op Op) Defined() bool {
 	_, ok := opNames[op]
 	return ok
 }
-
-// OpByName resolves a mnemonic (e.g. "PUSH4", "DELEGATECALL") to its opcode.
-func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name {
-			return op, true
-		}
-	}
-	var n int
-	if _, err := fmt.Sscanf(name, "PUSH%d", &n); err == nil && n >= 0 && n <= 32 {
-		if n == 0 {
-			return PUSH0, true
-		}
-		return PUSH1 + Op(n-1), true
-	}
-	if _, err := fmt.Sscanf(name, "DUP%d", &n); err == nil && n >= 1 && n <= 16 {
-		return DUP1 + Op(n-1), true
-	}
-	if _, err := fmt.Sscanf(name, "SWAP%d", &n); err == nil && n >= 1 && n <= 16 {
-		return SWAP1 + Op(n-1), true
-	}
-	if _, err := fmt.Sscanf(name, "LOG%d", &n); err == nil && n >= 0 && n <= 4 {
-		return LOG0 + Op(n), true
-	}
-	return 0, false
-}

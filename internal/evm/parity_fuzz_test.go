@@ -1,4 +1,4 @@
-package parity
+package evm_test
 
 import (
 	"testing"
@@ -42,7 +42,7 @@ func FuzzInterpParity(f *testing.F) {
 		st := chain.New()
 		st.AdvanceTo(1)
 		st.InstallContract(testTarget, code)
-		spec := Spec{
+		spec := paritySpec{
 			Caller:    testCaller,
 			To:        testTarget,
 			Input:     input,
@@ -52,7 +52,7 @@ func FuzzInterpParity(f *testing.F) {
 			StepLimit: 8_192, // keeps pathological loops cheap per execution
 			Lenient:   true,
 		}
-		if ms := Check(st, spec); len(ms) > 0 {
+		if ms := checkParity(st, spec); len(ms) > 0 {
 			for _, m := range ms {
 				t.Errorf("%s", m)
 			}
@@ -65,7 +65,7 @@ func FuzzInterpParity(f *testing.F) {
 // FuzzHaltParity is FuzzInterpParity with a tracer that halts the run at
 // its k-th frame: arbitrary bytecode installed beside a fixed call chain
 // (haltChain) it can DELEGATECALL or CALL into, both interpreters held in
-// lockstep and each against its own full run (CheckHalt). Registered in
+// lockstep and each against its own full run (checkHaltParity). Registered in
 // `make fuzz`.
 func FuzzHaltParity(f *testing.F) {
 	f.Add(forwardingProxy(), []byte{0xab, 0xcd, 0xef, 0x01}, uint64(1_000_000), uint8(2))
@@ -84,7 +84,7 @@ func FuzzHaltParity(f *testing.F) {
 		}
 		spec := haltSpec(input, gas%2_000_000)
 		spec.StepLimit = 8_192
-		if ms := CheckHalt(haltChain(code), spec, 1+int(k%6)); len(ms) > 0 {
+		if ms := checkHaltParity(haltChain(code), spec, 1+int(k%6)); len(ms) > 0 {
 			for _, m := range ms {
 				t.Errorf("%s", m)
 			}

@@ -1,4 +1,4 @@
-package parity
+package evm_test
 
 import (
 	"testing"
@@ -59,8 +59,8 @@ func forwardingProxy() []byte {
 		MustAssemble()
 }
 
-func haltSpec(input []byte, gas uint64) Spec {
-	return Spec{
+func haltSpec(input []byte, gas uint64) paritySpec {
+	return paritySpec{
 		Caller: testCaller, To: testTarget, Input: input, Gas: gas,
 		Value: u256.Zero(), Block: evm.DefaultBlockContext(), Lenient: true,
 	}
@@ -73,29 +73,32 @@ func haltSpec(input []byte, gas uint64) Spec {
 func TestParityHaltAtEveryFrame(t *testing.T) {
 	st := haltChain(forwardingProxy())
 	spec := haltSpec([]byte{0xab, 0xcd, 0xef, 0x01}, 5_000_000)
-	full := Run(st, spec, evm.InterpFast, true)
+	full := parityRun(st, spec, evm.New, true)
 	if full.Err != nil || len(full.Calls) != 4 || full.Exits != 4 {
 		t.Fatalf("test setup: full run err=%v with %d frames, %d exits; want 4 clean frames", full.Err, len(full.Calls), full.Exits)
 	}
 	wantKinds := []evm.CallKind{evm.CallKindCall, evm.CallKindDelegateCall, evm.CallKindCall, evm.CallKindCreate}
 	for k := 1; k <= 5; k++ {
-		if ms := CheckHalt(st, spec, k); len(ms) > 0 {
+		if ms := checkHaltParity(st, spec, k); len(ms) > 0 {
 			t.Errorf("halt at frame %d: %v", k, ms)
 		}
 		spec.HaltAt = k
-		for _, mode := range []evm.InterpMode{evm.InterpReference, evm.InterpFast} {
-			out := Run(st, spec, mode, true)
+		for _, loop := range []struct {
+			name  string
+			build newEVM
+		}{{"reference", evm.NewReference}, {"fast", evm.New}} {
+			out := parityRun(st, spec, loop.build, true)
 			if k > 4 {
 				if out.Err != nil || len(out.Calls) != 4 || len(out.Events) != len(full.Events) {
-					t.Errorf("mode %d, halt past the last frame: err=%v frames=%d", mode, out.Err, len(out.Calls))
+					t.Errorf("%s loop, halt past the last frame: err=%v frames=%d", loop.name, out.Err, len(out.Calls))
 				}
 				continue
 			}
 			if out.Err != evm.ErrHalted || out.GasLeft != 0 || len(out.Output) != 0 {
-				t.Errorf("mode %d, halt at frame %d: err=%v gas=%d output=%x", mode, k, out.Err, out.GasLeft, out.Output)
+				t.Errorf("%s loop, halt at frame %d: err=%v gas=%d output=%x", loop.name, k, out.Err, out.GasLeft, out.Output)
 			}
 			if got := out.Calls[k-1].Kind; got != wantKinds[k-1] {
-				t.Errorf("mode %d: frame %d is a %v, want %v", mode, k, got, wantKinds[k-1])
+				t.Errorf("%s loop: frame %d is a %v, want %v", loop.name, k, got, wantKinds[k-1])
 			}
 			// The leaf's frame (3) is closed by the time the CREATE (4) is
 			// entered; every frame still open unwinds with ErrHalted.
@@ -105,7 +108,7 @@ func TestParityHaltAtEveryFrame(t *testing.T) {
 					want = nil
 				}
 				if c.Err != want {
-					t.Errorf("mode %d, halt at frame %d: frame %d exited with %v, want %v", mode, k, i+1, c.Err, want)
+					t.Errorf("%s loop, halt at frame %d: frame %d exited with %v, want %v", loop.name, k, i+1, c.Err, want)
 				}
 			}
 		}
@@ -114,7 +117,7 @@ func TestParityHaltAtEveryFrame(t *testing.T) {
 	// Halted at the DELEGATECALL, nothing of the logic runs: no state event
 	// but the outer frame's snapshot and its rollback.
 	spec.HaltAt = 2
-	out := Run(st, spec, evm.InterpFast, true)
+	out := parityRun(st, spec, evm.New, true)
 	for _, s := range out.Steps {
 		if s.Depth > 1 {
 			t.Fatalf("a step ran at depth %d after the halt: %v", s.Depth, s)
@@ -137,7 +140,7 @@ func TestParityHaltInsidePrecompileAndEmptyCalls(t *testing.T) {
 	st := haltChain(code)
 	spec := haltSpec(nil, 1_000_000)
 	for k := 1; k <= 4; k++ {
-		if ms := CheckHalt(st, spec, k); len(ms) > 0 {
+		if ms := checkHaltParity(st, spec, k); len(ms) > 0 {
 			t.Errorf("halt at frame %d: %v", k, ms)
 		}
 	}
@@ -152,18 +155,18 @@ func TestParityHaltOverTaxonomy(t *testing.T) {
 	}
 	halted := 0
 	for _, l := range c.Labels {
-		spec := Spec{
+		spec := paritySpec{
 			Caller: testCaller, To: l.Address, Input: proxion.CraftCallData(l.Address, l.Code),
 			Gas: 5_000_000, Value: u256.Zero(), Block: evm.DefaultBlockContext(),
 			Tx: evm.TxContext{Origin: testCaller}, StepLimit: 1 << 15, Lenient: true,
 		}
 		for k := 2; k <= 3; k++ {
-			if ms := CheckHalt(c.Chain, spec, k); len(ms) > 0 {
+			if ms := checkHaltParity(c.Chain, spec, k); len(ms) > 0 {
 				t.Errorf("%v %s, halt at frame %d: %v", l.Shape, l.Address, k, ms)
 			}
 		}
 		spec.HaltAt = 2
-		if Run(c.Chain, spec, evm.InterpFast, true).Err == evm.ErrHalted {
+		if parityRun(c.Chain, spec, evm.New, true).Err == evm.ErrHalted {
 			halted++
 		}
 	}

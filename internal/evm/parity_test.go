@@ -1,4 +1,4 @@
-package parity
+package evm_test
 
 import (
 	"testing"
@@ -21,7 +21,7 @@ func checkCode(t *testing.T, code, input []byte, gas uint64) {
 	st := chain.New()
 	st.AdvanceTo(1)
 	st.InstallContract(testTarget, code)
-	spec := Spec{
+	spec := paritySpec{
 		Caller:  testCaller,
 		To:      testTarget,
 		Input:   input,
@@ -29,7 +29,7 @@ func checkCode(t *testing.T, code, input []byte, gas uint64) {
 		Block:   evm.DefaultBlockContext(),
 		Lenient: true,
 	}
-	if ms := Check(st, spec); len(ms) > 0 {
+	if ms := checkParity(st, spec); len(ms) > 0 {
 		for _, m := range ms {
 			t.Errorf("%s", m)
 		}
@@ -160,12 +160,12 @@ func TestParityIdiomBoundaries(t *testing.T) {
 	st.AdvanceTo(1)
 	st.InstallContract(testTarget, loop)
 	for limit := uint64(1); limit <= 16; limit++ {
-		spec := Spec{
+		spec := paritySpec{
 			Caller: testCaller, To: testTarget, Gas: 1_000_000,
 			Block: evm.DefaultBlockContext(), Lenient: true,
 			StepLimit: limit,
 		}
-		if ms := Check(st, spec); len(ms) > 0 {
+		if ms := checkParity(st, spec); len(ms) > 0 {
 			t.Fatalf("step limit %d: %v", limit, ms)
 		}
 	}
@@ -219,11 +219,11 @@ func TestParityNestedCalls(t *testing.T) {
 	st.AdvanceTo(1)
 	st.InstallContract(logicAddr, logic)
 	st.InstallContract(testTarget, proxy)
-	spec := Spec{
+	spec := paritySpec{
 		Caller: testCaller, To: testTarget, Input: []byte{0xab, 0xcd, 0xef, 0x01},
 		Gas: 5_000_000, Block: evm.DefaultBlockContext(), Lenient: true,
 	}
-	if ms := Check(st, spec); len(ms) > 0 {
+	if ms := checkParity(st, spec); len(ms) > 0 {
 		t.Fatalf("delegatecall parity: %v", ms)
 	}
 
@@ -240,8 +240,8 @@ func TestParityNestedCalls(t *testing.T) {
 	checkCode(t, creator, nil, 5_000_000)
 }
 
-// TestParityRunRevertsState proves Run leaves the shared state untouched,
-// which is what lets Check execute three runs against one chain.
+// TestParityRunRevertsState proves parityRun leaves the shared state untouched,
+// which is what lets checkParity execute three runs against one chain.
 func TestParityRunRevertsState(t *testing.T) {
 	code := (&asm.Program{}).
 		PushUint(7).PushUint(1).Op(evm.SSTORE).Op(evm.STOP).
@@ -249,11 +249,11 @@ func TestParityRunRevertsState(t *testing.T) {
 	st := chain.New()
 	st.AdvanceTo(1)
 	st.InstallContract(testTarget, code)
-	spec := Spec{
+	spec := paritySpec{
 		Caller: testCaller, To: testTarget, Gas: 1_000_000,
 		Block: evm.DefaultBlockContext(), Lenient: true,
 	}
-	out := Run(st, spec, evm.InterpFast, false)
+	out := parityRun(st, spec, evm.New, false)
 	if out.Err != nil {
 		t.Fatalf("run failed: %v", out.Err)
 	}
@@ -262,32 +262,32 @@ func TestParityRunRevertsState(t *testing.T) {
 	}
 	slot := etypes.HashFromWord(u256.FromUint64(1))
 	if got := st.GetState(testTarget, slot); got != (etypes.Hash{}) {
-		t.Fatalf("state leaked through Run: slot=%x", got)
+		t.Fatalf("state leaked through parityRun: slot=%x", got)
 	}
 }
 
 // TestParityDiffDetectsDivergence sanity-checks the comparators themselves:
 // hand-built diverging outcomes must be flagged.
 func TestParityDiffDetectsDivergence(t *testing.T) {
-	base := Outcome{Output: []byte{1}, GasLeft: 100, Events: []string{"a"}}
-	cases := map[string]Outcome{
+	base := parityOutcome{Output: []byte{1}, GasLeft: 100, Events: []string{"a"}}
+	cases := map[string]parityOutcome{
 		"output": {Output: []byte{2}, GasLeft: 100, Events: []string{"a"}},
 		"gas":    {Output: []byte{1}, GasLeft: 99, Events: []string{"a"}},
 		"error":  {Output: []byte{1}, GasLeft: 100, Events: []string{"a"}, Err: evm.ErrRevert},
 		"events": {Output: []byte{1}, GasLeft: 100, Events: []string{"b"}},
 	}
 	for name, got := range cases {
-		if ms := DiffOutcome("x", base, got); len(ms) == 0 {
+		if ms := diffOutcome("x", base, got); len(ms) == 0 {
 			t.Errorf("%s divergence not detected", name)
 		}
 	}
-	if ms := DiffOutcome("x", base, base); len(ms) != 0 {
+	if ms := diffOutcome("x", base, base); len(ms) != 0 {
 		t.Errorf("identical outcomes flagged: %v", ms)
 	}
 
-	withSteps := Outcome{Steps: []evm.StructLog{{PC: 1, Op: evm.ADD}}}
-	diverged := Outcome{Steps: []evm.StructLog{{PC: 2, Op: evm.ADD}}}
-	if ms := DiffLockstep("x", withSteps, diverged); len(ms) == 0 {
+	withSteps := parityOutcome{Steps: []evm.StructLog{{PC: 1, Op: evm.ADD}}}
+	diverged := parityOutcome{Steps: []evm.StructLog{{PC: 2, Op: evm.ADD}}}
+	if ms := diffLockstep("x", withSteps, diverged); len(ms) == 0 {
 		t.Error("step divergence not detected")
 	}
 }

@@ -32,7 +32,6 @@ func releaseFrame(f *Frame) {
 	f.memory.release()
 	f.gas = 0
 	f.returnData = nil
-	f.jumpdests = nil
 	f.prog = program{}
 	framePool.Put(f)
 }

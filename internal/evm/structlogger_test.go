@@ -31,9 +31,8 @@ func (l StructLog) String() string {
 		l.PC, l.Op, l.Gas, l.Depth, strings.Join(parts, ", "))
 }
 
-// StructLogger records every executed instruction plus the call tree. Use
-// it to debug emulations; the detector uses the lighter special-purpose
-// tracers instead.
+// StructLogger records every executed instruction plus the call tree: the
+// per-step trace the parity harness holds the two interpreter loops to.
 type StructLogger struct {
 	// MaxEntries bounds memory use; zero means 100k entries.
 	MaxEntries int

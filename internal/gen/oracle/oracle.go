@@ -363,10 +363,13 @@ func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatc
 }
 
 // Run executes every differential layer on one corpus: labels vs the
-// sequential reference, streaming vs sequential, warm-store vs cold analysis, single calls vs the stream (with and without
-// the history step), the static analyzer vs the labels,
-// block-by-block following vs cold end-state analysis, and the fast
-// interpreter vs the reference loop (seeded from the corpus config).
+// sequential reference, streaming vs sequential, warm-store vs cold
+// analysis, single calls vs the stream (with and without the history step),
+// the static analyzer vs the labels, and block-by-block following vs cold
+// end-state analysis. The fast interpreter vs the reference loop is not a
+// layer here: the reference loop is test code of internal/evm, whose
+// corpus parity tests (TestInterpParityFixedSeeds, TestInterpParitySweep,
+// FuzzGeneratorInterpParity) diff the same generated corpora.
 func Run(c *gen.Corpus) []Mismatch {
 	ref := SequentialReference(c)
 	out := CheckDetector(c, ref.Reports)
@@ -377,6 +380,5 @@ func Run(c *gen.Corpus) []Mismatch {
 	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{WithHistory: true})...)
 	out = append(out, CheckStaticParity(c)...)
 	out = append(out, CheckWatchParity(c)...)
-	out = append(out, CheckInterpParity(c)...)
 	return out
 }
