@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/etypes"
 	"repro/internal/evm"
 	"repro/internal/u256"
 )
@@ -104,6 +105,42 @@ func TestStaticBlocksCreateAndLog(t *testing.T) {
 		if !errors.Is(calls[1].Err, evm.ErrWriteProtection) {
 			t.Errorf("%s in static context: err = %v", name, calls[1].Err)
 		}
+	}
+}
+
+func TestDelegateCallPublicEntry(t *testing.T) {
+	// A call with value enters A, which DELEGATECALLs B: B's code runs in
+	// A's context, so ADDRESS is A and CALLVALUE the outer call's value,
+	// and both writes land in A's storage.
+	var logic asm.Program
+	logic.Op(evm.ADDRESS).PushUint(0).Op(evm.SSTORE).
+		Op(evm.CALLVALUE).PushUint(1).Op(evm.SSTORE).Op(evm.STOP)
+	var proxy asm.Program
+	proxy.PushUint(0).PushUint(0).
+		PushUint(0).PushUint(0).
+		PushBytes(addrB[:]).
+		PushUint(1_000_000).
+		Op(evm.DELEGATECALL)
+	st := newMemState()
+	st.code[addrA] = returnTop(&proxy)
+	st.code[addrB] = logic.MustAssemble()
+	res := evm.New(st, evm.Config{Lenient: true}).Call(user, addrA, nil, testGas, u256.FromUint64(9))
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := u256.FromBytes(res.Output); got.Uint64() != 1 {
+		t.Fatalf("delegatecall success flag = %s, want 1", got)
+	}
+	if got := st.storage[addrA][etypes.Hash{}]; etypes.BytesToAddress(got[:]) != addrA {
+		t.Errorf("ADDRESS in the delegated frame = %s, want the proxy %s", etypes.BytesToAddress(got[:]), addrA)
+	}
+	var slot1 etypes.Hash
+	slot1[31] = 1
+	if got := st.storage[addrA][slot1].Word(); got.Uint64() != 9 {
+		t.Errorf("CALLVALUE in the delegated frame = %s, want 9", got)
+	}
+	if len(st.storage[addrB]) != 0 {
+		t.Error("delegatecall wrote to the logic contract's storage")
 	}
 }
 

@@ -5,99 +5,21 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/asm"
-	"repro/internal/chain"
-	"repro/internal/etypes"
+	"repro/internal/bench"
 	"repro/internal/evm"
-	"repro/internal/u256"
 )
 
-// The raw interpreter loops, timed apart from any detection logic:
+// The raw interpreter loops (internal/bench's CountdownLoop and
+// DispatcherLoop), timed apart from any detection logic:
 //
 //	go test -run '^$' -bench Interp ./internal/evm
 
 // loopIterations is the benchmark's countdown length.
 const loopIterations = 8_000
 
-// countdownLoop assembles a tight countdown loop (10 opcodes per
-// iteration: arithmetic, MSTORE, conditional jump) — a floor on raw
-// interpreter speed that isolates the EVM from detection logic — and
-// returns it with the number of instructions a run executes.
-func countdownLoop(iterations int) (code []byte, steps uint64) {
-	p := &asm.Program{}
-	p.PushUint(uint64(iterations)) //         [n]
-	p.Label("loop")                // JUMPDEST [n]
-	p.Op(evm.DUP1)                 //          [n, n]
-	p.PushUint(0)                  //          [n, n, 0]
-	p.Op(evm.MSTORE)               // mem[0]=n [n]
-	p.PushUint(1)                  //          [n, 1]
-	p.Op(evm.SWAP1)                //          [1, n]
-	p.Op(evm.SUB)                  //          [n-1]
-	p.Op(evm.DUP1)                 //          [n-1, n-1]
-	p.JumpI("loop")                // PUSH2+JUMPI [n-1]
-	p.Op(evm.STOP)
-
-	// 1 PUSH prologue, then per iteration: JUMPDEST, DUP1, PUSH1, MSTORE,
-	// PUSH1, SWAP1, SUB, DUP1, PUSH2, JUMPI; the last iteration falls
-	// through to STOP.
-	return p.MustAssemble(), uint64(1 + 10*iterations + 1)
-}
-
-// dispatcherLoop assembles a dispatcher-shaped loop: each iteration walks a
-// chain of 16 Solidity-style selector comparisons (DUP1; PUSH4 sel; EQ;
-// PUSH2 dest; JUMPI) that all miss, then branches back through DUP1;
-// PUSH2; JUMPI. This is the branch-dense profile real proxy fallbacks
-// present to the detector's probes.
-func dispatcherLoop(iterations int) (code []byte, steps uint64) {
-	const arms = 16
-	p := &asm.Program{}
-	p.PushUint(uint64(iterations)) //               [n]
-	p.Label("loop")                // JUMPDEST      [n]
-	p.PushUint(0xdeadbeef)         //               [n, sel]
-	for i := 0; i < arms; i++ {    //               (all compares miss)
-		p.Op(evm.DUP1)
-		p.PushBytes([]byte{0xaa, 0xbb, 0xcc, byte(i)}) // PUSH4
-		p.Op(evm.EQ)
-		p.JumpI("dead")
-	}
-	p.Op(evm.POP)   //                               [n]
-	p.PushUint(1)   //                               [n, 1]
-	p.Op(evm.SWAP1) //                               [1, n]
-	p.Op(evm.SUB)   //                               [n-1]
-	p.Op(evm.DUP1)  //                               [n-1, n-1]
-	p.JumpI("loop") // PUSH2+JUMPI                   [n-1]
-	p.Op(evm.STOP)
-	p.Label("dead")
-	p.Op(evm.INVALID)
-
-	// 1 prologue push, then per iteration: JUMPDEST, PUSH4 const, 5 source
-	// instructions per arm, POP, PUSH1, SWAP1, SUB, DUP1, PUSH2, JUMPI; the
-	// last iteration falls through to STOP.
-	return p.MustAssemble(), uint64(1 + (2+5*arms+7)*iterations + 1)
-}
-
-// loopCall installs code in a fresh state and returns a call of it: one
-// fresh EVM from build per call, with at most stepLimit instructions.
-func loopCall(build newEVM, code []byte, stepLimit uint64) func() error {
-	st := chain.New()
-	st.AdvanceTo(1)
-	var addr, caller etypes.Address
-	addr[19], caller[19] = 0xeb, 0xca
-	st.InstallContract(addr, code)
-	return func() error {
-		e := build(st, evm.Config{
-			Block:     evm.DefaultBlockContext(),
-			Tx:        evm.TxContext{Origin: caller},
-			Lenient:   true,
-			StepLimit: stepLimit,
-		})
-		return e.Call(caller, addr, nil, 1<<30, u256.Zero()).Err
-	}
-}
-
 // benchLoop times one loop under one interpreter, in executed steps a second.
 func benchLoop(b *testing.B, build newEVM, code []byte, steps uint64) {
-	call := loopCall(build, code, steps)
+	call := bench.LoopCall(build, code, steps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := call(); err != nil {
@@ -113,74 +35,56 @@ func benchLoop(b *testing.B, build newEVM, code []byte, steps uint64) {
 // is the pre-decoded loop's uplift, and the dispatcher loop on the shipped
 // loop.
 func BenchmarkInterpLoop(b *testing.B) {
-	code, steps := countdownLoop(loopIterations)
+	code, steps := bench.CountdownLoop(loopIterations)
 	b.Run("fast", func(b *testing.B) { benchLoop(b, evm.New, code, steps) })
 	b.Run("reference", func(b *testing.B) { benchLoop(b, evm.NewReference, code, steps) })
-	dispatch, dispatchSteps := dispatcherLoop(loopIterations / 4)
+	dispatch, dispatchSteps := bench.DispatcherLoop(loopIterations / 4)
 	b.Run("dispatcher", func(b *testing.B) { benchLoop(b, evm.New, dispatch, dispatchSteps) })
 }
 
-// TestEVMLoopStepAccounting pins each loop's derived step count against the
-// interpreters: a call completes within exactly that many steps, and one
-// step fewer stops it at the step limit — so a loop that aborted early
-// cannot pass for a fast one.
-func TestEVMLoopStepAccounting(t *testing.T) {
-	loop, loopSteps := countdownLoop(100)
-	if loopSteps != 1+10*100+1 {
-		t.Errorf("countdown steps = %d, want %d", loopSteps, 1+10*100+1)
-	}
-	dispatch, dispatchSteps := dispatcherLoop(100)
-	if want := uint64(1 + (2+5*16+7)*100 + 1); dispatchSteps != want {
-		t.Errorf("dispatcher steps = %d, want %d", dispatchSteps, want)
-	}
+// TestReferenceLoopStepAccounting pins each loop's derived step count
+// against the reference loop, as internal/bench's TestEVMLoopStepAccounting
+// does against the shipped one: a call completes within exactly that many
+// steps, and one step fewer stops it at the step limit.
+func TestReferenceLoopStepAccounting(t *testing.T) {
+	loop, loopSteps := bench.CountdownLoop(100)
+	dispatch, dispatchSteps := bench.DispatcherLoop(100)
 	for _, c := range []struct {
 		name  string
-		build newEVM
 		code  []byte
 		steps uint64
 	}{
-		{"countdown/fast", evm.New, loop, loopSteps},
-		{"countdown/reference", evm.NewReference, loop, loopSteps},
-		{"dispatcher/fast", evm.New, dispatch, dispatchSteps},
-		{"dispatcher/reference", evm.NewReference, dispatch, dispatchSteps},
+		{"countdown", loop, loopSteps},
+		{"dispatcher", dispatch, dispatchSteps},
 	} {
-		if err := loopCall(c.build, c.code, c.steps)(); err != nil {
+		if err := bench.LoopCall(evm.NewReference, c.code, c.steps)(); err != nil {
 			t.Errorf("%s: call within %d steps failed: %v", c.name, c.steps, err)
 		}
-		if err := loopCall(c.build, c.code, c.steps-1)(); !errors.Is(err, evm.ErrStepLimit) {
+		if err := bench.LoopCall(evm.NewReference, c.code, c.steps-1)(); !errors.Is(err, evm.ErrStepLimit) {
 			t.Errorf("%s: call within %d steps ended with %v, want the step limit", c.name, c.steps-1, err)
 		}
 	}
 }
 
-// TestInterpLoopDeterminism: two independent set-ups of each timed loop
-// report the same step count and code size once it has run to its end.
+// TestInterpLoopDeterminism: two independent set-ups of the timed
+// countdown loop on the reference loop report the same step count and code
+// size once it has run to its end (internal/bench's
+// TestWorkloadCounterDeterminism has the shipped loop's rows).
 func TestInterpLoopDeterminism(t *testing.T) {
-	loop := func(build func(int) ([]byte, uint64), run newEVM) func() map[string]int64 {
-		return func() map[string]int64 {
-			code, steps := build(500)
-			if err := loopCall(run, code, steps)(); err != nil {
-				return map[string]int64{"evm_steps": -1}
-			}
-			return map[string]int64{"evm_steps": int64(steps), "code_bytes": int64(len(code))}
+	run := func() map[string]int64 {
+		code, steps := bench.CountdownLoop(500)
+		if err := bench.LoopCall(evm.NewReference, code, steps)(); err != nil {
+			return map[string]int64{"evm_steps": -1}
 		}
+		return map[string]int64{"evm_steps": int64(steps), "code_bytes": int64(len(code))}
 	}
-	for _, c := range []struct {
-		name string
-		run  func() map[string]int64
-	}{
-		{"evm_interp-loop", loop(countdownLoop, evm.New)},
-		{"evm_interp-reference", loop(countdownLoop, evm.NewReference)},
-		{"evm_interp-dispatcher", loop(dispatcherLoop, evm.New)},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			a, b := c.run(), c.run()
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("counters differ across identical runs:\n  first:  %v\n  second: %v", a, b)
-			}
-			if a["evm_steps"] <= 0 {
-				t.Errorf("nothing measured: %v", a)
-			}
-		})
-	}
+	t.Run("evm_interp-reference", func(t *testing.T) {
+		a, b := run(), run()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("counters differ across identical runs:\n  first:  %v\n  second: %v", a, b)
+		}
+		if a["evm_steps"] <= 0 {
+			t.Errorf("nothing measured: %v", a)
+		}
+	})
 }
