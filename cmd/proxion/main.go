@@ -8,7 +8,7 @@
 //	proxion [-contracts N] [-seed S] [-v] [-collisions-only] [-json]
 //	        [-window N] [-cache-capacity N]
 //	        [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
-//	        [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
+//	        [-retries N] [-backoff D] [-inflight N]
 package main
 
 import (

@@ -10,7 +10,7 @@
 //	         [-store DIR] [-segment-bytes N] [-cache-capacity N]
 //	         [-follow] [-follow-interval D]
 //	         [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
-//	         [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
+//	         [-retries N] [-backoff D] [-inflight N]
 //	         [-loadtest] [-loadtest-requests N] [-loadtest-concurrency N]
 //	         [-loadtest-report FILE]
 //

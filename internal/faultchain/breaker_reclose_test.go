@@ -18,16 +18,16 @@ import (
 //   - the re-closed breaker must be fully re-armed: a second outage trips
 //     it again, counted as a second trip.
 
-// breakerClient builds a client over a controllable down/up backend with
+// breakerClient builds a client over a controllable down/up node with
 // small, test-friendly breaker windows.
-func breakerClient(accounts int) (*faultchain.Client, *flakyBackend, []etypes.Address, faultchain.Options) {
+func breakerClient(accounts int) (*faultchain.Client, *flakyNode, []etypes.Address, faultchain.Options) {
 	base, addrs := testChain(accounts)
-	fb := &flakyBackend{NodeBackend: faultchain.NewNodeBackend(base)}
+	fb := &flakyNode{}
 	opts := chaosOpts()
 	opts.MaxRetries = 1
 	opts.BreakerThreshold = 3
 	opts.BreakerProbe = 4
-	return faultchain.NewClient(fb, opts), fb, addrs, opts
+	return faultchain.NewClient(base, fb.fault, opts), fb, addrs, opts
 }
 
 // tryRead performs one read, reporting whether it terminally failed.

@@ -1,3 +1,23 @@
+// Package faultchain makes the analyzer's node boundary fallible — and the
+// analyzer resilient to it.
+//
+// The production Proxion deployment reads an Ethereum archive node over
+// RPC: bytecode fetches for detection and millions of historical
+// getStorageAt reads for Algorithm 1. Real nodes time out, rate-limit,
+// return transient 5xx errors, and serve stale answers from lagging
+// replicas. The in-memory chain.Chain can do none of those things, so this
+// package supplies the missing failure surface in one layer:
+//
+//	chain.Reader ──NewClient(r, hook)──▶ chain.Reader (retries, backoff,
+//	                                     breaker, bounded in-flight reads)
+//
+// Before each attempt of each read the Client asks its FaultHook whether
+// the node fails that attempt; an Injector is the hook a seeded fault
+// Schedule drives. The detector and the streaming engine keep speaking
+// error-free chain.Reader, while every read underneath can fail and be
+// retried. A read that exhausts the retry budget surfaces as a
+// *chain.ReadError panic, which the engine converts into an Unresolved
+// report (see the chain.Reader error contract).
 package faultchain
 
 import (
@@ -25,9 +45,6 @@ type Options struct {
 	// MaxRetries is how many times a failed read is re-attempted (total
 	// attempts = MaxRetries+1). Default 4.
 	MaxRetries int
-	// Timeout is the per-attempt deadline; 0 disables per-call deadlines.
-	// Default 2s.
-	Timeout time.Duration
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// between attempts. Defaults 1ms and 16ms — small enough that chaos
 	// tests stay fast, overridable for production-like pacing.
@@ -46,7 +63,7 @@ type Options struct {
 	// half-open probe; a probe success closes the breaker. Measured in
 	// calls, not time, to keep chaos runs deterministic. Default 16.
 	BreakerProbe int
-	// MaxInFlight bounds concurrent backend reads. Default
+	// MaxInFlight bounds concurrent node reads. Default
 	// 8×GOMAXPROCS, minimum 32.
 	MaxInFlight int
 	// Context, when set, cancels every read issued through the client;
@@ -61,12 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.Timeout < 0 {
-		o.Timeout = 0
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = time.Millisecond
@@ -96,7 +107,8 @@ func (o Options) withDefaults() Options {
 type Metrics struct {
 	// Retries counts re-attempts after a failed read.
 	Retries int64
-	// Timeouts counts attempts that failed with an expired deadline.
+	// Timeouts counts attempts that failed with a deadline error
+	// (ErrTimeout, the simulated read over its deadline).
 	Timeouts int64
 	// RateLimited counts attempts rejected with ErrRateLimited.
 	RateLimited int64
@@ -110,16 +122,6 @@ type Metrics struct {
 	Unresolved int64
 }
 
-// Client is the resilient chain.Reader over a fallible Backend: per-call
-// timeouts, capped exponential backoff with seeded jitter, a circuit
-// breaker on consecutive terminal failures, and bounded in-flight
-// concurrency. A read that cannot be completed panics with a
-// *chain.ReadError per the Reader error contract; the analysis engine
-// recovers it into an Unresolved report.
-//
-// APICalls counts logical GetStorageAt reads — one per call, however many
-// attempts it took — satisfying the Reader accounting contract, so
-// efficiency numbers match a fault-free run byte for byte.
 // inflightGate is a counting semaphore whose uncontended path is two
 // atomic ops — the read-per-SLOAD hot path cannot afford channel sends.
 // Callers fall back to the mutex/cond pair only when the bound is hit.
@@ -175,15 +177,36 @@ func (g *inflightGate) release() {
 	}
 }
 
+// Read names one logical node read: the operation, and the account, slot
+// and block it is about where the operation has them. It is what a
+// FaultHook decides on, the key a fault schedule is hashed from, and the
+// Op and Addr of the *chain.ReadError a terminally failed read raises.
+type Read struct {
+	Op    string
+	Addr  etypes.Address
+	Slot  etypes.Hash
+	Block uint64
+}
+
+// FaultHook decides, before each attempt of a read, whether the node fails
+// that attempt: a non-nil error fails it without touching the node. ctx is
+// the client's Options.Context.
+type FaultHook func(ctx context.Context, r Read) error
+
+// Client is the resilient chain.Reader over a node that can fail: capped
+// exponential backoff with seeded jitter, a circuit breaker on consecutive
+// terminal failures, and bounded in-flight concurrency. A read that cannot
+// be completed panics with a *chain.ReadError per the Reader error
+// contract; the analysis engine recovers it into an Unresolved report.
+//
+// APICalls counts logical GetStorageAt reads — one per call, however many
+// attempts it took — satisfying the Reader accounting contract, so
+// efficiency numbers match a fault-free run byte for byte.
 type Client struct {
-	backend Backend
-	opts    Options
-	gate    *inflightGate
-	// deadlines says per-attempt timeout contexts are in force; false when
-	// Timeout is 0 or the backend guarantees non-blocking calls (see
-	// NonBlocker) — a deadline on a call that cannot block is unobservable,
-	// and building one per read dominates the fault-free hot path.
-	deadlines bool
+	r     chain.Reader
+	fault FaultHook
+	opts  Options
+	gate  *inflightGate
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -205,33 +228,28 @@ type Client struct {
 	callsWhenOpen atomic.Int64
 }
 
-// NewClient wraps a backend with the resilience layer.
-func NewClient(b Backend, opts Options) *Client {
+// NewClient wraps a reader with the resilience layer. fault, when non-nil,
+// is asked before every attempt of every read whether the node fails it.
+func NewClient(r chain.Reader, fault FaultHook, opts Options) *Client {
 	o := opts.withDefaults()
-	deadlines := o.Timeout > 0
-	if nb, ok := b.(NonBlocker); ok && nb.NonBlocking() {
-		deadlines = false
-	}
 	return &Client{
-		backend:   b,
-		opts:      o,
-		gate:      newInflightGate(o.MaxInFlight),
-		deadlines: deadlines,
-		rng:       rand.New(rand.NewSource(o.Seed)),
+		r:     r,
+		fault: fault,
+		opts:  o,
+		gate:  newInflightGate(o.MaxInFlight),
+		rng:   rand.New(rand.NewSource(o.Seed)),
 	}
 }
 
-// NewResilientReader stacks the full tower over a plain reader: node
-// backend, optional fault injector, resilient client. A nil schedule (or
-// one with an empty profile) skips the injector.
+// NewResilientReader puts a resilient client over a plain reader, with the
+// schedule's Injector as its fault hook. A nil schedule injects nothing and
+// returns a nil Injector.
 func NewResilientReader(r chain.Reader, sched *Schedule, opts Options) (*Client, *Injector) {
-	var backend Backend = NewNodeBackend(r)
-	var inj *Injector
-	if sched != nil {
-		inj = NewInjector(backend, *sched)
-		backend = inj
+	if sched == nil {
+		return NewClient(r, nil, opts), nil
 	}
-	return NewClient(backend, opts), inj
+	inj := &Injector{r: r, sched: *sched, plans: make(map[Read]*faultPlan)}
+	return NewClient(r, inj.Fault, opts), inj
 }
 
 // Metrics returns a snapshot of the resilience counters.
@@ -257,8 +275,8 @@ func (c *Client) ResilienceCounters() (retries, breakerTrips int64) {
 func (c *Client) BreakerOpen() bool { return c.breakerOpen.Load() }
 
 // retryable reports whether an attempt error is worth re-trying: injected
-// transport faults and expired per-attempt deadlines are; a canceled root
-// context is not.
+// node faults, simulated timeouts included, are; a canceled root context
+// is not.
 func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) {
 		return false
@@ -316,34 +334,39 @@ func (c *Client) backoff(n int) bool {
 	}
 }
 
-// attempt runs one bounded, deadline-scoped backend call.
-func (c *Client) attempt(fn func(ctx context.Context) error) error {
+// attempt runs one bounded attempt of a read: a canceled context ends it,
+// then the fault hook may fail it, and otherwise read runs against the node.
+func (c *Client) attempt(r Read, read func()) error {
 	c.gate.acquire()
 	defer c.gate.release()
 	ctx := c.opts.Context
-	if c.deadlines {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-		defer cancel()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return fn(ctx)
+	if c.fault != nil {
+		if err := c.fault(ctx, r); err != nil {
+			return err
+		}
+	}
+	read()
+	return nil
 }
 
 // fail records a terminal read failure and panics the Reader error contract.
-func (c *Client) fail(op string, addr etypes.Address, attempts int, err error) {
+func (c *Client) fail(r Read, attempts int, err error) {
 	c.unresolved.Add(1)
-	panic(&chain.ReadError{Op: op, Addr: addr, Attempts: attempts, Err: err})
+	panic(&chain.ReadError{Op: r.Op, Addr: r.Addr, Attempts: attempts, Err: err})
 }
 
 // do drives one logical read to completion: breaker gate, retry loop with
 // backoff, error classification. Terminal failure panics *chain.ReadError.
-func (c *Client) do(op string, addr etypes.Address, fn func(ctx context.Context) error) {
+func (c *Client) do(r Read, read func()) {
 	if err := c.opts.Context.Err(); err != nil {
-		c.fail(op, addr, 0, err)
+		c.fail(r, 0, err)
 	}
 	if !c.breakerAllow() {
 		c.failFast.Add(1)
-		c.fail(op, addr, 0, ErrBreakerOpen)
+		c.fail(r, 0, ErrBreakerOpen)
 	}
 
 	var lastErr error
@@ -357,7 +380,7 @@ func (c *Client) do(op string, addr etypes.Address, fn func(ctx context.Context)
 			}
 		}
 		attempts++
-		err := c.attempt(fn)
+		err := c.attempt(r, read)
 		if err == nil {
 			c.breakerSuccess()
 			return
@@ -374,184 +397,105 @@ func (c *Client) do(op string, addr etypes.Address, fn func(ctx context.Context)
 		}
 	}
 	c.breakerFailure()
-	c.fail(op, addr, attempts, lastErr)
+	c.fail(r, attempts, lastErr)
 }
 
 // Client implements chain.Reader.
 
 // Config implements chain.Reader.
-func (c *Client) Config() chain.Config {
-	var out chain.Config
-	c.do("config", etypes.Address{}, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Config(ctx)
-		return err
-	})
+func (c *Client) Config() (out chain.Config) {
+	c.do(Read{Op: "config"}, func() { out = c.r.Config() })
 	return out
 }
 
 // CurrentBlock implements chain.Reader.
-func (c *Client) CurrentBlock() uint64 {
-	var out uint64
-	c.do("current-block", etypes.Address{}, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.CurrentBlock(ctx)
-		return err
-	})
+func (c *Client) CurrentBlock() (out uint64) {
+	c.do(Read{Op: "current-block"}, func() { out = c.r.CurrentBlock() })
 	return out
 }
 
 // LatestHeader implements chain.Reader.
-func (c *Client) LatestHeader() chain.BlockHeader {
-	var out chain.BlockHeader
-	c.do("latest-header", etypes.Address{}, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.LatestHeader(ctx)
-		return err
-	})
+func (c *Client) LatestHeader() (out chain.BlockHeader) {
+	c.do(Read{Op: "latest-header"}, func() { out = c.r.LatestHeader() })
 	return out
 }
 
 // HeaderByNumber implements chain.Reader. The "no such block" outcome is a
 // domain answer, not a transport failure: it is returned, never retried.
-func (c *Client) HeaderByNumber(n uint64) (chain.BlockHeader, error) {
-	var out chain.BlockHeader
-	var domainErr error
-	c.do("header-by-number", etypes.Address{}, func(ctx context.Context) error {
-		h, err := c.backend.HeaderByNumber(ctx, n)
-		if err != nil && !retryable(err) && !errors.Is(err, context.Canceled) {
-			domainErr = err
-			return nil
-		}
-		out = h
-		return err
-	})
-	return out, domainErr
+func (c *Client) HeaderByNumber(n uint64) (out chain.BlockHeader, err error) {
+	c.do(Read{Op: "header-by-number", Block: n}, func() { out, err = c.r.HeaderByNumber(n) })
+	return out, err
 }
 
 // Contracts implements chain.Reader.
-func (c *Client) Contracts() []etypes.Address {
-	var out []etypes.Address
-	c.do("contracts", etypes.Address{}, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Contracts(ctx)
-		return err
-	})
+func (c *Client) Contracts() (out []etypes.Address) {
+	c.do(Read{Op: "contracts"}, func() { out = c.r.Contracts() })
 	return out
 }
 
 // Code implements chain.Reader.
-func (c *Client) Code(addr etypes.Address) []byte {
-	var out []byte
-	c.do("code", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Code(ctx, addr)
-		return err
-	})
+func (c *Client) Code(addr etypes.Address) (out []byte) {
+	c.do(Read{Op: "code", Addr: addr}, func() { out = c.r.Code(addr) })
 	return out
 }
 
 // CodeHash implements chain.Reader.
-func (c *Client) CodeHash(addr etypes.Address) etypes.Hash {
-	var out etypes.Hash
-	c.do("code-hash", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.CodeHash(ctx, addr)
-		return err
-	})
+func (c *Client) CodeHash(addr etypes.Address) (out etypes.Hash) {
+	c.do(Read{Op: "code-hash", Addr: addr}, func() { out = c.r.CodeHash(addr) })
 	return out
 }
 
 // CreatedAt implements chain.Reader.
-func (c *Client) CreatedAt(addr etypes.Address) uint64 {
-	var out uint64
-	c.do("created-at", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.CreatedAt(ctx, addr)
-		return err
-	})
+func (c *Client) CreatedAt(addr etypes.Address) (out uint64) {
+	c.do(Read{Op: "created-at", Addr: addr}, func() { out = c.r.CreatedAt(addr) })
 	return out
 }
 
 // Exists implements chain.Reader.
-func (c *Client) Exists(addr etypes.Address) bool {
-	var out bool
-	c.do("exists", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Exists(ctx, addr)
-		return err
-	})
+func (c *Client) Exists(addr etypes.Address) (out bool) {
+	c.do(Read{Op: "exists", Addr: addr}, func() { out = c.r.Exists(addr) })
 	return out
 }
 
 // GetState implements chain.Reader.
-func (c *Client) GetState(addr etypes.Address, key etypes.Hash) etypes.Hash {
-	var out etypes.Hash
-	c.do("state", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.State(ctx, addr, key)
-		return err
-	})
+func (c *Client) GetState(addr etypes.Address, key etypes.Hash) (out etypes.Hash) {
+	c.do(Read{Op: "state", Addr: addr, Slot: key}, func() { out = c.r.GetState(addr, key) })
 	return out
 }
 
 // GetBalance implements chain.Reader.
-func (c *Client) GetBalance(addr etypes.Address) u256.Int {
-	var out u256.Int
-	c.do("balance", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Balance(ctx, addr)
-		return err
-	})
+func (c *Client) GetBalance(addr etypes.Address) (out u256.Int) {
+	c.do(Read{Op: "balance", Addr: addr}, func() { out = c.r.GetBalance(addr) })
 	return out
 }
 
 // GetNonce implements chain.Reader.
-func (c *Client) GetNonce(addr etypes.Address) uint64 {
-	var out uint64
-	c.do("nonce", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.Nonce(ctx, addr)
-		return err
-	})
+func (c *Client) GetNonce(addr etypes.Address) (out uint64) {
+	c.do(Read{Op: "nonce", Addr: addr}, func() { out = c.r.GetNonce(addr) })
 	return out
 }
 
 // TxSelectors implements chain.Reader.
-func (c *Client) TxSelectors(addr etypes.Address) [][4]byte {
-	var out [][4]byte
-	c.do("tx-selectors", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.TxSelectors(ctx, addr)
-		return err
-	})
+func (c *Client) TxSelectors(addr etypes.Address) (out [][4]byte) {
+	c.do(Read{Op: "tx-selectors", Addr: addr}, func() { out = c.r.TxSelectors(addr) })
 	return out
 }
 
 // GetStorageAt implements chain.Reader. The logical read is counted once up
 // front, whatever happens to its attempts, so APICalls stays comparable to
 // a fault-free run (and monotonic under retries).
-func (c *Client) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64) etypes.Hash {
+func (c *Client) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64) (out etypes.Hash) {
 	c.storageReads.Add(1)
-	var out etypes.Hash
-	c.do("storage-at", addr, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.StorageAt(ctx, addr, slot, block)
-		return err
-	})
+	c.do(Read{Op: "storage-at", Addr: addr, Slot: slot, Block: block},
+		func() { out = c.r.GetStorageAt(addr, slot, block) })
 	return out
 }
 
 // BlockDelta implements chain.Reader. A replica behind the block
 // (ErrBehindHead) is retried like any stale read; the delta that comes back
-// is the backend's complete answer.
-func (c *Client) BlockDelta(block uint64) chain.BlockDelta {
-	var out chain.BlockDelta
-	c.do("block-delta", etypes.Address{}, func(ctx context.Context) error {
-		var err error
-		out, err = c.backend.BlockDelta(ctx, block)
-		return err
-	})
+// is the node's complete answer.
+func (c *Client) BlockDelta(block uint64) (out chain.BlockDelta) {
+	c.do(Read{Op: "block-delta", Block: block}, func() { out = c.r.BlockDelta(block) })
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,18 +95,18 @@ func TestClientConcurrentRetries(t *testing.T) {
 	}
 }
 
-// flakyBackend fails State reads terminally (non-healing) while its down
-// flag is set, for direct breaker control.
-type flakyBackend struct {
-	*faultchain.NodeBackend
+// flakyNode fails State reads terminally (non-healing) while its down flag
+// is set, for direct breaker control. Its fault method is the client's
+// fault hook.
+type flakyNode struct {
 	down atomic.Bool
 }
 
-func (f *flakyBackend) State(ctx context.Context, addr etypes.Address, key etypes.Hash) (etypes.Hash, error) {
-	if f.down.Load() {
-		return etypes.Hash{}, faultchain.ErrTransient
+func (f *flakyNode) fault(_ context.Context, r faultchain.Read) error {
+	if r.Op == "state" && f.down.Load() {
+		return faultchain.ErrTransient
 	}
-	return f.NodeBackend.State(ctx, addr, key)
+	return nil
 }
 
 // TestBreakerOpensAndRecovers drives the breaker through its full cycle:
@@ -114,13 +115,13 @@ func (f *flakyBackend) State(ctx context.Context, addr etypes.Address, key etype
 // again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	base, addrs := testChain(2)
-	fb := &flakyBackend{NodeBackend: faultchain.NewNodeBackend(base)}
+	fb := &flakyNode{}
 	fb.down.Store(true)
 	opts := chaosOpts()
 	opts.MaxRetries = 1
 	opts.BreakerThreshold = 4
 	opts.BreakerProbe = 3
-	cl := faultchain.NewClient(fb, opts)
+	cl := faultchain.NewClient(base, fb.fault, opts)
 
 	read := func() (failed bool) {
 		defer func() {
@@ -172,13 +173,13 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // than ReadError, breaker closed at the end".
 func TestBreakerConcurrent(t *testing.T) {
 	base, addrs := testChain(4)
-	fb := &flakyBackend{NodeBackend: faultchain.NewNodeBackend(base)}
+	fb := &flakyNode{}
 	fb.down.Store(true)
 	opts := chaosOpts()
 	opts.MaxRetries = 0
 	opts.BreakerThreshold = 4
 	opts.BreakerProbe = 2
-	cl := faultchain.NewClient(fb, opts)
+	cl := faultchain.NewClient(base, fb.fault, opts)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -335,5 +336,79 @@ func TestAPICallAccounting(t *testing.T) {
 	proxion.NewDetector(cl).AnalyzeAllWithOptions(c2.Registry, proxion.AnalyzeOptions{WithHistory: true})
 	if after := cl.APICalls(); after < before {
 		t.Errorf("APICalls moved backwards: %d then %d", before, after)
+	}
+}
+
+// TestEveryReadConsultsTheFaultHook: every chain.Reader read of a Client —
+// found by reflection, so a read added to the interface later is covered
+// too — asks the fault hook once per attempt, under an op of its own and
+// with the account it reads; a never-healing hook fails it as a
+// *chain.ReadError carrying that op. APICalls is a counter, not a read.
+func TestEveryReadConsultsTheFaultHook(t *testing.T) {
+	base, addrs := testChain(2)
+	reader := reflect.TypeOf((*chain.Reader)(nil)).Elem()
+	addrType := reflect.TypeOf(etypes.Address{})
+	ops := map[string]string{}
+	for i := 0; i < reader.NumMethod(); i++ {
+		m := reader.Method(i)
+		if m.Name == "APICalls" {
+			continue
+		}
+		args := make([]reflect.Value, m.Type.NumIn())
+		takesAddr := false
+		for j := range args {
+			if in := m.Type.In(j); in == addrType {
+				args[j], takesAddr = reflect.ValueOf(addrs[1]), true
+			} else {
+				args[j] = reflect.Zero(in)
+			}
+		}
+		call := func(cl *faultchain.Client) { reflect.ValueOf(cl).MethodByName(m.Name).Call(args) }
+
+		// The first attempt fails and the second is served: two hook calls
+		// for one read, about the same Read.
+		var seen []faultchain.Read
+		cl := faultchain.NewClient(base, func(_ context.Context, r faultchain.Read) error {
+			seen = append(seen, r)
+			if len(seen) == 1 {
+				return faultchain.ErrTransient
+			}
+			return nil
+		}, chaosOpts())
+		if re := chain.CaptureReadError(func() { call(cl) }); re != nil {
+			t.Errorf("%s: failed after one faulted attempt: %v", m.Name, re)
+			continue
+		}
+		if len(seen) != 2 || seen[0] != seen[1] || cl.Metrics().Retries != 1 {
+			t.Errorf("%s: hook saw %+v over %d retries, want one Read twice over one retry",
+				m.Name, seen, cl.Metrics().Retries)
+			continue
+		}
+		r := seen[0]
+		if prev, dup := ops[r.Op]; dup || r.Op == "" {
+			t.Errorf("%s: op %q is not its own (also %s)", m.Name, r.Op, prev)
+		}
+		ops[r.Op] = m.Name
+		if takesAddr && r.Addr != addrs[1] {
+			t.Errorf("%s: hook saw account %v, the read is about %v", m.Name, r.Addr, addrs[1])
+		}
+
+		attempts := 0
+		down := faultchain.NewClient(base, func(context.Context, faultchain.Read) error {
+			attempts++
+			return faultchain.ErrTransient
+		}, chaosOpts())
+		re := chain.CaptureReadError(func() { call(down) })
+		switch {
+		case re == nil:
+			t.Errorf("%s: served under a never-healing hook", m.Name)
+		case re.Op != r.Op || !errors.Is(re, faultchain.ErrTransient):
+			t.Errorf("%s: failed as %v, want op %q and the hook's error", m.Name, re, r.Op)
+		case attempts != re.Attempts || attempts != 5:
+			t.Errorf("%s: %d hook calls for %d attempts, want 5 each", m.Name, attempts, re.Attempts)
+		}
+	}
+	if len(ops) != reader.NumMethod()-1 {
+		t.Errorf("%d reads reached the hook under distinct ops, chain.Reader has %d", len(ops), reader.NumMethod()-1)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/faultchain"
 )
 
-// TestBlockDeltaThroughTheStack pins the new read at every layer of the
-// tower. Below the retry budget each block's delta comes through the
-// injector and client identical to the chain's own, with faults actually
+// TestBlockDeltaThroughTheStack pins the delta read through the resilient
+// client and its injector. Below the retry budget each block's delta comes
+// through identical to the chain's own, with faults actually
 // injected (block-keyed: the same block faults on every run) and retried;
 // it is not a GetStorageAt and is never counted as one. Above the budget
 // the read fails as a *chain.ReadError naming it — never as a short delta.
@@ -80,5 +80,33 @@ func TestBlockDeltaBeyondHeadIsAnError(t *testing.T) {
 	re := chain.CaptureReadError(func() { replay.BlockDelta(head - 1) })
 	if re == nil || re.Op != "block-delta" {
 		t.Errorf("delta beyond its head returned %v, want a block-delta ReadError", re)
+	}
+}
+
+// TestStaleEligibilityFollowsTheHead: a height-pinned read is eligible for
+// the stale-replica fault while its block is within StaleLag of the head
+// as the node reports it now, not as it was at the first read. A replica
+// lagging 2 blocks is stale about block 1 at head 1 and has long caught up
+// with it at head 48; it is stale about block 48 then.
+func TestStaleEligibilityFollowsTheHead(t *testing.T) {
+	base, addrs := testChain(16)
+	replay := faultchain.NewReplayReader(base)
+	replay.SetHead(1)
+	sched := faultchain.NewSchedule(faultchain.Profile{Name: "always-stale", StaleRate: 1, StaleLag: 2, Depth: 1}, 1)
+	cl, inj := faultchain.NewResilientReader(replay, &sched, chaosOpts())
+
+	cl.BlockDelta(1)
+	if n := inj.Stats().Stale; n != 1 {
+		t.Fatalf("BlockDelta(1) at head 1 was served stale %d times, want 1", n)
+	}
+	replay.SetHead(48)
+	var slot etypes.Hash
+	cl.GetStorageAt(addrs[0], slot, 1)
+	if n := inj.Stats().Stale; n != 1 {
+		t.Errorf("GetStorageAt at block 1 under head 48 was served stale (%d stale faults, want 1)", n)
+	}
+	cl.GetStorageAt(addrs[0], slot, 48)
+	if n := inj.Stats().Stale; n != 2 {
+		t.Errorf("GetStorageAt at the head was not served stale (%d stale faults, want 2)", n)
 	}
 }

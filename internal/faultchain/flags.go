@@ -21,7 +21,7 @@ type ReaderFlags struct {
 }
 
 // RegisterReaderFlags adds -resilient, -faults, -fault-seed, -fault-depth,
-// -retries, -rpc-timeout, -backoff and -inflight to fs.
+// -retries, -backoff and -inflight to fs.
 func RegisterReaderFlags(fs *flag.FlagSet) *ReaderFlags {
 	f := &ReaderFlags{}
 	fs.BoolVar(&f.resilient, "resilient", false, "route node reads through the resilient client even with faults off")
@@ -29,7 +29,6 @@ func RegisterReaderFlags(fs *flag.FlagSet) *ReaderFlags {
 	fs.Int64Var(&f.faultSeed, "fault-seed", 1, "fault schedule seed")
 	fs.IntVar(&f.faultDepth, "fault-depth", 0, "override the profile's fault depth (0 keeps the profile default)")
 	fs.IntVar(&f.opts.MaxRetries, "retries", 0, "max retries per node read (0 = client default)")
-	fs.DurationVar(&f.opts.Timeout, "rpc-timeout", 0, "per-read timeout (0 = client default)")
 	fs.DurationVar(&f.opts.BackoffBase, "backoff", 0, "base retry backoff (0 = client default)")
 	fs.IntVar(&f.opts.MaxInFlight, "inflight", 0, "max concurrent node reads (0 = client default)")
 	return f

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/chain"
-	"repro/internal/etypes"
-	"repro/internal/u256"
 )
 
 // The injectable failure modes, each mirroring a concrete archive-node
@@ -19,7 +16,7 @@ var (
 	// ErrTransient models a 5xx / connection-reset answer: the node hiccuped
 	// but an immediate retry can succeed.
 	ErrTransient = errors.New("faultchain: transient node error")
-	// ErrTimeout models a read whose latency exceeded the per-call deadline.
+	// ErrTimeout models a read whose latency exceeded its deadline.
 	// It wraps context.DeadlineExceeded so callers classify it like a real
 	// expired deadline.
 	ErrTimeout = fmt.Errorf("faultchain: simulated read latency above deadline: %w", context.DeadlineExceeded)
@@ -83,10 +80,6 @@ type Profile struct {
 	// Depth is how many consecutive attempts of a faulted read fail before
 	// the read succeeds. DepthForever never heals.
 	Depth int
-	// Stall, when nonzero, makes every faulted attempt block for that long
-	// (or until the context expires) before returning its error, modeling
-	// latency instead of instant failure.
-	Stall time.Duration
 }
 
 // DepthForever marks a fault that never heals, whatever the retry budget.
@@ -102,7 +95,7 @@ func ErrorBurst() Profile {
 	return Profile{Name: "error-burst", TransientRate: 0.30, Depth: 2}
 }
 
-// SlowNode returns a profile of reads exceeding the per-call deadline.
+// SlowNode returns a profile of reads exceeding their deadline.
 func SlowNode() Profile {
 	return Profile{Name: "slow-node", TimeoutRate: 0.25, Depth: 2}
 }
@@ -183,34 +176,26 @@ func (s Schedule) WithLimit(n int) Schedule {
 	return s
 }
 
-// faultKey identifies one logical read for fault-decision purposes.
-type faultKey struct {
-	op    string
-	addr  etypes.Address
-	slot  etypes.Hash
-	block uint64
-}
-
-// hash mixes the key into a 64-bit value with FNV-1a, then scrambles with a
-// splitmix64 finalizer so adjacent keys decorrelate.
-func (k faultKey) hash(seed int64) uint64 {
+// hash mixes the read into a 64-bit value with FNV-1a, then scrambles with
+// a splitmix64 finalizer so adjacent reads decorrelate.
+func (k Read) hash(seed int64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64) ^ uint64(seed)
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	for i := 0; i < len(k.op); i++ {
-		mix(k.op[i])
+	for i := 0; i < len(k.Op); i++ {
+		mix(k.Op[i])
 	}
-	for _, b := range k.addr {
+	for _, b := range k.Addr {
 		mix(b)
 	}
-	for _, b := range k.slot {
+	for _, b := range k.Slot {
 		mix(b)
 	}
 	for i := 0; i < 8; i++ {
-		mix(byte(k.block >> (8 * i)))
+		mix(byte(k.Block >> (8 * i)))
 	}
 	h += 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
@@ -242,31 +227,24 @@ func (s InjectorStats) Total() int64 {
 	return s.Transient + s.Timeouts + s.RateLimited + s.Stale
 }
 
-// Injector wraps a Backend and injects schedule-driven faults into the
-// per-account reads. It is safe for concurrent use, and — because decisions
-// are keyed, not sequenced — deterministic under any interleaving: a
-// logical read fails exactly its first Depth attempts, globally, no matter
-// which goroutines issue them.
+// Injector is the FaultHook a Schedule drives (its Fault method): it fails
+// attempts of the per-account reads and block deltas of the reader r, whose
+// head decides which reads a lagging replica can be wrong about. It is safe
+// for concurrent use, and — because decisions are keyed, not sequenced —
+// deterministic under any interleaving: a logical read fails exactly its
+// first Depth attempts, globally, no matter which goroutines issue them.
 type Injector struct {
-	backend Backend
-	sched   Schedule
-
-	headOnce sync.Once
-	head     uint64
+	r     chain.Reader
+	sched Schedule
 
 	mu        sync.Mutex
-	plans     map[faultKey]*faultPlan
+	plans     map[Read]*faultPlan
 	activated int
 
 	transient   atomic.Int64
 	timeouts    atomic.Int64
 	rateLimited atomic.Int64
 	stale       atomic.Int64
-}
-
-// NewInjector wraps a backend with a fault schedule.
-func NewInjector(b Backend, sched Schedule) *Injector {
-	return &Injector{backend: b, sched: sched, plans: make(map[faultKey]*faultPlan)}
 }
 
 // Stats returns the faults injected so far.
@@ -285,7 +263,7 @@ func (i *Injector) Stats() InjectorStats {
 
 // decide maps a key onto the profile's fault kinds by carving [0,1) into
 // rate-sized bands. Pure function of (seed, key): no state, no lock.
-func (i *Injector) decide(k faultKey, staleEligible bool) FaultKind {
+func (i *Injector) decide(k Read, staleEligible bool) FaultKind {
 	p := i.sched.Profile
 	u := float64(k.hash(i.sched.Seed)>>11) / float64(1<<53)
 	// The stale band comes first so its mass is stable for eligible reads;
@@ -314,9 +292,27 @@ func (i *Injector) decide(k faultKey, staleEligible bool) FaultKind {
 	return FaultNone
 }
 
-// gate runs the fault decision for one attempt of one logical read,
-// returning the injected error or nil for pass-through.
-func (i *Injector) gate(ctx context.Context, k faultKey, staleEligible bool) error {
+// Fault is the injector as a FaultHook: it runs the fault decision for one
+// attempt of one logical read, returning the injected error or nil for
+// pass-through.
+//
+// The chain-level metadata reads (config, current-block, latest-header,
+// header-by-number, contracts) always pass: in a real deployment headers
+// are tiny and cacheable and contract lists come from an offline index,
+// not per-contract RPC. Every other read is gated. Storage history and
+// block deltas pinned within StaleLag of the head are also eligible for
+// the stale-replica fault: a replica lagging k blocks answers any block ≤
+// head−k identically (history is immutable), so only near-head reads can
+// observe its staleness — and a block's logs and state diff are the one
+// read a lagging replica is most often wrong about.
+func (i *Injector) Fault(_ context.Context, k Read) error {
+	var staleEligible bool
+	switch k.Op {
+	case "config", "current-block", "latest-header", "header-by-number", "contracts":
+		return nil
+	case "storage-at", "block-delta":
+		staleEligible = i.nearHead(k.Block)
+	}
 	kind := i.decide(k, staleEligible)
 	if kind == FaultNone {
 		return nil
@@ -352,155 +348,13 @@ func (i *Injector) gate(ctx context.Context, k faultKey, staleEligible bool) err
 	case FaultStale:
 		i.stale.Add(1)
 	}
-	if s := i.sched.Profile.Stall; s > 0 {
-		t := time.NewTimer(s)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 	return kind.err()
 }
 
-// NonBlocking implements NonBlocker: the injector adds no blocking of its
-// own unless the profile stalls faulted attempts, and otherwise inherits
-// the wrapped backend's guarantee.
-func (i *Injector) NonBlocking() bool {
-	if i.sched.Profile.Stall > 0 {
-		return false
-	}
-	nb, ok := i.backend.(NonBlocker)
-	return ok && nb.NonBlocking()
-}
-
-// headBlock lazily captures the head height for stale-eligibility checks;
-// chains do not advance during an analysis run.
-func (i *Injector) headBlock() uint64 {
-	i.headOnce.Do(func() {
-		h, err := i.backend.CurrentBlock(context.Background())
-		if err == nil {
-			i.head = h
-		}
-	})
-	return i.head
-}
-
-// Chain-level metadata passes through unfaulted (see Backend).
-
-// Config implements Backend.
-func (i *Injector) Config(ctx context.Context) (chain.Config, error) { return i.backend.Config(ctx) }
-
-// CurrentBlock implements Backend.
-func (i *Injector) CurrentBlock(ctx context.Context) (uint64, error) {
-	return i.backend.CurrentBlock(ctx)
-}
-
-// LatestHeader implements Backend.
-func (i *Injector) LatestHeader(ctx context.Context) (chain.BlockHeader, error) {
-	return i.backend.LatestHeader(ctx)
-}
-
-// HeaderByNumber implements Backend.
-func (i *Injector) HeaderByNumber(ctx context.Context, n uint64) (chain.BlockHeader, error) {
-	return i.backend.HeaderByNumber(ctx, n)
-}
-
-// Contracts implements Backend.
-func (i *Injector) Contracts(ctx context.Context) ([]etypes.Address, error) {
-	return i.backend.Contracts(ctx)
-}
-
-// Code implements Backend.
-func (i *Injector) Code(ctx context.Context, addr etypes.Address) ([]byte, error) {
-	if err := i.gate(ctx, faultKey{op: "code", addr: addr}, false); err != nil {
-		return nil, err
-	}
-	return i.backend.Code(ctx, addr)
-}
-
-// CodeHash implements Backend.
-func (i *Injector) CodeHash(ctx context.Context, addr etypes.Address) (etypes.Hash, error) {
-	if err := i.gate(ctx, faultKey{op: "code-hash", addr: addr}, false); err != nil {
-		return etypes.Hash{}, err
-	}
-	return i.backend.CodeHash(ctx, addr)
-}
-
-// CreatedAt implements Backend.
-func (i *Injector) CreatedAt(ctx context.Context, addr etypes.Address) (uint64, error) {
-	if err := i.gate(ctx, faultKey{op: "created-at", addr: addr}, false); err != nil {
-		return 0, err
-	}
-	return i.backend.CreatedAt(ctx, addr)
-}
-
-// Exists implements Backend.
-func (i *Injector) Exists(ctx context.Context, addr etypes.Address) (bool, error) {
-	if err := i.gate(ctx, faultKey{op: "exists", addr: addr}, false); err != nil {
-		return false, err
-	}
-	return i.backend.Exists(ctx, addr)
-}
-
-// State implements Backend.
-func (i *Injector) State(ctx context.Context, addr etypes.Address, key etypes.Hash) (etypes.Hash, error) {
-	if err := i.gate(ctx, faultKey{op: "state", addr: addr, slot: key}, false); err != nil {
-		return etypes.Hash{}, err
-	}
-	return i.backend.State(ctx, addr, key)
-}
-
-// Balance implements Backend.
-func (i *Injector) Balance(ctx context.Context, addr etypes.Address) (u256.Int, error) {
-	if err := i.gate(ctx, faultKey{op: "balance", addr: addr}, false); err != nil {
-		return u256.Int{}, err
-	}
-	return i.backend.Balance(ctx, addr)
-}
-
-// Nonce implements Backend.
-func (i *Injector) Nonce(ctx context.Context, addr etypes.Address) (uint64, error) {
-	if err := i.gate(ctx, faultKey{op: "nonce", addr: addr}, false); err != nil {
-		return 0, err
-	}
-	return i.backend.Nonce(ctx, addr)
-}
-
-// TxSelectors implements Backend.
-func (i *Injector) TxSelectors(ctx context.Context, addr etypes.Address) ([][4]byte, error) {
-	if err := i.gate(ctx, faultKey{op: "tx-selectors", addr: addr}, false); err != nil {
-		return nil, err
-	}
-	return i.backend.TxSelectors(ctx, addr)
-}
-
-// StorageAt implements Backend. History reads within StaleLag of the head
-// are additionally eligible for the stale-replica fault: a replica lagging
-// k blocks answers any block ≤ head−k identically (history is immutable),
-// so only near-head reads can observe its staleness.
-func (i *Injector) StorageAt(ctx context.Context, addr etypes.Address, slot etypes.Hash, block uint64) (etypes.Hash, error) {
-	if err := i.gate(ctx, faultKey{op: "storage-at", addr: addr, slot: slot, block: block}, i.nearHead(block)); err != nil {
-		return etypes.Hash{}, err
-	}
-	return i.backend.StorageAt(ctx, addr, slot, block)
-}
-
-// BlockDelta implements Backend. The fault decision is keyed by the block
-// alone, and near-head blocks are stale-eligible like StorageAt's.
-func (i *Injector) BlockDelta(ctx context.Context, block uint64) (chain.BlockDelta, error) {
-	if err := i.gate(ctx, faultKey{op: "block-delta", block: block}, i.nearHead(block)); err != nil {
-		return chain.BlockDelta{}, err
-	}
-	return i.backend.BlockDelta(ctx, block)
-}
-
 // nearHead reports whether a read pinned at block is within the profile's
-// StaleLag of the head, and so eligible for the stale-replica fault.
+// StaleLag of the head, and so eligible for the stale-replica fault. The
+// head is read at every check: a followed chain's head moves.
 func (i *Injector) nearHead(block uint64) bool {
 	lag := i.sched.Profile.StaleLag
-	return lag > 0 && block+lag > i.headBlock()
+	return lag > 0 && block+lag > i.r.CurrentBlock()
 }
-
-var _ Backend = (*Injector)(nil)

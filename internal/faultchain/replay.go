@@ -10,49 +10,70 @@ import (
 	"repro/internal/u256"
 )
 
-// cappedView serves the underlying chain as of the height head() returns.
-// Contracts deployed after that height are absent from its enumeration,
-// latest-state reads answer as of that height via the archive API, and
-// reads the view provably cannot answer yet — archive reads past its head,
-// per-account reads about contracts it has not seen deployed — fail with a
-// ReadError instead of serving clamped state, the way a real node reports
-// a missing state root.
-type cappedView struct {
-	// R is the up-to-date chain being capped.
-	R    chain.Reader
-	head func() uint64
+// ReplayReader reveals a fully built chain block-by-block: it serves the
+// chain as of the head SetHead pins (clamped to the real head). The
+// watch-parity harness follows a scripted upgrade timeline through one of
+// these, so every analysis the follower runs sees exactly the state that
+// existed when the followed block was the head.
+//
+// Contracts deployed after the head are absent from its enumeration,
+// latest-state reads answer as of the head via the archive API, and reads
+// it provably cannot answer yet — archive reads past its head, per-account
+// reads about contracts it has not seen deployed — fail with a ReadError
+// instead of serving clamped state, the way a real node reports a missing
+// state root.
+type ReplayReader struct {
+	r chain.Reader // the up-to-date chain being replayed
+	h atomic.Uint64
+}
+
+var _ chain.Reader = (*ReplayReader)(nil)
+
+// NewReplayReader wraps r with a settable head, initially 0.
+func NewReplayReader(r chain.Reader) *ReplayReader { return &ReplayReader{r: r} }
+
+// SetHead moves the revealed head (values beyond the real head clamp).
+func (s *ReplayReader) SetHead(h uint64) { s.h.Store(h) }
+
+// head is the revealed head: SetHead's value, clamped to the real head.
+func (s *ReplayReader) head() uint64 {
+	full := s.r.CurrentBlock()
+	if h := s.h.Load(); h < full {
+		return h
+	}
+	return full
 }
 
 // Config passes through.
-func (s *cappedView) Config() chain.Config { return s.R.Config() }
+func (s *ReplayReader) Config() chain.Config { return s.r.Config() }
 
 // CurrentBlock reports the capped head.
-func (s *cappedView) CurrentBlock() uint64 { return s.head() }
+func (s *ReplayReader) CurrentBlock() uint64 { return s.head() }
 
 // LatestHeader reports the header at the capped head.
-func (s *cappedView) LatestHeader() chain.BlockHeader {
-	h, err := s.R.HeaderByNumber(s.head())
+func (s *ReplayReader) LatestHeader() chain.BlockHeader {
+	h, err := s.r.HeaderByNumber(s.head())
 	if err != nil {
-		return s.R.LatestHeader()
+		return s.r.LatestHeader()
 	}
 	return h
 }
 
 // HeaderByNumber refuses heights this view has not reached.
-func (s *cappedView) HeaderByNumber(n uint64) (chain.BlockHeader, error) {
+func (s *ReplayReader) HeaderByNumber(n uint64) (chain.BlockHeader, error) {
 	if n > s.head() {
 		return chain.BlockHeader{}, errStaleHeight
 	}
-	return s.R.HeaderByNumber(n)
+	return s.r.HeaderByNumber(n)
 }
 
 // Contracts hides contracts deployed after the capped head.
-func (s *cappedView) Contracts() []etypes.Address {
+func (s *ReplayReader) Contracts() []etypes.Address {
 	head := s.head()
-	all := s.R.Contracts()
+	all := s.r.Contracts()
 	out := make([]etypes.Address, 0, len(all))
 	for _, a := range all {
-		if s.R.CreatedAt(a) <= head {
+		if s.r.CreatedAt(a) <= head {
 			out = append(out, a)
 		}
 	}
@@ -63,114 +84,85 @@ func (s *cappedView) Contracts() []etypes.Address {
 // the full chain knows but this view has not seen deployed yet is a
 // behind-head condition, not a nonexistent account — the read fails so a
 // caller retries instead of caching an empty-code answer.
-func (s *cappedView) visible(addr etypes.Address) bool {
-	if !s.R.Exists(addr) {
+func (s *ReplayReader) visible(addr etypes.Address) bool {
+	if !s.r.Exists(addr) {
 		return false
 	}
-	if s.R.CreatedAt(addr) > s.head() {
+	if s.r.CreatedAt(addr) > s.head() {
 		panic(&chain.ReadError{Op: "account", Addr: addr, Attempts: 1, Err: errStaleHeight})
 	}
 	return true
 }
 
 // Code hides bytecode of contracts this view has not seen deployed.
-func (s *cappedView) Code(addr etypes.Address) []byte {
+func (s *ReplayReader) Code(addr etypes.Address) []byte {
 	if !s.visible(addr) {
 		return nil
 	}
-	return s.R.Code(addr)
+	return s.r.Code(addr)
 }
 
 // CodeHash mirrors Code's visibility.
-func (s *cappedView) CodeHash(addr etypes.Address) etypes.Hash {
+func (s *ReplayReader) CodeHash(addr etypes.Address) etypes.Hash {
 	if !s.visible(addr) {
 		return etypes.Hash{}
 	}
-	return s.R.CodeHash(addr)
+	return s.r.CodeHash(addr)
 }
 
 // CreatedAt passes through for visible contracts, zero otherwise.
-func (s *cappedView) CreatedAt(addr etypes.Address) uint64 {
+func (s *ReplayReader) CreatedAt(addr etypes.Address) uint64 {
 	if !s.visible(addr) {
 		return 0
 	}
-	return s.R.CreatedAt(addr)
+	return s.r.CreatedAt(addr)
 }
 
 // Exists mirrors the capped view.
-func (s *cappedView) Exists(addr etypes.Address) bool { return s.visible(addr) }
+func (s *ReplayReader) Exists(addr etypes.Address) bool { return s.visible(addr) }
 
 // GetState serves the slot as of the capped head.
-func (s *cappedView) GetState(addr etypes.Address, key etypes.Hash) etypes.Hash {
+func (s *ReplayReader) GetState(addr etypes.Address, key etypes.Hash) etypes.Hash {
 	if !s.visible(addr) {
 		return etypes.Hash{}
 	}
-	return s.R.GetStorageAt(addr, key, s.head())
+	return s.r.GetStorageAt(addr, key, s.head())
 }
 
 // GetBalance passes through (balances carry no history here).
-func (s *cappedView) GetBalance(addr etypes.Address) u256.Int { return s.R.GetBalance(addr) }
+func (s *ReplayReader) GetBalance(addr etypes.Address) u256.Int { return s.r.GetBalance(addr) }
 
 // GetNonce passes through.
-func (s *cappedView) GetNonce(addr etypes.Address) uint64 { return s.R.GetNonce(addr) }
+func (s *ReplayReader) GetNonce(addr etypes.Address) uint64 { return s.r.GetNonce(addr) }
 
 // TxSelectors passes through.
-func (s *cappedView) TxSelectors(addr etypes.Address) [][4]byte { return s.R.TxSelectors(addr) }
+func (s *ReplayReader) TxSelectors(addr etypes.Address) [][4]byte { return s.r.TxSelectors(addr) }
 
 // GetStorageAt refuses archive reads beyond the capped head: the view has
 // no state for that block yet, and a clamped answer would hand a follower
 // a pre-upgrade value for a post-upgrade block.
-func (s *cappedView) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64) etypes.Hash {
+func (s *ReplayReader) GetStorageAt(addr etypes.Address, slot etypes.Hash, block uint64) etypes.Hash {
 	if head := s.head(); block > head {
 		panic(&chain.ReadError{Op: "storage-at", Addr: addr, Attempts: 1, Err: errStaleHeight})
 	}
-	return s.R.GetStorageAt(addr, slot, block)
+	return s.r.GetStorageAt(addr, slot, block)
 }
 
 // BlockDelta refuses blocks beyond the capped head for the same reason: an
 // empty delta for a block this view has not reached would let a follower
 // step over the block's deployments and upgrades.
-func (s *cappedView) BlockDelta(b uint64) chain.BlockDelta {
+func (s *ReplayReader) BlockDelta(b uint64) chain.BlockDelta {
 	if b > s.head() {
 		panic(&chain.ReadError{Op: "block-delta", Attempts: 1, Err: errStaleHeight})
 	}
-	return s.R.BlockDelta(b)
+	return s.r.BlockDelta(b)
 }
 
 // APICalls passes through to the underlying chain.
-func (s *cappedView) APICalls() int64 { return s.R.APICalls() }
+func (s *ReplayReader) APICalls() int64 { return s.r.APICalls() }
 
 var errStaleHeight = &staleHeightError{}
 
 type staleHeightError struct{}
 
 func (*staleHeightError) Error() string { return "faultchain: height beyond stale replica head" }
-
-// ReplayReader reveals a fully built chain block-by-block: its head is
-// pinned to SetHead's value (clamped to the real head). The watch-parity
-// harness follows a scripted upgrade timeline through one of these, so
-// every analysis the follower runs sees exactly the state that existed
-// when the followed block was the head.
-type ReplayReader struct {
-	cappedView
-	h atomic.Uint64
-}
-
-var _ chain.Reader = (*ReplayReader)(nil)
-
-// NewReplayReader wraps r with a settable head, initially 0.
-func NewReplayReader(r chain.Reader) *ReplayReader {
-	p := &ReplayReader{}
-	p.R = r
-	p.head = func() uint64 {
-		full := r.CurrentBlock()
-		if h := p.h.Load(); h < full {
-			return h
-		}
-		return full
-	}
-	return p
-}
-
-// SetHead moves the revealed head (values beyond the real head clamp).
-func (p *ReplayReader) SetHead(h uint64) { p.h.Store(h) }

@@ -103,13 +103,12 @@ func TestStructuralLeaderGoneOrChangedRefuses(t *testing.T) {
 	}
 }
 
-// leaderCodeFault is a node whose reads of one account's code fail once
-// armed. The failing reads wait until release is closed, so a test can
-// gather the other followers behind the cross-check the first one is
-// inside; arrived receives each other account whose code hash is read
+// leaderCodeFault is a fault hook under which reads of one account's code
+// fail once armed. The failing reads wait until release is closed, so a
+// test can gather the other followers behind the cross-check the first one
+// is inside; arrived receives each other account whose code hash is read
 // while armed — a follower entering the dedup tiers.
 type leaderCodeFault struct {
-	*faultchain.NodeBackend
 	leader  etypes.Address
 	armed   atomic.Bool
 	entered chan struct{}
@@ -117,26 +116,22 @@ type leaderCodeFault struct {
 	release chan struct{}
 }
 
-func (b *leaderCodeFault) Code(ctx context.Context, addr etypes.Address) ([]byte, error) {
-	if addr == b.leader && b.armed.Load() {
+func (b *leaderCodeFault) fault(_ context.Context, r faultchain.Read) error {
+	if r.Op == "code" && r.Addr == b.leader && b.armed.Load() {
 		select {
 		case b.entered <- struct{}{}:
 		default:
 		}
 		<-b.release
-		return nil, faultchain.ErrTransient
+		return faultchain.ErrTransient
 	}
-	return b.NodeBackend.Code(ctx, addr)
-}
-
-func (b *leaderCodeFault) CodeHash(ctx context.Context, addr etypes.Address) (etypes.Hash, error) {
-	if addr != b.leader && b.armed.Load() {
+	if r.Op == "code-hash" && r.Addr != b.leader && b.armed.Load() {
 		select {
-		case b.arrived <- addr:
+		case b.arrived <- r.Addr:
 		default:
 		}
 	}
-	return b.NodeBackend.CodeHash(ctx, addr)
+	return nil
 }
 
 // TestStructuralLeaderReadFailureReleasesWaiters: a terminal read failure
@@ -148,18 +143,17 @@ func TestStructuralLeaderReadFailureReleasesWaiters(t *testing.T) {
 	c := chain.New()
 	stamps := installStamps(c, 0x80, 7)
 	leader, followers := stamps[0], stamps[1:6]
-	backend := &leaderCodeFault{
-		NodeBackend: faultchain.NewNodeBackend(c),
-		leader:      leader,
-		entered:     make(chan struct{}, 1),
-		arrived:     make(chan etypes.Address, len(followers)),
-		release:     make(chan struct{}),
+	hook := &leaderCodeFault{
+		leader:  leader,
+		entered: make(chan struct{}, 1),
+		arrived: make(chan etypes.Address, len(followers)),
+		release: make(chan struct{}),
 	}
-	d := NewDetector(faultchain.NewClient(backend, faultchain.Options{MaxRetries: 1}))
+	d := NewDetector(faultchain.NewClient(c, hook.fault, faultchain.Options{MaxRetries: 1}))
 	if _, tr := d.checkDeduped(leader, c.Code(leader)); tr != (probeTrace{source: sourceEmulated}) {
 		t.Fatalf("leader trace = %+v, want a plain emulation", tr)
 	}
-	backend.armed.Store(true)
+	hook.armed.Store(true)
 
 	reps, trs := make([]Report, len(followers)), make([]probeTrace, len(followers))
 	var wg sync.WaitGroup
@@ -169,15 +163,15 @@ func TestStructuralLeaderReadFailureReleasesWaiters(t *testing.T) {
 	}
 	wg.Add(1)
 	go run(0)
-	<-backend.entered // follower 0 is inside the cross-check
+	<-hook.entered // follower 0 is inside the cross-check
 	for i := 1; i < len(followers); i++ {
 		wg.Add(1)
 		go run(i)
 	}
 	for range followers { // every follower is past its own reads, bound for the check
-		<-backend.arrived
+		<-hook.arrived
 	}
-	close(backend.release)
+	close(hook.release)
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
 	select {
@@ -195,7 +189,7 @@ func TestStructuralLeaderReadFailureReleasesWaiters(t *testing.T) {
 			t.Errorf("follower %d report %+v, want %+v", i, reps[i], wantRep)
 		}
 	}
-	backend.armed.Store(false)
+	hook.armed.Store(false)
 	late := stamps[6]
 	if _, tr := d.checkDeduped(late, c.Code(late)); tr != (probeTrace{source: sourceEmulated}) {
 		t.Errorf("follower after the node healed: trace = %+v, want a plain emulation of the refused family", tr)
