@@ -152,3 +152,4 @@ fuzz:
 	go test ./internal/evm -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)
+	go test ./internal/proxion -run '^$$' -fuzz FuzzTemplatePromotion -fuzztime $(FUZZTIME)

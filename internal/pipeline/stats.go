@@ -41,13 +41,13 @@ type Stats struct {
 	// re-anchored from its near-clone family exemplar without emulating.
 	StructuralHits Counter
 	// StaticSummaries counts static bytecode analyses performed by the
-	// structural layer (a family exemplar's cross-check, deferred to its
-	// first follower, and follower promotion attempts).
+	// structural layer: one per family exemplar's cross-check, deferred to
+	// its first follower (followers promote from the family's template).
 	StaticSummaries Counter
 	// StructuralRejects counts contracts the structural layer examined and
 	// refused — the first follower of a family whose exemplar's static
-	// summary disagreed with its dynamic verdict, or a follower whose
-	// summary did not fit its family — falling back to a fresh emulation.
+	// summary disagreed with its dynamic verdict, or a follower that did
+	// not fit its family's template — falling back to a fresh emulation.
 	StructuralRejects Counter
 	// EmulationAborts counts probes that ended in a terminal EVM error.
 	EmulationAborts Counter

@@ -27,13 +27,14 @@ import (
 //
 // Neither the instruction stream nor the summary is kept: a stream costs
 // more than everything else the detector retains, and no caller reads a
-// summary twice. The rule that keeps a bytecode at one walk is "whoever
-// disassembles, slices": whichever of a summary and the pair stage walks a
-// bytecode first fills its accesses for the other. A follower runs its
-// summary and pair analysis on one goroutine, so its pair stage finds the
-// accesses filled. A family leader's summary runs later, on the goroutine of
-// the family's first follower, if one ever comes: the leader's pair stage
-// slices on its own, and the deferred summary walks the code again.
+// summary twice. The only summary the engine runs is a clone family
+// leader's deferred cross-check (structural.go), on the goroutine of the
+// family's first follower, if one ever comes; it slices the leader's code
+// from the same walk if the leader's pair stage has not already. Followers
+// promote from their family's template without a summary, so their pair
+// stage slices them — and only when the logic has storage accesses to
+// collide with (analyzePair), which a stamp of a storage-free logic, or of
+// an address without code, never has.
 // The code itself is not held either; every accessor takes it, and the code
 // hash the artifact is filed under vouches that it is the same bytes.
 type artifact struct {

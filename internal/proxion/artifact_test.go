@@ -191,15 +191,16 @@ func TestArtifactWalkBudget(t *testing.T) {
 	if n := walksOf(d, func() { scan(stamp) }); n != 0 {
 		t.Errorf("a stamp pointing at a code-less target cost %d walks, want 0", n)
 	}
-	// A slot twin of the proxy is the family's first follower: its own
-	// summary slices it, and the leader's deferred summary walks the
-	// proxy's code once more (its accesses were already sliced).
+	// A slot twin of the proxy is the family's first follower: the
+	// leader's deferred summary walks the proxy's code once more (its
+	// accesses were already sliced), and the twin, promoted from the
+	// family's template without a summary, is sliced by its pair stage.
 	twinSlot := etypes.Keccak([]byte("walk.budget.twin"))
 	twin := install(0x13, solc.MustCompile(&solc.Contract{
 		Name: "P", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: twinSlot}}))
 	c.SetStorageDirect(twin, twinSlot, etypes.HashFromWord(logic1.Word()))
 	if n := walksOf(d, func() { scan(twin) }); n != 2 {
-		t.Errorf("the first follower of a family cost %d walks, want 2 (its summary, the leader's)", n)
+		t.Errorf("the first follower of a family cost %d walks, want 2 (the leader's summary, its own slice)", n)
 	}
 	// Without the summary to ride on, the pair stage walks each side once.
 	fresh := NewDetector(c)
@@ -208,6 +209,46 @@ func TestArtifactWalkBudget(t *testing.T) {
 	}
 	if n := walksOf(fresh, func() { fresh.AnalyzePair(proxy2, logic2, nil) }); n != 0 {
 		t.Errorf("AnalyzePair over known bytecodes cost %d walks, want 0", n)
+	}
+}
+
+// TestPairSkipsProxyWalkForStorageFreeLogic: a logic without storage
+// accesses collides with no slot, so the pair stage does not slice the
+// proxy — a storage proxy of a code-less or storage-free logic costs no
+// walk — and the pair's storage collisions stay what slicing both sides
+// gives (none). A logic with accesses still gets both sides sliced.
+func TestPairSkipsProxyWalkForStorageFreeLogic(t *testing.T) {
+	c := chain.New()
+	slot := etypes.Keccak([]byte("walk.skip.slot"))
+	proxyCode := solc.MustCompile(&solc.Contract{
+		Name: "P", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot}})
+	storageFree := solc.MustCompile(&solc.Contract{Name: "Pure", Fallback: solc.Fallback{Kind: solc.FallbackStop}})
+	if scan := disasm.ScanCode(storageFree); scan.StorageOps {
+		t.Fatal("test setup: the storage-free logic touches storage")
+	}
+	withStorage := solc.MustCompile(boundedTestLogic())
+	for _, tc := range []struct {
+		name  string
+		logic []byte // nil: no code at the logic address
+		walks int64
+	}{
+		{name: "code-less logic", walks: 0},
+		{name: "storage-free logic", logic: storageFree, walks: 0},
+		{name: "logic with storage", logic: withStorage, walks: 2},
+	} {
+		proxy, logic := structAddr(0x11), structAddr(0x01)
+		c.InstallContract(proxy, proxyCode)
+		c.InstallContract(logic, tc.logic)
+		c.SetStorageDirect(proxy, slot, etypes.HashFromWord(logic.Word()))
+		d := NewDetector(c)
+		var pa PairAnalysis
+		if n := walksOf(d, func() { pa = d.AnalyzePair(proxy, logic, nil) }); n != tc.walks {
+			t.Errorf("%s: pair cost %d walks, want %d", tc.name, n, tc.walks)
+		}
+		want := StorageCollisions(ExtractStorageAccesses(proxyCode), ExtractStorageAccesses(tc.logic))
+		if !reflect.DeepEqual(pa.Storage, want) {
+			t.Errorf("%s: storage collisions %+v, want %+v", tc.name, pa.Storage, want)
+		}
 	}
 }
 

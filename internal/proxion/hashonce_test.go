@@ -15,11 +15,10 @@ import (
 
 // TestStructuralFollowerHashesOnce pins the cost of a structural hit in
 // sponge runs: the follower's bytecode is hashed exactly once, for the
-// fingerprint that finds its family. The code hash comes from the chain's
-// per-account cache and both are handed to the static summary (before
-// that, the summary re-derived the two and a follower cost three runs).
-// The first follower also runs its leader's deferred cross-check, which
-// hashes nothing either: the leader's code hash is the chain's and the
+// fingerprint that finds its family; its code hash comes from the chain's
+// per-account cache, and the family's template needs neither. The first
+// follower also runs its leader's deferred cross-check, which hashes
+// nothing either: the leader's code hash is the chain's and the
 // fingerprint is the family's.
 func TestStructuralFollowerHashesOnce(t *testing.T) {
 	c := chain.New()
@@ -49,9 +48,9 @@ func TestStructuralFollowerHashesOnce(t *testing.T) {
 		code := c.Code(follower)
 		var tr probeTrace
 		runs := keccak.CountSponges(func() { _, tr = d.checkDeduped(follower, code) })
-		want := probeTrace{source: sourceStructuralHit, summaries: 1}
+		want := probeTrace{source: sourceStructuralHit}
 		if i == 0 || follower == twinB {
-			want.summaries = 2 // the family's first follower: the leader's check too
+			want.summaries = 1 // the family's first follower: the leader's check
 		}
 		if tr != want {
 			t.Fatalf("follower %s trace = %+v, want %+v", follower, tr, want)

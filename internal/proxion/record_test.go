@@ -103,6 +103,57 @@ func TestExactHitReadBudget(t *testing.T) {
 	}
 }
 
+// TestStructuralHitReadBudget pins the node reads of one AnalyzeAddress
+// call that a structural promotion serves, for a family's first follower
+// (which also runs the leader's deferred check: the leader's code and hash
+// are read again) and for a later one. A stamp follower reads its own code
+// and hash, and the pair stage the logic's; a slot twin also reads its own
+// implementation slot once, to re-anchor the verdict.
+func TestStructuralHitReadBudget(t *testing.T) {
+	c := chain.New()
+	logic := structAddr(0x01)
+	c.InstallContract(logic, solc.MustCompile(boundedTestLogic()))
+	stamps := make([]etypes.Address, 3)
+	twins := make([]etypes.Address, 3)
+	for i := range stamps {
+		// Each stamp its own logic: distinct bytecodes, one family.
+		own := structAddr(byte(0x31 + i))
+		stamps[i] = structAddr(byte(0x21 + i))
+		c.InstallContract(own, solc.MustCompile(boundedTestLogic()))
+		c.InstallContract(stamps[i], disasm.MinimalProxyRuntime(own))
+
+		twins[i] = structAddr(byte(0x41 + i))
+		slot := etypes.Keccak(twins[i][:])
+		c.InstallContract(twins[i], solc.MustCompile(&solc.Contract{
+			Name: "Twin", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot}}))
+		c.SetStorageDirect(twins[i], slot, etypes.HashFromWord(logic.Word()))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		members []etypes.Address
+		want    [2][3]int64 // first follower, later follower
+	}{
+		{name: "stamp", members: stamps, want: [2][3]int64{{3, 3, 0}, {2, 2, 0}}},
+		{name: "slot twin", members: twins, want: [2][3]int64{{3, 3, 1}, {2, 2, 1}}},
+	} {
+		r := &countingReader{Reader: c}
+		d := NewDetector(r)
+		d.AnalyzeAddress(tc.members[0], nil, AnalyzeOptions{})
+		for i, f := range tc.members[1:] {
+			var stats pipeline.Stats
+			var it Item
+			got := r.readsOf(func() { it = d.AnalyzeAddress(f, nil, AnalyzeOptions{Stats: &stats}) })
+			if !it.Report.IsProxy || it.Pair == nil || stats.StructuralHits.Load() != 1 {
+				t.Fatalf("%s follower %d: want a structural hit with its pair, got %+v (hits %d)", tc.name, i, it.Report, stats.StructuralHits.Load())
+			}
+			if got != tc.want[i] {
+				t.Errorf("%s follower %d: Code/CodeHash/GetState reads %v, want %v", tc.name, i, got, tc.want[i])
+			}
+		}
+	}
+}
+
 // TestVerdictInvalidateRace has goroutines analyze duplicates of one beacon
 // proxy bytecode while another upgrades the beacon and invalidates, round
 // after round (run under -race). A beacon proxy's verdict carries its logic

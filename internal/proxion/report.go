@@ -54,7 +54,11 @@ func (d *Detector) analyzePair(proxy etypes.Address, proxyCode []byte, proxyArt 
 	logicArt := d.artifacts.of(d.chain.CodeHash(logic))
 
 	pa.Functions = collideViews(proxyArt.view(proxyCode, proxySrc), logicArt.view(logicCode, logicSrc))
-	pa.Storage = StorageCollisions(d.storageAccesses(proxyArt, proxyCode), d.storageAccesses(logicArt, logicCode))
+	// The logic first: a logic without storage accesses collides with
+	// nothing, so the proxy's code need not be sliced at all.
+	if logicAcc := d.storageAccesses(logicArt, logicCode); len(logicAcc) > 0 {
+		pa.Storage = StorageCollisions(d.storageAccesses(proxyArt, proxyCode), logicAcc)
+	}
 	if collided := exploitableSlots(pa.Storage); len(collided) > 0 && d.replayGuarded(proxy, logicArt, logicCode, collided) {
 		pa.ExploitVerified = true
 		for i := range pa.Storage {

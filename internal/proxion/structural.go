@@ -1,12 +1,17 @@
 package proxion
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 
 	"repro/internal/chain"
+	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/evm"
 	"repro/internal/lru"
 	"repro/internal/static"
+	"repro/internal/u256"
 )
 
 // The verdict cache's first-level key is the exact bytecode hash, which
@@ -29,18 +34,38 @@ import (
 //     follower. The first follower of a provisional family runs the
 //     leader's deferred cross-check, once for the family: the leader's code
 //     is re-read, must still hash to the pinned code hash, and its static
-//     summary must agree with the pinned verdict (exemplarConsistent).
-//     Only then does any follower promote: it runs the static analysis on
-//     its *own* bytes and, when the summary has the same uniform shape,
-//     re-anchors the verdict to its own embedded address or its own storage
-//     slot value (promote) — no emulation. A follower of a refused family,
-//     or one whose summary does not fit, is emulated normally, so promotion
-//     can only skip work, never change a verdict that disagrees with
-//     emulation.
+//     summary must agree with the pinned verdict (exemplarConsistent). The
+//     check leaves the family's template: the leader's code; the windows
+//     (offset and width) of its opaque immediates, the bytes a follower may
+//     differ in; the anchors, the windows its delegates read their target
+//     or slot from; and the target kind.
+//   - A follower promotes from the template alone (template.promote): its
+//     code must equal the leader's byte for byte outside the windows, its
+//     anchors must agree on one value wherever the leader's delegates
+//     agreed, and the refusals the exact cache applies still hold — no
+//     self-targeting stamp, and a storage twin's own slot must hold an
+//     address. The verdict is re-anchored to the follower's own immediate
+//     or its own slot's value, with no emulation and no static analysis: a
+//     memcmp, an immediate read and, for a slot twin, one GetState. A
+//     follower of a refused family, or one that does not fit the template,
+//     is emulated normally, so promotion can only skip work, never change a
+//     verdict that disagrees with emulation.
+//
+// Why a template answers what the follower's own summary would: a window
+// is an immediate the leader's analysis left opaque (static.Immediate) —
+// it only moved it, or used it as a DELEGATECALL target or an SLOAD/SSTORE
+// slot, and never read its value. A follower equal to the leader outside
+// the windows is the leader with those immediates substituted, and the
+// analysis of such a code takes the same steps with the substituted values
+// in place: its summary is the leader's with the anchors' values as the
+// delegates' Targets and Slots, every field promotion reads otherwise
+// equal. The summary-based promotion (kept as the reference in the tests)
+// then passes or refuses exactly as the template does, with the same
+// report.
 //
 // Registration is deliberately conservative: negative verdicts never
 // register (their EmulationErr/Reason can differ per twin), truncated or
-// masked-immediate-control-flow summaries never register nor promote, and
+// masked-immediate-control-flow summaries never register, and
 // guard-slot-reading fallbacks never register (a twin's guard state is not
 // comparable across different code hashes).
 type structuralIndex struct {
@@ -58,8 +83,8 @@ type fpClass struct {
 }
 
 // exemplar is a provisional family's leader: what the deferred cross-check
-// reads, and its outcome. consistent is written inside check.Do and read
-// after it returns.
+// reads, and its outcome. tmpl is written inside check.Do and read after it
+// returns.
 type exemplar struct {
 	target   TargetSource
 	addr     etypes.Address
@@ -67,8 +92,28 @@ type exemplar struct {
 	logic    etypes.Address
 	implSlot etypes.Hash
 
-	check      sync.Once
-	consistent bool
+	check sync.Once
+	// tmpl is the family's template; nil when the cross-check refused it.
+	tmpl *template
+}
+
+// template is a consistent family's promotion rule (see the header).
+type template struct {
+	// code is the leader's code, which every follower must equal outside
+	// the windows.
+	code []byte
+	// windows are the PUSHes of the leader's opaque immediates, ascending
+	// by offset: the bytes a follower may differ in.
+	windows []disasm.Instruction
+	// anchors are the windows the leader's delegates read their target or
+	// slot from, which a follower's verdict is re-anchored to.
+	anchors []disasm.Instruction
+	target  TargetSource
+	// fixed is the value a delegate that reads no window pins: the
+	// leader's target (its low 160 bits) or slot, as a word. A family with
+	// such a delegate promotes only followers whose windows hold it too.
+	fixed    u256.Int
+	hasFixed bool
 }
 
 // newStructuralIndex returns an unbounded index; SetCapacity bounds it like
@@ -104,11 +149,11 @@ const (
 type probeTrace struct {
 	source probeSource
 	// summaries counts the static summaries computed for this contract:
-	// its leader's deferred cross-check, its own promotion attempt, or both.
+	// its leader's deferred cross-check, run by a family's first follower.
 	summaries int
 	// rejected reports that the structural layer refused this contract:
 	// the first follower of a family whose exemplar failed its cross-check,
-	// or a follower whose own summary did not fit.
+	// or a follower that does not fit its family's template.
 	rejected bool
 }
 
@@ -117,8 +162,7 @@ type probeTrace struct {
 // and near-clone promotion (follower), and records the verdict in entry,
 // art's, either way so exact duplicates of this hash hit level one.
 // codeHash is art's key, which the caller got from the chain's per-account
-// cache; together with the fingerprint computed here it is handed to the
-// static summary, so a follower hashes its bytecode once.
+// cache; a leader pins it for its family's cross-check.
 func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
 	var tr probeTrace
 	emulate := func() Report {
@@ -149,13 +193,11 @@ func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Ad
 	if lead == nil {
 		return emulate(), tr
 	}
-	lead.check.Do(func() { lead.consistent = d.checkExemplar(lead, fp, &tr) })
-	if !lead.consistent {
+	lead.check.Do(func() { lead.tmpl = d.checkExemplar(lead, fp, &tr) })
+	if lead.tmpl == nil {
 		return emulate(), tr
 	}
-	sum := d.summarize(art, code, codeHash, fp)
-	tr.summaries++
-	if rep, ok := d.promote(addr, sum, lead.target); ok {
+	if rep, ok := lead.tmpl.promote(d.chain, addr, code); ok {
 		// Promotion only fires for families whose exemplar read no guard
 		// slots, so the entry's guard set is empty by construction and exact
 		// duplicates of this hash transfer under the zero fingerprint.
@@ -170,11 +212,11 @@ func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Ad
 // checkExemplar is a provisional family's deferred cross-check, run by its
 // first follower: the leader's code is re-read and must still hash to the
 // code the leader emulated, and its static summary must agree with the
-// pinned verdict. Code that is gone or changed, or a terminal read failure,
-// refuses the family like any disagreement; the refusal is counted on the
-// follower that asked.
-func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace) bool {
-	ok := false
+// pinned verdict. It returns the family's template, or nil: code that is
+// gone or changed, or a terminal read failure, refuses the family like any
+// disagreement, and the refusal is counted on the follower that asked.
+func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace) *template {
+	var tmpl *template
 	chain.CaptureReadError(func() {
 		// Code before hash: code replaced between the two reads fails the
 		// comparison instead of being summarized under the old verdict.
@@ -184,10 +226,12 @@ func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace)
 		}
 		sum := d.summarize(d.artifacts.of(lead.codeHash), code, lead.codeHash, fp)
 		tr.summaries++
-		ok = exemplarConsistent(sum, lead)
+		if exemplarConsistent(sum, lead) {
+			tmpl = newTemplate(code, sum, lead)
+		}
 	})
-	tr.rejected = !ok
-	return ok
+	tr.rejected = tmpl == nil
+	return tmpl
 }
 
 // exemplarConsistent cross-checks the family exemplar's static summary
@@ -223,43 +267,80 @@ func exemplarConsistent(sum *static.Summary, lead *exemplar) bool {
 	return true
 }
 
-// promote re-anchors a registered family's verdict to a follower from the
-// follower's own static summary: the embedded address for hard-coded
-// families, the follower's own slot value for storage families. It applies
-// the same uniformity checks as registration and the same refusals as the
-// exact cache's anchor (self-targeting delegates, packed storage slots), so
-// a promoted report is byte-for-byte what emulation plus anchor would have
-// produced.
-func (d *Detector) promote(addr etypes.Address, sum *static.Summary, target TargetSource) (Report, bool) {
-	if sum.Truncated || sum.MaskedImmFlow || len(sum.Delegates) == 0 {
+// newTemplate builds a consistent family's template from its leader's code
+// and summary: every delegate reads the target or slot the exemplar pinned
+// (exemplarConsistent), from its window or from the code outside them.
+func newTemplate(code []byte, sum *static.Summary, lead *exemplar) *template {
+	t := &template{code: code, target: lead.target}
+	for _, imm := range sum.Immediates {
+		if !imm.Inspected {
+			t.windows = append(t.windows, disasm.Instruction{PC: imm.PC, Op: evm.Op(code[imm.PC])})
+		}
+	}
+	for _, del := range sum.Delegates {
+		if del.Imm < 0 {
+			t.hasFixed = true
+			continue
+		}
+		pc := uint64(del.Imm)
+		if !slices.ContainsFunc(t.anchors, func(w disasm.Instruction) bool { return w.PC == pc }) {
+			t.anchors = append(t.anchors, disasm.Instruction{PC: pc, Op: evm.Op(code[pc])})
+		}
+	}
+	if lead.target == TargetHardcoded {
+		t.fixed = lead.logic.Word()
+	} else {
+		t.fixed = lead.implSlot.Word()
+	}
+	return t
+}
+
+// promote re-anchors the family's verdict to a follower from its own code:
+// the embedded address for hard-coded families, the follower's own slot
+// value for storage families. It refuses a follower that differs from the
+// leader outside the windows or whose anchors disagree, and applies the
+// exact cache's anchor refusals (self-targeting delegates, packed storage
+// slots), so a promoted report is byte-for-byte what the follower's own
+// static summary would promote to, and what emulation plus anchor produce.
+func (t *template) promote(r chain.Reader, addr etypes.Address, code []byte) (Report, bool) {
+	if len(code) != len(t.code) {
 		return Report{}, false
 	}
-	lead := sum.Delegates[0]
-	for _, del := range sum.Delegates {
-		if !del.ForwardsCalldata || del.TargetTainted {
+	from := 0
+	for _, w := range t.windows {
+		if !bytes.Equal(code[from:w.PC+1], t.code[from:w.PC+1]) {
 			return Report{}, false
 		}
-		if del.Provenance != lead.Provenance || del.Target != lead.Target || del.Slot != lead.Slot {
+		from = min(int(w.PC)+1+w.Op.PushSize(), len(code))
+	}
+	if !bytes.Equal(code[from:], t.code[from:]) {
+		return Report{}, false
+	}
+	val, have := t.fixed, t.hasFixed
+	for _, w := range t.anchors {
+		v := w.Value(code)
+		if t.target == TargetHardcoded {
+			v = etypes.AddressFromWord(v).Word() // the delegates compare addresses
+		}
+		if have && !v.Eq(val) {
 			return Report{}, false
 		}
+		val, have = v, true
 	}
 
-	rep := Report{Address: addr, HasDelegateCall: true, IsProxy: true, Target: target}
-	switch target {
+	rep := Report{Address: addr, HasDelegateCall: true, IsProxy: true, Target: t.target}
+	switch t.target {
 	case TargetHardcoded:
-		if lead.Provenance != static.ProvHardcoded || lead.Target == addr {
+		rep.Logic = etypes.AddressFromWord(val)
+		if rep.Logic == addr {
 			return Report{}, false
 		}
-		rep.Logic = lead.Target
 	case TargetStorage:
-		if lead.Provenance != static.ProvSlotConst {
-			return Report{}, false
-		}
-		slotVal := d.chain.GetState(addr, lead.Slot)
+		rep.ImplSlot = etypes.HashFromWord(val)
+		slotVal := r.GetState(addr, rep.ImplSlot)
 		if !holdsAddress(slotVal) {
 			return Report{}, false
 		}
-		rep.ImplSlot = lead.Slot
 		rep.Logic = etypes.BytesToAddress(slotVal[:])
 	default:
 		return Report{}, false

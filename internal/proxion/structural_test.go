@@ -81,10 +81,10 @@ func TestStructuralCloneFamilyOneEmulation(t *testing.T) {
 		t.Errorf("structural hits = %d, cache hits = %d, want %d promotions and %d hits",
 			res.Stats.StructuralHits, res.Stats.CacheHits, promoted, promoted+dupes)
 	}
-	// One static summary for each exemplar cross-check (run by the first
-	// follower), one per promotion.
-	if res.Stats.StaticSummaries != n+m {
-		t.Errorf("static summaries = %d, want %d", res.Stats.StaticSummaries, n+m)
+	// One static summary per family, the exemplar cross-check its first
+	// follower runs; every promotion reads the family's template.
+	if res.Stats.StaticSummaries != 2 {
+		t.Errorf("static summaries = %d, want 2", res.Stats.StaticSummaries)
 	}
 	if res.Stats.StructuralRejects != 0 {
 		t.Errorf("structural rejects = %d, want 0", res.Stats.StructuralRejects)
@@ -125,10 +125,11 @@ func TestStructuralStorageTwinsReanchor(t *testing.T) {
 		t.Fatalf("exemplar report wrong: %+v", repA)
 	}
 
-	// The twin pays the exemplar's deferred cross-check and its own summary.
+	// The twin pays the exemplar's deferred cross-check and promotes from
+	// the template it leaves, reading its own slot constant.
 	repB, trB := d.checkDeduped(pB, c.Code(pB))
-	if trB != (probeTrace{source: sourceStructuralHit, summaries: 2}) {
-		t.Fatalf("twin trace = %+v, want a structural hit after two summaries", trB)
+	if trB != (probeTrace{source: sourceStructuralHit, summaries: 1}) {
+		t.Fatalf("twin trace = %+v, want a structural hit after the leader's summary", trB)
 	}
 	if repB.ImplSlot != slotB || repB.Logic != logicB || repB.Target != TargetStorage {
 		t.Fatalf("twin not re-anchored to its own slot: %+v", repB)
@@ -179,8 +180,8 @@ func TestStructuralRefusesMaskedImmFlow(t *testing.T) {
 	}
 
 	// The first twin runs the exemplar's cross-check, which refuses the
-	// family (MaskedImmFlow): the twin is emulated, not promoted, and its
-	// own static summary is never even attempted.
+	// family (MaskedImmFlow): the twin is emulated, not promoted, and no
+	// template is ever built.
 	rep2, tr2 := d.checkDeduped(p2, c.Code(p2))
 	if tr2 != (probeTrace{source: sourceEmulated, summaries: 1, rejected: true}) {
 		t.Fatalf("twin trace = %+v, want the exemplar's summary, a refusal and an emulation", tr2)
@@ -255,11 +256,11 @@ func TestStructuralRefusesPackedSlotTwin(t *testing.T) {
 	if _, tr := d.checkDeduped(pA, c.Code(pA)); tr != (probeTrace{source: sourceEmulated}) {
 		t.Fatalf("clean exemplar trace = %+v, want a plain emulation with no summary", tr)
 	}
-	// The exemplar's deferred cross-check passes; the twin's own summary
-	// fits, but its packed slot refuses the promotion.
+	// The exemplar's deferred cross-check passes; the twin fits the
+	// template, but its packed slot refuses the promotion.
 	repB, trB := d.checkDeduped(pB, c.Code(pB))
-	if trB != (probeTrace{source: sourceEmulated, summaries: 2, rejected: true}) {
-		t.Fatalf("packed twin trace = %+v, want two summaries, a rejected promotion and re-emulation", trB)
+	if trB != (probeTrace{source: sourceEmulated, summaries: 1, rejected: true}) {
+		t.Fatalf("packed twin trace = %+v, want the leader's summary, a rejected promotion and re-emulation", trB)
 	}
 
 	plain := NewDetector(c)

@@ -1,6 +1,7 @@
 package static
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/disasm"
@@ -35,7 +36,11 @@ const (
 // is exact structural equality and joins can test it directly.
 type absValue struct {
 	kind valueKind
-	val  u256.Int // kindConst only
+	// imm is one plus the code offset of the masked PUSH whose immediate
+	// this value carries — a kindConst's val, or a kindSload's slot —
+	// and zero when no single masked immediate does.
+	imm uint32
+	val u256.Int // kindConst only
 	// width is the PUSH immediate width that produced a constant
 	// (0 for computed constants).
 	width uint8
@@ -69,14 +74,31 @@ func constVal(v u256.Int, width int) absValue {
 }
 
 // joinValue merges two abstract values flowing into the same stack slot.
-func joinValue(a, b absValue) absValue {
+// Two values carrying different immediates that agree in everything but
+// their val, slot and taint join by comparing values: an inspection of
+// both immediates. The joined value carries an immediate only when both
+// did.
+func (an *analysis) joinValue(a, b absValue) absValue {
+	imm := a.imm
+	if a.imm != b.imm {
+		sa, sb := a, b
+		sa.imm, sa.val, sa.slot, sa.tainted = 0, u256.Int{}, etypes.Hash{}, false
+		sb.imm, sb.val, sb.slot, sb.tainted = 0, u256.Int{}, etypes.Hash{}, false
+		if sa == sb {
+			an.inspect(a.imm)
+			an.inspect(b.imm)
+		}
+		imm, a.imm, b.imm = 0, 0, 0
+	}
 	if a == b {
+		a.imm = imm
 		return a
 	}
 	ta, tb := a, b
 	ta.tainted, tb.tainted = false, false
 	if ta == tb { // identical up to taint
 		a.tainted = a.tainted || b.tainted
+		a.imm = imm
 		return a
 	}
 	return unknownVal(a.tainted || b.tainted)
@@ -131,7 +153,7 @@ func (st *absState) peek(i int) absValue {
 
 // joinState merges incoming state b into a, aligning stacks at the top and
 // folding dropped slots into deepTaint. It reports whether a changed.
-func joinState(a, b *absState) bool {
+func (an *analysis) joinState(a, b *absState) bool {
 	changed := false
 	n := len(a.stack)
 	if len(b.stack) < n {
@@ -155,7 +177,7 @@ func joinState(a, b *absState) bool {
 	}
 	off := len(b.stack) - n
 	for i := 0; i < n; i++ {
-		j := joinValue(a.stack[i], b.stack[off+i])
+		j := an.joinValue(a.stack[i], b.stack[off+i])
 		if j != a.stack[i] {
 			a.stack[i] = j
 			changed = true
@@ -213,7 +235,10 @@ type analysis struct {
 	slotWrites    map[etypes.Hash]struct{}
 	keccakReadPC  map[uint64]struct{}
 	keccakWritePC map[uint64]struct{}
-	delegates     map[uint64]DelegateCall
+	delegates     map[uint64]delegateSite
+	// inspected holds the imm of every masked immediate the analysis read
+	// the value of (see take).
+	inspected []uint32
 
 	maskedFlow bool
 	truncated  bool
@@ -232,7 +257,7 @@ func newAnalysis(code []byte, blocks []disasm.BasicBlock) *analysis {
 		slotWrites:    make(map[etypes.Hash]struct{}),
 		keccakReadPC:  make(map[uint64]struct{}),
 		keccakWritePC: make(map[uint64]struct{}),
-		delegates:     make(map[uint64]DelegateCall),
+		delegates:     make(map[uint64]delegateSite),
 	}
 }
 
@@ -317,7 +342,7 @@ func (a *analysis) run() {
 				next.entry = s.state // the successor's own stack: keep it
 				next.hasEntry = true
 				work = append(work, j)
-			} else if joinState(&next.entry, &s.state) {
+			} else if a.joinState(&next.entry, &s.state) {
 				work = append(work, j)
 			}
 		}
@@ -337,7 +362,11 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 		op := ins.Op
 		switch {
 		case op.IsPush():
-			st.push(constVal(ins.Value(a.code), op.PushSize()))
+			v := constVal(ins.Value(a.code), op.PushSize())
+			if v.masked {
+				v.imm = uint32(ins.PC) + 1
+			}
+			st.push(v)
 			continue
 		case op == evm.PUSH0:
 			st.push(constVal(u256.Zero(), 0))
@@ -369,7 +398,7 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 				st.pop()
 			}
 		case evm.CALLDATALOAD:
-			off := st.pop()
+			off := a.take(st)
 			st.push(absValue{kind: kindCalldata, tainted: off.tainted})
 		case evm.CALLDATASIZE:
 			st.push(absValue{kind: kindCalldata})
@@ -380,7 +409,7 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 		case evm.DIV, evm.SHR, evm.SHL:
 			a.shiftOp(st, op)
 		case evm.NOT, evm.ISZERO:
-			v := st.pop()
+			v := a.take(st)
 			out := unknownVal(v.tainted)
 			if v.kind == kindConst {
 				out = constVal(applyUnary(op, v.val), 0)
@@ -394,58 +423,58 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 		case evm.EQ, evm.LT, evm.GT, evm.SLT, evm.SGT:
 			a.cmpOp(st, op)
 		case evm.KECCAK256:
-			off, length := st.pop(), st.pop()
+			off, length := a.take(st), a.take(st)
 			st.push(absValue{
 				kind:    kindKeccak,
 				tainted: st.memTainted || off.tainted || length.tainted,
 			})
 		case evm.MLOAD:
-			off := st.pop()
+			off := a.take(st)
 			st.push(unknownVal(st.memTainted || off.tainted))
 		case evm.MSTORE, evm.MSTORE8:
-			off, val := st.pop(), st.pop()
+			off, val := a.take(st), a.take(st)
 			if val.tainted || off.tainted {
 				st.memTainted = true
 			}
 		case evm.SLOAD:
 			a.sloadOp(st, ins.PC)
 		case evm.SSTORE:
-			slot, val := st.pop(), st.pop()
+			slot := st.pop()
+			a.take(st) // the stored value
 			a.recordSlot(slot, ins.PC, a.slotWrites, a.keccakWritePC)
-			_ = val
 		case evm.CALLDATACOPY, evm.CODECOPY:
-			o1, o2, o3 := st.pop(), st.pop(), st.pop()
+			o1, o2, o3 := a.take(st), a.take(st), a.take(st)
 			if op == evm.CODECOPY || o1.tainted || o2.tainted || o3.tainted {
 				// Own code contains masked immediates, so copying it
 				// into memory launders them past the fingerprint.
 				st.memTainted = true
 			}
 		case evm.RETURNDATACOPY:
-			o1, o2, o3 := st.pop(), st.pop(), st.pop()
+			o1, o2, o3 := a.take(st), a.take(st), a.take(st)
 			if st.retTainted || o1.tainted || o2.tainted || o3.tainted {
 				st.memTainted = true
 			}
 		case evm.RETURNDATASIZE:
 			st.push(unknownVal(st.retTainted))
 		case evm.EXTCODECOPY:
-			addr := st.pop()
-			st.pop()
-			st.pop()
-			st.pop()
+			addr := a.take(st)
+			a.take(st)
+			a.take(st)
+			a.take(st)
 			if addr.tainted {
 				st.memTainted = true
 			}
 		case evm.DELEGATECALL:
 			a.delegateOp(st, ins.PC)
 		case evm.CALL, evm.CALLCODE, evm.STATICCALL:
-			st.pop() // gas
-			target := st.pop()
+			a.take(st) // gas
+			target := a.take(st)
 			rest := 5 // value, argsOff, argsLen, retOff, retLen
 			if op == evm.STATICCALL {
 				rest = 4 // no value operand
 			}
 			for i := 0; i < rest; i++ {
-				st.pop()
+				a.take(st)
 			}
 			// Return data (and the memory region it is written to)
 			// depends on the callee and the arguments; if either is
@@ -457,7 +486,7 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 			}
 			st.push(unknownVal(target.tainted))
 		case evm.JUMP:
-			target := st.pop()
+			target := a.take(st)
 			if target.tainted {
 				a.maskedFlow = true
 			}
@@ -467,8 +496,8 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 			}
 			return nil
 		case evm.JUMPI:
-			target := st.pop()
-			cond := st.pop()
+			target := a.take(st)
+			cond := a.take(st)
 			if target.tainted || cond.tainted {
 				a.maskedFlow = true
 			}
@@ -481,14 +510,14 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 			return a.succs[:1]
 		case evm.STOP, evm.RETURN, evm.REVERT, evm.INVALID, evm.SELFDESTRUCT:
 			if op == evm.SELFDESTRUCT {
-				st.pop()
+				a.take(st)
 			}
 			return nil
 		default:
 			pops, pushes := evm.StackArity(op)
 			taint := false
 			for i := 0; i < pops; i++ {
-				if st.pop().tainted {
+				if a.take(st).tainted {
 					taint = true
 				}
 			}
@@ -501,10 +530,29 @@ func (a *analysis) runBlock(idx int, st *absState) []succ {
 	return a.succs[:1]
 }
 
+// take pops an operand the instruction reads. Reading a constant inspects
+// the masked immediate it carries, if any; a loaded value's slot is read by
+// no instruction, only by joins and the DELEGATECALL record.
+func (a *analysis) take(st *absState) absValue {
+	v := st.pop()
+	if v.kind == kindConst {
+		a.inspect(v.imm)
+	}
+	return v
+}
+
+// inspect records that the analysis read the value of the masked
+// immediate imm (zero: none).
+func (a *analysis) inspect(imm uint32) {
+	if imm != 0 && !slices.Contains(a.inspected, imm) {
+		a.inspected = append(a.inspected, imm)
+	}
+}
+
 // binop handles commutative-ish arithmetic: constants fold, anything else
 // degrades to unknown with taint propagated.
 func (a *analysis) binop(st *absState, op evm.Op) {
-	x, y := st.pop(), st.pop()
+	x, y := a.take(st), a.take(st)
 	taint := x.tainted || y.tainted
 	if x.kind == kindConst && y.kind == kindConst {
 		out := constVal(applyBinary(op, x.val, y.val), 0)
@@ -531,19 +579,28 @@ var addressMask = func() u256.Int {
 func (a *analysis) andOp(st *absState) {
 	x, y := st.pop(), st.pop()
 	if x.kind == kindConst && y.kind == kindConst {
+		a.inspect(x.imm)
+		a.inspect(y.imm)
 		out := constVal(x.val.And(y.val), 0)
 		out.tainted = x.tainted || y.tainted
 		st.push(out)
 		return
 	}
-	// Canonical address mask: transparent to the other operand.
-	if x.kind == kindConst && x.val.Eq(addressMask) {
-		st.push(y)
-		return
+	// Canonical address mask: transparent to the other operand, which
+	// passes through as it was — only the mask's value is read.
+	if x.kind == kindConst {
+		a.inspect(x.imm)
+		if x.val.Eq(addressMask) {
+			st.push(y)
+			return
+		}
 	}
-	if y.kind == kindConst && y.val.Eq(addressMask) {
-		st.push(x)
-		return
+	if y.kind == kindConst {
+		a.inspect(y.imm)
+		if y.val.Eq(addressMask) {
+			st.push(x)
+			return
+		}
 	}
 	taint := x.tainted || y.tainted
 	// Selector masking (AND with a small constant) keeps calldata-ness.
@@ -559,7 +616,7 @@ func (a *analysis) andOp(st *absState) {
 // `DIV 2^224`) keeps its calldata classification for the DELEGATECALL
 // provenance.
 func (a *analysis) shiftOp(st *absState, op evm.Op) {
-	x, y := st.pop(), st.pop()
+	x, y := a.take(st), a.take(st)
 	taint := x.tainted || y.tainted
 	if x.kind == kindConst && y.kind == kindConst {
 		out := constVal(applyBinary(op, x.val, y.val), 0)
@@ -582,7 +639,7 @@ func (a *analysis) shiftOp(st *absState, op evm.Op) {
 }
 
 func (a *analysis) cmpOp(st *absState, op evm.Op) {
-	x, y := st.pop(), st.pop()
+	x, y := a.take(st), a.take(st)
 	taint := x.tainted || y.tainted
 	if x.kind == kindConst && y.kind == kindConst {
 		out := constVal(applyBinary(op, x.val, y.val), 0)
@@ -600,6 +657,7 @@ func (a *analysis) sloadOp(st *absState, pc uint64) {
 	case slot.kind == kindConst:
 		out.slot = etypes.HashFromWord(slot.val)
 		out.slotKnown = true
+		out.imm = slot.imm
 		a.slotReads[out.slot] = struct{}{}
 		// The slot identity is pinned in the provenance, so a masked
 		// slot constant does not taint the loaded value.
@@ -622,28 +680,40 @@ func (a *analysis) recordSlot(slot absValue, pc uint64, consts map[etypes.Hash]s
 	}
 }
 
+// delegateSite is one DELEGATECALL site's record during the run: the
+// summary's DelegateCall, and the imm its Target or Slot came from.
+type delegateSite struct {
+	dc  DelegateCall
+	imm uint32
+}
+
 // delegateOp models DELEGATECALL: records the call site's target provenance
-// and pushes the abstract success flag.
+// and pushes the abstract success flag. The target is recorded, not
+// inspected: a target or slot read from a masked immediate is that
+// immediate's one opaque use besides moves and storage slots.
 // Stack (top down): gas, target, argsOffset, argsLength, retOffset, retLength.
 func (a *analysis) delegateOp(st *absState, pc uint64) {
-	st.pop() // gas
+	a.take(st) // gas
 	target := st.pop()
-	argsOff := st.pop()
-	argsLen := st.pop()
-	st.pop() // retOffset
-	st.pop() // retLength
+	argsOff := a.take(st)
+	argsLen := a.take(st)
+	a.take(st) // retOffset
+	a.take(st) // retLength
 
 	dc := DelegateCall{PC: pc}
 	dc.ForwardsCalldata = argsLen.kind == kindCalldata && !argsLen.tainted &&
 		!argsOff.tainted
+	var imm uint32
 	switch {
 	case target.kind == kindConst && target.masked:
 		dc.Provenance = ProvHardcoded
 		dc.Target = etypes.AddressFromWord(target.val)
+		imm = target.imm
 	case target.kind == kindSload && target.slotKnown:
 		dc.Provenance = ProvSlotConst
 		dc.Slot = target.slot
 		dc.TargetTainted = target.tainted
+		imm = target.imm
 	case target.kind == kindSload && target.slotKeccak:
 		dc.Provenance = ProvSlotKeccak
 		dc.TargetTainted = target.tainted
@@ -654,7 +724,7 @@ func (a *analysis) delegateOp(st *absState, pc uint64) {
 		dc.Provenance = ProvUnknown
 		dc.TargetTainted = target.tainted
 	}
-	a.mergeDelegate(dc)
+	a.mergeDelegate(delegateSite{dc, imm})
 
 	if dc.ForwardsCalldata {
 		// A transparent forward: the probe's verdict is decided at the
@@ -673,13 +743,23 @@ func (a *analysis) delegateOp(st *absState, pc uint64) {
 
 // mergeDelegate folds a call-site observation into the per-PC record; two
 // visits disagreeing on provenance degrade the site to unknown+tainted.
-func (a *analysis) mergeDelegate(dc DelegateCall) {
-	prev, ok := a.delegates[dc.PC]
+// Visits whose targets came from different immediates compare their
+// values: an inspection of both.
+func (a *analysis) mergeDelegate(site delegateSite) {
+	dc := site.dc
+	prevSite, ok := a.delegates[dc.PC]
 	if !ok {
-		a.delegates[dc.PC] = dc
+		a.delegates[dc.PC] = site
 		return
 	}
+	if prevSite.imm != site.imm {
+		a.inspect(prevSite.imm)
+		a.inspect(site.imm)
+		site.imm = 0
+	}
+	prev := prevSite.dc
 	if prev == dc {
+		a.delegates[dc.PC] = site
 		return
 	}
 	merged := DelegateCall{
@@ -693,8 +773,10 @@ func (a *analysis) mergeDelegate(dc DelegateCall) {
 		merged.Target = prev.Target
 		merged.Slot = prev.Slot
 		merged.TargetTainted = prev.TargetTainted || dc.TargetTainted
+	} else {
+		site.imm = 0
 	}
-	a.delegates[dc.PC] = merged
+	a.delegates[dc.PC] = delegateSite{merged, site.imm}
 }
 
 func applyUnary(op evm.Op, x u256.Int) u256.Int {
@@ -794,9 +876,15 @@ func (a *analysis) summary(codeHash, fingerprint etypes.Hash) *Summary {
 	sort.Slice(s.Selectors, func(i, j int) bool {
 		return compareBytes(s.Selectors[i][:], s.Selectors[j][:]) < 0
 	})
+	s.Immediates = a.immediates()
 	if len(a.delegates) > 0 {
 		s.Delegates = make([]DelegateCall, 0, len(a.delegates))
-		for _, dc := range a.delegates {
+		for _, site := range a.delegates {
+			dc := site.dc
+			dc.Imm = -1
+			if site.imm != 0 && !slices.Contains(a.inspected, site.imm) {
+				dc.Imm = int(site.imm - 1)
+			}
 			s.Delegates = append(s.Delegates, dc)
 		}
 		sort.Slice(s.Delegates, func(i, j int) bool {
@@ -804,6 +892,20 @@ func (a *analysis) summary(codeHash, fingerprint etypes.Hash) *Summary {
 		})
 	}
 	return s
+}
+
+// immediates lists the code's masked immediates, each marked inspected or
+// not.
+func (a *analysis) immediates() []Immediate {
+	var out []Immediate
+	for pc := 0; pc < len(a.code); {
+		w := evm.Op(a.code[pc]).PushSize()
+		if w >= maskWidth {
+			out = append(out, Immediate{PC: uint64(pc), Inspected: slices.Contains(a.inspected, uint32(pc)+1)})
+		}
+		pc += 1 + w
+	}
+	return out
 }
 
 // cfg assembles the CFG view of the run.

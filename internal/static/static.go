@@ -90,6 +90,12 @@ type DelegateCall struct {
 	// with a non-canonical mask). Verdicts must not be shared across a
 	// structural clone family when this is set.
 	TargetTainted bool
+	// Imm is the code offset of the PUSH whose opaque masked immediate
+	// Target (ProvHardcoded) or Slot (ProvSlotConst) is, and -1 when no
+	// opaque immediate supplies it: the value is then fixed by the code
+	// outside the opaque immediates (an unmasked constant, or a masked one
+	// the analysis inspected), or the provenance pins no value.
+	Imm int
 }
 
 // Summary is the full static profile of one runtime bytecode.
@@ -132,6 +138,30 @@ type Summary struct {
 	// summary is still a sound partial profile for reporting, but must
 	// not be used to promote verdicts.
 	Truncated bool
+	// Immediates lists every masked immediate of the code (a PUSH of
+	// maskWidth or more bytes), by offset, each opaque or inspected.
+	Immediates []Immediate
+}
+
+// Immediate is one masked immediate: a PUSH of maskWidth or more bytes,
+// whose bytes the structural fingerprint erases.
+//
+// An opaque immediate is one the analysis only moved (DUP, SWAP, POP, a
+// join with a value from the same immediate) or used as a DELEGATECALL
+// target or an SLOAD/SSTORE slot. A code that differs from this one only
+// in opaque immediates has this summary with their values substituted:
+// the Targets and Slots they supply (see DelegateCall.Imm) and the slots
+// they name in SlotReads and SlotWrites; every other field but CodeHash is
+// equal.
+type Immediate struct {
+	// PC is the code offset of the PUSH.
+	PC uint64
+	// Inspected reports that the analysis read the immediate's value:
+	// folded it, compared it, tested it as an address mask, stored it to
+	// memory, compared it with a value from another immediate where two
+	// paths join, or consumed it by any instruction other than as a
+	// DELEGATECALL target or an SLOAD/SSTORE slot.
+	Inspected bool
 }
 
 // ReadsSlot reports whether the constant slot appears in SlotReads.

@@ -286,6 +286,81 @@ func TestMaskedImmFlowOnComparedImmediate(t *testing.T) {
 	}
 }
 
+// TestImmediatesOpaqueOrInspected pins which masked immediates the
+// analysis reads the value of and which it only moves or uses as a
+// DELEGATECALL target or storage slot, and which opaque immediate each
+// delegate's target or slot comes from (-1: none; the value is fixed by the
+// rest of the code).
+func TestImmediatesOpaqueOrInspected(t *testing.T) {
+	forward := func() *asm.Program { // call data to memory; ret/args operands
+		return (&asm.Program{}).
+			Op(evm.CALLDATASIZE).PushUint(0).PushUint(0).Op(evm.CALLDATACOPY).
+			PushUint(0).PushUint(0).Op(evm.CALLDATASIZE).PushUint(0)
+	}
+	for _, tc := range []struct {
+		name      string
+		code      []byte
+		inspected []bool // per masked immediate, in code order
+		imms      []int  // per delegate: the index of its immediate, or -1
+	}{
+		{name: "stamp", code: disasm.MinimalProxyRuntime(addrA),
+			inspected: []bool{false}, imms: []int{0}},
+		{name: "storage proxy: the slot opaque, the address mask inspected", code: storageProxy(t, slot1967),
+			inspected: []bool{false, true}, imms: []int{0}},
+		{name: "slot computed by an addition", code: forward().
+			PushBytes(slot1967[:]).PushUint(1).Op(evm.ADD).Op(evm.SLOAD).
+			Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).MustAssemble(),
+			inspected: []bool{true}, imms: []int{-1}},
+		{name: "two sites", code: forward().
+			Op(evm.CALLDATASIZE).JumpI("other").
+			PushBytes(addrA[:]).Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).
+			Label("other").PushBytes(addrA[:]).Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).MustAssemble(),
+			inspected: []bool{false, false}, imms: []int{0, 1}},
+		{name: "two immediates joined", code: forward().
+			Op(evm.CALLDATASIZE).JumpI("other").
+			PushBytes(addrA[:]).Jump("call").
+			Label("other").PushBytes(addrA[:]).
+			Label("call").Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).MustAssemble(),
+			inspected: []bool{true, true}, imms: []int{-1}},
+		{name: "target also stored to memory", code: forward().
+			PushBytes(addrA[:]).Op(evm.DUP1).PushUint(0x80).Op(evm.MSTORE).
+			Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).MustAssemble(),
+			inspected: []bool{true}, imms: []int{-1}},
+		{name: "salt popped, slot swapped into place", code: forward().
+			PushBytes(slot1967[:]).Op(evm.POP).
+			PushUint(7).PushBytes(slot1967[:]).Op(evm.SWAP1).Op(evm.POP).Op(evm.SLOAD).
+			Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP).MustAssemble(),
+			inspected: []bool{false, false}, imms: []int{1}},
+	} {
+		var pcs []uint64
+		for _, ins := range disasm.Disassemble(tc.code) {
+			if ins.Op.PushSize() >= maskWidth {
+				pcs = append(pcs, ins.PC)
+			}
+		}
+		sum := Analyze(tc.code)
+		var want []Immediate
+		for i, pc := range pcs {
+			want = append(want, Immediate{PC: pc, Inspected: tc.inspected[i]})
+		}
+		if !reflect.DeepEqual(sum.Immediates, want) {
+			t.Errorf("%s: immediates %+v, want %+v", tc.name, sum.Immediates, want)
+		}
+		if len(sum.Delegates) != len(tc.imms) {
+			t.Fatalf("%s: delegates %+v, want %d", tc.name, sum.Delegates, len(tc.imms))
+		}
+		for i, del := range sum.Delegates {
+			want := -1
+			if tc.imms[i] >= 0 {
+				want = int(pcs[tc.imms[i]])
+			}
+			if del.Imm != want || del.Provenance != ProvHardcoded && del.Provenance != ProvSlotConst {
+				t.Errorf("%s: delegate %d = %+v, want a hardcoded or slot target from immediate at %d", tc.name, i, del, want)
+			}
+		}
+	}
+}
+
 func TestCFGResolvesDispatcherEdges(t *testing.T) {
 	f := solc.Func{ABI: fn("ping()"), Body: []solc.Stmt{solc.ReturnConst{Value: u256.One()}}}
 	code := storageProxy(t, slot1967, f)
