@@ -34,9 +34,7 @@ func TestEndToEndLandscape(t *testing.T) {
 		if l == nil {
 			continue
 		}
-		expected := l.IsProxy &&
-			l.Kind != dataset.KindDiamond && l.Kind != dataset.KindHostileProxy
-		if expected && !rep.IsProxy {
+		if l.Detectable && !rep.IsProxy {
 			missed++
 		}
 		if !l.IsProxy && rep.IsProxy {
@@ -65,15 +63,20 @@ func TestEndToEndLandscape(t *testing.T) {
 		paByProxy[pa.Proxy] = pa
 	}
 	for _, l := range pop.Labels {
-		if l.TrueFunctionCollision {
+		if len(l.FuncCollisions) > 0 {
 			pa, ok := paByProxy[l.Address]
 			if !ok || len(pa.Functions) == 0 {
 				t.Errorf("%s (%s): labeled function collision not detected", l.Address, l.Kind)
 			}
 		}
-		if l.TrueStorageCollision {
+		if l.StorageCollision {
 			pa, ok := paByProxy[l.Address]
-			if !ok || !pa.ExploitVerified {
+			if !ok || len(pa.Storage) == 0 {
+				t.Errorf("%s (%s): labeled storage collision not detected", l.Address, l.Kind)
+			}
+			// The Audius pair is the exploitable one: its replay must
+			// succeed. An upgrade's collision has no such exploit built in.
+			if l.Kind == dataset.KindAudiusProxy && !pa.ExploitVerified {
 				t.Errorf("%s (%s): labeled storage collision not verified", l.Address, l.Kind)
 			}
 		}
@@ -93,8 +96,7 @@ func TestEndToEndToolDisagreements(t *testing.T) {
 
 	for _, l := range pop.Labels {
 		switch {
-		case l.IsProxy && !l.HasSource && !l.HasTx &&
-			l.Kind != dataset.KindDiamond && l.Kind != dataset.KindHostileProxy:
+		case l.Detectable && !l.HasSource && !l.HasTx:
 			if det.Check(l.Address).IsProxy {
 				hiddenFoundByProxion++
 			}

@@ -3,11 +3,10 @@ package dataset
 import (
 	"fmt"
 
-	"repro/internal/abi"
 	"repro/internal/chain"
 	"repro/internal/etherscan"
 	"repro/internal/etypes"
-	"repro/internal/solc"
+	"repro/internal/gen"
 	"repro/internal/u256"
 )
 
@@ -58,39 +57,28 @@ const (
 	nFuncNameOnlyFalse   = 1   // same name, different params: not a collision
 )
 
-// corpusBuilder threads shared deployment state.
-type corpusBuilder struct {
-	chain    *chain.Chain
-	registry *etherscan.Registry
-	nextAddr uint64
+// corpusBuilder deploys the corpus's catalogue pairs, every source
+// published.
+type corpusBuilder struct{ *gen.Deployer }
+
+// install deploys the template with its source published.
+func (b corpusBuilder) install(t gen.Template, compilerKnown bool) etypes.Address {
+	l := t.Label
+	l.HasSource = true
+	b.Install(&l, t.Published, compilerKnown)
+	return l.Address
 }
 
-func (b *corpusBuilder) newAddr() etypes.Address {
-	b.nextAddr++
-	var buf [20]byte
-	buf[0] = 0xac
-	for i := 0; i < 8; i++ {
-		buf[19-i] = byte(b.nextAddr >> (8 * i))
-	}
-	return etypes.Address(buf)
-}
-
-// deployPair compiles and installs a proxy/logic pair, wires the proxy's
-// implementation slot, publishes sources, and optionally executes one
-// transaction so trace-based tools can see the pair.
-func (b *corpusBuilder) deployPair(proxySrc, logicSrc *solc.Contract, compilerKnown, withTx bool) (etypes.Address, etypes.Address) {
-	logicAddr := b.newAddr()
-	b.chain.InstallContract(logicAddr, solc.MustCompile(logicSrc))
-	b.registry.Publish(logicAddr, logicSrc, compilerKnown)
-
-	proxyAddr := b.newAddr()
-	b.chain.InstallContract(proxyAddr, solc.MustCompile(proxySrc))
-	b.registry.Publish(proxyAddr, proxySrc, compilerKnown)
-	b.chain.SetStorageDirect(proxyAddr, implSlot1, etypes.HashFromWord(logicAddr.Word()))
-
+// deployPair installs a proxy/logic pair, wires the proxy's implementation
+// slot, and optionally executes one transaction so trace-based tools can
+// see the pair.
+func (b corpusBuilder) deployPair(proxy, logic gen.Template, compilerKnown, withTx bool) (etypes.Address, etypes.Address) {
+	logicAddr := b.install(logic, compilerKnown)
+	proxyAddr := b.install(proxy, compilerKnown)
+	b.SetSlot(proxyAddr, proxy.ImplSlot, logicAddr)
 	if withTx {
 		sender := etypes.MustAddress("0x00000000000000000000000000000000000c0b01")
-		b.chain.Execute(sender, proxyAddr, []byte{0x01, 0x02, 0x03, 0x04}, 2_000_000, u256.Zero())
+		b.Chain.Execute(sender, proxyAddr, []byte{0x01, 0x02, 0x03, 0x04}, 2_000_000, u256.Zero())
 	}
 	return proxyAddr, logicAddr
 }
@@ -98,20 +86,16 @@ func (b *corpusBuilder) deployPair(proxySrc, logicSrc *solc.Contract, compilerKn
 // GenerateAccuracyCorpus builds the Table 2 corpus. The layout is fully
 // deterministic; there is no randomness to seed.
 func GenerateAccuracyCorpus() *AccuracyCorpus {
-	b := &corpusBuilder{
-		chain:    chain.New(),
-		registry: etherscan.NewRegistry(),
-		nextAddr: 0x5000_0000,
-	}
-	b.chain.AdvanceTo(100)
-	corpus := &AccuracyCorpus{Chain: b.chain, Registry: b.registry}
+	b := corpusBuilder{gen.NewDeployer(chain.New(), etherscan.NewRegistry(), 0xac, 0x5000_0000)}
+	b.Chain.AdvanceTo(100)
+	corpus := &AccuracyCorpus{Chain: b.Chain, Registry: b.Registry}
 
 	corpus.buildStoragePairs(b)
 	corpus.buildFunctionPairs(b)
 	return corpus
 }
 
-func (c *AccuracyCorpus) buildStoragePairs(b *corpusBuilder) {
+func (c *AccuracyCorpus) buildStoragePairs(b corpusBuilder) {
 	add := func(p, l etypes.Address, truth bool, tag string) {
 		c.StoragePairs = append(c.StoragePairs, PairCase{Proxy: p, Logic: l, Truth: truth, Tag: tag})
 	}
@@ -120,175 +104,98 @@ func (c *AccuracyCorpus) buildStoragePairs(b *corpusBuilder) {
 	// transaction history (Proxion still finds it, CRUSH cannot), and
 	// eight publish sources with unknown compiler versions (USCHunt halts;
 	// together with three obfuscated ones below, its 11 false negatives).
+	proxy, logic := gen.AudiusPair()
 	for i := 0; i < nStorageTrueVisible; i++ {
-		proxySrc, logicSrc := audiusPair()
-		proxySrc.Name = fmt.Sprintf("AudiusProxy%d", i)
 		withTx := i != 0
 		compilerKnown := i == 0 || i > 8
-		p, l := b.deployPair(proxySrc, logicSrc, compilerKnown, withTx)
+		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("AudiusProxy%d", i)), logic, compilerKnown, withTx)
 		add(p, l, true, "true-visible")
 	}
 
 	// True exploitable behind computed slots: engines cannot slice the
 	// accesses, but layout-level (declaration) comparison still can.
+	proxy, logic = gen.ObfuscatedAudiusPair()
 	for i := 0; i < nStorageTrueObfuscued; i++ {
-		proxySrc, logicSrc := obfuscatedAudiusPair()
-		proxySrc.Name = fmt.Sprintf("ObfProxy%d", i)
 		compilerKnown := i >= 3
-		p, l := b.deployPair(proxySrc, logicSrc, compilerKnown, true)
+		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("ObfProxy%d", i)), logic, compilerKnown, true)
 		add(p, l, true, "true-obfuscated")
 	}
 
 	// Benign mismatches behind an ownership check: the engines' false
 	// positives. Most of these fail USCHunt's compiler gate, matching its
 	// published FP count.
+	proxy, logic = gen.GuardedBenignPair()
 	for i := 0; i < nStorageGuardedBenign; i++ {
-		proxySrc, logicSrc := guardedBenignPair()
-		proxySrc.Name = fmt.Sprintf("GuardedProxy%d", i)
 		compilerKnown := i < 3
-		p, l := b.deployPair(proxySrc, logicSrc, compilerKnown, true)
+		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("GuardedProxy%d", i)), logic, compilerKnown, true)
 		add(p, l, false, "guarded-benign")
 	}
 
 	// Padding/naming mismatches with identical boundaries: harmless, but
 	// name-comparing tools flag every one.
 	for i := 0; i < nStoragePadding; i++ {
-		proxySrc, logicSrc := paddingPair(i)
-		p, l := b.deployPair(proxySrc, logicSrc, true, true)
+		proxy, logic := gen.PaddingPair(i)
+		p, l := b.deployPair(proxy, logic, true, true)
 		add(p, l, false, "padding")
 	}
 
 	// Library pairs: not proxies at all; only trace mining pairs them.
 	for i := 0; i < nStorageLibrary; i++ {
-		userSrc, libSrc := libraryPair(i)
-		libAddr := b.newAddr()
-		b.chain.InstallContract(libAddr, solc.MustCompile(libSrc))
-		b.registry.Publish(libAddr, libSrc, true)
-		userSrc.Fallback.Target = libAddr
-		userAddr := b.newAddr()
-		b.chain.InstallContract(userAddr, solc.MustCompile(userSrc))
-		b.registry.Publish(userAddr, userSrc, true)
+		lib := b.install(gen.Library(i), true)
+		user := b.install(gen.LibraryUser(i, lib), true)
 		// Trigger the library call so the trace records the pair.
 		sender := etypes.MustAddress("0x00000000000000000000000000000000000c0b02")
-		b.chain.Execute(sender, userAddr, []byte{0xff, 0xee, 0xdd, 0xcc}, 2_000_000, u256.Zero())
-		add(userAddr, libAddr, false, "library")
+		b.Chain.Execute(sender, user, []byte{0xff, 0xee, 0xdd, 0xcc}, 2_000_000, u256.Zero())
+		add(user, lib, false, "library")
 	}
 
 	// Clean pairs: identical names and layouts.
 	for i := 0; i < nStorageClean; i++ {
-		shared := []solc.Var{
-			{Name: "owner", Type: solc.TypeAddress},
-			{Name: "logic", Type: solc.TypeAddress},
-		}
-		proxySrc := &solc.Contract{
-			Name: fmt.Sprintf("CleanProxy%d", i), Vars: shared,
-			Funcs: []solc.Func{{ABI: abi.Function{Name: "proxyOwner"},
-				Body: []solc.Stmt{solc.ReturnStorageVar{Var: "owner"}}}},
-			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: implSlot1},
-		}
-		logicSrc := &solc.Contract{
-			Name: fmt.Sprintf("CleanLogic%d", i), Vars: shared,
-			Funcs: []solc.Func{{ABI: abi.Function{Name: "owner"},
-				Body: []solc.Stmt{solc.ReturnStorageVar{Var: "owner"}}}},
-		}
-		p, l := b.deployPair(proxySrc, logicSrc, true, true)
+		proxy, logic := gen.CleanPair(i)
+		p, l := b.deployPair(proxy, logic, true, true)
 		add(p, l, false, "clean")
 	}
 }
 
-func (c *AccuracyCorpus) buildFunctionPairs(b *corpusBuilder) {
+func (c *AccuracyCorpus) buildFunctionPairs(b corpusBuilder) {
 	add := func(p, l etypes.Address, truth bool, tag string) {
 		c.FunctionPairs = append(c.FunctionPairs, PairCase{Proxy: p, Logic: l, Truth: truth, Tag: tag})
 	}
 
-	// sameNamePair builds a proxy/logic pair sharing one prototype.
-	sameNamePair := func(i int) (*solc.Contract, *solc.Contract) {
-		shared := abi.Function{Name: fmt.Sprintf("op%d", i%40)}
-		proxySrc := &solc.Contract{
-			Name: fmt.Sprintf("FnProxy%d", i),
-			Vars: []solc.Var{
-				{Name: "owner", Type: solc.TypeAddress},
-				{Name: "logic", Type: solc.TypeAddress}, // slot 1, the fallback's source
-			},
-			Funcs: []solc.Func{{ABI: shared,
-				Body: []solc.Stmt{solc.ReturnConst{Value: u256.FromUint64(uint64(i))}}}},
-			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: implSlot1},
-		}
-		logicSrc := &solc.Contract{
-			Name: fmt.Sprintf("FnLogic%d", i),
-			Funcs: []solc.Func{
-				{ABI: shared, Body: []solc.Stmt{solc.Stop{}}},
-				{ABI: abi.Function{Name: fmt.Sprintf("extra%d", i)}, Body: []solc.Stmt{solc.Stop{}}},
-			},
-		}
-		return proxySrc, logicSrc
-	}
-
 	// Plain same-prototype collisions: every tool that runs sees them.
 	for i := 0; i < nFuncSameNamePlain; i++ {
-		proxySrc, logicSrc := sameNamePair(i)
-		p, l := b.deployPair(proxySrc, logicSrc, true, true)
+		proxy, logic := gen.SameNamePair(i)
+		p, l := b.deployPair(proxy, logic, true, true)
 		add(p, l, true, "same-name")
 	}
 
 	// Emulation-hostile proxies with a real collision: Proxion's runtime
 	// errors, the paper's three function-collision false negatives.
 	for i := 0; i < nFuncHostile; i++ {
-		_, logicSrc := sameNamePair(1000 + i)
-		logicAddr := b.newAddr()
-		b.chain.InstallContract(logicAddr, solc.MustCompile(logicSrc))
-		b.registry.Publish(logicAddr, logicSrc, true)
-
-		proxyAddr := b.newAddr()
-		src := hostileProxySource()
-		// Declare the colliding prototype in the source so source-level
-		// tools can still see the collision.
-		src.Funcs = append(src.Funcs, solc.Func{
-			ABI:  abi.Function{Name: fmt.Sprintf("op%d", (1000+i)%40)},
-			Body: []solc.Stmt{solc.Stop{}},
-		})
-		b.chain.InstallContract(proxyAddr, hostileProxy())
-		b.registry.Publish(proxyAddr, src, true)
-		b.chain.SetStorageDirect(proxyAddr, implSlot1, etypes.HashFromWord(logicAddr.Word()))
-		add(proxyAddr, logicAddr, true, "hostile")
+		proxy, logic := gen.HostileSameNamePair(1000 + i)
+		p, l := b.deployPair(proxy, logic, true, false)
+		add(p, l, true, "hostile")
 	}
 
 	// Honeypot-style collisions: different names, identical selectors
 	// (0xdf4a3106). Selector-level tools see them; name-level tools cannot.
+	proxy, logic := gen.HoneypotPair()
 	for i := 0; i < nFuncHoneypot; i++ {
-		proxySrc, logicSrc := honeypotPair()
-		proxySrc.Name = fmt.Sprintf("Honeypot%d", i)
-		p, l := b.deployPair(proxySrc, logicSrc, true, true)
+		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("Honeypot%d", i)), logic, true, true)
 		add(p, l, true, "honeypot")
 	}
 
 	// Real collisions whose published sources fail to compile (unknown
 	// compiler): source-only tools halt.
 	for i := 0; i < nFuncUnknownCompiler; i++ {
-		proxySrc, logicSrc := sameNamePair(2000 + i)
-		p, l := b.deployPair(proxySrc, logicSrc, false, true)
+		proxy, logic := gen.SameNamePair(2000 + i)
+		p, l := b.deployPair(proxy, logic, false, true)
 		add(p, l, true, "unknown-compiler")
 	}
 
 	// The single non-collision: same function name, different parameter
 	// lists, hence different selectors.
-	{
-		proxySrc := &solc.Contract{
-			Name: "FalseFnProxy",
-			Vars: []solc.Var{
-				{Name: "owner", Type: solc.TypeAddress},
-				{Name: "logic", Type: solc.TypeAddress},
-			},
-			Funcs: []solc.Func{{ABI: abi.Function{Name: "configure"},
-				Body: []solc.Stmt{solc.Stop{}}}},
-			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: implSlot1},
-		}
-		logicSrc := &solc.Contract{
-			Name: "FalseFnLogic",
-			Funcs: []solc.Func{{ABI: abi.Function{Name: "configure", Params: []string{"uint256"}},
-				Body: []solc.Stmt{solc.Stop{}}}},
-		}
-		p, l := b.deployPair(proxySrc, logicSrc, true, true)
-		add(p, l, false, "name-only")
-	}
+	proxy, logic = gen.NameOnlyPair()
+	p, l := b.deployPair(proxy, logic, true, true)
+	add(p, l, false, "name-only")
 }

@@ -99,8 +99,8 @@ func TestGeneratedChainConsistency(t *testing.T) {
 }
 
 func TestGroundTruthAgainstDetector(t *testing.T) {
-	// The detector must agree with the ground-truth labels everywhere
-	// except the documented blind spots (diamonds, hostile proxies).
+	// The detector must agree with every label's Detectable, which is false
+	// at the documented blind spots (diamonds, hostile proxies).
 	pop := dataset.Generate(dataset.Config{Seed: 3, Contracts: 600})
 	d := proxion.NewDetector(pop.Chain)
 
@@ -108,14 +108,10 @@ func TestGroundTruthAgainstDetector(t *testing.T) {
 	for _, l := range pop.Labels {
 		rep := d.Check(l.Address)
 		checked++
-		want := l.IsProxy
-		if l.Kind == dataset.KindDiamond || l.Kind == dataset.KindHostileProxy {
-			want = false // documented detector misses
-		}
-		if rep.IsProxy != want {
+		if rep.IsProxy != l.Detectable {
 			mismatches++
 			t.Errorf("detector disagrees on %s (%s): got %v, want %v",
-				l.Address, l.Kind, rep.IsProxy, want)
+				l.Address, l.Kind, rep.IsProxy, l.Detectable)
 			if mismatches > 5 {
 				t.Fatal("too many mismatches")
 			}
@@ -126,6 +122,22 @@ func TestGroundTruthAgainstDetector(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no contracts checked")
+	}
+}
+
+// TestDetectableRule pins the landscape's one detectability rule: a
+// proxy is detectable unless it is a diamond or a hostile proxy, the
+// detector's documented blind spots. bench/e2e's landscape corpus keeps
+// its own copy of this rule.
+func TestDetectableRule(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		pop := dataset.Generate(dataset.Config{Seed: seed, Contracts: 4000})
+		for _, l := range pop.Labels {
+			want := l.IsProxy && l.Kind != dataset.KindDiamond && l.Kind != dataset.KindHostileProxy
+			if l.Detectable != want {
+				t.Errorf("seed %d, %s (%s): Detectable=%v, want %v", seed, l.Address, l.Kind, l.Detectable, want)
+			}
+		}
 	}
 }
 

@@ -159,17 +159,21 @@ func (d *digester) label(t *testing.T, l *dataset.Label) {
 	}
 }
 
-func landscapeDigest(t *testing.T, c *chain.Chain, r *etherscan.Registry, labels []*dataset.Label) string {
-	d := newDigester()
-	d.chain(c)
+// landscapeDigest digests a landscape's chain and registry, and
+// separately its labels.
+func landscapeDigest(t *testing.T, c *chain.Chain, r *etherscan.Registry, labels []*dataset.Label) landscapeDigests {
+	chain, truth := newDigester(), newDigester()
+	chain.chain(c)
 	addrs := make([]etypes.Address, len(labels))
 	for i, l := range labels {
 		addrs[i] = l.Address
-		d.label(t, l)
+		truth.label(t, l)
 	}
-	d.registry(r, addrs)
-	return d.sum()
+	chain.registry(r, addrs)
+	return landscapeDigests{chain: chain.sum(), labels: truth.sum()}
 }
+
+type landscapeDigests struct{ chain, labels string }
 
 // TestGeneratorDigestsPinned pins every chain the two generators build —
 // the landscape (batch and streamed), the Table 2 corpus, the oracle's
@@ -177,14 +181,20 @@ func landscapeDigest(t *testing.T, c *chain.Chain, r *etherscan.Registry, labels
 // generators shared any code, so a refactor of either one that changes a
 // byte of code, storage, history, registry or ground truth fails here.
 func TestGeneratorDigestsPinned(t *testing.T) {
-	landscape := map[int64]string{
-		1: "42531fe9a35b09bee23510a400ae9b9c4b5d5b4dd6661858182b85cdd473eb5c",
-		7: "3f44ea1f0e6e9560f07b9e295244e6dfbb87aa5281c73f14c8dce1c4495d7f40",
+	landscape := map[int64]landscapeDigests{
+		1: {
+			chain:  "95a12c832d154150b73660f17cdbf48a83a40fd8dc9e6dc6b577b6f8a3d4940f",
+			labels: "0d805565adc71356e1ee54d80cab137b1d0fadfb0a344c1892711ce78f0c82a6",
+		},
+		7: {
+			chain:  "448c5107362cd80f532ba676dd4a1d8eeb439309694be8829cfbfb25556ade37",
+			labels: "f2423aa4ce8d35eb1a4ea2404fcc5261a517e5fbc7f2c006b5d86f758d3340a2",
+		},
 	}
 	for seed, want := range landscape {
 		pop := dataset.Generate(dataset.Config{Seed: seed, Contracts: 4000})
 		if got := landscapeDigest(t, pop.Chain, pop.Registry, pop.Labels); got != want {
-			t.Errorf("dataset.Generate seed %d: digest %s, pinned %s", seed, got, want)
+			t.Errorf("dataset.Generate seed %d: digests %+v, pinned %+v", seed, got, want)
 		}
 	}
 
@@ -194,7 +204,7 @@ func TestGeneratorDigestsPinned(t *testing.T) {
 		streamed = append(streamed, l)
 	}
 	if got := landscapeDigest(t, s.Chain, s.Registry, streamed); got != landscape[7] {
-		t.Errorf("GenerateStream seed 7: digest %s, batch run pinned %s", got, landscape[7])
+		t.Errorf("GenerateStream seed 7: digests %+v, batch run pinned %+v", got, landscape[7])
 	}
 
 	ac := dataset.GenerateAccuracyCorpus()

@@ -1,85 +1,67 @@
+// Package dataset generates the synthetic Ethereum contract landscape the
+// reproduction analyzes in place of the 36 million mainnet contracts: a
+// seeded, deterministic population whose proportions mirror the paper's
+// measurements — proxy share and standards split (Table 4), bytecode
+// duplication skew (Figure 5), source/transaction availability (Figure 2),
+// upgrade rarity (Figure 6) — plus the labeled collision corpora behind the
+// accuracy comparison (Table 2).
+//
+// The contracts themselves, with their ground truth, come from
+// internal/gen's catalogue and deploy through gen's Deployer; this package
+// owns the mix: which template, how often, in which year, with which
+// source and transaction availability, and which proxies upgrade.
 package dataset
 
 import (
-	"encoding/binary"
 	"math/rand"
 
 	"repro/internal/abi"
 	"repro/internal/chain"
-	"repro/internal/disasm"
 	"repro/internal/etherscan"
 	"repro/internal/etypes"
+	"repro/internal/gen"
 	"repro/internal/solc"
 	"repro/internal/u256"
 )
 
-// Kind labels a generated contract's ground-truth category.
-type Kind int
+// Kind is a landscape contract's catalogue shape.
+type Kind = gen.Shape
 
 // Contract kinds in the generated landscape.
 const (
-	KindPlain Kind = iota
-	KindToken
-	KindMinimalProxy
-	KindOwnableProxy
-	KindEIP1967Proxy
-	KindEIP1822Proxy
-	KindAdHocProxy
-	KindHoneypotProxy
-	KindAudiusProxy
-	KindDiamond
-	KindLibraryUser
-	KindLibrary
-	KindBroken
-	KindHostileProxy
-	KindLogic
-	KindDestroyed
+	KindPlain         = gen.ShapePlain
+	KindToken         = gen.ShapeToken
+	KindMinimalProxy  = gen.ShapeMinimalProxy
+	KindOwnableProxy  = gen.ShapeOwnableProxy
+	KindEIP1967Proxy  = gen.ShapeEIP1967Proxy
+	KindEIP1822Proxy  = gen.ShapeEIP1822Proxy
+	KindAdHocProxy    = gen.ShapeAdHocProxy
+	KindHoneypotProxy = gen.ShapeHoneypotProxy
+	KindAudiusProxy   = gen.ShapeAudiusProxy
+	KindDiamond       = gen.ShapeDiamond
+	KindLibraryUser   = gen.ShapeLibraryUser
+	KindLibrary       = gen.ShapeLibrary
+	KindBroken        = gen.ShapeBroken
+	KindHostileProxy  = gen.ShapeHostileProxy
+	KindLogic         = gen.ShapeLogic
+	KindDestroyed     = gen.ShapeDestroyed
 )
 
-// String names the kind.
-func (k Kind) String() string {
-	names := map[Kind]string{
-		KindPlain: "plain", KindToken: "token", KindMinimalProxy: "minimal-proxy",
-		KindOwnableProxy: "ownable-proxy", KindEIP1967Proxy: "eip1967-proxy",
-		KindEIP1822Proxy: "eip1822-proxy", KindAdHocProxy: "adhoc-proxy",
-		KindHoneypotProxy: "honeypot-proxy", KindAudiusProxy: "audius-proxy",
-		KindDiamond: "diamond", KindLibraryUser: "library-user",
-		KindLibrary: "library", KindBroken: "broken",
-		KindHostileProxy: "hostile-proxy", KindLogic: "logic",
-		KindDestroyed: "destroyed",
-	}
-	if n, ok := names[k]; ok {
-		return n
-	}
-	return "unknown"
-}
-
-// Label is the ground truth for one generated contract.
+// Label is the ground truth for one landscape contract: its catalogue
+// template's gen label, with the proxy's current Logic, plus the fields
+// the landscape's measurements add.
 type Label struct {
-	Address etypes.Address
-	Kind    Kind
+	gen.Label
 	// Year is the deployment year (2015–2023).
 	Year int
-	// IsProxy is the ground-truth proxy classification under the paper's
-	// definition (fallback forwards call data via delegatecall).
-	IsProxy bool
-	// Logic is the current logic contract for proxies.
-	Logic etypes.Address
-	// HasSource / CompilerKnown / HasTx drive tool availability gates.
-	HasSource     bool
+	// CompilerKnown and HasTx drive tool availability gates, with
+	// HasSource.
 	CompilerKnown bool
 	HasTx         bool
 	// TemplateID groups bytecode-identical deployments (Figure 5).
 	TemplateID int
-	// TrueFunctionCollision / TrueStorageCollision are pair-level ground
-	// truth against Logic.
-	TrueFunctionCollision bool
-	TrueStorageCollision  bool
 	// Upgrades is the number of logic switches performed after deployment.
 	Upgrades int
-	// ImplSlot is the storage slot holding the logic address, for
-	// storage-based proxies.
-	ImplSlot etypes.Hash
 }
 
 // Config parameterizes generation. Zero values select the defaults.
@@ -96,6 +78,16 @@ type Config struct {
 	Network chain.Config
 }
 
+func (c Config) withDefaults() Config {
+	if c.Contracts == 0 {
+		c.Contracts = 4000
+	}
+	if c.Network.ChainID == 0 {
+		c.Network = chain.MainnetConfig()
+	}
+	return c
+}
+
 // Population is a generated landscape.
 type Population struct {
 	Chain    *chain.Chain
@@ -103,8 +95,25 @@ type Population struct {
 	Labels   []*Label
 	ByAddr   map[etypes.Address]*Label
 
-	cfg      Config
-	nextAddr uint64
+	cfg Config
+}
+
+// Corpus is the oracle's view of the population's alive contracts: their
+// gen labels in label order, over the population's chain and registry.
+func (p *Population) Corpus() *gen.Corpus {
+	c := &gen.Corpus{
+		Config:   gen.Config{Seed: p.cfg.Seed, Contracts: p.cfg.Contracts},
+		Chain:    p.Chain,
+		Registry: p.Registry,
+		ByAddr:   make(map[etypes.Address]*gen.Label, len(p.Labels)),
+	}
+	for _, l := range p.Labels {
+		if l.Kind != KindDestroyed {
+			c.Labels = append(c.Labels, &l.Label)
+			c.ByAddr[l.Address] = &l.Label
+		}
+	}
+	return c
 }
 
 // YearOf maps a block height back to its deployment year.
@@ -141,30 +150,21 @@ var years = []int{2015, 2016, 2017, 2018, 2019, 2020, 2021, 2022, 2023}
 
 // Generate builds the synthetic landscape.
 func Generate(cfg Config) *Population {
-	if cfg.Contracts == 0 {
-		cfg.Contracts = 4000
-	}
-	if cfg.Network.ChainID == 0 {
-		cfg.Network = chain.MainnetConfig()
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := &Population{
-		Chain:    chain.NewWithConfig(cfg.Network),
-		Registry: etherscan.NewRegistry(),
-		ByAddr:   make(map[etypes.Address]*Label),
-		cfg:      cfg,
-		nextAddr: 0x100000,
-	}
-	g := &generator{pop: p, rng: rng, cfg: cfg, retain: true}
+	g := newGenerator(cfg)
+	g.retain = true
 	g.run()
-	return p
+	return g.pop
 }
 
 // generator holds generation state.
 type generator struct {
 	pop *Population
 	rng *rand.Rand
-	cfg Config
+	// dep deploys into the population, minting 0xda-prefixed addresses.
+	dep *gen.Deployer
+	tpl templates
+	// clones holds one minimal-proxy template per logic contract.
+	clones map[etypes.Address]gen.Template
 
 	// retain keeps every label in Population.Labels/ByAddr (the batch
 	// mode). Streaming generation turns it off so the corpus never
@@ -191,42 +191,76 @@ type generator struct {
 	adHocLogics   []etypes.Address
 
 	templateSeq int
-	// pendingUpgrades schedules logic switches by year.
-	pendingUpgrades map[int][]upgrade
+	// pendingUpgrades schedules logic switches by year. The label itself,
+	// not just the address, so a logic switch can update its proxy's
+	// ground truth without an index over the whole population.
+	pendingUpgrades map[int][]*Label
 }
 
-// upgrade carries the label itself, not just the address, so a scheduled
-// logic switch can update its proxy's ground truth without an index over
-// the whole population.
-type upgrade struct {
-	lbl  *Label
-	slot etypes.Hash
-}
-
-// newAddr mints a fresh deterministic address.
-func (p *Population) newAddr() etypes.Address {
-	p.nextAddr++
-	var buf [20]byte
-	binary.BigEndian.PutUint64(buf[12:], p.nextAddr)
-	buf[0] = 0xda // visually distinct from hand-written test addresses
-	return etypes.Address(buf)
-}
-
-// add installs code, records the label, and registers source if published.
-// In streaming mode the label goes to the emit tap instead of (or in
-// addition to) the retained slices — at the next flush, not here.
-func (g *generator) add(l *Label, code []byte, src *solc.Contract) *Label {
-	g.flush()
-	if l.Address.IsZero() {
-		l.Address = g.pop.newAddr()
+// newGenerator sets up an empty population for cfg and its generator.
+func newGenerator(cfg Config) *generator {
+	cfg = cfg.withDefaults()
+	p := &Population{
+		Chain:    chain.NewWithConfig(cfg.Network),
+		Registry: etherscan.NewRegistry(),
+		ByAddr:   make(map[etypes.Address]*Label),
+		cfg:      cfg,
 	}
-	g.pop.Chain.InstallContract(l.Address, code)
+	return &generator{
+		pop:             p,
+		rng:             rand.New(rand.NewSource(cfg.Seed)),
+		dep:             gen.NewDeployer(p.Chain, p.Registry, 0xda, 0x100000),
+		tpl:             newTemplates(),
+		clones:          make(map[etypes.Address]gen.Template),
+		pendingUpgrades: make(map[int][]*Label),
+	}
+}
+
+// templates are the landscape's fixed catalogue contracts, built once per
+// population: a deployment copies its template instead of recompiling.
+type templates struct {
+	ownableProxy, ownableLogic       gen.Template
+	transparent1967, transparent1822 gen.Template
+	honeypotProxy, honeypotLogic     gen.Template
+	audiusProxy, audiusLogic         gen.Template
+	diamond, facet                   gen.Template
+	hostile                          gen.Template
+	adHoc                            [7]gen.Template
+	plain                            [23]gen.Template
+	token                            [31]gen.Template
+}
+
+func newTemplates() templates {
+	var t templates
+	t.ownableProxy, t.ownableLogic = gen.OwnableDelegateProxy()
+	t.transparent1967 = gen.TransparentProxy(KindEIP1967Proxy)
+	t.transparent1822 = gen.TransparentProxy(KindEIP1822Proxy)
+	t.honeypotProxy, t.honeypotLogic = gen.HoneypotPair()
+	t.audiusProxy, t.audiusLogic = gen.AudiusPair()
+	t.diamond, t.facet = gen.Diamond()
+	t.hostile = gen.HostileProxy()
+	for n := range t.adHoc {
+		t.adHoc[n] = gen.AdHocProxy(n)
+	}
+	for n := range t.plain {
+		t.plain[n] = gen.Plain(n)
+	}
+	for n := range t.token {
+		t.token[n] = gen.Token(n)
+	}
+	return t
+}
+
+// add installs the label's code, records the label, and publishes src if
+// the label has source. In streaming mode the label goes to the emit tap
+// instead of (or in addition to) the retained slices — at the next flush,
+// not here.
+func (g *generator) add(l *Label, src *solc.Contract) *Label {
+	g.flush()
+	g.dep.Install(&l.Label, src, l.CompilerKnown)
 	if g.retain {
 		g.pop.Labels = append(g.pop.Labels, l)
 		g.pop.ByAddr[l.Address] = l
-	}
-	if l.HasSource && src != nil {
-		g.pop.Registry.Publish(l.Address, src, l.CompilerKnown)
 	}
 	g.unemitted = l
 	return l
@@ -244,11 +278,6 @@ func (g *generator) flush() {
 		g.unemitted = nil
 		g.emit(l)
 	}
-}
-
-// compileAndAdd compiles src and installs it.
-func (g *generator) compileAndAdd(l *Label, src *solc.Contract) *Label {
-	return g.add(l, solc.MustCompile(src), src)
 }
 
 // sourceDice rolls source/compiler availability with kind-dependent odds:
@@ -275,10 +304,9 @@ func (g *generator) txDice(isProxy bool) bool {
 
 // run generates all years in order.
 func (g *generator) run() {
-	g.pendingUpgrades = make(map[int][]upgrade)
 	g.deploySharedLogics()
 
-	total := g.cfg.Contracts
+	total := g.pop.cfg.Contracts
 	for _, year := range years {
 		n := int(float64(total) * yearShare[year])
 		if n < 4 {
@@ -299,59 +327,35 @@ func (g *generator) yearBase(year int) uint64 {
 // deploySharedLogics installs the logic contracts the clone families and
 // standard proxies point at.
 func (g *generator) deploySharedLogics() {
-	c := g.pop.Chain
-	c.AdvanceTo(1)
+	g.pop.Chain.AdvanceTo(1)
 
-	install := func(src *solc.Contract) etypes.Address {
-		l := &Label{Kind: KindLogic, Year: 2015, HasSource: true, CompilerKnown: true}
+	install := func(t gen.Template, hasSource bool) etypes.Address {
 		g.templateSeq++
-		l.TemplateID = g.templateSeq
-		g.compileAndAdd(l, src)
+		l := &Label{Label: t.Label, Year: 2015, TemplateID: g.templateSeq}
+		l.HasSource, l.CompilerKnown = hasSource, hasSource
+		g.add(l, t.Published)
+		if g.keepAlive != nil {
+			// Shared logic targets are delegated to by proxies deployed
+			// across all later years — they must never be retired.
+			g.keepAlive(l.Address)
+		}
 		return l.Address
 	}
-	g.coinToolLogic = install(cloneLogic("CoinTool_App"))
-	g.xenLogic = install(cloneLogic("XENTorrent"))
-
-	_, ownableLogicSrc := ownableDelegateProxy()
-	g.ownableLogic = install(ownableLogicSrc)
-
+	g.coinToolLogic = install(gen.CloneLogic("CoinTool_App"), true)
+	g.xenLogic = install(gen.CloneLogic("XENTorrent"), true)
+	g.ownableLogic = install(g.tpl.ownableLogic, true)
+	family := gen.CloneLogic("Fam")
 	for i := 0; i < 12; i++ {
-		src := cloneLogic("Fam")
-		if i%3 == 0 {
-			// A third of the clone families point at unverified logic, so
-			// the "no source at all" pair series of Figure 4 is non-empty.
-			l := &Label{Kind: KindLogic, Year: 2015}
-			g.templateSeq++
-			l.TemplateID = g.templateSeq
-			g.compileAndAdd(l, src)
-			g.cloneLogics = append(g.cloneLogics, l.Address)
-			continue
-		}
-		g.cloneLogics = append(g.cloneLogics, install(src))
+		// A third of the clone families point at unverified logic, so the
+		// "no source at all" pair series of Figure 4 is non-empty.
+		g.cloneLogics = append(g.cloneLogics, install(family, i%3 != 0))
 	}
 	for i := 1; i <= 4; i++ {
-		g.uupsLogics = append(g.uupsLogics, install(uupsLogic(i)))
+		g.uupsLogics = append(g.uupsLogics, install(gen.UUPSLogic(i), true))
 	}
 	for i := 0; i < 4; i++ {
-		g.adHocLogics = append(g.adHocLogics, install(adHocLogic(i)))
+		g.adHocLogics = append(g.adHocLogics, install(gen.AdHocLogic(i), true))
 	}
-	if g.keepAlive != nil {
-		// Shared logic targets are delegated to by proxies deployed across
-		// all later years — they must never be retired.
-		g.keepAlive(g.coinToolLogic)
-		g.keepAlive(g.xenLogic)
-		g.keepAlive(g.ownableLogic)
-		for _, a := range g.cloneLogics {
-			g.keepAlive(a)
-		}
-		for _, a := range g.uupsLogics {
-			g.keepAlive(a)
-		}
-		for _, a := range g.adHocLogics {
-			g.keepAlive(a)
-		}
-	}
-	_ = c
 }
 
 // generateYear deploys n contracts into the given year.
@@ -360,8 +364,8 @@ func (g *generator) generateYear(year, n int) {
 	c.AdvanceTo(g.yearBase(year))
 
 	// Apply upgrades scheduled for this year first.
-	for _, up := range g.pendingUpgrades[year] {
-		g.applyUpgrade(up)
+	for _, l := range g.pendingUpgrades[year] {
+		g.applyUpgrade(l)
 	}
 
 	for i := 0; i < n; i++ {
@@ -377,9 +381,8 @@ func (g *generator) generateYear(year, n int) {
 // deployLogicVersion installs a fresh logic-contract version.
 func (g *generator) deployLogicVersion() etypes.Address {
 	g.templateSeq++
-	l := &Label{Kind: KindLogic, HasSource: false, TemplateID: g.templateSeq}
-	g.compileAndAdd(l, uupsLogic(g.templateSeq))
-	return l.Address
+	t := gen.UUPSLogic(g.templateSeq)
+	return g.add(&Label{Label: t.Label, TemplateID: g.templateSeq}, t.Published).Address
 }
 
 // generateProxy picks a proxy template per the Table 4 standard split.
@@ -412,59 +415,44 @@ func (g *generator) generateProxy(year int) {
 }
 
 func (g *generator) addMinimalClone(year int, logic etypes.Address, template int) {
-	l := &Label{
-		Kind: KindMinimalProxy, Year: year, IsProxy: true, Logic: logic,
-		TemplateID: template,
+	t, ok := g.clones[logic]
+	if !ok {
+		t = gen.MinimalProxy(logic)
+		g.clones[logic] = t
 	}
+	l := &Label{Label: t.Label, Year: year, TemplateID: template}
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	l.HasTx = g.txDice(true)
-	src := &solc.Contract{
-		Name:     "MinimalProxy",
-		Fallback: solc.Fallback{Kind: solc.FallbackDelegateHardcoded, Target: logic},
-	}
-	g.add(l, disasm.MinimalProxyRuntime(logic), src)
+	g.add(l, t.Published)
 	g.maybeTransact(l)
 }
 
 func (g *generator) addOwnableProxy(year int) {
-	proxySrc, _ := ownableDelegateProxy()
-	l := &Label{
-		Kind: KindOwnableProxy, Year: year, IsProxy: true, Logic: g.ownableLogic,
-		TemplateID:            3,
-		TrueFunctionCollision: true, // proxyType()/implementation()/upgradeabilityOwner()
-		ImplSlot:              implSlot1,
-	}
+	t := g.tpl.ownableProxy
+	l := &Label{Label: t.Label, Year: year, TemplateID: 3}
+	l.Logic = g.ownableLogic
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	l.HasTx = g.txDice(true)
-	g.compileAndAdd(l, proxySrc)
-	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(g.ownableLogic.Word()))
+	g.add(l, t.Published)
+	g.dep.SetSlot(l.Address, l.ImplSlot, l.Logic)
 	g.maybeTransact(l)
 }
 
 func (g *generator) addStandardProxy(year int, kind Kind) {
-	var slot etypes.Hash
-	var src *solc.Contract
-	switch kind {
-	case KindEIP1967Proxy:
-		slot = slotEIP1967
-		src = transparentProxy1967(slot)
-	case KindEIP1822Proxy:
-		slot = slotEIP1822
-		src = transparentProxy1967(slot)
-		src.Name = "UUPSProxy"
+	t := g.tpl.transparent1967
+	if kind == KindEIP1822Proxy {
+		t = g.tpl.transparent1822
 	}
 	logic := g.uupsLogics[g.rng.Intn(len(g.uupsLogics))]
 	g.templateSeq++
-	l := &Label{
-		Kind: kind, Year: year, IsProxy: true, Logic: logic,
-		TemplateID: g.templateSeq, ImplSlot: slot,
-	}
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
+	l.Logic = logic
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	l.HasTx = g.txDice(true)
-	g.compileAndAdd(l, src)
-	g.pop.Chain.SetStorageDirect(l.Address, slot, etypes.HashFromWord(logic.Word()))
+	g.add(l, t.Published)
+	g.dep.SetSlot(l.Address, l.ImplSlot, logic)
 	g.maybeTransact(l)
-	g.maybeScheduleUpgrades(l, year, slot)
+	g.maybeScheduleUpgrades(l, year)
 }
 
 // addAdHocProxy deploys a non-standard storage proxy; a small fraction are
@@ -479,95 +467,74 @@ func (g *generator) addAdHocProxy(year int) {
 	default:
 		g.templateSeq++
 		fam := g.templateSeq % 7 // a few duplicate families
-		proxySrc := adHocProxy(fam)
-		slot := adHocSlot(fam)
-		logic := g.adHocLogics[fam%len(g.adHocLogics)]
-		l := &Label{
-			Kind: KindAdHocProxy, Year: year, IsProxy: true, Logic: logic,
-			TemplateID: 100 + fam, ImplSlot: slot,
-		}
+		t := g.tpl.adHoc[fam]
+		l := &Label{Label: t.Label, Year: year, TemplateID: 100 + fam}
+		l.Logic = g.adHocLogics[fam%len(g.adHocLogics)]
 		l.HasSource, l.CompilerKnown = g.sourceDice(true)
 		l.HasTx = g.txDice(true)
-		g.compileAndAdd(l, proxySrc)
-		g.pop.Chain.SetStorageDirect(l.Address, slot, etypes.HashFromWord(logic.Word()))
+		g.add(l, t.Published)
+		g.dep.SetSlot(l.Address, l.ImplSlot, l.Logic)
 		g.maybeTransact(l)
-		g.maybeScheduleUpgrades(l, year, slot)
+		g.maybeScheduleUpgrades(l, year)
 	}
 }
 
 // addHoneypot deploys the Listing 1 function-collision scam as a hidden
 // contract: no source, no transactions — invisible to every prior tool.
 func (g *generator) addHoneypot(year int) {
-	proxySrc, logicSrc := honeypotPair()
 	g.templateSeq++
-	logicLabel := &Label{Kind: KindLogic, Year: year, TemplateID: g.templateSeq}
-	g.compileAndAdd(logicLabel, logicSrc)
+	logic := g.tpl.honeypotLogic
+	logicLabel := g.add(&Label{Label: logic.Label, Year: year, TemplateID: g.templateSeq}, logic.Published)
 
 	g.templateSeq++
-	l := &Label{
-		Kind: KindHoneypotProxy, Year: year, IsProxy: true,
-		Logic: logicLabel.Address, TemplateID: g.templateSeq,
-		TrueFunctionCollision: true, ImplSlot: implSlot1,
-	}
+	t := g.tpl.honeypotProxy
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
+	l.Logic = logicLabel.Address
 	// Hidden: deliberately no source and no transactions.
-	g.compileAndAdd(l, proxySrc)
-	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logicLabel.Address.Word()))
+	g.add(l, t.Published)
+	g.dep.SetSlot(l.Address, l.ImplSlot, l.Logic)
 }
 
 // addAudius deploys the Listing 2 exploitable storage collision.
 func (g *generator) addAudius(year int) {
-	proxySrc, logicSrc := audiusPair()
 	g.templateSeq++
-	logicLabel := &Label{Kind: KindLogic, Year: year, TemplateID: g.templateSeq}
+	logic := g.tpl.audiusLogic
+	logicLabel := &Label{Label: logic.Label, Year: year, TemplateID: g.templateSeq}
 	logicLabel.HasSource, logicLabel.CompilerKnown = g.sourceDice(false)
-	g.compileAndAdd(logicLabel, logicSrc)
+	g.add(logicLabel, logic.Published)
 
 	g.templateSeq++
-	l := &Label{
-		Kind: KindAudiusProxy, Year: year, IsProxy: true,
-		Logic: logicLabel.Address, TemplateID: g.templateSeq,
-		TrueStorageCollision: true, ImplSlot: implSlot1,
-	}
+	t := g.tpl.audiusProxy
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
+	l.Logic = logicLabel.Address
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	// A third of the vulnerable pairs never transact: the hidden collisions
 	// only Proxion can reach (Section 6.2).
 	l.HasTx = g.rng.Float64() < 0.67
-	g.compileAndAdd(l, proxySrc)
-	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logicLabel.Address.Word()))
+	g.add(l, t.Published)
+	g.dep.SetSlot(l.Address, l.ImplSlot, l.Logic)
 	g.maybeTransact(l)
 }
 
 func (g *generator) addDiamond(year int) {
-	facetLabel := &Label{Kind: KindLogic, Year: year}
 	g.templateSeq++
-	facetLabel.TemplateID = g.templateSeq
-	facetSrc := diamondFacet()
-	g.compileAndAdd(facetLabel, facetSrc)
+	facet := g.tpl.facet
+	facetLabel := g.add(&Label{Label: facet.Label, Year: year, TemplateID: g.templateSeq}, facet.Published)
 
-	src := diamondProxy()
 	g.templateSeq++
-	l := &Label{
-		Kind: KindDiamond, Year: year, IsProxy: true, Logic: facetLabel.Address,
-		TemplateID: g.templateSeq,
-	}
+	t := g.tpl.diamond
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
+	l.Logic = facetLabel.Address
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
-	g.compileAndAdd(l, src)
-	// Register the facet's selector in the diamond mapping.
-	sel := facetSrc.Funcs[0].ABI.Selector()
-	selWord := u256.FromBytes(sel[:])
-	pre := make([]byte, 64)
-	sw := selWord.Bytes32()
-	copy(pre[:32], sw[:])
-	base := src.Fallback.Slot
-	copy(pre[32:], base[:])
-	g.pop.Chain.SetStorageDirect(l.Address, etypes.Keccak(pre), etypes.HashFromWord(facetLabel.Address.Word()))
+	g.add(l, t.Published)
+	g.dep.RegisterFacet(&l.Label, &facetLabel.Label)
 
 	// Most diamonds have been used: a past transaction carrying a
 	// registered facet selector, which the history-assisted detection
 	// extension mines (Section 8.2).
 	if g.rng.Float64() < 0.8 {
 		l.HasTx = true
-		sender := etypes.MustAddress("0x00000000000000000000000000000000000edca1")
+		sel := facet.Source.Selectors()[0]
 		g.pop.Chain.Execute(sender, l.Address, abi.EncodeCall(sel), 2_000_000, u256.Zero())
 	}
 }
@@ -575,13 +542,12 @@ func (g *generator) addDiamond(year int) {
 func (g *generator) addHostileProxy(year int) {
 	logic := g.uupsLogics[g.rng.Intn(len(g.uupsLogics))]
 	g.templateSeq++
-	l := &Label{
-		Kind: KindHostileProxy, Year: year, IsProxy: true, Logic: logic,
-		TemplateID: g.templateSeq, ImplSlot: implSlot1,
-	}
+	t := g.tpl.hostile
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
+	l.Logic = logic
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
-	g.add(l, hostileProxy(), hostileProxySource())
-	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logic.Word()))
+	g.add(l, t.Published)
+	g.dep.SetSlot(l.Address, l.ImplSlot, logic)
 }
 
 // generateNonProxy deploys plain contracts, tokens, library users, and the
@@ -593,27 +559,27 @@ func (g *generator) generateNonProxy(year int) {
 		// Undecodable/broken blobs: the population behind the paper's 4.9%
 		// emulation runtime errors (Section 7.1).
 		g.templateSeq++
-		l := &Label{Kind: KindBroken, Year: year, TemplateID: g.templateSeq}
-		g.add(l, brokenBytecode(g.templateSeq%251), nil)
+		t := gen.Broken(g.templateSeq % 251)
+		g.add(&Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}, nil)
 	case r < 0.13:
 		g.addLibraryUser(year)
 	case r < 0.155:
 		g.addDestroyed(year)
 	case r < 0.55:
 		g.templateSeq++
-		src := plainContract(g.templateSeq % 23)
-		l := &Label{Kind: KindPlain, Year: year, TemplateID: 200 + g.templateSeq%23}
+		t := g.tpl.plain[g.templateSeq%23]
+		l := &Label{Label: t.Label, Year: year, TemplateID: 200 + g.templateSeq%23}
 		l.HasSource, l.CompilerKnown = g.sourceDice(false)
 		l.HasTx = g.txDice(false)
-		g.compileAndAdd(l, src)
+		g.add(l, t.Published)
 		g.maybeTransact(l)
 	default:
 		g.templateSeq++
-		src := tokenContract(g.templateSeq % 31)
-		l := &Label{Kind: KindToken, Year: year, TemplateID: 300 + g.templateSeq%31}
+		t := g.tpl.token[g.templateSeq%31]
+		l := &Label{Label: t.Label, Year: year, TemplateID: 300 + g.templateSeq%31}
 		l.HasSource, l.CompilerKnown = g.sourceDice(false)
 		l.HasTx = g.txDice(false)
-		g.compileAndAdd(l, src)
+		g.add(l, t.Published)
 		g.maybeTransact(l)
 	}
 }
@@ -624,8 +590,8 @@ func (g *generator) generateNonProxy(year int) {
 // filter.
 func (g *generator) addDestroyed(year int) {
 	g.templateSeq++
-	l := &Label{Kind: KindDestroyed, Year: year, TemplateID: g.templateSeq, HasTx: true}
-	g.add(l, suicideBytecode(), nil)
+	t := gen.Destroyed()
+	l := g.add(&Label{Label: t.Label, Year: year, TemplateID: g.templateSeq, HasTx: true}, nil)
 	killer := etypes.MustAddress("0x00000000000000000000000000000000000edca2")
 	g.pop.Chain.Execute(killer, l.Address, nil, 2_000_000, u256.Zero())
 }
@@ -633,23 +599,25 @@ func (g *generator) addDestroyed(year int) {
 // addLibraryUser deploys a contract delegatecalling a shared library with
 // constructed call data — the CRUSH/Etherscan false-positive bait.
 func (g *generator) addLibraryUser(year int) {
-	userSrc, libSrc := libraryPair(g.templateSeq % 5)
+	n := g.templateSeq % 5
 	g.templateSeq++
-	libLabel := &Label{Kind: KindLibrary, Year: year, TemplateID: g.templateSeq}
+	lib := gen.Library(n)
+	libLabel := &Label{Label: lib.Label, Year: year, TemplateID: g.templateSeq}
 	libLabel.HasSource, libLabel.CompilerKnown = true, true
-	g.compileAndAdd(libLabel, libSrc)
+	g.add(libLabel, lib.Published)
 
-	userSrc.Fallback.Target = libLabel.Address
 	g.templateSeq++
-	l := &Label{
-		Kind: KindLibraryUser, Year: year, IsProxy: false, Logic: libLabel.Address,
-		TemplateID: g.templateSeq,
-	}
+	t := gen.LibraryUser(n, libLabel.Address)
+	l := &Label{Label: t.Label, Year: year, TemplateID: g.templateSeq}
 	l.HasSource, l.CompilerKnown = g.sourceDice(false)
 	l.HasTx = true // library users transact: that is how CRUSH sees them
-	g.compileAndAdd(l, userSrc)
+	g.add(l, t.Published)
 	g.maybeTransact(l)
 }
+
+// sender is the externally owned account behind the landscape's
+// transactions.
+var sender = etypes.MustAddress("0x00000000000000000000000000000000000edca1")
 
 // maybeTransact executes one external transaction against the contract so
 // trace-based tools can see it, when the label says it has history.
@@ -657,7 +625,6 @@ func (g *generator) maybeTransact(l *Label) {
 	if !l.HasTx {
 		return
 	}
-	sender := etypes.MustAddress("0x00000000000000000000000000000000000edca1")
 	var input []byte
 	switch l.Kind {
 	case KindLibraryUser:
@@ -675,7 +642,7 @@ func (g *generator) maybeTransact(l *Label) {
 // twice, a couple of outliers upgrade dozens of times). Upgrades that would
 // land past the final year are applied immediately, a few blocks after the
 // proxy's deployment.
-func (g *generator) maybeScheduleUpgrades(l *Label, year int, slot etypes.Hash) {
+func (g *generator) maybeScheduleUpgrades(l *Label, year int) {
 	r := g.rng.Float64()
 	if r > 0.15 { // upgrades only make sense for the few storage proxies
 		return
@@ -693,10 +660,10 @@ func (g *generator) maybeScheduleUpgrades(l *Label, year int, slot etypes.Hash) 
 	for i := 0; i < count; i++ {
 		y := year + 1 + g.rng.Intn(3)
 		if y > 2023 {
-			g.applyUpgrade(upgrade{lbl: l, slot: slot})
+			g.applyUpgrade(l)
 			continue
 		}
-		g.pendingUpgrades[y] = append(g.pendingUpgrades[y], upgrade{lbl: l, slot: slot})
+		g.pendingUpgrades[y] = append(g.pendingUpgrades[y], l)
 	}
 }
 
@@ -705,11 +672,15 @@ func (g *generator) maybeScheduleUpgrades(l *Label, year int, slot etypes.Hash) 
 // holds the pointer; in streaming mode the label may already be emitted,
 // so consumers that need post-upgrade ground truth must read labels after
 // the stream drains (the documented streaming caveat).
-func (g *generator) applyUpgrade(up upgrade) {
-	c := g.pop.Chain
-	c.AdvanceBlocks(1)
+func (g *generator) applyUpgrade(l *Label) {
+	g.pop.Chain.AdvanceBlocks(1)
 	v := g.deployLogicVersion()
-	c.SetStorageDirect(up.lbl.Address, up.slot, etypes.HashFromWord(v.Word()))
-	up.lbl.Upgrades++
-	up.lbl.Logic = v
+	g.dep.SetSlot(l.Address, l.ImplSlot, v)
+	l.Upgrades++
+	l.Logic = v
+	// Every version is a UUPS logic, a uint256 in slot 0. An ad-hoc proxy
+	// keeps its owner address there, so the upgrade opens a storage
+	// collision; a transparent proxy's slots are hash-derived and stay
+	// clear.
+	l.StorageCollision = l.Kind == KindAdHocProxy
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 
 	"repro/internal/chain"
@@ -67,12 +66,7 @@ type LabelStream struct {
 // goroutine and returns the live stream. Call Close when abandoning the
 // stream early; a fully drained stream needs no Close.
 func GenerateStream(cfg StreamConfig) *LabelStream {
-	if cfg.Contracts == 0 {
-		cfg.Contracts = 4000
-	}
-	if cfg.Network.ChainID == 0 {
-		cfg.Network = chain.MainnetConfig()
-	}
+	cfg.Config = cfg.Config.withDefaults()
 	if cfg.Window <= 0 {
 		cfg.Window = 8192
 	}
@@ -84,20 +78,9 @@ func GenerateStream(cfg StreamConfig) *LabelStream {
 	}
 	s.C = s.ch
 
-	p := &Population{
-		Chain:    chain.NewWithConfig(cfg.Network),
-		Registry: etherscan.NewRegistry(),
-		cfg:      cfg.Config,
-		nextAddr: 0x100000,
-	}
-	s.Chain, s.Registry = p.Chain, p.Registry
-	g := &generator{
-		pop:       p,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		cfg:       cfg.Config,
-		emit:      s.emitLabel,
-		keepAlive: s.keepAlive,
-	}
+	g := newGenerator(cfg.Config)
+	g.emit, g.keepAlive = s.emitLabel, s.keepAlive
+	s.Chain, s.Registry = g.pop.Chain, g.pop.Registry
 	go func() {
 		defer close(s.ch)
 		defer func() {

@@ -1,13 +1,10 @@
 package dataset
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/chain"
-	"repro/internal/etherscan"
 	"repro/internal/etypes"
 )
 
@@ -31,7 +28,7 @@ func TestStreamMatchesBatchLabels(t *testing.T) {
 		t.Fatalf("streamed %d labels, batch has %d", len(streamed), len(batch.Labels))
 	}
 	for i := range streamed {
-		if !reflect.DeepEqual(*streamed[i], *batch.Labels[i]) {
+		if !sameLabel(streamed[i], batch.Labels[i]) {
 			t.Fatalf("label %d diverges:\nstream: %+v\nbatch:  %+v", i, *streamed[i], *batch.Labels[i])
 		}
 	}
@@ -49,6 +46,15 @@ func TestStreamMatchesBatchLabels(t *testing.T) {
 	if s.Registry.Count() != batch.Registry.Count() {
 		t.Fatalf("registry sizes differ: stream %d vs batch %d", s.Registry.Count(), batch.Registry.Count())
 	}
+}
+
+// sameLabel compares two labels by value. A label's source model may hold
+// inline-assembly emitters, functions DeepEqual never equates, so sources
+// compare by the bytecode they compile to, which the labels carry as Code.
+func sameLabel(a, b *Label) bool {
+	x, y := *a, *b
+	x.Source, y.Source = nil, nil
+	return (a.Source == nil) == (b.Source == nil) && reflect.DeepEqual(x, y)
 }
 
 // TestStreamPrefixStableAndClose: a consumer that abandons the stream
@@ -107,7 +113,7 @@ func TestStreamRetirement(t *testing.T) {
 		t.Fatalf("streamed %d labels, batch has %d", len(streamed), len(batch.Labels))
 	}
 	for k := range streamed {
-		if !reflect.DeepEqual(*streamed[k], *batch.Labels[k]) {
+		if !sameLabel(streamed[k], batch.Labels[k]) {
 			t.Fatalf("label %d diverges under retirement", k)
 		}
 	}
@@ -181,15 +187,10 @@ func TestStreamBackpressure(t *testing.T) {
 // receipt, so anything emitted earlier is analyzed in a state no label
 // describes (the no_code/filter_rejected split used to move between runs).
 func TestLabelsEmittedInTheirLabelledState(t *testing.T) {
-	cfg := Config{Seed: 7, Contracts: 1200, Network: chain.MainnetConfig()}
-	p := &Population{
-		Chain:    chain.NewWithConfig(cfg.Network),
-		Registry: etherscan.NewRegistry(),
-		cfg:      cfg,
-		nextAddr: 0x100000,
-	}
+	cfg := Config{Seed: 7, Contracts: 1200}
+	g := newGenerator(cfg)
+	p := g.pop
 	seen := make(map[Kind]int)
-	g := &generator{pop: p, rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
 	g.emit = func(l *Label) {
 		seen[l.Kind]++
 		if l.Kind == KindDestroyed && len(p.Chain.Code(l.Address)) != 0 {

@@ -73,7 +73,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		t.Fatalf("gen corpus holds %d shapes, want the full taxonomy", got)
 	}
 	for _, l := range g.Labels {
-		check(l.Shape.String(), l.Code)
+		check(l.Kind.String(), l.Code)
 	}
 	pop := dataset.Generate(dataset.Config{Seed: 17, Contracts: 400})
 	for _, a := range pop.Chain.Contracts() {

@@ -55,7 +55,7 @@ func corpusParity(c *gen.Corpus) []string {
 				ms = append(ms, checkHaltParity(c.Chain, spec, 2)...)
 			}
 			for _, m := range ms {
-				out = append(out, fmt.Sprintf("%s %s input=%s: %s", l.Address, l.Shape, kind, m))
+				out = append(out, fmt.Sprintf("%s %s input=%s: %s", l.Address, l.Kind, kind, m))
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func TestParityHaltOverTaxonomy(t *testing.T) {
 		}
 		for k := 2; k <= 3; k++ {
 			if ms := checkHaltParity(c.Chain, spec, k); len(ms) > 0 {
-				t.Errorf("%v %s, halt at frame %d: %v", l.Shape, l.Address, k, ms)
+				t.Errorf("%v %s, halt at frame %d: %v", l.Kind, l.Address, k, ms)
 			}
 		}
 		spec.HaltAt = 2

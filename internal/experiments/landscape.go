@@ -14,11 +14,9 @@ var years = []int{2015, 2016, 2017, 2018, 2019, 2020, 2021, 2022, 2023}
 func populationLabels(pop *dataset.Population) []*dataset.Label {
 	var out []*dataset.Label
 	for _, l := range pop.Labels {
-		switch l.Kind {
-		case dataset.KindLogic, dataset.KindLibrary, dataset.KindDestroyed:
-			continue
+		if populationMember(l) {
+			out = append(out, l)
 		}
-		out = append(out, l)
 	}
 	return out
 }

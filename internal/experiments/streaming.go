@@ -77,7 +77,8 @@ func NewLandscape(ch *chain.Chain, reg *etherscan.Registry, det *proxion.Detecto
 	return a
 }
 
-// populationMember applies the populationLabels filter to one label.
+// populationMember says whether a label belongs to the landscape's primary
+// population, populationLabels' filter.
 func populationMember(l *dataset.Label) bool {
 	switch l.Kind {
 	case dataset.KindLogic, dataset.KindLibrary, dataset.KindDestroyed:

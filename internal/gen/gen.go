@@ -1,15 +1,30 @@
-// Package gen is a seeded, deterministic random contract-corpus generator:
-// it emits internal/solc sources (and raw EIP-1167 runtime bytecode) across
-// the paper's proxy taxonomy — minimal proxies, EIP-1967/1822 slot proxies,
-// hardcoded-address forwarders, ad-hoc slot proxies, diamonds — plus labeled
-// *negatives* (library delegatecallers, dispatcher-only contracts,
-// dead-DELEGATECALL decoys), each carrying ground-truth labels established
-// by construction: is-proxy, the logic address, the implementation slot, the
-// expected standard classification, and the function/storage collisions
-// deliberately injected into the pair.
+// Package gen holds the repository's one catalogue of labelled contracts
+// and the one way to deploy them. Every contract carries a Label whose
+// ground truth holds by construction: is-proxy, detectability, the logic
+// address, the implementation slot, the expected standard classification,
+// and the function/storage collisions the pair was built with.
 //
-// The generator is the corpus half of the differential oracle harness (see
-// internal/gen/oracle): because every label is true by construction, any
+// Two kinds of contract live here:
+//
+//   - the random shapes (shapes.go, timeline.go): internal/solc sources
+//     and raw EIP-1167 runtimes across the paper's proxy taxonomy —
+//     minimal proxies, EIP-1967/1822 slot proxies, hardcoded-address
+//     forwarders, ad-hoc slot proxies, diamonds — plus the negatives
+//     classifiers stumble on (library delegatecallers, dispatcher-only
+//     contracts, dead-DELEGATECALL decoys), with randomly minted names and
+//     layouts. Generate and GenerateTimeline draw them;
+//   - the catalogue (catalogue.go): fixed Templates modelled on the
+//     paper's landscape and Table 2 corpus — the admin-guarded
+//     transparent proxy, Wyvern's OwnableDelegateProxy, the honeypot and
+//     Audius pairs, hostile, broken and self-destructing code. The
+//     landscape mix in internal/dataset deploys them.
+//
+// Both deploy through a Deployer (deploy.go), which mints each generator's
+// addresses under its own prefix byte: 0x9e here, 0xda for the landscape,
+// 0xac for the Table 2 corpus.
+//
+// The generators are the corpus half of the differential oracle harness
+// (internal/gen/oracle): because every label is true by construction, any
 // disagreement between a label and an analysis verdict is a bug in exactly
 // one place — the analyzer.
 //
@@ -29,16 +44,14 @@ import (
 	"repro/internal/chain"
 	"repro/internal/etherscan"
 	"repro/internal/etypes"
-	"repro/internal/keccak"
 	"repro/internal/solc"
-	"repro/internal/u256"
 )
 
 // Shape is a generated contract's taxonomy bucket.
 type Shape int
 
-// Generated contract shapes. The first six are proxies under the paper's
-// definition; the last four are the adversarial negatives proxy classifiers
+// Generated contract shapes. gen's own come first: six proxies under the
+// paper's definition, then four adversarial negatives proxy classifiers
 // historically stumble on (library delegatecallers, no-transaction
 // dispatcher contracts, dead DELEGATECALLs, plain logic targets).
 const (
@@ -69,52 +82,47 @@ const (
 	// ShapeLogic is an auxiliary deployment (logic contract, library,
 	// diamond facet) another unit points at; a plain negative.
 	ShapeLogic
+
+	// The landscape's catalogue shapes (catalogue.go) follow gen's own,
+	// whose numbers Corpus.Fingerprint hashes.
+
+	ShapePlain         // application contract with a few functions
+	ShapeToken         // ERC-20-shaped, with interface-id decoys
+	ShapeOwnableProxy  // Wyvern's proxy: three functions collide by inheritance
+	ShapeHoneypotProxy // Listing 1: a proxy function shares the lure's selector
+	ShapeAudiusProxy   // Listing 2: the owner sits under packed initializer flags
+	ShapeLibraryUser   // a library caller over a layout unlike its library's
+	ShapeLibrary       // the library a ShapeLibraryUser calls
+	ShapeBroken        // junk that underflows the stack at once
+	ShapeHostileProxy  // forwards only tagged call data; emulation errors out
+	ShapeDestroyed     // self-destructs on its first call
 )
+
+var shapeNames = [...]string{
+	ShapeMinimalProxy: "minimal-proxy", ShapeHardcodedForwarder: "hardcoded-forwarder",
+	ShapeEIP1967Proxy: "eip1967-proxy", ShapeEIP1822Proxy: "eip1822-proxy",
+	ShapeAdHocProxy: "adhoc-proxy", ShapeDiamond: "diamond",
+	ShapeLibraryCaller: "library-caller", ShapeDispatcherOnly: "dispatcher-only",
+	ShapeDeadDelegate: "dead-delegatecall", ShapeLogic: "logic",
+	ShapePlain: "plain", ShapeToken: "token", ShapeOwnableProxy: "ownable-proxy",
+	ShapeHoneypotProxy: "honeypot-proxy", ShapeAudiusProxy: "audius-proxy",
+	ShapeLibraryUser: "library-user", ShapeLibrary: "library", ShapeBroken: "broken",
+	ShapeHostileProxy: "hostile-proxy", ShapeDestroyed: "destroyed",
+}
 
 // String names the shape.
 func (s Shape) String() string {
-	switch s {
-	case ShapeMinimalProxy:
-		return "minimal-proxy"
-	case ShapeHardcodedForwarder:
-		return "hardcoded-forwarder"
-	case ShapeEIP1967Proxy:
-		return "eip1967-proxy"
-	case ShapeEIP1822Proxy:
-		return "eip1822-proxy"
-	case ShapeAdHocProxy:
-		return "adhoc-proxy"
-	case ShapeDiamond:
-		return "diamond"
-	case ShapeLibraryCaller:
-		return "library-caller"
-	case ShapeDispatcherOnly:
-		return "dispatcher-only"
-	case ShapeDeadDelegate:
-		return "dead-delegatecall"
-	case ShapeLogic:
-		return "logic"
-	default:
+	if s < 0 || int(s) >= len(shapeNames) {
 		return "unknown"
 	}
-}
-
-// IsProxy is the shape's ground truth under the paper's definition: does
-// the fallback forward received call data through a DELEGATECALL.
-func (s Shape) IsProxy() bool {
-	switch s {
-	case ShapeMinimalProxy, ShapeHardcodedForwarder, ShapeEIP1967Proxy,
-		ShapeEIP1822Proxy, ShapeAdHocProxy, ShapeDiamond:
-		return true
-	}
-	return false
+	return shapeNames[s]
 }
 
 // Label is the ground truth for one generated contract, fixed by
 // construction at generation time.
 type Label struct {
 	Address etypes.Address
-	Shape   Shape
+	Kind    Shape
 	// Unit is the generation unit (0-based) that produced this contract;
 	// auxiliary deployments share their proxy's unit. Prefix minimization
 	// keys on it.
@@ -122,7 +130,8 @@ type Label struct {
 
 	// IsProxy is the paper-definition ground truth.
 	IsProxy bool
-	// Detectable is the expected emulation verdict (false for diamonds).
+	// Detectable is the expected emulation verdict: false for diamonds,
+	// whose facet table random call data misses, and for hostile proxies.
 	Detectable bool
 	// HasDelegateCall is the expected step-1 disassembly filter result.
 	HasDelegateCall bool
@@ -144,6 +153,10 @@ type Label struct {
 	// StorageCollision says the pair's layouts were built to conflict
 	// (mismatched overlapping fields on a shared slot).
 	StorageCollision bool
+
+	// EmulationFails says emulation must end in an error: the code
+	// underflows the stack or hits INVALID on the probe's call data.
+	EmulationFails bool
 
 	// HasSource says the contract's source was published to the registry.
 	HasSource bool
@@ -203,9 +216,9 @@ func (c *Corpus) Shapes() []Shape {
 	seen := make(map[Shape]bool)
 	var out []Shape
 	for _, l := range c.Labels {
-		if !seen[l.Shape] {
-			seen[l.Shape] = true
-			out = append(out, l.Shape)
+		if !seen[l.Kind] {
+			seen[l.Kind] = true
+			out = append(out, l.Kind)
 		}
 	}
 	return out
@@ -223,11 +236,11 @@ func (c *Corpus) Fingerprint() etypes.Hash {
 	}
 	for _, l := range c.Labels {
 		h = append(h, l.Address[:]...)
-		u64(uint64(l.Shape))
+		u64(uint64(l.Kind))
 		u64(uint64(l.Unit))
 		flags := uint64(0)
 		for i, b := range []bool{l.IsProxy, l.Detectable, l.HasDelegateCall,
-			l.TargetStorage, l.StorageCollision, l.HasSource} {
+			l.TargetStorage, l.StorageCollision, l.HasSource, l.EmulationFails} {
 			if b {
 				flags |= 1 << uint(i)
 			}
@@ -250,14 +263,6 @@ func (c *Corpus) Fingerprint() etypes.Hash {
 	return etypes.Keccak(h)
 }
 
-// Well-known implementation slots, duplicated from the analyzer so the
-// generator shares no code with the system under test.
-var (
-	slotEIP1967 = etypes.HashFromWord(
-		u256.FromBytes32(keccak.Sum256([]byte("eip1967.proxy.implementation"))).Sub(u256.One()))
-	slotEIP1822 = etypes.Keccak([]byte("PROXIABLE"))
-)
-
 // allShapes is the guaranteed-coverage prefix: the first len(allShapes)
 // units cycle through every primary shape, so any corpus with at least that
 // many units exercises the full taxonomy; later units draw randomly.
@@ -270,17 +275,8 @@ var allShapes = []Shape{
 // Generate builds a corpus from the config.
 func Generate(cfg Config) *Corpus {
 	cfg = cfg.withDefaults()
-	c := &Corpus{
-		Config:   cfg,
-		Chain:    chain.New(),
-		Registry: etherscan.NewRegistry(),
-		ByAddr:   make(map[etypes.Address]*Label),
-	}
-	g := &generator{
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		corpus:   c,
-		nextAddr: 0x100,
-	}
+	g := newGenerator(cfg, cfg.Seed)
+	c := g.corpus
 	c.Chain.AdvanceTo(1)
 	for i := 0; i < cfg.Contracts; i++ {
 		g.unit = i
@@ -290,13 +286,29 @@ func Generate(cfg Config) *Corpus {
 	return c
 }
 
+// newGenerator starts an empty corpus for cfg, drawing from seed.
+func newGenerator(cfg Config, seed int64) *generator {
+	c := &Corpus{
+		Config:   cfg,
+		Chain:    chain.New(),
+		Registry: etherscan.NewRegistry(),
+		ByAddr:   make(map[etypes.Address]*Label),
+	}
+	return &generator{
+		rng:    rand.New(rand.NewSource(seed)),
+		corpus: c,
+		dep:    NewDeployer(c.Chain, c.Registry, 0x9e, 0x100),
+	}
+}
+
 // generator holds per-corpus generation state.
 type generator struct {
-	rng      *rand.Rand
-	corpus   *Corpus
-	nextAddr uint64
-	unit     int
-	seq      int
+	rng    *rand.Rand
+	corpus *Corpus
+	// dep deploys into the corpus, minting 0x9e-prefixed addresses.
+	dep  *Deployer
+	unit int
+	seq  int
 }
 
 // shapeFor picks the unit's primary shape: fixed coverage prefix first,
@@ -329,16 +341,6 @@ func (g *generator) shapeFor(i int) Shape {
 	}
 }
 
-// newAddr mints the next deterministic address (0x9e prefix marks
-// generator-minted contracts, distinct from the dataset's 0xda).
-func (g *generator) newAddr() etypes.Address {
-	g.nextAddr++
-	var buf [20]byte
-	binary.BigEndian.PutUint64(buf[12:], g.nextAddr)
-	buf[0] = 0x9e
-	return etypes.Address(buf)
-}
-
 // ident mints a fresh random identifier. Including a random suffix keeps
 // prototypes distinct across contracts so the only shared selectors are the
 // deliberately injected ones.
@@ -347,24 +349,18 @@ func (g *generator) ident(prefix string) string {
 	return fmt.Sprintf("%s%d_%x", prefix, g.seq, g.rng.Uint32())
 }
 
-// install places code on chain and records the label.
-func (g *generator) install(l *Label, code []byte) *Label {
-	if l.Address.IsZero() {
-		l.Address = g.newAddr()
-	}
+// install places the label's code on chain, publishes its source when it
+// has one, and records the label.
+func (g *generator) install(l *Label) *Label {
 	l.Unit = g.unit
-	l.Code = code
-	g.corpus.Chain.InstallContract(l.Address, code)
+	g.dep.Install(l, l.Source, true)
 	g.corpus.Labels = append(g.corpus.Labels, l)
 	g.corpus.ByAddr[l.Address] = l
-	if l.HasSource && l.Source != nil {
-		g.corpus.Registry.Publish(l.Address, l.Source, true)
-	}
 	return l
 }
 
 // compileInstall compiles the source model and installs it.
 func (g *generator) compileInstall(l *Label, src *solc.Contract) *Label {
-	l.Source = src
-	return g.install(l, solc.MustCompile(src))
+	l.Source, l.Code = src, solc.MustCompile(src)
+	return g.install(l)
 }

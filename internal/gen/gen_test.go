@@ -29,7 +29,7 @@ func TestShapeCoverage(t *testing.T) {
 	seen := make(map[Shape]int)
 	negatives := 0
 	for _, l := range c.Labels {
-		seen[l.Shape]++
+		seen[l.Kind]++
 		if !l.IsProxy {
 			negatives++
 		}
@@ -61,11 +61,11 @@ func TestPrefixStability(t *testing.T) {
 	}
 	for i, l := range small.Labels {
 		bl := big.Labels[i]
-		if l.Address != bl.Address || l.Shape != bl.Shape || l.Unit != bl.Unit {
-			t.Fatalf("label %d diverges: %v/%v vs %v/%v", i, l.Shape, l.Address, bl.Shape, bl.Address)
+		if l.Address != bl.Address || l.Kind != bl.Kind || l.Unit != bl.Unit {
+			t.Fatalf("label %d diverges: %v/%v vs %v/%v", i, l.Kind, l.Address, bl.Kind, bl.Address)
 		}
 		if string(l.Code) != string(bl.Code) {
-			t.Fatalf("label %d (%v): bytecode diverges between corpus sizes", i, l.Shape)
+			t.Fatalf("label %d (%v): bytecode diverges between corpus sizes", i, l.Kind)
 		}
 	}
 }
@@ -78,9 +78,9 @@ func TestLabelInternalConsistency(t *testing.T) {
 	c := Generate(Config{Seed: 3, Contracts: 40})
 	for _, l := range c.Labels {
 		if got := disasm.ContainsOp(l.Code, evm.DELEGATECALL); got != l.HasDelegateCall {
-			t.Errorf("%v %v: HasDelegateCall label %v, opcode scan %v", l.Shape, l.Address, l.HasDelegateCall, got)
+			t.Errorf("%v %v: HasDelegateCall label %v, opcode scan %v", l.Kind, l.Address, l.HasDelegateCall, got)
 		}
-		switch l.Shape {
+		switch l.Kind {
 		case ShapeMinimalProxy:
 			target, ok := disasm.MinimalProxyTarget(l.Code)
 			if !ok || target != l.Logic {
@@ -88,20 +88,20 @@ func TestLabelInternalConsistency(t *testing.T) {
 			}
 		case ShapeEIP1967Proxy, ShapeEIP1822Proxy, ShapeAdHocProxy:
 			if !l.TargetStorage {
-				t.Errorf("%v %v: storage proxy not labeled TargetStorage", l.Shape, l.Address)
+				t.Errorf("%v %v: storage proxy not labeled TargetStorage", l.Kind, l.Address)
 			}
 			v := c.Chain.GetState(l.Address, l.ImplSlot)
 			var got [20]byte
 			copy(got[:], v[12:])
 			if got != [20]byte(l.Logic) {
-				t.Errorf("%v %v: impl slot holds %x, label logic %v", l.Shape, l.Address, v, l.Logic)
+				t.Errorf("%v %v: impl slot holds %x, label logic %v", l.Kind, l.Address, v, l.Logic)
 			}
 		}
 		if l.HasSource && c.Registry.Source(l.Address) == nil {
-			t.Errorf("%v %v: labeled HasSource but registry has none", l.Shape, l.Address)
+			t.Errorf("%v %v: labeled HasSource but registry has none", l.Kind, l.Address)
 		}
 		if !l.HasSource && c.Registry.Source(l.Address) != nil {
-			t.Errorf("%v %v: source published but label says none", l.Shape, l.Address)
+			t.Errorf("%v %v: source published but label says none", l.Kind, l.Address)
 		}
 	}
 }

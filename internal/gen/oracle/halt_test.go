@@ -69,7 +69,7 @@ func TestInterpParityFixedSeeds(t *testing.T) {
 		for _, l := range c.Labels {
 			full, fullRec := haltRun(c, l, 0)
 			halted, rec := haltRun(c, l, k)
-			where := fmt.Sprintf("seed %d, %s %s", seed, l.Address, l.Shape)
+			where := fmt.Sprintf("seed %d, %s %s", seed, l.Address, l.Kind)
 			if len(fullRec.frames) < k {
 				if !bytes.Equal(full.Output, halted.Output) || full.Err != halted.Err ||
 					full.GasLeft != halted.GasLeft || len(rec.frames) != len(fullRec.frames) {

@@ -94,13 +94,13 @@ func checkReport(l *gen.Label, rep proxion.Report) []Mismatch {
 	var out []Mismatch
 	bad := func(format string, args ...any) {
 		out = append(out, Mismatch{Addr: l.Address, Layer: "detector",
-			Detail: fmt.Sprintf("%v: ", l.Shape) + fmt.Sprintf(format, args...)})
+			Detail: fmt.Sprintf("%v: ", l.Kind) + fmt.Sprintf(format, args...)})
 	}
 	if rep.HasDelegateCall != l.HasDelegateCall {
 		bad("HasDelegateCall=%v, label says %v", rep.HasDelegateCall, l.HasDelegateCall)
 	}
-	if rep.EmulationErr != nil {
-		bad("unexpected emulation error: %v", rep.EmulationErr)
+	if (rep.EmulationErr != nil) != l.EmulationFails {
+		bad("emulation error %v, label EmulationFails=%v", rep.EmulationErr, l.EmulationFails)
 	}
 	if rep.IsProxy != l.Detectable {
 		bad("IsProxy=%v, label Detectable=%v (reason: %s)", rep.IsProxy, l.Detectable, rep.Reason)
@@ -142,7 +142,7 @@ func CheckPairs(c *gen.Corpus, pairs []proxion.PairAnalysis) []Mismatch {
 		analyzed[pa.Proxy] = true
 		bad := func(format string, args ...any) {
 			out = append(out, Mismatch{Addr: pa.Proxy, Layer: "pair",
-				Detail: fmt.Sprintf("%v: ", l.Shape) + fmt.Sprintf(format, args...)})
+				Detail: fmt.Sprintf("%v: ", l.Kind) + fmt.Sprintf(format, args...)})
 		}
 		if pa.Logic != l.Logic {
 			bad("pair logic %v, label %v", pa.Logic.Hex(), l.Logic.Hex())
@@ -157,7 +157,7 @@ func CheckPairs(c *gen.Corpus, pairs []proxion.PairAnalysis) []Mismatch {
 	for _, l := range c.Labels {
 		if l.Detectable && !analyzed[l.Address] {
 			out = append(out, Mismatch{Addr: l.Address, Layer: "pair",
-				Detail: fmt.Sprintf("%v: detectable proxy missing from pair analyses", l.Shape)})
+				Detail: fmt.Sprintf("%v: detectable proxy missing from pair analyses", l.Kind)})
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/proxion"
 )
@@ -25,7 +26,8 @@ func TestOracleFixedSeeds(t *testing.T) {
 }
 
 // TestOracleSweep is the nightly wide sweep: ORACLE_SWEEP chains (default
-// 200), fresh seeds disjoint from the fixed set. Skipped under -short.
+// 200), fresh seeds disjoint from the fixed set, then a tenth as many
+// landscape populations through the label layers. Skipped under -short.
 func TestOracleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide sweep skipped in -short mode")
@@ -47,6 +49,9 @@ func TestOracleSweep(t *testing.T) {
 				t.Fatalf("aborting sweep after a badly failing seed")
 			}
 		}
+	}
+	for i := 0; i < n/10; i++ {
+		checkLandscape(t, dataset.Config{Seed: int64(1_000_000 + i), Contracts: 4000})
 	}
 }
 
@@ -109,7 +114,7 @@ func TestMetamorphic(t *testing.T) {
 				}
 				applied[k.name]++
 				if len(ms) > 0 {
-					t.Errorf("%s on %v: %s", k.name, l.Shape, Format(c, ms))
+					t.Errorf("%s on %v: %s", k.name, l.Kind, Format(c, ms))
 				}
 			}
 			// The corpus must be restored after each perturbation; the
@@ -166,8 +171,8 @@ func TestMinimizeDemo(t *testing.T) {
 	}
 	c := gen.Generate(minimized)
 	last := c.Labels[len(c.Labels)-1]
-	if last.Shape != gen.ShapeDiamond {
-		t.Fatalf("minimized corpus ends in %v, want the offending diamond", last.Shape)
+	if last.Kind != gen.ShapeDiamond {
+		t.Fatalf("minimized corpus ends in %v, want the offending diamond", last.Kind)
 	}
 
 	// A predicate that never fails must report so.

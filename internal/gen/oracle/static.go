@@ -18,7 +18,8 @@ import (
 //   - minimal proxies and hard-coded forwarders: exactly one reachable
 //     DELEGATECALL, hardcoded provenance, the labeled logic address,
 //     forwarding the full call data;
-//   - storage proxies (EIP-1967, EIP-1822, ad-hoc): every reachable
+//   - storage proxies (EIP-1967, EIP-1822, ad-hoc, and the landscape's
+//     Ownable, honeypot, Audius and hostile proxies): every reachable
 //     delegate loads the labeled implementation slot (slot-const
 //     provenance) and forwards;
 //   - diamonds: a keccak-derived facet lookup that still forwards — the
@@ -28,7 +29,12 @@ import (
 //     call data (constructed-argument calls are not proxies);
 //   - dead delegates: the opcode is present but no DELEGATECALL is
 //     reachable;
-//   - dispatcher-only and plain logic: no delegates at all.
+//   - dispatcher-only, plain logic, tokens and libraries: no delegates at
+//     all;
+//   - broken code has no rule beyond the delegatecall filter: the
+//     abstract stack is bounded, so it reads an empty stack as unknown
+//     values, not as the underflow that halts the code before its
+//     DELEGATECALL.
 //
 // For compiled contracts the recovered selector table must equal the
 // source-level function list — the dispatcher pattern may not invent
@@ -45,7 +51,7 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 	var out []Mismatch
 	bad := func(format string, args ...any) {
 		out = append(out, Mismatch{Addr: l.Address, Layer: "static",
-			Detail: fmt.Sprintf("%v: ", l.Shape) + fmt.Sprintf(format, args...)})
+			Detail: fmt.Sprintf("%v: ", l.Kind) + fmt.Sprintf(format, args...)})
 	}
 
 	sum := static.Analyze(l.Code)
@@ -70,7 +76,7 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 		}
 	}
 
-	switch l.Shape {
+	switch l.Kind {
 	case gen.ShapeMinimalProxy, gen.ShapeHardcodedForwarder:
 		if len(forwarding) != 1 {
 			bad("%d forwarding delegates, want exactly 1", len(forwarding))
@@ -83,7 +89,9 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 		if del.TargetTainted {
 			bad("hardcoded target reported tainted")
 		}
-	case gen.ShapeEIP1967Proxy, gen.ShapeEIP1822Proxy, gen.ShapeAdHocProxy:
+	case gen.ShapeEIP1967Proxy, gen.ShapeEIP1822Proxy, gen.ShapeAdHocProxy,
+		gen.ShapeOwnableProxy, gen.ShapeHoneypotProxy, gen.ShapeAudiusProxy,
+		gen.ShapeHostileProxy:
 		if len(forwarding) == 0 {
 			bad("no forwarding delegate on a storage proxy")
 			break
@@ -112,7 +120,7 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 		if sum.KeccakReads == 0 {
 			bad("no keccak-derived SLOAD on a facet router")
 		}
-	case gen.ShapeLibraryCaller:
+	case gen.ShapeLibraryCaller, gen.ShapeLibraryUser:
 		if len(sum.Delegates) == 0 {
 			bad("library delegatecall not reachable")
 		}
@@ -123,7 +131,8 @@ func checkStaticLabel(l *gen.Label) []Mismatch {
 		if len(sum.Delegates) != 0 {
 			bad("unreachable DELEGATECALL reported reachable: %+v", sum.Delegates)
 		}
-	case gen.ShapeDispatcherOnly, gen.ShapeLogic:
+	case gen.ShapeDispatcherOnly, gen.ShapeLogic, gen.ShapePlain, gen.ShapeToken,
+		gen.ShapeLibrary:
 		if len(sum.Delegates) != 0 {
 			bad("negative shape has reachable delegates: %+v", sum.Delegates)
 		}

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"repro/internal/abi"
-	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/solc"
 	"repro/internal/u256"
@@ -119,40 +118,8 @@ type pairShape struct {
 func (g *generator) buildPair(plan pairPlan) pairShape {
 	var ps pairShape
 	if plan.storageCollide {
-		owner := g.ident("pOwner")
-		ps.proxyVars = []solc.Var{{Name: owner, Type: solc.TypeAddress}}
-		ps.proxyFuncs = []solc.Func{
-			{
-				ABI:  abi.Function{Name: g.ident("pOwnerOf")},
-				Body: []solc.Stmt{solc.ReturnStorageVar{Var: owner}},
-			},
-			{
-				ABI: abi.Function{Name: g.ident("pClaim")},
-				Body: []solc.Stmt{
-					solc.RequireCallerIs{Var: owner},
-					solc.AssignCaller{Var: owner},
-				},
-			},
-		}
-		inited := g.ident("lInitialized")
-		initing := g.ident("lInitializing")
-		ps.logicVars = []solc.Var{
-			{Name: inited, Type: solc.TypeBool},
-			{Name: initing, Type: solc.TypeBool},
-		}
-		ps.logicFuncs = []solc.Func{
-			{
-				ABI: abi.Function{Name: g.ident("lInitialize")},
-				Body: []solc.Stmt{
-					solc.RequireVarZero{Var: inited},
-					solc.AssignConst{Var: inited, Value: u256.One()},
-				},
-			},
-			{
-				ABI:  abi.Function{Name: g.ident("lInitializedRead")},
-				Body: []solc.Stmt{solc.ReturnStorageVar{Var: inited}},
-			},
-		}
+		ps.proxyVars, ps.proxyFuncs = g.audiusProxySide()
+		ps.logicVars, ps.logicFuncs = g.audiusLogicCore()
 		ps.storage = true
 		// Extra logic-only state past the colliding slot, full-slot only.
 		for n := g.rng.Intn(2); n > 0; n-- {
@@ -194,6 +161,53 @@ func (g *generator) buildPair(plan pairPlan) pairShape {
 	return ps
 }
 
+// audiusProxySide mints the proxy half of the Audius layout: the owner
+// address in slot 0 with its getter and its owner-only claim.
+func (g *generator) audiusProxySide() ([]solc.Var, []solc.Func) {
+	owner := g.ident("pOwner")
+	vars := []solc.Var{{Name: owner, Type: solc.TypeAddress}}
+	funcs := []solc.Func{
+		{
+			ABI:  abi.Function{Name: g.ident("pOwnerOf")},
+			Body: []solc.Stmt{solc.ReturnStorageVar{Var: owner}},
+		},
+		{
+			ABI: abi.Function{Name: g.ident("pClaim")},
+			Body: []solc.Stmt{
+				solc.RequireCallerIs{Var: owner},
+				solc.AssignCaller{Var: owner},
+			},
+		},
+	}
+	return vars, funcs
+}
+
+// audiusLogicCore mints the colliding logic half: initializer bools packed
+// into slot 0, under the proxy's owner address, with their initializer and
+// getter.
+func (g *generator) audiusLogicCore() ([]solc.Var, []solc.Func) {
+	inited := g.ident("lInitialized")
+	initing := g.ident("lInitializing")
+	vars := []solc.Var{
+		{Name: inited, Type: solc.TypeBool},
+		{Name: initing, Type: solc.TypeBool},
+	}
+	funcs := []solc.Func{
+		{
+			ABI: abi.Function{Name: g.ident("lInitialize")},
+			Body: []solc.Stmt{
+				solc.RequireVarZero{Var: inited},
+				solc.AssignConst{Var: inited, Value: u256.One()},
+			},
+		},
+		{
+			ABI:  abi.Function{Name: g.ident("lInitializedRead")},
+			Body: []solc.Stmt{solc.ReturnStorageVar{Var: inited}},
+		},
+	}
+	return vars, funcs
+}
+
 // buildLogicAux deploys an auxiliary logic/library/facet contract.
 func (g *generator) buildLogicAux(name string, vars []solc.Var, funcs []solc.Func) *Label {
 	src := &solc.Contract{
@@ -201,7 +215,7 @@ func (g *generator) buildLogicAux(name string, vars []solc.Var, funcs []solc.Fun
 		Fallback: solc.Fallback{Kind: solc.FallbackRevert},
 	}
 	g.maybeDecoys(src)
-	l := &Label{Shape: ShapeLogic, HasSource: g.sourceDice()}
+	l := &Label{Kind: ShapeLogic, HasSource: g.sourceDice()}
 	return g.compileInstall(l, src)
 }
 
@@ -235,17 +249,13 @@ func (g *generator) buildUnit(s Shape) {
 func (g *generator) buildMinimalProxy() {
 	vars := g.randVars("l", 1+g.rng.Intn(2))
 	logic := g.buildLogicAux(g.ident("Logic"), vars, g.accessors("l", vars))
-	mk := func() *Label {
-		return &Label{
-			Shape: ShapeMinimalProxy, IsProxy: true, Detectable: true,
-			HasDelegateCall: true, Logic: logic.Address, Standard: "EIP-1167",
-		}
-	}
-	g.install(mk(), disasm.MinimalProxyRuntime(logic.Address))
+	t := MinimalProxy(logic.Address)
+	proxy, clone := t.Label, t.Label
+	g.install(&proxy)
 	// Byte-identical clone of the same logic: the duplication the
 	// bytecode-dedup cache exists for (same code, same hard-coded target).
 	if g.rng.Intn(100) < 40 {
-		g.install(mk(), disasm.MinimalProxyRuntime(logic.Address))
+		g.install(&clone)
 	}
 }
 
@@ -261,7 +271,7 @@ func (g *generator) buildHardcodedForwarder() {
 	g.maybeDecoys(src)
 	mk := func() *Label {
 		return &Label{
-			Shape: ShapeHardcodedForwarder, IsProxy: true, Detectable: true,
+			Kind: ShapeHardcodedForwarder, IsProxy: true, Detectable: true,
 			HasDelegateCall: true, Logic: logic.Address, Standard: "Others",
 			FuncCollisions: ps.selectors, StorageCollision: ps.storage,
 			HasSource: g.sourceDice(),
@@ -300,16 +310,13 @@ func (g *generator) buildSlotProxy(shape Shape) {
 	}
 	g.maybeDecoys(src)
 	mk := func(logicAddr etypes.Address) *Label {
-		return &Label{
-			Shape: shape, IsProxy: true, Detectable: true,
-			HasDelegateCall: true, Logic: logicAddr,
-			TargetStorage: true, ImplSlot: slot, Standard: std,
-			FuncCollisions: ps.selectors, StorageCollision: ps.storage,
-			HasSource: g.sourceDice(),
-		}
+		l := slotProxy(shape, slot, std)
+		l.Logic, l.FuncCollisions, l.StorageCollision = logicAddr, ps.selectors, ps.storage
+		l.HasSource = g.sourceDice()
+		return &l
 	}
 	l := g.compileInstall(mk(logic.Address), src)
-	g.corpus.Chain.SetStorageDirect(l.Address, slot, etypes.HashFromWord(logic.Address.Word()))
+	g.dep.SetSlot(l.Address, slot, logic.Address)
 
 	// Byte-identical upgradeable clone pointing at a *different* logic
 	// deployment: the cache must re-anchor the logic address from the
@@ -317,7 +324,7 @@ func (g *generator) buildSlotProxy(shape Shape) {
 	if g.rng.Intn(100) < 40 {
 		logic2 := g.buildLogicAux(g.ident("Impl"), ps.logicVars, ps.logicFuncs)
 		l2 := g.compileInstall(mk(logic2.Address), src)
-		g.corpus.Chain.SetStorageDirect(l2.Address, slot, etypes.HashFromWord(logic2.Address.Word()))
+		g.dep.SetSlot(l2.Address, slot, logic2.Address)
 	}
 }
 
@@ -336,21 +343,11 @@ func (g *generator) buildDiamond() {
 	}
 	g.maybeDecoys(src)
 	l := g.compileInstall(&Label{
-		Shape: ShapeDiamond, IsProxy: true, Detectable: false,
+		Kind: ShapeDiamond, IsProxy: true, Detectable: false,
 		HasDelegateCall: true, Logic: facet.Address,
 		HasSource: g.sourceDice(),
 	}, src)
-
-	// facetSlot = keccak(selector-as-word ‖ base), matching the compiled
-	// fallback's lookup.
-	for _, sel := range facet.Source.Selectors() {
-		pre := make([]byte, 64)
-		selWord := u256.FromBytes(sel[:]).Bytes32()
-		copy(pre[:32], selWord[:])
-		copy(pre[32:], base[:])
-		g.corpus.Chain.SetStorageDirect(l.Address, etypes.Keccak(pre),
-			etypes.HashFromWord(facet.Address.Word()))
-	}
+	g.dep.RegisterFacet(l, facet)
 }
 
 // buildLibraryCaller compiles the library idiom: the fallback delegatecalls
@@ -370,7 +367,7 @@ func (g *generator) buildLibraryCaller() {
 	}
 	g.maybeDecoys(src)
 	g.compileInstall(&Label{
-		Shape: ShapeLibraryCaller, HasDelegateCall: true, HasSource: g.sourceDice(),
+		Kind: ShapeLibraryCaller, HasDelegateCall: true, HasSource: g.sourceDice(),
 	}, src)
 }
 
@@ -385,7 +382,7 @@ func (g *generator) buildDispatcherOnly() {
 	}
 	src := &solc.Contract{Name: g.ident("App"), Vars: vars, Funcs: funcs, Fallback: fb}
 	g.maybeDecoys(src)
-	g.compileInstall(&Label{Shape: ShapeDispatcherOnly, HasSource: g.sourceDice()}, src)
+	g.compileInstall(&Label{Kind: ShapeDispatcherOnly, HasSource: g.sourceDice()}, src)
 }
 
 // buildDeadDelegate compiles a plain contract and appends an unreachable
@@ -399,8 +396,9 @@ func (g *generator) buildDeadDelegate() {
 		Fallback: solc.Fallback{Kind: solc.FallbackRevert},
 	}
 	g.maybeDecoys(src)
-	code := append(solc.MustCompile(src), 0x00, 0xF4)
-	l := &Label{Shape: ShapeDeadDelegate, HasDelegateCall: true}
-	l.Source = src // bytecode diverges from source; never published
-	g.install(l, code)
+	// The bytecode diverges from the source, which is never published.
+	g.install(&Label{
+		Kind: ShapeDeadDelegate, HasDelegateCall: true,
+		Source: src, Code: append(solc.MustCompile(src), 0x00, 0xF4),
+	})
 }

@@ -1,13 +1,10 @@
 package gen
 
 import (
-	"math/rand"
-
 	"repro/internal/abi"
 	"repro/internal/chain"
 	"repro/internal/etherscan"
 	"repro/internal/etypes"
-	"repro/internal/keccak"
 	"repro/internal/solc"
 	"repro/internal/u256"
 )
@@ -19,12 +16,6 @@ import (
 // per-proxy sequence of (block, logic, collides) steps — exactly what a
 // live follower must reproduce block-by-block and what the watch-parity
 // oracle diffs against cold analysis of the end state.
-
-// slotEIP1967Beacon = keccak256("eip1967.proxy.beacon") - 1, duplicated
-// from the analyzer so the generator shares no code with the system under
-// test.
-var slotEIP1967Beacon = etypes.HashFromWord(
-	u256.FromBytes32(keccak.Sum256([]byte("eip1967.proxy.beacon"))).Sub(u256.One()))
 
 // TimelineKind selects how a scripted proxy stores its implementation.
 type TimelineKind int
@@ -140,19 +131,10 @@ func GenerateTimeline(cfg TimelineConfig) *Timeline {
 	if cfg.Proxies <= 0 {
 		cfg.Proxies = len(timelineKinds)
 	}
-	c := &Corpus{
-		Config:   Config{Seed: cfg.Seed, Contracts: cfg.Proxies},
-		Chain:    chain.New(),
-		Registry: etherscan.NewRegistry(),
-		ByAddr:   make(map[etypes.Address]*Label),
-	}
 	// A distinct stream from Generate's so a timeline and a snapshot
 	// corpus with the same seed do not mirror each other.
-	g := &generator{
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x7a11e7b10c4f0110)),
-		corpus:   c,
-		nextAddr: 0x100,
-	}
+	g := newGenerator(Config{Seed: cfg.Seed, Contracts: cfg.Proxies}, cfg.Seed^0x7a11e7b10c4f0110)
+	c := g.corpus
 	t := &Timeline{Config: cfg, Chain: c.Chain, Registry: c.Registry}
 	c.Chain.AdvanceTo(1)
 
@@ -175,7 +157,7 @@ func GenerateTimeline(cfg TimelineConfig) *Timeline {
 			pattern = append(pattern, true) // window still open at the end
 		}
 		pl := &plan{pattern: pattern}
-		pl.vars, pl.funcs = g.timelineProxySide()
+		pl.vars, pl.funcs = g.audiusProxySide()
 		pl.tp = g.deployTimelineProxy(kind, pl.vars, pl.funcs)
 		t.Proxies = append(t.Proxies, pl.tp)
 		t.Events = append(t.Events, TimelineEvent{
@@ -206,29 +188,6 @@ func GenerateTimeline(cfg TimelineConfig) *Timeline {
 	return t
 }
 
-// timelineProxySide builds the proxy-side storage and functions shared by
-// every logic version: the Audius shape's owner address in slot 0 plus its
-// accessor pair. Clean logics mirror the type sequence; colliding logics
-// pack initializer bits into the same slot.
-func (g *generator) timelineProxySide() ([]solc.Var, []solc.Func) {
-	owner := g.ident("pOwner")
-	vars := []solc.Var{{Name: owner, Type: solc.TypeAddress}}
-	funcs := []solc.Func{
-		{
-			ABI:  abi.Function{Name: g.ident("pOwnerOf")},
-			Body: []solc.Stmt{solc.ReturnStorageVar{Var: owner}},
-		},
-		{
-			ABI: abi.Function{Name: g.ident("pClaim")},
-			Body: []solc.Stmt{
-				solc.RequireCallerIs{Var: owner},
-				solc.AssignCaller{Var: owner},
-			},
-		},
-	}
-	return vars, funcs
-}
-
 // timelineLogic compiles one logic version. A colliding version re-creates
 // the Audius layout clash (packed bools under the proxy's owner address)
 // and sometimes shadows a proxy selector; a clean version mirrors the
@@ -239,25 +198,7 @@ func (g *generator) timelineLogic(collides bool, proxyFuncs []solc.Func, proxyVa
 	var vars []solc.Var
 	var funcs []solc.Func
 	if collides {
-		inited := g.ident("lInitialized")
-		initing := g.ident("lInitializing")
-		vars = []solc.Var{
-			{Name: inited, Type: solc.TypeBool},
-			{Name: initing, Type: solc.TypeBool},
-		}
-		funcs = []solc.Func{
-			{
-				ABI: abi.Function{Name: g.ident("lInitialize")},
-				Body: []solc.Stmt{
-					solc.RequireVarZero{Var: inited},
-					solc.AssignConst{Var: inited, Value: u256.One()},
-				},
-			},
-			{
-				ABI:  abi.Function{Name: g.ident("lInitializedRead")},
-				Body: []solc.Stmt{solc.ReturnStorageVar{Var: inited}},
-			},
-		}
+		vars, funcs = g.audiusLogicCore()
 		if g.rng.Intn(100) < 50 {
 			// Function collision too: same prototype as a proxy function.
 			funcs = append(funcs, solc.Func{
@@ -278,7 +219,7 @@ func (g *generator) timelineLogic(collides bool, proxyFuncs []solc.Func, proxyVa
 		Name: g.ident("TLogic"), Vars: vars, Funcs: funcs,
 		Fallback: solc.Fallback{Kind: solc.FallbackRevert},
 	}
-	return g.compileInstall(&Label{Shape: ShapeLogic, HasSource: true}, src)
+	return g.compileInstall(&Label{Kind: ShapeLogic, HasSource: true}, src)
 }
 
 // deployTimelineProxy installs the proxy (and its beacon for the beacon
@@ -302,7 +243,7 @@ func (g *generator) deployTimelineProxy(kind TimelineKind, vars []solc.Var, func
 			}},
 			Fallback: solc.Fallback{Kind: solc.FallbackRevert},
 		}
-		beacon := g.compileInstall(&Label{Shape: ShapeLogic, HasSource: true}, beaconSrc)
+		beacon := g.compileInstall(&Label{Kind: ShapeLogic, HasSource: true}, beaconSrc)
 		src := &solc.Contract{
 			Name: g.ident("BeaconProxy"), Vars: vars, Funcs: funcs,
 			Fallback: solc.Fallback{Kind: solc.FallbackDelegateBeacon, Slot: slotEIP1967Beacon},
@@ -311,14 +252,12 @@ func (g *generator) deployTimelineProxy(kind TimelineKind, vars []solc.Var, func
 		// implementation address never appears in the proxy's own storage
 		// reads, only the beacon address does.
 		l := g.compileInstall(&Label{
-			Shape: ShapeHardcodedForwarder, IsProxy: true, Detectable: true,
+			Kind: ShapeHardcodedForwarder, IsProxy: true, Detectable: true,
 			HasDelegateCall: true, Logic: logic.Address, Standard: "Others",
 			HasSource: true,
 		}, src)
-		g.corpus.Chain.SetStorageDirect(l.Address, slotEIP1967Beacon,
-			etypes.HashFromWord(beacon.Address.Word()))
-		g.corpus.Chain.SetStorageDirect(beacon.Address, etypes.Hash{},
-			etypes.HashFromWord(logic.Address.Word()))
+		g.dep.SetSlot(l.Address, slotEIP1967Beacon, beacon.Address)
+		g.dep.SetSlot(beacon.Address, etypes.Hash{}, logic.Address)
 		tp.Address = l.Address
 		tp.Beacon = beacon.Address
 		tp.ImplSlot = slotEIP1967Beacon
@@ -341,14 +280,10 @@ func (g *generator) deployTimelineProxy(kind TimelineKind, vars []solc.Var, func
 			Name: g.ident("TProxy"), Vars: vars, Funcs: funcs,
 			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
 		}
-		l := g.compileInstall(&Label{
-			Shape: shape, IsProxy: true, Detectable: true,
-			HasDelegateCall: true, Logic: logic.Address,
-			TargetStorage: true, ImplSlot: slot, Standard: std,
-			HasSource: true,
-		}, src)
-		g.corpus.Chain.SetStorageDirect(l.Address, slot,
-			etypes.HashFromWord(logic.Address.Word()))
+		truth := slotProxy(shape, slot, std)
+		truth.Logic, truth.HasSource = logic.Address, true
+		l := g.compileInstall(&truth, src)
+		g.dep.SetSlot(l.Address, slot, logic.Address)
 		tp.Address = l.Address
 		tp.ImplSlot = slot
 		tp.WatchAddr = l.Address
@@ -365,8 +300,7 @@ func (g *generator) deployTimelineProxy(kind TimelineKind, vars []solc.Var, func
 // for the beacon kind (the proxy's storage stays untouched).
 func (g *generator) upgradeTimelineProxy(tp *TimelineProxy, collides bool, funcs []solc.Func, vars []solc.Var) TimelineEvent {
 	logic := g.timelineLogic(collides, funcs, vars)
-	g.corpus.Chain.SetStorageDirect(tp.WatchAddr, tp.WatchSlot,
-		etypes.HashFromWord(logic.Address.Word()))
+	g.dep.SetSlot(tp.WatchAddr, tp.WatchSlot, logic.Address)
 	blk := g.corpus.Chain.CurrentBlock()
 	tp.Steps = append(tp.Steps, TimelineStep{Block: blk, Logic: logic.Address, Collides: collides})
 	return TimelineEvent{

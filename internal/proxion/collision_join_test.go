@@ -27,7 +27,7 @@ func TestStorageCollisionsMatchGrouping(t *testing.T) {
 		pairs++
 		want := refStorageCollisions(proxyAcc, logicAcc)
 		if got := StorageCollisions(proxyAcc, logicAcc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v %s: sorted input\n got %+v\nwant %+v", l.Shape, l.Address, got, want)
+			t.Fatalf("%v %s: sorted input\n got %+v\nwant %+v", l.Kind, l.Address, got, want)
 		}
 		if len(want) > 0 {
 			colliding++
@@ -38,7 +38,7 @@ func TestStorageCollisionsMatchGrouping(t *testing.T) {
 			pBefore, qBefore := append([]StorageAccess(nil), p...), append([]StorageAccess(nil), q...)
 			want := refStorageCollisions(p, q)
 			if got := StorageCollisions(p, q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v %s: scrambled input\n got %+v\nwant %+v", l.Shape, l.Address, got, want)
+				t.Fatalf("%v %s: scrambled input\n got %+v\nwant %+v", l.Kind, l.Address, got, want)
 			}
 			if !reflect.DeepEqual(p, pBefore) || !reflect.DeepEqual(q, qBefore) {
 				t.Fatal("StorageCollisions reordered its caller's slices")

@@ -86,13 +86,13 @@ func TestProbeNeverLoadsTheLogic(t *testing.T) {
 		reads := &codeReads{Reader: g.Chain, n: make(map[etypes.Address]int)}
 		rep := NewDetector(reads).Check(l.Address)
 		if !rep.IsProxy || rep.Logic != l.Logic {
-			t.Fatalf("%v %s: report %+v, want a proxy of %s", l.Shape, l.Address, rep, l.Logic)
+			t.Fatalf("%v %s: report %+v, want a proxy of %s", l.Kind, l.Address, rep, l.Logic)
 		}
 		if n := reads.n[l.Logic]; n != 0 {
-			t.Errorf("%v %s: the probe read the logic contract's code %d times, want 0", l.Shape, l.Address, n)
+			t.Errorf("%v %s: the probe read the logic contract's code %d times, want 0", l.Kind, l.Address, n)
 		}
 		if reads.n[l.Address] == 0 {
-			t.Errorf("%v %s: the counting reader saw no read of the proxy's own code", l.Shape, l.Address)
+			t.Errorf("%v %s: the counting reader saw no read of the proxy's own code", l.Kind, l.Address)
 		}
 		checked++
 	}

@@ -106,7 +106,7 @@ func TestCraftCallDataUnchanged(t *testing.T) {
 	for _, l := range corpus.Labels {
 		got, want := CraftCallData(l.Address, l.Code), craftCallDataMapped(l.Address, l.Code)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%v %s: call data %x, want %x", l.Shape, l.Address, got, want)
+			t.Fatalf("%v %s: call data %x, want %x", l.Kind, l.Address, got, want)
 		}
 	}
 

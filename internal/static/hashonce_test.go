@@ -57,7 +57,7 @@ func TestAnalyzeBlocksEqualsAnalyze(t *testing.T) {
 	for _, l := range taxonomy(t).Labels {
 		want := Analyze(l.Code)
 		if want.CodeHash != etypes.Keccak(l.Code) || want.Fingerprint != fingerprintBuffered(l.Code) {
-			t.Fatalf("%v: Analyze hashes wrong: %+v", l.Shape, want)
+			t.Fatalf("%v: Analyze hashes wrong: %+v", l.Kind, want)
 		}
 		blocks := disasm.BasicBlocks(l.Code)
 		var got *Summary
@@ -65,14 +65,14 @@ func TestAnalyzeBlocksEqualsAnalyze(t *testing.T) {
 			got = AnalyzeBlocks(l.Code, blocks, want.CodeHash, want.Fingerprint)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: AnalyzeBlocks differs from Analyze:\n got %+v\nwant %+v", l.Shape, got, want)
+			t.Errorf("%v: AnalyzeBlocks differs from Analyze:\n got %+v\nwant %+v", l.Kind, got, want)
 		}
 		if runs != 0 {
-			t.Errorf("%v: AnalyzeBlocks ran %d sponges, want 0", l.Shape, runs)
+			t.Errorf("%v: AnalyzeBlocks ran %d sponges, want 0", l.Kind, runs)
 		}
 		marked := AnalyzeBlocks(l.Code, blocks, sentinelHash, sentinelFP)
 		if marked.CodeHash != sentinelHash || marked.Fingerprint != sentinelFP {
-			t.Errorf("%v: AnalyzeBlocks replaced the caller's hashes", l.Shape)
+			t.Errorf("%v: AnalyzeBlocks replaced the caller's hashes", l.Kind)
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestFingerprintDoesNotAllocate(t *testing.T) {
 	for _, l := range taxonomy(t).Labels {
 		code := l.Code
 		if n := testing.AllocsPerRun(20, func() { Fingerprint(code) }); n != 0 {
-			t.Fatalf("%v: Fingerprint allocates %v times per call", l.Shape, n)
+			t.Fatalf("%v: Fingerprint allocates %v times per call", l.Kind, n)
 		}
 	}
 }

@@ -456,7 +456,7 @@ func TestPeakDepthCoversEveryBlock(t *testing.T) {
 				a := newAnalysis(l.Code, blocks)
 				peak := peakDepth(b, entry)
 				if peak > maxStackDepth || peak < entry {
-					t.Fatalf("%v block %d entry %d: peakDepth %d out of range", l.Shape, idx, entry, peak)
+					t.Fatalf("%v block %d entry %d: peakDepth %d out of range", l.Kind, idx, entry, peak)
 				}
 				from := absState{stack: make([]absValue, entry)}
 				st := from.clone(peak)
@@ -466,7 +466,7 @@ func TestPeakDepthCoversEveryBlock(t *testing.T) {
 				backing := unsafe.SliceData(st.stack)
 				a.runBlock(idx, &st)
 				if unsafe.SliceData(st.stack) != backing {
-					t.Fatalf("%v block %d (pc %d) entry %d: the stack outgrew peakDepth %d", l.Shape, idx, b.Start, entry, peak)
+					t.Fatalf("%v block %d (pc %d) entry %d: the stack outgrew peakDepth %d", l.Kind, idx, b.Start, entry, peak)
 				}
 			}
 			blocksSeen++
