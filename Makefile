@@ -6,7 +6,8 @@
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
-# Number of generated chains the nightly differential sweep checks.
+# Number of generated chains the nightly differential sweep checks (plus a
+# tenth as many landscape populations through the label layers).
 ORACLE_SWEEP ?= 500
 # Extra corpus seeds for the nightly chaos sweep (0 = pinned seeds only).
 CHAOS_SWEEP ?= 0
