@@ -74,8 +74,8 @@ func TestEndToEndLandscape(t *testing.T) {
 			if !ok || len(pa.Storage) == 0 {
 				t.Errorf("%s (%s): labeled storage collision not detected", l.Address, l.Kind)
 			}
-			// The Audius pair is the exploitable one: its replay must
-			// succeed. An upgrade's collision has no such exploit built in.
+			// The Audius pair is built to be exploitable, so its replay
+			// must succeed; the collision an upgrade opens is not built to be.
 			if l.Kind == dataset.KindAudiusProxy && !pa.ExploitVerified {
 				t.Errorf("%s (%s): labeled storage collision not verified", l.Address, l.Kind)
 			}

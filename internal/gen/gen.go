@@ -131,7 +131,8 @@ type Label struct {
 	// IsProxy is the paper-definition ground truth.
 	IsProxy bool
 	// Detectable is the expected emulation verdict: false for diamonds,
-	// whose facet table random call data misses, and for hostile proxies.
+	// whose facet table random call data misses, and for hostile proxies,
+	// which error out on it.
 	Detectable bool
 	// HasDelegateCall is the expected step-1 disassembly filter result.
 	HasDelegateCall bool

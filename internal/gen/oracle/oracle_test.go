@@ -26,19 +26,21 @@ func TestOracleFixedSeeds(t *testing.T) {
 }
 
 // TestOracleSweep is the nightly wide sweep: ORACLE_SWEEP chains (default
-// 200), fresh seeds disjoint from the fixed set, then a tenth as many
-// landscape populations through the label layers. Skipped under -short.
+// 200), fresh seeds disjoint from the fixed set. When ORACLE_SWEEP is set,
+// as `make fuzz` sets it, a tenth as many landscape populations follow
+// through the label layers; tier-1 checks the pinned landscapes only
+// (TestOracleLandscape). Skipped under -short.
 func TestOracleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide sweep skipped in -short mode")
 	}
-	n := 200
+	n, landscapes := 200, 0
 	if env := os.Getenv("ORACLE_SWEEP"); env != "" {
 		v, err := strconv.Atoi(env)
 		if err != nil {
 			t.Fatalf("bad ORACLE_SWEEP=%q: %v", env, err)
 		}
-		n = v
+		n, landscapes = v, v/10
 	}
 	for i := 0; i < n; i++ {
 		seed := int64(1_000_000 + i)
@@ -50,7 +52,7 @@ func TestOracleSweep(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < n/10; i++ {
+	for i := 0; i < landscapes; i++ {
 		checkLandscape(t, dataset.Config{Seed: int64(1_000_000 + i), Contracts: 4000})
 	}
 }
