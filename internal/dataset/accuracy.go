@@ -104,30 +104,33 @@ func (c *AccuracyCorpus) buildStoragePairs(b corpusBuilder) {
 	// transaction history (Proxion still finds it, CRUSH cannot), and
 	// eight publish sources with unknown compiler versions (USCHunt halts;
 	// together with three obfuscated ones below, its 11 false negatives).
-	proxy, logic := gen.AudiusPair()
 	for i := 0; i < nStorageTrueVisible; i++ {
+		proxy, logic := gen.AudiusPair()
+		proxy.Published.Name = fmt.Sprintf("AudiusProxy%d", i)
 		withTx := i != 0
 		compilerKnown := i == 0 || i > 8
-		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("AudiusProxy%d", i)), logic, compilerKnown, withTx)
+		p, l := b.deployPair(proxy, logic, compilerKnown, withTx)
 		add(p, l, true, "true-visible")
 	}
 
 	// True exploitable behind computed slots: engines cannot slice the
 	// accesses, but layout-level (declaration) comparison still can.
-	proxy, logic = gen.ObfuscatedAudiusPair()
 	for i := 0; i < nStorageTrueObfuscued; i++ {
+		proxy, logic := gen.ObfuscatedAudiusPair()
+		proxy.Published.Name = fmt.Sprintf("ObfProxy%d", i)
 		compilerKnown := i >= 3
-		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("ObfProxy%d", i)), logic, compilerKnown, true)
+		p, l := b.deployPair(proxy, logic, compilerKnown, true)
 		add(p, l, true, "true-obfuscated")
 	}
 
 	// Benign mismatches behind an ownership check: the engines' false
 	// positives. Most of these fail USCHunt's compiler gate, matching its
 	// published FP count.
-	proxy, logic = gen.GuardedBenignPair()
 	for i := 0; i < nStorageGuardedBenign; i++ {
+		proxy, logic := gen.GuardedBenignPair()
+		proxy.Published.Name = fmt.Sprintf("GuardedProxy%d", i)
 		compilerKnown := i < 3
-		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("GuardedProxy%d", i)), logic, compilerKnown, true)
+		p, l := b.deployPair(proxy, logic, compilerKnown, true)
 		add(p, l, false, "guarded-benign")
 	}
 
@@ -172,16 +175,20 @@ func (c *AccuracyCorpus) buildFunctionPairs(b corpusBuilder) {
 	// Emulation-hostile proxies with a real collision: Proxion's runtime
 	// errors, the paper's three function-collision false negatives.
 	for i := 0; i < nFuncHostile; i++ {
-		proxy, logic := gen.HostileSameNamePair(1000 + i)
+		_, logic := gen.SameNamePair(1000 + i)
+		// Declare the colliding prototype in the source so source-level
+		// tools can still see the collision.
+		proxy := gen.HostileProxy(logic.Source.Funcs[0].ABI)
 		p, l := b.deployPair(proxy, logic, true, false)
 		add(p, l, true, "hostile")
 	}
 
 	// Honeypot-style collisions: different names, identical selectors
 	// (0xdf4a3106). Selector-level tools see them; name-level tools cannot.
-	proxy, logic := gen.HoneypotPair()
 	for i := 0; i < nFuncHoneypot; i++ {
-		p, l := b.deployPair(proxy.Renamed(fmt.Sprintf("Honeypot%d", i)), logic, true, true)
+		proxy, logic := gen.HoneypotPair()
+		proxy.Published.Name = fmt.Sprintf("Honeypot%d", i)
+		p, l := b.deployPair(proxy, logic, true, true)
 		add(p, l, true, "honeypot")
 	}
 
@@ -195,7 +202,7 @@ func (c *AccuracyCorpus) buildFunctionPairs(b corpusBuilder) {
 
 	// The single non-collision: same function name, different parameter
 	// lists, hence different selectors.
-	proxy, logic = gen.NameOnlyPair()
+	proxy, logic := gen.NameOnlyPair()
 	p, l := b.deployPair(proxy, logic, true, true)
 	add(p, l, false, "name-only")
 }

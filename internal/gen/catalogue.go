@@ -30,18 +30,6 @@ type Template struct {
 	Published *solc.Contract
 }
 
-// Renamed is the template with its source under another contract name.
-// The bytecode does not depend on the name.
-func (t Template) Renamed(name string) Template {
-	src := *t.Published
-	src.Name = name
-	if t.Source == t.Published {
-		t.Source = &src
-	}
-	t.Published = &src
-	return t
-}
-
 // compiled is the template of src, with the given ground truth.
 func compiled(truth Label, src *solc.Contract) Template {
 	truth.Source, truth.Code = src, solc.MustCompile(src)
@@ -646,8 +634,9 @@ func Diamond() (proxy, facet Template) {
 // INVALID opcode for call data that does not carry its magic tag — the
 // emulation runtime errors behind Proxion's three function-collision false
 // negatives in Table 2. The code is hand-assembled; the published source
-// declares a dispatcher it does not have.
-func HostileProxy() Template {
+// declares a dispatcher it does not have, with proxyType() and the declared
+// functions (empty bodies), which collide with the logic's by construction.
+func HostileProxy(declared ...abi.Function) Template {
 	var p asm.Program
 	// if calldataload(4) != MAGIC: INVALID
 	p.PushUint(4).Op(evm.CALLDATALOAD).
@@ -663,34 +652,24 @@ func HostileProxy() Template {
 		Op(evm.GAS).Op(evm.DELEGATECALL).
 		Op(evm.POP).
 		Op(evm.RETURNDATASIZE).PushUint(0).Op(evm.RETURN)
+	funcs := []solc.Func{{ABI: abi.Function{Name: "proxyType"},
+		Body: []solc.Stmt{solc.ReturnConst{Value: u256.FromUint64(2)}}}}
+	var collide []solc.Func
+	for _, f := range declared {
+		collide = append(collide, solc.Func{ABI: f, Body: []solc.Stmt{solc.Stop{}}})
+	}
 	truth := slotProxy(ShapeHostileProxy, slotOne, "Others")
 	truth.Detectable, truth.EmulationFails = false, true
-	truth.Code = p.MustAssemble()
+	truth.FuncCollisions, truth.Code = selectors(collide...), p.MustAssemble()
 	return Template{Label: truth, Published: &solc.Contract{
 		Name: "TaggedForwarder",
 		Vars: []solc.Var{
 			{Name: "owner", Type: solc.TypeAddress},
 			{Name: "logic", Type: solc.TypeAddress},
 		},
-		Funcs: []solc.Func{
-			{ABI: abi.Function{Name: "proxyType"},
-				Body: []solc.Stmt{solc.ReturnConst{Value: u256.FromUint64(2)}}},
-		},
+		Funcs:    append(funcs, collide...),
 		Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slotOne},
 	}}
-}
-
-// HostileSameNamePair puts SameNamePair's logic behind a hostile proxy
-// whose published source declares the shared prototype: a real collision
-// source-level tools see and emulation cannot reach.
-func HostileSameNamePair(n int) (proxy, logic Template) {
-	_, logic = SameNamePair(n)
-	proxy = HostileProxy()
-	src := *proxy.Published
-	src.Funcs = append(src.Funcs, solc.Func{ABI: sameNameFunc(n), Body: []solc.Stmt{solc.Stop{}}})
-	proxy.Published = &src
-	proxy.FuncCollisions = [][4]byte{sameNameFunc(n).Selector()}
-	return proxy, logic
 }
 
 // Broken is undeployable-by-compiler junk that underflows the stack

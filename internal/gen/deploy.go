@@ -43,8 +43,8 @@ func NewDeployer(c *chain.Chain, r *etherscan.Registry, prefix byte, start uint6
 	return &Deployer{Chain: c, Registry: r, prefix: prefix, next: start}
 }
 
-// NewAddr mints the next address.
-func (d *Deployer) NewAddr() etypes.Address {
+// newAddr mints the next address.
+func (d *Deployer) newAddr() etypes.Address {
 	d.next++
 	var buf [20]byte
 	binary.BigEndian.PutUint64(buf[12:], d.next)
@@ -56,7 +56,7 @@ func (d *Deployer) NewAddr() etypes.Address {
 // and publishes src with the compiler-known flag when l.HasSource.
 func (d *Deployer) Install(l *Label, src *solc.Contract, compilerKnown bool) {
 	if l.Address.IsZero() {
-		l.Address = d.NewAddr()
+		l.Address = d.newAddr()
 	}
 	d.Chain.InstallContract(l.Address, l.Code)
 	if l.HasSource && src != nil {

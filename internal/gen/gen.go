@@ -4,24 +4,12 @@
 // address, the implementation slot, the expected standard classification,
 // and the function/storage collisions the pair was built with.
 //
-// Two kinds of contract live here:
-//
-//   - the random shapes (shapes.go, timeline.go): internal/solc sources
-//     and raw EIP-1167 runtimes across the paper's proxy taxonomy —
-//     minimal proxies, EIP-1967/1822 slot proxies, hardcoded-address
-//     forwarders, ad-hoc slot proxies, diamonds — plus the negatives
-//     classifiers stumble on (library delegatecallers, dispatcher-only
-//     contracts, dead-DELEGATECALL decoys), with randomly minted names and
-//     layouts. Generate and GenerateTimeline draw them;
-//   - the catalogue (catalogue.go): fixed Templates modelled on the
-//     paper's landscape and Table 2 corpus — the admin-guarded
-//     transparent proxy, Wyvern's OwnableDelegateProxy, the honeypot and
-//     Audius pairs, hostile, broken and self-destructing code. The
-//     landscape mix in internal/dataset deploys them.
-//
-// Both deploy through a Deployer (deploy.go), which mints each generator's
-// addresses under its own prefix byte: 0x9e here, 0xda for the landscape,
-// 0xac for the Table 2 corpus.
+// Generate and GenerateTimeline draw random shapes (shapes.go) across the
+// paper's proxy taxonomy plus the negatives classifiers stumble on, with
+// randomly minted names and layouts. The catalogue (catalogue.go) holds
+// the fixed Templates of the paper's landscape and Table 2 corpus, which
+// internal/dataset deploys. Both go through a Deployer (deploy.go), which
+// mints addresses under a per-generator prefix byte.
 //
 // The generators are the corpus half of the differential oracle harness
 // (internal/gen/oracle): because every label is true by construction, any

@@ -291,18 +291,7 @@ func (g *generator) buildSlotProxy(shape Shape) {
 	ps := g.buildPair(g.rollPair())
 	logic := g.buildLogicAux(g.ident("Impl"), ps.logicVars, ps.logicFuncs)
 
-	var slot etypes.Hash
-	var std string
-	switch shape {
-	case ShapeEIP1967Proxy:
-		slot, std = slotEIP1967, "EIP-1967"
-	case ShapeEIP1822Proxy:
-		slot, std = slotEIP1822, "EIP-1822"
-	default:
-		// Far above any packed variable, below any keccak-derived slot.
-		slot = etypes.HashFromWord(u256.FromUint64(uint64(0x40 + g.rng.Intn(64))))
-		std = "Others"
-	}
+	slot, std := g.implSlot(shape)
 
 	src := &solc.Contract{
 		Name: g.ident("Upgradeable"), Vars: ps.proxyVars, Funcs: ps.proxyFuncs,
@@ -326,6 +315,20 @@ func (g *generator) buildSlotProxy(shape Shape) {
 		l2 := g.compileInstall(mk(logic2.Address), src)
 		g.dep.SetSlot(l2.Address, slot, logic2.Address)
 	}
+}
+
+// implSlot picks a slot proxy's implementation slot and its expected
+// standard: the EIP-1967 slot, the EIP-1822 slot, or for ad-hoc proxies a
+// random low slot, far above any packed variable and below any
+// keccak-derived one.
+func (g *generator) implSlot(shape Shape) (etypes.Hash, string) {
+	switch shape {
+	case ShapeEIP1967Proxy:
+		return slotEIP1967, "EIP-1967"
+	case ShapeEIP1822Proxy:
+		return slotEIP1822, "EIP-1822"
+	}
+	return etypes.HashFromWord(u256.FromUint64(uint64(0x40 + g.rng.Intn(64)))), "Others"
 }
 
 // buildDiamond compiles an EIP-2535 facet router and registers one facet's

@@ -264,18 +264,14 @@ func (g *generator) deployTimelineProxy(kind TimelineKind, vars []solc.Var, func
 		tp.WatchAddr = beacon.Address
 		tp.WatchSlot = etypes.Hash{}
 	default:
-		var slot etypes.Hash
-		var std string
-		var shape Shape
+		shape := ShapeAdHocProxy
 		switch kind {
 		case TimelineEIP1967:
-			slot, std, shape = slotEIP1967, "EIP-1967", ShapeEIP1967Proxy
+			shape = ShapeEIP1967Proxy
 		case TimelineEIP1822:
-			slot, std, shape = slotEIP1822, "EIP-1822", ShapeEIP1822Proxy
-		default:
-			slot = etypes.HashFromWord(u256.FromUint64(uint64(0x40 + g.rng.Intn(64))))
-			std, shape = "Others", ShapeAdHocProxy
+			shape = ShapeEIP1822Proxy
 		}
+		slot, std := g.implSlot(shape)
 		src := &solc.Contract{
 			Name: g.ident("TProxy"), Vars: vars, Funcs: funcs,
 			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
