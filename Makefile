@@ -107,11 +107,12 @@ chaos:
 # Live-following gate under the race detector: the chain follower
 # replayed block-by-block over scripted upgrade timelines — parity vs
 # cold end-state analysis (clean and under chaos), the landscape-scale
-# surgical-invalidation proof, and the reorg/beacon/restart edge cases.
+# surgical-invalidation proof, the reorg/beacon/restart edge cases, and
+# proxwatch's event log and stats held to their goldens.
 # WATCH_SWEEP=N adds N fresh timeline seeds; WATCH_REPORT (a path) makes
 # the sweep write its per-cell follower stats JSON artifact.
 watch:
-	WATCH_SWEEP=$(WATCH_SWEEP) WATCH_REPORT=$(WATCH_REPORT) go test -race ./internal/watch -count=1 -timeout 30m
+	WATCH_SWEEP=$(WATCH_SWEEP) WATCH_REPORT=$(WATCH_REPORT) go test -race ./internal/watch ./cmd/proxwatch -count=1 -timeout 30m
 
 # Interpreter lockstep gate under the race detector: the shipped
 # pre-decoded EVM loop and the reference loop kept in internal/evm's tests,

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/faultchain"
@@ -29,19 +30,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "proxwatch:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.Int64("seed", 1, "timeline generation seed")
-	proxies := flag.Int("proxies", 4, "number of upgradeable proxies in the timeline")
-	checkpoint := flag.String("checkpoint", "", "cursor checkpoint file (empty = none)")
-	asJSON := flag.Bool("json", false, "print final follower stats as JSON")
-	verbose := flag.Bool("v", false, "also log deployments as they stream in")
-	flag.Parse()
+// run is the whole command over its arguments and output streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("proxwatch", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 1, "timeline generation seed")
+	proxies := fs.Int("proxies", 4, "number of upgradeable proxies in the timeline")
+	checkpoint := fs.String("checkpoint", "", "cursor checkpoint file (empty = none)")
+	asJSON := fs.Bool("json", false, "print final follower stats as JSON")
+	verbose := fs.Bool("v", false, "also log deployments as they stream in")
+	fs.Parse(args)
 
 	tl := gen.GenerateTimeline(gen.TimelineConfig{Seed: *seed, Proxies: *proxies})
 	replay := faultchain.NewReplayReader(tl.Chain)
@@ -60,7 +64,7 @@ func run() error {
 				(len(ev.Item.Pair.Functions) > 0 || len(ev.Item.Pair.Storage) > 0) {
 				collides = "  [COLLISION WINDOW OPEN]"
 			}
-			fmt.Printf("block %3d  upgrade  proxy %s  slot %s -> logic %s%s\n",
+			fmt.Fprintf(stdout, "block %3d  upgrade  proxy %s  slot %s -> logic %s%s\n",
 				ev.Block, ev.Proxy.Hex(), ev.Slot.Hex()[:10], ev.NewValue.Hex()[26:], collides)
 		},
 	}
@@ -70,7 +74,7 @@ func run() error {
 			if it.Report.IsProxy {
 				kind = "proxy"
 			}
-			fmt.Printf("block %3d  deploy   %s %s\n",
+			fmt.Fprintf(stdout, "block %3d  deploy   %s %s\n",
 				replay.CurrentBlock(), kind, it.Report.Address.Hex())
 		}
 	}
@@ -105,9 +109,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(blob))
+		fmt.Fprintln(stdout, string(blob))
 	} else {
-		fmt.Printf("followed %d blocks: %d deployments, %d/%d scripted upgrades detected, %d cache entries invalidated\n",
+		fmt.Fprintf(stdout, "followed %d blocks: %d deployments, %d/%d scripted upgrades detected, %d cache entries invalidated\n",
 			st.BlocksFollowed, st.DeploymentsSeen, st.UpgradesDetected, scripted, st.Invalidations)
 	}
 	if missed != 0 {
