@@ -15,11 +15,12 @@ import (
 // the chain follower advances on.
 //
 // *Chain implements Reader directly (the perfect in-memory node). The
-// internal/faultchain package layers two more implementations on top: a
-// deterministic fault-injecting backend that makes reads fail the way a
-// remote RPC does, and a resilient client that retries, times out, breaks
-// the circuit and bounds concurrency. The detector and the streaming engine
-// are written against Reader only, so any of the three can sit underneath.
+// internal/faultchain package layers two more on top: a resilient Client
+// that asks a FaultHook (a schedule's Injector, failing reads as a remote
+// RPC does) before each attempt, retries, breaks the circuit and bounds
+// concurrency, with no per-read deadline; and a ReplayReader serving a
+// chain as of a settable head. The detector and the streaming engine are
+// written against Reader only, so any of them can sit underneath.
 //
 // Error contract: the interface is deliberately error-free — it mirrors the
 // EVM's StateDB surface, whose reads cannot fail — so an implementation

@@ -47,20 +47,22 @@ func chaosSeeds(t *testing.T) []int64 {
 // reports/pairs/histories against the fault-free run — with proof that the
 // schedule actually injected faults and the client actually retried, and
 // that the breaker never tripped (below the budget there are no terminal
-// failures for it to count). The history stage is on so Algorithm 1's
-// getStorageAt binary search sits in the blast radius (the stale-replica
-// profile only bites near-head history reads).
+// failures for it to count). CheckFaultParity recovers every proxy's logic
+// history, so Algorithm 1's getStorageAt binary search sits in the blast
+// radius (the stale-replica profile only bites near-head history reads):
+// every profile must fault some storage-at read across its seeds.
 func TestChaosMatrix(t *testing.T) {
 	seeds := chaosSeeds(t)
 	for _, p := range faultchain.Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
+			var storageFaults int64
 			for _, seed := range seeds {
 				c := gen.Generate(gen.Config{Seed: seed})
 				sched := faultchain.NewSchedule(p, seed*31+7)
-				fr := oracle.CheckFaultParity(c, sched, chaosOpts(),
-					proxion.AnalyzeOptions{WithHistory: true})
+				fr := oracle.CheckFaultParity(c, sched, chaosOpts(), proxion.AnalyzeOptions{})
+				storageFaults += fr.StorageFaults
 				if len(fr.Mismatches) > 0 {
 					t.Errorf("profile %s: %s", p.Name, oracle.Format(c, fr.Mismatches))
 				}
@@ -74,6 +76,9 @@ func TestChaosMatrix(t *testing.T) {
 					t.Errorf("profile %s seed %d: breaker tripped %d times below the retry budget",
 						p.Name, seed, fr.Metrics.BreakerTrips)
 				}
+			}
+			if storageFaults == 0 {
+				t.Errorf("profile %s faulted no storage-at read; Algorithm 1 stayed out of the blast radius", p.Name)
 			}
 		})
 	}
@@ -93,7 +98,7 @@ func TestChaosAboveBudget(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		c := gen.Generate(gen.Config{Seed: 7})
 		fr := oracle.CheckFaultDegradation(c, faultchain.NewSchedule(p, 99), opts,
-			proxion.AnalyzeOptions{WithHistory: true})
+			proxion.AnalyzeOptions{})
 		if len(fr.Mismatches) > 0 {
 			t.Fatalf("%s", oracle.Format(c, fr.Mismatches))
 		}

@@ -248,7 +248,7 @@ func NewResilientReader(r chain.Reader, sched *Schedule, opts Options) (*Client,
 	if sched == nil {
 		return NewClient(r, nil, opts), nil
 	}
-	inj := &Injector{r: r, sched: *sched, plans: make(map[Read]*faultPlan)}
+	inj := NewInjector(r, *sched)
 	return NewClient(r, inj.Fault, opts), inj
 }
 

@@ -247,6 +247,11 @@ type Injector struct {
 	stale       atomic.Int64
 }
 
+// NewInjector returns the schedule's injector over reads of r.
+func NewInjector(r chain.Reader, sched Schedule) *Injector {
+	return &Injector{r: r, sched: sched, plans: make(map[Read]*faultPlan)}
+}
+
 // Stats returns the faults injected so far.
 func (i *Injector) Stats() InjectorStats {
 	i.mu.Lock()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faultchain"
 	"repro/internal/gen"
+	"repro/internal/gen/oracle"
 	"repro/internal/proxion"
 )
 
@@ -18,7 +19,8 @@ type pinnedFaults struct {
 }
 
 // TestFaultScheduleIsPinned holds every chaos profile's fault schedule
-// over one fixed corpus to recorded counts. Fault decisions are keyed by
+// over one fixed corpus — its analysis, then every detected proxy's logic
+// history — to recorded counts. Fault decisions are keyed by
 // the logical read, so one worker or many, the same reads fault the same
 // number of times; a change to how reads reach the injector — a read that
 // skips it, a key built differently, a second consultation per attempt —
@@ -41,8 +43,11 @@ func TestFaultScheduleIsPinned(t *testing.T) {
 		c := gen.Generate(gen.Config{Seed: 5})
 		sched := faultchain.NewSchedule(p, 21)
 		cl, inj := faultchain.NewResilientReader(c.Chain, &sched, chaosOpts())
-		proxion.NewDetector(cl).AnalyzeAllWithOptions(c.Registry,
-			proxion.AnalyzeOptions{Workers: 1, WithHistory: true})
+		d := proxion.NewDetector(cl)
+		res := d.AnalyzeAllWithOptions(c.Registry, proxion.AnalyzeOptions{Workers: 1})
+		if _, re := oracle.Histories(d, res.Reports, c.Registry); re != nil {
+			t.Fatalf("%s: history unresolved below the retry budget: %v", p.Name, re)
+		}
 		got := pinnedFaults{injected: inj.Stats(), metrics: cl.Metrics(), apiCalls: cl.APICalls()}
 		if got != want[p.Name] {
 			t.Errorf("%s: %#v, pinned %#v", p.Name, got, want[p.Name])

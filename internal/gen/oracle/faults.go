@@ -1,12 +1,13 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/chain"
-	"repro/internal/etypes"
 	"repro/internal/faultchain"
 	"repro/internal/gen"
 	"repro/internal/proxion"
@@ -22,6 +23,8 @@ type FaultRun struct {
 	Mismatches []Mismatch
 	// Injected is what the fault injector actually did.
 	Injected faultchain.InjectorStats
+	// StorageFaults counts failing attempts served to storage-at reads.
+	StorageFaults int64
 	// Metrics is the resilient client's counter snapshot.
 	Metrics faultchain.Metrics
 	// Result is the faulted run's output.
@@ -29,11 +32,19 @@ type FaultRun struct {
 }
 
 // analyzeFaulted runs the streaming engine over the corpus through a
-// fault-injecting resilient client.
-func analyzeFaulted(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.Options, opts proxion.AnalyzeOptions) (*proxion.Result, *faultchain.Client, *faultchain.Injector) {
-	client, inj := faultchain.NewResilientReader(c.Chain, &sched, copts)
-	res := proxion.NewDetector(client).AnalyzeAllWithOptions(c.Registry, opts)
-	return res, client, inj
+// fault-injecting resilient client, whose hook also counts the failing
+// attempts it serves to storage-at reads into storageFaults.
+func analyzeFaulted(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.Options, opts proxion.AnalyzeOptions, storageFaults *atomic.Int64) (*proxion.Detector, *proxion.Result, *faultchain.Client, *faultchain.Injector) {
+	inj := faultchain.NewInjector(c.Chain, sched)
+	client := faultchain.NewClient(c.Chain, func(ctx context.Context, r faultchain.Read) error {
+		err := inj.Fault(ctx, r)
+		if err != nil && r.Op == "storage-at" {
+			storageFaults.Add(1)
+		}
+		return err
+	}, copts)
+	d := proxion.NewDetector(client)
+	return d, d.AnalyzeAllWithOptions(c.Registry, opts), client, inj
 }
 
 // diffDeltas reads every block's delta through the faulted client and
@@ -63,64 +74,67 @@ func diffDeltas(c *gen.Corpus, client *faultchain.Client, mustResolve bool) []Mi
 // formatHistory renders a historical analysis for differential comparison.
 func formatHistory(h proxion.HistoricalAnalysis) string {
 	var b strings.Builder
+	b.WriteString(h.Proxy.Hex())
 	for _, pa := range h.Pairs {
 		b.WriteString(" [" + formatPair(pa) + "]")
 	}
 	return b.String()
 }
 
-// diffHistories compares two history sets keyed by proxy address.
+// diffHistories compares two runs' histories, each one per detected proxy
+// in report order (Histories).
 func diffHistories(layer string, a, b []proxion.HistoricalAnalysis) []Mismatch {
+	if len(a) != len(b) {
+		return []Mismatch{{Layer: layer, Detail: fmt.Sprintf("%d histories vs %d", len(a), len(b))}}
+	}
 	var out []Mismatch
-	am := make(map[etypes.Address]proxion.HistoricalAnalysis, len(a))
-	for _, h := range a {
-		am[h.Proxy] = h
-	}
-	seen := make(map[etypes.Address]bool, len(b))
-	for _, hb := range b {
-		seen[hb.Proxy] = true
-		ha, ok := am[hb.Proxy]
-		if !ok {
-			out = append(out, Mismatch{Addr: hb.Proxy, Layer: layer, Detail: "history only in second run"})
-			continue
-		}
-		if fa, fb := formatHistory(ha), formatHistory(hb); fa != fb {
-			out = append(out, Mismatch{Addr: hb.Proxy, Layer: layer,
-				Detail: fmt.Sprintf("histories differ:\n    a:%s\n    b:%s", fa, fb)})
-		}
-	}
-	for _, ha := range a {
-		if !seen[ha.Proxy] {
-			out = append(out, Mismatch{Addr: ha.Proxy, Layer: layer, Detail: "history only in first run"})
+	for i := range a {
+		if fa, fb := formatHistory(a[i]), formatHistory(b[i]); fa != fb {
+			out = append(out, Mismatch{Addr: b[i].Proxy, Layer: layer,
+				Detail: fmt.Sprintf("histories differ:\n    a: %s\n    b: %s", fa, fb)})
 		}
 	}
 	return out
 }
 
 // CheckFaultParity is the faults-on/faults-off differential: it runs the
-// streaming engine fault-free and again through a fault-injecting resilient
-// client, and requires byte-identical reports, pairs and histories plus
-// matching logical API-call counts — the guarantee the resilience layer
-// owes whenever the schedule's fault depth stays below the client's retry
-// budget. Any Unresolved contract in that regime is itself a mismatch, and
-// so is a block delta that does not come through identical.
+// streaming engine, then every detected proxy's AnalyzePairHistory,
+// fault-free and through a fault-injecting resilient client, and requires
+// byte-identical reports, pairs and histories plus matching logical
+// getStorageAt counts over the history calls — the guarantee the resilience
+// layer owes whenever the schedule's fault depth stays below the client's
+// retry budget. Any Unresolved contract or history in that regime is itself
+// a mismatch, and so is a block delta that does not come through identical.
 func CheckFaultParity(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.Options, opts proxion.AnalyzeOptions) FaultRun {
-	base := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, opts)
-	res, client, inj := analyzeFaulted(c, sched, copts, opts)
+	baseDet := proxion.NewDetector(c.Chain)
+	base := baseDet.AnalyzeAllWithOptions(c.Registry, opts)
+	var storageFaults atomic.Int64
+	d, res, client, inj := analyzeFaulted(c, sched, copts, opts, &storageFaults)
 
 	out := diffReports("faults", base.Reports, res.Reports)
 	out = append(out, diffPairs("faults", base.Pairs, res.Pairs)...)
-	out = append(out, diffHistories("faults", base.Histories, res.Histories)...)
-	if a, b := base.Stats.StorageAPICalls, res.Stats.StorageAPICalls; a != b {
-		out = append(out, Mismatch{Layer: "faults",
-			Detail: fmt.Sprintf("logical getStorageAt counts diverge under retries: fault-free %d vs faulted %d", a, b)})
-	}
 	if n := res.Stats.Unresolved; n != 0 {
 		out = append(out, Mismatch{Layer: "faults",
 			Detail: fmt.Sprintf("%d contract(s) unresolved below the retry budget", n)})
 	}
+	// The chain counts the client's attempts too: count around each side.
+	calls := c.Chain.APICalls()
+	baseHist, _ := Histories(baseDet, base.Reports, c.Registry)
+	baseCalls := c.Chain.APICalls() - calls
+	calls = client.APICalls()
+	hist, re := Histories(d, res.Reports, c.Registry)
+	if re != nil {
+		out = append(out, Mismatch{Layer: "faults",
+			Detail: fmt.Sprintf("history unresolved below the retry budget: %v", re)})
+	}
+	out = append(out, diffHistories("faults", baseHist, hist)...)
+	if a, b := baseCalls, client.APICalls()-calls; a != b {
+		out = append(out, Mismatch{Layer: "faults",
+			Detail: fmt.Sprintf("logical getStorageAt counts diverge under retries: fault-free %d vs faulted %d", a, b)})
+	}
 	out = append(out, diffDeltas(c, client, true)...)
-	return FaultRun{Mismatches: out, Injected: inj.Stats(), Metrics: client.Metrics(), Result: res}
+	return FaultRun{Mismatches: out, Injected: inj.Stats(), StorageFaults: storageFaults.Load(),
+		Metrics: client.Metrics(), Result: res}
 }
 
 // CheckFaultDegradation is the above-budget invariant: when fault depth
@@ -129,7 +143,7 @@ func CheckFaultParity(c *gen.Corpus, sched faultchain.Schedule, copts faultchain
 // never silently wrong, never missing from the totals.
 func CheckFaultDegradation(c *gen.Corpus, sched faultchain.Schedule, copts faultchain.Options, opts proxion.AnalyzeOptions) FaultRun {
 	base := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, opts)
-	res, client, inj := analyzeFaulted(c, sched, copts, opts)
+	_, res, client, inj := analyzeFaulted(c, sched, copts, opts, new(atomic.Int64))
 
 	var out []Mismatch
 	if len(res.Reports) != len(base.Reports) {

@@ -85,7 +85,7 @@ func FuzzFaultSchedule(f *testing.F) {
 
 		c := gen.Generate(gen.Config{Seed: corpusSeed, Contracts: 12})
 		sched := faultchain.NewSchedule(p, faultSeed)
-		opts := proxion.AnalyzeOptions{WithHistory: true}
+		opts := proxion.AnalyzeOptions{}
 		var fr FaultRun
 		if p.Depth <= copts.MaxRetries {
 			fr = CheckFaultParity(c, sched, copts, opts)

@@ -12,10 +12,10 @@ package oracle
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
+	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
@@ -27,7 +27,7 @@ type Mismatch struct {
 	// Addr is the contract the disagreement is about.
 	Addr etypes.Address
 	// Layer names the comparison that failed: "detector", "pair",
-	// "streaming", "store", "single-call", "metamorphic".
+	// "streaming", "store", "single-call", "history", "metamorphic".
 	Layer string
 	// Detail is the human-readable difference.
 	Detail string
@@ -329,9 +329,9 @@ func CheckStoreParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
 // CheckSingleCallParity holds the one analysis entry point to its two
 // kinds of caller: a loop of Detector.AnalyzeAddress calls on a fresh
 // detector (the query service, the follower) against AnalyzeStream at
-// Workers: 1 on another (the scans). Reports, pairs and — when opts asks
-// for them — histories must be equal, and so must the deterministic
-// counters, stage rows aside: only a stream has stages.
+// Workers: 1 on another (the scans). Reports and pairs must be equal, and
+// so must the deterministic counters, stage rows aside: only a stream has
+// stages.
 func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatch {
 	opts.Workers, opts.Stats = 1, nil
 	want := proxion.NewDetector(c.Chain).AnalyzeAllWithOptions(c.Registry, opts)
@@ -347,9 +347,6 @@ func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatc
 	got := sink.Result()
 	out := diffReports("single-call", want.Reports, got.Reports)
 	out = append(out, diffPairs("single-call", want.Pairs, got.Pairs)...)
-	if !reflect.DeepEqual(want.Histories, got.Histories) {
-		out = append(out, Mismatch{Layer: "single-call", Detail: "recovered histories differ"})
-	}
 	snap := stats.Snapshot()
 	d.CountReads(snap, base)
 	wantCounters := want.Stats.Counters()
@@ -362,10 +359,35 @@ func CheckSingleCallParity(c *gen.Corpus, opts proxion.AnalyzeOptions) []Mismatc
 	return out
 }
 
+// Histories runs Detector.AnalyzePairHistory for every detected proxy with
+// a logic, in report order: how every layer that compares histories gets
+// them. A read the node could not serve stops it and is returned.
+func Histories(d *proxion.Detector, reports []proxion.Report, sources proxion.SourceProvider) (out []proxion.HistoricalAnalysis, re *chain.ReadError) {
+	re = chain.CaptureReadError(func() {
+		for _, rep := range reports {
+			if rep.IsProxy && !rep.Logic.IsZero() {
+				out = append(out, d.AnalyzePairHistory(rep, sources))
+			}
+		}
+	})
+	return out, re
+}
+
+// CheckHistoryParity holds the history call to its cached path: every
+// detected proxy's history on a detector a full stream has warmed must
+// equal the one on a fresh detector.
+func CheckHistoryParity(c *gen.Corpus) []Mismatch {
+	warm := proxion.NewDetector(c.Chain)
+	reports := warm.AnalyzeAll(c.Registry).Reports
+	want, _ := Histories(proxion.NewDetector(c.Chain), reports, c.Registry)
+	got, _ := Histories(warm, reports, c.Registry)
+	return diffHistories("history", want, got)
+}
+
 // Run executes every differential layer on one corpus: labels vs the
 // sequential reference, streaming vs sequential, warm-store vs cold
-// analysis, single calls vs the stream (with and without the history step),
-// the static analyzer vs the labels, and block-by-block following vs cold
+// analysis, single calls vs the stream, warm vs cold logic histories, the
+// static analyzer vs the labels, and block-by-block following vs cold
 // end-state analysis. The fast interpreter vs the reference loop is not a
 // layer here: the reference loop is test code of internal/evm, whose
 // corpus parity tests (TestInterpParityFixedSeeds, TestInterpParitySweep,
@@ -377,7 +399,7 @@ func Run(c *gen.Corpus) []Mismatch {
 	out = append(out, CheckStreaming(c, ref, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckStoreParity(c, proxion.AnalyzeOptions{})...)
 	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{})...)
-	out = append(out, CheckSingleCallParity(c, proxion.AnalyzeOptions{WithHistory: true})...)
+	out = append(out, CheckHistoryParity(c)...)
 	out = append(out, CheckStaticParity(c)...)
 	out = append(out, CheckWatchParity(c)...)
 	return out

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -31,13 +32,15 @@ type WatchRun struct {
 //     its re-analysis reports the pairing's ground-truth collision state:
 //     a window injected mid-timeline is reported while open and reported
 //     clear by the fixing upgrade's event.
-//  2. For slot-kind proxies, the final upgrade's recovered logic history
-//     (Algorithm 1) covers every scripted logic version.
+//  2. For slot-kind proxies, the follower's log is the logic timeline: the
+//     logics it delivered (the deployment's, then each upgrade's) and what
+//     Algorithm 1, the slow path, recovers from the end state are both the
+//     scripted steps' logics, in order.
 //  3. Block-by-block following ends byte-identical to cold end-state
-//     analysis: a fresh detector's full run over the final chain must
-//     match the follower's detector re-running warm — and the warm run
-//     must emulate nothing, proving the follower's incremental state is
-//     complete, not merely close.
+//     analysis: a fresh detector's full run over the final chain, and every
+//     proxy's logic history on it, must match the follower's detector
+//     re-running warm — and the warm run must emulate nothing, proving the
+//     follower's incremental state is complete, not merely close.
 //  4. After every block, the follower's own audit — the full enumerate-and-
 //     read-every-cell scan — finds nothing the block-delta path missed.
 func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
@@ -61,11 +64,19 @@ func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
 	}
 
 	det := proxion.NewDetector(reader)
+	// followed is each proxy's logics in the order the follower delivered them.
+	followed := make(map[etypes.Address][]etypes.Address)
 	f, err := watch.New(watch.Config{
 		Reader:   reader,
 		Analyzer: watch.NewDetectorAnalyzer(det, tl.Registry, nil),
+		OnDeploy: func(it proxion.Item) {
+			followed[it.Report.Address] = append(followed[it.Report.Address], it.Report.Logic)
+		},
 		OnUpgrade: func(ev watch.UpgradeEvent) {
 			run.Events = append(run.Events, ev)
+			if ev.Item != nil {
+				followed[ev.Proxy] = append(followed[ev.Proxy], ev.Item.Report.Logic)
+			}
 		},
 	})
 	if err != nil {
@@ -127,30 +138,21 @@ func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
 		bad(etypes.Address{}, "%d upgrade events delivered for %d scripted upgrades", len(run.Events), expected)
 	}
 
-	// 2. Slot-kind proxies: the final upgrade's history must cover every
-	// scripted logic version.
+	// 2. Slot-kind proxies: the log and Algorithm 1 give the scripted timeline.
+	cold := proxion.NewDetector(tl.Chain)
 	for _, tp := range tl.Proxies {
-		if tp.Kind == gen.TimelineBeacon || len(tp.Steps) < 2 {
+		if tp.Kind == gen.TimelineBeacon {
 			continue
 		}
-		final := tp.Steps[len(tp.Steps)-1]
-		evs := observed[evKey{final.Block, tp.Address}]
-		if len(evs) != 1 || evs[0].Item == nil {
-			continue // already reported above
-		}
-		hist := evs[0].Item.History
-		if hist == nil {
-			bad(tp.Address, "final upgrade carries no recovered history")
-			continue
-		}
-		got := make(map[etypes.Address]bool, len(hist.Pairs))
-		for _, pa := range hist.Pairs {
-			got[pa.Logic] = true
-		}
+		want := make([]etypes.Address, len(tp.Steps))
 		for i, s := range tp.Steps {
-			if !got[s.Logic] {
-				bad(tp.Address, "recovered history misses scripted logic #%d (%v)", i, s.Logic.Hex())
-			}
+			want[i] = s.Logic
+		}
+		if got := followed[tp.Address]; !slices.Equal(got, want) {
+			bad(tp.Address, "follower delivered logics %v, scripted %v", got, want)
+		}
+		if got := cold.LogicHistory(tp.Address, tp.ImplSlot); !slices.Equal(got, want) {
+			bad(tp.Address, "Algorithm 1 recovered logics %v, scripted %v", got, want)
 		}
 	}
 
@@ -159,18 +161,19 @@ func WatchParity(cfg gen.TimelineConfig, chaos bool) WatchRun {
 	// (fault-free even in chaos mode — the follower owes clean results
 	// either way below the retry budget).
 	var warmStats pipeline.Stats
-	warm := det.AnalyzeAllWithOptions(tl.Registry, proxion.AnalyzeOptions{
-		WithHistory: true, Stats: &warmStats,
-	})
-	cold := proxion.NewDetector(tl.Chain).AnalyzeAllWithOptions(tl.Registry, proxion.AnalyzeOptions{
-		WithHistory: true,
-	})
-	run.Mismatches = append(run.Mismatches, diffReports("watch", cold.Reports, warm.Reports)...)
-	run.Mismatches = append(run.Mismatches, diffPairs("watch", cold.Pairs, warm.Pairs)...)
-	run.Mismatches = append(run.Mismatches, diffHistories("watch", cold.Histories, warm.Histories)...)
+	warm := det.AnalyzeAllWithOptions(tl.Registry, proxion.AnalyzeOptions{Stats: &warmStats})
+	coldRes := cold.AnalyzeAll(tl.Registry)
+	run.Mismatches = append(run.Mismatches, diffReports("watch", coldRes.Reports, warm.Reports)...)
+	run.Mismatches = append(run.Mismatches, diffPairs("watch", coldRes.Pairs, warm.Pairs)...)
 	if n := warmStats.Emulations.Load(); n != 0 {
 		bad(etypes.Address{}, "warm end-state run re-emulated %d contract(s); the follower's incremental state is incomplete", n)
 	}
+	warmHist, re := Histories(det, warm.Reports, tl.Registry)
+	if re != nil {
+		bad(etypes.Address{}, "warm history read failed below the retry budget: %v", re)
+	}
+	coldHist, _ := Histories(cold, coldRes.Reports, tl.Registry)
+	run.Mismatches = append(run.Mismatches, diffHistories("watch", coldHist, warmHist)...)
 	return run
 }
 

@@ -55,9 +55,6 @@ type Stats struct {
 	ProxiesDetected Counter
 	// PairsAnalyzed counts proxy/logic pairs through collision analysis.
 	PairsAnalyzed Counter
-	// HistoriesRecovered counts proxies whose full logic history was
-	// recovered (only when the history stage is enabled).
-	HistoriesRecovered Counter
 	// Unresolved counts contracts whose chain reads terminally failed and
 	// that were degraded to an explicit Unresolved report instead of being
 	// dropped; always zero over a fault-free node.
@@ -91,9 +88,8 @@ type Snapshot struct {
 	StructuralRejects int64   `json:"structural_rejects"`
 	EmulationAborts   int64   `json:"emulation_aborts"`
 
-	ProxiesDetected    int64 `json:"proxies_detected"`
-	PairsAnalyzed      int64 `json:"pairs_analyzed"`
-	HistoriesRecovered int64 `json:"histories_recovered,omitempty"`
+	ProxiesDetected int64 `json:"proxies_detected"`
+	PairsAnalyzed   int64 `json:"pairs_analyzed"`
 	// StorageAPICalls, Retries and BreakerTrips are the node's own counts,
 	// not Stats counters: whoever takes the snapshot sets them from the
 	// chain reader's counter deltas over the run — archive getStorageAt
@@ -132,7 +128,6 @@ func (s *Snapshot) Counters() map[string]int64 {
 		"emulation_aborts":     s.EmulationAborts,
 		"proxies_detected":     s.ProxiesDetected,
 		"pairs_analyzed":       s.PairsAnalyzed,
-		"histories_recovered":  s.HistoriesRecovered,
 		"get_storage_at_calls": s.StorageAPICalls,
 		"unresolved":           s.Unresolved,
 		"read_retries":         s.Retries,
@@ -149,19 +144,18 @@ func (s *Snapshot) Counters() map[string]int64 {
 // own counts left zero.
 func (st *Stats) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		Contracts:          st.Scanned.Load(),
-		NoCode:             st.NoCode.Load(),
-		FilterRejected:     st.FilterRejected.Load(),
-		Emulations:         st.Emulations.Load(),
-		CacheHits:          st.CacheHits.Load(),
-		StructuralHits:     st.StructuralHits.Load(),
-		StaticSummaries:    st.StaticSummaries.Load(),
-		StructuralRejects:  st.StructuralRejects.Load(),
-		EmulationAborts:    st.EmulationAborts.Load(),
-		ProxiesDetected:    st.ProxiesDetected.Load(),
-		PairsAnalyzed:      st.PairsAnalyzed.Load(),
-		HistoriesRecovered: st.HistoriesRecovered.Load(),
-		Unresolved:         st.Unresolved.Load(),
+		Contracts:         st.Scanned.Load(),
+		NoCode:            st.NoCode.Load(),
+		FilterRejected:    st.FilterRejected.Load(),
+		Emulations:        st.Emulations.Load(),
+		CacheHits:         st.CacheHits.Load(),
+		StructuralHits:    st.StructuralHits.Load(),
+		StaticSummaries:   st.StaticSummaries.Load(),
+		StructuralRejects: st.StructuralRejects.Load(),
+		EmulationAborts:   st.EmulationAborts.Load(),
+		ProxiesDetected:   st.ProxiesDetected.Load(),
+		PairsAnalyzed:     st.PairsAnalyzed.Load(),
+		Unresolved:        st.Unresolved.Load(),
 	}
 	if lookups := snap.CacheHits + snap.Emulations; lookups > 0 {
 		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)

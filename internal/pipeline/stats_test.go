@@ -100,7 +100,6 @@ func TestSnapshotCountersExport(t *testing.T) {
 		"emulation_aborts":      0,
 		"proxies_detected":      n,
 		"pairs_analyzed":        0,
-		"histories_recovered":   0,
 		"get_storage_at_calls":  0,
 		"unresolved":            0,
 		"read_retries":          0,

@@ -16,15 +16,16 @@ import (
 // TestStreamEqualsSingleCalls: a loop of AnalyzeAddress calls and a
 // one-worker AnalyzeStream are the same analysis — equal items, equal
 // counters — over corpora that hold every shape of the generator's taxonomy,
-// with and without the history step (the differential is oracle.Run's
-// single-call layer).
+// and so are the logic histories recovered on a warm detector and a fresh
+// one (the differentials are oracle.Run's single-call and history layers).
 func TestStreamEqualsSingleCalls(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		c := gen.Generate(gen.Config{Seed: seed})
-		for _, history := range []bool{false, true} {
-			if ms := oracle.CheckSingleCallParity(c, proxion.AnalyzeOptions{WithHistory: history}); len(ms) > 0 {
-				t.Errorf("history=%v: %s", history, oracle.Format(c, ms))
-			}
+		if ms := oracle.CheckSingleCallParity(c, proxion.AnalyzeOptions{}); len(ms) > 0 {
+			t.Errorf("single calls: %s", oracle.Format(c, ms))
+		}
+		if ms := oracle.CheckHistoryParity(c); len(ms) > 0 {
+			t.Errorf("histories: %s", oracle.Format(c, ms))
 		}
 	}
 }
@@ -38,11 +39,12 @@ func TestStreamEqualsSingleCalls(t *testing.T) {
 func TestStreamConcurrentSingleCalls(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 41, Contracts: 300})
 	addrs := pop.Chain.Contracts()
-	run := func(goroutines int) ([]proxion.Item, map[string]int64) {
+	run := func(goroutines int) ([]proxion.Item, []proxion.HistoricalAnalysis, map[string]int64) {
 		var stats pipeline.Stats
-		opts := proxion.AnalyzeOptions{WithHistory: true, Stats: &stats}
+		opts := proxion.AnalyzeOptions{Stats: &stats}
 		d := proxion.NewDetector(pop.Chain)
 		items := make([]proxion.Item, len(addrs))
+		hists := make([]proxion.HistoricalAnalysis, len(addrs))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -51,22 +53,26 @@ func TestStreamConcurrentSingleCalls(t *testing.T) {
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(addrs); i = int(next.Add(1)) - 1 {
 					items[i] = d.AnalyzeAddress(addrs[i], pop.Registry, opts)
+					hists[i] = d.AnalyzePairHistory(items[i].Report, pop.Registry)
 				}
 			}()
 		}
 		wg.Wait()
-		return items, stats.Snapshot().Counters()
+		return items, hists, stats.Snapshot().Counters()
 	}
-	wantItems, want := run(1)
-	if want["cache_hits"] == 0 || want["histories_recovered"] == 0 {
-		t.Fatalf("corpus exercises no duplicate or no history: %v", want)
+	wantItems, wantHists, want := run(1)
+	if want["cache_hits"] == 0 || want["pairs_analyzed"] == 0 {
+		t.Fatalf("corpus exercises no duplicate or no pair: %v", want)
 	}
-	gotItems, got := run(8)
+	gotItems, gotHists, got := run(8)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("counters of 8 goroutines differ from one's:\n got %v\nwant %v", got, want)
 	}
 	if !reflect.DeepEqual(gotItems, wantItems) {
 		t.Error("items of 8 goroutines differ from one's")
+	}
+	if !reflect.DeepEqual(gotHists, wantHists) {
+		t.Error("histories of 8 goroutines differ from one's")
 	}
 }
 

@@ -2,6 +2,7 @@ package proxion_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
@@ -287,6 +288,40 @@ func TestLogicHistoryBinarySearch(t *testing.T) {
 		t.Errorf("naive (%d calls) should dwarf binary search (%d)", naiveCalls, calls)
 	}
 
+	if got := d.UpgradeCount(proxyAt, implSlot); got != 2 {
+		t.Errorf("upgrade count = %d, want 2", got)
+	}
+}
+
+// TestLogicHistoryOldestFirst: the history comes back in the order the
+// proxy delegated to its logics, not in address order — here each upgrade
+// installs a lower address than the last — from Algorithm 1 and the naive
+// scan alike.
+func TestLogicHistoryOldestFirst(t *testing.T) {
+	implSlot := etypes.HashFromWord(u256.FromUint64(1))
+	c := chain.New()
+	c.InstallContract(proxyAt, solc.MustCompile(&solc.Contract{
+		Name:     "Upgradeable",
+		Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: implSlot},
+	}))
+	logics := []etypes.Address{
+		etypes.MustAddress("0x0000000000000000000000000000000000009303"),
+		etypes.MustAddress("0x0000000000000000000000000000000000009302"),
+		etypes.MustAddress("0x0000000000000000000000000000000000009301"),
+	}
+	for i, l := range logics {
+		c.AdvanceTo(uint64(1_000 + 7_000*i))
+		c.SetStorageDirect(proxyAt, implSlot, etypes.HashFromWord(l.Word()))
+	}
+	c.AdvanceTo(30_000)
+
+	d := proxion.NewDetector(c)
+	if got := d.LogicHistory(proxyAt, implSlot); !slices.Equal(got, logics) {
+		t.Errorf("history = %v, want %v", got, logics)
+	}
+	if got := d.NaiveLogicHistory(proxyAt, implSlot); !slices.Equal(got, logics) {
+		t.Errorf("naive history = %v, want %v", got, logics)
+	}
 	if got := d.UpgradeCount(proxyAt, implSlot); got != 2 {
 		t.Errorf("upgrade count = %d, want 2", got)
 	}

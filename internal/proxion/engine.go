@@ -22,9 +22,8 @@ type resilienceSource interface {
 
 // AnalyzeOptions tunes an analysis: a stream, or a single AnalyzeAddress
 // call, which ignores Workers and Window. The zero value selects production
-// defaults: one worker per processor, the bytecode-dedup cache on, no
-// history step, a reorder window of DefaultWindow contracts, unbounded
-// per-bytecode caches.
+// defaults: one worker per processor, the bytecode-dedup cache on, a
+// reorder window of DefaultWindow contracts, unbounded per-bytecode caches.
 type AnalyzeOptions struct {
 	// Workers is the number of goroutines analyzing contracts, each taking
 	// one address at a time through every step; zero means GOMAXPROCS. The
@@ -49,11 +48,6 @@ type AnalyzeOptions struct {
 	// (EIP-1167 stamps, compiler twins) are each emulated once instead of
 	// being promoted from their family exemplar.
 	DisableStructural bool
-	// WithHistory enables the logic-history step: each storage proxy's
-	// full implementation history is recovered with Algorithm 1 and every
-	// historical pair is collision-analyzed into Result.Histories (or the
-	// Item.History field in streaming runs).
-	WithHistory bool
 	// Stats, when non-nil, is the externally-owned counter set the run
 	// updates instead of a private one. All Stats fields are atomic, so a
 	// caller may read them live while analyses are in flight, and any number
@@ -105,13 +99,12 @@ const (
 	stageFilter = iota
 	stageProbe
 	stageClassify
-	stageHistory
 	stagePair
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"disasm-filter", "emulation-probe", "classification", "logic-history", "pair-analysis",
+	"disasm-filter", "emulation-probe", "classification", "pair-analysis",
 }
 
 // stageClock is one worker's private per-stage accounting, summed into the
@@ -147,7 +140,7 @@ func (d *Detector) newAnalysis(sources SourceProvider, opts AnalyzeOptions) anal
 
 // AnalyzeAddress is the one way a contract is analyzed: it runs addr to
 // completion on the caller's goroutine — filter, probe, classification, then
-// history and pair analysis for a detected proxy — and returns the finished
+// pair analysis for a detected proxy — and returns the finished
 // item (Index 0). AnalyzeStream's workers call the same code, so a stream
 // and a loop of single calls produce the same items and count alike in
 // opts.Stats, except for what only a stream has: Workers and Window are not
@@ -233,9 +226,6 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 		snap.ContractsPerSec = float64(snap.Contracts) / secs
 	}
 	for st, name := range stageNames {
-		if st == stageHistory && !opts.WithHistory {
-			continue
-		}
 		row := pipeline.StageSnapshot{Name: name, Workers: workers}
 		var busy time.Duration
 		for _, c := range clocks {
@@ -282,18 +272,6 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 	now = clock.lap(stageClassify, now)
 	if !rep.IsProxy || rep.Logic.IsZero() {
 		return it
-	}
-
-	// Logic-history recovery via Algorithm 1 (optional).
-	if r.opts.WithHistory {
-		var h HistoricalAnalysis
-		if re := chain.CaptureReadError(func() { h = d.AnalyzePairHistory(*rep, r.sources) }); re != nil {
-			markUnresolved(rep, re)
-		} else {
-			stats.HistoriesRecovered.Add(1)
-			it.History = &h
-		}
-		now = clock.lap(stageHistory, now)
 	}
 
 	// Pair collision analysis (Section 5), over the code and the record the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/gen/oracle"
 	"repro/internal/proxion"
 	"repro/internal/solc"
 	"repro/internal/u256"
@@ -248,8 +249,10 @@ func TestVerdictCacheConcurrentDuplicates(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWithHistory enables the optional history stage and checks it
-// produces the same analyses as calling AnalyzePairHistory directly.
+// TestAnalyzeWithHistory recovers the logic history of every proxy a full
+// analysis detected, on the detector that ran it, and checks it against
+// AnalyzePairHistory on a fresh one: the cached pair path must give the
+// same historical analyses, oldest logic first.
 func TestAnalyzeWithHistory(t *testing.T) {
 	implSlot := etypes.HashFromWord(u256.FromUint64(7))
 	c := newChainWithPair(t, implSlot)
@@ -260,16 +263,21 @@ func TestAnalyzeWithHistory(t *testing.T) {
 	c.AdvanceBlocks(10)
 	c.SetStorageDirect(proxyAt, implSlot, etypes.HashFromWord(logic2.Word()))
 
-	res := proxion.NewDetector(c).AnalyzeAllWithOptions(nil, proxion.AnalyzeOptions{WithHistory: true})
-	if len(res.Histories) != 1 {
-		t.Fatalf("histories = %d, want 1", len(res.Histories))
+	d := proxion.NewDetector(c)
+	res := d.AnalyzeAll(nil)
+	hists, re := oracle.Histories(d, res.Reports, nil)
+	if re != nil {
+		t.Fatal(re)
 	}
-	h := res.Histories[0]
+	if len(hists) != 1 {
+		t.Fatalf("histories = %d, want 1", len(hists))
+	}
+	h := hists[0]
 	if h.Proxy != proxyAt {
 		t.Fatalf("history proxy = %s, want %s", h.Proxy, proxyAt)
 	}
-	if len(h.Pairs) != 2 {
-		t.Fatalf("history pairs = %d, want 2 (original + upgrade)", len(h.Pairs))
+	if len(h.Pairs) != 2 || h.Pairs[0].Logic != logicAt || h.Pairs[1].Logic != logic2 {
+		t.Fatalf("history pairs = %+v, want the original logic then the upgrade", h.Pairs)
 	}
 
 	var rep proxion.Report
@@ -278,12 +286,8 @@ func TestAnalyzeWithHistory(t *testing.T) {
 			rep = r
 		}
 	}
-	d := proxion.NewDetector(c)
-	want := d.AnalyzePairHistory(rep, nil)
+	want := proxion.NewDetector(c).AnalyzePairHistory(rep, nil)
 	if !reflect.DeepEqual(h, want) {
-		t.Fatal("pipeline history differs from direct AnalyzePairHistory")
-	}
-	if res.Stats.HistoriesRecovered != 1 {
-		t.Errorf("histories_recovered = %d, want 1", res.Stats.HistoriesRecovered)
+		t.Fatal("history on the analyzing detector differs from a fresh AnalyzePairHistory")
 	}
 }

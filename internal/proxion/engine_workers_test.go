@@ -218,13 +218,14 @@ func (f *failingReader) GetStorageAt(a etypes.Address, s etypes.Hash, b uint64) 
 }
 
 // TestAnalyzeStreamReadFailureInEachStage lets a terminal read failure hit
-// one contract in each analysis step — filter, probe, history, pair — and
-// requires the stream to degrade exactly those contracts to Unresolved, in
-// place, with the healthy contract behind them intact and the per-stage
-// counts adding up. The proxies are streamed without their logic contracts,
-// and the fourth one's logic code becomes unreadable once its probe — whose
-// emulation executes that code — has read it, so that failure is seen by
-// the pair (and history) step only.
+// one contract in each analysis step — filter, probe, pair — and requires
+// the stream to degrade exactly those contracts to Unresolved, in place,
+// with the healthy contracts behind them intact and the per-stage counts
+// adding up. A third contract's archive reads fail too, which no step makes:
+// it must come out whole. The proxies are streamed without their logic
+// contracts, and the fourth one's logic code becomes unreadable once its
+// probe — whose emulation executes that code — has read it, so that failure
+// is seen by the pair step only.
 func TestAnalyzeStreamReadFailureInEachStage(t *testing.T) {
 	c := chain.New()
 	logicCode := solc.MustCompile(simpleLogic())
@@ -249,72 +250,65 @@ func TestAnalyzeStreamReadFailureInEachStage(t *testing.T) {
 	failAfter := map[failedRead]int{
 		{"code", proxies[0]}:       0,                                             // filter
 		{"state", proxies[1]}:      0,                                             // probe: the emulation reads the implementation slot
-		{"storage-at", proxies[2]}: 0,                                             // history: Algorithm 1's archive reads
-		{"code", logics[3]}:        counting.reads[failedRead{"code", logics[3]}], // pair (and the history's pairs)
+		{"storage-at", proxies[2]}: 0,                                             // no step: Algorithm 1's archive reads
+		{"code", logics[3]}:        counting.reads[failedRead{"code", logics[3]}], // pair
 	}
 
-	for _, history := range []bool{false, true} {
-		wantUnresolved := []bool{true, true, history, true, false}
-		var wantCounters map[string]int64
-		for _, workers := range []int{1, 8} {
-			name := fmt.Sprintf("history=%v workers=%d", history, workers)
-			var items []proxion.Item
-			rd := &failingReader{Chain: c, failAfter: failAfter}
-			snap := proxion.NewDetector(rd).AnalyzeStream(
-				proxion.SliceSource(proxies), nil,
-				proxion.SinkFunc(func(it proxion.Item) { items = append(items, it) }),
-				proxion.AnalyzeOptions{Workers: workers, Window: 4, WithHistory: history})
-			if len(items) != len(proxies) {
-				t.Fatalf("%s: %d of %d items emitted", name, len(items), len(proxies))
+	wantUnresolved := []bool{true, true, false, true, false}
+	var wantCounters map[string]int64
+	for _, workers := range []int{1, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		var items []proxion.Item
+		rd := &failingReader{Chain: c, failAfter: failAfter}
+		snap := proxion.NewDetector(rd).AnalyzeStream(
+			proxion.SliceSource(proxies), nil,
+			proxion.SinkFunc(func(it proxion.Item) { items = append(items, it) }),
+			proxion.AnalyzeOptions{Workers: workers, Window: 4})
+		if len(items) != len(proxies) {
+			t.Fatalf("%s: %d of %d items emitted", name, len(items), len(proxies))
+		}
+		for i, it := range items {
+			if it.Index != i || it.Report.Address != proxies[i] {
+				t.Fatalf("%s: position %d holds item %d (%s)", name, i, it.Index, it.Report.Address)
 			}
-			for i, it := range items {
-				if it.Index != i || it.Report.Address != proxies[i] {
-					t.Fatalf("%s: position %d holds item %d (%s)", name, i, it.Index, it.Report.Address)
-				}
-				if it.Report.Unresolved != wantUnresolved[i] {
-					t.Errorf("%s: item %d unresolved = %v, want %v (%s)", name, i, it.Report.Unresolved, wantUnresolved[i], it.Report.Reason)
-				}
+			if it.Report.Unresolved != wantUnresolved[i] {
+				t.Errorf("%s: item %d unresolved = %v, want %v (%s)", name, i, it.Report.Unresolved, wantUnresolved[i], it.Report.Reason)
 			}
-			last := items[len(items)-1]
-			if !last.Report.IsProxy || last.Report.Logic != logics[4] || last.Pair == nil || (last.History != nil) != history {
-				t.Errorf("%s: healthy proxy behind the failures came out damaged: %+v", name, last)
+		}
+		for _, i := range []int{2, 4} {
+			if it := items[i]; !it.Report.IsProxy || it.Report.Logic != logics[i] || it.Pair == nil {
+				t.Errorf("%s: healthy proxy %d came out damaged: %+v", name, i, it)
 			}
-			if items[2].Pair == nil {
-				t.Errorf("%s: a failed history took the contract's pair analysis with it", name)
-			}
+		}
 
-			k := snap.Counters()
-			pairFailures := int64(1)
-			for key, want := range map[string]int64{
-				"contracts":                       5,
-				"stage_disasm-filter_processed":   5,
-				"stage_emulation-probe_processed": 4, // contracts − no_code − filter_rejected − unresolved at the filter
-				"stage_classification_processed":  4,
-				"stage_pair-analysis_processed":   k["pairs_analyzed"] + pairFailures,
-				"pairs_analyzed":                  2,
-				"proxies_detected":                3,
-			} {
-				if k[key] != want {
-					t.Errorf("%s: %s = %d, want %d", name, key, k[key], want)
-				}
+		k := snap.Counters()
+		pairFailures := int64(1)
+		for key, want := range map[string]int64{
+			"contracts":                       5,
+			"stage_disasm-filter_processed":   5,
+			"stage_emulation-probe_processed": 4, // contracts − no_code − filter_rejected − unresolved at the filter
+			"stage_classification_processed":  4,
+			"stage_pair-analysis_processed":   k["pairs_analyzed"] + pairFailures,
+			"pairs_analyzed":                  2,
+			"proxies_detected":                3,
+		} {
+			if k[key] != want {
+				t.Errorf("%s: %s = %d, want %d", name, key, k[key], want)
 			}
-			if history && k["stage_logic-history_processed"] != 3 {
-				t.Errorf("%s: history stage processed %d, want 3", name, k["stage_logic-history_processed"])
+		}
+		var unresolved int64
+		for _, u := range wantUnresolved {
+			if u {
+				unresolved++
 			}
-			var unresolved int64
-			for _, u := range wantUnresolved {
-				if u {
-					unresolved++
-				}
-			}
-			if k["unresolved"] != unresolved {
-				t.Errorf("%s: unresolved = %d, want %d", name, k["unresolved"], unresolved)
-			}
-			if wantCounters == nil {
-				wantCounters = k
-			} else if !reflect.DeepEqual(k, wantCounters) {
-				t.Errorf("%s: counters differ from the 1-worker run:\n got %v\nwant %v", name, k, wantCounters)
-			}
+		}
+		if k["unresolved"] != unresolved {
+			t.Errorf("%s: unresolved = %d, want %d", name, k["unresolved"], unresolved)
+		}
+		if wantCounters == nil {
+			wantCounters = k
+		} else if !reflect.DeepEqual(k, wantCounters) {
+			t.Errorf("%s: counters differ from the 1-worker run:\n got %v\nwant %v", name, k, wantCounters)
 		}
 	}
 }
@@ -325,8 +319,8 @@ func TestAnalyzeStreamReadFailureInEachStage(t *testing.T) {
 // logic address is pair-analyzed — and none of it depends on how many
 // workers shared the stream. It also pins the run's timing fields and row
 // layout: the wall clock is positive, no longer than the call, and frozen
-// once the call returns; the rows come in execution order, the history row
-// only under WithHistory; an empty stream gives zero, finite rates.
+// once the call returns; the rows come in execution order; an empty stream
+// gives zero, finite rates.
 func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 41, Contracts: 600})
 	rowNames := func(snap *pipeline.Snapshot) []string {
@@ -340,7 +334,7 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t0 := time.Now()
 		res := proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry,
-			proxion.AnalyzeOptions{Workers: workers, WithHistory: true})
+			proxion.AnalyzeOptions{Workers: workers})
 		callMS := float64(time.Since(t0).Microseconds()) / 1000
 		wallMS := res.Stats.WallMS
 		if wallMS <= 0 || wallMS > callMS || res.Stats.ContractsPerSec <= 0 {
@@ -350,7 +344,7 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 		if res.Stats.WallMS != wallMS {
 			t.Errorf("workers %d: wall moved after the call returned: %v then %v ms", workers, wallMS, res.Stats.WallMS)
 		}
-		if got, want := rowNames(res.Stats), []string{"disasm-filter", "emulation-probe", "classification", "logic-history", "pair-analysis"}; !reflect.DeepEqual(got, want) {
+		if got, want := rowNames(res.Stats), []string{"disasm-filter", "emulation-probe", "classification", "pair-analysis"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: stage rows %v, want %v", workers, got, want)
 		}
 		k := res.Stats.Counters()
@@ -359,7 +353,6 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 			"stage_disasm-filter_processed":   k["contracts"],
 			"stage_emulation-probe_processed": probed,
 			"stage_classification_processed":  probed,
-			"stage_logic-history_processed":   k["histories_recovered"],
 			"stage_pair-analysis_processed":   k["pairs_analyzed"],
 		} {
 			if k[key] != v {
@@ -379,11 +372,6 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 		} else if !reflect.DeepEqual(k, want) {
 			t.Errorf("counters at %d workers differ from 1 worker:\n got %v\nwant %v", workers, k, want)
 		}
-	}
-
-	plain := proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{Workers: 2})
-	if got, want := rowNames(plain.Stats), []string{"disasm-filter", "emulation-probe", "classification", "pair-analysis"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("without history: stage rows %v, want %v", got, want)
 	}
 
 	empty := proxion.NewDetector(pop.Chain).AnalyzeStream(proxion.SliceSource(nil), pop.Registry,
@@ -417,7 +405,7 @@ func TestAnalyzeStreamLeavesNoGoroutines(t *testing.T) {
 	for _, n := range []int{len(addrs), 0, 50} {
 		proxion.NewDetector(pop.Chain).AnalyzeStream(proxion.SliceSource(addrs[:n]), pop.Registry,
 			proxion.SinkFunc(func(proxion.Item) {}),
-			proxion.AnalyzeOptions{Workers: 8, Window: 4, WithHistory: true})
+			proxion.AnalyzeOptions{Workers: 8, Window: 4})
 	}
 	// A worker's last instructions after it reports done may still be on a
 	// processor; yield until they are not, bounded.

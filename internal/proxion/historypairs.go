@@ -15,7 +15,8 @@ type HistoricalAnalysis struct {
 
 // AnalyzePairHistory recovers the proxy's full logic history with Algorithm
 // 1 and runs the collision analysis against each version. For hard-coded
-// (minimal) proxies the single fixed logic is analyzed.
+// (minimal) proxies the single fixed logic is analyzed. No analysis step
+// runs it: over a fallible reader, call it under chain.CaptureReadError.
 func (d *Detector) AnalyzePairHistory(rep Report, sources SourceProvider) HistoricalAnalysis {
 	out := HistoricalAnalysis{Proxy: rep.Address}
 	if !rep.IsProxy {

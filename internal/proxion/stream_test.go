@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/etypes"
+	"repro/internal/gen/oracle"
 	"repro/internal/proxion"
 )
 
@@ -138,12 +139,14 @@ func TestAnalyzeStreamBoundedCacheSameVerdicts(t *testing.T) {
 }
 
 // TestAnalyzeStreamWithHistory checks fan-out refcounting on the widest
-// item shape: with the history stage on, each proxy item must arrive with
-// both its pair and its history attached, and non-proxies with neither.
+// item shape a stream emits, each proxy item with its pair attached and
+// non-proxies with none, and then the widest analysis a proxy gets: its
+// logic history, recovered on the streaming detector, must equal the
+// batch run's on its own.
 func TestAnalyzeStreamWithHistory(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 17, Contracts: 300})
-	want := proxion.NewDetector(pop.Chain).
-		AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{WithHistory: true})
+	batch := proxion.NewDetector(pop.Chain)
+	want := batch.AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{})
 	want.Stats = nil
 
 	sink := proxion.NewCollectSink()
@@ -152,22 +155,27 @@ func TestAnalyzeStreamWithHistory(t *testing.T) {
 		items = append(items, it)
 		sink.Emit(it)
 	})
-	proxion.NewDetector(pop.Chain).AnalyzeStream(
+	streamed := proxion.NewDetector(pop.Chain)
+	streamed.AnalyzeStream(
 		proxion.SliceSource(pop.Chain.Contracts()), pop.Registry, tee,
-		proxion.AnalyzeOptions{WithHistory: true, Window: 16})
+		proxion.AnalyzeOptions{Window: 16})
 	got := sink.Result()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed with-history result diverges from batch")
+		t.Fatal("streamed result diverges from batch")
 	}
 	for _, it := range items {
 		analyzed := it.Report.IsProxy && !it.Report.Logic.IsZero() && !it.Report.Unresolved
-		if analyzed && (it.Pair == nil || it.History == nil) {
-			t.Fatalf("proxy item %d emitted incomplete: pair=%v history=%v",
-				it.Index, it.Pair != nil, it.History != nil)
+		if analyzed && it.Pair == nil {
+			t.Fatalf("proxy item %d emitted without its pair", it.Index)
 		}
-		if !it.Report.IsProxy && (it.Pair != nil || it.History != nil) {
+		if !it.Report.IsProxy && it.Pair != nil {
 			t.Fatalf("non-proxy item %d carries sub-analyses", it.Index)
 		}
+	}
+	wantHist, _ := oracle.Histories(batch, want.Reports, pop.Registry)
+	gotHist, _ := oracle.Histories(streamed, got.Reports, pop.Registry)
+	if len(gotHist) == 0 || !reflect.DeepEqual(gotHist, wantHist) {
+		t.Fatalf("streamed detector recovered %d histories, batch %d, or they differ", len(gotHist), len(wantHist))
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/etypes"
+	"repro/internal/faultchain"
 	"repro/internal/proxion"
 	"repro/internal/store"
 )
@@ -101,19 +103,31 @@ func TestEmulationsIndependentOfBound(t *testing.T) {
 	}
 }
 
-// TestStatsReaderCountersAreLive: a running server reports the archive
-// reads its history analyses made — the count an AnalyzeStream over the same
-// addresses folds in at its end — without waiting for a Close that, for a
-// daemon, never comes.
+// TestStatsReaderCountersAreLive: a running server reports its reader's own
+// counters — here the re-attempts of a resilient client over a fault
+// schedule, the count an AnalyzeStream over the same addresses folds in at
+// its end — without waiting for a Close that, for a daemon, never comes.
 func TestStatsReaderCountersAreLive(t *testing.T) {
 	c := testCorpus(t, 19, 40)
 	addrs := c.Chain.Contracts()
-	want := proxion.NewDetector(c.Chain).AnalyzeStream(proxion.SliceSource(addrs), c.Registry,
-		proxion.SinkFunc(func(proxion.Item) {}), proxion.AnalyzeOptions{WithHistory: true}).Counters()
-	if want["get_storage_at_calls"] == 0 {
-		t.Fatal("the reference stream made no archive read; the test is vacuous")
+	// Faults are keyed by the read, so two clients over one schedule retry
+	// the same reads the same number of times.
+	faulty := func() chain.Reader {
+		sched := faultchain.NewSchedule(faultchain.ErrorBurst(), 19)
+		cl, _ := faultchain.NewResilientReader(c.Chain, &sched, faultchain.Options{
+			BackoffBase: 20 * time.Microsecond, BackoffMax: 200 * time.Microsecond})
+		return cl
 	}
-	srv, _ := newTestServer(t, c, Config{Shards: 2, WithHistory: true})
+	want := proxion.NewDetector(faulty()).AnalyzeStream(proxion.SliceSource(addrs), c.Registry,
+		proxion.SinkFunc(func(proxion.Item) {}), proxion.AnalyzeOptions{}).Counters()
+	if want["read_retries"] == 0 {
+		t.Fatal("the reference stream retried no read; the test is vacuous")
+	}
+	srv, err := New(Config{Reader: faulty(), Sources: c.Registry, Shards: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
 	for _, a := range addrs {
 		if _, err := srv.Lookup(a); err != nil {
 			t.Fatalf("Lookup: %v", err)

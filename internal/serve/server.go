@@ -58,8 +58,6 @@ type Config struct {
 	// CacheCapacity bounds the detector's per-bytecode caches (see
 	// proxion.AnalyzeOptions).
 	CacheCapacity int
-	// WithHistory enables the logic-history step of every analysis.
-	WithHistory bool
 }
 
 // Counters are the server-level request statistics.
@@ -144,7 +142,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.opts = proxion.AnalyzeOptions{
 		CacheCapacity: cfg.CacheCapacity,
-		WithHistory:   cfg.WithHistory,
 		Stats:         &s.stats,
 	}
 	s.base = s.detector.ReaderCounters()

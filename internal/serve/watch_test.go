@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/gen"
+	"repro/internal/proxion"
 	"repro/internal/watch"
 )
 
@@ -143,28 +145,47 @@ func TestInvalidateWaitsOutInFlight(t *testing.T) {
 
 // TestServerAsFollowerBackend drives a watch.Follower with the Server as
 // its Analyzer — the exact wiring proxiond -follow uses. Every scripted
-// upgrade must surface as an event, and afterwards the server must answer
-// from caches that reflect the post-upgrade world, including for the
-// beacon proxy whose own storage never changed.
+// upgrade must surface as an event, the same event the standalone
+// follower (proxwatch's watch.NewDetectorAnalyzer) delivers, and afterwards
+// the server must answer from caches that reflect the post-upgrade world,
+// including for the beacon proxy whose own storage never changed.
 func TestServerAsFollowerBackend(t *testing.T) {
 	tl := gen.GenerateTimeline(gen.TimelineConfig{Seed: 10})
-	srv, err := New(Config{Reader: tl.Chain, Sources: tl.Registry, Shards: 2, WithHistory: true})
+	srv, err := New(Config{Reader: tl.Chain, Sources: tl.Registry, Shards: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.Close()
 
-	var events []watch.UpgradeEvent
-	f, err := watch.New(watch.Config{
-		Reader:    tl.Chain,
-		Analyzer:  srv,
-		OnUpgrade: func(ev watch.UpgradeEvent) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatalf("watch.New: %v", err)
+	follow := func(an watch.Analyzer) []watch.UpgradeEvent {
+		var events []watch.UpgradeEvent
+		f, err := watch.New(watch.Config{
+			Reader:    tl.Chain,
+			Analyzer:  an,
+			OnUpgrade: func(ev watch.UpgradeEvent) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatalf("watch.New: %v", err)
+		}
+		if err := f.Poll(); err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		return events
 	}
-	if err := f.Poll(); err != nil {
-		t.Fatalf("poll: %v", err)
+	events := follow(srv)
+	standalone := follow(watch.NewDetectorAnalyzer(proxion.NewDetector(tl.Chain), tl.Registry, nil))
+	if len(standalone) != len(events) {
+		t.Fatalf("standalone follower delivered %d events, server-backed %d", len(standalone), len(events))
+	}
+	for i, ev := range events {
+		sa := standalone[i]
+		if ev.Item == nil || sa.Item == nil || !reflect.DeepEqual(*ev.Item, *sa.Item) {
+			t.Fatalf("event %d: server-backed item %+v, standalone %+v", i, ev.Item, sa.Item)
+		}
+		ev.Item, sa.Item = nil, nil
+		if ev != sa {
+			t.Fatalf("event %d: server-backed %+v, standalone %+v", i, ev, sa)
+		}
 	}
 
 	scripted := 0

@@ -35,19 +35,13 @@ type DetectorAnalyzer struct {
 	// Store, when set, receives the exported verdict of every analyzed
 	// bytecode; byte-identical re-puts are skipped inside the store.
 	Store *store.Store
-	// Options configures the analyses. WithHistory is forced on by
-	// NewDetectorAnalyzer so upgrade re-analyses carry the full logic
-	// timeline (Algorithm 1).
+	// Options configures the analyses.
 	Options proxion.AnalyzeOptions
 }
 
-// NewDetectorAnalyzer builds the standalone analyzer with history
-// recovery enabled.
+// NewDetectorAnalyzer builds the standalone analyzer.
 func NewDetectorAnalyzer(d *proxion.Detector, sources proxion.SourceProvider, st *store.Store) *DetectorAnalyzer {
-	return &DetectorAnalyzer{
-		Detector: d, Sources: sources, Store: st,
-		Options: proxion.AnalyzeOptions{WithHistory: true},
-	}
+	return &DetectorAnalyzer{Detector: d, Sources: sources, Store: st}
 }
 
 // Analyze analyzes the addresses in order, then persists each verdict.

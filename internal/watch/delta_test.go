@@ -73,7 +73,6 @@ func newCostHarness(t *testing.T, cfg gen.TimelineConfig) *costHarness {
 	h.replay = faultchain.NewReplayReader(h.tl.Chain)
 	h.reader = &countingReader{Reader: h.replay}
 	an := NewDetectorAnalyzer(proxion.NewDetector(h.replay), h.tl.Registry, nil)
-	an.Options.WithHistory = false // the cost model is the follower's, not Algorithm 1's
 	f, err := New(Config{
 		Reader:    h.reader,
 		Analyzer:  an,

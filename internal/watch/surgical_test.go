@@ -27,7 +27,6 @@ func TestSurgicalInvalidation(t *testing.T) {
 	var ps pipeline.Stats
 	det := proxion.NewDetector(c.Chain)
 	an := NewDetectorAnalyzer(det, c.Registry, nil)
-	an.Options.WithHistory = false // scale test: counters, not timelines
 	an.Options.Stats = &ps
 	f, err := New(Config{Reader: c.Chain, Analyzer: an})
 	if err != nil {

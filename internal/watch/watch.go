@@ -64,9 +64,8 @@ type UpgradeEvent struct {
 	Slot      etypes.Hash
 	// OldValue/NewValue are the cell values before and after.
 	OldValue, NewValue etypes.Hash
-	// Item is the post-upgrade re-analysis: the fresh verdict, the pair
-	// analysis against the new logic, and (when the analyzer recovers
-	// history) the full upgrade timeline per Algorithm 1.
+	// Item is the post-upgrade re-analysis: the fresh verdict and the pair
+	// analysis against the new logic.
 	Item *proxion.Item
 }
 
