@@ -1,7 +1,6 @@
 // Command proxion runs the full analysis pipeline over a generated chain
 // snapshot: identify every proxy contract (including hidden ones), locate
-// logic contracts and their history, and report function and storage
-// collisions per pair.
+// its logic contract, and report function and storage collisions per pair.
 //
 // Usage:
 //
