@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,26 @@ var timingFields = []string{"wall_ms", "contracts_per_sec", "busy_ms", "stages[]
 var cacheCounters = []string{
 	"emulations", "cache_hits", "cache_hit_rate",
 	"structural_hits", "static_summaries", "structural_rejects",
+}
+
+// textTimings are the host-dependent parts of the text report, each
+// regexp's match replaced by its template: the wall time and rate of the
+// "analyzed" line, and the workers and busy time of the stage lines.
+var textTimings = []struct {
+	re   *regexp.Regexp
+	with string
+}{
+	{regexp.MustCompile(`(?m)^(analyzed \d+ contracts in )\S+ \(\S+ contracts/s\)$`), "${1}# (# contracts/s)"},
+	{regexp.MustCompile(`workers=\d+ *`), "workers=# "},
+	{regexp.MustCompile(`(?m)busy=\S+$`), "busy=#"},
+}
+
+// maskText blanks textTimings in a text report.
+func maskText(out []byte) []byte {
+	for _, m := range textTimings {
+		out = m.re.ReplaceAll(out, []byte(m.with))
+	}
+	return out
 }
 
 // strip re-encodes a JSON document without the named fields, keeping the
@@ -142,5 +163,30 @@ func TestGoldenJSON(t *testing.T) {
 	skip := append(append([]string{}, timingFields...), cacheCounters...)
 	if got, want := strip(t, bounded, skip), strip(t, want, skip); !bytes.Equal(got, want) {
 		t.Fatalf("-cache-capacity 8 differs beyond the cache counters:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestGoldenText holds the text report of `proxion -contracts 3000 -seed 7
+// -collisions-only` to its golden, textTimings masked; `go test
+// ./cmd/proxion -update` rewrites it.
+func TestGoldenText(t *testing.T) {
+	golden := filepath.Join("testdata", "golden", "contracts3000-seed7-collisions-only.txt")
+	args := []string{"-contracts", "3000", "-seed", "7", "-collisions-only"}
+	var stdout bytes.Buffer
+	if err := run(args, &stdout, io.Discard); err != nil {
+		t.Fatalf("proxion %v: %v", args, err)
+	}
+	got := stdout.Bytes()
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(maskText(got), maskText(want)) {
+		t.Fatalf("proxion -collisions-only differs from %s beyond the timings (-update rewrites it):\n got %s\nwant %s", golden, got, want)
 	}
 }
