@@ -79,11 +79,11 @@ func BenchmarkTable1Coverage(b *testing.B) {
 
 // BenchmarkFigure2Landscape regenerates the availability breakdown (Figure 2).
 func BenchmarkFigure2Landscape(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, det, res := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Figure2(pop)
+		t = experiments.Replay(pop, det, res).Figure2()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -130,11 +130,11 @@ func BenchmarkEffectivenessCrush(b *testing.B) {
 
 // BenchmarkFigure4Pairs regenerates the pair-availability series (Figure 4).
 func BenchmarkFigure4Pairs(b *testing.B) {
-	pop, _, res := population(b)
+	pop, det, res := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Figure4(pop, res)
+		t = experiments.Replay(pop, det, res).Figure4()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -146,7 +146,7 @@ func BenchmarkTable3Collisions(b *testing.B) {
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Table3(pop, det, res)
+		t = experiments.Replay(pop, det, res).Table3()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -155,11 +155,11 @@ func BenchmarkTable3Collisions(b *testing.B) {
 // BenchmarkFigure5Duplicates regenerates the bytecode-uniqueness skew
 // (Figure 5).
 func BenchmarkFigure5Duplicates(b *testing.B) {
-	pop, _, res := population(b)
+	pop, det, res := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Figure5(pop, res)
+		t = experiments.Replay(pop, det, res).Figure5()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -167,11 +167,11 @@ func BenchmarkFigure5Duplicates(b *testing.B) {
 
 // BenchmarkTable4Standards regenerates the design-standard split (Table 4).
 func BenchmarkTable4Standards(b *testing.B) {
-	_, _, res := population(b)
+	pop, det, res := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Table4(res)
+		t = experiments.Replay(pop, det, res).Table4()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -184,7 +184,7 @@ func BenchmarkFigure6Upgrades(b *testing.B) {
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Figure6(pop, det, res)
+		t = experiments.Replay(pop, det, res).Figure6()
 	}
 	b.StopTimer()
 	report(b, t)

@@ -61,8 +61,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		CacheCapacity: *cacheCap,
 	})
 
+	sum := proxion.Summarize(res)
 	if *jsonOut {
-		out, err := proxion.Summarize(res).MarshalIndentJSON()
+		out, err := sum.MarshalIndentJSON()
 		if err != nil {
 			return err
 		}
@@ -70,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	proxies := res.Proxies()
 	if st := res.Stats; st != nil {
 		fmt.Fprintf(stdout, "\nanalyzed %d contracts in %s (%.0f contracts/s)\n",
 			st.Contracts, (time.Duration(st.WallMS * float64(time.Millisecond))).Round(time.Millisecond),
@@ -91,46 +91,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 				(time.Duration(stage.BusyMS * float64(time.Millisecond))).Round(time.Millisecond))
 		}
 	}
-	fmt.Fprintf(stdout, "proxies: %d (%.1f%%)\n", len(proxies),
-		100*float64(len(proxies))/float64(len(res.Reports)))
-
-	byStandard := make(map[proxion.Standard]int)
-	var emulationErrs int
-	for _, rep := range res.Reports {
-		if rep.IsProxy {
-			byStandard[rep.Standard]++
-		}
-		if rep.EmulationErr != nil {
-			emulationErrs++
-		}
-	}
+	fmt.Fprintf(stdout, "proxies: %d (%.1f%%)\n", sum.Proxies,
+		100*float64(sum.Proxies)/float64(sum.Contracts))
+	std := func(s proxion.Standard) int { return sum.Standards[s.String()] }
 	fmt.Fprintf(stdout, "standards: EIP-1167=%d EIP-1822=%d EIP-1967=%d others=%d\n",
-		byStandard[proxion.StandardEIP1167], byStandard[proxion.StandardEIP1822],
-		byStandard[proxion.StandardEIP1967], byStandard[proxion.StandardOther])
-	fmt.Fprintf(stdout, "emulation errors: %d\n\n", emulationErrs)
+		std(proxion.StandardEIP1167), std(proxion.StandardEIP1822),
+		std(proxion.StandardEIP1967), std(proxion.StandardOther))
+	fmt.Fprintf(stdout, "emulation errors: %d\n\n", sum.EmulationErrors)
 
 	if *verbose && !*collisionsOnly {
-		for _, rep := range proxies {
+		for _, rep := range res.Proxies() {
 			fmt.Fprintf(stdout, "proxy %s -> logic %s (%s, %s)\n  %s\n",
 				rep.Address, rep.Logic, rep.Target, rep.Standard, rep.Reason)
 		}
 		fmt.Fprintln(stdout)
 	}
 
-	var funcPairs, storPairs, verified int
 	for _, pa := range res.Pairs {
-		hasFunc := len(pa.Functions) > 0
-		hasStor := len(pa.Storage) > 0
-		if hasFunc {
-			funcPairs++
-		}
-		if hasStor {
-			storPairs++
-		}
-		if pa.ExploitVerified {
-			verified++
-		}
-		if (*verbose || *collisionsOnly) && (hasFunc || hasStor) {
+		if (*verbose || *collisionsOnly) && (len(pa.Functions) > 0 || len(pa.Storage) > 0) {
 			fmt.Fprintf(stdout, "pair %s / %s:\n", pa.Proxy, pa.Logic)
 			for _, fc := range pa.Functions {
 				label := fmt.Sprintf("selector 0x%x", fc.Selector)
@@ -147,6 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintf(stdout, "collision summary: %d pairs with function collisions, %d with storage collisions, %d verified exploits\n",
-		funcPairs, storPairs, verified)
+		sum.PairsWithFunctionCollisions, sum.PairsWithStorageCollisions, sum.VerifiedExploits)
 	return nil
 }

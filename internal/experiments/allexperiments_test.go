@@ -16,6 +16,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 17, Contracts: 900})
 	det := proxion.NewDetector(pop.Chain)
 	res := det.AnalyzeAll(pop.Registry)
+	land := experiments.Replay(pop, det, res)
 
 	t.Run("performance", func(t *testing.T) {
 		table := experiments.Performance(pop)
@@ -53,7 +54,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("runtime-errors", func(t *testing.T) {
-		table := experiments.RuntimeErrors(pop)
+		table := land.RuntimeErrors()
 		if len(table.Rows) < 3 {
 			t.Fatalf("rows = %d", len(table.Rows))
 		}
@@ -64,7 +65,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("hidden-proxies", func(t *testing.T) {
-		table := experiments.HiddenProxies(pop, res)
+		table := land.HiddenProxies()
 		total := atoiOrFail(t, table.Rows[0][1])
 		if total != len(res.Proxies()) {
 			t.Errorf("proxies = %s, want %d", table.Rows[0][1], len(res.Proxies()))
@@ -84,7 +85,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("figure4", func(t *testing.T) {
-		table := experiments.Figure4(pop, res)
+		table := land.Figure4()
 		last := table.Rows[len(table.Rows)-1]
 		if atoiOrFail(t, last[5]) != len(res.Proxies()) {
 			t.Errorf("final pair total %s != proxies %d", last[5], len(res.Proxies()))
@@ -92,7 +93,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("figure6", func(t *testing.T) {
-		table := experiments.Figure6(pop, det, res)
+		table := land.Figure6()
 		total := 0
 		for _, row := range table.Rows {
 			total += atoiOrFail(t, row[1])

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sort"
-
 	"repro/internal/crush"
 	"repro/internal/dataset"
 	"repro/internal/etherscan"
@@ -126,42 +124,6 @@ func EffectivenessCrush(pop *dataset.Population) *Table {
 	return t
 }
 
-// RuntimeErrors reproduces the Section 7.1 robustness number: the share of
-// alive contracts the emulation analyzes without terminal EVM errors
-// (paper: 95.1%).
-func RuntimeErrors(pop *dataset.Population) *Table {
-	det := proxion.NewDetector(pop.Chain)
-	var total, errs int
-	errKinds := make(map[string]int)
-	for _, l := range populationLabels(pop) {
-		total++
-		rep := det.Check(l.Address)
-		if rep.EmulationErr != nil {
-			errs++
-			errKinds[rep.EmulationErr.Error()]++
-		}
-	}
-	t := &Table{
-		ID:     "Section 7.1",
-		Title:  "Emulation robustness over the landscape",
-		Header: []string{"metric", "measured", "paper"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"contracts analyzed", itoa(total), "36M"},
-		[]string{"clean analyses", pct(total-errs, total), "95.1%"},
-		[]string{"terminal EVM errors", itoa(errs) + " (" + pct(errs, total) + ")", "4.9%"},
-	)
-	msgs := make([]string, 0, len(errKinds))
-	for msg := range errKinds {
-		msgs = append(msgs, msg)
-	}
-	sort.Strings(msgs)
-	for _, msg := range msgs {
-		t.Rows = append(t.Rows, []string{"  " + msg, itoa(errKinds[msg]), ""})
-	}
-	return t
-}
-
 // EtherscanVerifierFPs quantifies the explorer heuristic's imprecision
 // (Section 9.1): DELEGATECALL presence vs the ground truth.
 func EtherscanVerifierFPs(pop *dataset.Population) *Table {
@@ -181,12 +143,4 @@ func EtherscanVerifierFPs(pop *dataset.Population) *Table {
 	})
 	t.Notes = append(t.Notes, "the false positives are library callers, as Etherscan acknowledges")
 	return t
-}
-
-// HiddenProxies counts detector-confirmed proxies with neither source nor
-// transactions — the paper's 1.5M headline.
-func HiddenProxies(pop *dataset.Population, res *proxion.Result) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, nil)
-	a.replay(pop, res)
-	return a.HiddenProxies()
 }

@@ -50,8 +50,8 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 
 func TestTable4StandardShares(t *testing.T) {
 	pop := smallPop(t)
-	_, res := analyze(t, pop)
-	table := experiments.Table4(res)
+	det, res := analyze(t, pop)
+	table := experiments.Replay(pop, det, res).Table4()
 	if len(table.Rows) != 4 {
 		t.Fatalf("rows = %d", len(table.Rows))
 	}
@@ -75,7 +75,8 @@ func TestTable4StandardShares(t *testing.T) {
 
 func TestFigure2Monotonic(t *testing.T) {
 	pop := smallPop(t)
-	table := experiments.Figure2(pop)
+	det, res := analyze(t, pop)
+	table := experiments.Replay(pop, det, res).Figure2()
 	if len(table.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 years", len(table.Rows))
 	}
@@ -95,7 +96,7 @@ func TestFigure2Monotonic(t *testing.T) {
 func TestTable3CollisionsCounted(t *testing.T) {
 	pop := smallPop(t)
 	det, res := analyze(t, pop)
-	table := experiments.Table3(pop, det, res)
+	table := experiments.Replay(pop, det, res).Table3()
 	totalRow := table.Rows[len(table.Rows)-1]
 	if totalRow[0] != "total" {
 		t.Fatalf("last row = %v", totalRow)
@@ -107,8 +108,8 @@ func TestTable3CollisionsCounted(t *testing.T) {
 
 func TestFigure5SkewPresent(t *testing.T) {
 	pop := smallPop(t)
-	_, res := analyze(t, pop)
-	table := experiments.Figure5(pop, res)
+	det, res := analyze(t, pop)
+	table := experiments.Replay(pop, det, res).Figure5()
 	instances := atoiOrFail(t, table.Rows[0][1])
 	unique := atoiOrFail(t, table.Rows[1][1])
 	if unique == 0 || instances == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/dataset"
+	"repro/internal/etypes"
 	"repro/internal/proxion"
 )
 
@@ -21,53 +22,22 @@ func populationLabels(pop *dataset.Population) []*dataset.Label {
 	return out
 }
 
-// Figure2 reproduces the availability breakdown: cumulative alive contracts
-// by (source code × past transactions) per year.
-func Figure2(pop *dataset.Population) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, nil)
+// Replay folds a completed batch run into one Landscape: every label
+// paired with its report and pair analysis, in label order. det is the
+// detector that produced res; Figure 6 recovers upgrade counts through it.
+// Every Section 7 table of the run renders from the returned fold.
+func Replay(pop *dataset.Population, det *proxion.Detector, res *proxion.Result) *Landscape {
+	a := NewLandscape(pop.Chain, pop.Registry, det)
+	repBy := make(map[etypes.Address]proxion.Report, len(res.Reports))
+	for _, rep := range res.Reports {
+		repBy[rep.Address] = rep
+	}
+	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
+	for i := range res.Pairs {
+		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
+	}
 	for _, l := range pop.Labels {
-		a.Observe(l, proxion.Item{})
+		a.Observe(l, proxion.Item{Report: repBy[l.Address], Pair: pairBy[l.Address]})
 	}
-	return a.Figure2()
-}
-
-// Figure4 reproduces the cumulative proxy/logic pairs by source
-// availability, using the detector's verdicts.
-func Figure4(pop *dataset.Population, res *proxion.Result) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, nil)
-	a.replay(pop, res)
-	return a.Figure4()
-}
-
-// Table3 reproduces the collision counts per deployment year, plus the
-// duplicate share among function collisions.
-func Table3(pop *dataset.Population, det *proxion.Detector, res *proxion.Result) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, det)
-	a.replay(pop, res)
-	return a.Table3()
-}
-
-// Figure5 reproduces the bytecode-uniqueness skew: how many distinct proxy
-// and logic bytecodes exist and how heavily the top templates dominate.
-func Figure5(pop *dataset.Population, res *proxion.Result) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, nil)
-	a.replay(pop, res)
-	return a.Figure5()
-}
-
-// Table4 reproduces the proxy design-standard split.
-func Table4(res *proxion.Result) *Table {
-	a := NewLandscape(nil, nil, nil)
-	for _, rep := range res.Proxies() {
-		a.observeStandard(rep)
-	}
-	return a.Table4()
-}
-
-// Figure6 reproduces the upgrade-count distribution over storage-based
-// proxies, recovered with Algorithm 1.
-func Figure6(pop *dataset.Population, det *proxion.Detector, res *proxion.Result) *Table {
-	a := NewLandscape(pop.Chain, pop.Registry, det)
-	a.replay(pop, res)
-	return a.Figure6()
+	return a
 }

@@ -13,21 +13,25 @@ import (
 
 // Landscape is the incremental aggregate behind the Section 7 tables: it
 // observes one (label, analysis item) at a time and renders Figure 2,
-// Figure 4, Table 3, Figure 5, Table 4, Figure 6 and the hidden-proxy
-// count from its folded state. Its memory does not grow with the corpus —
-// the per-year counters are fixed-size and the only maps are keyed by
-// distinct bytecodes and distinct colliding templates, the cardinalities
-// whose smallness is precisely what Figure 5 measures.
+// Figure 4, Table 3, Figure 5, Table 4, Figure 6, the runtime-error and
+// the hidden-proxy counts from its folded state. Its memory does not grow
+// with the corpus — the per-year counters are fixed-size and the only maps
+// are keyed by distinct bytecodes, distinct colliding templates and
+// distinct emulation errors, the cardinalities whose smallness is
+// precisely what Figure 5 measures.
 //
-// The batch table functions are thin wrappers that replay a completed
-// Population/Result through Observe; a streaming run feeds Observe as
-// items leave the analysis sink, then renders once the stream drains.
+// A batch run folds its completed Population/Result once through Replay;
+// a streaming run feeds Observe as items leave the analysis sink, then
+// renders once the stream drains.
 type Landscape struct {
 	registry *etherscan.Registry
 	ch       *chain.Chain
-	// det enables the Figure 6 upgrade recovery; leave nil if the table
-	// is not needed.
+	// det recovers Figure 6's upgrade counts with Algorithm 1.
 	det *proxion.Detector
+
+	// summary tallies every observed item: the proxy count and Table 4's
+	// standard split.
+	summary *proxion.SummaryBuilder
 
 	f2 map[int]*availCounts
 	f4 map[int]*pairSrcCounts
@@ -40,9 +44,12 @@ type Landscape struct {
 	logicDupes map[etypes.Hash]int
 	logicSeen  map[etypes.Address]struct{}
 
-	standards map[proxion.Standard]int
-	proxies   int
-	hidden    int
+	hidden int
+
+	// members counts population members; errKinds their terminal
+	// emulation errors by message (Section 7.1).
+	members  int
+	errKinds map[string]int
 
 	upHist map[int]int
 }
@@ -52,13 +59,13 @@ type availCounts struct{ both, sourceOnly, txOnly, neither int }
 type pairSrcCounts struct{ both, logicOnly, proxyOnly, neither int }
 
 // NewLandscape returns an empty aggregate reading source availability
-// from reg, bytecode identity from ch, and (when det is non-nil) upgrade
-// history through det.
+// from reg, bytecode identity from ch, and upgrade history through det.
 func NewLandscape(ch *chain.Chain, reg *etherscan.Registry, det *proxion.Detector) *Landscape {
 	a := &Landscape{
 		registry:       reg,
 		ch:             ch,
 		det:            det,
+		summary:        proxion.NewSummaryBuilder(),
 		f2:             make(map[int]*availCounts),
 		f4:             make(map[int]*pairSrcCounts),
 		funcByYear:     make(map[int]int),
@@ -67,7 +74,7 @@ func NewLandscape(ch *chain.Chain, reg *etherscan.Registry, det *proxion.Detecto
 		proxyDupes:     make(map[etypes.Hash]int),
 		logicDupes:     make(map[etypes.Hash]int),
 		logicSeen:      make(map[etypes.Address]struct{}),
-		standards:      make(map[proxion.Standard]int),
+		errKinds:       make(map[string]int),
 		upHist:         make(map[int]int),
 	}
 	for _, y := range years {
@@ -93,7 +100,13 @@ func populationMember(l *dataset.Label) bool {
 // (source lookups, bytecode hashes, upgrade history) happen here, before
 // retirement can drop the records they touch.
 func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
+	a.summary.Emit(it)
+	rep := it.Report
 	if l != nil && populationMember(l) {
+		a.members++
+		if rep.EmulationErr != nil {
+			a.errKinds[rep.EmulationErr.Error()]++
+		}
 		c := a.f2[l.Year]
 		if c != nil {
 			switch {
@@ -109,9 +122,7 @@ func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
 		}
 	}
 
-	rep := it.Report
 	if rep.IsProxy {
-		a.observeStandard(rep)
 		a.proxyDupes[a.ch.CodeHash(rep.Address)]++
 		if _, dup := a.logicSeen[rep.Logic]; !dup {
 			a.logicSeen[rep.Logic] = struct{}{}
@@ -136,12 +147,10 @@ func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
 				a.hidden++
 			}
 		}
-		if a.det != nil {
-			if rep.Target != proxion.TargetStorage {
-				a.upHist[0]++
-			} else {
-				a.upHist[a.det.UpgradeCount(rep.Address, rep.ImplSlot)]++
-			}
+		if rep.Target != proxion.TargetStorage {
+			a.upHist[0]++
+		} else {
+			a.upHist[a.det.UpgradeCount(rep.Address, rep.ImplSlot)]++
 		}
 	}
 
@@ -154,17 +163,6 @@ func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
 			a.storByYear[l.Year]++
 		}
 	}
-}
-
-// observeStandard folds only the proxy count and Table 4 standard split
-// for one report — the subset of Observe the batch Table4 wrapper needs,
-// which has neither chain nor labels in scope.
-func (a *Landscape) observeStandard(rep proxion.Report) {
-	if !rep.IsProxy {
-		return
-	}
-	a.proxies++
-	a.standards[rep.Standard]++
 }
 
 // Figure2 renders the availability breakdown from the folded per-year
@@ -289,19 +287,23 @@ func (a *Landscape) Table4() *Table {
 		Title:  "Proxy contracts by design standard",
 		Header: []string{"standard", "contracts", "ratio", "paper ratio"},
 	}
+	s := a.Summary()
+	row := func(name string, std proxion.Standard, paper string) []string {
+		n := s.Standards[std.String()]
+		return []string{name, itoa(n), pct(n, s.Proxies), paper}
+	}
 	t.Rows = append(t.Rows,
-		[]string{"EIP-1167", itoa(a.standards[proxion.StandardEIP1167]), pct(a.standards[proxion.StandardEIP1167], a.proxies), "89.05%"},
-		[]string{"EIP-1822", itoa(a.standards[proxion.StandardEIP1822]), pct(a.standards[proxion.StandardEIP1822], a.proxies), "0.12%"},
-		[]string{"EIP-1967", itoa(a.standards[proxion.StandardEIP1967]), pct(a.standards[proxion.StandardEIP1967], a.proxies), "1.00%"},
-		[]string{"Others", itoa(a.standards[proxion.StandardOther]), pct(a.standards[proxion.StandardOther], a.proxies), "9.83%"},
+		row("EIP-1167", proxion.StandardEIP1167, "89.05%"),
+		row("EIP-1822", proxion.StandardEIP1822, "0.12%"),
+		row("EIP-1967", proxion.StandardEIP1967, "1.00%"),
+		row("Others", proxion.StandardOther, "9.83%"),
 	)
 	t.Notes = append(t.Notes,
 		"diamond (EIP-2535) proxies are missed by emulation, as the paper documents")
 	return t
 }
 
-// Figure6 renders the upgrade-count distribution. Requires the aggregate
-// to have been built with a non-nil detector.
+// Figure6 renders the upgrade-count distribution.
 func (a *Landscape) Figure6() *Table {
 	upgraded, total, events, maxUp := 0, 0, 0, 0
 	var keys []int
@@ -332,37 +334,50 @@ func (a *Landscape) Figure6() *Table {
 	return t
 }
 
-// HiddenProxies renders the hidden-proxy headline count.
+// RuntimeErrors renders the Section 7.1 robustness number: the share of
+// alive contracts the emulation analyzes without terminal EVM errors
+// (paper: 95.1%).
+func (a *Landscape) RuntimeErrors() *Table {
+	errs := 0
+	msgs := make([]string, 0, len(a.errKinds))
+	for msg, n := range a.errKinds {
+		errs += n
+		msgs = append(msgs, msg)
+	}
+	sort.Strings(msgs)
+	t := &Table{
+		ID:     "Section 7.1",
+		Title:  "Emulation robustness over the landscape",
+		Header: []string{"metric", "measured", "paper"},
+	}
+	t.Rows = append(t.Rows,
+		[]string{"contracts analyzed", itoa(a.members), "36M"},
+		[]string{"clean analyses", pct(a.members-errs, a.members), "95.1%"},
+		[]string{"terminal EVM errors", itoa(errs) + " (" + pct(errs, a.members) + ")", "4.9%"},
+	)
+	for _, msg := range msgs {
+		t.Rows = append(t.Rows, []string{"  " + msg, itoa(a.errKinds[msg]), ""})
+	}
+	return t
+}
+
+// HiddenProxies renders the hidden-proxy headline count (Section 7.2).
 func (a *Landscape) HiddenProxies() *Table {
+	proxies := a.Summary().Proxies
 	t := &Table{
 		ID:     "Section 7.2",
 		Title:  "Hidden proxies (no source, no transactions)",
 		Header: []string{"metric", "measured", "paper"},
 	}
 	t.Rows = append(t.Rows,
-		[]string{"proxies detected", itoa(a.proxies), "19,599,317 (54.2%)"},
-		[]string{"hidden among them", fmt.Sprintf("%d (%s)", a.hidden, pct(a.hidden, a.proxies)), "~1.5M (~7.7%)"},
+		[]string{"proxies detected", itoa(proxies), "19,599,317 (54.2%)"},
+		[]string{"hidden among them", fmt.Sprintf("%d (%s)", a.hidden, pct(a.hidden, proxies)), "~1.5M (~7.7%)"},
 	)
 	return t
 }
 
-// replay feeds a completed batch run through the aggregate: every label
-// paired with its report and pair analysis. This is the bridge that lets
-// the batch table functions share the streaming fold.
-func (a *Landscape) replay(pop *dataset.Population, res *proxion.Result) {
-	repBy := make(map[etypes.Address]proxion.Report, len(res.Reports))
-	for _, rep := range res.Reports {
-		repBy[rep.Address] = rep
-	}
-	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
-	for i := range res.Pairs {
-		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
-	}
-	for _, l := range pop.Labels {
-		it := proxion.Item{Report: repBy[l.Address]}
-		if pa, ok := pairBy[l.Address]; ok {
-			it.Pair = pa
-		}
-		a.Observe(l, it)
-	}
+// Summary returns the verdict tally of every observed item in the CLI's
+// -json shape, without a pipeline snapshot.
+func (a *Landscape) Summary() proxion.Summary {
+	return a.summary.Summary(nil)
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/proxion"
 )
 
-// TestSummaryBuilderMerge: builders fed disjoint interleaved item streams
-// merge into the batch summary.
+// TestSummaryBuilderMerge: one builder fed the batch run's items one at a
+// time folds into the batch summary, and the summary it returns does not
+// share its Standards map with the builder.
 func TestSummaryBuilderMerge(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 11, Contracts: 900})
 	det := proxion.NewDetector(pop.Chain)
@@ -20,19 +21,19 @@ func TestSummaryBuilderMerge(t *testing.T) {
 	for i := range res.Pairs {
 		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
 	}
-	parts := [2]*proxion.SummaryBuilder{proxion.NewSummaryBuilder(), proxion.NewSummaryBuilder()}
-	for i, rep := range res.Reports {
-		it := proxion.Item{Report: rep}
-		if pa, ok := pairBy[rep.Address]; ok {
-			it.Pair = pa
-		}
-		parts[i%2].Emit(it)
+	b := proxion.NewSummaryBuilder()
+	for _, rep := range res.Reports {
+		b.Emit(proxion.Item{Report: rep, Pair: pairBy[rep.Address]})
 	}
-	parts[0].Merge(parts[1])
 
 	want := proxion.Summarize(res)
 	want.Pipeline = nil
-	if got := parts[0].Summary(nil); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged summary diverges:\nmerged: %+v\nbatch:  %+v", got, want)
+	got := b.Summary(nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded summary diverges:\nfolded: %+v\nbatch:  %+v", got, want)
+	}
+	got.Standards[proxion.StandardEIP1167.String()]++
+	if again := b.Summary(nil); !reflect.DeepEqual(again, want) {
+		t.Errorf("writing a returned summary reached the builder:\nbuilder: %+v\nbatch:   %+v", again, want)
 	}
 }

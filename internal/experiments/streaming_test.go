@@ -15,23 +15,25 @@ import (
 // deterministic, so the batch and streaming corpora are identical.
 var streamCfg = dataset.Config{Seed: 11, Contracts: 900}
 
-// batchSide materializes the reference Population/Result pair the batch
-// table wrappers consume.
-func batchSide(t *testing.T) (*dataset.Population, *proxion.Detector, *proxion.Result) {
+// batchSide materializes the reference Population/Result pair and its
+// Replay fold.
+func batchSide(t *testing.T) (*dataset.Population, *proxion.Result, *experiments.Landscape) {
 	t.Helper()
 	pop := dataset.Generate(streamCfg)
 	det := proxion.NewDetector(pop.Chain)
-	return pop, det, det.AnalyzeAll(pop.Registry)
+	res := det.AnalyzeAll(pop.Registry)
+	return pop, res, experiments.Replay(pop, det, res)
 }
 
 // TestStreamedCorpusLandscapeMatchesBatch is the deterministic parity
 // check for the aggregate plumbing: the corpus is streamed to completion
 // first (so every scheduled upgrade has landed, exactly the state the
 // batch run sees), then analyzed through AnalyzeStream with the items
-// zipped back to their labels and folded into a Landscape. Every table
-// must match the batch wrappers byte for byte.
+// zipped back to their labels and folded into a Landscape. Every table,
+// Section 7.1's included, must match the batch run's Replay fold byte for
+// byte.
 func TestStreamedCorpusLandscapeMatchesBatch(t *testing.T) {
-	pop, det, res := batchSide(t)
+	_, res, batch := batchSide(t)
 
 	s := dataset.GenerateStream(dataset.StreamConfig{Config: streamCfg})
 	var labels []*dataset.Label
@@ -41,30 +43,32 @@ func TestStreamedCorpusLandscapeMatchesBatch(t *testing.T) {
 
 	sdet := proxion.NewDetector(s.Chain)
 	agg := experiments.NewLandscape(s.Chain, s.Registry, sdet)
-	sb := proxion.NewSummaryBuilder()
 	addrs := make([]etypes.Address, len(labels))
 	for i, l := range labels {
 		addrs[i] = l.Address
 	}
 	sink := proxion.SinkFunc(func(it proxion.Item) {
 		agg.Observe(labels[it.Index], it)
-		sb.Emit(it)
 	})
 	sdet.AnalyzeStream(proxion.SliceSource(addrs), s.Registry, sink, proxion.AnalyzeOptions{})
 
-	assertTableEqual(t, "Figure 2", agg.Figure2(), experiments.Figure2(pop))
-	assertTableEqual(t, "Figure 4", agg.Figure4(), experiments.Figure4(pop, res))
-	assertTableEqual(t, "Table 3", agg.Table3(), experiments.Table3(pop, det, res))
-	assertTableEqual(t, "Figure 5", agg.Figure5(), experiments.Figure5(pop, res))
-	assertTableEqual(t, "Table 4", agg.Table4(), experiments.Table4(res))
-	assertTableEqual(t, "Figure 6", agg.Figure6(), experiments.Figure6(pop, det, res))
-	assertTableEqual(t, "HiddenProxies", agg.HiddenProxies(), experiments.HiddenProxies(pop, res))
+	assertTableEqual(t, "Figure 2", agg.Figure2(), batch.Figure2())
+	assertTableEqual(t, "Figure 4", agg.Figure4(), batch.Figure4())
+	assertTableEqual(t, "Table 3", agg.Table3(), batch.Table3())
+	assertTableEqual(t, "Figure 5", agg.Figure5(), batch.Figure5())
+	assertTableEqual(t, "Table 4", agg.Table4(), batch.Table4())
+	assertTableEqual(t, "Figure 6", agg.Figure6(), batch.Figure6())
+	assertTableEqual(t, "RuntimeErrors", agg.RuntimeErrors(), batch.RuntimeErrors())
+	assertTableEqual(t, "HiddenProxies", agg.HiddenProxies(), batch.HiddenProxies())
+	if len(batch.RuntimeErrors().Rows) <= 3 {
+		t.Error("Section 7.1 lists no emulation error: the comparison is vacuous")
+	}
 
-	// The incremental summary matches too — except Contracts: the stream
-	// feeds every label address, including destroyed ones the batch run's
-	// alive-only enumeration skips. Those yield empty no-code reports that
-	// change no other counter.
-	got, want := sb.Summary(nil), proxion.Summarize(res)
+	// The incremental summary matches the batch one too — except
+	// Contracts: the stream feeds every label address, including destroyed
+	// ones the batch run's alive-only enumeration skips. Those yield empty
+	// no-code reports that change no other counter.
+	got, want := agg.Summary(), proxion.Summarize(res)
 	want.Pipeline = nil
 	if got.Contracts != len(labels) {
 		t.Errorf("streaming summary saw %d contracts, want %d", got.Contracts, len(labels))
@@ -84,12 +88,11 @@ func TestStreamedCorpusLandscapeMatchesBatch(t *testing.T) {
 // may legitimately differ; everything derived from the proxy's own
 // bytecode and its label must not.
 func TestLiveStreamingLandscapeInvariants(t *testing.T) {
-	pop, _, res := batchSide(t)
+	pop, res, batch := batchSide(t)
 
 	s := dataset.GenerateStream(dataset.StreamConfig{Config: streamCfg})
 	sdet := proxion.NewDetector(s.Chain)
 	agg := experiments.NewLandscape(s.Chain, s.Registry, sdet)
-	sb := proxion.NewSummaryBuilder()
 
 	var mu sync.Mutex
 	var labels []*dataset.Label
@@ -108,19 +111,19 @@ func TestLiveStreamingLandscapeInvariants(t *testing.T) {
 		l := labels[it.Index]
 		mu.Unlock()
 		agg.Observe(l, it)
-		sb.Emit(it)
 	})
 	snap := sdet.AnalyzeStream(src, s.Registry, sink, proxion.AnalyzeOptions{Window: 64})
 	if snap.Contracts != int64(len(pop.Labels)) {
 		t.Fatalf("streamed %d contracts, population has %d labels", snap.Contracts, len(pop.Labels))
 	}
 
-	assertTableEqual(t, "Figure 2", agg.Figure2(), experiments.Figure2(pop))
-	assertTableEqual(t, "Table 4", agg.Table4(), experiments.Table4(res))
-	assertTableEqual(t, "HiddenProxies", agg.HiddenProxies(), experiments.HiddenProxies(pop, res))
+	assertTableEqual(t, "Figure 2", agg.Figure2(), batch.Figure2())
+	assertTableEqual(t, "Table 4", agg.Table4(), batch.Table4())
+	assertTableEqual(t, "RuntimeErrors", agg.RuntimeErrors(), batch.RuntimeErrors())
+	assertTableEqual(t, "HiddenProxies", agg.HiddenProxies(), batch.HiddenProxies())
 
 	// Figure 5: proxy instances, unique proxy bytecodes, top-3 share.
-	gotF5, wantF5 := agg.Figure5(), experiments.Figure5(pop, res)
+	gotF5, wantF5 := agg.Figure5(), batch.Figure5()
 	for _, i := range []int{0, 1, 3} {
 		if !reflect.DeepEqual(gotF5.Rows[i], wantF5.Rows[i]) {
 			t.Errorf("Figure 5 row %d: stream %v, batch %v", i, gotF5.Rows[i], wantF5.Rows[i])
@@ -129,7 +132,7 @@ func TestLiveStreamingLandscapeInvariants(t *testing.T) {
 
 	// Figure 4: per-year pair totals — the proxy verdict itself is
 	// upgrade-invariant even when the source split moves between columns.
-	gotF4, wantF4 := agg.Figure4(), experiments.Figure4(pop, res)
+	gotF4, wantF4 := agg.Figure4(), batch.Figure4()
 	for i := range wantF4.Rows {
 		gotTotal := gotF4.Rows[i][len(gotF4.Rows[i])-1]
 		wantTotal := wantF4.Rows[i][len(wantF4.Rows[i])-1]
@@ -138,7 +141,7 @@ func TestLiveStreamingLandscapeInvariants(t *testing.T) {
 		}
 	}
 
-	gotSum, wantSum := sb.Summary(nil), proxion.Summarize(res)
+	gotSum, wantSum := agg.Summary(), proxion.Summarize(res)
 	if gotSum.Proxies != wantSum.Proxies ||
 		gotSum.TargetStorage != wantSum.TargetStorage ||
 		gotSum.TargetHardcoded != wantSum.TargetHardcoded ||

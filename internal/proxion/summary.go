@@ -3,6 +3,7 @@ package proxion
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 
 	"repro/internal/pipeline"
 )
@@ -45,8 +46,7 @@ type Summary struct {
 // SummaryBuilder folds analysis items into a Summary incrementally — the
 // streaming replacement for materializing a Result first. It implements
 // ReportSink, so it can be handed to AnalyzeStream directly; its state is
-// a fixed handful of counters, independent of corpus size, and builders
-// from partitioned runs combine with Merge.
+// a fixed handful of counters, independent of corpus size.
 type SummaryBuilder struct {
 	s Summary
 }
@@ -97,28 +97,12 @@ func (b *SummaryBuilder) observePair(pa PairAnalysis) {
 	}
 }
 
-// Merge folds another builder's counts into this one. Builders observing
-// disjoint partitions of a corpus merge into the same summary a single
-// pass would produce.
-func (b *SummaryBuilder) Merge(o *SummaryBuilder) {
-	b.s.Contracts += o.s.Contracts
-	b.s.Proxies += o.s.Proxies
-	for k, v := range o.s.Standards {
-		b.s.Standards[k] += v
-	}
-	b.s.TargetStorage += o.s.TargetStorage
-	b.s.TargetHardcoded += o.s.TargetHardcoded
-	b.s.EmulationErrors += o.s.EmulationErrors
-	b.s.Unresolved += o.s.Unresolved
-	b.s.PairsWithFunctionCollisions += o.s.PairsWithFunctionCollisions
-	b.s.PairsWithStorageCollisions += o.s.PairsWithStorageCollisions
-	b.s.VerifiedExploits += o.s.VerifiedExploits
-}
-
 // Summary returns the aggregate, attaching the run's pipeline snapshot
-// (nil is fine).
+// (nil is fine). Its Standards map is a copy: the builder may keep
+// folding.
 func (b *SummaryBuilder) Summary(snap *pipeline.Snapshot) Summary {
 	s := b.s
+	s.Standards = maps.Clone(b.s.Standards)
 	s.Pipeline = snap
 	return s
 }

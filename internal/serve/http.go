@@ -229,17 +229,17 @@ func (s *Server) Stats() StatsResponse {
 	snap := s.stats.Snapshot()
 	s.detector.CountReads(snap, s.base)
 
-	// Clone the builder under its lock by merging it into a fresh one; the
-	// server keeps folding undisturbed.
-	sum := proxion.NewSummaryBuilder()
+	// Summary copies the builder's state, so the server keeps folding.
 	s.summaryMu.Lock()
-	sum.Merge(s.summary)
+	total := s.summary.Summary(nil)
 	s.summaryMu.Unlock()
+	shard := total
+	shard.Pipeline = snap
 
 	resp := StatsResponse{
 		Counters: s.Counters(),
-		Total:    sum.Summary(nil),
-		Shards:   []ShardStats{{Summary: sum.Summary(snap)}},
+		Total:    total,
+		Shards:   []ShardStats{{Summary: shard}},
 	}
 	if s.st != nil {
 		st := s.st.Stats()
