@@ -13,7 +13,7 @@ import (
 )
 
 // artifact is the detector's one record per runtime bytecode: the
-// memoized emulation verdict (verdictcache.go), which Invalidate swaps out,
+// memoized emulation verdict (verdictcache.go), which Invalidate may swap out,
 // and every fact the engine derives from the bytes without emulating them.
 // Facets are filled on first demand by at most two passes over the code
 // and never change afterwards:
@@ -54,7 +54,7 @@ type artifact struct {
 	// publish the same functions, each in a source object of its own.
 	source *sourceFacet
 	// verdict is nil until the bytecode is first probed (a logic contract's
-	// record never is) and again after Invalidate.
+	// record never is) and again after an Invalidate that drops it.
 	verdict atomic.Pointer[codeVerdict]
 }
 

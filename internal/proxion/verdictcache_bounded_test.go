@@ -185,29 +185,64 @@ func TestRecordEvictionDropsFacetsAndVerdict(t *testing.T) {
 	}
 }
 
-// TestRecordInvalidateKeepsFacets: Invalidate swaps out the verdict alone.
-// The next duplicate is re-emulated, but its bytecode's accesses are still
-// on the record, so the re-analysis walks nothing.
+// TestRecordInvalidateKeepsFacets: Invalidate keeps a storage proxy's
+// verdict, which every hit re-anchors, and swaps out any other verdict
+// alone. After an upgrade, both storage duplicates are exact hits that
+// equal an uncached Check and walk nothing (the new logic is byte-identical
+// to the old, its facets on record). A duplicate of a hard-coded forwarder
+// is re-emulated, but its bytecode's accesses are still on the record, so
+// the re-analysis walks nothing either.
 func TestRecordInvalidateKeepsFacets(t *testing.T) {
-	c, p1, p2, _ := boundedPair(t)
-	d := NewDetector(c)
-	if n := walksOf(d, func() { d.AnalyzeAddress(p1, nil, AnalyzeOptions{}) }); n != 2 {
-		t.Fatalf("first pair cost %d walks, want 2", n)
-	}
-	if n, err := d.Invalidate(p1); err != nil || n != 2 {
-		t.Fatalf("Invalidate = %d, %v; want the verdict and the family dropped", n, err)
-	}
-	var stats pipeline.Stats
-	var it Item
-	if n := walksOf(d, func() { it = d.AnalyzeAddress(p2, nil, AnalyzeOptions{Stats: &stats}) }); n != 0 {
-		t.Errorf("re-analysis after Invalidate cost %d walks, want 0 (facets kept)", n)
-	}
-	if got := stats.Emulations.Load(); got != 1 {
-		t.Errorf("re-analysis after Invalidate ran %d emulations, want 1", got)
-	}
-	if want := d.Check(p2); reportString(it.Report) != reportString(want) {
-		t.Errorf("re-analysis report %s, want %s", reportString(it.Report), reportString(want))
-	}
+	t.Run("storage proxy", func(t *testing.T) {
+		c, p1, p2, _ := boundedPair(t)
+		d := NewDetector(c)
+		if n := walksOf(d, func() { d.AnalyzeAddress(p1, nil, AnalyzeOptions{}) }); n != 2 {
+			t.Fatalf("first pair cost %d walks, want 2", n)
+		}
+		next := structAddr(0x77)
+		c.InstallContract(next, solc.MustCompile(boundedTestLogic()))
+		c.SetStorageDirect(p1, etypes.HashFromWord(u256.FromUint64(3)), etypes.HashFromWord(next.Word()))
+		if n, err := d.Invalidate(p1); err != nil || n != 0 {
+			t.Fatalf("Invalidate = %d, %v; want 0, both tiers kept", n, err)
+		}
+		for _, p := range []etypes.Address{p1, p2} {
+			var stats pipeline.Stats
+			var it Item
+			if n := walksOf(d, func() { it = d.AnalyzeAddress(p, nil, AnalyzeOptions{Stats: &stats}) }); n != 0 {
+				t.Errorf("%s: analysis after Invalidate cost %d walks, want 0", p, n)
+			}
+			if em, hits := stats.Emulations.Load(), stats.CacheHits.Load(); em != 0 || hits != 1 {
+				t.Errorf("%s: analysis after Invalidate ran %d emulations and %d hits, want an exact hit", p, em, hits)
+			}
+			if want := d.Check(p); reportString(it.Report) != reportString(want) {
+				t.Errorf("%s: report %s, want %s", p, reportString(it.Report), reportString(want))
+			}
+		}
+		if got := reportString(d.Check(p1)); got == reportString(d.Check(p2)) {
+			t.Fatalf("test setup: the upgrade moved nothing (%s)", got)
+		}
+	})
+	t.Run("hard-coded forwarder", func(t *testing.T) {
+		c, p1, p2, _ := hardcodedPair(t)
+		d := NewDetector(c)
+		if n := walksOf(d, func() { d.AnalyzeAddress(p1, nil, AnalyzeOptions{}) }); n != 2 {
+			t.Fatalf("first pair cost %d walks, want 2", n)
+		}
+		if n, err := d.Invalidate(p1); err != nil || n != 2 {
+			t.Fatalf("Invalidate = %d, %v; want the verdict and the family dropped", n, err)
+		}
+		var stats pipeline.Stats
+		var it Item
+		if n := walksOf(d, func() { it = d.AnalyzeAddress(p2, nil, AnalyzeOptions{Stats: &stats}) }); n != 0 {
+			t.Errorf("re-analysis after Invalidate cost %d walks, want 0 (facets kept)", n)
+		}
+		if got := stats.Emulations.Load(); got != 1 {
+			t.Errorf("re-analysis after Invalidate ran %d emulations, want 1", got)
+		}
+		if want := d.Check(p2); reportString(it.Report) != reportString(want) {
+			t.Errorf("re-analysis report %s, want %s", reportString(it.Report), reportString(want))
+		}
+	})
 }
 
 func boundedTestLogic() *solc.Contract {
@@ -286,39 +321,90 @@ func TestBoundedCacheHitAccounting(t *testing.T) {
 }
 
 // TestBoundedCacheNoStaleVerdictAfterInvalidate drives the detector path:
-// a verdict is recorded for a bytecode, the recording address's guard
-// state is then changed out from under the cache, and Invalidate must
-// force the next duplicate to re-emulate rather than transfer the stale
-// record. (The guard-fingerprint mechanism already isolates *keyed*
-// state; invalidation is the remedy when the recorded baseline itself is
-// no longer trustworthy.)
+// a verdict is recorded for a bytecode, the recording address's state is
+// then changed out from under the cache, and no duplicate may be served a
+// stale verdict. A hard-coded forwarder's verdict bakes its logic in, so
+// Invalidate must drop it and force the next duplicate to re-emulate rather
+// than transfer the stale record. A storage proxy's verdict re-reads the
+// implementation slot on every hit, so Invalidate keeps it and the
+// upgraded duplicate's exact hit equals an uncached Check.
 func TestBoundedCacheNoStaleVerdictAfterInvalidate(t *testing.T) {
-	c, p1, p2, logic := boundedPair(t)
-	code := c.Code(p1)
+	t.Run("hard-coded forwarder", func(t *testing.T) {
+		c, p1, p2, logic := hardcodedPair(t)
+		code := c.Code(p1)
 
-	d := NewDetector(c)
-	if _, tr := d.checkDeduped(p1, code); tr.source != sourceEmulated {
-		t.Fatal("first probe cannot be a cache hit")
-	}
-	if _, tr := d.checkDeduped(p2, code); tr.source != sourceExactHit {
-		t.Fatal("duplicate with identical guard state should hit")
-	}
+		d := NewDetector(c)
+		if _, tr := d.checkDeduped(p1, code); tr.source != sourceEmulated {
+			t.Fatal("first probe cannot be a cache hit")
+		}
+		if _, tr := d.checkDeduped(p2, code); tr.source != sourceExactHit {
+			t.Fatal("duplicate with identical guard state should hit")
+		}
 
-	// Invalidation drops the exact-hash verdict and the structural family
-	// the code registered, so the re-probe reads p2's own storage — fresh
-	// state, nothing stale served — through a fresh emulation.
-	if n, err := d.Invalidate(p1); err != nil || n != 2 {
-		t.Fatalf("Invalidate = %d, %v; want both tiers dropped", n, err)
+		// Invalidation drops the exact-hash verdict and the structural family
+		// the code registered, so the re-probe reads p2's own state — fresh
+		// state, nothing stale served — through a fresh emulation.
+		if n, err := d.Invalidate(p1); err != nil || n != 2 {
+			t.Fatalf("Invalidate = %d, %v; want both tiers dropped", n, err)
+		}
+		rep, tr := d.checkDeduped(p2, code)
+		if tr.source != sourceEmulated {
+			t.Fatalf("verdict served from a cache after invalidation (source %d)", tr.source)
+		}
+		if !rep.IsProxy || rep.Logic != logic {
+			t.Fatalf("re-recorded verdict wrong: proxy=%v logic=%s", rep.IsProxy, rep.Logic)
+		}
+		// And the re-recorded verdict serves duplicates again.
+		if _, tr := d.checkDeduped(p1, code); tr.source != sourceExactHit {
+			t.Fatal("cache did not repopulate after invalidation")
+		}
+	})
+	t.Run("storage proxy", func(t *testing.T) {
+		c, p1, p2, _ := boundedPair(t)
+		code := c.Code(p1)
+
+		d := NewDetector(c)
+		if _, tr := d.checkDeduped(p1, code); tr.source != sourceEmulated {
+			t.Fatal("first probe cannot be a cache hit")
+		}
+		next := structAddr(0x77)
+		c.InstallContract(next, solc.MustCompile(boundedTestLogic()))
+		for _, p := range []etypes.Address{p1, p2} {
+			c.SetStorageDirect(p, etypes.HashFromWord(u256.FromUint64(3)), etypes.HashFromWord(next.Word()))
+		}
+		if n, err := d.Invalidate(p1); err != nil || n != 0 {
+			t.Fatalf("Invalidate = %d, %v; want 0, the verdict re-anchors", n, err)
+		}
+		rep, tr := d.checkDeduped(p2, code)
+		if tr.source != sourceExactHit {
+			t.Fatalf("upgraded duplicate was not an exact hit (source %d)", tr.source)
+		}
+		rep.Standard = classify(code, rep)
+		if want := d.Check(p2); reportString(rep) != reportString(want) || rep.Logic != next {
+			t.Fatalf("upgraded duplicate's hit %s, uncached Check %s", reportString(rep), reportString(want))
+		}
+	})
+}
+
+// hardcodedPair installs a forwarder whose logic address is baked into its
+// code, a byte-identical duplicate of it and that logic. The forwarder
+// keeps a storage variable of its own, so its bytecode has accesses to
+// slice.
+func hardcodedPair(t *testing.T) (c *chain.Chain, p1, p2, logic etypes.Address) {
+	t.Helper()
+	c = chain.New()
+	logic = etypes.MustAddress("0x0000000000000000000000000000000000000900")
+	c.InstallContract(logic, solc.MustCompile(boundedTestLogic()))
+	code := solc.MustCompile(&solc.Contract{
+		Name:     "H",
+		Vars:     []solc.Var{{Name: "admin", Type: solc.TypeAddress}},
+		Funcs:    []solc.Func{{ABI: abi.Function{Name: "admin"}, Body: []solc.Stmt{solc.ReturnStorageVar{Var: "admin"}}}},
+		Fallback: solc.Fallback{Kind: solc.FallbackDelegateHardcoded, Target: logic},
+	})
+	p1 = etypes.MustAddress("0x0000000000000000000000000000000000001001")
+	p2 = etypes.MustAddress("0x0000000000000000000000000000000000001002")
+	for _, p := range []etypes.Address{p1, p2} {
+		c.InstallContract(p, code)
 	}
-	rep, tr := d.checkDeduped(p2, code)
-	if tr.source != sourceEmulated {
-		t.Fatalf("verdict served from a cache after invalidation (source %d)", tr.source)
-	}
-	if !rep.IsProxy || rep.Logic != logic {
-		t.Fatalf("re-recorded verdict wrong: proxy=%v logic=%s", rep.IsProxy, rep.Logic)
-	}
-	// And the re-recorded verdict serves duplicates again.
-	if _, tr := d.checkDeduped(p1, code); tr.source != sourceExactHit {
-		t.Fatal("cache did not repopulate after invalidation")
-	}
+	return c, p1, p2, logic
 }

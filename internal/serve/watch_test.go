@@ -65,8 +65,9 @@ func newGatedReader(t *testing.T, c *gen.Corpus) *gatedReader {
 // TestInvalidateWaitsOutInFlight pins the upgrade-while-mid-analysis
 // ordering: an Invalidate racing an in-flight analysis of the same address
 // must wait that analysis out and then remove everything it published, so
-// no pre-upgrade verdict survives, and the next lookup re-enters the
-// engine.
+// no pre-upgrade result survives, and the next lookup re-enters the
+// engine. The detector keeps the storage proxy's verdict, which re-anchors
+// to the rewritten slot; the result the analysis published is what must go.
 func TestInvalidateWaitsOutInFlight(t *testing.T) {
 	c := testCorpus(t, 31, 16)
 	var target *gen.Label
@@ -126,8 +127,8 @@ func TestInvalidateWaitsOutInFlight(t *testing.T) {
 		t.Fatalf("pinned lookup failed: %v", err)
 	}
 	n := <-invDone
-	if n < 2 {
-		t.Fatalf("Invalidate dropped %d tier(s); the in-flight publication plus the verdict cache make at least 2", n)
+	if n < 1 {
+		t.Fatalf("Invalidate dropped %d tier(s); the in-flight publication makes at least 1", n)
 	}
 
 	before := srv.Counters().Analyses

@@ -16,10 +16,12 @@ type Analyzer interface {
 	// the results in whatever caches and stores back the implementation.
 	// One item per address, in input order.
 	Analyze(addrs []etypes.Address) ([]proxion.Item, error)
-	// Invalidate drops every cached verdict derived from addr's current
-	// bytecode — the exact-hash entry and the structural family — and
-	// returns how many tiers actually held one. The persistent store is
-	// not touched here: the re-analysis that follows supersedes its entry
+	// Invalidate drops the cached verdicts derived from addr's current
+	// bytecode that a change to addr's state can have made stale — the
+	// exact-hash entry and the structural family, both kept when every
+	// verdict re-reads what it depends on (proxion.Detector.Invalidate) —
+	// and returns how many tiers it dropped. The persistent store is not
+	// touched here: the re-analysis that follows supersedes its entry
 	// (append-only, last record wins), which is what keeps a crash
 	// between invalidation and re-analysis recoverable.
 	Invalidate(addr etypes.Address) (int, error)
@@ -63,8 +65,9 @@ func (a *DetectorAnalyzer) Analyze(addrs []etypes.Address) ([]proxion.Item, erro
 	return items, nil
 }
 
-// Invalidate drops the exact-hash verdict and the structural family for
-// addr's current bytecode.
+// Invalidate is Detector.Invalidate: it drops the exact-hash verdict and the
+// structural family for addr's current bytecode unless every verdict
+// re-anchors to the proxy's own storage.
 func (a *DetectorAnalyzer) Invalidate(addr etypes.Address) (int, error) {
 	return a.Detector.Invalidate(addr)
 }

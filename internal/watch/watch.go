@@ -26,14 +26,17 @@
 // The full scan (enumerate every contract, read every watched cell) lives
 // on only as Audit, the slow path that checks the fast one.
 //
-// Invalidation granularity: an upgrade invalidates the proxy's exact
-// bytecode-hash verdict and its structural family, nothing else. Slot
-// proxies technically survive without invalidation (verdict transfer
-// re-anchors by re-reading the implementation slot), but the cached
-// verdict still pins the guard fingerprint taken at probe time; beacon
-// proxies genuinely require it — their verdict bakes in a logic address
-// read through the beacon while their own storage (and thus the guard
-// fingerprint) never changes across upgrades.
+// Invalidation granularity: an upgrade invalidates at most the proxy's
+// exact bytecode-hash verdict and its structural family, nothing else, and
+// proxion.Detector.Invalidate drops them only when the upgrade can have
+// made them stale. A slot proxy's verdict that read nothing but the
+// proxy's own storage before forwarding is kept: every hit re-reads the
+// implementation slot and re-hashes the guard slots into the fingerprint
+// it is looked up by, so the re-analysis is an exact hit on the new logic,
+// and a block that also moved a guard slot misses and re-emulates. Beacon
+// proxies genuinely require invalidation — their verdict bakes in a logic
+// address read through the beacon while their own storage (and thus the
+// guard fingerprint) never changes across upgrades.
 package watch
 
 import (
