@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/chain"
 	"repro/internal/dataset"
 	"repro/internal/disasm"
 	"repro/internal/etypes"
+	"repro/internal/evm"
 	"repro/internal/gen/oracle"
 	"repro/internal/proxion"
 	"repro/internal/solc"
@@ -207,6 +209,45 @@ func TestDedupCachePackedSlotNotTransferred(t *testing.T) {
 	want := stripStats(sequentialReference(build(), nil))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("packed-slot duplicate diverges from uncached analysis")
+	}
+}
+
+// TestDedupCacheZeroSlotNotTransferred: a duplicate whose implementation
+// slot is zero must not inherit the forwarding verdict recorded at a
+// duplicate whose slot is set. Its fallback requires a nonzero
+// implementation before forwarding, so the uncached path reverts there; the
+// implementation slot is not a guard slot, so only the anchor's refusal of
+// a zero slot keeps the exact hit from reporting a proxy of 0x0.
+func TestDedupCacheZeroSlotNotTransferred(t *testing.T) {
+	c := chain.New()
+	slot := etypes.HashFromWord(u256.FromUint64(3))
+	var p asm.Program
+	p.Push(slot.Word()).Op(evm.SLOAD).JumpI("fwd").
+		PushUint(0).PushUint(0).Op(evm.REVERT).
+		Label("fwd").
+		Op(evm.CALLDATASIZE).PushUint(0).PushUint(0).Op(evm.CALLDATACOPY).
+		PushUint(0).PushUint(0).Op(evm.CALLDATASIZE).PushUint(0).
+		Push(slot.Word()).Op(evm.SLOAD).
+		Op(evm.GAS).Op(evm.DELEGATECALL).Op(evm.STOP)
+	code := p.MustAssemble()
+	logic := etypes.MustAddress("0x0000000000000000000000000000000000009001")
+	c.InstallContract(logic, solc.MustCompile(simpleLogic()))
+
+	set := etypes.MustAddress("0x0000000000000000000000000000000000009201")
+	unset := etypes.MustAddress("0x0000000000000000000000000000000000009202")
+	c.InstallContract(set, code)
+	c.SetStorageDirect(set, slot, etypes.HashFromWord(logic.Word()))
+	c.InstallContract(unset, code)
+
+	// One detector, in order: set records the forwarding verdict, unset
+	// looks it up.
+	d := proxion.NewDetector(c)
+	if rep := d.AnalyzeAddress(set, nil, proxion.AnalyzeOptions{}).Report; !rep.IsProxy || rep.Logic != logic {
+		t.Fatalf("set duplicate: %+v, want a proxy of %s", rep, logic)
+	}
+	got := d.AnalyzeAddress(unset, nil, proxion.AnalyzeOptions{}).Report
+	if want := proxion.NewDetector(c).Check(unset); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero-slot duplicate diverges from uncached analysis:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // for hard-coded families, the follower's own slot value for storage
 // families — with the same uniformity checks as registration and the same
 // refusals as the exact cache's anchor (self-targeting delegates, packed
-// storage slots).
+// or empty storage slots).
 func refPromote(r chain.Reader, addr etypes.Address, sum *static.Summary, target TargetSource) (Report, bool) {
 	if sum.Truncated || sum.MaskedImmFlow || len(sum.Delegates) == 0 {
 		return Report{}, false
