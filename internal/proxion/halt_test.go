@@ -38,9 +38,8 @@ func TestProbeHaltChangesNothing(t *testing.T) {
 			probe := CraftCallData(addr, code)
 			halted := d.emulateProbe(addr, code, probe)
 
-			overlay := newOverlay(c)
-			tracer := &emulationTracer{under: addr, probe: probe, state: overlay}
-			full := d.probeThrough(overlay, hideHalt{tracer}, tracer)
+			tracer := d.newProbeTracer(addr, probe)
+			full := d.probeThrough(hideHalt{tracer}, tracer)
 
 			if !reflect.DeepEqual(halted, full) {
 				t.Fatalf("%s: halting changed the outcome:\nhalted %+v\n  full %+v", addr, halted, full)

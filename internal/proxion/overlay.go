@@ -27,6 +27,15 @@ type overlayState struct {
 	dead    map[etypes.Address]struct{}
 
 	journal []func()
+
+	// self is the probed contract. accountRead records that the run asked
+	// for any account's balance, or for another account's existence, code
+	// or code hash: state an upgrade can change without touching a slot of
+	// self (emulationTracer.readOutside). Reads of self's code are not
+	// counted: the interpreter loads it to run the call, and it is fixed by
+	// the code hash the verdict is cached under.
+	self        etypes.Address
+	accountRead bool
 }
 
 var _ evm.StateDB = (*overlayState)(nil)
@@ -43,7 +52,15 @@ func newOverlay(base chain.Reader) *overlayState {
 	}
 }
 
+// noteRead records a read of account a's existence, code or code hash.
+func (o *overlayState) noteRead(a etypes.Address) {
+	if a != o.self {
+		o.accountRead = true
+	}
+}
+
 func (o *overlayState) Exists(a etypes.Address) bool {
+	o.noteRead(a)
 	if _, ok := o.created[a]; ok {
 		return true
 	}
@@ -51,6 +68,7 @@ func (o *overlayState) Exists(a etypes.Address) bool {
 }
 
 func (o *overlayState) GetCode(a etypes.Address) []byte {
+	o.noteRead(a)
 	if _, gone := o.dead[a]; gone {
 		return nil
 	}
@@ -61,6 +79,7 @@ func (o *overlayState) GetCode(a etypes.Address) []byte {
 }
 
 func (o *overlayState) GetCodeHash(a etypes.Address) etypes.Hash {
+	o.noteRead(a)
 	if _, gone := o.dead[a]; gone {
 		return etypes.Keccak(nil)
 	}
@@ -71,6 +90,7 @@ func (o *overlayState) GetCodeHash(a etypes.Address) etypes.Hash {
 }
 
 func (o *overlayState) GetBalance(a etypes.Address) u256.Int {
+	o.accountRead = true
 	if b, ok := o.balance[a]; ok {
 		return b
 	}
