@@ -9,6 +9,7 @@ import (
 	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/evm"
+	"repro/internal/pipeline"
 	"repro/internal/solc"
 	"repro/internal/u256"
 )
@@ -324,5 +325,41 @@ func TestStructuralIndexEviction(t *testing.T) {
 	// f3 is still resident.
 	if cls, leader := s.class(fps[2]); leader || cls.lead == nil {
 		t.Fatal("resident family lost its registration")
+	}
+}
+
+// TestStructuralRefusesOutsideReadingLeader: a family registers only from
+// a leader whose probe read nothing outside its own storage. Three
+// keccak-slot twins of an EXTCODESIZE(sload(slot)) > 0-gated fallback
+// share a fingerprint; the leader's slot holds a logic with code, the
+// followers' slots code-less addresses. A template cannot re-read the gate,
+// so each follower must equal an uncached Check: not a proxy.
+func TestStructuralRefusesOutsideReadingLeader(t *testing.T) {
+	c, _, _, logic := boundedPair(t)
+	twins := []etypes.Address{structAddr(0xa1), structAddr(0xa2), structAddr(0xa3)}
+	for i, twin := range twins {
+		slot := etypes.Keccak(twin[:])
+		c.InstallContract(twin, codeSizeGatedProxy(slot))
+		target := logic
+		if i > 0 {
+			target = etypes.MustAddress("0x000000000000000000000000000000000000dead")
+		}
+		c.SetStorageDirect(twin, slot, etypes.HashFromWord(target.Word()))
+	}
+
+	d := NewDetector(c)
+	var stats pipeline.Stats
+	for i, twin := range twins {
+		got := d.AnalyzeAddress(twin, nil, AnalyzeOptions{Stats: &stats}).Report
+		want := NewDetector(c).Check(twin)
+		if reportString(got) != reportString(want) {
+			t.Errorf("twin %d: %s, want the uncached %s", i, reportString(got), reportString(want))
+		}
+		if i > 0 && got.IsProxy {
+			t.Errorf("twin %d forwards to a code-less address: %s", i, reportString(got))
+		}
+	}
+	if n := stats.StructuralHits.Load(); n != 0 {
+		t.Errorf("%d structural hits, want the family refused", n)
 	}
 }
