@@ -91,7 +91,10 @@ trace-counters:
 # race detector — crash/restart recovery, K-concurrent coalescing, the
 # matrix over the concurrency bound, a stuck analysis stalling nobody, a
 # panicking one releasing its waiters, Close draining what is in flight,
-# and the in-process loadtest.
+# the in-process loadtest, and the bytes on the wire: TestGoldenBodies
+# holds the /v1/verdict, /v1/collisions, /v1/static, /v1/verdicts and
+# /v1/scan bodies of `proxiond -contracts 300 -seed 7`, and the store it
+# writes, to internal/serve/testdata/golden (`-update` rewrites it).
 # LOADTEST_REPORT (a path) makes the loadtest write its p50/p99 JSON
 # artifact; the nightly job raises LOADTEST_REQUESTS/LOADTEST_CONCURRENCY.
 serve:
@@ -160,3 +163,4 @@ fuzz:
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzTemplatePromotion -fuzztime $(FUZZTIME)
+	go test ./internal/serve -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME)

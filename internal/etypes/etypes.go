@@ -55,8 +55,19 @@ func BytesToAddress(b []byte) Address {
 	return a
 }
 
-// Hex returns the 0x-prefixed lowercase hex form.
-func (a Address) Hex() string { return "0x" + hex.EncodeToString(a[:]) }
+// Hex returns the 0x-prefixed lowercase hex form, in one allocation.
+func (a Address) Hex() string {
+	var buf [2 + 2*len(a)]byte
+	return hexString(buf[:], a[:])
+}
+
+// hexString writes "0x" and the hex of b into buf, which holds exactly
+// that, and returns it as a string.
+func hexString(buf, b []byte) string {
+	buf[0], buf[1] = '0', 'x'
+	hex.Encode(buf[2:], b)
+	return string(buf)
+}
 
 // String implements fmt.Stringer.
 func (a Address) String() string { return a.Hex() }
@@ -73,8 +84,11 @@ func AddressFromWord(w u256.Int) Address {
 	return BytesToAddress(buf[12:])
 }
 
-// Hex returns the 0x-prefixed lowercase hex form.
-func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
+// Hex returns the 0x-prefixed lowercase hex form, in one allocation.
+func (h Hash) Hex() string {
+	var buf [2 + 2*len(h)]byte
+	return hexString(buf[:], h[:])
+}
 
 // String implements fmt.Stringer.
 func (h Hash) String() string { return h.Hex() }

@@ -1,6 +1,7 @@
 package etypes
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/u256"
@@ -87,5 +88,25 @@ func TestHashWordRoundTrip(t *testing.T) {
 	h := HashFromWord(w)
 	if !h.Word().Eq(w) {
 		t.Error("hash/word round trip failed")
+	}
+}
+
+// TestHexAllocsOnce pins Address.Hex and Hash.Hex to one allocation each:
+// the returned string.
+func TestHexAllocsOnce(t *testing.T) {
+	a := MustAddress("0x00112233445566778899aabbccddeeff00112233")
+	h := Keccak(a[:])
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = a.Hex() }); n != 1 {
+		t.Errorf("Address.Hex allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = h.Hex() }); n != 1 {
+		t.Errorf("Hash.Hex allocates %v times, want 1", n)
+	}
+	if want := "0x" + hex.EncodeToString(h[:]); sink != want {
+		t.Errorf("Hash.Hex = %s, want %s", sink, want)
+	}
+	if got := a.Hex(); got != "0x00112233445566778899aabbccddeeff00112233" {
+		t.Errorf("Address.Hex = %s", got)
 	}
 }

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/chain"
 	"repro/internal/etypes"
@@ -17,7 +21,9 @@ import (
 // of proxion.Report — the wire shape is decoupled from the analysis
 // structs so the engine can evolve without breaking clients.
 
-// Verdict is the JSON form of one contract's analysis report.
+// Verdict is the JSON form of one contract's analysis report. The service
+// writes it with appendVerdict, not through this struct, which is the
+// shape clients decode into.
 type Verdict struct {
 	Address         string `json:"address"`
 	IsProxy         bool   `json:"is_proxy"`
@@ -32,30 +38,108 @@ type Verdict struct {
 	Reason          string `json:"reason"`
 }
 
-// verdictOf renders a report for the wire.
-func verdictOf(rep proxion.Report) Verdict {
-	v := Verdict{
-		Address:         rep.Address.Hex(),
-		IsProxy:         rep.IsProxy,
-		HasDelegateCall: rep.HasDelegateCall,
-		Unresolved:      rep.Unresolved,
-		Reason:          rep.Reason,
-	}
+// appendVerdict appends rep's Verdict as JSON: the bytes encoding/json
+// writes for verdictOf(rep) (kept in the tests as the reference), without
+// the newline an Encoder adds. Fields go in Verdict's order and omitempty,
+// hex digits straight from the address and slot arrays, strings through
+// appendJSONString.
+func appendVerdict(dst []byte, rep proxion.Report) []byte {
+	dst = append(dst, `{"address":`...)
+	dst = appendHex(dst, rep.Address[:])
+	dst = append(dst, `,"is_proxy":`...)
+	dst = strconv.AppendBool(dst, rep.IsProxy)
 	if rep.IsProxy {
-		v.Logic = rep.Logic.Hex()
-		v.Target = rep.Target.String()
-		v.Standard = rep.Standard.String()
+		dst = append(dst, `,"logic":`...)
+		dst = appendHex(dst, rep.Logic[:])
+		dst = appendOmitEmpty(dst, `,"target":`, rep.Target.String())
 		if rep.Target == proxion.TargetStorage {
-			v.ImplSlot = rep.ImplSlot.Hex()
+			dst = append(dst, `,"impl_slot":`...)
+			dst = appendHex(dst, rep.ImplSlot[:])
 		}
+		dst = appendOmitEmpty(dst, `,"standard":`, rep.Standard.String())
 	}
+	dst = append(dst, `,"has_delegatecall":`...)
+	dst = strconv.AppendBool(dst, rep.HasDelegateCall)
 	if rep.EmulationErr != nil {
-		v.EmulationErr = rep.EmulationErr.Error()
+		dst = appendOmitEmpty(dst, `,"emulation_err":`, rep.EmulationErr.Error())
+	}
+	if rep.Unresolved {
+		dst = append(dst, `,"unresolved":true`...)
 	}
 	if rep.ResolveErr != nil {
-		v.ResolveErr = rep.ResolveErr.Error()
+		dst = appendOmitEmpty(dst, `,"resolve_err":`, rep.ResolveErr.Error())
 	}
-	return v
+	dst = append(dst, `,"reason":`...)
+	dst = appendJSONString(dst, rep.Reason)
+	return append(dst, '}')
+}
+
+// appendOmitEmpty appends key and the string s unless s is empty.
+func appendOmitEmpty(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return appendJSONString(append(dst, key...), s)
+}
+
+// appendHex appends b as a quoted 0x-prefixed lowercase hex string.
+func appendHex(dst, b []byte) []byte {
+	dst = append(dst, `"0x`...)
+	return append(hex.AppendEncode(dst, b), '"')
+}
+
+// appendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes with HTML escaping on: `"` and `\`; control bytes (the short
+// forms for \b, \f, \n, \r and \t); `<`, `>` and `&`; each byte of
+// invalid UTF-8 as \ufffd; and U+2028 and U+2029.
+func appendJSONString(dst []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // FunctionCollisionJSON is one colliding selector on the wire.
@@ -282,10 +366,40 @@ func (s *Server) handleWatchStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fn())
 }
 
+// The Content-Type values, each one slice shared by every response.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{"application/x-ndjson"}
+)
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// bodies recycles the buffers verdict bodies are appended into.
+var bodies = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// maxPooledBody is the largest buffer put back into bodies: a big batch's
+// body is left to the collector rather than held by the pool.
+const maxPooledBody = 64 << 10
+
+func getBody() *[]byte { return bodies.Get().(*[]byte) }
+
+func putBody(b *[]byte) {
+	if cap(*b) <= maxPooledBody {
+		*b = (*b)[:0]
+		bodies.Put(b)
+	}
+}
+
+// writeBody sends body with status 200 and a JSON Content-Type, in one
+// Write, and returns the buffer to the pool.
+func writeBody(w http.ResponseWriter, body *[]byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(*body)
+	putBody(body)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -296,9 +410,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "shards": s.cfg.Shards})
 }
 
-// addrParam parses the addr query parameter.
+// addrParam parses the addr query parameter. A query that is exactly
+// addr=value, the value holding nothing url.ParseQuery would split at or
+// unescape, is read in place; any other goes through URL.Query.
 func addrParam(r *http.Request) (etypes.Address, error) {
-	raw := r.URL.Query().Get("addr")
+	raw, ok := strings.CutPrefix(r.URL.RawQuery, "addr=")
+	if !ok || strings.ContainsAny(raw, "&%+;") {
+		raw = r.URL.Query().Get("addr")
+	}
 	if raw == "" {
 		return etypes.Address{}, fmt.Errorf("missing addr parameter")
 	}
@@ -316,7 +435,9 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, verdictOf(it.Report))
+	body := getBody()
+	*body = append(appendVerdict(*body, it.Report), '\n')
+	writeBody(w, body)
 }
 
 // batchRequest is the body of /v1/verdicts and /v1/scan.
@@ -378,15 +499,20 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items, errs := s.lookupAll(addrs)
-	verdicts := make([]Verdict, len(items))
+	body := getBody()
+	b := append(*body, `{"verdicts":[`...)
 	for i := range items {
-		if errs[i] != nil {
-			verdicts[i] = Verdict{Address: addrs[i].Hex(), Reason: "error: " + errs[i].Error()}
-			continue
+		if i > 0 {
+			b = append(b, ',')
 		}
-		verdicts[i] = verdictOf(items[i].Report)
+		rep := items[i].Report
+		if errs[i] != nil {
+			rep = proxion.Report{Address: addrs[i], Reason: "error: " + errs[i].Error()}
+		}
+		b = appendVerdict(b, rep)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"verdicts": verdicts})
+	*body = append(b, "]}\n"...)
+	writeBody(w, body)
 }
 
 // handleScan streams verdicts as NDJSON, one line per address, flushed as
@@ -402,10 +528,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContentType
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	body := getBody()
+	defer putBody(body)
 
 	// Dispatch everything up front (the server coalesces and bounds the
 	// analyses), then emit in request order as results land.
@@ -423,15 +550,28 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range results {
 		res := <-results[i]
+		b := (*body)[:0]
 		if res.err != nil {
-			enc.Encode(map[string]string{"address": addrs[i].Hex(), "error": res.err.Error()})
+			b = appendScanError(b, addrs[i], res.err)
 		} else {
-			enc.Encode(verdictOf(res.it.Report))
+			b = appendVerdict(b, res.it.Report)
 		}
+		*body = append(b, '\n')
+		w.Write(*body)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+}
+
+// appendScanError appends the /v1/scan line of a failed lookup: the JSON
+// of map[string]string{"address": addr.Hex(), "error": err.Error()}.
+func appendScanError(dst []byte, addr etypes.Address, err error) []byte {
+	dst = append(dst, `{"address":`...)
+	dst = appendHex(dst, addr[:])
+	dst = append(dst, `,"error":`...)
+	dst = appendJSONString(dst, err.Error())
+	return append(dst, '}')
 }
 
 func (s *Server) handleCollisions(w http.ResponseWriter, r *http.Request) {
