@@ -163,4 +163,5 @@ fuzz:
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzTemplatePromotion -fuzztime $(FUZZTIME)
+	go test ./internal/proxion -run '^$$' -fuzz FuzzSlicerMatchesReference -fuzztime $(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME)

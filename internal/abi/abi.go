@@ -22,12 +22,30 @@ type Function struct {
 // Prototype returns the canonical signature string, e.g.
 // "transfer(address,uint256)".
 func (f Function) Prototype() string {
-	return f.Name + "(" + strings.Join(f.Params, ",") + ")"
+	var buf [64]byte
+	return string(f.AppendPrototype(buf[:0]))
+}
+
+// AppendPrototype appends the canonical signature to dst and returns the
+// extended slice. It is the one prototype builder: a caller that only
+// hashes the prototype can build it in a stack buffer.
+func (f Function) AppendPrototype(dst []byte) []byte {
+	dst = append(dst, f.Name...)
+	dst = append(dst, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p...)
+	}
+	return append(dst, ')')
 }
 
 // Selector returns the 4-byte function selector.
 func (f Function) Selector() [4]byte {
-	return keccak.Selector(f.Prototype())
+	var buf [64]byte
+	h := keccak.Sum256(f.AppendPrototype(buf[:0]))
+	return [4]byte(h[:4])
 }
 
 // ParsePrototype parses "name(type1,type2)" into a Function.

@@ -21,6 +21,24 @@ func TestPrototypeAndSelector(t *testing.T) {
 	}
 }
 
+// TestAppendPrototype: the one builder appends after what dst holds, and
+// the selector hashes its bytes without allocating.
+func TestAppendPrototype(t *testing.T) {
+	f := abi.Function{Name: "transferFrom", Params: []string{"address", "address", "uint256"}}
+	if got := string(f.AppendPrototype([]byte("x:"))); got != "x:transferFrom(address,address,uint256)" {
+		t.Errorf("AppendPrototype = %q", got)
+	}
+	if got := f.Selector(); got != abi.SelectorOf(f.Prototype()) {
+		t.Errorf("Selector = %x, the prototype hashes to %x", got, abi.SelectorOf(f.Prototype()))
+	}
+	if n := testing.AllocsPerRun(50, func() { f.Selector() }); n != 0 {
+		t.Errorf("Selector: %v allocs/run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = f.Prototype() }); n != 1 {
+		t.Errorf("Prototype: %v allocs/run, want 1", n)
+	}
+}
+
 func TestParsePrototype(t *testing.T) {
 	f, err := abi.ParsePrototype("transfer(address,uint256)")
 	if err != nil {

@@ -153,22 +153,35 @@ func TestBasicBlocksAreWindowsOfOneDisassembly(t *testing.T) {
 		"truncated-push-last":   {jd, stop, byte(evm.PUSH4), 0xaa},
 		"dest-inside-push-data": {byte(evm.PUSH2), jd, stop, jd, stop},
 	} {
-		got, want := disasm.BasicBlocks(c), referenceBlocks(c)
-		if len(got) != len(want) {
-			t.Errorf("%s: %d blocks, want %d", name, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i].Start != want[i].Start || !reflect.DeepEqual(got[i].Instrs, want[i].Instrs) {
-				t.Errorf("%s: block %d = {start %d, %v}, want {start %d, %v}",
-					name, i, got[i].Start, got[i].Instrs, want[i].Start, want[i].Instrs)
-			}
-			if cap(got[i].Instrs) != len(got[i].Instrs) {
-				t.Errorf("%s: block %d can be appended into its successor", name, i)
-			}
-		}
+		checkBlocks(t, name, c)
 	}
 	if got := testing.AllocsPerRun(50, func() { disasm.BasicBlocks(nil) }); got != 0 {
 		t.Errorf("BasicBlocks(nil): %v allocs/run, want 0", got)
+	}
+}
+
+// checkBlocks holds BasicBlocks(code) to the appending reference, block for
+// block, and BlockEnd, from every instruction of a block, to the block's end.
+func checkBlocks(t *testing.T, name string, code []byte) {
+	t.Helper()
+	got, want := disasm.BasicBlocks(code), referenceBlocks(code)
+	if len(got) != len(want) {
+		t.Errorf("%s: %d blocks, want %d", name, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if got[i].Start != want[i].Start || !reflect.DeepEqual(got[i].Instrs, want[i].Instrs) {
+			t.Errorf("%s: block %d = {start %d, %v}, want {start %d, %v}",
+				name, i, got[i].Start, got[i].Instrs, want[i].Start, want[i].Instrs)
+		}
+		if cap(got[i].Instrs) != len(got[i].Instrs) {
+			t.Errorf("%s: block %d can be appended into its successor", name, i)
+		}
+		end := min(int(want[i].End()), len(code))
+		for _, ins := range want[i].Instrs {
+			if e := disasm.BlockEnd(code, int(ins.PC)); e != end {
+				t.Errorf("%s: BlockEnd from %d = %d, block %d ends at %d", name, ins.PC, e, i, end)
+			}
+		}
 	}
 }

@@ -30,28 +30,44 @@ func terminatesBlock(op evm.Op) bool {
 	return false
 }
 
-// BasicBlocks partitions code into basic blocks. Blocks begin at code start,
-// at every JUMPDEST, and after every terminator. Each block's Instrs is a
-// capacity-limited window of one shared disassembly, not a copy.
+// BlockEnd returns the end of the basic block of code that holds the
+// instruction at pc, an instruction boundary: the offset just past the
+// first terminator from pc on, the offset of the first JUMPDEST after pc,
+// or len(code), whichever comes first. Blocks begin at code start, at every
+// JUMPDEST and after every terminator, so code[pc:BlockEnd(code, pc)] is a
+// whole block when pc starts one. It reads the bytes only: this is the
+// block-boundary rule for callers that build no instruction stream, and
+// BasicBlocks partitions by it too.
+func BlockEnd(code []byte, pc int) int {
+	for pc < len(code) {
+		op := evm.Op(code[pc])
+		pc += 1 + op.PushSize()
+		if terminatesBlock(op) || pc < len(code) && evm.Op(code[pc]) == evm.JUMPDEST {
+			break
+		}
+	}
+	return min(pc, len(code))
+}
+
+// BasicBlocks partitions code into basic blocks (see BlockEnd). Each
+// block's Instrs is a capacity-limited window of one shared disassembly,
+// not a copy.
 func BasicBlocks(code []byte) []BasicBlock {
-	instrs := Disassemble(code)
-	// endsAt reports whether a block boundary follows instrs[i].
-	endsAt := func(i int) bool {
-		return i+1 == len(instrs) || terminatesBlock(instrs[i].Op) || instrs[i+1].Op == evm.JUMPDEST
-	}
 	n := 0
-	for i := range instrs {
-		if endsAt(i) {
-			n++
-		}
+	for pc := 0; pc < len(code); pc = BlockEnd(code, pc) {
+		n++
 	}
+	instrs := Disassemble(code)
 	blocks := make([]BasicBlock, 0, n)
-	start := 0
-	for i := range instrs {
-		if endsAt(i) {
-			blocks = append(blocks, BasicBlock{Start: instrs[start].PC, Instrs: instrs[start : i+1 : i+1]})
-			start = i + 1
+	i := 0
+	for pc := 0; pc < len(code); {
+		end := BlockEnd(code, pc)
+		j := i
+		for j < len(instrs) && instrs[j].PC < uint64(end) {
+			j++
 		}
+		blocks = append(blocks, BasicBlock{Start: uint64(pc), Instrs: instrs[i:j:j]})
+		i, pc = j, end
 	}
 	return blocks
 }

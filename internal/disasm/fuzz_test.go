@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzDisassemble: arbitrary byte blobs must disassemble without panicking,
-// and the instruction stream must cover the input exactly.
+// the instruction stream must cover the input exactly, and the blocks must
+// partition it as the appending reference does.
 func FuzzDisassemble(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x60})             // truncated PUSH1
@@ -35,7 +36,7 @@ func FuzzDisassemble(f *testing.F) {
 		// The byte scans must agree with the scanners over the decoded
 		// stream, and the other derived analyses must not panic either.
 		checkScanners(t, code)
-		disasm.BasicBlocks(code)
+		checkBlocks(t, "fuzz", code)
 		disasm.MinimalProxyTarget(code)
 		disasm.ContainsOp(code, evm.DELEGATECALL)
 	})

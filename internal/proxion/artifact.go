@@ -15,32 +15,30 @@ import (
 // artifact is the detector's one record per runtime bytecode: the
 // memoized emulation verdict (verdictcache.go), which Invalidate may swap out,
 // and every fact the engine derives from the bytes without emulating them.
-// Facets are filled on first demand by at most two passes over the code
-// and never change afterwards:
+// Facets are filled on first demand, by passes over the bytes that build no
+// instruction stream, and never change afterwards:
 //
-//   - a byte scan (disasm.ScanCode, no instruction stream) yields the PUSH4
-//     avoid-list of the probe call data, the dispatcher selectors, and
-//     whether any SLOAD/SSTORE exists;
-//   - one disasm.BasicBlocks walk yields the storage accesses — and, when
-//     the caller is after the static summary, the summary from the same
-//     blocks (Detector.summarize).
+//   - a byte scan (disasm.ScanCode) yields the PUSH4 avoid-list of the probe
+//     call data, the dispatcher selectors, and whether any SLOAD/SSTORE
+//     exists;
+//   - a slice of the bytes (ExtractStorageAccesses), run by the pair stage
+//     only when the scan found a storage instruction, yields the storage
+//     accesses.
 //
-// Neither the instruction stream nor the summary is kept: a stream costs
-// more than everything else the detector retains, and no caller reads a
-// summary twice. The only summary the engine runs is a clone family
-// leader's deferred cross-check (structural.go), on the goroutine of the
-// family's first follower, if one ever comes; it slices the leader's code
-// from the same walk if the leader's pair stage has not already. Followers
-// promote from their family's template without a summary, so their pair
-// stage slices them — and only when the logic has storage accesses to
-// collide with (analyzePair), which a stamp of a storage-free logic, or of
-// an address without code, never has.
+// The static summary is no facet: no caller reads one twice. The only
+// summary the engine runs is a clone family leader's deferred cross-check
+// (structural.go), on the goroutine of the family's first follower, if one
+// ever comes; Detector.summarize disassembles the leader's code for it and
+// slices nothing. Followers promote from their family's template without a
+// summary, so their pair stage slices them — and only when the logic has
+// storage accesses to collide with (analyzePair), which a stamp of a
+// storage-free logic, or of an address without code, never has.
 // The code itself is not held either; every accessor takes it, and the code
 // hash the artifact is filed under vouches that it is the same bytes.
 type artifact struct {
 	mu              sync.Mutex
-	scanned, walked bool
-	// storageOps gates the walk: code without SLOAD/SSTORE has no accesses.
+	scanned, sliced bool
+	// storageOps gates the slice: code without SLOAD/SSTORE has no accesses.
 	storageOps bool
 	avoid      [][4]byte
 	// selectors are the dispatcher's, ascending: the bytecode selector view.
@@ -52,15 +50,10 @@ type artifact struct {
 	// source is the selector view under the verified source last seen with
 	// this bytecode: one entry, because the addresses sharing a bytecode
 	// publish the same functions, each in a source object of its own.
-	source *sourceFacet
+	source *selectorView
 	// verdict is nil until the bytecode is first probed (a logic contract's
 	// record never is) and again after an Invalidate that drops it.
 	verdict atomic.Pointer[codeVerdict]
-}
-
-type sourceFacet struct {
-	src  *solc.Contract
-	view selectorView
 }
 
 // sameFunctions reports whether two sources declare the same functions in
@@ -130,9 +123,10 @@ func (a *artifact) view(code []byte, src *solc.Contract) selectorView {
 		return selectorView{selectors: a.selectors}
 	}
 	if a.source == nil || !sameFunctions(a.source.src, src) {
-		a.source = &sourceFacet{src: src, view: sourceView(src)}
+		v := sourceView(src)
+		a.source = &v
 	}
-	return a.source.view
+	return *a.source
 }
 
 // dispatcherTargets returns disasm.DispatcherTargets(code), read-only.
@@ -145,38 +139,26 @@ func (a *artifact) dispatcherTargets(code []byte) map[[4]byte]uint64 {
 	return a.targets
 }
 
-// sliceLocked fills the storage accesses once, from the disassembly walk
-// returns — asked for only if the code touches storage at all. Callers hold
-// a.mu.
-func (a *artifact) sliceLocked(code []byte, walk func() []disasm.BasicBlock) {
-	if a.walked {
-		return
-	}
-	a.scanLocked(code)
-	if a.storageOps {
-		a.accesses = sliceBlocks(code, walk())
-	}
-	a.walked = true
-}
-
-// storageAccesses returns ExtractStorageAccesses(code), read-only.
+// storageAccesses returns ExtractStorageAccesses(code), read-only. The
+// slice runs once, and only if the code has a storage instruction; it is
+// one of the passes d.walks counts.
 func (d *Detector) storageAccesses(a *artifact, code []byte) []StorageAccess {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sliceLocked(code, func() []disasm.BasicBlock {
-		d.walks.Add(1)
-		return disasm.BasicBlocks(code)
-	})
+	if !a.sliced {
+		a.scanLocked(code)
+		if a.storageOps {
+			d.walks.Add(1)
+			a.accesses = ExtractStorageAccesses(code)
+		}
+		a.sliced = true
+	}
 	return a.accesses
 }
 
-// summarize returns static.Analyze(code), built on the caller's hashes, and
-// leaves the storage accesses behind, sliced from the same disassembly.
-func (d *Detector) summarize(a *artifact, code []byte, codeHash, fp etypes.Hash) *static.Summary {
+// summarize returns static.Analyze(code), built on the caller's hashes. Its
+// disassembly is the other pass d.walks counts.
+func (d *Detector) summarize(code []byte, codeHash, fp etypes.Hash) *static.Summary {
 	d.walks.Add(1)
-	blocks := disasm.BasicBlocks(code)
-	a.mu.Lock()
-	a.sliceLocked(code, func() []disasm.BasicBlock { return blocks })
-	a.mu.Unlock()
-	return static.AnalyzeBlocks(code, blocks, codeHash, fp)
+	return static.AnalyzeBlocks(code, disasm.BasicBlocks(code), codeHash, fp)
 }

@@ -62,31 +62,19 @@ func TestSlicerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestArtifactFacetsEqualTheFacades is the artifact's contract: whichever
-// facet is asked first, the accesses equal ExtractStorageAccesses(code) and
-// the summary equals static.Analyze(code), and the selector facets equal
-// the scanners'.
+// TestArtifactFacetsEqualTheFacades is the artifact's contract: the
+// accesses equal ExtractStorageAccesses(code), the summary built on the
+// caller's hashes equals static.Analyze(code), and the selector facets
+// equal the scanners'.
 func TestArtifactFacetsEqualTheFacades(t *testing.T) {
 	d := NewDetector(chain.New())
 	for h, code := range artifactCorpus(t) {
 		wantAcc, wantSum := ExtractStorageAccesses(code), static.Analyze(code)
-		for _, order := range []string{"accesses first", "summary first"} {
-			art := new(artifact)
-			var gotAcc []StorageAccess
-			var gotSum *static.Summary
-			if order == "accesses first" {
-				gotAcc = d.storageAccesses(art, code)
-				gotSum = d.summarize(art, code, wantSum.CodeHash, wantSum.Fingerprint)
-			} else {
-				gotSum = d.summarize(art, code, wantSum.CodeHash, wantSum.Fingerprint)
-				gotAcc = d.storageAccesses(art, code)
-			}
-			if !reflect.DeepEqual(gotAcc, wantAcc) {
-				t.Fatalf("code %s, %s: accesses\n got %+v\nwant %+v", h, order, gotAcc, wantAcc)
-			}
-			if !reflect.DeepEqual(gotSum, wantSum) {
-				t.Fatalf("code %s, %s: summary\n got %+v\nwant %+v", h, order, gotSum, wantSum)
-			}
+		if got := d.storageAccesses(new(artifact), code); !reflect.DeepEqual(got, wantAcc) {
+			t.Fatalf("code %s: accesses\n got %+v\nwant %+v", h, got, wantAcc)
+		}
+		if got := d.summarize(code, wantSum.CodeHash, wantSum.Fingerprint); !reflect.DeepEqual(got, wantSum) {
+			t.Fatalf("code %s: summary\n got %+v\nwant %+v", h, got, wantSum)
 		}
 
 		art := new(artifact)
@@ -123,7 +111,7 @@ func TestArtifactSourceViewFollowsTheSource(t *testing.T) {
 	for _, src := range []*solc.Contract{a, twin, other, a} {
 		got := art.view(nil, src)
 		if want := sourceView(src); !reflect.DeepEqual(got, want) {
-			t.Fatalf("view under %v = %+v, want %+v", src.Prototypes(), got, want)
+			t.Fatalf("view under %+v = %+v, want %+v", src.Funcs, got, want)
 		}
 	}
 	first := art.view(nil, a)
@@ -291,7 +279,7 @@ func TestArtifactConcurrentFacets(t *testing.T) {
 				case 0:
 					got, want = d.storageAccesses(art, code), wantAcc
 				case 1:
-					got, want = d.summarize(art, code, wantSum.CodeHash, wantSum.Fingerprint), wantSum
+					got, want = d.summarize(code, wantSum.CodeHash, wantSum.Fingerprint), wantSum
 				case 2:
 					got, want = art.view(code, nil), wantView
 				case 3:
@@ -382,15 +370,48 @@ func TestArtifactAllocationCeilings(t *testing.T) {
 		t.Errorf("ScanCode: %v allocs/run, want at most 2", n)
 	}
 
-	// A walk of code that never touches storage slices nothing: what it
-	// allocates is the disassembly.
+	// Slicing reads the bytes: code that never touches storage allocates
+	// nothing, code with accesses the result alone.
 	stamp := disasm.MinimalProxyRuntime(structAddr(0x44))
 	if disasm.ScanCode(stamp).StorageOps {
 		t.Fatal("test setup: a stamp has no storage instruction")
 	}
-	walk := testing.AllocsPerRun(50, func() { disasm.BasicBlocks(stamp) })
-	if n := testing.AllocsPerRun(50, func() { ExtractStorageAccesses(stamp) }); n != walk {
-		t.Errorf("slicing storage-free code: %v allocs/run, the disassembly alone is %v", n, walk)
+	if n := testing.AllocsPerRun(50, func() { ExtractStorageAccesses(stamp) }); n != 0 {
+		t.Errorf("slicing storage-free code: %v allocs/run, want 0", n)
+	}
+	if len(ExtractStorageAccesses(code)) == 0 {
+		t.Fatal("test setup: the code must have accesses")
+	}
+	// (A -race build's sync.Pool drops a share of what is put back, so
+	// there the pooled evaluator is rebuilt now and then.)
+	if n := testing.AllocsPerRun(50, func() { ExtractStorageAccesses(code) }); n != 1 && !raceEnabled {
+		t.Errorf("slicing code with accesses: %v allocs/run, want 1 (the result)", n)
+	}
+
+	// A source view with a warm selector memo: the selector list (and the
+	// view, if it escapes), whatever the function count.
+	for _, funcs := range []int{2, 40} {
+		src := &solc.Contract{Name: "Many"}
+		for i := 0; i < funcs; i++ {
+			src.Funcs = append(src.Funcs, solc.Func{ABI: abi.Function{
+				Name: fmt.Sprintf("f%d", i), Params: []string{"address", "uint256"}}})
+		}
+		sourceView(src)
+		if n := testing.AllocsPerRun(50, func() { sourceView(src) }); n > 2 {
+			t.Errorf("source view of %d functions: %v allocs/run, want at most 2", funcs, n)
+		}
+		// A collision names both prototypes from the memo: the result is
+		// the one allocation.
+		v, one := sourceView(src), sourceView(&solc.Contract{Funcs: src.Funcs[funcs-1:]})
+		if n := testing.AllocsPerRun(50, func() { collideViews(v, one) }); n != 1 {
+			t.Errorf("one collision against a view of %d functions: %v allocs/run, want 1", funcs, n)
+		}
+	}
+
+	// A probe's overlay opens its maps on first write.
+	base := chain.New()
+	if n := testing.AllocsPerRun(50, func() { overlaySink = newOverlay(base) }); n != 1 {
+		t.Errorf("newOverlay: %v allocs/run, want 1", n)
 	}
 
 	// Slot-sorted input, as the extractor returns it, is joined in place:
@@ -416,6 +437,10 @@ func TestArtifactAllocationCeilings(t *testing.T) {
 		t.Errorf("forwardedReason: %v allocs/run, want 1", n)
 	}
 }
+
+// overlaySink keeps the overlays an allocation test makes on the heap, as a
+// probe's are.
+var overlaySink *overlayState
 
 // maxRetainedBytesPerCodeHash bounds what a detector keeps per distinct
 // bytecode of the near-clone shape that dominates the landscape. The same

@@ -354,3 +354,27 @@ func TestAnalyzeAllEndToEnd(t *testing.T) {
 		t.Errorf("end-to-end pair analysis missed the collision: %+v", pa)
 	}
 }
+
+// TestFunctionCollisionsNameTheLastDeclaringPrototype: two prototypes of one
+// source that share a selector (burn(uint256) and
+// collate_propagate_storage(bytes16), the textbook clash) list it twice, and
+// each collision names the prototype the side declares last.
+func TestFunctionCollisionsNameTheLastDeclaringPrototype(t *testing.T) {
+	burn := abi.Function{Name: "burn", Params: []string{"uint256"}}
+	clash := abi.Function{Name: "collate_propagate_storage", Params: []string{"bytes16"}}
+	if burn.Selector() != clash.Selector() {
+		t.Fatal("test setup: the two prototypes must share a selector")
+	}
+	src := func(fs ...abi.Function) *solc.Contract {
+		c := &solc.Contract{Name: "C"}
+		for _, f := range fs {
+			c.Funcs = append(c.Funcs, solc.Func{ABI: f, Body: []solc.Stmt{solc.Stop{}}})
+		}
+		return c
+	}
+	cols := proxion.FunctionCollisions(nil, nil, src(burn, clash), src(clash, burn))
+	want := proxion.FunctionCollision{Selector: burn.Selector(), ProxyProto: clash.Prototype(), LogicProto: burn.Prototype()}
+	if len(cols) != 2 || cols[0] != want || cols[1] != want {
+		t.Fatalf("collisions = %+v, want %+v twice", cols, want)
+	}
+}

@@ -160,7 +160,8 @@ type Detector struct {
 	// Figure 5) — and everything derived from the bytes without emulation
 	// (artifact.go).
 	artifacts *artifactCache
-	// walks counts the disassemblies (disasm.BasicBlocks) artifacts cost.
+	// walks counts the passes over a code's instructions that artifacts
+	// pay for: a storage slice, or the disassembly of a static summary.
 	walks atomic.Int64
 	// structural is the second-level verdict key: near-clone families by
 	// static fingerprint, promoted without emulation (structural.go).

@@ -5,8 +5,9 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/abi"
 	"repro/internal/disasm"
-	"repro/internal/etypes"
+	"repro/internal/keccak"
 	"repro/internal/solc"
 )
 
@@ -36,22 +37,35 @@ type selectorView struct {
 	// selectors is ascending; a source declaring two prototypes with one
 	// selector lists it twice.
 	selectors [][4]byte
-	// protoOf names the selectors of a source view; nil for bytecode.
-	protoOf map[[4]byte]string
+	// src is the source a source view was built from; nil for bytecode.
+	src *solc.Contract
 }
 
 func compareSelectors(a, b [4]byte) int { return bytes.Compare(a[:], b[:]) }
 
-// sourceView is the selector view of a contract with verified source.
+// sourceView is the selector view of a contract with verified source. It
+// holds no prototype: proto looks a selector's up when it collides.
 func sourceView(src *solc.Contract) selectorView {
-	v := selectorView{protoOf: make(map[[4]byte]string)}
-	for _, proto := range src.Prototypes() {
-		sel := selectorOf(proto)
-		v.selectors = append(v.selectors, sel)
-		v.protoOf[sel] = proto
+	v := selectorView{selectors: make([][4]byte, len(src.Funcs)), src: src}
+	for i, f := range src.Funcs {
+		v.selectors[i] = lookupFunction(f.ABI).sel
 	}
 	sortSelectors(v.selectors)
 	return v
+}
+
+// proto returns the prototype of sel in a source view — of the last
+// function declaring it, if two do — and "" in a bytecode view.
+func (v selectorView) proto(sel [4]byte) string {
+	if v.src == nil {
+		return ""
+	}
+	for i := len(v.src.Funcs) - 1; i >= 0; i-- {
+		if fn := lookupFunction(v.src.Funcs[i].ABI); fn.sel == sel {
+			return fn.proto
+		}
+	}
+	return ""
 }
 
 // sortSelectors sorts sels in place and returns it.
@@ -81,24 +95,46 @@ func collideViews(pv, lv selectorView) []FunctionCollision {
 		if _, ok := slices.BinarySearchFunc(lv.selectors, s, compareSelectors); ok {
 			out = append(out, FunctionCollision{
 				Selector:   s,
-				ProxyProto: pv.protoOf[s],
-				LogicProto: lv.protoOf[s],
+				ProxyProto: pv.proto(s),
+				LogicProto: lv.proto(s),
 			})
 		}
 	}
 	return out
 }
 
-// selectorMemo caches the keccak of function prototypes process-wide:
-// selectorOf is a pure function and prototype strings repeat across every
-// analyzed pair, so hashing each one once is enough.
-var selectorMemo sync.Map // string -> [4]byte
+// memoFunction is a function as the memo holds it: its selector, and its
+// prototype, interned — the string the memo is keyed by.
+type memoFunction struct {
+	sel   [4]byte
+	proto string
+}
 
-func selectorOf(proto string) [4]byte {
-	if v, ok := selectorMemo.Load(proto); ok {
-		return v.([4]byte)
+// functionMemo caches the keccak of function prototypes process-wide:
+// prototypes repeat across every analyzed pair, so hashing each one once is
+// enough. It is keyed by the prototype, which lookupFunction builds in a
+// stack buffer; a hit allocates nothing and takes the read lock only (under
+// a plain mutex, a scheduler trace of two workers showed them queueing on
+// it).
+var (
+	functionMu   sync.RWMutex
+	functionMemo = make(map[string]memoFunction)
+)
+
+// lookupFunction returns f's selector and prototype, hashing and interning
+// the prototype on its first lookup.
+func lookupFunction(f abi.Function) memoFunction {
+	var buf [64]byte
+	proto := f.AppendPrototype(buf[:0])
+	functionMu.RLock()
+	fn, ok := functionMemo[string(proto)]
+	functionMu.RUnlock()
+	if !ok {
+		h := keccak.Sum256(proto)
+		fn = memoFunction{sel: [4]byte(h[:4]), proto: string(proto)}
+		functionMu.Lock()
+		functionMemo[fn.proto] = fn
+		functionMu.Unlock()
 	}
-	sel := etypes.Keccak([]byte(proto)).SelectorBytes()
-	selectorMemo.Store(proto, sel)
-	return sel
+	return fn
 }

@@ -40,16 +40,19 @@ type overlayState struct {
 
 var _ evm.StateDB = (*overlayState)(nil)
 
+// newOverlay allocates the overlay alone: each map is made by its first
+// write (opened), since reads and deletes of a nil map are legal and most
+// probes write to one or two of them, if any.
 func newOverlay(base chain.Reader) *overlayState {
-	return &overlayState{
-		base:    base,
-		code:    make(map[etypes.Address][]byte),
-		storage: make(map[etypes.Address]map[etypes.Hash]etypes.Hash),
-		balance: make(map[etypes.Address]u256.Int),
-		nonce:   make(map[etypes.Address]uint64),
-		created: make(map[etypes.Address]struct{}),
-		dead:    make(map[etypes.Address]struct{}),
+	return &overlayState{base: base}
+}
+
+// opened returns *m, made first if it is nil.
+func opened[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = make(map[K]V)
 	}
+	return *m
 }
 
 // noteRead records a read of account a's existence, code or code hash.
@@ -104,8 +107,9 @@ func (o *overlayState) Transfer(from, to etypes.Address, v u256.Int) {
 		restore(o.balance, from, pf, hadF)
 		restore(o.balance, to, pt, hadT)
 	})
-	o.balance[from] = pf.Sub(v)
-	o.balance[to] = pt.Add(v)
+	balance := opened(&o.balance)
+	balance[from] = pf.Sub(v)
+	balance[to] = pt.Add(v)
 }
 
 func (o *overlayState) GetState(a etypes.Address, k etypes.Hash) etypes.Hash {
@@ -121,7 +125,7 @@ func (o *overlayState) SetState(a etypes.Address, k, v etypes.Hash) {
 	m := o.storage[a]
 	if m == nil {
 		m = make(map[etypes.Hash]etypes.Hash)
-		o.storage[a] = m
+		opened(&o.storage)[a] = m
 	}
 	prev, had := m[k]
 	o.journal = append(o.journal, func() { restore(m, k, prev, had) })
@@ -138,20 +142,20 @@ func (o *overlayState) GetNonce(a etypes.Address) uint64 {
 func (o *overlayState) SetNonce(a etypes.Address, n uint64) {
 	prev, had := o.nonce[a]
 	o.journal = append(o.journal, func() { restore(o.nonce, a, prev, had) })
-	o.nonce[a] = n
+	opened(&o.nonce)[a] = n
 }
 
 func (o *overlayState) CreateAccount(a etypes.Address) {
 	if _, ok := o.created[a]; !ok && !o.base.Exists(a) {
 		o.journal = append(o.journal, func() { delete(o.created, a) })
-		o.created[a] = struct{}{}
+		opened(&o.created)[a] = struct{}{}
 	}
 }
 
 func (o *overlayState) SetCode(a etypes.Address, code []byte) {
 	prev, had := o.code[a]
 	o.journal = append(o.journal, func() { restore(o.code, a, prev, had) })
-	o.code[a] = code
+	opened(&o.code)[a] = code
 }
 
 func (o *overlayState) SelfDestruct(a, beneficiary etypes.Address) {
@@ -162,7 +166,7 @@ func (o *overlayState) SelfDestruct(a, beneficiary etypes.Address) {
 			delete(o.dead, a)
 		}
 	})
-	o.dead[a] = struct{}{}
+	opened(&o.dead)[a] = struct{}{}
 }
 
 func (o *overlayState) Snapshot() int { return len(o.journal) }

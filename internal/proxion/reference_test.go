@@ -1,6 +1,7 @@
 package proxion
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -172,7 +173,7 @@ func refEvalBlock(code []byte, block disasm.BasicBlock) []StorageAccess {
 				// Field-extraction masks start at bit 0 (they follow the
 				// SHR); a mask whose ones start higher is a read-modify-
 				// write keep mask, whose complement is the written field.
-				if off, size, ok := lowRunMask(m.val); ok && off == 0 {
+				if off, size, ok := refLowRunMask(m.val); ok && off == 0 {
 					// Field read: refine the recorded access. (If this value
 					// is later OR-combined, the OR rule reinterprets it as a
 					// read-modify-write keep mask — the two shapes coincide
@@ -180,7 +181,7 @@ func refEvalBlock(code []byte, block disasm.BasicBlock) []StorageAccess {
 					s.acc.Offset = s.shift / 8
 					s.acc.Size = size
 					push(refSym{kind: refSload, acc: s.acc, shift: s.shift, masked: true, taint: s.taint})
-				} else if _, _, ok := complementRunMask(m.val); ok {
+				} else if _, _, ok := refLowRunMask(m.val.Not()); ok {
 					// Read-modify-write skeleton: the SLOAD is not a
 					// semantic field read; drop it from the access list.
 					refRemoveAccess(&accesses, s.acc)
@@ -231,7 +232,7 @@ func refEvalBlock(code []byte, block disasm.BasicBlock) []StorageAccess {
 				PC:      ins.PC,
 			}
 			if val.kind == refWriteCombine {
-				if off, size, ok := complementRunMask(val.keep); ok {
+				if off, size, ok := refLowRunMask(val.keep.Not()); ok {
 					acc.Offset, acc.Size = off, size
 				}
 			}
@@ -432,6 +433,87 @@ func stackEffect(op evm.Op) (pops, pushes int) {
 	default:
 		return 0, 0
 	}
+}
+
+// refLowRunMask is lowRunMask as the per-bit loop it was: the lowest set
+// bit found one bit at a time, then the run compared with a built mask.
+func refLowRunMask(m u256.Int) (offsetBytes, sizeBytes int, ok bool) {
+	if m.IsZero() {
+		return 0, 0, false
+	}
+	lo := 0
+	for m.Bit(uint(lo)) == 0 {
+		lo++
+	}
+	hi := m.BitLen() - 1
+	width := hi - lo + 1
+	ones := u256.One().Shl(uint(width)).Sub(u256.One()).Shl(uint(lo))
+	if !ones.Eq(m) {
+		return 0, 0, false
+	}
+	if lo%8 != 0 || width%8 != 0 {
+		return 0, 0, false
+	}
+	return lo / 8, width / 8, true
+}
+
+// TestLowRunMaskMatchesReference holds the word-op mask test to the per-bit
+// loop over every run of ones (each offset and width, aligned or not), the
+// same runs with a bit flipped inside, next to and far from them, and
+// their complements.
+func TestLowRunMaskMatchesReference(t *testing.T) {
+	check := func(m u256.Int) {
+		t.Helper()
+		off, size, ok := lowRunMask(m)
+		wantOff, wantSize, wantOK := refLowRunMask(m)
+		if off != wantOff || size != wantSize || ok != wantOK {
+			t.Fatalf("lowRunMask(%v) = (%d, %d, %v), the per-bit loop says (%d, %d, %v)",
+				m, off, size, ok, wantOff, wantSize, wantOK)
+		}
+	}
+	check(u256.Zero())
+	runs := 0
+	for lo := 0; lo < 256; lo++ {
+		for width := 1; lo+width <= 256; width++ {
+			run := u256.One().Shl(uint(width)).Sub(u256.One()).Shl(uint(lo))
+			check(run)
+			check(run.Not())
+			for _, flip := range []int{lo, lo + width/2, lo + width - 1, lo + width, lo - 1, 255 - lo} {
+				if flip >= 0 && flip < 256 {
+					check(run.Xor(u256.One().Shl(uint(flip))))
+				}
+			}
+			if _, _, ok := lowRunMask(run); ok {
+				runs++
+			}
+		}
+	}
+	if runs != 32*33/2 {
+		t.Fatalf("%d byte-aligned runs accepted, want %d", runs, 32*33/2)
+	}
+}
+
+// FuzzSlicerMatchesReference holds the slicer, which reads blocks straight
+// from the bytes, to the frozen evaluator over a disassembly on arbitrary
+// code: the same accesses in the same order, nil for none.
+func FuzzSlicerMatchesReference(f *testing.F) {
+	for _, code := range artifactCorpus(f) {
+		f.Add(code)
+	}
+	push32, jd := byte(evm.PUSH32), byte(evm.JUMPDEST)
+	sload, sstore := byte(evm.SLOAD), byte(evm.SSTORE)
+	// A PUSH32 cut short by the end of code, after a storage read.
+	f.Add([]byte{byte(evm.PUSH1), 0, sload, push32, 0xff, 0xff})
+	// JUMPDEST and SLOAD bytes inside push data, which start no block and
+	// read nothing.
+	f.Add([]byte{byte(evm.PUSH2), jd, sload, byte(evm.PUSH1), 1, sload, byte(evm.PUSH3), sload, jd, sstore, byte(evm.STOP)})
+	// A storage block that ends the code, without a terminator.
+	f.Add([]byte{jd, byte(evm.CALLER), byte(evm.PUSH1), 3, sstore, jd, byte(evm.PUSH1), 3, sload, byte(evm.PUSH1), 0xff, byte(evm.AND)})
+	f.Fuzz(func(t *testing.T, code []byte) {
+		if got, want := ExtractStorageAccesses(code), refExtractStorageAccesses(code); !reflect.DeepEqual(got, want) {
+			t.Fatalf("code %x: slicer diverges from the reference:\n got %+v\nwant %+v", code, got, want)
+		}
+	})
 }
 
 // TestSlicerArityIsTheInterpreters pins the equivalence that let evalBlock

@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
@@ -79,24 +80,34 @@ type sym struct {
 // slot arithmetic, the SHR/AND field extraction Solidity emits for packed
 // reads, the AND/OR read-modify-write skeleton of packed writes, and the
 // comparisons/branches that mark guard slots. The result is sorted by slot,
-// then offset, then kind.
+// then offset, then kind, and nil when there is none.
+//
+// The slice is read straight from the bytes, block by block
+// (disasm.BlockEnd), without an instruction stream. Only a block holding an
+// SLOAD or SSTORE is evaluated: a block starts from an empty stack, an
+// access enters the result at its own SLOAD/SSTORE, and a Guard/CallerCheck
+// tag only ever lands on an access of the same block, so the other blocks
+// cannot contribute. The evaluator's stack and lists are pooled; what the
+// call allocates is the result, copied out at its exact size.
 func ExtractStorageAccesses(code []byte) []StorageAccess {
-	return sliceBlocks(code, disasm.BasicBlocks(code))
-}
-
-// sliceBlocks is ExtractStorageAccesses over an existing disassembly of
-// code, which the per-bytecode artifact shares with the static summary.
-// Only a block holding an SLOAD or SSTORE is evaluated: a block starts from
-// an empty stack, an access enters the result at its own SLOAD/SSTORE, and
-// a Guard/CallerCheck tag only ever lands on an access of the same block,
-// so the other blocks cannot contribute. Code without storage instructions
-// allocates nothing here.
-func sliceBlocks(code []byte, blocks []disasm.BasicBlock) []StorageAccess {
-	var s slicer
-	for _, block := range blocks {
-		if touchesStorage(block) {
-			s.evalBlock(code, block)
+	var s *slicer
+	for start := 0; start < len(code); {
+		end := disasm.BlockEnd(code, start)
+		if touchesStorage(code[start:end]) {
+			if s == nil {
+				s = slicerPool.Get().(*slicer)
+				s.out = s.out[:0]
+			}
+			s.evalBlock(code, start, end)
 		}
+		start = end
+	}
+	if s == nil {
+		return nil
+	}
+	defer slicerPool.Put(s)
+	if len(s.out) == 0 {
+		return nil
 	}
 	// Every access carries the PC of its own instruction, so no two are
 	// equal and there is nothing to de-duplicate.
@@ -109,21 +120,28 @@ func sliceBlocks(code []byte, blocks []disasm.BasicBlock) []StorageAccess {
 		}
 		return int(a.Kind) - int(b.Kind)
 	})
-	return s.out
+	out := make([]StorageAccess, len(s.out))
+	copy(out, s.out)
+	return out
 }
 
-func touchesStorage(block disasm.BasicBlock) bool {
-	for _, ins := range block.Instrs {
-		if ins.Op == evm.SLOAD || ins.Op == evm.SSTORE {
+// touchesStorage reports whether the instructions of block, a whole basic
+// block, include an SLOAD or SSTORE.
+func touchesStorage(block []byte) bool {
+	for pc := 0; pc < len(block); {
+		op := evm.Op(block[pc])
+		if op == evm.SLOAD || op == evm.SSTORE {
 			return true
 		}
+		pc += 1 + op.PushSize()
 	}
 	return false
 }
 
 // slicer is the symbolic evaluator's state across the blocks of one
 // bytecode: one stack and one per-block access list, reused from block to
-// block, and the accesses found so far.
+// block, and the accesses found so far. Slicers are pooled, so a slice
+// allocates nothing but its result.
 type slicer struct {
 	stack []sym
 	// block holds the accesses of the block under evaluation in program
@@ -132,6 +150,8 @@ type slicer struct {
 	block []StorageAccess
 	out   []StorageAccess
 }
+
+var slicerPool = sync.Pool{New: func() any { return new(slicer) }}
 
 func (s *slicer) push(v sym) { s.stack = append(s.stack, v) }
 
@@ -157,12 +177,13 @@ func (s *slicer) drop(acc int32) {
 	}
 }
 
-// evalBlock symbolically executes one basic block of code with an empty
-// entry stack (cross-block stack contents appear as unknowns) and appends
-// the accesses it performs to s.out.
-func (s *slicer) evalBlock(code []byte, block disasm.BasicBlock) {
+// evalBlock symbolically executes the basic block code[start:end] with an
+// empty entry stack (cross-block stack contents appear as unknowns) and
+// appends the accesses it performs to s.out.
+func (s *slicer) evalBlock(code []byte, start, end int) {
 	s.stack, s.block = s.stack[:0], s.block[:0]
-	for _, ins := range block.Instrs {
+	for pc := start; pc < end; pc += 1 + evm.Op(code[pc]).PushSize() {
+		ins := disasm.Instruction{PC: uint64(pc), Op: evm.Op(code[pc])}
 		op := ins.Op
 		switch {
 		case op.IsPush():
@@ -352,18 +373,14 @@ func lowRunMask(m u256.Int) (offsetBytes, sizeBytes int, ok bool) {
 	if m.IsZero() {
 		return 0, 0, false
 	}
-	// Find lowest set bit.
-	lo := 0
-	for m.Bit(uint(lo)) == 0 {
-		lo++
-	}
-	hi := m.BitLen() - 1
-	// All bits between lo and hi must be set.
-	width := hi - lo + 1
-	ones := u256.One().Shl(uint(width)).Sub(u256.One()).Shl(uint(lo))
-	if !ones.Eq(m) {
+	// Shifted down by its trailing zeros, a run of ones is all ones below
+	// its top bit: adding one carries through every bit of it.
+	lo := m.TrailingZeros()
+	r := m.Shr(uint(lo))
+	if !r.And(r.Add(u256.One())).IsZero() {
 		return 0, 0, false
 	}
+	width := r.BitLen()
 	if lo%8 != 0 || width%8 != 0 {
 		return 0, 0, false
 	}

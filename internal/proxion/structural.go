@@ -231,7 +231,7 @@ func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace)
 		if d.chain.CodeHash(lead.addr) != lead.codeHash {
 			return
 		}
-		sum := d.summarize(d.artifacts.of(lead.codeHash), code, lead.codeHash, fp)
+		sum := d.summarize(code, lead.codeHash, fp)
 		tr.summaries++
 		if exemplarConsistent(sum, lead) {
 			tmpl = newTemplate(code, sum, lead)

@@ -141,7 +141,8 @@ func fromSignedBig(v *big.Int) *big.Int {
 }
 
 // FuzzU256VsBigInt cross-checks every arithmetic, signed, modular, and
-// shift operation against a math/big reference model of EVM semantics.
+// shift operation, and TrailingZeros, against a math/big reference model of
+// EVM semantics.
 func FuzzU256VsBigInt(f *testing.F) {
 	f.Add([]byte{1}, []byte{2}, []byte{3})
 	f.Add(
@@ -150,6 +151,9 @@ func FuzzU256VsBigInt(f *testing.F) {
 		[]byte{},
 	)
 	f.Add([]byte{0xff, 0xff}, []byte{0}, []byte{1})
+	// TrailingZeros: zero, and a lone top bit above three empty limbs.
+	f.Add([]byte{}, []byte{1}, []byte{})
+	f.Add(append([]byte{0x80}, make([]byte, 31)...), []byte{}, []byte{2})
 	f.Fuzz(func(t *testing.T, xb, yb, mb []byte) {
 		if len(xb) > 32 || len(yb) > 32 || len(mb) > 32 {
 			t.Skip()
@@ -198,6 +202,14 @@ func FuzzU256VsBigInt(f *testing.F) {
 		if !y.IsUint64() || n > 1<<20 {
 			n = 1 << 20
 		}
+		tz := 256
+		if bx.Sign() != 0 {
+			tz = int(bx.TrailingZeroBits())
+		}
+		if got := x.TrailingZeros(); got != tz {
+			t.Errorf("TrailingZeros(%v) = %d, big.Int says %d", x, got, tz)
+		}
+
 		check("Shl", x.Shl(n), wrap(new(big.Int).Lsh(bx, n)))
 		check("Shr", x.Shr(n), new(big.Int).Rsh(bx, n))
 		sar := new(big.Int).Rsh(signedBig(bx), n)

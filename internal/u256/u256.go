@@ -343,6 +343,17 @@ func (x Int) BitLen() int {
 	return 0
 }
 
+// TrailingZeros returns the number of trailing zero bits of x (256 for
+// zero).
+func (x Int) TrailingZeros() int {
+	for i, l := range x.limbs {
+		if l != 0 {
+			return i*64 + bits.TrailingZeros64(l)
+		}
+	}
+	return 256
+}
+
 // Hex returns the canonical 0x-prefixed minimal hexadecimal representation.
 func (x Int) Hex() string {
 	if x.IsZero() {
