@@ -162,6 +162,7 @@ fuzz:
 	go test ./internal/evm -run '^$$' -fuzz FuzzHaltParity -fuzztime $(FUZZTIME)
 	go test ./internal/disasm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
 	go test ./internal/static -run '^$$' -fuzz FuzzStaticAnalyze -fuzztime $(FUZZTIME)
+	go test ./internal/static -run '^$$' -fuzz FuzzFamilyKey -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzTemplatePromotion -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzSlicerMatchesReference -fuzztime $(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME)

@@ -29,11 +29,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -46,42 +47,46 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "proxiond:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8547", "HTTP listen address")
-	contracts := flag.Int("contracts", 4000, "population size to generate and serve")
-	seed := flag.Int64("seed", 1, "generation seed")
-	shards := flag.Int("shards", 0, "analyses run at once, over one shared detector and cache (0 = GOMAXPROCS; more only helps when node reads wait)")
-	storeDir := flag.String("store", "", "verdict store directory (empty = no persistence)")
-	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
-	cacheCap := flag.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
-	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
-	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")
-	readerFlags := faultchain.RegisterReaderFlags(flag.CommandLine)
-	verbose := flag.Bool("v", false, "log every request outcome summary on shutdown")
-	selfLoad := flag.Bool("loadtest", false, "start, self-drive the load harness, print the report, exit")
-	loadReqs := flag.Int("loadtest-requests", 2048, "loadtest: total requests")
-	loadConc := flag.Int("loadtest-concurrency", 16, "loadtest: concurrent workers")
-	loadOut := flag.String("loadtest-report", "", "loadtest: also write the JSON report to this path")
-	flag.Parse()
-
-	fmt.Fprintf(os.Stderr, "generating %d-contract chain snapshot (seed %d)...\n", *contracts, *seed)
-	pop := dataset.Generate(dataset.Config{Seed: *seed, Contracts: *contracts})
-	fmt.Fprintf(os.Stderr, "chain height %d, %d contracts alive\n",
-		pop.Chain.CurrentBlock(), len(pop.Chain.Contracts()))
+// run is the whole command over its arguments and output streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("proxiond", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8547", "HTTP listen address (port 0 = any free port)")
+	contracts := fs.Int("contracts", 4000, "population size to generate and serve")
+	seed := fs.Int64("seed", 1, "generation seed")
+	shards := fs.Int("shards", 0, "analyses run at once, over one shared detector and cache (0 = GOMAXPROCS; more only helps when node reads wait)")
+	storeDir := fs.String("store", "", "verdict store directory (empty = no persistence)")
+	segBytes := fs.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
+	cacheCap := fs.Int("cache-capacity", 0, "LRU bound, in distinct bytecodes, on the per-bytecode records (verdict and facets) and on clone families (0 = unbounded)")
+	follow := fs.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
+	followInterval := fs.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")
+	readerFlags := faultchain.RegisterReaderFlags(fs)
+	verbose := fs.Bool("v", false, "log every request outcome summary on shutdown")
+	selfLoad := fs.Bool("loadtest", false, "start, self-drive the load harness, print the report, exit")
+	loadReqs := fs.Int("loadtest-requests", 2048, "loadtest: total requests")
+	loadConc := fs.Int("loadtest-concurrency", 16, "loadtest: concurrent workers")
+	loadOut := fs.String("loadtest-report", "", "loadtest: also write the JSON report to this path")
+	fs.Parse(args)
 
 	// The server and the follower each read through newReader(…, n): the
 	// chain itself, or their own resilient client, so the follower's circuit
-	// breaker never gates a query's reads.
-	newReader, err := readerFlags.Readers(os.Stderr)
+	// breaker never gates a query's reads. Resolved first, so that a bad
+	// -faults is refused before a population is generated.
+	newReader, err := readerFlags.Readers(stderr)
 	if err != nil {
 		return err
 	}
+
+	fmt.Fprintf(stderr, "generating %d-contract chain snapshot (seed %d)...\n", *contracts, *seed)
+	pop := dataset.Generate(dataset.Config{Seed: *seed, Contracts: *contracts})
+	fmt.Fprintf(stderr, "chain height %d, %d contracts alive\n",
+		pop.Chain.CurrentBlock(), len(pop.Chain.Contracts()))
 
 	srv, err := serve.New(serve.Config{
 		Reader:        newReader(pop.Chain, 0),
@@ -96,7 +101,7 @@ func run() error {
 	}
 	if *storeDir != "" {
 		st := srv.StoreStats()
-		fmt.Fprintf(os.Stderr, "verdict store: %d entries in %d segment(s), loaded in %.1fms (%d torn bytes truncated)\n",
+		fmt.Fprintf(stderr, "verdict store: %d entries in %d segment(s), loaded in %.1fms (%d torn bytes truncated)\n",
 			st.Entries, st.Segments, st.LoadMS, st.TruncatedBytes)
 	}
 
@@ -107,11 +112,11 @@ func run() error {
 			Analyzer:     srv,
 			PollInterval: *followInterval,
 			OnUpgrade: func(ev watch.UpgradeEvent) {
-				fmt.Fprintf(os.Stderr, "block %d: %s upgraded (slot %s), verdict re-analyzed\n",
+				fmt.Fprintf(stderr, "block %d: %s upgraded (slot %s), verdict re-analyzed\n",
 					ev.Block, ev.Proxy.Hex(), ev.Slot.Hex())
 			},
 			OnError: func(err error) {
-				fmt.Fprintf(os.Stderr, "proxiond: follower: %v\n", err)
+				fmt.Fprintf(stderr, "proxiond: follower: %v\n", err)
 			},
 		}
 		if *storeDir != "" {
@@ -125,14 +130,22 @@ func run() error {
 		follower = f
 		srv.SetWatchStats(func() any { return f.Stats() })
 		go f.Run()
-		fmt.Fprintf(os.Stderr, "following chain from block %d (poll every %s)\n", f.Cursor(), *followInterval)
+		fmt.Fprintf(stderr, "following chain from block %d (poll every %s)\n", f.Cursor(), *followInterval)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		if follower != nil {
+			follower.Stop()
+		}
+		srv.Close()
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
+	fmt.Fprintf(stderr, "proxiond listening on %s\n", ln.Addr())
 	go func() {
-		fmt.Fprintf(os.Stderr, "proxiond listening on %s\n", *addr)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
 	}()
@@ -143,7 +156,7 @@ func run() error {
 		if follower != nil {
 			defer follower.Stop()
 		}
-		return selfDrive(pop, *addr, *loadReqs, *loadConc, *loadOut)
+		return selfDrive(pop, ln.Addr().String(), *loadReqs, *loadConc, *loadOut, stdout, stderr)
 	}
 
 	// Serve until SIGINT/SIGTERM, then drain in dependency order: stop
@@ -160,7 +173,7 @@ func run() error {
 		srv.Close()
 		return err
 	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "\n%s: draining...\n", s)
+		fmt.Fprintf(stderr, "\n%s: draining...\n", s)
 	}
 	if follower != nil {
 		follower.Stop()
@@ -175,42 +188,35 @@ func run() error {
 	}
 	if *verbose {
 		ctr := srv.Counters()
-		fmt.Fprintf(os.Stderr, "served %d requests: %d analyses, %d coalesced, %d cache hits\n",
+		fmt.Fprintf(stderr, "served %d requests: %d analyses, %d coalesced, %d cache hits\n",
 			ctr.Requests, ctr.Analyses, ctr.Coalesced, ctr.ResultCacheHits)
 	}
 	if follower != nil {
 		ws := follower.Stats()
-		fmt.Fprintf(os.Stderr, "follower stopped at block %d (%d behind head): %d deployments, %d upgrades, %d invalidations; %d audits found %d missed change(s)\n",
+		fmt.Fprintf(stderr, "follower stopped at block %d (%d behind head): %d deployments, %d upgrades, %d invalidations; %d audits found %d missed change(s)\n",
 			ws.Cursor, ws.LagBlocks, ws.DeploymentsSeen, ws.UpgradesDetected, ws.Invalidations, ws.AuditRuns, ws.AuditMismatches)
 	}
 	st := srv.StoreStats()
 	if st.Entries > 0 {
-		fmt.Fprintf(os.Stderr, "verdict store: %d entries, %d appended this run, %d skipped as known\n",
+		fmt.Fprintf(stderr, "verdict store: %d entries, %d appended this run, %d skipped as known\n",
 			st.Entries, st.Appended, st.SkippedPuts)
 	}
 	return nil
 }
 
 // selfDrive runs the built-in load harness against the just-started
-// server and prints its report to stdout.
-func selfDrive(pop *dataset.Population, addr string, requests, concurrency int, outPath string) error {
-	base := "http://" + addr
-	if strings.HasPrefix(addr, ":") {
-		base = "http://127.0.0.1" + addr
+// server, listening on addr, and prints its report to stdout.
+func selfDrive(pop *dataset.Population, addr string, requests, concurrency int, outPath string, stdout, stderr io.Writer) error {
+	// The listener is bound before this runs, so requests queue until the
+	// server accepts them. An unspecified host is reached on loopback.
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return err
 	}
-	// Wait for the listener.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("server did not come up at %s: %w", base, err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+		host = "127.0.0.1"
 	}
+	base := "http://" + net.JoinHostPort(host, port)
 
 	var addrs []string
 	for _, a := range pop.Chain.Contracts() {
@@ -230,12 +236,12 @@ func selfDrive(pop *dataset.Population, addr string, requests, concurrency int, 
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(out))
+	fmt.Fprintln(stdout, string(out))
 	if outPath != "" {
 		if err := rep.WriteJSON(outPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote loadtest report to %s\n", outPath)
+		fmt.Fprintf(stderr, "wrote loadtest report to %s\n", outPath)
 	}
 	return nil
 }

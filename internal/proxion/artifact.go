@@ -140,18 +140,30 @@ func (a *artifact) dispatcherTargets(code []byte) map[[4]byte]uint64 {
 }
 
 // storageAccesses returns ExtractStorageAccesses(code), read-only. The
-// slice runs once, and only if the code has a storage instruction; it is
-// one of the passes d.walks counts.
+// slice runs only if the code has a storage instruction; it is one of the
+// passes d.walks counts. It runs with a.mu released, so the bytecode's
+// other facets are not held up behind it, and is published under it:
+// callers that race to a bytecode's first slice each slice, to equal
+// values, and the first to publish wins.
 func (d *Detector) storageAccesses(a *artifact, code []byte) []StorageAccess {
+	a.mu.Lock()
+	if a.sliced {
+		defer a.mu.Unlock()
+		return a.accesses
+	}
+	a.scanLocked(code)
+	storageOps := a.storageOps
+	a.mu.Unlock()
+
+	var accesses []StorageAccess
+	if storageOps {
+		d.walks.Add(1)
+		accesses = ExtractStorageAccesses(code)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.sliced {
-		a.scanLocked(code)
-		if a.storageOps {
-			d.walks.Add(1)
-			a.accesses = ExtractStorageAccesses(code)
-		}
-		a.sliced = true
+		a.accesses, a.sliced = accesses, true
 	}
 	return a.accesses
 }

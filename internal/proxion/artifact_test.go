@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/abi"
 	"repro/internal/chain"
@@ -242,7 +243,8 @@ func TestPairSkipsProxyWalkForStorageFreeLogic(t *testing.T) {
 
 // TestArtifactConcurrentFacets has eight goroutines ask one artifact for
 // different facets at once (run under -race): each must see the values a
-// single caller computes.
+// single caller computes. Two of them race to the first slice, which runs
+// outside the artifact's lock; both must get the one slice published.
 func TestArtifactConcurrentFacets(t *testing.T) {
 	code := solc.MustCompile(&solc.Contract{
 		Name: "Busy",
@@ -269,6 +271,7 @@ func TestArtifactConcurrentFacets(t *testing.T) {
 		art := d.artifacts.of(etypes.Hash{31: byte(round)})
 		start := make(chan struct{})
 		var wg sync.WaitGroup
+		var sliced [8][]StorageAccess
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -277,7 +280,8 @@ func TestArtifactConcurrentFacets(t *testing.T) {
 				var got, want any
 				switch g % 5 {
 				case 0:
-					got, want = d.storageAccesses(art, code), wantAcc
+					sliced[g] = d.storageAccesses(art, code)
+					got, want = sliced[g], wantAcc
 				case 1:
 					got, want = d.summarize(code, wantSum.CodeHash, wantSum.Fingerprint), wantSum
 				case 2:
@@ -294,6 +298,20 @@ func TestArtifactConcurrentFacets(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		if &sliced[0][0] != &sliced[5][0] {
+			t.Errorf("round %d: two callers kept two slices, want the one published", round)
+		}
+	}
+}
+
+// TestArtifactSize pins the per-bytecode record's size on a 64-bit
+// platform: one is kept per distinct bytecode, logic contracts included.
+func TestArtifactSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(artifact{}); got != 112 {
+		t.Errorf("artifact is %d bytes, want 112", got)
 	}
 }
 

@@ -164,7 +164,7 @@ type Detector struct {
 	// pay for: a storage slice, or the disassembly of a static summary.
 	walks atomic.Int64
 	// structural is the second-level verdict key: near-clone families by
-	// static fingerprint, promoted without emulation (structural.go).
+	// static family key, promoted without emulation (structural.go).
 	structural *structuralIndex
 	// applied is what configure last set the caches to; nil before the
 	// first call, when everything is on and unbounded.

@@ -308,7 +308,7 @@ func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe b
 // probe is the emulation probe (Section 4.2): one emulation per *unique*
 // runtime bytecode thanks to the verdict cache, and one per *structural
 // family* of cleanly forwarding near-clones thanks to the second-level
-// fingerprint index. It also returns the bytecode's record, which the pair
+// structural index. It also returns the bytecode's record, which the pair
 // stage reuses; nil when a read failed.
 func (r *analysis) probe(addr etypes.Address, code []byte) (rep Report, art *artifact) {
 	d, stats := r.d, r.opts.Stats

@@ -22,8 +22,9 @@ import (
 // a full emulation under the exact cache.
 //
 // The structural index is the second-level key. It groups bytecodes by
-// their static fingerprint (wide PUSH immediates masked, see
-// static.Fingerprint) and runs a leader/follower protocol per family:
+// their family key, a seeded 64-bit hash of the code with its wide PUSH
+// immediates masked (static.FamilyKey; the stream static.Fingerprint
+// hashes), and runs a leader/follower protocol per family:
 //
 //   - The first code hash of a family is the leader. It is emulated
 //     normally; if the dynamic verdict is a cleanly forwarding proxy with
@@ -31,7 +32,7 @@ import (
 //     forwarding, the family becomes provisional: the leader pins its
 //     address, code hash and target (an exemplar) and nothing more. Most
 //     families never see a follower, so the leader runs no static analysis.
-//   - Every later first-visit code hash with the same fingerprint is a
+//   - Every later first-visit code hash with the same key is a
 //     follower. The first follower of a provisional family runs the
 //     leader's deferred cross-check, once for the family: the leader's code
 //     is re-read, must still hash to the pinned code hash, and its static
@@ -51,6 +52,15 @@ import (
 //     follower of a refused family, or one that does not fit the template,
 //     is emulated normally, so promotion can only skip work, never change a
 //     verdict that disagrees with emulation.
+//
+// The key only groups codes; the template's byte comparison decides. Two
+// codes whose masked streams differ share a key with probability about
+// 2^-64, and the seed is made per process, so no code can be built ahead
+// of time to join a family it does not belong to. Should it happen, the
+// code meets a template it does not fit, which refuses it, and it is
+// emulated; a code that leads a family it collided into makes that
+// family's other codes the misfits, and they are emulated, as with the
+// tier off.
 //
 // Why a template answers what the follower's own summary would: a window
 // is an immediate the leader's analysis left opaque (static.Immediate) —
@@ -74,7 +84,7 @@ import (
 // the code size or balance a fallback may have gated on, nor what a nested
 // call answered.
 type structuralIndex struct {
-	*lru.Cache[etypes.Hash, *fpClass]
+	*lru.Cache[uint64, *fpClass]
 }
 
 // fpClass is the state of one structural clone family. lead is written by
@@ -124,16 +134,16 @@ type template struct {
 // newStructuralIndex returns an unbounded index; SetCapacity bounds it like
 // the verdict cache. An evicted or invalidated family's in-flight leader
 // finishes harmlessly into the orphan, and the next arrival of that
-// fingerprint becomes a fresh leader that re-reads live chain state.
+// family key becomes a fresh leader that re-reads live chain state.
 func newStructuralIndex() *structuralIndex {
-	return &structuralIndex{lru.New[etypes.Hash, *fpClass](0)}
+	return &structuralIndex{lru.New[uint64, *fpClass](0)}
 }
 
-// class returns the family for fp and whether the caller claimed
+// class returns the family filed under key and whether the caller claimed
 // leadership of a brand-new family. A leader MUST close(cls.done) on every
 // exit path, or followers block forever.
-func (s *structuralIndex) class(fp etypes.Hash) (cls *fpClass, leader bool) {
-	return s.GetOrAdd(fp, func() *fpClass { return &fpClass{done: make(chan struct{})} })
+func (s *structuralIndex) class(key uint64) (cls *fpClass, leader bool) {
+	return s.GetOrAdd(key, func() *fpClass { return &fpClass{done: make(chan struct{})} })
 }
 
 // probeSource says how a deduped check obtained its verdict.
@@ -169,26 +179,38 @@ type probeTrace struct {
 // codeHash is art's key, which the caller got from the chain's per-account
 // cache; a leader pins it for its family's cross-check.
 func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash) (Report, probeTrace) {
-	var tr probeTrace
-	ownStateOnly := false
-	emulate := func() Report {
-		out := d.emulateProbe(addr, code, art.probeCallData(addr, code))
-		entry.record(addr, out.guardSlots, d.guardFingerprint(addr, out.guardSlots), out.verdict())
-		ownStateOnly = out.ownStateOnly
-		return out.rep
-	}
 	if s := d.applied.Load(); s != nil && s.structuralOff {
-		return emulate(), tr
+		rep, _ := d.emulateRecord(art, entry, addr, code)
+		return rep, probeTrace{}
 	}
+	return d.recordInFamily(art, entry, addr, code, codeHash, static.FamilyKey(code))
+}
 
-	fp := static.Fingerprint(code)
-	cls, leader := d.structural.class(fp)
+// emulateRecord emulates a first-visit code and records its verdict in
+// entry. It also returns whether the probe read only the contract's own
+// storage before forwarding, which a family's leader needs to register.
+func (d *Detector) emulateRecord(art *artifact, entry *codeVerdict, addr etypes.Address, code []byte) (rep Report, ownStateOnly bool) {
+	out := d.emulateProbe(addr, code, art.probeCallData(addr, code))
+	entry.record(addr, out.guardSlots, d.guardFingerprint(addr, out.guardSlots), out.verdict())
+	return out.rep, out.ownStateOnly
+}
+
+// recordInFamily is recordFirst for a code filed under the family key
+// key, which is static.FamilyKey(code) everywhere but in the tests that
+// file two codes under one key to show a collision is refused.
+func (d *Detector) recordInFamily(art *artifact, entry *codeVerdict, addr etypes.Address, code []byte, codeHash etypes.Hash, key uint64) (Report, probeTrace) {
+	var tr probeTrace
+	emulate := func() Report {
+		rep, _ := d.emulateRecord(art, entry, addr, code)
+		return rep
+	}
+	cls, leader := d.structural.class(key)
 	if leader {
 		// Close on every exit path — including a ReadError panic unwinding
 		// through here — so followers never block on a dead leader. A
 		// panicked leader leaves lead nil and followers emulate.
 		defer close(cls.done)
-		rep := emulate()
+		rep, ownStateOnly := d.emulateRecord(art, entry, addr, code)
 		if rep.IsProxy && rep.EmulationErr == nil && len(entry.guardSlots) == 0 && ownStateOnly {
 			cls.lead = &exemplar{addr: addr, codeHash: codeHash, target: rep.Target, logic: rep.Logic, implSlot: rep.ImplSlot}
 		}
@@ -200,7 +222,7 @@ func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Ad
 	if lead == nil {
 		return emulate(), tr
 	}
-	lead.check.Do(func() { lead.tmpl = d.checkExemplar(lead, fp, &tr) })
+	lead.check.Do(func() { lead.tmpl = d.checkExemplar(lead, &tr) })
 	if lead.tmpl == nil {
 		return emulate(), tr
 	}
@@ -222,7 +244,9 @@ func (d *Detector) recordFirst(art *artifact, entry *codeVerdict, addr etypes.Ad
 // pinned verdict. It returns the family's template, or nil: code that is
 // gone or changed, or a terminal read failure, refuses the family like any
 // disagreement, and the refusal is counted on the follower that asked.
-func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace) *template {
+// The summary's fingerprint is the one Keccak fingerprint the tier
+// computes, once per family: the family key does not stand in for it.
+func (d *Detector) checkExemplar(lead *exemplar, tr *probeTrace) *template {
 	var tmpl *template
 	chain.CaptureReadError(func() {
 		// Code before hash: code replaced between the two reads fails the
@@ -231,7 +255,7 @@ func (d *Detector) checkExemplar(lead *exemplar, fp etypes.Hash, tr *probeTrace)
 		if d.chain.CodeHash(lead.addr) != lead.codeHash {
 			return
 		}
-		sum := d.summarize(code, lead.codeHash, fp)
+		sum := d.summarize(code, lead.codeHash, static.Fingerprint(code))
 		tr.summaries++
 		if exemplarConsistent(sum, lead) {
 			tmpl = newTemplate(code, sum, lead)

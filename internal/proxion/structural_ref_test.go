@@ -68,13 +68,12 @@ func familyTemplate(r chain.Reader, leader etypes.Address) (*exemplar, *template
 	d := NewDetector(r)
 	code := r.Code(leader)
 	d.checkDeduped(leader, code)
-	fp := static.Fingerprint(code)
-	cls, _ := d.structural.class(fp)
+	cls, _ := d.structural.class(static.FamilyKey(code))
 	if cls.lead == nil {
 		return nil, nil
 	}
 	var tr probeTrace
-	return cls.lead, d.checkExemplar(cls.lead, fp, &tr)
+	return cls.lead, d.checkExemplar(cls.lead, &tr)
 }
 
 // templateMatchesReference checks one follower: the template's answer and

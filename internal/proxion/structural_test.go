@@ -11,6 +11,7 @@ import (
 	"repro/internal/evm"
 	"repro/internal/pipeline"
 	"repro/internal/solc"
+	"repro/internal/static"
 	"repro/internal/u256"
 )
 
@@ -299,18 +300,16 @@ func TestStructuralRefusesSelfTargetTwin(t *testing.T) {
 }
 
 // TestStructuralIndexEviction: a bounded index forgets least-recently-used
-// families; a re-encountered fingerprint becomes a fresh leader and is
+// families; a re-encountered family key becomes a fresh leader and is
 // emulated again — promotion can only skip work for remembered families.
 func TestStructuralIndexEviction(t *testing.T) {
 	s := newStructuralIndex()
 	s.SetCapacity(2)
-	fps := []etypes.Hash{
-		etypes.Keccak([]byte("f1")), etypes.Keccak([]byte("f2")), etypes.Keccak([]byte("f3")),
-	}
-	for _, fp := range fps {
-		cls, leader := s.class(fp)
+	keys := []uint64{1, 2, 3}
+	for _, key := range keys {
+		cls, leader := s.class(key)
 		if !leader {
-			t.Fatalf("fingerprint %s: want fresh leadership", fp)
+			t.Fatalf("family key %d: want fresh leadership", key)
 		}
 		cls.lead = &exemplar{target: TargetHardcoded}
 		close(cls.done)
@@ -319,11 +318,11 @@ func TestStructuralIndexEviction(t *testing.T) {
 		t.Fatalf("index len = %d, want 2 after eviction", s.Len())
 	}
 	// f1 was evicted: its next arrival leads again.
-	if _, leader := s.class(fps[0]); !leader {
+	if _, leader := s.class(keys[0]); !leader {
 		t.Fatal("evicted family must restart with a fresh leader")
 	}
 	// f3 is still resident.
-	if cls, leader := s.class(fps[2]); leader || cls.lead == nil {
+	if cls, leader := s.class(keys[2]); leader || cls.lead == nil {
 		t.Fatal("resident family lost its registration")
 	}
 }
@@ -361,5 +360,54 @@ func TestStructuralRefusesOutsideReadingLeader(t *testing.T) {
 	}
 	if n := stats.StructuralHits.Load(); n != 0 {
 		t.Errorf("%d structural hits, want the family refused", n)
+	}
+}
+
+// TestFamilyKeyCollisionIsSound files two codes whose fingerprints differ
+// under one family key, as a 64-bit collision of static.FamilyKey would:
+// an EIP-1167 stamp and a storage forwarder, each a clean forwarder that
+// registers a family when it leads. Whichever files first, the other meets
+// a template it does not fit: the template refuses it, the refusal is
+// counted in StructuralRejects, and its report is an uncached Check's.
+func TestFamilyKeyCollisionIsSound(t *testing.T) {
+	c := chain.New()
+	stamp, twin := structAddr(0x40), structAddr(0x51)
+	slot := etypes.Keccak([]byte("collision.slot"))
+	c.InstallContract(stamp, disasm.MinimalProxyRuntime(structAddr(0x10)))
+	c.InstallContract(twin, solc.MustCompile(&solc.Contract{
+		Name: "Twin", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot}}))
+	c.SetStorageDirect(twin, slot, etypes.HashFromWord(structAddr(0x01).Word()))
+	if static.Fingerprint(c.Code(stamp)) == static.Fingerprint(c.Code(twin)) {
+		t.Fatal("the two codes share a fingerprint; the test needs two families")
+	}
+
+	for _, tc := range []struct{ lead, follow etypes.Address }{
+		{lead: stamp, follow: twin},
+		{lead: twin, follow: stamp},
+	} {
+		d := NewDetector(c)
+		// File the leader under the follower's own key, through the seam
+		// recordFirst calls with static.FamilyKey(code).
+		code, h := c.Code(tc.lead), c.CodeHash(tc.lead)
+		art := d.artifacts.of(h)
+		if _, tr := d.recordInFamily(art, art.verdicts(), tc.lead, code, h, static.FamilyKey(c.Code(tc.follow))); tr != (probeTrace{}) {
+			t.Fatalf("leader %s trace = %+v, want a plain emulation", tc.lead, tr)
+		}
+		if d.StructuralFamilies() != 1 {
+			t.Fatalf("leader %s filed %d families, want 1", tc.lead, d.StructuralFamilies())
+		}
+
+		var stats pipeline.Stats
+		it := d.AnalyzeAddress(tc.follow, nil, AnalyzeOptions{Stats: &stats})
+		if got := [...]int64{stats.StructuralRejects.Load(), stats.StructuralHits.Load(), stats.Emulations.Load(), stats.StaticSummaries.Load()}; got != [...]int64{1, 0, 1, 1} {
+			t.Errorf("follower %s: rejects, hits, emulations, summaries = %v, want [1 0 1 1]", tc.follow, got)
+		}
+		want := NewDetector(c).Check(tc.follow)
+		if !want.IsProxy {
+			t.Fatalf("follower %s: uncached Check %+v, want a proxy", tc.follow, want)
+		}
+		if reportString(it.Report) != reportString(want) {
+			t.Errorf("follower %s: report %s, uncached Check %s", tc.follow, reportString(it.Report), reportString(want))
+		}
 	}
 }

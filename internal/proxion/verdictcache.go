@@ -60,10 +60,10 @@ func (d *Detector) CacheEvictions() int64 { return d.artifacts.Evictions() }
 // Otherwise — a hard-coded target (a beacon's logic among them), a negative
 // verdict, a poisoned or store-imported record — it drops the exact-hash
 // verdict, so the next duplicate of that code re-emulates and records
-// fresh, and the structural family of the code's fingerprint, whose
+// fresh, and the structural family of the code's family key, whose
 // registered target shape was proven against pre-upgrade state; the next
-// code hash carrying the fingerprint becomes a fresh leader that reads the
-// live chain. The bytecode's facets stay either way: they depend on the
+// code hash carrying the key becomes a fresh leader that reads the live
+// chain. The bytecode's facets stay either way: they depend on the
 // bytes alone, so the re-analysis does not re-slice.
 func (d *Detector) Invalidate(addr etypes.Address) (int, error) {
 	n := 0
@@ -75,7 +75,7 @@ func (d *Detector) Invalidate(addr etypes.Address) (int, error) {
 		if ok && art.verdict.Swap(nil) != nil {
 			n++
 		}
-		if code := d.chain.Code(addr); len(code) > 0 && d.structural.Remove(static.Fingerprint(code)) {
+		if code := d.chain.Code(addr); len(code) > 0 && d.structural.Remove(static.FamilyKey(code)) {
 			n++
 		}
 	})
@@ -196,7 +196,7 @@ func (e *codeVerdict) lookup(fp etypes.Hash) (v probeVerdict, ok, poisoned bool)
 // checkRecord runs the detection step for a contract that already passed
 // the disassembly filter, serving the verdict from the two-level dedup
 // cache when possible: level one is the exact bytecode hash, whose record
-// art is, level two the structural fingerprint (see structural.go). It
+// art is, level two the structural family key (see structural.go). It
 // returns the report (without Standard, which the classification stage
 // adds) and the trace saying how the verdict was obtained.
 func (d *Detector) checkRecord(art *artifact, addr etypes.Address, code []byte, codeHash etypes.Hash) (rep Report, tr probeTrace) {

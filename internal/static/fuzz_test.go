@@ -1,12 +1,14 @@
 package static
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/gen"
+	"repro/internal/solc"
 )
 
 // FuzzStaticAnalyze asserts the static layer is total and deterministic on
@@ -67,6 +69,41 @@ func FuzzStaticAnalyze(f *testing.F) {
 		again := Analyze(code)
 		if !reflect.DeepEqual(sum, again) {
 			t.Fatalf("nondeterministic analysis:\n%+v\n%+v", sum, again)
+		}
+	})
+}
+
+// FuzzFamilyKey holds the structural cache tier's family key to the
+// fingerprint it stands in for: two codes share a FamilyKey exactly when
+// they share a Fingerprint. Both hash one masked stream, so a failure is a
+// slip in the shared walk or a 64-bit collision found by the fuzzer.
+func FuzzFamilyKey(f *testing.F) {
+	// The generator's corpus, each code with its successor (other shapes)
+	// and with itself (a duplicate).
+	corpus := gen.Generate(gen.Config{Seed: 7, Contracts: 16})
+	for i, l := range corpus.Labels {
+		f.Add(l.Code, l.Code)
+		if i > 0 {
+			f.Add(corpus.Labels[i-1].Code, l.Code)
+		}
+	}
+	// EIP-1167 stamps and storage twins: near-clones one family apart.
+	f.Add(disasm.MinimalProxyRuntime(addrA), disasm.MinimalProxyRuntime(addrB))
+	twin := func(slot etypes.Hash) []byte {
+		return solc.MustCompile(&solc.Contract{Name: "Twin", Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot}})
+	}
+	f.Add(twin(etypes.Keccak([]byte("slot.a"))), twin(etypes.Keccak([]byte("slot.b"))))
+	// A PUSH32 cut short by the end of code, and wide pushes at the first
+	// and the last byte.
+	f.Add([]byte{0x60, 0x01, 0x7f, 0x01, 0x02}, []byte{0x60, 0x01, 0x7f, 0xff})
+	f.Add(append([]byte{0x73}, make([]byte, 20)...), append([]byte{0x73}, bytes.Repeat([]byte{0xff}, 20)...))
+	f.Add([]byte{0x5b, 0x7f}, []byte{0x5b, 0x73})
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		sameFP := Fingerprint(a) == Fingerprint(b)
+		sameKey := FamilyKey(a) == FamilyKey(b)
+		if sameFP != sameKey {
+			t.Fatalf("fingerprints equal %v, family keys equal %v\na %x\nb %x", sameFP, sameKey, a, b)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package static
 
 import (
+	"hash/maphash"
 	"reflect"
 	"testing"
 
@@ -11,10 +12,9 @@ import (
 	"repro/internal/keccak"
 )
 
-// fingerprintBuffered is the fingerprint as first written: materialise the
-// masked stream, then hash it in one shot. Fingerprint streams the same
-// bytes and must agree on every input.
-func fingerprintBuffered(code []byte) etypes.Hash {
+// maskedStream is the stream Fingerprint and FamilyKey hash, materialised:
+// code with the immediates of its maskWidth+ PUSHes left out.
+func maskedStream(code []byte) []byte {
 	buf := make([]byte, 0, len(code))
 	for pc := 0; pc < len(code); {
 		op := evm.Op(code[pc])
@@ -33,7 +33,14 @@ func fingerprintBuffered(code []byte) etypes.Hash {
 		}
 		pc = end
 	}
-	return etypes.Keccak(buf)
+	return buf
+}
+
+// fingerprintBuffered is the fingerprint as first written: materialise the
+// masked stream, then hash it in one shot. Fingerprint streams the same
+// bytes and must agree on every input.
+func fingerprintBuffered(code []byte) etypes.Hash {
+	return etypes.Keccak(maskedStream(code))
 }
 
 // taxonomy is a gen corpus wide enough to hold every shape (the generator
@@ -80,6 +87,8 @@ func TestAnalyzeBlocksEqualsAnalyze(t *testing.T) {
 // TestFingerprintStreamsSameBytes covers the shapes where the run
 // bookkeeping could slip: masked immediates back to back, first and last,
 // truncated by the end of code, and the widths on either side of the mask.
+// FamilyKey walks the same runs into its own hash, and must hash the same
+// stream.
 func TestFingerprintStreamsSameBytes(t *testing.T) {
 	push := func(w int) []byte {
 		out := []byte{byte(evm.PUSH1) + byte(w-1)}
@@ -114,6 +123,9 @@ func TestFingerprintStreamsSameBytes(t *testing.T) {
 		if got, want := Fingerprint(code), fingerprintBuffered(code); got != want {
 			t.Errorf("case %d (%d bytes): streamed %s, buffered %s", i, len(code), got, want)
 		}
+		if got, want := FamilyKey(code), maphash.Bytes(familySeed, maskedStream(code)); got != want {
+			t.Errorf("case %d (%d bytes): family key %#x, of the buffered stream %#x", i, len(code), got, want)
+		}
 	}
 }
 
@@ -122,6 +134,20 @@ func TestFingerprintDoesNotAllocate(t *testing.T) {
 		code := l.Code
 		if n := testing.AllocsPerRun(20, func() { Fingerprint(code) }); n != 0 {
 			t.Fatalf("%v: Fingerprint allocates %v times per call", l.Kind, n)
+		}
+	}
+}
+
+// TestFamilyKeyIsCheap: the key that finds a near-clone's family allocates
+// nothing and runs no Keccak sponge.
+func TestFamilyKeyIsCheap(t *testing.T) {
+	for _, l := range taxonomy(t).Labels {
+		code := l.Code
+		if n := testing.AllocsPerRun(20, func() { FamilyKey(code) }); n != 0 {
+			t.Fatalf("%v: FamilyKey allocates %v times per call", l.Kind, n)
+		}
+		if runs := keccak.CountSponges(func() { FamilyKey(code) }); runs != 0 {
+			t.Fatalf("%v: FamilyKey ran %d sponges, want 0", l.Kind, runs)
 		}
 	}
 }

@@ -18,6 +18,7 @@
 package static
 
 import (
+	"hash/maphash"
 	"sort"
 
 	"repro/internal/disasm"
@@ -224,25 +225,53 @@ func Fingerprint(code []byte) etypes.Hash {
 	// The hashed stream is code minus its wide immediates, so feed the
 	// hasher the runs between them instead of assembling a copy.
 	var h keccak.Hasher
-	run := 0
-	for pc := 0; pc < len(code); {
+	for from := 0; from < len(code); {
+		var run []byte
+		run, from = maskedRun(code, from)
+		h.Write(run)
+	}
+	return h.Sum256()
+}
+
+// familySeed is FamilyKey's seed, made once per process, so no bytecode
+// can be built ahead of time to share a key with another family's.
+var familySeed = maphash.MakeSeed()
+
+// FamilyKey is a 64-bit seeded hash of the byte stream Fingerprint hashes:
+// two codes share a key when they share a fingerprint, and otherwise with
+// probability about 2^-64. It groups near-clones without a Keccak sponge,
+// for a caller that proves membership some other way (the structural
+// cache tier compares a follower with its family's leader byte for byte).
+// Keys are comparable within one process only.
+func FamilyKey(code []byte) uint64 {
+	var h maphash.Hash
+	h.SetSeed(familySeed)
+	for from := 0; from < len(code); {
+		var run []byte
+		run, from = maskedRun(code, from)
+		h.Write(run)
+	}
+	return h.Sum64()
+}
+
+// maskedRun returns the next run of the masked stream that Fingerprint and
+// FamilyKey hash, starting at offset from of code: the bytes up to and
+// including the next PUSH opcode of maskWidth or more immediate bytes,
+// and the offset just past that immediate (len(code) past the last run).
+func maskedRun(code []byte, from int) (run []byte, next int) {
+	for pc := from; pc < len(code); {
 		w := evm.Op(code[pc]).PushSize()
 		pc++
 		if w == 0 {
 			continue
 		}
-		end := pc + w
-		if end > len(code) {
-			end = len(code)
-		}
+		end := min(pc+w, len(code))
 		if w >= maskWidth {
-			h.Write(code[run:pc])
-			run = end
+			return code[from:pc], end
 		}
 		pc = end
 	}
-	h.Write(code[run:])
-	return h.Sum256()
+	return code[from:], len(code)
 }
 
 // sortHashes returns the set's elements in ascending byte order.
