@@ -223,18 +223,18 @@ func (e *EVM) runReference(f *Frame) ([]byte, error) {
 			if !offV.IsUint64() {
 				f.stack.Push(u256.Zero())
 			} else {
-				f.stack.Push(u256.FromBytes(zeroPadded(f.input, offV.Uint64(), 32)))
+				f.stack.Push(u256.FromBytes(refZeroPadded(f.input, offV.Uint64(), 32)))
 			}
 		case CALLDATASIZE:
 			f.stack.Push(u256.FromUint64(uint64(len(f.input))))
 		case CALLDATACOPY:
-			if err := e.opCopy(f, f.input); err != nil {
+			if err := e.refOpCopy(f, f.input); err != nil {
 				return nil, err
 			}
 		case CODESIZE:
 			f.stack.Push(u256.FromUint64(codeLen))
 		case CODECOPY:
-			if err := e.opCopy(f, f.code); err != nil {
+			if err := e.refOpCopy(f, f.code); err != nil {
 				return nil, err
 			}
 		case GASPRICE:
@@ -244,13 +244,13 @@ func (e *EVM) runReference(f *Frame) ([]byte, error) {
 			f.stack.Push(u256.FromUint64(uint64(len(e.state.GetCode(addr)))))
 		case EXTCODECOPY:
 			addr := etypes.AddressFromWord(f.stack.Pop())
-			if err := e.opCopy(f, e.state.GetCode(addr)); err != nil {
+			if err := e.refOpCopy(f, e.state.GetCode(addr)); err != nil {
 				return nil, err
 			}
 		case RETURNDATASIZE:
 			f.stack.Push(u256.FromUint64(uint64(len(f.returnData))))
 		case RETURNDATACOPY:
-			if err := e.opCopy(f, f.returnData); err != nil {
+			if err := e.refOpCopy(f, f.returnData); err != nil {
 				return nil, err
 			}
 		case EXTCODEHASH:
@@ -395,4 +395,45 @@ func (e *EVM) runReference(f *Frame) ([]byte, error) {
 	}
 	// Running off the end of code halts like STOP.
 	return nil, nil
+}
+
+// refZeroPadded returns size bytes of src starting at offset, zero-padding
+// past the end, per *COPY opcode semantics. It is the shipped helper as it
+// stood before the copy opcodes wrote into memory in place, frozen here so
+// the reference loop keeps an implementation of its own.
+func refZeroPadded(src []byte, offset, size uint64) []byte {
+	if size == 0 {
+		return nil
+	}
+	out := make([]byte, size)
+	if offset < uint64(len(src)) {
+		copy(out, src[offset:])
+	}
+	return out
+}
+
+// refOpCopy is the reference loop's CALLDATACOPY/CODECOPY/RETURNDATACOPY/
+// EXTCODECOPY: pop destOffset, srcOffset, size and copy a zero-padded
+// temporary of the source into memory. The frozen form of the shipped
+// opCopy (interp.go), which writes in place instead.
+func (e *EVM) refOpCopy(f *Frame, src []byte) error {
+	dstV, srcV, sizeV := f.stack.Pop(), f.stack.Pop(), f.stack.Pop()
+	dst, size, err := toRegion(dstV, sizeV)
+	if err != nil {
+		return err
+	}
+	if err := f.chargeMemory(dst, size); err != nil {
+		return err
+	}
+	if err := f.chargeGas(gasCopyWord * wordCount(size)); err != nil {
+		return err
+	}
+	var srcOff uint64
+	if srcV.IsUint64() {
+		srcOff = srcV.Uint64()
+	} else {
+		srcOff = uint64(len(src)) // fully out of range: copy zeros
+	}
+	f.memory.Set(dst, refZeroPadded(src, srcOff, size))
+	return nil
 }

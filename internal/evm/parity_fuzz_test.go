@@ -13,8 +13,9 @@ import (
 // FuzzInterpParity is the differential fuzz target: arbitrary bytecode and
 // call data executed under both interpreters with the structlog traces,
 // outcomes, and state-mutation sequences held in lockstep. Seeded from the
-// generator corpus (real proxy shapes plus the detector's crafted probes)
-// and a handful of hand-written edge programs. Registered in `make fuzz`.
+// generator corpus (real proxy shapes plus the detector's crafted probes),
+// a handful of hand-written edge programs and the copy-opcode edges
+// (copyEdges). Registered in `make fuzz`.
 func FuzzInterpParity(f *testing.F) {
 	f.Add([]byte{0x00}, []byte{}, uint64(100_000))
 	f.Add([]byte{0x5b, 0x60, 0x00, 0x56}, []byte{}, uint64(50_000)) // jumpdest push0 jump loop
@@ -29,6 +30,9 @@ func FuzzInterpParity(f *testing.F) {
 	f.Add([]byte{0x90, 0x50}, []byte{}, uint64(10_000))                              // swap1 pop underflow
 	f.Add([]byte{0x60, 0x01, 0x80, 0x60, 0x08, 0x57, 0xfe, 0x00, 0x5b, 0x00},
 		[]byte{}, uint64(10_000)) // dup1 push jumpi
+	for _, c := range copyEdges() {
+		f.Add(c.code, c.input, uint64(1_000_000))
+	}
 
 	c := gen.Generate(gen.Config{Seed: 1, Contracts: 12})
 	for _, l := range c.Labels {
