@@ -2,7 +2,7 @@
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
 # pull-request performance gate (the change against its merge-base).
 
-.PHONY: build vet test short race engine bench bench-gate chaos ci fuzz soak serve lint watch parity e2e trace-counters
+.PHONY: build vet test short race engine bench bench-gate chaos ci fuzz soak serve lint watch parity e2e trace-counters trace-allocs
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -86,6 +86,16 @@ trace-counters:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 		go run ./bench/e2e -trace 1 -seed 3 -out "$$dir" > "$$dir/trace.txt" && \
 		awk '$$4 == "count" && $$2 !~ /allocs/ { print $$1, $$2, $$3 }' "$$dir/trace.txt" | sort
+
+# Traced allocations: the *_allocs* rows (allocations per operation of a
+# layer: evm.call_allocs, pair.analyze_allocs, proxion.check_cold_allocs,
+# ...) of the same traced walk as trace-counters, sorted, as "workload
+# metric value". Run it on two builds for a per-layer before and after;
+# the averages move a little between two runs of one build.
+trace-allocs:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		go run ./bench/e2e -trace 1 -seed 3 -out "$$dir" > "$$dir/trace.txt" && \
+		awk '$$4 == "count" && $$2 ~ /allocs/ { print $$1, $$2, $$3 }' "$$dir/trace.txt" | sort
 
 # Service gate: the proxiond stack (verdict store + serve layer) under the
 # race detector — crash/restart recovery, K-concurrent coalescing, the

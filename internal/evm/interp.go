@@ -38,19 +38,6 @@ func toRegion(offV, sizeV u256.Int) (off, size uint64, err error) {
 	return off, size, nil
 }
 
-// zeroPadded returns size bytes of src starting at offset, zero-padding past
-// the end, per *COPY opcode semantics.
-func zeroPadded(src []byte, offset, size uint64) []byte {
-	if size == 0 {
-		return nil
-	}
-	out := make([]byte, size)
-	if offset < uint64(len(src)) {
-		copy(out, src[offset:])
-	}
-	return out
-}
-
 // frameOutput reads the RETURN/REVERT output region.
 func (e *EVM) frameOutput(f *Frame, offV, sizeV u256.Int) ([]byte, error) {
 	off, size, err := toRegion(offV, sizeV)
@@ -80,8 +67,8 @@ func shiftAmount(shift, x u256.Int, op func(u256.Int, uint) u256.Int) u256.Int {
 }
 
 // opCopy implements the shared CALLDATACOPY/CODECOPY/RETURNDATACOPY/
-// EXTCODECOPY semantics: pop destOffset, srcOffset, size and copy with
-// zero padding.
+// EXTCODECOPY semantics: pop destOffset, srcOffset, size and copy src's
+// bytes from srcOffset straight into memory, zero-filling past src's end.
 func (e *EVM) opCopy(f *Frame, src []byte) error {
 	dstV, srcV, sizeV := f.stack.Pop(), f.stack.Pop(), f.stack.Pop()
 	dst, size, err := toRegion(dstV, sizeV)
@@ -94,13 +81,11 @@ func (e *EVM) opCopy(f *Frame, src []byte) error {
 	if err := f.chargeGas(gasCopyWord * wordCount(size)); err != nil {
 		return err
 	}
-	var srcOff uint64
-	if srcV.IsUint64() {
-		srcOff = srcV.Uint64()
-	} else {
-		srcOff = uint64(len(src)) // fully out of range: copy zeros
+	var tail []byte // empty when srcOffset is past src's end: copy zeros
+	if srcV.IsUint64() && srcV.Uint64() < uint64(len(src)) {
+		tail = src[srcV.Uint64():]
 	}
-	f.memory.copyWithin(dst, zeroPadded(src, srcOff, size))
+	f.memory.setPadded(dst, size, tail)
 	return nil
 }
 

@@ -180,11 +180,11 @@ func (e *EVM) runFast(f *Frame) ([]byte, error) {
 			st.Push(f.value)
 		case uint16(CALLDATALOAD):
 			offV := st.Pop()
-			if !offV.IsUint64() {
-				st.Push(u256.Zero())
-			} else {
-				st.Push(u256.FromBytes(zeroPadded(f.input, offV.Uint64(), 32)))
+			var word [32]byte // zero past the end of the input
+			if offV.IsUint64() && offV.Uint64() < uint64(len(f.input)) {
+				copy(word[:], f.input[offV.Uint64():])
 			}
+			st.Push(u256.FromBytes32(word))
 		case uint16(CALLDATASIZE):
 			st.Push(u256.FromUint64(uint64(len(f.input))))
 		case uint16(CALLDATACOPY):

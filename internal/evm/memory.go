@@ -101,6 +101,14 @@ func (m *Memory) View(offset, size uint64) []byte {
 	return m.data[offset : offset+size]
 }
 
-// copyWithin implements MCOPY-style copying semantics used by *COPY opcodes:
-// writes data (which may be a zero-padded external source) at dst.
-func (m *Memory) copyWithin(dst uint64, src []byte) { m.Set(dst, src) }
+// setPadded writes size bytes at offset, expanding as needed: src's
+// leading bytes, then zeros where src runs out. It is the *COPY opcodes'
+// write, straight into memory with no zero-padded temporary.
+func (m *Memory) setPadded(offset, size uint64, src []byte) {
+	if size == 0 {
+		return
+	}
+	m.expand(offset, size)
+	region := m.data[offset : offset+size]
+	clear(region[copy(region, src):])
+}

@@ -1,0 +1,6 @@
+//go:build race
+
+package evm_test
+
+// raceEnabled reports a -race build.
+const raceEnabled = true

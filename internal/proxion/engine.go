@@ -115,8 +115,12 @@ type stageClock [numStages]struct {
 }
 
 // lap closes stage for one item that entered it at since and returns the
-// closing instant: the next stage starts on the same clock reading.
+// closing instant: the next stage starts on the same clock reading. A nil
+// clock (a single call, which has no stage rows) reads no time at all.
 func (c *stageClock) lap(stage int, since time.Time) time.Time {
+	if c == nil {
+		return since
+	}
 	now := time.Now()
 	c[stage].items++
 	c[stage].busy += now.Sub(since)
@@ -149,8 +153,7 @@ func (d *Detector) newAnalysis(sources SourceProvider, opts AnalyzeOptions) anal
 // one detector.
 func (d *Detector) AnalyzeAddress(addr etypes.Address, sources SourceProvider, opts AnalyzeOptions) Item {
 	r := d.newAnalysis(sources, opts)
-	var clock stageClock
-	return r.analyze(addr, &clock)
+	return r.analyze(addr, nil)
 }
 
 // ReaderCounters is one reading of the node surface's own monotonic
@@ -241,7 +244,7 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 
 // analyze runs one contract through every step it needs; a terminal read
 // failure in any step degrades the contract to Unresolved (Reader contract),
-// the first failure kept.
+// the first failure kept. clock, when not nil, accounts the steps' time.
 func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 	d, stats := r.d, r.opts.Stats
 	stats.Scanned.Add(1)
@@ -250,7 +253,10 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 			stats.Unresolved.Add(1)
 		}
 	}()
-	now := time.Now()
+	var now time.Time
+	if clock != nil {
+		now = time.Now()
+	}
 
 	code, verdict, probe := r.filter(addr)
 	if !probe {

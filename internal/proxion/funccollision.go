@@ -115,11 +115,18 @@ type memoFunction struct {
 // enough. It is keyed by the prototype, which lookupFunction builds in a
 // stack buffer; a hit allocates nothing and takes the read lock only (under
 // a plain mutex, a scheduler trace of two workers showed them queueing on
-// it).
+// it). It holds at most functionMemoCap entries: an insert that would pass
+// the bound first empties it, so a long-running service does not keep every
+// prototype it has ever seen. The interned strings that views already hold
+// stay valid; the next lookup of a dropped prototype hashes it again.
 var (
 	functionMu   sync.RWMutex
 	functionMemo = make(map[string]memoFunction)
 )
+
+// functionMemoCap bounds functionMemo. No benchmark corpus comes near it:
+// the largest holds about 15k distinct prototypes.
+const functionMemoCap = 1 << 16
 
 // lookupFunction returns f's selector and prototype, hashing and interning
 // the prototype on its first lookup.
@@ -133,6 +140,9 @@ func lookupFunction(f abi.Function) memoFunction {
 		h := keccak.Sum256(proto)
 		fn = memoFunction{sel: [4]byte(h[:4]), proto: string(proto)}
 		functionMu.Lock()
+		if len(functionMemo) >= functionMemoCap {
+			clear(functionMemo)
+		}
 		functionMemo[fn.proto] = fn
 		functionMu.Unlock()
 	}

@@ -2,8 +2,8 @@ package proxion
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/abi"
 	"repro/internal/etypes"
@@ -141,17 +141,20 @@ func collideSlot(slot etypes.Hash, pAccs, lAccs []StorageAccess) (StorageCollisi
 	return col, true
 }
 
-// sstoreTracer records SSTORE slots executed in the proxy's storage context.
+// sstoreTracer records whether a run executed an SSTORE to a collided slot
+// in the proxy's storage context.
 type sstoreTracer struct {
-	proxy   etypes.Address
-	written map[etypes.Hash]struct{}
+	proxy    etypes.Address
+	collided []etypes.Hash
+	wrote    bool
 }
 
 var _ evm.Tracer = (*sstoreTracer)(nil)
 
 func (t *sstoreTracer) CaptureStep(f *evm.Frame, _ uint64, op evm.Op) {
-	if op == evm.SSTORE && f.Address() == t.proxy {
-		t.written[etypes.HashFromWord(f.Stack().Peek(0))] = struct{}{}
+	if op == evm.SSTORE && !t.wrote && f.Address() == t.proxy &&
+		slices.Contains(t.collided, etypes.HashFromWord(f.Stack().Peek(0))) {
+		t.wrote = true
 	}
 }
 
@@ -187,24 +190,32 @@ func (d *Detector) VerifyStorageExploit(proxy, logic etypes.Address, collisions 
 }
 
 // exploitableSlots returns the slots of the statically exploitable
-// collisions — the only ones worth a replay — or nil when there are none.
-func exploitableSlots(collisions []StorageCollision) map[etypes.Hash]struct{} {
-	var collided map[etypes.Hash]struct{}
+// collisions — the only ones worth a replay — in slot order, or nil when
+// there are none. A pair has a handful, so membership is a linear scan.
+func exploitableSlots(collisions []StorageCollision) []etypes.Hash {
+	n := 0
 	for _, c := range collisions {
 		if c.Exploitable {
-			if collided == nil {
-				collided = make(map[etypes.Hash]struct{})
-			}
-			collided[c.Slot] = struct{}{}
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	collided := make([]etypes.Hash, 0, n)
+	for _, c := range collisions {
+		if c.Exploitable {
+			collided = append(collided, c.Slot)
+		}
+	}
+	slices.SortFunc(collided, func(a, b etypes.Hash) int { return bytes.Compare(a[:], b[:]) })
 	return collided
 }
 
 // replayGuarded is the replay half of VerifyStorageExploit, taking the
 // logic contract's code and its artifact from the caller: AnalyzePair
 // already holds both.
-func (d *Detector) replayGuarded(proxy etypes.Address, logic *artifact, logicCode []byte, collided map[etypes.Hash]struct{}) bool {
+func (d *Detector) replayGuarded(proxy etypes.Address, logic *artifact, logicCode []byte, collided []etypes.Hash) bool {
 	for _, sel := range guardGatedSelectors(len(logicCode), logic.dispatcherTargets(logicCode), d.storageAccesses(logic, logicCode), collided) {
 		if d.replayDoubleCall(proxy, sel, collided) {
 			return true
@@ -219,7 +230,7 @@ func (d *Detector) replayGuarded(proxy etypes.Address, logic *artifact, logicCod
 // evidence a broken guard, so replaying them would only produce false
 // verifications. Accesses are attributed to functions by PC using the
 // dispatcher's jump targets (disasm.DispatcherTargets of the codeLen bytes).
-func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []StorageAccess, collided map[etypes.Hash]struct{}) [][4]byte {
+func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []StorageAccess, collided []etypes.Hash) [][4]byte {
 	if len(targets) == 0 {
 		return nil
 	}
@@ -234,7 +245,14 @@ func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []Storage
 	for sel, start := range targets {
 		fns = append(fns, fn{sel: sel, start: start, end: uint64(codeLen)})
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].start < fns[j].start })
+	// Ties (two selectors sharing an entry) break by selector, so the
+	// order does not depend on the map's iteration order.
+	slices.SortFunc(fns, func(a, b fn) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.sel[:], b.sel[:])
+	})
 	for i := 0; i+1 < len(fns); i++ {
 		fns[i].end = fns[i+1].start
 	}
@@ -246,7 +264,7 @@ func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []Storage
 			if a.PC < f.start || a.PC >= f.end {
 				continue
 			}
-			if _, hit := collided[a.Slot]; !hit {
+			if !slices.Contains(collided, a.Slot) {
 				continue
 			}
 			if a.Kind == AccessRead && a.Guard {
@@ -265,13 +283,13 @@ func guardGatedSelectors(codeLen int, targets map[[4]byte]uint64, accs []Storage
 
 // replayDoubleCall executes selector via the proxy from two different
 // senders on one overlay and reports whether both succeeded and the first
-// wrote a collided slot.
-func (d *Detector) replayDoubleCall(proxy etypes.Address, sel [4]byte, collided map[etypes.Hash]struct{}) bool {
+// wrote a collided slot. Each run has an EVM of its own: an EVM's
+// transaction origin is fixed at New, and its step budget spans every call
+// it makes.
+func (d *Detector) replayDoubleCall(proxy etypes.Address, sel [4]byte, collided []etypes.Hash) bool {
 	overlay := newOverlay(d.chain)
 	input := abi.EncodeCall(sel)
-
-	tracer := &sstoreTracer{proxy: proxy, written: make(map[etypes.Hash]struct{})}
-	run := func(sender etypes.Address) bool {
+	run := func(sender etypes.Address, tracer evm.Tracer) bool {
 		e := evm.New(overlay, evm.Config{
 			Block:     d.emulationContext(),
 			Tx:        evm.TxContext{Origin: sender},
@@ -283,20 +301,11 @@ func (d *Detector) replayDoubleCall(proxy etypes.Address, sel [4]byte, collided 
 		return res.Err == nil
 	}
 
-	if !run(exploitSenders[0]) {
-		return false
-	}
-	wroteCollided := false
-	for slot := range tracer.written {
-		if _, ok := collided[slot]; ok {
-			wroteCollided = true
-			break
-		}
-	}
-	if !wroteCollided {
+	first := &sstoreTracer{proxy: proxy, collided: collided}
+	if !run(exploitSenders[0], first) || !first.wrote {
 		return false
 	}
 	// The guard must have been corrupted: the second, different sender can
 	// run the same guarded function again.
-	return run(exploitSenders[1])
+	return run(exploitSenders[1], nil)
 }
