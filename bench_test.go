@@ -33,6 +33,7 @@ var (
 	benchPop    *dataset.Population
 	benchDet    *proxion.Detector
 	benchResult *proxion.Result
+	benchIndex  experiments.Index
 
 	corpusOnce sync.Once
 	benchCorp  *dataset.AccuracyCorpus
@@ -40,14 +41,18 @@ var (
 	printOnce sync.Map
 )
 
-func population(b *testing.B) (*dataset.Population, *proxion.Detector, *proxion.Result) {
+// population generates the landscape and runs its one analysis, shared by
+// every table benchmark: the tables read the run's verdicts through the
+// returned index.
+func population(b *testing.B) (*dataset.Population, *proxion.Detector, *proxion.Result, experiments.Index) {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchPop = dataset.Generate(dataset.Config{Seed: 1, Contracts: benchScale})
 		benchDet = proxion.NewDetector(benchPop.Chain)
 		benchResult = benchDet.AnalyzeAll(benchPop.Registry)
+		benchIndex = experiments.NewIndex(benchResult)
 	})
-	return benchPop, benchDet, benchResult
+	return benchPop, benchDet, benchResult, benchIndex
 }
 
 func corpus(b *testing.B) *dataset.AccuracyCorpus {
@@ -67,11 +72,11 @@ func report(b *testing.B, t *experiments.Table) {
 
 // BenchmarkTable1Coverage regenerates the tool-coverage matrix (Table 1).
 func BenchmarkTable1Coverage(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Table1(pop)
+		t = experiments.Table1(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -79,11 +84,11 @@ func BenchmarkTable1Coverage(b *testing.B) {
 
 // BenchmarkFigure2Landscape regenerates the availability breakdown (Figure 2).
 func BenchmarkFigure2Landscape(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Figure2()
+		t = experiments.Replay(pop, det, idx).Figure2()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -105,11 +110,11 @@ func BenchmarkTable2Accuracy(b *testing.B) {
 // BenchmarkEffectivenessSanctuary reproduces the Section 6.2 comparison on
 // the all-source subset (Proxion vs USCHunt).
 func BenchmarkEffectivenessSanctuary(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.EffectivenessSanctuary(pop)
+		t = experiments.EffectivenessSanctuary(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -118,11 +123,11 @@ func BenchmarkEffectivenessSanctuary(b *testing.B) {
 // BenchmarkEffectivenessCrush reproduces the Section 6.2 comparison on the
 // mixed dataset (Proxion vs CRUSH).
 func BenchmarkEffectivenessCrush(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.EffectivenessCrush(pop)
+		t = experiments.EffectivenessCrush(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -130,11 +135,11 @@ func BenchmarkEffectivenessCrush(b *testing.B) {
 
 // BenchmarkFigure4Pairs regenerates the pair-availability series (Figure 4).
 func BenchmarkFigure4Pairs(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Figure4()
+		t = experiments.Replay(pop, det, idx).Figure4()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -142,11 +147,11 @@ func BenchmarkFigure4Pairs(b *testing.B) {
 
 // BenchmarkTable3Collisions regenerates collisions-per-year (Table 3).
 func BenchmarkTable3Collisions(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Table3()
+		t = experiments.Replay(pop, det, idx).Table3()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -155,11 +160,11 @@ func BenchmarkTable3Collisions(b *testing.B) {
 // BenchmarkFigure5Duplicates regenerates the bytecode-uniqueness skew
 // (Figure 5).
 func BenchmarkFigure5Duplicates(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Figure5()
+		t = experiments.Replay(pop, det, idx).Figure5()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -167,11 +172,11 @@ func BenchmarkFigure5Duplicates(b *testing.B) {
 
 // BenchmarkTable4Standards regenerates the design-standard split (Table 4).
 func BenchmarkTable4Standards(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Table4()
+		t = experiments.Replay(pop, det, idx).Table4()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -180,11 +185,11 @@ func BenchmarkTable4Standards(b *testing.B) {
 // BenchmarkFigure6Upgrades regenerates the upgrade-count distribution
 // (Figure 6) via Algorithm 1 over every storage proxy.
 func BenchmarkFigure6Upgrades(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.Replay(pop, det, res).Figure6()
+		t = experiments.Replay(pop, det, idx).Figure6()
 	}
 	b.StopTimer()
 	report(b, t)
@@ -193,7 +198,7 @@ func BenchmarkFigure6Upgrades(b *testing.B) {
 // BenchmarkProxyCheck measures the core single-contract detection latency
 // (Section 6.1: 6.4 ms/contract, 156.3 contracts/s on the paper's server).
 func BenchmarkProxyCheck(b *testing.B) {
-	pop, det, _ := population(b)
+	pop, det, _, _ := population(b)
 	addrs := pop.Chain.Contracts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -204,7 +209,7 @@ func BenchmarkProxyCheck(b *testing.B) {
 // BenchmarkLogicHistory measures Algorithm 1's archive-call efficiency
 // (Section 6.1: ~26 getStorageAt calls per proxy).
 func BenchmarkLogicHistory(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, res, _ := population(b)
 	var proxies []proxion.Report
 	for _, rep := range res.Proxies() {
 		if rep.Target == proxion.TargetStorage {
@@ -228,7 +233,7 @@ func BenchmarkLogicHistory(b *testing.B) {
 // BenchmarkFunctionCollision measures per-pair function-collision analysis
 // (Section 6.1: 6.7 ms/pair on the paper's server).
 func BenchmarkFunctionCollision(b *testing.B) {
-	pop, det, res := population(b)
+	pop, det, res, _ := population(b)
 	if len(res.Pairs) == 0 {
 		b.Skip("no pairs")
 	}
@@ -273,7 +278,7 @@ func BenchmarkSigminerThroughput(b *testing.B) {
 
 // BenchmarkAblationNoDisasmFilter measures design choice 1 (Ablation 1).
 func BenchmarkAblationNoDisasmFilter(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, _ := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
@@ -285,11 +290,11 @@ func BenchmarkAblationNoDisasmFilter(b *testing.B) {
 
 // BenchmarkAblationSelectorChoice measures design choice 2 (Ablation 2).
 func BenchmarkAblationSelectorChoice(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.AblationSelectorChoice(pop)
+		t = experiments.AblationSelectorChoice(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -297,11 +302,11 @@ func BenchmarkAblationSelectorChoice(b *testing.B) {
 
 // BenchmarkAblationNaiveHistoryScan measures design choice 3 (Ablation 3).
 func BenchmarkAblationNaiveHistoryScan(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.AblationHistorySearch(pop)
+		t = experiments.AblationHistorySearch(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -309,7 +314,7 @@ func BenchmarkAblationNaiveHistoryScan(b *testing.B) {
 
 // BenchmarkAblationNaivePush4 measures design choice 4 (Ablation 4).
 func BenchmarkAblationNaivePush4(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, _ := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
@@ -321,11 +326,11 @@ func BenchmarkAblationNaivePush4(b *testing.B) {
 
 // BenchmarkAblationNoDedup measures design choice 5 (Ablation 5).
 func BenchmarkAblationNoDedup(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, res, _ := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.AblationDedup(pop)
+		t = experiments.AblationDedup(pop, res.Pairs)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -334,11 +339,11 @@ func BenchmarkAblationNoDedup(b *testing.B) {
 // BenchmarkExtensionDiamond measures the Section 8.2 history-assisted
 // diamond detection extension.
 func BenchmarkExtensionDiamond(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, idx := population(b)
 	b.ResetTimer()
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
-		t = experiments.ExtensionDiamond(pop)
+		t = experiments.ExtensionDiamond(pop, idx)
 	}
 	b.StopTimer()
 	report(b, t)
@@ -347,7 +352,7 @@ func BenchmarkExtensionDiamond(b *testing.B) {
 // BenchmarkAnalyzeAll measures the end-to-end pipeline throughput over the
 // whole landscape (Section 6.1's 36M-in-65h headline, scaled).
 func BenchmarkAnalyzeAll(b *testing.B) {
-	pop, _, _ := population(b)
+	pop, _, _, _ := population(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det := proxion.NewDetector(pop.Chain)

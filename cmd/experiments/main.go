@@ -57,13 +57,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	progress("analyzed %d contracts (%d proxies, %d pairs) in %s\n\n",
 		len(res.Reports), len(res.Proxies()), len(res.Pairs), time.Since(start).Round(time.Millisecond))
 
-	land := experiments.Replay(pop, det, res)
+	// The run's one set of verdicts: every table below that reads a Proxion
+	// verdict reads it here.
+	idx := experiments.NewIndex(res)
+	land := experiments.Replay(pop, det, idx)
 	tables := []*experiments.Table{
-		experiments.Table1(pop),
+		experiments.Table1(pop, idx),
 		land.Figure2(),
 		experiments.Performance(pop),
-		experiments.EffectivenessSanctuary(pop),
-		experiments.EffectivenessCrush(pop),
+		experiments.EffectivenessSanctuary(pop, idx),
+		experiments.EffectivenessCrush(pop, idx),
 		land.Figure4(),
 		land.Table3(),
 		land.Figure5(),
@@ -78,17 +81,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	corpus := dataset.GenerateAccuracyCorpus()
 	tables = append(tables, experiments.Table2(corpus).Table())
 
-	tables = append(tables, experiments.ExtensionDiamond(pop), experiments.UpgradeAuthority(pop))
+	tables = append(tables, experiments.ExtensionDiamond(pop, idx), experiments.UpgradeAuthority(pop, idx))
 	progress("running the multi-chain sweep...\n")
 	tables = append(tables, experiments.MultiChain(*seed+100, *contracts/4))
 
 	if !*quick {
 		tables = append(tables,
 			experiments.AblationDisasmFilter(pop),
-			experiments.AblationSelectorChoice(pop),
-			experiments.AblationHistorySearch(pop),
+			experiments.AblationSelectorChoice(pop, idx),
+			experiments.AblationHistorySearch(pop, idx),
 			experiments.AblationNaivePush4(pop),
-			experiments.AblationDedup(pop),
+			experiments.AblationDedup(pop, res.Pairs),
 		)
 	}
 

@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	pop := dataset.Generate(dataset.Config{Seed: *seed, Contracts: *contracts})
 	det := proxion.NewDetector(pop.Chain)
-	return render(stdout, experiments.Replay(pop, det, det.AnalyzeAll(pop.Registry)), *csvDir)
+	return render(stdout, experiments.Replay(pop, det, experiments.NewIndex(det.AnalyzeAll(pop.Registry))), *csvDir)
 }
 
 // render prints every Section 7 table of one fold, in the batch order, and

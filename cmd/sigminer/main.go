@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,22 +23,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sigminer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	target := flag.String("target", "free_ether_withdrawal()", "prototype to collide with")
-	prefix := flag.String("prefix", "impl", "candidate name prefix")
-	matchBytes := flag.Int("bytes", 2, "selector bytes to match (4 = real collision)")
-	maxAttempts := flag.Uint64("max", 50_000_000, "attempt budget")
-	flag.Parse()
+// run is the whole command over its arguments and output streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sigminer", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	target := fs.String("target", "free_ether_withdrawal()", "prototype to collide with")
+	prefix := fs.String("prefix", "impl", "candidate name prefix")
+	matchBytes := fs.Int("bytes", 2, "selector bytes to match (4 = real collision)")
+	maxAttempts := fs.Uint64("max", 50_000_000, "attempt budget")
+	fs.Parse(args)
+	if *matchBytes < 1 || *matchBytes > 4 {
+		return fmt.Errorf("-bytes %d: must be 1..4", *matchBytes)
+	}
 
 	sel := keccak.Selector(*target)
-	fmt.Printf("target %s -> selector 0x%x\n", *target, sel)
-	fmt.Printf("searching %s_* for a %d-byte match (budget %d)...\n",
+	fmt.Fprintf(stdout, "target %s -> selector 0x%x\n", *target, sel)
+	fmt.Fprintf(stdout, "searching %s_* for a %d-byte match (budget %d)...\n",
 		*prefix, *matchBytes, *maxAttempts)
 
 	start := time.Now()
@@ -49,11 +56,11 @@ func run() error {
 		return fmt.Errorf("no match within %d attempts (%.0f hashes/s)", res.Attempts, rate)
 	}
 	found := keccak.Selector(res.Prototype)
-	fmt.Printf("found  %s -> selector 0x%x\n", res.Prototype, found)
-	fmt.Printf("attempts: %d in %s (%.0f hashes/s)\n", res.Attempts, elapsed.Round(time.Millisecond), rate)
+	fmt.Fprintf(stdout, "found  %s -> selector 0x%x\n", res.Prototype, found)
+	fmt.Fprintf(stdout, "attempts: %d in %s (%.0f hashes/s)\n", res.Attempts, elapsed.Round(time.Millisecond), rate)
 	if *matchBytes < 4 {
 		full := (1 << 31) / rate // expected 2^32/2 hashes for a 4-byte match
-		fmt.Printf("extrapolated full 4-byte collision: ~%.1f minutes at this rate (paper: 600M attempts, 1.5h on a laptop)\n",
+		fmt.Fprintf(stdout, "extrapolated full 4-byte collision: ~%.1f minutes at this rate (paper: 600M attempts, 1.5h on a laptop)\n",
 			full/60)
 	}
 	return nil

@@ -58,20 +58,17 @@ func TestEndToEndLandscape(t *testing.T) {
 	}
 
 	// Ground-truth collisions are all found.
-	paByProxy := make(map[etypes.Address]proxion.PairAnalysis)
-	for _, pa := range res.Pairs {
-		paByProxy[pa.Proxy] = pa
-	}
+	idx := experiments.NewIndex(res)
 	for _, l := range pop.Labels {
-		if len(l.FuncCollisions) > 0 {
-			pa, ok := paByProxy[l.Address]
-			if !ok || len(pa.Functions) == 0 {
-				t.Errorf("%s (%s): labeled function collision not detected", l.Address, l.Kind)
-			}
+		pa := idx[l.Address].Pair
+		if pa == nil {
+			pa = &proxion.PairAnalysis{}
+		}
+		if len(l.FuncCollisions) > 0 && len(pa.Functions) == 0 {
+			t.Errorf("%s (%s): labeled function collision not detected", l.Address, l.Kind)
 		}
 		if l.StorageCollision {
-			pa, ok := paByProxy[l.Address]
-			if !ok || len(pa.Storage) == 0 {
+			if len(pa.Storage) == 0 {
 				t.Errorf("%s (%s): labeled storage collision not detected", l.Address, l.Kind)
 			}
 			// The Audius pair is built to be exploitable, so its replay

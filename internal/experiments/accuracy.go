@@ -12,15 +12,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Accuracy returns (TP+TN)/total.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // record tallies one classification outcome.
 func (c *Confusion) record(predicted, truth bool) {
 	switch {
@@ -68,7 +59,7 @@ func Table2(corpus *dataset.AccuracyCorpus) Table2Result {
 		crushHit := false
 		if cr.IsProxy(pc.Proxy) {
 			cols, _ := cr.StorageCollisions(pc.Proxy, pc.Logic)
-			crushHit = anyExploitable(cols)
+			crushHit = anyExploitableCols(cols)
 		}
 		res.StorageCRUSH.record(crushHit, pc.Truth)
 
@@ -95,10 +86,6 @@ func Table2(corpus *dataset.AccuracyCorpus) Table2Result {
 		res.FuncProxion.record(proxionHit, pc.Truth)
 	}
 	return res
-}
-
-func anyExploitable(cols []proxion.StorageCollision) bool {
-	return anyExploitableCols(cols)
 }
 
 func anyExploitableCols(cols []proxion.StorageCollision) bool {

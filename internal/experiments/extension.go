@@ -11,8 +11,9 @@ import (
 // history-assisted detection of EIP-2535 diamonds. The base pipeline misses
 // every diamond (random probe data cannot hit a registered facet); the
 // extension recovers those with past transactions by reusing observed
-// selectors as probes.
-func ExtensionDiamond(pop *dataset.Population) *Table {
+// selectors as probes. The base column reads the run's verdicts from idx;
+// only the history-assisted check runs here.
+func ExtensionDiamond(pop *dataset.Population, idx Index) *Table {
 	det := proxion.NewDetector(pop.Chain)
 
 	var diamonds, withTx, baseHits, extHits int
@@ -24,15 +25,13 @@ func ExtensionDiamond(pop *dataset.Population) *Table {
 		if l.HasTx {
 			withTx++
 		}
-		if det.Check(l.Address).IsProxy {
+		if idx[l.Address].Report.IsProxy {
 			baseHits++
 		}
-		if rep := det.CheckWithHistory(l.Address); rep.IsProxy {
+		// A diamond classified as anything else would silently corrupt
+		// Table 4, so it does not count as found.
+		if rep := det.CheckWithHistory(l.Address); rep.IsProxy && rep.Standard == proxion.StandardEIP2535 {
 			extHits++
-			if rep.Standard != proxion.StandardEIP2535 {
-				// Mis-classification would silently corrupt Table 4.
-				extHits--
-			}
 		}
 	}
 	t := &Table{
@@ -55,17 +54,17 @@ func ExtensionDiamond(pop *dataset.Population) *Table {
 // of the proxies visible to transaction replay, how many are upgradeable,
 // who controls them, and how many upgrade paths are entirely unprotected.
 // This reproduces the related work's research question (Section 9.1) on the
-// same substrate, for comparison with Proxion's coverage.
-func UpgradeAuthority(pop *dataset.Population) *Table {
+// same substrate, for comparison with Proxion's coverage. The implementation
+// slot each survey reads comes from the run's verdicts in idx.
+func UpgradeAuthority(pop *dataset.Population, idx Index) *Table {
 	sal := salehi.New(pop.Chain)
-	det := proxion.NewDetector(pop.Chain)
 
 	var visible, upgradeable, guarded, unprotected, frozen int
 	for _, l := range populationLabels(pop) {
 		if !l.IsProxy || !sal.IsProxy(l.Address) {
 			continue
 		}
-		rep := det.Check(l.Address)
+		rep := idx[l.Address].Report
 		if !rep.IsProxy {
 			continue
 		}

@@ -22,22 +22,35 @@ func populationLabels(pop *dataset.Population) []*dataset.Label {
 	return out
 }
 
-// Replay folds a completed batch run into one Landscape: every label
-// paired with its report and pair analysis, in label order. det is the
-// detector that produced res; Figure 6 recovers upgrade counts through it.
-// Every Section 7 table of the run renders from the returned fold.
-func Replay(pop *dataset.Population, det *proxion.Detector, res *proxion.Result) *Landscape {
-	a := NewLandscape(pop.Chain, pop.Registry, det)
-	repBy := make(map[etypes.Address]proxion.Report, len(res.Reports))
+// Index is a completed run's analysis items by contract address: each
+// report with its pair analysis (nil when none ran). It is the run's one
+// set of verdicts; Replay and every comparison table that only reads a
+// verdict look it up here instead of analyzing again. An address the run
+// did not examine maps to the zero Item.
+type Index map[etypes.Address]proxion.Item
+
+// NewIndex indexes res once per run.
+func NewIndex(res *proxion.Result) Index {
+	idx := make(Index, len(res.Reports))
 	for _, rep := range res.Reports {
-		repBy[rep.Address] = rep
+		idx[rep.Address] = proxion.Item{Report: rep}
 	}
-	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
 	for i := range res.Pairs {
-		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
+		it := idx[res.Pairs[i].Proxy]
+		it.Pair = &res.Pairs[i]
+		idx[res.Pairs[i].Proxy] = it
 	}
+	return idx
+}
+
+// Replay folds a completed batch run into one Landscape: every label
+// paired with its indexed item, in label order. det is the detector that
+// produced the run; Figure 6 recovers upgrade counts through it. Every
+// Section 7 table of the run renders from the returned fold.
+func Replay(pop *dataset.Population, det *proxion.Detector, idx Index) *Landscape {
+	a := NewLandscape(pop.Chain, pop.Registry, det)
 	for _, l := range pop.Labels {
-		a.Observe(l, proxion.Item{Report: repBy[l.Address], Pair: pairBy[l.Address]})
+		a.Observe(l, idx[l.Address])
 	}
 	return a
 }

@@ -115,8 +115,9 @@ func AblationDisasmFilter(pop *dataset.Population) *Table {
 
 // AblationSelectorChoice quantifies design choice 2: crafting call data
 // that avoids every PUSH4 candidate. The ablation probes every contract
-// with a fixed, frequently-implemented selector instead.
-func AblationSelectorChoice(pop *dataset.Population) *Table {
+// with a fixed, frequently-implemented selector instead. The crafted column
+// reads the run's verdicts from idx; only the fixed probe runs here.
+func AblationSelectorChoice(pop *dataset.Population, idx Index) *Table {
 	det := proxion.NewDetector(pop.Chain)
 
 	// proxyType() is implemented by the OwnableDelegateProxy clones: a
@@ -131,7 +132,7 @@ func AblationSelectorChoice(pop *dataset.Population) *Table {
 			continue
 		}
 		truth++
-		if det.Check(l.Address).IsProxy {
+		if idx[l.Address].Report.IsProxy {
 			detectedCrafted++
 		}
 		if det.CheckWithCallData(l.Address, fixed).IsProxy {
@@ -153,21 +154,22 @@ func AblationSelectorChoice(pop *dataset.Population) *Table {
 }
 
 // AblationHistorySearch quantifies design choice 3: Algorithm 1's binary
-// search vs querying every block.
-func AblationHistorySearch(pop *dataset.Population) *Table {
-	det := proxion.NewDetector(pop.Chain)
+// search vs querying every block, over the first 25 storage proxies of the
+// run's verdicts in idx.
+func AblationHistorySearch(pop *dataset.Population, idx Index) *Table {
 	var proxies []proxion.Report
 	for _, l := range populationLabels(pop) {
 		if !l.IsProxy || l.ImplSlot == (etypes.Hash{}) {
 			continue
 		}
-		if rep := det.Check(l.Address); rep.IsProxy && rep.Target == proxion.TargetStorage {
+		if rep := idx[l.Address].Report; rep.IsProxy && rep.Target == proxion.TargetStorage {
 			proxies = append(proxies, rep)
 			if len(proxies) >= 25 {
 				break
 			}
 		}
 	}
+	det := proxion.NewDetector(pop.Chain)
 	pop.Chain.ResetAPICalls()
 	for _, rep := range proxies {
 		det.LogicHistory(rep.Address, rep.ImplSlot)
@@ -230,21 +232,19 @@ func AblationNaivePush4(pop *dataset.Population) *Table {
 }
 
 // AblationDedup quantifies design choice 5: bytecode-hash deduplication of
-// collision analyses.
-func AblationDedup(pop *dataset.Population) *Table {
-	res := proxion.NewDetector(pop.Chain).AnalyzeAll(pop.Registry)
-
+// collision analyses, re-timing the run's pairs.
+func AblationDedup(pop *dataset.Population, pairs []proxion.PairAnalysis) *Table {
 	// With dedup: one shared detector whose caches persist across pairs.
 	shared := proxion.NewDetector(pop.Chain)
 	start := time.Now()
-	for _, pa := range res.Pairs {
+	for _, pa := range pairs {
 		shared.AnalyzePair(pa.Proxy, pa.Logic, pop.Registry)
 	}
 	withCache := time.Since(start)
 
 	// Without: a fresh detector per pair (cold caches every time).
 	start = time.Now()
-	for _, pa := range res.Pairs {
+	for _, pa := range pairs {
 		proxion.NewDetector(pop.Chain).AnalyzePair(pa.Proxy, pa.Logic, pop.Registry)
 	}
 	withoutCache := time.Since(start)
@@ -254,7 +254,7 @@ func AblationDedup(pop *dataset.Population) *Table {
 		Title:  "Bytecode-hash deduplication of collision analysis",
 		Header: []string{"mode", "total time", "per pair"},
 	}
-	n := len(res.Pairs)
+	n := len(pairs)
 	t.Rows = append(t.Rows,
 		[]string{"cached by code hash", withCache.String(), (withCache / time.Duration(max(n, 1))).String()},
 		[]string{"cold per pair", withoutCache.String(), (withoutCache / time.Duration(max(n, 1))).String()},

@@ -20,7 +20,7 @@ import (
 // distinct emulation errors, the cardinalities whose smallness is
 // precisely what Figure 5 measures.
 //
-// A batch run folds its completed Population/Result once through Replay;
+// A batch run folds its completed run's Index once through Replay;
 // a streaming run feeds Observe as items leave the analysis sink, then
 // renders once the stream drains.
 type Landscape struct {
@@ -33,8 +33,10 @@ type Landscape struct {
 	// standard split.
 	summary *proxion.SummaryBuilder
 
-	f2 map[int]*availCounts
-	f4 map[int]*pairSrcCounts
+	// f2 and f4 count, per year, population members by bucket(HasSource,
+	// HasTx) and detected pairs by bucket(logic source, proxy source).
+	f2 map[int]*[4]int
+	f4 map[int]*[4]int
 
 	funcByYear     map[int]int
 	storByYear     map[int]int
@@ -54,9 +56,19 @@ type Landscape struct {
 	upHist map[int]int
 }
 
-type availCounts struct{ both, sourceOnly, txOnly, neither int }
-
-type pairSrcCounts struct{ both, logicOnly, proxyOnly, neither int }
+// bucket is the availability column of two facts: 0 both, 1 the first
+// only, 2 the second only, 3 neither.
+func bucket(first, second bool) int {
+	switch {
+	case first && second:
+		return 0
+	case first:
+		return 1
+	case second:
+		return 2
+	}
+	return 3
+}
 
 // NewLandscape returns an empty aggregate reading source availability
 // from reg, bytecode identity from ch, and upgrade history through det.
@@ -66,8 +78,8 @@ func NewLandscape(ch *chain.Chain, reg *etherscan.Registry, det *proxion.Detecto
 		ch:             ch,
 		det:            det,
 		summary:        proxion.NewSummaryBuilder(),
-		f2:             make(map[int]*availCounts),
-		f4:             make(map[int]*pairSrcCounts),
+		f2:             make(map[int]*[4]int),
+		f4:             make(map[int]*[4]int),
 		funcByYear:     make(map[int]int),
 		storByYear:     make(map[int]int),
 		templateOfFunc: make(map[int]int),
@@ -78,8 +90,8 @@ func NewLandscape(ch *chain.Chain, reg *etherscan.Registry, det *proxion.Detecto
 		upHist:         make(map[int]int),
 	}
 	for _, y := range years {
-		a.f2[y] = &availCounts{}
-		a.f4[y] = &pairSrcCounts{}
+		a.f2[y] = &[4]int{}
+		a.f4[y] = &[4]int{}
 	}
 	return a
 }
@@ -107,18 +119,8 @@ func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
 		if rep.EmulationErr != nil {
 			a.errKinds[rep.EmulationErr.Error()]++
 		}
-		c := a.f2[l.Year]
-		if c != nil {
-			switch {
-			case l.HasSource && l.HasTx:
-				c.both++
-			case l.HasSource:
-				c.sourceOnly++
-			case l.HasTx:
-				c.txOnly++
-			default:
-				c.neither++
-			}
+		if c := a.f2[l.Year]; c != nil {
+			c[bucket(l.HasSource, l.HasTx)]++
 		}
 	}
 
@@ -130,18 +132,7 @@ func (a *Landscape) Observe(l *dataset.Label, it proxion.Item) {
 		}
 		if l != nil {
 			if c := a.f4[l.Year]; c != nil {
-				proxySrc := a.registry.HasSource(rep.Address)
-				logicSrc := a.registry.HasSource(rep.Logic)
-				switch {
-				case proxySrc && logicSrc:
-					c.both++
-				case logicSrc:
-					c.logicOnly++
-				case proxySrc:
-					c.proxyOnly++
-				default:
-					c.neither++
-				}
+				c[bucket(a.registry.HasSource(rep.Logic), a.registry.HasSource(rep.Address))]++
 			}
 			if !l.HasSource && !l.HasTx {
 				a.hidden++
@@ -173,24 +164,29 @@ func (a *Landscape) Figure2() *Table {
 		Title:  "Cumulative alive contracts by source/transaction availability",
 		Header: []string{"year", "source+tx", "source only", "tx only", "hidden (neither)", "total"},
 	}
-	var cum availCounts
-	for _, y := range years {
-		c := a.f2[y]
-		cum.both += c.both
-		cum.sourceOnly += c.sourceOnly
-		cum.txOnly += c.txOnly
-		cum.neither += c.neither
-		total := cum.both + cum.sourceOnly + cum.txOnly + cum.neither
-		t.Rows = append(t.Rows, []string{
-			itoa(y), itoa(cum.both), itoa(cum.sourceOnly), itoa(cum.txOnly), itoa(cum.neither), itoa(total),
-		})
-	}
-	total := cum.both + cum.sourceOnly + cum.txOnly + cum.neither
+	cum, total := cumulate(t, a.f2)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("source availability %s (paper ~18%%), tx availability %s (paper ~53%% incl. proxies)",
-			pct(cum.both+cum.sourceOnly, total), pct(cum.both+cum.txOnly, total)),
+			pct(cum[0]+cum[1], total), pct(cum[0]+cum[2], total)),
 		"population scaled from 36M to the configured size; proportions are the reproduction target")
 	return t
+}
+
+// cumulate appends one row per year to t: the year, each bucket summed
+// over that year and the ones before it, and their total. It returns the
+// final sums and total.
+func cumulate(t *Table, byYear map[int]*[4]int) (cum [4]int, total int) {
+	for _, y := range years {
+		row := []string{itoa(y)}
+		total = 0
+		for i, n := range byYear[y] {
+			cum[i] += n
+			total += cum[i]
+			row = append(row, itoa(cum[i]))
+		}
+		t.Rows = append(t.Rows, append(row, itoa(total)))
+	}
+	return cum, total
 }
 
 // Figure4 renders the pair source-availability breakdown.
@@ -200,18 +196,7 @@ func (a *Landscape) Figure4() *Table {
 		Title:  "Cumulative detected proxy/logic pairs by source availability",
 		Header: []string{"year", "both sources", "logic only", "proxy only", "neither", "total"},
 	}
-	var cum pairSrcCounts
-	for _, y := range years {
-		c := a.f4[y]
-		cum.both += c.both
-		cum.logicOnly += c.logicOnly
-		cum.proxyOnly += c.proxyOnly
-		cum.neither += c.neither
-		t.Rows = append(t.Rows, []string{
-			itoa(y), itoa(cum.both), itoa(cum.logicOnly), itoa(cum.proxyOnly), itoa(cum.neither),
-			itoa(cum.both + cum.logicOnly + cum.proxyOnly + cum.neither),
-		})
-	}
+	cumulate(t, a.f4)
 	t.Notes = append(t.Notes,
 		"paper: ~90% of proxy contracts lack source; the 'logic only' and 'neither' series dominate")
 	return t

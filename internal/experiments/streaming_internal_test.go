@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/etypes"
 	"repro/internal/proxion"
 )
 
@@ -17,13 +16,10 @@ func TestSummaryBuilderMerge(t *testing.T) {
 	det := proxion.NewDetector(pop.Chain)
 	res := det.AnalyzeAll(pop.Registry)
 
-	pairBy := make(map[etypes.Address]*proxion.PairAnalysis, len(res.Pairs))
-	for i := range res.Pairs {
-		pairBy[res.Pairs[i].Proxy] = &res.Pairs[i]
-	}
+	idx := NewIndex(res)
 	b := proxion.NewSummaryBuilder()
 	for _, rep := range res.Reports {
-		b.Emit(proxion.Item{Report: rep, Pair: pairBy[rep.Address]})
+		b.Emit(idx[rep.Address])
 	}
 
 	want := proxion.Summarize(res)

@@ -22,7 +22,7 @@ func batchSide(t *testing.T) (*dataset.Population, *proxion.Result, *experiments
 	pop := dataset.Generate(streamCfg)
 	det := proxion.NewDetector(pop.Chain)
 	res := det.AnalyzeAll(pop.Registry)
-	return pop, res, experiments.Replay(pop, det, res)
+	return pop, res, experiments.Replay(pop, det, experiments.NewIndex(res))
 }
 
 // TestStreamedCorpusLandscapeMatchesBatch is the deterministic parity
