@@ -48,7 +48,8 @@ race:
 
 # Streaming-engine gate: the tests whose outcome depends on how the
 # scheduler interleaves the workers (one address per turn, window bound,
-# ordered emission, cancel, goroutine accounting), on goroutines sharing a
+# ordered emission, cancel, goroutine accounting, FuzzStreamWindow's
+# seeds), on goroutines sharing a
 # per-bytecode record (concurrent artifact fill, LRU eviction, the probe's
 # halt, the verdict swapped out by Invalidate under concurrent duplicates),
 # on followers racing to run a clone family's leader check, or on callers
@@ -175,4 +176,5 @@ fuzz:
 	go test ./internal/static -run '^$$' -fuzz FuzzFamilyKey -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzTemplatePromotion -fuzztime $(FUZZTIME)
 	go test ./internal/proxion -run '^$$' -fuzz FuzzSlicerMatchesReference -fuzztime $(FUZZTIME)
+	go test ./internal/proxion -run '^$$' -fuzz FuzzStreamWindow -fuzztime $(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME)

@@ -61,6 +61,24 @@ type Stats struct {
 	Unresolved Counter
 }
 
+// Add adds every counter of o into st: how a stream worker that counted
+// into a Stats of its own hands its counts to the run's set when it exits.
+// o must not be updated concurrently.
+func (st *Stats) Add(o *Stats) {
+	st.Scanned.Add(o.Scanned.Load())
+	st.NoCode.Add(o.NoCode.Load())
+	st.FilterRejected.Add(o.FilterRejected.Load())
+	st.Emulations.Add(o.Emulations.Load())
+	st.CacheHits.Add(o.CacheHits.Load())
+	st.StructuralHits.Add(o.StructuralHits.Load())
+	st.StaticSummaries.Add(o.StaticSummaries.Load())
+	st.StructuralRejects.Add(o.StructuralRejects.Load())
+	st.EmulationAborts.Add(o.EmulationAborts.Load())
+	st.ProxiesDetected.Add(o.ProxiesDetected.Load())
+	st.PairsAnalyzed.Add(o.PairsAnalyzed.Load())
+	st.Unresolved.Add(o.Unresolved.Load())
+}
+
 // StageSnapshot is the frozen instrumentation of one stage.
 type StageSnapshot struct {
 	Name      string  `json:"name"`

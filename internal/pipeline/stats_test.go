@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -118,6 +119,33 @@ func TestSnapshotCountersExport(t *testing.T) {
 	for _, banned := range []string{"wall_ms", "contracts_per_sec", "cache_hit_rate"} {
 		if _, ok := got[banned]; ok {
 			t.Errorf("Counters leaked wall-clock-derived key %q", banned)
+		}
+	}
+}
+
+// TestStatsAddCoversEveryCounter fills every Counter field of two Stats
+// with distinct values, found by reflection so that a counter added later
+// cannot be left out of Add, and checks Add sums each and leaves its
+// argument as it was.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var dst, src pipeline.Stats
+	dv, sv := reflect.ValueOf(&dst).Elem(), reflect.ValueOf(&src).Elem()
+	counter := reflect.TypeOf(pipeline.Counter{})
+	for i := 0; i < dv.NumField(); i++ {
+		if dv.Field(i).Type() != counter {
+			t.Fatalf("Stats field %s is a %s, not a Counter", dv.Type().Field(i).Name, dv.Field(i).Type())
+		}
+		dv.Field(i).Addr().Interface().(*pipeline.Counter).Add(int64(1000 * (i + 1)))
+		sv.Field(i).Addr().Interface().(*pipeline.Counter).Add(int64(i + 1))
+	}
+	dst.Add(&src)
+	for i := 0; i < dv.NumField(); i++ {
+		name := dv.Type().Field(i).Name
+		if got, want := dv.Field(i).Addr().Interface().(*pipeline.Counter).Load(), int64(1001*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", name, got, want)
+		}
+		if got := sv.Field(i).Addr().Interface().(*pipeline.Counter).Load(); got != int64(i+1) {
+			t.Errorf("Add changed its argument's %s to %d", name, got)
 		}
 	}
 }

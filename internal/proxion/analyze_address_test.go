@@ -100,3 +100,41 @@ func TestStreamTwoOnOneDetector(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStreamsShareStats runs two streams over different corpora at once,
+// both counting into one Stats. A stream's workers count into sets of
+// their own and add them in as they exit, so the shared set must end at
+// the sum of what each stream counts alone, however the workers interleave.
+func TestStreamsShareStats(t *testing.T) {
+	pops := []*dataset.Population{
+		dataset.Generate(dataset.Config{Seed: 41, Contracts: 300}),
+		dataset.Generate(dataset.Config{Seed: 43, Contracts: 200}),
+	}
+	want := map[string]int64{}
+	for _, pop := range pops {
+		var alone pipeline.Stats
+		proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry,
+			proxion.AnalyzeOptions{Workers: 2, Stats: &alone})
+		for k, v := range alone.Snapshot().Counters() {
+			want[k] += v
+		}
+	}
+	if want["cache_hits"] == 0 || want["pairs_analyzed"] == 0 {
+		t.Fatalf("corpora exercise no duplicate or no pair: %v", want)
+	}
+
+	var shared pipeline.Stats
+	var wg sync.WaitGroup
+	for _, pop := range pops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			proxion.NewDetector(pop.Chain).AnalyzeAllWithOptions(pop.Registry,
+				proxion.AnalyzeOptions{Workers: 2, Stats: &shared})
+		}()
+	}
+	wg.Wait()
+	if got := shared.Snapshot().Counters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("two streams sharing one Stats count\n %v\nalone they sum to\n %v", got, want)
+	}
+}

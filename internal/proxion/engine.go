@@ -49,11 +49,14 @@ type AnalyzeOptions struct {
 	// being promoted from their family exemplar.
 	DisableStructural bool
 	// Stats, when non-nil, is the externally-owned counter set the run
-	// updates instead of a private one. All Stats fields are atomic, so a
-	// caller may read them live while analyses are in flight, and any number
-	// of calls may share one set — how a long-running query service counts
-	// its single-address analyses. A stream's final Snapshot is taken from
-	// the same counters.
+	// updates instead of a private one, and any number of calls may share
+	// one set. A single AnalyzeAddress call counts into it as it goes, so a
+	// caller may read it live while such calls are in flight — how a
+	// long-running query service counts its single-address analyses. A
+	// stream's workers each count into a set of their own and add it into
+	// Stats when they exit, so a stream's counts arrive as its workers
+	// finish, all of them before AnalyzeStream returns; its final Snapshot
+	// is taken from Stats then.
 	Stats *pipeline.Stats
 }
 
@@ -107,23 +110,64 @@ var stageNames = [numStages]string{
 	"disasm-filter", "emulation-probe", "classification", "pair-analysis",
 }
 
+// sampleEvery is how many items a worker starts per item whose stages its
+// stageClock times: four or five clock reads per contract were 5 % of the
+// worker CPU of a clone-heavy scan, whose contracts take a few µs each.
+const sampleEvery = 16
+
 // stageClock is one worker's private per-stage accounting, summed into the
-// run's Snapshot.Stages once every worker has exited.
-type stageClock [numStages]struct {
-	items int64
-	busy  time.Duration
+// run's Snapshot.Stages once every worker has exited. It counts every item
+// of a stage but reads the clock for the worker's 1st, 17th, 33rd … item
+// only, and for the first item that enters a stage the worker has not yet
+// timed, so every row with items has a sample; a row's busy time is its
+// timed busy time scaled by processed ÷ timed.
+type stageClock struct {
+	items int64 // items the worker has started
+	rows  [numStages]struct {
+		processed, timed int64
+		busy             time.Duration
+	}
 }
 
-// lap closes stage for one item that entered it at since and returns the
-// closing instant: the next stage starts on the same clock reading. A nil
-// clock (a single call, which has no stage rows) reads no time at all.
-func (c *stageClock) lap(stage int, since time.Time) time.Time {
+// start begins one item in the first stage and returns its start reading,
+// or the zero time when the item is not sampled. A nil clock (a single
+// call, which has no stage rows) reads no time at all.
+func (c *stageClock) start() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	c.items++
+	if (c.items-1)%sampleEvery != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stop closes stage for one item that entered it at since — timed unless
+// since is zero — and returns the closing reading, or the zero time.
+func (c *stageClock) stop(stage int, since time.Time) time.Time {
 	if c == nil {
 		return since
 	}
+	row := &c.rows[stage]
+	row.processed++
+	if since.IsZero() {
+		return since
+	}
 	now := time.Now()
-	c[stage].items++
-	c[stage].busy += now.Sub(since)
+	row.timed++
+	row.busy += now.Sub(since)
+	return now
+}
+
+// lap closes stage for an item that goes on to the next stage and returns
+// the next stage's start: the same reading when the item is timed, a fresh
+// one when the next stage has no sample yet, the zero time otherwise.
+func (c *stageClock) lap(stage int, since time.Time) time.Time {
+	now := c.stop(stage, since)
+	if c != nil && now.IsZero() && c.rows[stage+1].timed == 0 {
+		return time.Now()
+	}
 	return now
 }
 
@@ -153,7 +197,7 @@ func (d *Detector) newAnalysis(sources SourceProvider, opts AnalyzeOptions) anal
 // one detector.
 func (d *Detector) AnalyzeAddress(addr etypes.Address, sources SourceProvider, opts AnalyzeOptions) Item {
 	r := d.newAnalysis(sources, opts)
-	return r.analyze(addr, nil)
+	return r.analyze(addr, r.opts.Stats, nil)
 }
 
 // ReaderCounters is one reading of the node surface's own monotonic
@@ -206,18 +250,21 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	var wg sync.WaitGroup
 	for w := range clocks {
 		// One worker: pull an address, analyze it to completion, repeat until
-		// the source is exhausted. The clock is the worker's own until it
-		// exits, so the per-item path writes nothing another worker reads.
+		// the source is exhausted. The clock and the counters are the
+		// worker's own until it exits, so the per-item path writes nothing
+		// another worker reads but the window (stream.go).
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var clock stageClock
+			var stats pipeline.Stats
 			for idx, addr, ok := tracker.pull(); ok; idx, addr, ok = tracker.pull() {
-				it := run.analyze(addr, &clock)
+				it := run.analyze(addr, &stats, &clock)
 				it.Index = idx
 				tracker.deliver(it)
 			}
 			clocks[w] = clock
+			run.opts.Stats.Add(&stats)
 		}()
 	}
 	wg.Wait()
@@ -231,11 +278,15 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	for st, name := range stageNames {
 		row := pipeline.StageSnapshot{Name: name, Workers: workers}
 		var busy time.Duration
+		var timed int64
 		for _, c := range clocks {
-			row.Processed += c[st].items
-			busy += c[st].busy
+			row.Processed += c.rows[st].processed
+			timed += c.rows[st].timed
+			busy += c.rows[st].busy
 		}
-		row.BusyMS = float64(busy) / 1e6
+		if timed > 0 {
+			row.BusyMS = float64(busy) / 1e6 * float64(row.Processed) / float64(timed)
+		}
 		snap.Stages = append(snap.Stages, row)
 	}
 	d.CountReads(snap, before)
@@ -244,30 +295,28 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 
 // analyze runs one contract through every step it needs; a terminal read
 // failure in any step degrades the contract to Unresolved (Reader contract),
-// the first failure kept. clock, when not nil, accounts the steps' time.
-func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
-	d, stats := r.d, r.opts.Stats
+// the first failure kept. It counts into stats; clock, when not nil,
+// accounts the steps' time.
+func (r *analysis) analyze(addr etypes.Address, stats *pipeline.Stats, clock *stageClock) (it Item) {
+	d := r.d
 	stats.Scanned.Add(1)
 	defer func() {
 		if it.Report.Unresolved {
 			stats.Unresolved.Add(1)
 		}
 	}()
-	var now time.Time
-	if clock != nil {
-		now = time.Now()
-	}
+	now := clock.start()
 
-	code, verdict, probe := r.filter(addr)
+	code, verdict, probe := r.filter(addr, stats)
 	if !probe {
-		clock.lap(stageFilter, now)
+		clock.stop(stageFilter, now)
 		return Item{Report: verdict}
 	}
 	now = clock.lap(stageFilter, now)
 
 	rep := &it.Report
 	var art *artifact
-	*rep, art = r.probe(addr, code)
+	*rep, art = r.probe(addr, code, stats)
 	now = clock.lap(stageProbe, now)
 
 	// Classification (Table 4).
@@ -275,10 +324,11 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 		rep.Standard = classify(code, *rep)
 		stats.ProxiesDetected.Add(1)
 	}
-	now = clock.lap(stageClassify, now)
 	if !rep.IsProxy || rep.Logic.IsZero() {
+		clock.stop(stageClassify, now)
 		return it
 	}
+	now = clock.lap(stageClassify, now)
 
 	// Pair collision analysis (Section 5), over the code and the record the
 	// filter and the probe already fetched.
@@ -289,23 +339,23 @@ func (r *analysis) analyze(addr etypes.Address, clock *stageClock) (it Item) {
 		stats.PairsAnalyzed.Add(1)
 		it.Pair = &pa
 	}
-	clock.lap(stagePair, now)
+	clock.stop(stagePair, now)
 	return it
 }
 
 // filter is the disassembly filter (Section 4.1): it returns the runtime
 // code of a contract worth probing, or the final report of one that is not
 // — no code or no DELEGATECALL opcode, rejected without an emulation.
-func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe bool) {
+func (r *analysis) filter(addr etypes.Address, stats *pipeline.Stats) (code []byte, rep Report, probe bool) {
 	if re := chain.CaptureReadError(func() { code = r.d.chain.Code(addr) }); re != nil {
 		return nil, unresolvedReport(addr, re), false
 	}
 	switch {
 	case len(code) == 0:
-		r.opts.Stats.NoCode.Add(1)
+		stats.NoCode.Add(1)
 		return nil, Report{Address: addr, Reason: "no code at address"}, false
 	case !disasm.ContainsOp(code, evm.DELEGATECALL):
-		r.opts.Stats.FilterRejected.Add(1)
+		stats.FilterRejected.Add(1)
 		return nil, Report{Address: addr, Reason: "bytecode contains no DELEGATECALL opcode"}, false
 	}
 	return code, Report{}, true
@@ -316,8 +366,8 @@ func (r *analysis) filter(addr etypes.Address) (code []byte, rep Report, probe b
 // family* of cleanly forwarding near-clones thanks to the second-level
 // structural index. It also returns the bytecode's record, which the pair
 // stage reuses; nil when a read failed.
-func (r *analysis) probe(addr etypes.Address, code []byte) (rep Report, art *artifact) {
-	d, stats := r.d, r.opts.Stats
+func (r *analysis) probe(addr etypes.Address, code []byte, stats *pipeline.Stats) (rep Report, art *artifact) {
+	d := r.d
 	re := chain.CaptureReadError(func() {
 		codeHash := d.chain.CodeHash(addr)
 		art = d.artifacts.of(codeHash)

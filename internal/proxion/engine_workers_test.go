@@ -319,8 +319,10 @@ func TestAnalyzeStreamReadFailureInEachStage(t *testing.T) {
 // logic address is pair-analyzed — and none of it depends on how many
 // workers shared the stream. It also pins the run's timing fields and row
 // layout: the wall clock is positive, no longer than the call, and frozen
-// once the call returns; the rows come in execution order; an empty stream
-// gives zero, finite rates.
+// once the call returns; the rows come in execution order; every row that
+// processed an item has a positive, finite busy time from the sampled
+// clock, also when no worker gets 16 items; an empty stream gives zero,
+// finite rates.
 func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 	pop := dataset.Generate(dataset.Config{Seed: 41, Contracts: 600})
 	rowNames := func(snap *pipeline.Snapshot) []string {
@@ -367,12 +369,24 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 				t.Errorf("workers %d: stage %s reports %d workers", workers, st.Name, st.Workers)
 			}
 		}
+		checkBusy(t, fmt.Sprintf("workers %d", workers), res.Stats)
 		if want == nil {
 			want = k
 		} else if !reflect.DeepEqual(k, want) {
 			t.Errorf("counters at %d workers differ from 1 worker:\n got %v\nwant %v", workers, k, want)
 		}
 	}
+
+	// Each of 8 workers gets fewer than 16 items: a worker times its first
+	// item only, and the first it sends into each later stage.
+	small := proxion.NewDetector(pop.Chain).AnalyzeStream(proxion.SliceSource(pop.Chain.Contracts()[:100]),
+		pop.Registry, proxion.SinkFunc(func(proxion.Item) {}), proxion.AnalyzeOptions{Workers: 8})
+	for _, st := range small.Stages {
+		if st.Processed == 0 {
+			t.Errorf("100 contracts: stage %s processed nothing", st.Name)
+		}
+	}
+	checkBusy(t, "100 contracts at 8 workers", small)
 
 	empty := proxion.NewDetector(pop.Chain).AnalyzeStream(proxion.SliceSource(nil), pop.Registry,
 		proxion.SinkFunc(func(proxion.Item) {}), proxion.AnalyzeOptions{Workers: 3})
@@ -391,6 +405,21 @@ func TestAnalyzeStreamStageArithmetic(t *testing.T) {
 	}
 	if len(empty.Stages) != 4 {
 		t.Errorf("empty stream: %d stage rows, want 4", len(empty.Stages))
+	}
+}
+
+// checkBusy holds a stream's stage rows to a sampled clock's arithmetic:
+// every busy time is finite and non-negative, and positive on a row that
+// processed anything.
+func checkBusy(t *testing.T, name string, snap *pipeline.Snapshot) {
+	t.Helper()
+	for _, st := range snap.Stages {
+		if math.IsNaN(st.BusyMS) || math.IsInf(st.BusyMS, 0) || st.BusyMS < 0 {
+			t.Errorf("%s: stage %s busy %v ms", name, st.Name, st.BusyMS)
+		}
+		if st.Processed > 0 && st.BusyMS <= 0 {
+			t.Errorf("%s: stage %s processed %d items in %v ms", name, st.Name, st.Processed, st.BusyMS)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ type overlayState struct {
 	created map[etypes.Address]struct{}
 	dead    map[etypes.Address]struct{}
 
-	journal []func()
+	journal []journalEntry
 
 	// self is the probed contract. accountRead records that the run asked
 	// for any account's balance, or for another account's existence, code
@@ -39,6 +39,33 @@ type overlayState struct {
 }
 
 var _ evm.StateDB = (*overlayState)(nil)
+
+// journalKind names the overlay map a journalEntry restores.
+type journalKind uint8
+
+const (
+	journalStorage journalKind = iota
+	journalBalance
+	journalNonce
+	journalCode
+	journalCreated
+	journalDead
+)
+
+// journalEntry is one write's undo record: the map it went to, the
+// account (and storage key) it changed, and what that entry held before —
+// had is false when it held nothing. A value, not a closure, so a write
+// allocates nothing but the journal's own growth.
+type journalEntry struct {
+	kind    journalKind
+	had     bool
+	addr    etypes.Address
+	key     etypes.Hash
+	slot    etypes.Hash // journalStorage
+	balance u256.Int    // journalBalance
+	nonce   uint64      // journalNonce
+	code    []byte      // journalCode
+}
 
 // newOverlay allocates the overlay alone: each map is made by its first
 // write (opened), since reads and deletes of a nil map are legal and most
@@ -102,11 +129,9 @@ func (o *overlayState) GetBalance(a etypes.Address) u256.Int {
 
 func (o *overlayState) Transfer(from, to etypes.Address, v u256.Int) {
 	pf, pt := o.GetBalance(from), o.GetBalance(to)
-	hadF, hadT := hasKey(o.balance, from), hasKey(o.balance, to)
-	o.journal = append(o.journal, func() {
-		restore(o.balance, from, pf, hadF)
-		restore(o.balance, to, pt, hadT)
-	})
+	o.journal = append(o.journal,
+		journalEntry{kind: journalBalance, addr: from, balance: pf, had: hasKey(o.balance, from)},
+		journalEntry{kind: journalBalance, addr: to, balance: pt, had: hasKey(o.balance, to)})
 	balance := opened(&o.balance)
 	balance[from] = pf.Sub(v)
 	balance[to] = pt.Add(v)
@@ -128,7 +153,7 @@ func (o *overlayState) SetState(a etypes.Address, k, v etypes.Hash) {
 		opened(&o.storage)[a] = m
 	}
 	prev, had := m[k]
-	o.journal = append(o.journal, func() { restore(m, k, prev, had) })
+	o.journal = append(o.journal, journalEntry{kind: journalStorage, addr: a, key: k, slot: prev, had: had})
 	m[k] = v
 }
 
@@ -141,31 +166,27 @@ func (o *overlayState) GetNonce(a etypes.Address) uint64 {
 
 func (o *overlayState) SetNonce(a etypes.Address, n uint64) {
 	prev, had := o.nonce[a]
-	o.journal = append(o.journal, func() { restore(o.nonce, a, prev, had) })
+	o.journal = append(o.journal, journalEntry{kind: journalNonce, addr: a, nonce: prev, had: had})
 	opened(&o.nonce)[a] = n
 }
 
 func (o *overlayState) CreateAccount(a etypes.Address) {
 	if _, ok := o.created[a]; !ok && !o.base.Exists(a) {
-		o.journal = append(o.journal, func() { delete(o.created, a) })
+		o.journal = append(o.journal, journalEntry{kind: journalCreated, addr: a})
 		opened(&o.created)[a] = struct{}{}
 	}
 }
 
 func (o *overlayState) SetCode(a etypes.Address, code []byte) {
 	prev, had := o.code[a]
-	o.journal = append(o.journal, func() { restore(o.code, a, prev, had) })
+	o.journal = append(o.journal, journalEntry{kind: journalCode, addr: a, code: prev, had: had})
 	opened(&o.code)[a] = code
 }
 
 func (o *overlayState) SelfDestruct(a, beneficiary etypes.Address) {
 	o.Transfer(a, beneficiary, o.GetBalance(a))
 	_, had := o.dead[a]
-	o.journal = append(o.journal, func() {
-		if !had {
-			delete(o.dead, a)
-		}
-	})
+	o.journal = append(o.journal, journalEntry{kind: journalDead, addr: a, had: had})
 	opened(&o.dead)[a] = struct{}{}
 }
 
@@ -173,7 +194,23 @@ func (o *overlayState) Snapshot() int { return len(o.journal) }
 
 func (o *overlayState) RevertToSnapshot(rev int) {
 	for len(o.journal) > rev {
-		o.journal[len(o.journal)-1]()
+		e := &o.journal[len(o.journal)-1]
+		switch e.kind {
+		case journalStorage:
+			restore(o.storage[e.addr], e.key, e.slot, e.had)
+		case journalBalance:
+			restore(o.balance, e.addr, e.balance, e.had)
+		case journalNonce:
+			restore(o.nonce, e.addr, e.nonce, e.had)
+		case journalCode:
+			restore(o.code, e.addr, e.code, e.had)
+		case journalCreated:
+			delete(o.created, e.addr)
+		case journalDead:
+			if !e.had {
+				delete(o.dead, e.addr)
+			}
+		}
 		o.journal = o.journal[:len(o.journal)-1]
 	}
 }

@@ -65,3 +65,51 @@ func TestOverlayJournalRevertsLazyMaps(t *testing.T) {
 		t.Errorf("%d journal entries left after reverting to the first snapshot", len(o.journal))
 	}
 }
+
+// TestOverlayJournalRevertsToInnerSnapshot writes every kind of entry
+// twice around an inner snapshot: reverting to it restores the first
+// writes, not the base, and reverting to the outer one then restores the
+// base.
+func TestOverlayJournalRevertsToInnerSnapshot(t *testing.T) {
+	c := chain.New()
+	a, to, b := structAddr(0xa2), structAddr(0xb2), structAddr(0xc2)
+	slot := etypes.Keccak([]byte("overlay.inner"))
+	c.InstallContract(a, []byte{0x60, 0x01, 0x00})
+	c.Fund(a, u256.FromUint64(100))
+	word := func(v uint64) etypes.Hash { return etypes.HashFromWord(u256.FromUint64(v)) }
+
+	o := newOverlay(c)
+	outer := o.Snapshot()
+	o.SetState(a, slot, word(1))
+	o.SetCode(a, []byte{0x01})
+	o.SetNonce(a, 1)
+	o.Transfer(a, to, u256.FromUint64(10))
+	inner := o.Snapshot()
+	o.SetState(a, slot, word(2))
+	o.SetCode(a, []byte{0x02})
+	o.SetNonce(a, 2)
+	o.Transfer(a, to, u256.FromUint64(20))
+	o.CreateAccount(b)
+	o.SelfDestruct(a, to)
+
+	o.RevertToSnapshot(inner)
+	if got := o.GetState(a, slot); got != word(1) {
+		t.Errorf("state after the inner revert %v, want the first write", got)
+	}
+	if got := o.GetCode(a); !bytes.Equal(got, []byte{0x01}) {
+		t.Errorf("code after the inner revert %x, want 01", got)
+	}
+	if o.GetNonce(a) != 1 || !o.GetBalance(a).Eq(u256.FromUint64(90)) || !o.GetBalance(to).Eq(u256.FromUint64(10)) {
+		t.Errorf("nonce %d, balances %v and %v after the inner revert, want 1, 90 and 10",
+			o.GetNonce(a), o.GetBalance(a), o.GetBalance(to))
+	}
+	if o.Exists(b) {
+		t.Error("account created after the inner snapshot survives its revert")
+	}
+
+	o.RevertToSnapshot(outer)
+	if o.GetState(a, slot) != c.GetState(a, slot) || !bytes.Equal(o.GetCode(a), c.Code(a)) ||
+		o.GetNonce(a) != c.GetNonce(a) || !o.GetBalance(a).Eq(c.GetBalance(a)) || !o.GetBalance(to).Eq(c.GetBalance(to)) {
+		t.Error("the outer revert left a write of the overlay")
+	}
+}

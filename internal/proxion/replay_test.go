@@ -16,8 +16,8 @@ import (
 // (replayGuarded, TestReplayAllocationCeiling): the function table and the
 // selector list, the call data, the overlay and its maps, the tracer, the
 // two EVMs and what the runs write. No map of collided or written slots,
-// no sort swapper, no per-opcode copy.
-const replayAllocCeiling = 23
+// no sort swapper, no per-opcode copy, no closure per journaled write.
+const replayAllocCeiling = 17
 
 // TestReplayAllocationCeiling holds the exploit replay of a collided pair
 // to replayAllocCeiling allocations: it keeps no maps, and the collided

@@ -2,6 +2,7 @@ package proxion
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/etypes"
 )
@@ -92,118 +93,135 @@ func (c *CollectSink) Result() *Result { return &c.res }
 // workers pull addresses through it, finish them in any order, and it
 // emits them in source order. It enforces the run's memory bound end to end:
 //
-//   - a worker takes one window slot before it pulls an address (blocking
-//     when the window is full — backpressure against the source), and
-//   - a slot is released only when its item has been emitted, so
-//     in-flight + completed-but-unemitted items never exceed the window.
+//   - a worker pulls an address only while fewer than window items are
+//     pulled but not yet emitted (next − base < window, waiting for room
+//     otherwise — backpressure against the source), and
+//   - base passes an item only once it has been emitted, so in-flight +
+//     completed-but-unemitted items never exceed the window.
 //
 // Peak memory of a streaming run is therefore a function of the window
-// size — never of corpus length. The semaphore is the bound and the ring
-// behind it is the whole window from the start: whoever wants one address
-// analyzed calls AnalyzeAddress and has no window to pay for.
+// size — never of corpus length. The ring is the whole window from the
+// start: whoever wants one address analyzed calls AnalyzeAddress and has no
+// window to pay for. No lock is shared between delivery and emission: a
+// worker lands its item in its own slot and raises the slot's ready flag,
+// and whichever worker wins the emitting flag drains the ready head.
 type streamTracker struct {
-	sink ReportSink
-
-	// sem holds one token per window slot.
-	sem chan struct{}
+	sink   ReportSink
+	window int64
 
 	// turn serialises the pulls from src (the AddressSource contract). It
-	// is held across src.Next, which may block: nothing else takes it, and
-	// a worker waiting for it holds a window token but no contract.
+	// is held across src.Next, which may block, and across the wait for
+	// room in a full window: neither needs the turn to end, since emission
+	// never takes it and a worker waiting for it holds no contract.
 	turn sync.Mutex
 	src  AddressSource
-	done bool // src has reported end of stream; under turn
+	done bool  // src has reported end of stream; under turn
+	next int64 // next index to assign; under turn
 
-	mu       sync.Mutex
-	slots    []trackSlot // ring buffer, indexed by item index % len; cap(sem) long
-	base     int         // lowest index not yet emitted
-	next     int         // next index to assign (under turn and mu)
-	emitting bool        // a goroutine is currently draining ready slots
+	base     atomic.Int64 // lowest index not yet emitted; advanced by the emitter
+	emitting atomic.Bool  // a goroutine is draining ready slots
+	// waiting is set by a puller that found the window full; the emitter
+	// that next advances base clears it and sends on room (1-buffered).
+	waiting atomic.Bool
+	room    chan struct{}
+
+	slots []trackSlot // ring buffer, indexed by item index % len; window long
 }
 
 // trackSlot is one in-flight contract: empty until its worker delivers the
-// finished item.
+// finished item and raises ready.
 type trackSlot struct {
 	it    Item
-	ready bool
+	ready atomic.Bool
 }
 
 func newStreamTracker(window int, src AddressSource, sink ReportSink) *streamTracker {
 	return &streamTracker{
-		src:   src,
-		sink:  sink,
-		sem:   make(chan struct{}, window),
-		slots: make([]trackSlot, window),
+		src:    src,
+		sink:   sink,
+		window: int64(window),
+		room:   make(chan struct{}, 1),
+		slots:  make([]trackSlot, window),
 	}
 }
 
-// pull blocks until a window slot is free, then takes the source's turn
-// for ONE address and assigns it the next item index. One, never a batch:
-// a source may withhold address k+1 until item k has been emitted (a query
-// service's closed-loop client), so a worker that kept pulling with k in
-// hand could wait forever. The window token is taken before the turn, and
-// handed back if the source is exhausted, so the turn is never held while
-// waiting for the sink; indices are assigned under the turn, so index
-// order is the order of the Next calls.
+// pull takes the source's turn for ONE address, waits under it until the
+// window has room, and assigns the address the next item index. One, never
+// a batch: a source may withhold address k+1 until item k has been emitted
+// (a query service's closed-loop client), so a worker that kept pulling
+// with k in hand could wait forever. Room is checked before Next, so the
+// source is never asked for an address there is no slot for; indices are
+// assigned under the turn, so index order is the order of the Next calls.
 func (t *streamTracker) pull() (idx int, addr etypes.Address, ok bool) {
-	t.sem <- struct{}{}
 	t.turn.Lock()
+	for !t.done && !t.hasRoom() {
+		// Announce the wait, then look again: an emitter that advanced base
+		// before it could see the announcement is seen here instead.
+		t.waiting.Store(true)
+		if t.hasRoom() {
+			break
+		}
+		<-t.room
+	}
 	if !t.done {
 		addr, ok = t.src.Next()
 		t.done = !ok
 	}
 	if ok {
-		t.mu.Lock()
-		idx = t.next
+		idx = int(t.next)
 		t.next++
-		t.mu.Unlock()
 	}
 	t.turn.Unlock()
-	if !ok {
-		<-t.sem
-	}
 	return idx, addr, ok
 }
 
-// slot returns the ring slot for idx. Callers hold t.mu.
-func (t *streamTracker) slot(idx int) *trackSlot {
-	return &t.slots[idx%len(t.slots)]
+// hasRoom reports whether another item fits in the window. Under turn.
+func (t *streamTracker) hasRoom() bool {
+	return t.next-t.base.Load() < t.window
 }
 
-// deliver lands the finished item in the slot its Index names.
+// slot returns the ring slot for idx.
+func (t *streamTracker) slot(idx int64) *trackSlot {
+	return &t.slots[idx%int64(len(t.slots))]
+}
+
+// deliver lands the finished item in the slot its Index names and drains
+// the window if no other goroutine is draining it.
 func (t *streamTracker) deliver(it Item) {
-	t.mu.Lock()
-	*t.slot(it.Index) = trackSlot{it: it, ready: true}
-	t.drainLocked()
+	s := t.slot(int64(it.Index))
+	s.it = it
+	s.ready.Store(true)
+	t.drain()
 }
 
-// drainLocked emits every contiguous completed slot starting at base, in
-// order, releasing window tokens as it goes. Called with t.mu held;
-// releases and reacquires it around sink calls so workers delivering
-// other items are not serialized behind the sink. The emitting flag keeps
-// emission single-threaded (and therefore ordered) without a dedicated
-// emitter goroutine.
-func (t *streamTracker) drainLocked() {
-	if t.emitting {
-		t.mu.Unlock()
-		return
-	}
-	t.emitting = true
-	for {
-		s := t.slot(t.base)
-		if !s.ready {
-			break
+// drain emits every contiguous ready slot starting at base, in order. The
+// emitting flag keeps emission single-threaded (and therefore ordered)
+// without a dedicated emitter goroutine; a delivery that loses the flag
+// leaves its item to the holder, which looks at the head once more after
+// letting the flag go, so no item is left ready behind a finished drain.
+// A slot is emptied before base passes it: its index's successor one window
+// later cannot be pulled until then.
+func (t *streamTracker) drain() {
+	for t.emitting.CompareAndSwap(false, true) {
+		base := t.base.Load()
+		for s := t.slot(base); s.ready.Load(); s = t.slot(base) {
+			it := s.it
+			s.it = Item{}
+			s.ready.Store(false)
+
+			t.sink.Emit(it)
+			base++
+			t.base.Store(base) // the slot is free only after emission
+			if t.waiting.Load() && t.waiting.CompareAndSwap(true, false) {
+				select {
+				case t.room <- struct{}{}:
+				default: // a wake-up is already pending
+				}
+			}
 		}
-		it := s.it
-		*s = trackSlot{} // reset for reuse before the slot index recycles
-		t.base++
-		t.mu.Unlock()
-
-		t.sink.Emit(it)
-		<-t.sem // release the window slot only after emission
-
-		t.mu.Lock()
+		t.emitting.Store(false)
+		if !t.slot(base).ready.Load() {
+			return
+		}
 	}
-	t.emitting = false
-	t.mu.Unlock()
 }
